@@ -290,7 +290,10 @@ fn run() -> Result<(), PicError> {
         "adaptive (from scalar/sorted_block)".into(),
         format!("{drift_secs:.4}"),
         format!("{}", drift_events.len()),
-        format!("{:.1}% of best (drift phase)", drift_secs / best_drift * 100.0),
+        format!(
+            "{:.1}% of best (drift phase)",
+            drift_secs / best_drift * 100.0
+        ),
     ]);
     // ---------------- every switch ledgered + streamed ----------------
     let mut log = FaultLog::new();
@@ -305,7 +308,9 @@ fn run() -> Result<(), PicError> {
         );
         stream.record_adapt(None, ev);
     }
-    stream.commit().map_err(|e| PicError::Config(e.to_string()))?;
+    stream
+        .commit()
+        .map_err(|e| PicError::Config(e.to_string()))?;
     let total_switches = steady_events.len() + drift_events.len();
     gate(
         log.count(FaultKind::Adapt) == total_switches,

@@ -704,7 +704,9 @@ mod tests {
 
     #[test]
     fn strided_sampling_stays_bounded() {
-        let icell: Vec<u32> = (0..997u32).map(|i| i.wrapping_mul(2654435761) % 64).collect();
+        let icell: Vec<u32> = (0..997u32)
+            .map(|i| i.wrapping_mul(2654435761) % 64)
+            .collect();
         for stride in [1, 2, 4, 16] {
             let d = measure_disorder(&icell, stride, 64);
             assert!((0.0..=1.0).contains(&d.descent_frac), "stride={stride}");

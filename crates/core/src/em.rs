@@ -21,6 +21,7 @@
 //! executing pool *width*, exactly as in the electrostatic driver, and the
 //! `Exact` deposit path over `Scalar`/`Lanes` kernels is bit-identical.
 
+use crate::control::{self, ControllerConfig, HotPathController, SwitchEvent};
 use crate::fields::{Field2D, RedundantE, RedundantJ, RedundantRho};
 use crate::grid::Grid2D;
 use crate::kernels::accumulate;
@@ -33,7 +34,6 @@ use crate::pool::ThreadPool;
 use crate::resilience::checkpoint::{self as ckpt, EmSpeciesState, EmState};
 use crate::resilience::watchdog::{WatchdogConfig, WatchdogViolation};
 use crate::rng::Rng;
-use crate::control::{self, ControllerConfig, HotPathController, SwitchEvent};
 use crate::sim::{AnyLayout, DiagSample, Diagnostics, KernelPath};
 use crate::species::{
     species_moments, split_species_mut, SpeciesArena, SpeciesDef, SpeciesMoments,

@@ -41,7 +41,9 @@ pub mod velocity;
 
 use crate::particles::ParticlesSoA;
 
-/// A mutable view over one contiguous range of a [`ParticlesSoA`].
+/// A mutable view over one contiguous range of a [`ParticlesSoA`]; the
+/// default is the empty view.
+#[derive(Default)]
 pub struct SoaViewMut<'a> {
     /// Cell indices.
     pub icell: &'a mut [u32],
@@ -68,6 +70,19 @@ impl<'a> SoaViewMut<'a> {
     /// True when the view is empty.
     pub fn is_empty(&self) -> bool {
         self.icell.is_empty()
+    }
+
+    /// Reborrow the sub-range `start..end` of this view.
+    pub fn range_mut(&mut self, start: usize, end: usize) -> SoaViewMut<'_> {
+        SoaViewMut {
+            icell: &mut self.icell[start..end],
+            ix: &mut self.ix[start..end],
+            iy: &mut self.iy[start..end],
+            dx: &mut self.dx[start..end],
+            dy: &mut self.dy[start..end],
+            vx: &mut self.vx[start..end],
+            vy: &mut self.vy[start..end],
+        }
     }
 }
 

@@ -381,6 +381,41 @@ pub fn accumulate_redundant_lanes(
     super::deposit::deposit_tail(&icell[main..], &dx[main..], &dy[main..], rho4, w);
 }
 
+/// Lane-blocked `Σ (sx·vx)² + (sy·vy)²`: `4·LANES` running partials over the
+/// full blocks (four independent vector add chains, none across
+/// neighbouring particles, so the loop vectorizes and overlaps the add
+/// latency), a pairwise reduction of the partials, then the remainder added
+/// in particle order. The summation order is a pure function of the slice
+/// length, so equal slices give equal bits.
+pub fn sum_speed_sq_lanes(vx: &[f64], vy: &[f64], sx: f64, sy: f64) -> f64 {
+    const WIDTH: usize = 4 * LANES;
+    assert!(vx.len() == vy.len());
+    let speed_sq = |ux: f64, uy: f64| {
+        let (px, py) = (ux * sx, uy * sy);
+        px * px + py * py
+    };
+    let mut acc = [0.0f64; WIDTH];
+    let (bx, by) = (vx.chunks_exact(WIDTH), vy.chunks_exact(WIDTH));
+    let (tx, ty) = (bx.remainder(), by.remainder());
+    for (bvx, bvy) in bx.zip(by) {
+        for l in 0..WIDTH {
+            acc[l] += speed_sq(bvx[l], bvy[l]);
+        }
+    }
+    let mut width = WIDTH;
+    while width > 1 {
+        width /= 2;
+        for l in 0..width {
+            acc[l] += acc[l + width];
+        }
+    }
+    let mut sum = acc[0];
+    for (&ux, &uy) in tx.iter().zip(ty) {
+        sum += speed_sq(ux, uy);
+    }
+    sum
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::{accumulate, position, velocity};
@@ -592,6 +627,22 @@ mod tests {
                     assert_eq!(x[k].to_bits(), y[k].to_bits(), "n={n} cell={c} corner={k}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn speed_sq_sum_tracks_plain_sum() {
+        for n in EDGE_COUNTS {
+            let p = mk(n, 16, 16);
+            let (sx, sy) = (0.7, 1.3);
+            let plain: f64 = (0..n)
+                .map(|i| (p.vx[i] * sx).powi(2) + (p.vy[i] * sy).powi(2))
+                .sum();
+            let lanes = sum_speed_sq_lanes(&p.vx, &p.vy, sx, sy);
+            assert!(
+                (lanes - plain).abs() <= 1e-12 * plain.abs(),
+                "n={n}: {lanes} vs {plain}"
+            );
         }
     }
 }

@@ -2,9 +2,9 @@
 //! hybrid scheme (OpenMP `parallel for`) without per-call thread spawning.
 //!
 //! [`crate::par`] originally spawned scoped OS threads on every parallel
-//! region. That is well amortized for second-long regions, but the paper's
-//! split loops run three regions *per time step*, and at 10⁵–10⁶ particles a
-//! region is tens to hundreds of microseconds — the ~10–20 µs clone+join cost
+//! region. That is well amortized for second-long regions, but a time step
+//! runs several regions (particle pass, sort, FFT passes), and at 10⁵–10⁶
+//! particles a region is tens to hundreds of microseconds — the ~10–20 µs clone+join cost
 //! per spawn becomes a measurable tax, and the kernel-level page-table and
 //! stack traffic pollutes the caches the whole data-structure design is
 //! trying to keep warm. This module keeps `N − 1` workers parked on a

@@ -20,7 +20,7 @@ use crate::fields::{Field2D, RedundantE, RedundantRho};
 use crate::grid::Grid2D;
 use crate::kernels::{self, accumulate, aos, deposit, fused, position, simd, velocity, SoaViewMut};
 use crate::particles::{self, InitialDistribution, ParticlesAoS, ParticlesSoA};
-use crate::pool::{ThreadPool, MAX_THREADS};
+use crate::pool::{chunk_range, ThreadPool, MAX_THREADS};
 use crate::resilience::checkpoint::{self as ckpt};
 use crate::rng::Rng;
 use crate::sort;
@@ -56,9 +56,16 @@ pub enum FieldLayout {
 /// Particle-loop structure (§IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopStructure {
-    /// One fused loop doing kick + push + deposit.
+    /// The shape the paper splits away from: one loop whose body kicks,
+    /// pushes and deposits a single particle before moving to the next
+    /// ([`crate::kernels::fused`]) — scalar, sequential, kept as the
+    /// per-particle ablation rung.
     Fused,
-    /// Three split loops.
+    /// The paper's optimized shape: kick, push and deposit as three loops,
+    /// each over many particles, so each one vectorizes. On the SoA layout
+    /// with redundant fields the three loops run strip by strip inside one
+    /// streaming pass over the particles ([`STRIP`]); the other
+    /// combinations run them as three whole-array passes.
     Split,
 }
 
@@ -506,6 +513,10 @@ pub struct Simulation {
     /// drives the sort schedule from observed disorder and retunes the
     /// kernel/deposit paths at sort boundaries.
     controller: Option<HotPathController>,
+    /// `Σ|v|²` (physical units) summed inside the last streaming pass, kept
+    /// for the diagnostics sample that ends the step. Every `&mut` route to
+    /// the particle store clears it, so the sample then recomputes.
+    pass_speed_sq: Option<f64>,
 }
 
 impl Simulation {
@@ -627,6 +638,7 @@ impl Simulation {
             sort_arena: sort::SortArena::new(),
             solve_scratch: SolveScratch::new(),
             controller,
+            pass_speed_sq: None,
             cfg,
         })
     }
@@ -781,6 +793,7 @@ impl Simulation {
     /// ranks edit the arrays directly; only meaningful for SoA-layout runs
     /// (AoS runs keep a separate canonical mirror between sorts).
     pub fn particles_mut(&mut self) -> &mut ParticlesSoA {
+        self.pass_speed_sq = None;
         &mut self.particles
     }
 
@@ -828,6 +841,7 @@ impl Simulation {
             }
         }
         self.cfg.keep_cells = range;
+        self.pass_speed_sq = None;
         Ok(())
     }
 
@@ -936,6 +950,7 @@ impl Simulation {
         self.charge_ref = st.charge_ref;
         self.scratch = ParticlesSoA::zeroed(st.particles.len());
         self.particles = st.particles;
+        self.pass_speed_sq = None;
         self.field.rho = st.rho;
         self.field.ex = st.ex;
         self.field.ey = st.ey;
@@ -1260,6 +1275,7 @@ impl Simulation {
 
     fn sort_particles(&mut self) {
         let t = Instant::now();
+        self.pass_speed_sq = None;
         let ncells = self.layout.as_dyn().ncells();
         // Keep the canonical representation (SoA or AoS) sorted.
         if self.cfg.particle_layout == ParticleLayout::Aos {
@@ -1302,111 +1318,74 @@ impl Simulation {
         }
     }
 
+    /// The optimized particle loops as one streaming pass
+    /// ([`strip_pass`]): every `hoisted × KernelPath × layout × DepositPath`
+    /// combination runs the same strip driver over its selected kernels.
     fn soa_split_redundant(&mut self) {
         let lanes = self.cfg.kernel_path == KernelPath::Lanes;
         let hoisted = self.cfg.hoisted;
-        let unhoisted = self.unhoisted_coeffs();
+        let (coeff_x, coeff_y, unhoisted_scale) = self.unhoisted_coeffs();
+        let scale = if hoisted { 1.0 } else { unhoisted_scale };
+        let (ncx, ncy) = (self.grid.ncx, self.grid.ncy);
+        // A pooled run always pushes branchless; the other two shapes are
+        // sequential ablation rungs.
+        let shape = match self.pool {
+            Some(_) => PositionUpdate::Branchless,
+            None => self.cfg.position_update,
+        };
+        let speed_scales = self.speed_scales();
 
-        // Kick: elementwise over particles, so a view is a view — the pool
-        // fan-out and the sequential whole-store call are bit-identical.
-        let t = Instant::now();
-        {
-            let e8 = &self.e8.e8;
-            let p = &mut self.particles;
-            let kick = |v: &mut SoaViewMut<'_>| match (hoisted, lanes) {
-                (true, true) => simd::update_velocities_redundant_hoisted_lanes(
-                    v.icell, v.dx, v.dy, v.vx, v.vy, e8,
-                ),
-                (true, false) => velocity::update_velocities_redundant_hoisted(
-                    v.icell, v.dx, v.dy, v.vx, v.vy, e8,
-                ),
-                (false, true) => simd::update_velocities_redundant_lanes(
-                    v.icell,
-                    v.dx,
-                    v.dy,
-                    v.vx,
-                    v.vy,
-                    e8,
-                    unhoisted.0,
-                    unhoisted.1,
-                ),
-                (false, false) => velocity::update_velocities_redundant(
-                    v.icell,
-                    v.dx,
-                    v.dy,
-                    v.vx,
-                    v.vy,
-                    e8,
-                    unhoisted.0,
-                    unhoisted.1,
-                ),
-            };
-            match &self.pool {
-                Some(pool) => {
-                    let mut views: [Option<SoaViewMut<'_>>; MAX_THREADS] =
-                        [const { None }; MAX_THREADS];
-                    let nv = kernels::split_soa_mut_into(p, pool.nthreads(), &mut views);
-                    pool.run_items(&mut views[..nv], |_, slot| {
-                        kick(slot.as_mut().expect("view slot filled"));
-                    });
-                }
-                None => {
-                    let ParticlesSoA {
-                        icell,
-                        ix,
-                        iy,
-                        dx,
-                        dy,
-                        vx,
-                        vy,
-                    } = p;
-                    kick(&mut SoaViewMut {
-                        icell,
-                        ix,
-                        iy,
-                        dx,
-                        dy,
-                        vx,
-                        vy,
-                    });
-                }
+        let e8 = &self.e8.e8;
+        let kick = |v: &mut SoaViewMut<'_>| match (hoisted, lanes) {
+            (true, true) => {
+                simd::update_velocities_redundant_hoisted_lanes(v.icell, v.dx, v.dy, v.vx, v.vy, e8)
             }
-        }
-        self.timers.update_v += t.elapsed().as_secs_f64();
-
-        // Push.
-        let t = Instant::now();
-        self.push_positions_soa();
-        self.timers.update_x += t.elapsed().as_secs_f64();
-
-        // Deposit: kernel chosen by the (DepositPath, KernelPath) pair.
-        let t = Instant::now();
-        self.rho4.clear();
-        let w = self.wq * QE.signum();
-        match &self.pool {
-            Some(pool) => {
-                let (p, rho4, arenas) = (&self.particles, &mut self.rho4, &mut self.rho_arenas);
-                accumulate::pool_accumulate_redundant(
-                    pool,
-                    &p.icell,
-                    &p.dx,
-                    &p.dy,
-                    rho4,
-                    arenas,
-                    w,
-                    self.cfg.deposit_path,
-                    self.cfg.kernel_path,
-                );
+            (true, false) => {
+                velocity::update_velocities_redundant_hoisted(v.icell, v.dx, v.dy, v.vx, v.vy, e8)
             }
-            None => deposit::select_kernel(self.cfg.deposit_path, self.cfg.kernel_path)(
-                &self.particles.icell,
-                &self.particles.dx,
-                &self.particles.dy,
-                &mut self.rho4.rho4,
-                w,
+            (false, true) => simd::update_velocities_redundant_lanes(
+                v.icell, v.dx, v.dy, v.vx, v.vy, e8, coeff_x, coeff_y,
             ),
-        }
-        self.timers.accumulate += t.elapsed().as_secs_f64();
+            (false, false) => velocity::update_velocities_redundant(
+                v.icell, v.dx, v.dy, v.vx, v.vy, e8, coeff_x, coeff_y,
+            ),
+        };
+        let push_row_major = |v: &mut SoaViewMut<'_>| match (shape, lanes) {
+            (PositionUpdate::NaiveIf, _) => position::update_positions_naive_if(
+                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
+            ),
+            (PositionUpdate::ModuloInt, _) => position::update_positions_modulo(
+                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
+            ),
+            (PositionUpdate::Branchless, true) => simd::update_positions_branchless_lanes(
+                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
+            ),
+            (PositionUpdate::Branchless, false) => position::update_positions_branchless(
+                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
+            ),
+        };
+        let deposit = deposit::select_kernel(self.cfg.deposit_path, self.cfg.kernel_path);
+        let weight = self.wq * QE.signum();
+
+        let (particles, pool) = (&mut self.particles, self.pool.as_deref());
+        let (rho4, arenas, timers) = (&mut self.rho4, &mut self.rho_arenas, &mut self.timers);
+        let mut pass = |push: &StripFn<'_>| {
+            let kernels = StripKernels {
+                kick: &kick,
+                push,
+                deposit,
+                weight,
+                speed_scales,
+            };
+            strip_pass(particles, pool, rho4, arenas, &kernels, timers)
+        };
+        let speed_sq = match &self.layout {
+            AnyLayout::RowMajor(_) => pass(&push_row_major),
+            AnyLayout::L4D(l) => pass(&push_in_layout(l, shape, lanes, scale)),
+            AnyLayout::Morton(l) => pass(&push_in_layout(l, shape, lanes, scale)),
+            AnyLayout::Hilbert(l) => pass(&push_in_layout(l, shape, lanes, scale)),
+        };
+        self.pass_speed_sq = Some(speed_sq);
 
         let t = Instant::now();
         self.rho4
@@ -1517,112 +1496,6 @@ impl Simulation {
         );
         self.field.rho = rho;
         self.timers.accumulate += t.elapsed().as_secs_f64();
-    }
-
-    fn push_positions_soa(&mut self) {
-        let p = &mut self.particles;
-        let scale = if self.cfg.hoisted {
-            1.0
-        } else {
-            self.cfg.dt / self.grid.dx()
-        };
-        let (ncx, ncy) = (self.grid.ncx, self.grid.ncy);
-        let lanes = self.cfg.kernel_path == KernelPath::Lanes;
-
-        // Pooled path first: fan views out to the workers (the push is
-        // elementwise, so chunking never changes results). As before, the
-        // parallel path always runs the branchless kernel.
-        if let Some(pool) = &self.pool {
-            let mut views: [Option<SoaViewMut<'_>>; MAX_THREADS] = [const { None }; MAX_THREADS];
-            let nv = kernels::split_soa_mut_into(p, pool.nthreads(), &mut views);
-            macro_rules! pooled_layout {
-                ($l:expr) => {{
-                    let l = $l;
-                    pool.run_items(&mut views[..nv], |_, slot| {
-                        let v = slot.as_mut().expect("view slot filled");
-                        if lanes {
-                            simd::update_positions_branchless_layout_lanes(
-                                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, l, scale,
-                            );
-                        } else {
-                            position::update_positions_branchless_layout(
-                                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, l, scale,
-                            );
-                        }
-                    });
-                }};
-            }
-            match &self.layout {
-                AnyLayout::RowMajor(_) => pool.run_items(&mut views[..nv], |_, slot| {
-                    let v = slot.as_mut().expect("view slot filled");
-                    if lanes {
-                        simd::update_positions_branchless_lanes(
-                            v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
-                        );
-                    } else {
-                        position::update_positions_branchless(
-                            v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
-                        );
-                    }
-                }),
-                AnyLayout::L4D(l) => pooled_layout!(l),
-                AnyLayout::Morton(l) => pooled_layout!(l),
-                AnyLayout::Hilbert(l) => pooled_layout!(l),
-            }
-            return;
-        }
-
-        // Sequential path: disjoint field borrows — positions/cells mutate,
-        // velocities are read-only; no copies (the paper's loop reads v and
-        // writes x).
-        let ParticlesSoA {
-            icell,
-            ix,
-            iy,
-            dx,
-            dy,
-            vx,
-            vy,
-        } = p;
-        macro_rules! push_with_layout {
-            ($l:expr) => {
-                match self.cfg.position_update {
-                    PositionUpdate::Branchless | PositionUpdate::ModuloInt => {
-                        if lanes {
-                            simd::update_positions_branchless_layout_lanes(
-                                icell, ix, iy, dx, dy, vx, vy, $l, scale,
-                            )
-                        } else {
-                            position::update_positions_branchless_layout(
-                                icell, ix, iy, dx, dy, vx, vy, $l, scale,
-                            )
-                        }
-                    }
-                    PositionUpdate::NaiveIf => position::update_positions_naive_if_layout(
-                        icell, ix, iy, dx, dy, vx, vy, $l, scale,
-                    ),
-                }
-            };
-        }
-        match &self.layout {
-            AnyLayout::RowMajor(_) => match (self.cfg.position_update, lanes) {
-                (PositionUpdate::NaiveIf, _) => position::update_positions_naive_if(
-                    icell, ix, iy, dx, dy, vx, vy, ncx, ncy, scale,
-                ),
-                (PositionUpdate::ModuloInt, _) => position::update_positions_modulo(
-                    icell, ix, iy, dx, dy, vx, vy, ncx, ncy, scale,
-                ),
-                (PositionUpdate::Branchless, true) => simd::update_positions_branchless_lanes(
-                    icell, ix, iy, dx, dy, vx, vy, ncx, ncy, scale,
-                ),
-                (PositionUpdate::Branchless, false) => position::update_positions_branchless(
-                    icell, ix, iy, dx, dy, vx, vy, ncx, ncy, scale,
-                ),
-            },
-            AnyLayout::L4D(l) => push_with_layout!(l),
-            AnyLayout::Morton(l) => push_with_layout!(l),
-            AnyLayout::Hilbert(l) => push_with_layout!(l),
-        }
     }
 
     // ---------------- AoS stepping ----------------
@@ -1821,6 +1694,7 @@ impl Simulation {
     /// array canonical between sorts; call this before reading
     /// [`particles`](Self::particles) mid-run).
     pub fn sync_particles(&mut self) {
+        self.pass_speed_sq = None;
         if let Some(aos) = &self.particles_aos {
             self.particles = aos.to_soa();
         }
@@ -1828,35 +1702,54 @@ impl Simulation {
 
     // ---------------- diagnostics ----------------
 
-    /// Kinetic energy in physical units, `½·w·m·Σ|v|²`.
-    pub fn kinetic_energy(&self) -> f64 {
-        let (cx, cy) = if self.cfg.hoisted {
+    /// Factors taking stored velocities to physical units (grid cells per
+    /// step under hoisting, already physical otherwise).
+    fn speed_scales(&self) -> (f64, f64) {
+        if self.cfg.hoisted {
             (self.grid.dx() / self.cfg.dt, self.grid.dy() / self.cfg.dt)
         } else {
             (1.0, 1.0)
-        };
+        }
+    }
+
+    /// Kinetic energy in physical units, `½·w·m·Σ|v|²`.
+    ///
+    /// The SoA sum has the shape of the streaming pass — lane-blocked
+    /// partials per strip, per [`chunk_range`] chunk (over the pool when
+    /// there is one), chunks added in worker order — so it is deterministic
+    /// for a given particle order and pool width, and right after a
+    /// [`step`](Self::step) it equals the recorded sample bit for bit.
+    pub fn kinetic_energy(&self) -> f64 {
+        let (sx, sy) = self.speed_scales();
         let sum: f64 = match &self.particles_aos {
             Some(aos) => aos
                 .p
                 .iter()
                 .map(|p| {
-                    let vx = p.vx * cx;
-                    let vy = p.vy * cy;
+                    let vx = p.vx * sx;
+                    let vy = p.vy * sy;
                     vx * vx + vy * vy
                 })
                 .sum(),
-            None => self
-                .particles
-                .vx
-                .iter()
-                .zip(&self.particles.vy)
-                .map(|(&ux, &uy)| {
-                    let vx = ux * cx;
-                    let vy = uy * cy;
-                    vx * vx + vy * vy
-                })
-                .sum(),
+            None => {
+                let (vx, vy) = (&self.particles.vx, &self.particles.vy);
+                let nw = self.pool.as_ref().map_or(1, |p| p.nthreads());
+                let mut partials = [0.0f64; MAX_THREADS];
+                let chunk = |w: usize, out: &mut f64| {
+                    let (s, e) = chunk_range(vx.len(), nw, w);
+                    *out = chunk_speed_sq(&vx[s..e], &vy[s..e], sx, sy);
+                };
+                match &self.pool {
+                    Some(pool) => pool.run_items(&mut partials[..nw], chunk),
+                    None => chunk(0, &mut partials[0]),
+                }
+                partials[..nw].iter().sum()
+            }
         };
+        self.kinetic_from_speed_sq(sum)
+    }
+
+    fn kinetic_from_speed_sq(&self, sum: f64) -> f64 {
         0.5 * self.weight * ME * sum
     }
 
@@ -1881,12 +1774,192 @@ impl Simulation {
     }
 
     fn record_diag(&mut self) {
+        let kinetic = match self.pass_speed_sq.take() {
+            Some(sum) => self.kinetic_from_speed_sq(sum),
+            None => self.kinetic_energy(),
+        };
         self.diag.history.push(DiagSample {
             time: self.step_count as f64 * self.cfg.dt,
-            kinetic: self.kinetic_energy(),
+            kinetic,
             field: self.field_energy(),
             ex_mode: self.ex_mode_amplitude(1),
         });
+    }
+}
+
+/// Particles per strip of the streaming particle pass: a multiple of the
+/// lane width, so strip edges fall on the lane-block edges of a whole-chunk
+/// kernel call, and small enough (8192 × 44 B ≈ 360 KB) that a strip stays
+/// in L2 from its kick to its deposit. Chosen by sweep (DESIGN.md §9), plain
+/// step at 16 M particles / 2 threads: 114.8 ms as three whole-array
+/// passes, then 71.3 / 67.8 / 66.1 / 67.4 / 93.7 ms at strip 512 / 2048 /
+/// 8192 / 32768 / ∞; at 1 M / 1 thread every length is within noise of the
+/// three-pass step (8.3–8.8 ms vs 8.4), 512 the slowest.
+pub const STRIP: usize = 8192;
+const _: () = assert!(STRIP.is_multiple_of(simd::LANES));
+
+/// A kernel applied to one strip of particles.
+type StripFn<'a> = dyn Fn(&mut SoaViewMut<'_>) + Sync + 'a;
+
+/// The kernels one streaming pass runs on every strip, selected once per
+/// step; dispatch is per strip, so it costs nothing per particle.
+struct StripKernels<'a> {
+    kick: &'a StripFn<'a>,
+    push: &'a StripFn<'a>,
+    deposit: deposit::DepositFn,
+    /// Signed deposition weight.
+    weight: f64,
+    /// Stored-velocity → physical factors for the in-pass `Σ|v|²`.
+    speed_scales: (f64, f64),
+}
+
+/// One worker's share of a streaming pass.
+struct PassItem<'a> {
+    view: SoaViewMut<'a>,
+    /// Where this worker deposits: its private arena, or ρ₄ itself when it
+    /// is the only worker.
+    rho: &'a mut RedundantRho,
+    /// `Σ|v|²` over the view, taken after the kick.
+    speed_sq: f64,
+    /// Per-phase seconds as laps of `clock`: every lap starts where the
+    /// previous one ended, so the three buckets add up to the worker's time
+    /// in the pass.
+    times: PhaseTimes,
+    clock: Instant,
+}
+
+/// Close the current lap of `clock` into `bucket`.
+fn lap(clock: &mut Instant, bucket: &mut f64) {
+    let now = Instant::now();
+    *bucket += (now - *clock).as_secs_f64();
+    *clock = now;
+}
+
+impl PassItem<'_> {
+    /// Walk the view strip by strip: kick → `Σ|v|²` partial → push → deposit
+    /// of the pushed positions, so each particle moves between memory and
+    /// cache once per step. The last strip and the `n mod LANES` remainder
+    /// go through the kernels' own scalar tails.
+    fn run(&mut self, k: &StripKernels<'_>) {
+        // Work on locals and store once at the end: neighbouring items
+        // share cache lines, and these are written several times a strip.
+        let (mut clock, mut times, mut speed_sq) = (self.clock, self.times, self.speed_sq);
+        self.rho.clear();
+        lap(&mut clock, &mut times.accumulate);
+        let n = self.view.len();
+        let (sx, sy) = k.speed_scales;
+        let mut start = 0;
+        while start < n {
+            let end = (start + STRIP).min(n);
+            let mut strip = self.view.range_mut(start, end);
+            (k.kick)(&mut strip);
+            speed_sq += simd::sum_speed_sq_lanes(strip.vx, strip.vy, sx, sy);
+            lap(&mut clock, &mut times.update_v);
+            (k.push)(&mut strip);
+            lap(&mut clock, &mut times.update_x);
+            (k.deposit)(
+                strip.icell,
+                strip.dx,
+                strip.dy,
+                &mut self.rho.rho4,
+                k.weight,
+            );
+            lap(&mut clock, &mut times.accumulate);
+            start = end;
+        }
+        (self.clock, self.times, self.speed_sq) = (clock, times, speed_sq);
+    }
+}
+
+/// `Σ|v|²` of one worker chunk in the shape [`PassItem::run`] sums it: one
+/// lane-blocked partial per strip, strips added in order.
+fn chunk_speed_sq(vx: &[f64], vy: &[f64], sx: f64, sy: f64) -> f64 {
+    let mut sum = 0.0;
+    for (svx, svy) in vx.chunks(STRIP).zip(vy.chunks(STRIP)) {
+        sum += simd::sum_speed_sq_lanes(svx, svy, sx, sy);
+    }
+    sum
+}
+
+/// The particle loops of one step as a single fan-out: worker `w` walks its
+/// [`chunk_range`] chunk in strips ([`PassItem::run`]) and deposits into its
+/// own arena; the arenas are then merged into `rho4` in worker order, so ρ
+/// is deterministic for a given pool width. Without a pool (or with one
+/// worker) the same strip loop runs on the whole store, straight into
+/// `rho4`. Returns `Σ|v|²`, per-worker partials added in worker order.
+///
+/// The leader's laps go to `timers`; its wait at the join and the arena
+/// merge count as accumulate, like the deposit fan-out they replace.
+fn strip_pass(
+    particles: &mut ParticlesSoA,
+    pool: Option<&ThreadPool>,
+    rho4: &mut RedundantRho,
+    arenas: &mut [RedundantRho],
+    kernels: &StripKernels<'_>,
+    timers: &mut PhaseTimes,
+) -> f64 {
+    let clock = Instant::now();
+    let nw = pool.map_or(1, ThreadPool::nthreads);
+    let mut views: [Option<SoaViewMut<'_>>; MAX_THREADS] = [const { None }; MAX_THREADS];
+    kernels::split_soa_mut_into(particles, nw, &mut views);
+    let targets = if nw == 1 {
+        std::slice::from_mut(&mut *rho4)
+    } else {
+        &mut arenas[..nw]
+    };
+    // Fewer particles than workers leaves the last views empty; those
+    // workers still clear their arena.
+    let mut work: [Option<PassItem<'_>>; MAX_THREADS] = [const { None }; MAX_THREADS];
+    for ((slot, view), rho) in work.iter_mut().zip(&mut views).zip(targets) {
+        *slot = Some(PassItem {
+            view: view.take().unwrap_or_default(),
+            rho,
+            speed_sq: 0.0,
+            times: PhaseTimes::default(),
+            clock,
+        });
+    }
+    let run = |_: usize, slot: &mut Option<PassItem<'_>>| {
+        slot.as_mut().expect("work slot filled").run(kernels);
+    };
+    match pool {
+        Some(pool) => pool.run_items(&mut work[..nw], run),
+        None => run(0, &mut work[0]),
+    }
+
+    let speed_sq = work[..nw].iter().flatten().map(|item| item.speed_sq).sum();
+    let leader = work[0].as_ref().expect("work slot filled");
+    let (mut times, mut clock) = (leader.times, leader.clock);
+    if nw > 1 {
+        rho4.clear();
+        for arena in &arenas[..nw] {
+            rho4.add_assign(arena);
+        }
+    }
+    lap(&mut clock, &mut times.accumulate);
+    timers.update_v += times.update_v;
+    timers.update_x += times.update_x;
+    timers.accumulate += times.accumulate;
+    speed_sq
+}
+
+/// The push kernel for one strip under a space-filling-curve layout.
+fn push_in_layout<'l, L: CellLayout + Sync>(
+    layout: &'l L,
+    shape: PositionUpdate,
+    lanes: bool,
+    scale: f64,
+) -> impl Fn(&mut SoaViewMut<'_>) + Sync + 'l {
+    move |v| match (shape, lanes) {
+        (PositionUpdate::NaiveIf, _) => position::update_positions_naive_if_layout(
+            v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
+        ),
+        (_, true) => simd::update_positions_branchless_layout_lanes(
+            v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
+        ),
+        (_, false) => position::update_positions_branchless_layout(
+            v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
+        ),
     }
 }
 
@@ -2143,6 +2216,70 @@ mod tests {
         assert!(t.solve > 0.0);
         sim.reset_timers();
         assert_eq!(sim.timers().total(), 0.0);
+    }
+
+    #[test]
+    fn pass_phase_times_add_up_to_its_wall_time() {
+        // The per-strip laps must account for the whole pass: a phase left
+        // out of the attribution would open a gap against the wall clock.
+        for threads in [1, 2] {
+            let mut cfg = PicConfig::landau_table1(200_000);
+            cfg.threads = threads;
+            let mut sim = Simulation::new(cfg).unwrap();
+            sim.reset_timers();
+            let t = Instant::now();
+            for _ in 0..5 {
+                sim.soa_split_redundant();
+            }
+            let wall = t.elapsed().as_secs_f64();
+            let pt = sim.timers();
+            let pass_wall = wall - pt.convert;
+            let loops = pt.update_v + pt.update_x + pt.accumulate;
+            assert!(
+                (pass_wall - loops).abs() <= 0.02 * pass_wall,
+                "threads={threads}: loops {loops} s vs pass {pass_wall} s"
+            );
+        }
+    }
+
+    #[test]
+    fn kinetic_energy_is_the_recorded_sample() {
+        for threads in [1, 2, 3] {
+            let mut cfg = small(3 * STRIP + 5);
+            cfg.threads = threads;
+            let mut sim = Simulation::new(cfg).unwrap();
+            let recorded = |sim: &Simulation| sim.diagnostics().history.last().unwrap().kinetic;
+            for _ in 0..3 {
+                sim.step();
+                assert_eq!(
+                    sim.kinetic_energy().to_bits(),
+                    recorded(&sim).to_bits(),
+                    "threads={threads}"
+                );
+            }
+            let (sx, sy) = sim.speed_scales();
+            let p = sim.particles();
+            let plain: f64 = (p.vx.iter().zip(&p.vy))
+                .map(|(&ux, &uy)| (ux * sx).powi(2) + (uy * sy).powi(2))
+                .sum();
+            let plain = sim.kinetic_from_speed_sq(plain);
+            assert!(
+                (recorded(&sim) - plain).abs() <= 1e-12 * plain,
+                "threads={threads}: {} vs plain sum {plain}",
+                recorded(&sim)
+            );
+
+            // Editing the store between the step halves drops the in-pass
+            // sum: the sample is the energy of the edited particles.
+            sim.step_pre_reduce();
+            sim.particles_mut().vx[0] += 1.0;
+            sim.step_post_reduce();
+            assert_eq!(
+                sim.kinetic_energy().to_bits(),
+                recorded(&sim).to_bits(),
+                "threads={threads}: after particles_mut"
+            );
+        }
     }
 
     #[test]

@@ -20,6 +20,13 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> benchmark package gate (fmt, clippy, unit tests, 1/20-size smoke of all eight workloads)"
+# Compiles the benchmark against the library API it lists in
+# benchmark/README.md and applies its output checks (finite, charge 1e-9,
+# energy drift 1e-4, Landau peaks), so an API break or a wrong result fails
+# here before the pipeline runs the benchmark.
+bash benchmark/check.sh
+
 echo "==> fault matrix (kill/drop/corrupt + elastic chaos scenarios, fixed seeds)"
 cargo run --release -q -p pic-bench --bin fault_matrix
 

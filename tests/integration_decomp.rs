@@ -210,3 +210,46 @@ fn rejected_configs() {
     });
     assert!(outcomes.iter().all(|&ok| ok));
 }
+
+#[test]
+fn decomposed_sample_is_the_post_migration_kinetic_energy() {
+    // The driver ships leavers out between the two step halves, so the
+    // sample must be recomputed from the particles still held when it is
+    // recorded, not taken from the pre-migration particle pass. Arrivals
+    // are appended after the sample, at the end of the store.
+    let max_leaver_share = World::run(2, |comm| {
+        let c = cfg(Ordering::Morton);
+        let mut dsim = DecomposedSimulation::new(c.clone(), DecompConfig::default(), comm).unwrap();
+        let grid = dsim.sim().grid();
+        let (sx, sy) = (grid.dx() / c.dt, grid.dy() / c.dt);
+        let half_weight = 0.5 * pic2d::pic_core::particles::particle_weight(grid, N);
+        let mut max_leaver_share = 0.0f64;
+        for _ in 0..STEPS {
+            let before = dsim.stats();
+            dsim.step(comm).unwrap();
+            let after = dsim.stats();
+            let arrived = (after.migrated_in - before.migrated_in) as usize;
+            let left = (after.migrated_out - before.migrated_out) as usize;
+
+            let p = dsim.sim().particles();
+            let held = p.len() - arrived;
+            let plain: f64 = (p.vx[..held].iter().zip(&p.vy[..held]))
+                .map(|(&ux, &uy)| (ux * sx).powi(2) + (uy * sy).powi(2))
+                .sum();
+            let plain = half_weight * plain;
+            let recorded = dsim.sim().diagnostics().history.last().unwrap().kinetic;
+            assert!(
+                (recorded - plain).abs() <= 1e-12 * plain,
+                "recorded {recorded} vs held-particle energy {plain}"
+            );
+            max_leaver_share = max_leaver_share.max(left as f64 / (held + left) as f64);
+        }
+        max_leaver_share
+    });
+    // The check above only discriminates if leavers carried a resolvable
+    // share of some rank's energy.
+    assert!(
+        max_leaver_share.iter().any(|&s| s > 1e-3),
+        "no step migrated enough particles: {max_leaver_share:?}"
+    );
+}

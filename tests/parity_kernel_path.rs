@@ -198,3 +198,184 @@ fn reassociated_deposit_within_cell_bound_at_1m() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Strip-pass parity: `Simulation::step` streams each worker chunk through
+// kick → push → deposit in strips of `STRIP` particles. One step must match
+// a reference composed from whole-array calls of the public kernels, over
+// cell orderings, pool widths, deposit paths and particle counts around the
+// lane and strip edges (including fewer particles than workers).
+// ---------------------------------------------------------------------------
+
+use pic_core::fields::{Field2D, RedundantE, RedundantRho};
+use pic_core::kernels::simd::{self, LANES};
+use pic_core::particles::{particle_weight, ParticlesSoA};
+use pic_core::pool::ThreadPool;
+use pic_core::sim::{AnyLayout, ME, QE, STRIP};
+
+/// Advance a copy of `sim`'s particles one step with whole-array kernel
+/// calls (hoisted lane kernels, as `cfg()` selects) and return them with
+/// the deposited grid ρ. `pool` has the simulation's width, so the
+/// per-worker arenas merge in the same order.
+fn whole_array_step(sim: &Simulation, pool: &ThreadPool) -> (ParticlesSoA, Vec<f64>) {
+    let c = sim.config();
+    let grid = sim.grid();
+    let layout = AnyLayout::build(c.ordering, c.grid_nx, c.grid_ny).unwrap();
+
+    let mut field = Field2D::new(grid);
+    let (ex, ey) = sim.e_field();
+    field.ex.copy_from_slice(ex);
+    field.ey.copy_from_slice(ey);
+    let kick = QE * c.dt / ME;
+    let mut e8 = RedundantE::new(layout.as_dyn());
+    e8.fill_from(
+        &field,
+        layout.as_dyn(),
+        kick * c.dt / grid.dx(),
+        kick * c.dt / grid.dy(),
+    );
+
+    let mut p = sim.particles().clone();
+    simd::update_velocities_redundant_hoisted_lanes(
+        &p.icell, &p.dx, &p.dy, &mut p.vx, &mut p.vy, &e8.e8,
+    );
+    {
+        let ParticlesSoA {
+            icell,
+            ix,
+            iy,
+            dx,
+            dy,
+            vx,
+            vy,
+        } = &mut p;
+        macro_rules! push {
+            ($l:expr) => {
+                simd::update_positions_branchless_layout_lanes(
+                    icell, ix, iy, dx, dy, vx, vy, $l, 1.0,
+                )
+            };
+        }
+        match &layout {
+            AnyLayout::RowMajor(_) => simd::update_positions_branchless_lanes(
+                icell, ix, iy, dx, dy, vx, vy, c.grid_nx, c.grid_ny, 1.0,
+            ),
+            AnyLayout::L4D(l) => push!(l),
+            AnyLayout::Morton(l) => push!(l),
+            AnyLayout::Hilbert(l) => push!(l),
+        }
+    }
+
+    let w = deposit_weight(sim);
+    let mut rho4 = RedundantRho::new(layout.as_dyn());
+    let mut arenas: Vec<RedundantRho> = (0..pool.nthreads())
+        .map(|_| RedundantRho::new(layout.as_dyn()))
+        .collect();
+    accumulate::pool_accumulate_redundant(
+        pool,
+        &p.icell,
+        &p.dx,
+        &p.dy,
+        &mut rho4,
+        &mut arenas,
+        w,
+        c.deposit_path,
+        c.kernel_path,
+    );
+    let mut rho = vec![0.0; grid.ncells()];
+    rho4.reduce_to_grid(layout.as_dyn(), &mut rho);
+    (p, rho)
+}
+
+/// Signed charge density one marker deposits.
+fn deposit_weight(sim: &Simulation) -> f64 {
+    let grid = sim.grid();
+    QE * particle_weight(grid, sim.config().n_particles) / (grid.dx() * grid.dy())
+}
+
+/// Per-grid-point reassociation bound for ρ deposited from `icell`: the
+/// proven per-cell-corner `4 k² ε |w|`, carried through the same
+/// cell → grid-point scatter as the density itself.
+fn grid_point_bound(sim: &Simulation, icell: &[u32], w: f64) -> Vec<f64> {
+    let c = sim.config();
+    let layout = AnyLayout::build(c.ordering, c.grid_nx, c.grid_ny).unwrap();
+    let mut counts = RedundantRho::new(layout.as_dyn());
+    for &cell in icell {
+        counts.rho4[cell as usize][0] += 1.0;
+    }
+    for cell in counts.rho4.iter_mut() {
+        let k = cell[0];
+        *cell = [4.0 * k * k * f64::EPSILON * w.abs(); 4];
+    }
+    let mut bound = vec![0.0; sim.grid().ncells()];
+    counts.reduce_to_grid(layout.as_dyn(), &mut bound);
+    bound
+}
+
+#[test]
+fn strip_pass_matches_whole_array_kernels() {
+    const COUNTS: [usize; 7] = [0, 1, LANES - 1, STRIP - 1, STRIP, STRIP + 1, 3 * STRIP + 5];
+    for ordering in Ordering::paper_set() {
+        for threads in [1usize, 2, 3, 4] {
+            let pool = ThreadPool::new(threads);
+            for dp in [
+                DepositPath::Exact,
+                DepositPath::LaneReduce,
+                DepositPath::SortedBlock,
+            ] {
+                for n in COUNTS {
+                    let mut c = cfg(3 * STRIP + 5);
+                    c.ordering = ordering;
+                    c.threads = threads;
+                    c.deposit_path = dp;
+                    c.sort_period = 0;
+                    let mut sim = Simulation::new(c).unwrap();
+                    // Drift off the sorted start, then cut the store to n.
+                    sim.run(2);
+                    let p = sim.particles_mut();
+                    p.icell.truncate(n);
+                    p.ix.truncate(n);
+                    p.iy.truncate(n);
+                    p.dx.truncate(n);
+                    p.dy.truncate(n);
+                    p.vx.truncate(n);
+                    p.vy.truncate(n);
+
+                    let (pr, rho_ref) = whole_array_step(&sim, &pool);
+                    sim.step();
+                    let what = format!("{ordering} threads={threads} {dp:?} n={n}");
+
+                    let ps = sim.particles();
+                    assert_eq!(ps.icell, pr.icell, "{what}: icell");
+                    assert_eq!(ps.ix, pr.ix, "{what}: ix");
+                    assert_eq!(ps.iy, pr.iy, "{what}: iy");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&ps.dx), bits(&pr.dx), "{what}: dx");
+                    assert_eq!(bits(&ps.dy), bits(&pr.dy), "{what}: dy");
+                    assert_eq!(bits(&ps.vx), bits(&pr.vx), "{what}: vx");
+                    assert_eq!(bits(&ps.vy), bits(&pr.vy), "{what}: vy");
+
+                    let rho = sim.rho();
+                    if dp == DepositPath::SortedBlock {
+                        // A strip edge may split a cell run, which only
+                        // reassociates that cell's sum further.
+                        let bound = grid_point_bound(&sim, &pr.icell, deposit_weight(&sim));
+                        for i in 0..rho.len() {
+                            let slack = bound[i] + 4.0 * f64::EPSILON * rho_ref[i].abs();
+                            assert!(
+                                (rho[i] - rho_ref[i]).abs() <= slack,
+                                "{what}: rho[{i}] {} vs {} (bound {slack:e})",
+                                rho[i],
+                                rho_ref[i]
+                            );
+                        }
+                    } else {
+                        // Strip starts are LANES-aligned from the chunk
+                        // start, so the lane blocks coincide.
+                        assert_eq!(bits(rho), bits(&rho_ref), "{what}: rho");
+                    }
+                }
+            }
+        }
+    }
+}

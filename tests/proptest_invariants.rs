@@ -496,7 +496,7 @@ fn disorder_metric_is_bounded() {
     let mut rng = Rng::seed_from_u64(0xd150);
     for case in 0..CASES {
         let n = rng.below(4000) as usize;
-        let ncells = rng.below(512) as u64 + 1;
+        let ncells = rng.below(512) + 1;
         let stride = rng.below(8) as usize + 1;
         let icell: Vec<u32> = (0..n).map(|_| rng.below(ncells) as u32).collect();
         let d = measure_disorder(&icell, stride, ncells as usize);
@@ -523,7 +523,7 @@ fn disorder_metric_is_zero_on_sorted_populations() {
     let mut rng = Rng::seed_from_u64(0xd151);
     for case in 0..CASES {
         let n = rng.below(4000) as usize;
-        let ncells = rng.below(512) as u64 + 1;
+        let ncells = rng.below(512) + 1;
         let stride = rng.below(8) as usize + 1;
         let mut icell: Vec<u32> = (0..n).map(|_| rng.below(ncells) as u32).collect();
         icell.sort_unstable();
