@@ -6,6 +6,7 @@
 //! seconds, and every binary accepts `--particles/--iters/--grid` to scale
 //! back up to paper size.
 
+use pic_core::particles::ParticlesSoA;
 use pic_core::sim::{
     DepositPath, FieldLayout, KernelPath, LoopStructure, ParticleLayout, PicConfig, PositionUpdate,
     Simulation,
@@ -150,6 +151,28 @@ pub fn run_fresh(cfg: PicConfig, iters: usize) -> Result<Simulation, PicError> {
     sim.reset_timers();
     sim.run(iters);
     Ok(sim)
+}
+
+/// The state a period-20 run hands its sort: Table I on 128², sorted at
+/// init, then pushed 19 times without sorting.
+pub fn drifted_landau(particles: usize) -> Result<ParticlesSoA, PicError> {
+    let mut cfg = PicConfig::landau_table1(particles);
+    cfg.sort_period = 0;
+    let mut sim = Simulation::new(cfg)?;
+    sim.run(19);
+    Ok(sim.particles().clone())
+}
+
+/// Plain copy of the seven particle columns into an equally sized store —
+/// the floor any out-of-place sort sits on.
+pub fn copy_columns(src: &ParticlesSoA, dst: &mut ParticlesSoA) {
+    dst.icell.copy_from_slice(&src.icell);
+    dst.ix.copy_from_slice(&src.ix);
+    dst.iy.copy_from_slice(&src.iy);
+    dst.dx.copy_from_slice(&src.dx);
+    dst.dy.copy_from_slice(&src.dy);
+    dst.vx.copy_from_slice(&src.vx);
+    dst.vy.copy_from_slice(&src.vy);
 }
 
 #[cfg(test)]

@@ -158,7 +158,10 @@ pub struct ControllerConfig {
     /// densities, while the mean jump ramps smoothly over tens of steps,
     /// tracking the measured traversal-cost ramp (an external shuffle,
     /// reported by [`HotPathController::note_shuffle`], saturates it to
-    /// `1.0` at once).
+    /// `1.0` at once). The default is read off `bench_adaptive`'s steady
+    /// scenario (1.6 M particles, 256² grid): its static grid is cheapest
+    /// at a 16-step period, and 16 steps of steady-state drift after a
+    /// sort bring the EWMA to 0.196.
     pub sort_threshold: f64,
     /// Never sort more often than every this many steps (amortization
     /// floor — a sort every step would dominate the step cost).
@@ -215,7 +218,7 @@ pub struct ControllerConfig {
 impl Default for ControllerConfig {
     fn default() -> Self {
         Self {
-            sort_threshold: 0.25,
+            sort_threshold: 0.19,
             min_sort_spacing: 4,
             max_sort_spacing: 128,
             alpha: 0.35,

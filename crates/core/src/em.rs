@@ -277,6 +277,14 @@ impl EmConfig {
                     s.name
                 )));
             }
+            if s.n_particles > crate::sort::MAX_PARTICLES {
+                return Err(PicError::Config(format!(
+                    "species '{}': n_particles {} exceeds the {} a store can index (u32 sort counts)",
+                    s.name,
+                    s.n_particles,
+                    crate::sort::MAX_PARTICLES
+                )));
+            }
             if !s.mass.is_finite() || s.mass <= 0.0 {
                 return Err(PicError::Config(format!(
                     "species '{}' mass must be positive and finite",
@@ -1478,5 +1486,8 @@ mod tests {
         let mut cfg = tiny(100);
         cfg.replica = Some((3, 3));
         assert!(EmSimulation::new(cfg).is_err());
+        let mut cfg = tiny(100);
+        cfg.species[0].n_particles = crate::sort::MAX_PARTICLES.saturating_add(1);
+        assert!(matches!(EmSimulation::new(cfg), Err(PicError::Config(_))));
     }
 }

@@ -42,6 +42,16 @@ pub struct ParticlesAoS {
 }
 
 /// Structure-of-Arrays storage (the layout that vectorizes, §IV-C1).
+///
+/// **Invariant:** every particle satisfies
+/// `icell[i] == layout.encode(ix[i], iy[i])` under the store's active
+/// layout. [`initialize_with_rng`] and [`reencode`] establish it, every
+/// push kernel rewrites all three together, and migration moves whole
+/// particles, so it holds at every step boundary. The out-of-place sort
+/// ([`crate::sort`]) relies on it: `ix`/`iy` are functions of the sort key,
+/// so it fills them per cell instead of permuting them (and checks the
+/// invariant with a `debug_assert`). Code that writes the index columns
+/// directly must keep the three consistent.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParticlesSoA {
     /// Flat cell indices.

@@ -444,6 +444,13 @@ impl PicConfig {
         if self.n_particles == 0 {
             return Err(PicError::Config("need at least one particle".into()));
         }
+        if self.n_particles > sort::MAX_PARTICLES {
+            return Err(PicError::Config(format!(
+                "n_particles {} exceeds the {} a store can index (u32 sort counts)",
+                self.n_particles,
+                sort::MAX_PARTICLES
+            )));
+        }
         if self.dt.is_nan() || self.dt <= 0.0 {
             return Err(PicError::Config(format!(
                 "dt must be positive, got {}",
@@ -701,10 +708,11 @@ impl Simulation {
             }
         }
 
-        // Initial sort (paper's initialization line 1).
-        let ncells = sim.layout.as_dyn().ncells();
-        sort::sort_out_of_place(&mut particles, &mut sim.scratch, ncells);
+        // Initial sort (paper's initialization line 1): always the stable
+        // out-of-place sort, through the simulation's own arena and pool so
+        // the first in-run sort finds both already grown.
         sim.particles = particles;
+        sim.sort_out_of_place();
 
         // Initial deposit + solve (line 2), with the cross-rank reduction in
         // distributed runs.
@@ -1273,6 +1281,18 @@ impl Simulation {
         self.diag.history.reserve(n);
     }
 
+    /// Stable out-of-place sort of the SoA store on the pool, if any.
+    fn sort_out_of_place(&mut self) {
+        sort::sort_columns(
+            &mut self.particles,
+            &mut self.scratch,
+            None,
+            self.layout.as_dyn().ncells(),
+            self.pool.as_deref(),
+            &mut self.sort_arena,
+        );
+    }
+
     fn sort_particles(&mut self) {
         let t = Instant::now();
         self.pass_speed_sq = None;
@@ -1283,23 +1303,10 @@ impl Simulation {
                 self.particles = aos.to_soa();
             }
         }
-        match (&self.pool, self.cfg.sort_out_of_place) {
-            (Some(pool), true) => sort::pool_sort_out_of_place(
-                &mut self.particles,
-                &mut self.scratch,
-                ncells,
-                pool,
-                &mut self.sort_arena,
-            ),
-            (None, true) => sort::sort_out_of_place_with(
-                &mut self.particles,
-                &mut self.scratch,
-                ncells,
-                &mut self.sort_arena,
-            ),
-            (_, false) => {
-                sort::sort_in_place_with(&mut self.particles, ncells, &mut self.sort_arena)
-            }
+        if self.cfg.sort_out_of_place {
+            self.sort_out_of_place();
+        } else {
+            sort::sort_in_place_with(&mut self.particles, ncells, &mut self.sort_arena);
         }
         if self.cfg.particle_layout == ParticleLayout::Aos {
             self.particles_aos = Some(self.particles.to_aos());
@@ -2158,6 +2165,25 @@ mod tests {
     }
 
     #[test]
+    fn every_push_keeps_icell_equal_to_encode_of_ix_iy() {
+        // The invariant the sort's index fill rests on (`ParticlesSoA`).
+        for ord in Ordering::paper_set() {
+            for threads in [1, 2] {
+                let mut cfg = small(3000);
+                cfg.ordering = ord;
+                cfg.threads = threads;
+                let mut sim = Simulation::new(cfg).unwrap();
+                sim.run(50);
+                let (p, layout) = (sim.particles(), sim.layout.as_dyn());
+                for i in 0..p.len() {
+                    let want = layout.encode(p.ix[i] as usize, p.iy[i] as usize);
+                    assert_eq!(p.icell[i] as usize, want, "{ord} threads={threads} i={i}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn position_update_variants_agree() {
         let mk = |pu| {
             let mut cfg = small(2000);
@@ -2199,6 +2225,13 @@ mod tests {
     fn invalid_configs_rejected() {
         let mut cfg = small(0);
         assert!(Simulation::new(cfg.clone()).is_err());
+        // More particles than the u32 sort counts can index: rejected
+        // before anything is allocated.
+        cfg.n_particles = sort::MAX_PARTICLES.saturating_add(1);
+        assert!(matches!(
+            Simulation::new(cfg.clone()),
+            Err(PicError::Config(_))
+        ));
         cfg.n_particles = 100;
         cfg.field_layout = FieldLayout::Standard;
         cfg.ordering = Ordering::Morton;

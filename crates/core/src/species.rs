@@ -15,7 +15,7 @@ use crate::grid::Grid2D;
 use crate::particles::{initialize_with_rng, InitialDistribution, ParticlesSoA};
 use crate::pool::chunk_range;
 use crate::rng::Rng;
-use crate::sort::{cell_counts_into, cell_starts_into};
+use crate::sort::{sort_columns, SortArena};
 use sfc::CellLayout;
 
 /// Static description of one particle species.
@@ -91,9 +91,7 @@ pub struct SpeciesArena {
     pub weight: f64,
     scratch: ParticlesSoA,
     vz_scratch: Vec<f64>,
-    counts: Vec<u32>,
-    starts: Vec<u32>,
-    cursor: Vec<u32>,
+    sort_arena: SortArena,
 }
 
 impl SpeciesArena {
@@ -129,9 +127,7 @@ impl SpeciesArena {
             weight,
             scratch: ParticlesSoA::default(),
             vz_scratch: Vec::new(),
-            counts: Vec::new(),
-            starts: Vec::new(),
-            cursor: Vec::new(),
+            sort_arena: SortArena::new(),
         }
     }
 
@@ -146,9 +142,7 @@ impl SpeciesArena {
             weight,
             scratch: ParticlesSoA::default(),
             vz_scratch: Vec::new(),
-            counts: Vec::new(),
-            starts: Vec::new(),
-            cursor: Vec::new(),
+            sort_arena: SortArena::new(),
         }
     }
 
@@ -169,44 +163,18 @@ impl SpeciesArena {
         self.weight * self.def.charge / (grid.dx() * grid.dy())
     }
 
-    /// Stable counting sort by `icell` carrying `vz` along with the seven
-    /// SoA arrays — the out-of-place sort of the paper extended to the
-    /// 2d3v arena. Allocation-free once the scratch buffers are sized.
+    /// Stable counting sort by `icell` carrying `vz` as an eighth column
+    /// through the shared permutation-first engine ([`crate::sort`]).
+    /// Allocation-free once the scratch buffers are sized.
     pub fn sort(&mut self, ncells: usize) {
-        let n = self.p.len();
-        if self.scratch.len() != n {
-            self.scratch = ParticlesSoA::zeroed(n);
-        }
-        if self.vz_scratch.len() != n {
-            self.vz_scratch = vec![0.0; n];
-        }
-        if self.counts.len() < ncells {
-            self.counts = vec![0; ncells];
-            self.starts = vec![0; ncells + 1];
-            self.cursor = vec![0; ncells];
-        }
-        cell_counts_into(&self.p.icell, &mut self.counts[..ncells]);
-        cell_starts_into(&self.counts[..ncells], &mut self.starts[..ncells + 1]);
-        self.cursor[..ncells].copy_from_slice(&self.starts[..ncells]);
-        let p = &self.p;
-        let s = &mut self.scratch;
-        let vz = &self.vz;
-        let vzs = &mut self.vz_scratch;
-        for (i, &vzi) in vz.iter().enumerate().take(n) {
-            let c = p.icell[i] as usize;
-            let dst = self.cursor[c] as usize;
-            self.cursor[c] += 1;
-            s.icell[dst] = p.icell[i];
-            s.ix[dst] = p.ix[i];
-            s.iy[dst] = p.iy[i];
-            s.dx[dst] = p.dx[i];
-            s.dy[dst] = p.dy[i];
-            s.vx[dst] = p.vx[i];
-            s.vy[dst] = p.vy[i];
-            vzs[dst] = vzi;
-        }
-        std::mem::swap(&mut self.p, &mut self.scratch);
-        std::mem::swap(&mut self.vz, &mut self.vz_scratch);
+        sort_columns(
+            &mut self.p,
+            &mut self.scratch,
+            Some((&mut self.vz, &mut self.vz_scratch)),
+            ncells,
+            None,
+            &mut self.sort_arena,
+        );
     }
 }
 

@@ -9,9 +9,10 @@ use pic2d::pic_core::control::measure_disorder;
 use pic2d::pic_core::fields::cic_weights;
 use pic2d::pic_core::grid::{split_periodic, wrap_grid};
 use pic2d::pic_core::particles::ParticlesSoA;
+use pic2d::pic_core::pool::ThreadPool;
 use pic2d::pic_core::rng::Rng;
 use pic2d::pic_core::sort::{
-    is_sorted_by_cell, par_sort_out_of_place, sort_in_place, sort_out_of_place,
+    is_sorted_by_cell, pool_sort_out_of_place, sort_in_place, sort_out_of_place, SortArena,
 };
 use pic2d::sfc::{CellLayout, Hilbert, Morton, RowMajor, L4D};
 use pic2d::spectral::fft::{dft_naive, transpose_tiled, Direction, FftPlan, TRANSPOSE_TILE};
@@ -340,6 +341,8 @@ fn cic_weights_are_a_partition_of_unity() {
 #[test]
 fn sorts_agree_and_preserve_payload() {
     let mut rng = Rng::seed_from_u64(0x50f7);
+    let pool = ThreadPool::new(4);
+    let mut arena = SortArena::new();
     for case in 0..64 {
         let n = rng.below(499) as usize + 1;
         let mut p = ParticlesSoA::zeroed(n);
@@ -354,7 +357,7 @@ fn sorts_agree_and_preserve_payload() {
         let mut s2 = ParticlesSoA::zeroed(0);
         sort_out_of_place(&mut a, &mut s1, 256);
         sort_in_place(&mut b, 256);
-        par_sort_out_of_place(&mut c, &mut s2, 256, 4);
+        pool_sort_out_of_place(&mut c, &mut s2, 256, &pool, &mut arena);
         assert!(is_sorted_by_cell(&a), "case={case}");
         assert!(is_sorted_by_cell(&b), "case={case}");
         // Out-of-place sorts are stable and must agree exactly.
