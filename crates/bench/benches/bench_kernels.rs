@@ -9,6 +9,7 @@
 //! default 1 M particle population.
 
 use pic_bench::harness::{black_box, criterion_group, Criterion, Throughput};
+use pic_bench::reference::soa as reference;
 use pic_bench::report::{records_to_json, results_path, take_records, write_json_file, Json};
 use pic_core::fields::{Field2D, RedundantE, RedundantRho};
 use pic_core::grid::Grid2D;
@@ -123,7 +124,7 @@ fn bench_update_velocities(c: &mut Criterion) {
     });
     g.bench_function("standard_gather", |b| {
         b.iter(|| {
-            velocity::update_velocities_standard(
+            reference::update_velocities_standard(
                 black_box(&p.ix),
                 &p.iy,
                 &p.dx,
@@ -151,7 +152,7 @@ fn bench_update_positions(c: &mut Criterion) {
         let mut p = base.clone();
         let (vx, vy) = (base.vx.clone(), base.vy.clone());
         b.iter(|| {
-            position::update_positions_naive_if(
+            reference::update_positions_naive_if(
                 &mut p.icell,
                 &mut p.ix,
                 &mut p.iy,
@@ -170,7 +171,7 @@ fn bench_update_positions(c: &mut Criterion) {
         let mut p = base.clone();
         let (vx, vy) = (base.vx.clone(), base.vy.clone());
         b.iter(|| {
-            position::update_positions_modulo(
+            reference::update_positions_modulo(
                 &mut p.icell,
                 &mut p.ix,
                 &mut p.iy,
@@ -289,17 +290,10 @@ fn bench_accumulate(c: &mut Criterion) {
             black_box(acc.rho4[0][0])
         })
     });
-    g.bench_function("sorted_block", |b| {
-        let mut acc = RedundantRho::new(&layout);
-        b.iter(|| {
-            deposit::accumulate_sorted_block(black_box(&p.icell), &p.dx, &p.dy, &mut acc.rho4, 1.0);
-            black_box(acc.rho4[0][0])
-        })
-    });
     g.bench_function("standard_scatter", |b| {
         let mut rho = vec![0.0; SIDE * SIDE];
         b.iter(|| {
-            accumulate::accumulate_standard(
+            reference::accumulate_standard(
                 black_box(&p.ix),
                 &p.iy,
                 &p.dx,
@@ -315,9 +309,9 @@ fn bench_accumulate(c: &mut Criterion) {
     g.finish();
 }
 
-/// Particle-count sweep over the deposit kernels, so the ns/elem crossover
-/// between `LaneReduce` and `SortedBlock` (run lengths grow with particles
-/// per cell) is visible in `results/BENCH_kernels.json`.
+/// Particle-count sweep over the deposit kernels, so how `LaneReduce`'s
+/// lead over the exact deposit moves with particles per cell (uniform lane
+/// blocks grow with it) is visible in `results/BENCH_kernels.json`.
 fn bench_accumulate_sweep(c: &mut Criterion) {
     let layout = Morton::new(SIDE, SIDE).unwrap();
     for (label, n) in [("100k", 100_000usize), ("1m", 1_000_000), ("4m", 4_000_000)] {
@@ -325,10 +319,9 @@ fn bench_accumulate_sweep(c: &mut Criterion) {
         let mut g = c.benchmark_group("accumulate_sweep");
         g.throughput(Throughput::Elements(n as u64));
         type Named = (&'static str, deposit::DepositFn);
-        let kernels: [Named; 3] = [
+        let kernels: [Named; 2] = [
             ("redundant", accumulate::accumulate_redundant),
             ("lane_reduce", deposit::accumulate_lane_reduce),
-            ("sorted_block", deposit::accumulate_sorted_block),
         ];
         for (name, kernel) in kernels {
             let mut acc = RedundantRho::new(&layout);
@@ -368,8 +361,6 @@ fn annotate(group: &str, id: &str) -> (&'static str, &'static str) {
     };
     let path = if id.contains("lane_reduce") {
         "lane_reduce"
-    } else if id.contains("sorted_block") {
-        "sorted_block"
     } else if id.ends_with("_lanes") {
         "lanes"
     } else {

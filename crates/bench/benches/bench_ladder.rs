@@ -2,9 +2,8 @@
 //! each timing a full PIC step at a fixed (small) scale so regressions in
 //! any single rung show up in CI-style runs.
 
-use pic_bench::harness::{
-    black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput,
-};
+use pic_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use pic_bench::reference::ReferenceRun;
 use pic_bench::workloads::table4_ladder;
 use pic_core::sim::Simulation;
 
@@ -15,14 +14,21 @@ fn bench_ladder(c: &mut Criterion) {
     g.throughput(Throughput::Elements(particles as u64));
     g.sample_size(10);
 
-    for (label, cfg) in table4_ladder(particles, grid) {
-        let mut sim = Simulation::new(cfg).expect("valid config");
-        sim.run(2); // warm
+    for (label, cfg, variant) in table4_ladder(particles, grid) {
+        let mut step: Box<dyn FnMut()> = match variant {
+            Some(v) => {
+                let mut run = ReferenceRun::new(cfg, v).expect("valid rung");
+                Box::new(move || run.step())
+            }
+            None => {
+                let mut sim = Simulation::new(cfg).expect("valid config");
+                Box::new(move || sim.step())
+            }
+        };
+        step();
+        step(); // warm
         g.bench_with_input(BenchmarkId::from_parameter(label), &label, |b, _| {
-            b.iter(|| {
-                sim.step();
-                black_box(sim.steps())
-            })
+            b.iter(&mut step)
         });
     }
     g.finish();

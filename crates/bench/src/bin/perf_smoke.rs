@@ -139,24 +139,20 @@ fn run() -> Result<(), PicError> {
         });
         gate("accumulate", scalar, lanes);
 
-        // Vectorized deposition: the best reassociated path must beat the
-        // scalar exact kernel (the whole point of DepositPath — anything
-        // else means the lane-reduction/run-walk codegen regressed).
+        // Vectorized deposition: the reassociated path must beat the scalar
+        // exact kernel (the whole point of DepositPath — anything else
+        // means the lane-reduction codegen regressed).
         let lane_reduce = min_time(reps, || {
             deposit::accumulate_lane_reduce(&base.icell, &base.dx, &base.dy, &mut acc.rho4, 1.0);
             black_box(acc.rho4[0][0]);
         });
-        let sorted_block = min_time(reps, || {
-            deposit::accumulate_sorted_block(&base.icell, &base.dx, &base.dy, &mut acc.rho4, 1.0);
-            black_box(acc.rho4[0][0]);
-        });
-        gate("deposit_vectorized", scalar, lane_reduce.min(sorted_block));
+        gate("deposit_vectorized", scalar, lane_reduce);
     }
 
     // Adaptive controller: after the calibration bootstrap settles, the
     // hot path the controller picked must never run worse than the static
-    // all-scalar baseline — a wrong steady-state pick (stale probe, bad
-    // deposit hysteresis) shows up here as a regression.
+    // all-scalar baseline — a wrong steady-state pick (a stale probe)
+    // shows up here as a regression.
     {
         let settle = 20_usize;
         let window = 25_usize;

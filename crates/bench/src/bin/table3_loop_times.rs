@@ -11,22 +11,23 @@
 //! it despite its good cache behaviour.
 
 use pic_bench::cli::Args;
+use pic_bench::reference::{FieldLayout, LoopStructure, ParticleLayout, PositionUpdate, Variant};
 use pic_bench::report::{results_path, write_json_file, Json};
 use pic_bench::table::{secs, Table};
-use pic_bench::workloads::{self, run_fresh};
-use pic_core::sim::{FieldLayout, PhaseTimes};
+use pic_bench::workloads::{self, run_row};
+use pic_core::sim::PhaseTimes;
 use pic_core::PicError;
 use sfc::Ordering;
 
 fn run_case(
     label: &str,
     cfg: pic_core::sim::PicConfig,
+    variant: Option<Variant>,
     iters: usize,
     t: &mut Table,
 ) -> Result<PhaseTimes, PicError> {
     eprintln!("running {label} ...");
-    let sim = run_fresh(cfg, iters)?;
-    let ph = sim.timers();
+    let (ph, _) = run_row(cfg, variant, iters)?;
     t.row(&[
         label.to_string(),
         secs(ph.update_v),
@@ -66,17 +67,22 @@ fn run() -> Result<(), PicError> {
         ])
     };
 
-    // 2-D standard: standard field arrays, row-major.
+    // 2-D standard: standard field arrays, row-major — a reference variant.
     let mut cfg = workloads::table1(particles, grid, Ordering::RowMajor);
-    cfg.field_layout = FieldLayout::Standard;
     cfg.hoisted = false; // standard layout has no pre-scaled redundant copy
-    let ph = run_case("2d standard", cfg, iters, &mut t)?;
+    let standard = Variant {
+        particles: ParticleLayout::Soa,
+        fields: FieldLayout::Standard,
+        loops: LoopStructure::Split,
+        push: PositionUpdate::Branchless,
+    };
+    let ph = run_case("2d standard", cfg, Some(standard), iters, &mut t)?;
     rows.push(json_row("2d standard", &ph));
 
     // Redundant layout under each ordering.
     for ordering in Ordering::paper_set() {
         let cfg = workloads::table1(particles, grid, ordering);
-        let ph = run_case(&ordering.to_string(), cfg, iters, &mut t)?;
+        let ph = run_case(&ordering.to_string(), cfg, None, iters, &mut t)?;
         rows.push(json_row(&ordering.to_string(), &ph));
     }
     t.print();
@@ -97,7 +103,7 @@ fn run() -> Result<(), PicError> {
         let mut t = Table::new(&["SIZE", "Update v", "Update x", "Accumulate", "Total"]);
         for size in [4usize, 8, 16, 32] {
             let cfg = workloads::table1(particles, grid, Ordering::L4D(size));
-            run_case(&format!("L4D SIZE={size}"), cfg, iters, &mut t)?;
+            run_case(&format!("L4D SIZE={size}"), cfg, None, iters, &mut t)?;
         }
         t.print();
     }

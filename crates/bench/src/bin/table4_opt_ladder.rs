@@ -10,7 +10,7 @@
 use pic_bench::cli::Args;
 use pic_bench::report::{results_path, write_json_file, Json};
 use pic_bench::table::{secs, Table};
-use pic_bench::workloads::{self, run_fresh};
+use pic_bench::workloads::{self, run_row};
 use pic_core::PicError;
 
 fn main() -> std::process::ExitCode {
@@ -31,13 +31,12 @@ fn run() -> Result<(), PicError> {
     let mut rows = Vec::new();
     let mut baseline = None;
     let mut prev = None;
-    for (label, cfg) in ladder {
+    for (label, cfg, variant) in ladder {
         eprintln!("running {label} ...");
-        let sim = run_fresh(cfg, iters)?;
         // Wall time of the particle phases + sort (the paper's "total"
         // excludes nothing, but the Poisson solve is identical across rungs;
         // include everything for the same reason).
-        let time = sim.timers().total();
+        let time = run_row(cfg, variant, iters)?.0.total();
         let base = *baseline.get_or_insert(time);
         let gain = prev.map_or(0.0, |p: f64| 100.0 * (1.0 - time / p));
         let acc = 100.0 * (1.0 - time / base);

@@ -9,7 +9,7 @@
 
 use pic_bench::cli::Args;
 use pic_bench::table::{secs, Table};
-use pic_bench::workloads::{self, run_fresh, table7_variants};
+use pic_bench::workloads::{self, run_row, table7_variants};
 use pic_core::PicError;
 use sfc::Ordering;
 use std::time::Instant;
@@ -29,15 +29,13 @@ fn run() -> Result<(), PicError> {
     println!("# particles={particles} grid={grid} iters={iters} threads={threads} sort-every=50");
 
     let mut t = Table::new(&["Variant", "Wall time (s)"]);
-    for (label, pl, ls) in table7_variants() {
+    for (label, variant) in table7_variants() {
         eprintln!("running {label} ...");
         let mut cfg = workloads::table1(particles, grid, Ordering::RowMajor);
-        cfg.particle_layout = pl;
-        cfg.loop_structure = ls;
         cfg.threads = threads;
         cfg.sort_period = 50;
         let wall = Instant::now();
-        let _sim = run_fresh(cfg, iters)?;
+        run_row(cfg, variant, iters)?;
         t.row(&[label.to_string(), secs(wall.elapsed().as_secs_f64())]);
     }
     t.print();

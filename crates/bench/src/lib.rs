@@ -9,6 +9,12 @@
 //! * [`table`] — fixed-width table printing;
 //! * [`workloads`] — the standard experiment configurations, scaled-down
 //!   versions of the paper's Table I test case;
+//! * [`reference`] — the paper's ablation variants (AoS, standard arrays,
+//!   fused loop, naive pushes) as reference kernels plus the small driver
+//!   that steps them; tables III/IV/VII time it, its test is the oracle
+//!   for the production path;
+//! * [`par`] — fork-join helpers over one global pool, for `membench` and
+//!   the reference AoS loops;
 //! * [`membench`] — the STREAM kernels (McCalpin) used as the bandwidth
 //!   ceiling in Fig. 8;
 //! * [`report`] — machine-readable (JSON) benchmark output: a registry the
@@ -23,6 +29,8 @@ pub mod cli;
 pub mod harness;
 pub mod literature;
 pub mod membench;
+pub mod par;
+pub mod reference;
 pub mod report;
 pub mod table;
 pub mod workloads;

@@ -58,7 +58,7 @@ pub fn triad(n: usize, reps: usize, threads: usize) -> StreamResult {
             .chunks_mut(len)
             .zip(b.chunks(len).zip(c.chunks(len)))
             .collect();
-        pic_core::par::for_each(work, |(a, (b, c))| {
+        crate::par::for_each(work, |(a, (b, c))| {
             for i in 0..a.len() {
                 a[i] = b[i] + s * c[i];
             }
@@ -75,7 +75,7 @@ pub fn copy(n: usize, reps: usize, threads: usize) -> StreamResult {
     let len = chunk_len(n, threads);
     let r = time_kernel(reps, (2 * 8 * n) as f64, || {
         let work: Vec<_> = c.chunks_mut(len).zip(a.chunks(len)).collect();
-        pic_core::par::for_each(work, |(c, a)| c.copy_from_slice(a));
+        crate::par::for_each(work, |(c, a)| c.copy_from_slice(a));
     });
     assert_eq!(c[0], 1.0);
     r
@@ -89,7 +89,7 @@ pub fn scale(n: usize, reps: usize, threads: usize) -> StreamResult {
     let len = chunk_len(n, threads);
     let r = time_kernel(reps, (2 * 8 * n) as f64, || {
         let work: Vec<_> = b.chunks_mut(len).zip(c.chunks(len)).collect();
-        pic_core::par::for_each(work, |(b, c)| {
+        crate::par::for_each(work, |(b, c)| {
             for i in 0..b.len() {
                 b[i] = s * c[i];
             }
@@ -110,7 +110,7 @@ pub fn add(n: usize, reps: usize, threads: usize) -> StreamResult {
             .chunks_mut(len)
             .zip(a.chunks(len).zip(b.chunks(len)))
             .collect();
-        pic_core::par::for_each(work, |(c, (a, b))| {
+        crate::par::for_each(work, |(c, (a, b))| {
             for i in 0..c.len() {
                 c[i] = a[i] + b[i];
             }

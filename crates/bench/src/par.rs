@@ -1,22 +1,18 @@
-//! Fork-join parallelism over a shared persistent pool.
+//! Fork-join helpers over one process-wide pool, for the harness only.
 //!
 //! The paper's thread level is OpenMP `parallel for` over particle chunks.
-//! Earlier revisions spawned one scoped OS thread per work item — unbounded
-//! (a `map_collect` over 1000 items spawned 1000 threads) and paying the
-//! spawn+join cost on every call. Both patterns now run on one process-wide
-//! [`ThreadPool`] sized to `available_parallelism`, created on first use:
-//! concurrency is capped at the hardware width, threads are reused across
-//! calls, and item order is preserved exactly as before.
-//!
-//! These helpers still allocate one `Vec` per call to stage owned items, so
-//! they serve the administrative and AoS paths. The zero-allocation hot path
-//! (`sim.rs`) owns a dedicated [`ThreadPool`] and drives it directly with
-//! borrowed slices and per-worker arenas.
+//! The library goes parallel one way — a [`ThreadPool`] owned by the
+//! simulation, driven with borrowed slices and per-worker arenas, no
+//! allocation per call. These helpers are the convenient form the STREAM
+//! kernels ([`crate::membench`]) and the reference AoS loops
+//! ([`crate::reference`]) use instead: one global pool sized to
+//! `available_parallelism`, created on first use, and one `Vec` per call to
+//! stage owned items.
 //!
 //! Do not call these helpers from inside a closure already running on the
 //! global pool — pool regions must stay leaf-level (see [`ThreadPool::run`]).
 
-pub use crate::pool::ThreadPool;
+use pic_core::pool::ThreadPool;
 use std::sync::OnceLock;
 
 static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();

@@ -1,4 +1,4 @@
-//! Array-of-Structures mirrors of the particle kernels.
+//! Array-of-Structures particles and the AoS mirrors of the particle kernels.
 //!
 //! The paper's baseline stores particles as an array of structs; the SoA
 //! conversion is worth 19–30 % (§IV-C1, Table IV) because AoS loads stride
@@ -6,8 +6,79 @@
 //! AoS side of Tables IV and VII. They are intentionally written in the
 //! same style as their SoA twins so the comparison isolates the layout.
 
-use crate::fields::{Field2D, RedundantRho, CX, CY, SX, SY};
-use crate::particles::Particle;
+use super::soa::modulo_real;
+use crate::par;
+use pic_core::fields::{Field2D, RedundantRho, CX, CY, SX, SY};
+use pic_core::particles::ParticlesSoA;
+
+/// One particle, AoS form.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Particle {
+    /// Flat cell index under the active layout.
+    pub icell: u32,
+    /// Cell x-coordinate.
+    pub ix: u32,
+    /// Cell y-coordinate.
+    pub iy: u32,
+    /// Offset within the cell along x, in `[0, 1)`.
+    pub dx: f64,
+    /// Offset within the cell along y, in `[0, 1)`.
+    pub dy: f64,
+    /// Velocity along x (units per the run's hoisting convention).
+    pub vx: f64,
+    /// Velocity along y.
+    pub vy: f64,
+}
+
+/// Array-of-Structures storage (the paper's baseline particle layout).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ParticlesAoS {
+    /// The particles.
+    pub p: Vec<Particle>,
+}
+
+impl ParticlesAoS {
+    /// Number of particles.
+    pub fn len(&self) -> usize {
+        self.p.len()
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.p.is_empty()
+    }
+
+    /// Copy a SoA store, value for value.
+    pub fn from_soa(s: &ParticlesSoA) -> Self {
+        let p = (0..s.len())
+            .map(|i| Particle {
+                icell: s.icell[i],
+                ix: s.ix[i],
+                iy: s.iy[i],
+                dx: s.dx[i],
+                dy: s.dy[i],
+                vx: s.vx[i],
+                vy: s.vy[i],
+            })
+            .collect();
+        Self { p }
+    }
+
+    /// Convert to SoA, value for value.
+    pub fn to_soa(&self) -> ParticlesSoA {
+        let mut s = ParticlesSoA::zeroed(self.len());
+        for (i, p) in self.p.iter().enumerate() {
+            s.icell[i] = p.icell;
+            s.ix[i] = p.ix;
+            s.iy[i] = p.iy;
+            s.dx[i] = p.dx;
+            s.dy[i] = p.dy;
+            s.vx[i] = p.vx;
+            s.vy[i] = p.vy;
+        }
+        s
+    }
+}
 
 /// AoS fused loop over standard structures, unhoisted, naive-if wrap —
 /// the exact Table IV baseline.
@@ -47,10 +118,10 @@ pub fn fused_standard_aos(
         let mut x = cx as f64 + p.dx + p.vx * scale;
         let mut y = cy as f64 + p.dy + p.vy * scale;
         if x < 0.0 || x >= fx {
-            x = super::position::modulo_real(x, fx);
+            x = modulo_real(x, fx);
         }
         if y < 0.0 || y >= fy {
-            y = super::position::modulo_real(y, fy);
+            y = modulo_real(y, fy);
         }
         let nx = (x.floor() as usize).min(ncx - 1);
         let ny = (y.floor() as usize).min(ncy - 1);
@@ -174,7 +245,7 @@ pub fn par_update_positions_branchless_layout_aos<L: sfc::CellLayout>(
     scale: f64,
     chunk: usize,
 ) {
-    crate::par::for_each(particles.chunks_mut(chunk.max(1)).collect(), |c| {
+    par::for_each(particles.chunks_mut(chunk.max(1)).collect(), |c| {
         update_positions_branchless_layout_aos(c, layout, scale)
     });
 }
@@ -191,10 +262,10 @@ pub fn update_positions_naive_if_aos(
         let mut x = p.ix as f64 + p.dx + p.vx * scale;
         let mut y = p.iy as f64 + p.dy + p.vy * scale;
         if x < 0.0 || x >= fx {
-            x = super::position::modulo_real(x, fx);
+            x = modulo_real(x, fx);
         }
         if y < 0.0 || y >= fy {
-            y = super::position::modulo_real(y, fy);
+            y = modulo_real(y, fy);
         }
         let cx = (x.floor() as usize).min(ncx - 1);
         let cy = (y.floor() as usize).min(ncy - 1);
@@ -227,14 +298,8 @@ pub fn accumulate_standard_aos(
     }
 }
 
-/// AoS split loop 3/3: redundant contiguous deposition.
-pub fn accumulate_redundant_aos(particles: &[Particle], rho4: &mut RedundantRho, w: f64) {
-    accumulate_redundant_aos_slice(particles, &mut rho4.rho4, w);
-}
-
-/// Scalar-order AoS redundant deposit over a raw ρ₄ slice — the `Exact`
-/// reference for [`super::deposit::select_kernel_aos`].
-pub fn accumulate_redundant_aos_slice(particles: &[Particle], rho4: &mut [[f64; 4]], w: f64) {
+/// AoS split loop 3/3: redundant contiguous deposition, scalar order.
+pub fn accumulate_redundant_aos(particles: &[Particle], rho4: &mut [[f64; 4]], w: f64) {
     for p in particles {
         let dst = &mut rho4[p.icell as usize];
         for corner in 0..4 {
@@ -291,7 +356,7 @@ pub fn par_update_velocities_redundant_aos(
     e8: &[[f64; 8]],
     chunk: usize,
 ) {
-    crate::par::for_each(particles.chunks_mut(chunk.max(1)).collect(), |c| {
+    par::for_each(particles.chunks_mut(chunk.max(1)).collect(), |c| {
         update_velocities_redundant_aos(c, e8)
     });
 }
@@ -304,44 +369,23 @@ pub fn par_update_positions_branchless_aos(
     scale: f64,
     chunk: usize,
 ) {
-    crate::par::for_each(particles.chunks_mut(chunk.max(1)).collect(), |c| {
+    par::for_each(particles.chunks_mut(chunk.max(1)).collect(), |c| {
         update_positions_branchless_aos(c, ncx, ncy, scale)
     });
 }
 
-/// Thread-parallel AoS redundant deposition with per-task ρ₄ copies.
+/// Thread-parallel AoS redundant deposition with per-task ρ₄ copies,
+/// merged in deterministic chunk order.
 pub fn par_accumulate_redundant_aos(
     particles: &[Particle],
     rho4: &mut RedundantRho,
     w: f64,
     chunk: usize,
 ) {
-    par_accumulate_redundant_aos_with(particles, rho4, w, chunk, accumulate_redundant_aos_slice);
-}
-
-/// [`par_accumulate_redundant_aos`] with an explicit chunk kernel, so the
-/// parallel AoS pipeline can run any [`super::deposit::DepositPath`]
-/// variant; chunks are merged in deterministic chunk order.
-pub fn par_accumulate_redundant_aos_with(
-    particles: &[Particle],
-    rho4: &mut RedundantRho,
-    w: f64,
-    chunk: usize,
-    kernel: super::deposit::DepositFnAos,
-) {
-    let ncells = rho4.rho4.len();
-    let locals = crate::par::map_collect(particles.chunks(chunk.max(1)).collect(), |c| {
-        let mut local = vec![[0.0f64; 4]; ncells];
-        kernel(c, &mut local, w);
-        local
+    let chunks = particles.chunks(chunk.max(1)).collect();
+    reduce_private_rho4(chunks, rho4, |c, local| {
+        accumulate_redundant_aos(c, local, w)
     });
-    for local in locals {
-        for (dst, src) in rho4.rho4.iter_mut().zip(&local) {
-            for k in 0..4 {
-                dst[k] += src[k];
-            }
-        }
-    }
 }
 
 /// Thread-parallel AoS fused redundant loop.
@@ -354,10 +398,24 @@ pub fn par_fused_redundant_aos(
     w: f64,
     chunk: usize,
 ) {
+    let chunks = particles.chunks_mut(chunk.max(1)).collect();
+    reduce_private_rho4(chunks, rho4, |c, local| {
+        fused_redundant_aos(c, e8, local, ncx, ncy, w)
+    });
+}
+
+/// Deposit every chunk into a private ρ₄ copy on the pool, then add the
+/// copies into `rho4` in chunk order — the hand-coded OpenMP 4.5
+/// array-section reduction of §V-B2.
+fn reduce_private_rho4<C: Send>(
+    chunks: Vec<C>,
+    rho4: &mut RedundantRho,
+    deposit: impl Fn(C, &mut [[f64; 4]]) + Sync,
+) {
     let ncells = rho4.rho4.len();
-    let locals = crate::par::map_collect(particles.chunks_mut(chunk.max(1)).collect(), |c| {
+    let locals = par::map_collect(chunks, |c| {
         let mut local = vec![[0.0f64; 4]; ncells];
-        fused_redundant_aos(c, e8, &mut local, ncx, ncy, w);
+        deposit(c, &mut local);
         local
     });
     for local in locals {
@@ -372,10 +430,10 @@ pub fn par_fused_redundant_aos(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fields::RedundantE;
-    use crate::grid::Grid2D;
-    use crate::kernels::{accumulate, position, velocity};
-    use crate::particles::ParticlesSoA;
+    use crate::reference::soa::{fused_standard_soa, update_velocities_standard};
+    use pic_core::fields::RedundantE;
+    use pic_core::grid::Grid2D;
+    use pic_core::kernels::{accumulate, position, velocity};
     use sfc::RowMajor;
 
     fn mk(n: usize, ncx: usize, ncy: usize) -> ParticlesSoA {
@@ -413,7 +471,7 @@ mod tests {
         let mut e8 = RedundantE::new(&layout);
         e8.fill_from(&f, &layout, 1.0, 1.0);
         let soa = mk(400, ncx, ncy);
-        let mut aos = soa.to_aos();
+        let mut aos = ParticlesAoS::from_soa(&soa);
 
         // SoA pipeline.
         let mut s = soa.clone();
@@ -445,7 +503,7 @@ mod tests {
         update_velocities_redundant_aos(&mut aos.p, &e8.e8);
         update_positions_branchless_aos(&mut aos.p, ncx, ncy, 1.0);
         let mut rho4_a = RedundantRho::new(&layout);
-        accumulate_redundant_aos(&aos.p, &mut rho4_a, 1.0);
+        accumulate_redundant_aos(&aos.p, &mut rho4_a.rho4, 1.0);
 
         for i in 0..s.len() {
             let q = aos.p[i];
@@ -465,12 +523,12 @@ mod tests {
         let (ncx, ncy) = (16, 16);
         let f = mk_field(ncx, ncy);
         let soa = mk(300, ncx, ncy);
-        let mut aos = soa.to_aos();
+        let mut aos = ParticlesAoS::from_soa(&soa);
         let mut s = soa.clone();
         let mut rho_a = vec![0.0; ncx * ncy];
         let mut rho_s = vec![0.0; ncx * ncy];
         fused_standard_aos(&mut aos.p, &f, &mut rho_a, 0.8, 1.2, 1.0, 0.5);
-        crate::kernels::fused::fused_standard_soa(&mut s, &f, &mut rho_s, 0.8, 1.2, 1.0, 0.5);
+        fused_standard_soa(&mut s, &f, &mut rho_s, 0.8, 1.2, 1.0, 0.5);
         for i in 0..s.len() {
             assert_eq!(aos.p[i].icell, s.icell[i]);
             assert!((aos.p[i].vy - s.vy[i]).abs() < 1e-14);
@@ -485,10 +543,10 @@ mod tests {
         let (ncx, ncy) = (8, 8);
         let f = mk_field(ncx, ncy);
         let soa = mk(200, ncx, ncy);
-        let mut aos = soa.to_aos();
+        let mut aos = ParticlesAoS::from_soa(&soa);
         let mut s = soa.clone();
         update_velocities_standard_aos(&mut aos.p, &f, 1.5, -0.5);
-        velocity::update_velocities_standard(
+        update_velocities_standard(
             &s.ix.clone(),
             &s.iy.clone(),
             &s.dx.clone(),
@@ -509,8 +567,8 @@ mod tests {
     fn aos_naive_position_matches_branchless() {
         let (ncx, ncy) = (32, 32);
         let soa = mk(300, ncx, ncy);
-        let mut a = soa.to_aos();
-        let mut b = soa.to_aos();
+        let mut a = ParticlesAoS::from_soa(&soa);
+        let mut b = a.clone();
         update_positions_naive_if_aos(&mut a.p, ncx, ncy, 1.0);
         update_positions_branchless_aos(&mut b.p, ncx, ncy, 1.0);
         for i in 0..a.len() {
@@ -520,9 +578,15 @@ mod tests {
     }
 
     #[test]
+    fn aos_soa_roundtrip() {
+        let soa = mk(100, 32, 32);
+        assert_eq!(ParticlesAoS::from_soa(&soa).to_soa(), soa);
+    }
+
+    #[test]
     fn aos_standard_accumulate_conserves_charge() {
         let (ncx, ncy) = (8, 8);
-        let aos = mk(500, ncx, ncy).to_aos();
+        let aos = ParticlesAoS::from_soa(&mk(500, ncx, ncy));
         let mut rho = vec![0.0; 64];
         accumulate_standard_aos(&aos.p, &mut rho, ncx, ncy, 0.4);
         assert!((rho.iter().sum::<f64>() - 200.0).abs() < 1e-10);

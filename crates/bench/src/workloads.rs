@@ -6,11 +6,11 @@
 //! seconds, and every binary accepts `--particles/--iters/--grid` to scale
 //! back up to paper size.
 
-use pic_core::particles::ParticlesSoA;
-use pic_core::sim::{
-    DepositPath, FieldLayout, KernelPath, LoopStructure, ParticleLayout, PicConfig, PositionUpdate,
-    Simulation,
+use crate::reference::{
+    FieldLayout, LoopStructure, ParticleLayout, PositionUpdate, ReferenceRun, Variant,
 };
+use pic_core::particles::ParticlesSoA;
+use pic_core::sim::{DepositPath, KernelPath, PhaseTimes, PicConfig, Simulation};
 use pic_core::PicError;
 use sfc::Ordering;
 
@@ -31,6 +31,11 @@ pub fn table1(particles: usize, grid: usize, ordering: Ordering) -> PicConfig {
     cfg
 }
 
+/// One row of a table: a label, the configuration, and the reference
+/// [`Variant`] whose loops it times — `None` for rows that are settings of
+/// the production driver.
+pub type Row = (&'static str, PicConfig, Option<Variant>);
+
 /// The rungs of the Table IV optimization ladder, in paper order, plus an
 /// eighth rung for the lane-blocked kernel path (an optimization on top of
 /// the paper's ladder; the paper gets its vectorization from icc's
@@ -38,108 +43,56 @@ pub fn table1(particles: usize, grid: usize, ordering: Ordering) -> PicConfig {
 /// ninth for the vectorized deposition (`DepositPath::LaneReduce` — the
 /// reassociated per-lane private-ρ deposit, the fastest path in
 /// `BENCH_kernels.json`; rungs 1–8 keep the exact scalar-order deposit).
-/// Each entry is `(label, config)`; configs share grid/particles/seed so
+/// The six rungs below "+ Optimized update-positions loop" are reference
+/// variants run as whole-array loops; from that rung on the ladder is the
+/// production driver (strip-mined pass). Rows share grid/particles/seed so
 /// timings are comparable.
-pub fn table4_ladder(particles: usize, grid: usize) -> Vec<(&'static str, PicConfig)> {
-    let base = |f: &dyn Fn(&mut PicConfig)| {
-        let mut cfg = PicConfig::baseline(particles);
-        cfg.grid_nx = grid;
-        cfg.grid_ny = grid;
-        f(&mut cfg);
-        cfg
-    };
-    vec![
-        ("Baseline", base(&|_| {})),
-        (
-            "+ Loop Hoisting",
-            base(&|c| {
-                // Pre-scale the stored field by qΔt²/(mΔx) and the velocities
-                // by Δt/Δx so the fused loop carries no per-particle constant
-                // multiplies (§IV-D, paper gain: 5.8%).
-                c.hoisted = true;
-                c.loop_structure = LoopStructure::Fused;
-            }),
-        ),
-        (
-            "+ Loop Splitting",
-            base(&|c| {
-                c.hoisted = true;
-                c.loop_structure = LoopStructure::Split;
-            }),
-        ),
-        (
-            "+ Redundant arrays (E and rho)",
-            base(&|c| {
-                c.loop_structure = LoopStructure::Split;
-                c.field_layout = FieldLayout::Redundant;
-                c.hoisted = true;
-            }),
-        ),
-        (
-            "+ Structure of Arrays (particles)",
-            base(&|c| {
-                c.loop_structure = LoopStructure::Split;
-                c.field_layout = FieldLayout::Redundant;
-                c.hoisted = true;
-                c.particle_layout = ParticleLayout::Soa;
-            }),
-        ),
-        (
-            "+ Space-filling curves (E and rho)",
-            base(&|c| {
-                c.loop_structure = LoopStructure::Split;
-                c.field_layout = FieldLayout::Redundant;
-                c.hoisted = true;
-                c.particle_layout = ParticleLayout::Soa;
-                c.ordering = Ordering::Morton;
-            }),
-        ),
-        (
-            "+ Optimized update-positions loop",
-            base(&|c| {
-                c.loop_structure = LoopStructure::Split;
-                c.field_layout = FieldLayout::Redundant;
-                c.hoisted = true;
-                c.particle_layout = ParticleLayout::Soa;
-                c.ordering = Ordering::Morton;
-                c.position_update = PositionUpdate::Branchless;
-            }),
-        ),
-        (
-            "+ Lane-blocked kernels",
-            base(&|c| {
-                c.loop_structure = LoopStructure::Split;
-                c.field_layout = FieldLayout::Redundant;
-                c.hoisted = true;
-                c.particle_layout = ParticleLayout::Soa;
-                c.ordering = Ordering::Morton;
-                c.position_update = PositionUpdate::Branchless;
-                c.kernel_path = KernelPath::Lanes;
-            }),
-        ),
-        (
-            "+ Vectorized deposition",
-            base(&|c| {
-                c.loop_structure = LoopStructure::Split;
-                c.field_layout = FieldLayout::Redundant;
-                c.hoisted = true;
-                c.particle_layout = ParticleLayout::Soa;
-                c.ordering = Ordering::Morton;
-                c.position_update = PositionUpdate::Branchless;
-                c.kernel_path = KernelPath::Lanes;
-                c.deposit_path = DepositPath::LaneReduce;
-            }),
-        ),
-    ]
+pub fn table4_ladder(particles: usize, grid: usize) -> Vec<Row> {
+    let mut cfg = table1(particles, grid, Ordering::RowMajor);
+    cfg.hoisted = false;
+    cfg.kernel_path = KernelPath::Scalar;
+    cfg.deposit_path = DepositPath::Exact;
+    let mut v = Variant::BASELINE;
+    let mut ladder = vec![("Baseline", cfg.clone(), Some(v))];
+    // Pre-scale the stored field by qΔt²/(mΔx) and the velocities by Δt/Δx
+    // so the fused loop carries no per-particle constant multiplies (§IV-D,
+    // paper gain: 5.8%).
+    cfg.hoisted = true;
+    ladder.push(("+ Loop Hoisting", cfg.clone(), Some(v)));
+    v.loops = LoopStructure::Split;
+    ladder.push(("+ Loop Splitting", cfg.clone(), Some(v)));
+    v.fields = FieldLayout::Redundant;
+    v.push = PositionUpdate::Branchless; // the only push the AoS redundant pipeline has
+    ladder.push(("+ Redundant arrays (E and rho)", cfg.clone(), Some(v)));
+    v.particles = ParticleLayout::Soa;
+    v.push = PositionUpdate::NaiveIf;
+    ladder.push(("+ Structure of Arrays (particles)", cfg.clone(), Some(v)));
+    cfg.ordering = Ordering::Morton;
+    ladder.push(("+ Space-filling curves (E and rho)", cfg.clone(), Some(v)));
+    ladder.push(("+ Optimized update-positions loop", cfg.clone(), None));
+    cfg.kernel_path = KernelPath::Lanes;
+    ladder.push(("+ Lane-blocked kernels", cfg.clone(), None));
+    cfg.deposit_path = DepositPath::LaneReduce;
+    ladder.push(("+ Vectorized deposition", cfg, None));
+    ladder
 }
 
-/// The four variants of Table VII: (label, particle layout, loop structure).
-pub fn table7_variants() -> [(&'static str, ParticleLayout, LoopStructure); 4] {
+/// The four variants of Table VII on the redundant row-major structures;
+/// (SoA, 3 loops) is the production driver.
+pub fn table7_variants() -> [(&'static str, Option<Variant>); 4] {
+    let v = |particles, loops| {
+        Some(Variant {
+            particles,
+            fields: FieldLayout::Redundant,
+            loops,
+            push: PositionUpdate::Branchless,
+        })
+    };
     [
-        ("AoS, 1 loop", ParticleLayout::Aos, LoopStructure::Fused),
-        ("AoS, 3 loops", ParticleLayout::Aos, LoopStructure::Split),
-        ("SoA, 1 loop", ParticleLayout::Soa, LoopStructure::Fused),
-        ("SoA, 3 loops", ParticleLayout::Soa, LoopStructure::Split),
+        ("AoS, 1 loop", v(ParticleLayout::Aos, LoopStructure::Fused)),
+        ("AoS, 3 loops", v(ParticleLayout::Aos, LoopStructure::Split)),
+        ("SoA, 1 loop", v(ParticleLayout::Soa, LoopStructure::Fused)),
+        ("SoA, 3 loops", None),
     ]
 }
 
@@ -151,6 +104,26 @@ pub fn run_fresh(cfg: PicConfig, iters: usize) -> Result<Simulation, PicError> {
     sim.reset_timers();
     sim.run(iters);
     Ok(sim)
+}
+
+/// Run one table row for `iters` steps — through the reference driver when
+/// it names a variant, through [`Simulation`] otherwise — and return the
+/// phase timers and the final grid ρ.
+pub fn run_row(
+    cfg: PicConfig,
+    variant: Option<Variant>,
+    iters: usize,
+) -> Result<(PhaseTimes, Vec<f64>), PicError> {
+    Ok(match variant {
+        Some(v) => {
+            let run = ReferenceRun::run_fresh(cfg, v, iters)?;
+            (run.timers(), run.rho().to_vec())
+        }
+        None => {
+            let sim = run_fresh(cfg, iters)?;
+            (sim.timers(), sim.rho().to_vec())
+        }
+    })
 }
 
 /// The state a period-20 run hands its sort: Table I on 128², sorted at
@@ -180,62 +153,47 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ladder_configs_are_valid_and_ordered() {
-        let ladder = table4_ladder(500, 32);
+    fn ladder_rungs_are_ordered_and_agree_on_physics() {
+        let ladder = table4_ladder(800, 32);
         assert_eq!(ladder.len(), 9);
         assert_eq!(ladder[0].0, "Baseline");
-        for (label, cfg) in &ladder {
-            Simulation::new(cfg.clone()).unwrap_or_else(|e| panic!("{label}: {e}"));
-        }
-        // Last rung is the fully optimized configuration.
+        assert_eq!(ladder[0].2, Some(Variant::BASELINE));
+        // The six lower rungs are reference variants, the top three the
+        // production driver; the last is the fully optimized configuration.
+        assert!(ladder[..6].iter().all(|r| r.2.is_some()));
+        assert!(ladder[6..].iter().all(|r| r.2.is_none()));
         let last = &ladder[8].1;
-        assert_eq!(last.particle_layout, ParticleLayout::Soa);
-        assert_eq!(last.field_layout, FieldLayout::Redundant);
-        assert_eq!(last.position_update, PositionUpdate::Branchless);
         assert_eq!(last.kernel_path, KernelPath::Lanes);
         assert_eq!(last.deposit_path, DepositPath::LaneReduce);
         assert!(matches!(last.ordering, Ordering::Morton));
-        // All rungs below the lane rung run the scalar path, and every rung
-        // below the top keeps the exact scalar-order deposit.
         assert!(ladder[..7]
             .iter()
-            .all(|(_, c)| c.kernel_path == KernelPath::Scalar));
+            .all(|r| r.1.kernel_path == KernelPath::Scalar));
         assert!(ladder[..8]
             .iter()
-            .all(|(_, c)| c.deposit_path == DepositPath::Exact));
-    }
+            .all(|r| r.1.deposit_path == DepositPath::Exact));
 
-    #[test]
-    fn ladder_rungs_agree_on_physics() {
         // Every rung must compute the same ρ (same seed & steps).
-        let ladder = table4_ladder(800, 32);
         let mut reference: Option<Vec<f64>> = None;
-        for (label, cfg) in ladder {
-            let sim = run_fresh(cfg, 3).unwrap();
-            let rho = sim.rho().to_vec();
-            match &reference {
-                None => reference = Some(rho),
-                Some(r) => {
-                    for i in 0..r.len() {
-                        assert!(
-                            (r[i] - rho[i]).abs() < 1e-8,
-                            "{label}: rho[{i}] diverged: {} vs {}",
-                            rho[i],
-                            r[i]
-                        );
-                    }
-                }
+        for (label, cfg, variant) in ladder {
+            let (_, rho) = run_row(cfg, variant, 3).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let r = reference.get_or_insert_with(|| rho.clone());
+            for i in 0..r.len() {
+                assert!(
+                    (r[i] - rho[i]).abs() < 1e-8,
+                    "{label}: rho[{i}] diverged: {} vs {}",
+                    rho[i],
+                    r[i]
+                );
             }
         }
     }
 
     #[test]
     fn table7_variants_valid() {
-        for (label, pl, ls) in table7_variants() {
-            let mut cfg = table1(500, 32, Ordering::RowMajor);
-            cfg.particle_layout = pl;
-            cfg.loop_structure = ls;
-            Simulation::new(cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
+        for (label, variant) in table7_variants() {
+            let cfg = table1(500, 32, Ordering::RowMajor);
+            run_row(cfg, variant, 1).unwrap_or_else(|e| panic!("{label}: {e}"));
         }
     }
 }

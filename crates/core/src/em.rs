@@ -479,7 +479,7 @@ impl EmSimulation {
         let controller = cfg
             .controller
             .clone()
-            .map(|cc| HotPathController::new(cc, cfg.kernel_path, cfg.deposit_path));
+            .map(|cc| HotPathController::new(cc, cfg.kernel_path));
         Ok(Self {
             grid,
             layout,
@@ -657,38 +657,24 @@ impl EmSimulation {
         2.0 * (re * re + im * im).sqrt() / (ncx * ncy) as f64
     }
 
-    /// Switch scalar vs lane-blocked kernels mid-run (bit-identical paths).
-    pub fn set_kernel_path(&mut self, path: KernelPath) {
-        self.cfg.kernel_path = path;
-    }
-
     /// Switch the deposition kernel mid-run (changes rounding within the
     /// per-cell bound unless moving between the exact forms).
     pub fn set_deposit_path(&mut self, path: DepositPath) {
         self.cfg.deposit_path = path;
     }
 
-    /// Change the sort period mid-run (autotuning).
+    /// Change the sort period mid-run.
     pub fn set_sort_period(&mut self, period: usize) {
         self.cfg.sort_period = period;
     }
 
-    /// Sort every species now, regardless of the configured period.
-    pub fn force_sort(&mut self) {
-        self.sort_all();
-    }
-
     /// Attach an online adaptive controller ([`crate::control`]) starting
-    /// from the currently active kernel/deposit knobs; the profile is also
+    /// from the currently active kernel path; the profile is also
     /// recorded in the configuration so checkpoints fingerprint the
     /// controller-enabled run.
     pub fn enable_controller(&mut self, ccfg: ControllerConfig) {
         self.cfg.controller = Some(ccfg.clone());
-        self.controller = Some(HotPathController::new(
-            ccfg,
-            self.cfg.kernel_path,
-            self.cfg.deposit_path,
-        ));
+        self.controller = Some(HotPathController::new(ccfg, self.cfg.kernel_path));
     }
 
     /// The attached adaptive controller, if any.
@@ -741,11 +727,8 @@ impl EmSimulation {
             self.sort_all();
             // Hot-path decisions commit only at sort boundaries (same
             // bit-exactness contract as the electrostatic driver).
-            if let Some(mut c) = self.controller.take() {
-                let (k, d) = c.on_sort(self.step_count as u64);
-                self.cfg.kernel_path = k;
-                self.cfg.deposit_path = d;
-                self.controller = Some(c);
+            if let Some(c) = self.controller.as_mut() {
+                self.cfg.kernel_path = c.on_sort(self.step_count as u64);
             }
         }
         let t = self.controller.is_some().then(Instant::now);
@@ -1163,12 +1146,11 @@ impl EmSimulation {
             Some(c) => Some(HotPathController::new(
                 c.config().clone(),
                 state.hot_path.kernel_path,
-                state.hot_path.deposit_path,
             )),
             None => None,
         };
         // Adopt the hot-path metadata so the resumed run continues from
-        // the controller's (or autotuner's) last decision.
+        // the controller's (or a `set_*` call's) last decision.
         self.cfg.kernel_path = state.hot_path.kernel_path;
         self.cfg.deposit_path = state.hot_path.deposit_path;
         self.cfg.sort_period = state.hot_path.sort_period as usize;

@@ -1,6 +1,7 @@
-//! The charge-accumulation (deposition) loop: standard scattered form vs
-//! the paper's redundant vectorizable form (Fig. 2), plus the thread
-//! equivalent of the OpenMP 4.5 array-section reduction (§V-B2).
+//! The charge-accumulation (deposition) loop in the paper's redundant
+//! vectorizable form (lower half of Fig. 2), plus the thread equivalent of
+//! the OpenMP 4.5 array-section reduction (§V-B2). The standard scattered
+//! form it is compared against lives in `pic_bench::reference`.
 
 // SoA kernels take one slice per particle field by design; bundling them
 // into a struct would obscure the loop shapes the paper compares.
@@ -8,37 +9,7 @@
 
 use super::deposit::{self, DepositPath};
 use crate::fields::RedundantRho;
-use crate::par;
 use crate::sim::KernelPath;
-use sfc::CellLayout;
-
-/// Standard deposition: four scattered adds onto grid points, periodic wrap
-/// (upper half of Fig. 2).
-pub fn accumulate_standard(
-    ix: &[u32],
-    iy: &[u32],
-    dx: &[f64],
-    dy: &[f64],
-    rho: &mut [f64],
-    ncx: usize,
-    ncy: usize,
-    w: f64,
-) {
-    let n = ix.len();
-    assert!(iy.len() == n && dx.len() == n && dy.len() == n);
-    assert_eq!(rho.len(), ncx * ncy);
-    for i in 0..n {
-        let cx = ix[i] as usize;
-        let cy = iy[i] as usize;
-        let cxp = (cx + 1) & (ncx - 1);
-        let cyp = (cy + 1) & (ncy - 1);
-        let (odx, ody) = (dx[i], dy[i]);
-        rho[cx * ncy + cy] += w * (1.0 - odx) * (1.0 - ody);
-        rho[cx * ncy + cyp] += w * (1.0 - odx) * ody;
-        rho[cxp * ncy + cy] += w * odx * (1.0 - ody);
-        rho[cxp * ncy + cyp] += w * odx * ody;
-    }
-}
 
 /// Redundant deposition (lower half of Fig. 2): the four corner updates of
 /// one particle write a single contiguous `[f64; 4]` block, with the
@@ -50,52 +21,15 @@ pub fn accumulate_redundant(icell: &[u32], dx: &[f64], dy: &[f64], rho4: &mut [[
     deposit::deposit_tail(icell, dx, dy, rho4, w);
 }
 
-/// Parallel redundant deposition: each task accumulates into its own
-/// private copy of ρ₄, and the copies are summed — exactly the hand-coded
-/// OpenMP 4.5 `reduction(+: rho[0:ncells][0:4])` of §V-B2.
-pub fn par_accumulate_redundant(
-    icell: &[u32],
-    dx: &[f64],
-    dy: &[f64],
-    rho4: &mut RedundantRho,
-    w: f64,
-    nchunks: usize,
-) {
-    let n = icell.len();
-    let nchunks = nchunks.max(1);
-    let chunk = n.div_ceil(nchunks).max(1);
-    let ncells = rho4.rho4.len();
-
-    let locals = par::map_collect((0..n).step_by(chunk).collect(), |start| {
-        let end = (start + chunk).min(n);
-        let mut local = vec![[0.0f64; 4]; ncells];
-        accumulate_redundant(
-            &icell[start..end],
-            &dx[start..end],
-            &dy[start..end],
-            &mut local,
-            w,
-        );
-        local
-    });
-    for local in locals {
-        for (dst, src) in rho4.rho4.iter_mut().zip(&local) {
-            for k in 0..4 {
-                dst[k] += src[k];
-            }
-        }
-    }
-}
-
 /// Zero-allocation parallel redundant deposition on a persistent pool.
 ///
 /// Worker `w` deposits its particle chunk (boundaries from
 /// [`crate::pool::chunk_range`]) into `arenas[w]` — a reusable private ρ₄
 /// copy owned by the simulation — and the leader then merges the arenas
 /// into `out` in worker order, so the floating-point reduction order is
-/// deterministic regardless of thread timing. This is the steady-state form
-/// of [`par_accumulate_redundant`]: same §V-B2 array-section reduction, with
-/// the inner kernel chosen by the `(DepositPath, KernelPath)` pair through
+/// deterministic regardless of thread timing. This is the hand-coded
+/// OpenMP 4.5 `reduction(+: rho[0:ncells][0:4])` of §V-B2, with the inner
+/// kernel chosen by the `(DepositPath, KernelPath)` pair through
 /// [`deposit::select_kernel`]. Worker chunk boundaries may split a cell run,
 /// so under the reassociated paths each worker's arena carries its own
 /// partial sums — the merged result still satisfies the per-cell FP bound
@@ -138,25 +72,10 @@ pub fn pool_accumulate_redundant(
     }
 }
 
-/// Deposit directly to a grid-point array through the redundant
-/// accumulator: convenience wrapper used by tests and small harnesses.
-pub fn deposit_to_grid(
-    icell: &[u32],
-    dx: &[f64],
-    dy: &[f64],
-    layout: &dyn CellLayout,
-    rho: &mut [f64],
-    w: f64,
-) {
-    let mut acc = RedundantRho::new(layout);
-    accumulate_redundant(icell, dx, dy, &mut acc.rho4, w);
-    acc.reduce_to_grid(layout, rho);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfc::{Morton, RowMajor};
+    use sfc::{CellLayout, Morton, RowMajor};
 
     fn mk(
         n: usize,
@@ -178,17 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn charge_is_conserved_standard() {
-        let (ncx, ncy) = (8, 8);
-        let l = RowMajor::new(ncx, ncy).unwrap();
-        let p = mk(1000, ncx, ncy, &l);
-        let mut rho = vec![0.0; 64];
-        accumulate_standard(&p.ix, &p.iy, &p.dx, &p.dy, &mut rho, ncx, ncy, 0.5);
-        let total: f64 = rho.iter().sum();
-        assert!((total - 500.0).abs() < 1e-9, "total {total}");
-    }
-
-    #[test]
     fn charge_is_conserved_redundant() {
         let (ncx, ncy) = (8, 8);
         let l = Morton::new(ncx, ncy).unwrap();
@@ -197,31 +105,6 @@ mod tests {
         accumulate_redundant(&p.icell, &p.dx, &p.dy, &mut acc.rho4, 0.5);
         let total: f64 = acc.rho4.iter().flat_map(|c| c.iter()).sum();
         assert!((total - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn redundant_reduces_to_standard() {
-        // The paper's two code paths in Fig. 2 must produce identical grids.
-        let (ncx, ncy) = (16, 16);
-        for layout in [
-            Box::new(RowMajor::new(ncx, ncy).unwrap()) as Box<dyn CellLayout>,
-            Box::new(Morton::new(ncx, ncy).unwrap()),
-        ] {
-            let p = mk(2000, ncx, ncy, layout.as_ref());
-            let mut rho_std = vec![0.0; ncx * ncy];
-            accumulate_standard(&p.ix, &p.iy, &p.dx, &p.dy, &mut rho_std, ncx, ncy, 1.25);
-            let mut rho_red = vec![0.0; ncx * ncy];
-            deposit_to_grid(&p.icell, &p.dx, &p.dy, layout.as_ref(), &mut rho_red, 1.25);
-            for i in 0..ncx * ncy {
-                assert!(
-                    (rho_std[i] - rho_red[i]).abs() < 1e-10,
-                    "{}: cell {i}: {} vs {}",
-                    layout.name(),
-                    rho_std[i],
-                    rho_red[i]
-                );
-            }
-        }
     }
 
     #[test]
@@ -253,43 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let (ncx, ncy) = (16, 16);
-        let l = Morton::new(ncx, ncy).unwrap();
-        let p = mk(10_000, ncx, ncy, &l);
-        let mut seq = RedundantRho::new(&l);
-        accumulate_redundant(&p.icell, &p.dx, &p.dy, &mut seq.rho4, 1.0);
-        for nchunks in [1usize, 2, 4, 7, 16] {
-            let mut par = RedundantRho::new(&l);
-            par_accumulate_redundant(&p.icell, &p.dx, &p.dy, &mut par, 1.0, nchunks);
-            for (a, b) in seq.rho4.iter().zip(&par.rho4) {
-                for k in 0..4 {
-                    assert!((a[k] - b[k]).abs() < 1e-10, "nchunks={nchunks}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_adds_to_existing_content() {
-        let l = RowMajor::new(8, 8).unwrap();
-        let p = mk(100, 8, 8, &l);
-        let mut acc = RedundantRho::new(&l);
-        acc.rho4[0][0] = 5.0;
-        par_accumulate_redundant(&p.icell, &p.dx, &p.dy, &mut acc, 1.0, 4);
-        let total: f64 = acc.rho4.iter().flat_map(|c| c.iter()).sum();
-        assert!((total - 105.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_particle_set_is_noop() {
-        let l = RowMajor::new(8, 8).unwrap();
-        let mut acc = RedundantRho::new(&l);
-        par_accumulate_redundant(&[], &[], &[], &mut acc, 1.0, 4);
-        assert!(acc.rho4.iter().all(|c| *c == [0.0; 4]));
-    }
-
-    #[test]
     fn pool_deposition_reusable_and_deterministic() {
         let (ncx, ncy) = (16, 16);
         let l = Morton::new(ncx, ncy).unwrap();
@@ -300,7 +146,6 @@ mod tests {
             (DepositPath::Exact, KernelPath::Scalar),
             (DepositPath::Exact, KernelPath::Lanes),
             (DepositPath::LaneReduce, KernelPath::Lanes),
-            (DepositPath::SortedBlock, KernelPath::Lanes),
         ];
         for nthreads in [1usize, 2, 4] {
             let pool = crate::pool::ThreadPool::new(nthreads);

@@ -15,10 +15,8 @@
 //! * `LaneReduce` — per-lane private rows, a 12-wide transposed tree
 //!   reduction for uniform (single-cell) blocks, exact-order scatter for
 //!   mixed blocks.
-//! * `SortedBlock` — register accumulation over `icell` runs with one
-//!   store per run.
 //!
-//! The reassociated paths differ from scalar by the same per-cell bound as
+//! The reassociated path differs from scalar by the same per-cell bound as
 //! the charge deposit with `|w|` replaced by the largest per-particle
 //! contribution magnitude: with `k` particles in a cell, every component
 //! of every corner agrees with scalar to within `4 k² ε max_i |w·v_i|`
@@ -226,64 +224,6 @@ pub fn deposit_current_lane_reduce(
     );
 }
 
-/// Sorted-batch register deposition over `icell` runs: accumulate each run
-/// into a register-resident `[f64; 12]` — full lane blocks through the
-/// tree reduction, the remainder in scalar order — and issue one store per
-/// run. Correct on any ordering.
-pub fn deposit_current_sorted_block(
-    icell: &[u32],
-    dx: &[f64],
-    dy: &[f64],
-    vx: &[f64],
-    vy: &[f64],
-    vz: &[f64],
-    j12: &mut [[f64; 12]],
-    w: f64,
-) {
-    let n = icell.len();
-    assert!(dx.len() == n && dy.len() == n && vx.len() == n && vy.len() == n && vz.len() == n);
-    let mut i = 0;
-    while i < n {
-        let c = icell[i];
-        let mut j = i + 1;
-        while j < n && icell[j] == c {
-            j += 1;
-        }
-        let cell = &mut j12[c as usize];
-        if j - i == 1 {
-            let r = current_row(dx[i], dy[i], vx[i], vy[i], vz[i], w);
-            for k in 0..12 {
-                cell[k] += r[k];
-            }
-        } else {
-            let mut acc = [0.0f64; 12];
-            let mut p = i;
-            while p + LANES <= j {
-                tree_reduce_current_block(
-                    super::simd::block(dx, p),
-                    super::simd::block(dy, p),
-                    super::simd::block(vx, p),
-                    super::simd::block(vy, p),
-                    super::simd::block(vz, p),
-                    w,
-                    &mut acc,
-                );
-                p += LANES;
-            }
-            for q in p..j {
-                let r = current_row(dx[q], dy[q], vx[q], vy[q], vz[q], w);
-                for k in 0..12 {
-                    acc[k] += r[k];
-                }
-            }
-            for k in 0..12 {
-                cell[k] += acc[k];
-            }
-        }
-        i = j;
-    }
-}
-
 /// The SoA current kernel for a `(DepositPath, KernelPath)` pair — the
 /// single dispatch point, mirroring `deposit::select_kernel`.
 pub fn select_current_kernel(path: DepositPath, kernel_path: KernelPath) -> CurrentFn {
@@ -291,7 +231,6 @@ pub fn select_current_kernel(path: DepositPath, kernel_path: KernelPath) -> Curr
         (DepositPath::Exact, KernelPath::Scalar) => deposit_current_tail,
         (DepositPath::Exact, KernelPath::Lanes) => deposit_current_lanes,
         (DepositPath::LaneReduce, _) => deposit_current_lane_reduce,
-        (DepositPath::SortedBlock, _) => deposit_current_sorted_block,
     }
 }
 
@@ -375,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn reassociated_paths_within_bound() {
+    fn lane_reduce_within_bound() {
         for sorted in [false, true] {
             let (icell, [dx, dy, vx, vy, vz]) = mk(4096, 16, sorted);
             let w = 0.5;
@@ -390,16 +329,14 @@ mod tests {
                 let m = vx[i].abs().max(vy[i].abs()).max(vz[i].abs());
                 vmax[c] = vmax[c].max(m);
             }
-            for kernel in [deposit_current_lane_reduce, deposit_current_sorted_block] {
-                let mut got = vec![[0.0f64; 12]; 16];
-                kernel(&icell, &dx, &dy, &vx, &vy, &vz, &mut got, w);
-                for c in 0..16 {
-                    let bound =
-                        4.0 * (k[c] as f64).powi(2) * f64::EPSILON * (w * vmax[c]).abs() + 1e-300;
-                    for comp in 0..12 {
-                        let err = (got[c][comp] - reference[c][comp]).abs();
-                        assert!(err <= bound, "cell {c} comp {comp}: {err:e} > {bound:e}");
-                    }
+            let mut got = vec![[0.0f64; 12]; 16];
+            deposit_current_lane_reduce(&icell, &dx, &dy, &vx, &vy, &vz, &mut got, w);
+            for c in 0..16 {
+                let bound =
+                    4.0 * (k[c] as f64).powi(2) * f64::EPSILON * (w * vmax[c]).abs() + 1e-300;
+                for comp in 0..12 {
+                    let err = (got[c][comp] - reference[c][comp]).abs();
+                    assert!(err <= bound, "cell {c} comp {comp}: {err:e} > {bound:e}");
                 }
             }
         }
@@ -414,7 +351,6 @@ mod tests {
             deposit_current_tail as CurrentFn,
             deposit_current_lanes,
             deposit_current_lane_reduce,
-            deposit_current_sorted_block,
         ] {
             let mut j12 = vec![[0.0f64; 12]; 64];
             kernel(&icell, &dx, &dy, &vx, &vy, &vz, &mut j12, w);

@@ -1,24 +1,24 @@
-//! The particle-loop kernels, one per optimization variant of the paper.
+//! The particle-loop kernels of the paper's optimized code path.
 //!
 //! Layout of this module tree:
 //!
-//! * [`velocity`] — the update-velocities loop (field interpolation), over
-//!   standard vs redundant field storage;
-//! * [`position`] — the update-positions loop in the paper's three shapes:
-//!   `if`+real-modulo, integer-modulo, and branchless bitwise (§IV-C);
-//! * [`accumulate`] — the charge-deposition loop, standard (scattered) vs
-//!   redundant (contiguous, vectorizable — Fig. 2);
-//! * [`deposit`] — the reassociated vectorized deposit variants
+//! * [`velocity`] — the update-velocities loop (field interpolation) over
+//!   the redundant field storage;
+//! * [`position`] — the branchless update-positions loop (§IV-C3);
+//! * [`accumulate`] — the redundant (contiguous, vectorizable — Fig. 2)
+//!   charge-deposition loop;
+//! * [`deposit`] — the reassociated vectorized deposit
 //!   ([`deposit::DepositPath`]): per-lane private ρ with transposed
-//!   lane-reduction, and the sorted-batch register deposit;
-//! * [`fused`] — the single fused particle loop (velocity + position +
-//!   deposition in one pass), the shape the paper *splits away from*
-//!   (§IV-A), for AoS and SoA;
-//! * [`aos`] — AoS mirrors of the split kernels for the Table IV / VII
-//!   comparisons.
+//!   lane-reduction;
+//! * [`simd`] — explicit lane-blocked twins of the three loops;
+//! * [`boris`], [`current`] — the 2d3v push and current deposit.
 //!
-//! All SoA kernels take plain slices so that the parallel wrappers can hand
-//! them disjoint chunks; [`SoaChunksMut`] produces those chunks safely.
+//! The shapes the paper optimizes *away from* — AoS particles, standard
+//! grid arrays, the fused loop, the naive position updates — are reference
+//! kernels in `pic_bench::reference`, driven by the table harnesses only.
+//!
+//! All SoA kernels take plain slices so that a pool worker can be handed a
+//! disjoint chunk; [`split_soa_mut_into`] produces those chunks safely.
 //!
 //! ### Hoisting convention
 //!
@@ -29,12 +29,9 @@
 //! entirely so the generated loop body matches the paper's optimized code.
 
 pub mod accumulate;
-pub mod aos;
 pub mod boris;
-pub mod boundary;
 pub mod current;
 pub mod deposit;
-pub mod fused;
 pub mod position;
 pub mod simd;
 pub mod velocity;
@@ -87,61 +84,10 @@ impl<'a> SoaViewMut<'a> {
 }
 
 /// Split a particle store into `nchunks` disjoint mutable views of
-/// near-equal size (for thread fan-out). Returns fewer chunks when there are
+/// near-equal size (for thread fan-out), larger chunks first, without
+/// allocating: the views go into `out` (a stack array on the hot path) and
+/// the count produced is returned — fewer than `nchunks` when there are
 /// fewer particles than chunks.
-pub fn split_soa_mut(p: &mut ParticlesSoA, nchunks: usize) -> Vec<SoaViewMut<'_>> {
-    let n = p.len();
-    let nchunks = nchunks.max(1).min(n.max(1));
-    let base = n / nchunks;
-    let extra = n % nchunks;
-
-    let mut views = Vec::with_capacity(nchunks);
-    let (mut icell, mut ix, mut iy, mut dx, mut dy, mut vx, mut vy) = (
-        p.icell.as_mut_slice(),
-        p.ix.as_mut_slice(),
-        p.iy.as_mut_slice(),
-        p.dx.as_mut_slice(),
-        p.dy.as_mut_slice(),
-        p.vx.as_mut_slice(),
-        p.vy.as_mut_slice(),
-    );
-    for c in 0..nchunks {
-        let len = base + usize::from(c < extra);
-        let (a, b) = icell.split_at_mut(len);
-        icell = b;
-        let (a2, b2) = ix.split_at_mut(len);
-        ix = b2;
-        let (a3, b3) = iy.split_at_mut(len);
-        iy = b3;
-        let (a4, b4) = dx.split_at_mut(len);
-        dx = b4;
-        let (a5, b5) = dy.split_at_mut(len);
-        dy = b5;
-        let (a6, b6) = vx.split_at_mut(len);
-        vx = b6;
-        let (a7, b7) = vy.split_at_mut(len);
-        vy = b7;
-        views.push(SoaViewMut {
-            icell: a,
-            ix: a2,
-            iy: a3,
-            dx: a4,
-            dy: a5,
-            vx: a6,
-            vy: a7,
-        });
-    }
-    views
-}
-
-/// Alias kept for discoverability in docs.
-pub type SoaChunksMut<'a> = Vec<SoaViewMut<'a>>;
-
-/// Allocation-free variant of [`split_soa_mut`]: writes the views into
-/// `out` (a stack array on the hot path) and returns how many were
-/// produced. Chunk boundaries are identical to [`split_soa_mut`] — larger
-/// chunks first — so the two fan-out paths assign the same particles to the
-/// same worker.
 ///
 /// # Panics
 ///
@@ -205,61 +151,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn split_covers_everything_once() {
-        let mut p = ParticlesSoA::zeroed(10);
-        for i in 0..10 {
-            p.icell[i] = i as u32;
-        }
-        let views = split_soa_mut(&mut p, 3);
-        assert_eq!(views.len(), 3);
-        let lens: Vec<usize> = views.iter().map(|v| v.len()).collect();
-        assert_eq!(lens, vec![4, 3, 3]);
-        let all: Vec<u32> = views.iter().flat_map(|v| v.icell.iter().copied()).collect();
-        assert_eq!(all, (0..10).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn split_more_chunks_than_particles() {
-        let mut p = ParticlesSoA::zeroed(2);
-        let views = split_soa_mut(&mut p, 8);
-        assert_eq!(views.len(), 2);
-        assert!(views.iter().all(|v| v.len() == 1));
-    }
-
-    #[test]
-    fn split_empty_store() {
-        let mut p = ParticlesSoA::zeroed(0);
-        let views = split_soa_mut(&mut p, 4);
-        assert_eq!(views.len(), 1);
-        assert!(views[0].is_empty());
-    }
-
-    #[test]
-    fn split_into_matches_vec_variant() {
-        for (n, nchunks) in [(10, 3), (2, 8), (0, 4), (100, 7)] {
+    fn split_covers_everything_once_with_larger_chunks_first() {
+        for (n, nchunks, want) in [
+            (10, 3, vec![4, 3, 3]),
+            (2, 8, vec![1, 1]),
+            (0, 4, vec![0]),
+            (100, 7, vec![15, 15, 14, 14, 14, 14, 14]),
+        ] {
             let mut p = ParticlesSoA::zeroed(n);
             for i in 0..n {
                 p.icell[i] = i as u32;
             }
-            let mut q = p.clone();
-            let vec_lens: Vec<usize> = split_soa_mut(&mut p, nchunks)
-                .iter()
-                .map(|v| v.len())
-                .collect();
             let mut slots: [Option<SoaViewMut>; 16] = [const { None }; 16];
-            let nv = split_soa_mut_into(&mut q, nchunks, &mut slots);
-            assert_eq!(nv, vec_lens.len());
-            let mut seen = Vec::new();
-            for slot in slots.iter().take(nv) {
-                let v = slot.as_ref().unwrap();
-                seen.extend(v.icell.iter().copied());
-            }
+            let nv = split_soa_mut_into(&mut p, nchunks, &mut slots);
+            let views: Vec<&SoaViewMut> = slots[..nv].iter().flatten().collect();
+            let lens: Vec<usize> = views.iter().map(|v| v.len()).collect();
+            assert_eq!(lens, want, "n={n} nchunks={nchunks}");
+            let seen: Vec<u32> = views.iter().flat_map(|v| v.icell.iter().copied()).collect();
             assert_eq!(seen, (0..n as u32).collect::<Vec<u32>>());
-            let into_lens: Vec<usize> = slots[..nv]
-                .iter()
-                .map(|s| s.as_ref().unwrap().len())
-                .collect();
-            assert_eq!(into_lens, vec_lens);
         }
     }
 }

@@ -1,106 +1,24 @@
-//! The update-positions loop in the paper's three shapes (§IV-C).
+//! The update-positions loop in the paper's final shape (§IV-C3).
 //!
 //! A particle's position is `x = ix + dx` in grid units. The push adds the
 //! (grid-unit) velocity, wraps periodically, and re-splits into
-//! `(cell, offset)`:
+//! `(cell, offset)`: floor by int-cast minus sign bit, wrap by bitwise AND
+//! with `nc − 1` (grid dims are powers of two). Pure straight-line
+//! arithmetic, auto-vectorizable. The two shapes the paper climbs away from
+//! (`if` + real modulo, integer modulo) live in `pic_bench::reference`.
 //!
-//! 1. [`update_positions_naive_if`] — test `if (x < 0 || x >= ncx)` and call
-//!    a real-valued modulo, plus `floor()`: branches and a libm call, the
-//!    shape compilers refuse to vectorize (GNU) or vectorize poorly (Intel);
-//! 2. [`update_positions_modulo`] — unconditional integer modulo
-//!    (`rem_euclid`): branch-free but still an integer division when the
-//!    divisor is not known;
-//! 3. [`update_positions_branchless`] — the paper's final form: floor by
-//!    int-cast minus sign bit, wrap by bitwise AND with `nc − 1` (grid dims
-//!    are powers of two). Pure straight-line arithmetic, auto-vectorizable.
-//!
-//! Each shape has a row-major variant (recomputes `icell = ix·ncy + iy`
-//! directly — no per-particle `(ix, iy)` needed) and a layout-generic
-//! variant (updates the stored `(ix, iy)` and calls `layout.encode`,
+//! There is a row-major variant (recomputes `icell = ix·ncy + iy`
+//! directly) and a layout-generic variant (calls `layout.encode`,
 //! monomorphized — the “3 extra seconds” of Table III).
 
 // SoA kernels take one slice per particle field by design; bundling them
 // into a struct would obscure the loop shapes the paper compares.
 #![allow(clippy::too_many_arguments)]
 
-use crate::par;
 use sfc::CellLayout;
 
-/// Reference modulo over the reals (paper §IV-C2 footnote):
-/// the unique value in `[0, b)` congruent to `a`.
-#[inline]
-pub fn modulo_real(a: f64, b: f64) -> f64 {
-    a - (a / b).floor() * b
-}
-
-/// Shape 1: `if` + real modulo + `floor()` call. Row-major cell indexing.
-pub fn update_positions_naive_if(
-    icell: &mut [u32],
-    ix: &mut [u32],
-    iy: &mut [u32],
-    dx: &mut [f64],
-    dy: &mut [f64],
-    vx: &[f64],
-    vy: &[f64],
-    ncx: usize,
-    ncy: usize,
-    scale: f64,
-) {
-    let n = icell.len();
-    let (fx, fy) = (ncx as f64, ncy as f64);
-    for i in 0..n {
-        let mut x = ix[i] as f64 + dx[i] + vx[i] * scale;
-        let mut y = iy[i] as f64 + dy[i] + vy[i] * scale;
-        if x < 0.0 || x >= fx {
-            x = modulo_real(x, fx);
-        }
-        if y < 0.0 || y >= fy {
-            y = modulo_real(y, fy);
-        }
-        let cx = x.floor();
-        let cy = y.floor();
-        dx[i] = x - cx;
-        dy[i] = y - cy;
-        // Guard the x == fx-ε rounding edge: floor may round up to fx.
-        let cix = (cx as usize).min(ncx - 1);
-        let ciy = (cy as usize).min(ncy - 1);
-        ix[i] = cix as u32;
-        iy[i] = ciy as u32;
-        icell[i] = (cix * ncy + ciy) as u32;
-    }
-}
-
-/// Shape 2: unconditional integer modulo (`rem_euclid`), no inside test.
-pub fn update_positions_modulo(
-    icell: &mut [u32],
-    ix: &mut [u32],
-    iy: &mut [u32],
-    dx: &mut [f64],
-    dy: &mut [f64],
-    vx: &[f64],
-    vy: &[f64],
-    ncx: usize,
-    ncy: usize,
-    scale: f64,
-) {
-    let n = icell.len();
-    for i in 0..n {
-        let x = ix[i] as f64 + dx[i] + vx[i] * scale;
-        let y = iy[i] as f64 + dy[i] + vy[i] * scale;
-        let fx = x.floor();
-        let fy = y.floor();
-        let cx = (fx as i64).rem_euclid(ncx as i64) as usize;
-        let cy = (fy as i64).rem_euclid(ncy as i64) as usize;
-        dx[i] = x - fx;
-        dy[i] = y - fy;
-        ix[i] = cx as u32;
-        iy[i] = cy as u32;
-        icell[i] = (cx * ncy + cy) as u32;
-    }
-}
-
-/// Shape 3 (the paper's optimized form), row-major indexing:
-/// branchless floor + bitwise wrap, straight-line arithmetic throughout.
+/// Row-major indexing: branchless floor + bitwise wrap, straight-line
+/// arithmetic throughout.
 pub fn update_positions_branchless(
     icell: &mut [u32],
     ix: &mut [u32],
@@ -134,7 +52,7 @@ pub fn update_positions_branchless(
     }
 }
 
-/// Shape 3 under an arbitrary layout: same branchless arithmetic, then the
+/// Under an arbitrary layout: same branchless arithmetic, then the
 /// (monomorphized) `layout.encode` — the extra work Table III charges to
 /// the L4D/Morton/Hilbert orderings.
 pub fn update_positions_branchless_layout<L: CellLayout>(
@@ -168,69 +86,6 @@ pub fn update_positions_branchless_layout<L: CellLayout>(
     }
 }
 
-/// Naive-if shape under an arbitrary layout (for the Table III Hilbert row).
-pub fn update_positions_naive_if_layout<L: CellLayout>(
-    icell: &mut [u32],
-    ix: &mut [u32],
-    iy: &mut [u32],
-    dx: &mut [f64],
-    dy: &mut [f64],
-    vx: &[f64],
-    vy: &[f64],
-    layout: &L,
-    scale: f64,
-) {
-    let (ncx, ncy) = (layout.ncx(), layout.ncy());
-    let n = icell.len();
-    let (fxm, fym) = (ncx as f64, ncy as f64);
-    for i in 0..n {
-        let mut x = ix[i] as f64 + dx[i] + vx[i] * scale;
-        let mut y = iy[i] as f64 + dy[i] + vy[i] * scale;
-        if x < 0.0 || x >= fxm {
-            x = modulo_real(x, fxm);
-        }
-        if y < 0.0 || y >= fym {
-            y = modulo_real(y, fym);
-        }
-        let cx = (x.floor() as usize).min(ncx - 1);
-        let cy = (y.floor() as usize).min(ncy - 1);
-        dx[i] = x - x.floor();
-        dy[i] = y - y.floor();
-        ix[i] = cx as u32;
-        iy[i] = cy as u32;
-        icell[i] = layout.encode(cx, cy) as u32;
-    }
-}
-
-/// Thread-parallel branchless row-major push.
-pub fn par_update_positions_branchless(
-    p: &mut crate::particles::ParticlesSoA,
-    ncx: usize,
-    ncy: usize,
-    scale: f64,
-    nchunks: usize,
-) {
-    let views = super::split_soa_mut(p, nchunks);
-    par::for_each(views, |v| {
-        update_positions_branchless(v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale);
-    });
-}
-
-/// Thread-parallel branchless layout-generic push.
-pub fn par_update_positions_branchless_layout<L: CellLayout>(
-    p: &mut crate::particles::ParticlesSoA,
-    layout: &L,
-    scale: f64,
-    nchunks: usize,
-) {
-    let views = super::split_soa_mut(p, nchunks);
-    par::for_each(views, |v| {
-        update_positions_branchless_layout(
-            v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
-        );
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,63 +107,6 @@ mod tests {
             p.vy[i] = ((i % 17) as f64 - 8.0) * 0.9;
         }
         p
-    }
-
-    fn assert_same(a: &crate::particles::ParticlesSoA, b: &crate::particles::ParticlesSoA) {
-        assert_eq!(a.icell, b.icell);
-        assert_eq!(a.ix, b.ix);
-        assert_eq!(a.iy, b.iy);
-        for i in 0..a.len() {
-            assert!((a.dx[i] - b.dx[i]).abs() < 1e-12, "dx i={i}");
-            assert!((a.dy[i] - b.dy[i]).abs() < 1e-12, "dy i={i}");
-        }
-    }
-
-    #[test]
-    fn all_three_shapes_agree() {
-        let (ncx, ncy) = (16, 32);
-        let base = mk(500, ncx, ncy);
-        let mut a = base.clone();
-        let mut b = base.clone();
-        let mut c = base.clone();
-        update_positions_naive_if(
-            &mut a.icell,
-            &mut a.ix,
-            &mut a.iy,
-            &mut a.dx,
-            &mut a.dy,
-            &a.vx.clone(),
-            &a.vy.clone(),
-            ncx,
-            ncy,
-            1.0,
-        );
-        update_positions_modulo(
-            &mut b.icell,
-            &mut b.ix,
-            &mut b.iy,
-            &mut b.dx,
-            &mut b.dy,
-            &b.vx.clone(),
-            &b.vy.clone(),
-            ncx,
-            ncy,
-            1.0,
-        );
-        update_positions_branchless(
-            &mut c.icell,
-            &mut c.ix,
-            &mut c.iy,
-            &mut c.dx,
-            &mut c.dy,
-            &c.vx.clone(),
-            &c.vy.clone(),
-            ncx,
-            ncy,
-            1.0,
-        );
-        assert_same(&a, &b);
-        assert_same(&a, &c);
     }
 
     #[test]
@@ -462,72 +260,5 @@ mod tests {
                 rm.encode(b.ix[i] as usize, b.iy[i] as usize)
             );
         }
-    }
-
-    #[test]
-    fn naive_layout_variant_agrees_with_branchless_layout() {
-        let (ncx, ncy) = (32, 32);
-        let base = mk(300, ncx, ncy);
-        let mo = Morton::new(ncx, ncy).unwrap();
-        let (vx, vy) = (base.vx.clone(), base.vy.clone());
-        let mut a = base.clone();
-        update_positions_naive_if_layout(
-            &mut a.icell,
-            &mut a.ix,
-            &mut a.iy,
-            &mut a.dx,
-            &mut a.dy,
-            &vx,
-            &vy,
-            &mo,
-            1.0,
-        );
-        let mut b = base.clone();
-        update_positions_branchless_layout(
-            &mut b.icell,
-            &mut b.ix,
-            &mut b.iy,
-            &mut b.dx,
-            &mut b.dy,
-            &vx,
-            &vy,
-            &mo,
-            1.0,
-        );
-        assert_eq!(a.icell, b.icell);
-        for i in 0..a.len() {
-            assert!((a.dx[i] - b.dx[i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (ncx, ncy) = (16, 16);
-        let base = mk(5000, ncx, ncy);
-        let mut a = base.clone();
-        let mut b = base.clone();
-        let (vx, vy) = (base.vx.clone(), base.vy.clone());
-        update_positions_branchless(
-            &mut a.icell,
-            &mut a.ix,
-            &mut a.iy,
-            &mut a.dx,
-            &mut a.dy,
-            &vx,
-            &vy,
-            ncx,
-            ncy,
-            1.0,
-        );
-        par_update_positions_branchless(&mut b, ncx, ncy, 1.0, 8);
-        assert_same(&a, &b);
-    }
-
-    #[test]
-    fn modulo_real_reference() {
-        assert_eq!(modulo_real(5.0, 8.0), 5.0);
-        assert_eq!(modulo_real(8.5, 8.0), 0.5);
-        assert_eq!(modulo_real(-0.5, 8.0), 7.5);
-        assert_eq!(modulo_real(-16.25, 8.0), 7.75);
     }
 }

@@ -1,17 +1,15 @@
 //! The update-velocities loop: interpolate E at each particle (CIC) and kick.
 //!
-//! Redundant-layout variants read one contiguous `[f64; 8]` block per
-//! particle; standard-layout variants gather from four scattered grid
-//! points. The hoisted variants assume the stored field already carries the
+//! Each particle reads one contiguous `[f64; 8]` block of the redundant
+//! field. The hoisted variant assumes the stored field already carries the
 //! `q·Δt/m` (and grid-unit) factors, so the loop body is pure
 //! interpolate-and-add — the shape the paper reports for its optimized code.
+//! (The standard-layout gather the paper compares against lives in
+//! `pic_bench::reference`.)
 
 // SoA kernels take one slice per particle field by design; bundling them
 // into a struct would obscure the loop shapes the paper compares.
 #![allow(clippy::too_many_arguments)]
-
-use crate::fields::Field2D;
-use crate::par;
 
 /// Kick from the redundant field: `v += coeff · E_CIC(particle)`.
 ///
@@ -66,77 +64,12 @@ pub fn update_velocities_redundant_hoisted(
     }
 }
 
-/// Kick from standard grid-point storage: four scattered gathers per
-/// component, with periodic neighbour wrap (grid dims are powers of two).
-pub fn update_velocities_standard(
-    ix: &[u32],
-    iy: &[u32],
-    dx: &[f64],
-    dy: &[f64],
-    vx: &mut [f64],
-    vy: &mut [f64],
-    field: &Field2D,
-    coeff_x: f64,
-    coeff_y: f64,
-) {
-    let n = ix.len();
-    assert!(iy.len() == n && dx.len() == n && dy.len() == n && vx.len() == n && vy.len() == n);
-    let (ncx, ncy) = (field.ncx, field.ncy);
-    for i in 0..n {
-        let cx = ix[i] as usize;
-        let cy = iy[i] as usize;
-        let cxp = (cx + 1) & (ncx - 1);
-        let cyp = (cy + 1) & (ncy - 1);
-        let (odx, ody) = (dx[i], dy[i]);
-        let w00 = (1.0 - odx) * (1.0 - ody);
-        let w01 = (1.0 - odx) * ody;
-        let w10 = odx * (1.0 - ody);
-        let w11 = odx * ody;
-        let g00 = cx * ncy + cy;
-        let g01 = cx * ncy + cyp;
-        let g10 = cxp * ncy + cy;
-        let g11 = cxp * ncy + cyp;
-        let ex =
-            w00 * field.ex[g00] + w01 * field.ex[g01] + w10 * field.ex[g10] + w11 * field.ex[g11];
-        let ey =
-            w00 * field.ey[g00] + w01 * field.ey[g01] + w10 * field.ey[g10] + w11 * field.ey[g11];
-        vx[i] += coeff_x * ex;
-        vy[i] += coeff_y * ey;
-    }
-}
-
-/// Thread-parallel redundant kick (`#pragma omp for` over particles).
-pub fn par_update_velocities_redundant(
-    p: &mut crate::particles::ParticlesSoA,
-    e8: &[[f64; 8]],
-    coeff_x: f64,
-    coeff_y: f64,
-    nchunks: usize,
-) {
-    let views = super::split_soa_mut(p, nchunks);
-    par::for_each(views, |v| {
-        update_velocities_redundant(v.icell, v.dx, v.dy, v.vx, v.vy, e8, coeff_x, coeff_y);
-    });
-}
-
-/// Thread-parallel hoisted redundant kick.
-pub fn par_update_velocities_redundant_hoisted(
-    p: &mut crate::particles::ParticlesSoA,
-    e8: &[[f64; 8]],
-    nchunks: usize,
-) {
-    let views = super::split_soa_mut(p, nchunks);
-    par::for_each(views, |v| {
-        update_velocities_redundant_hoisted(v.icell, v.dx, v.dy, v.vx, v.vy, e8);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fields::RedundantE;
+    use crate::fields::{Field2D, RedundantE};
     use crate::grid::Grid2D;
-    use sfc::{CellLayout, Morton, RowMajor};
+    use sfc::{CellLayout, RowMajor};
 
     fn constant_field(v: f64) -> Field2D {
         let g = Grid2D::new(8, 8, 1.0, 1.0).unwrap();
@@ -163,46 +96,6 @@ mod tests {
         assert!((vx[0] - 2.0).abs() < 1e-14);
         assert!((vx[1] - 0.0).abs() < 1e-14);
         assert!((vy[0] + 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn redundant_matches_standard() {
-        // A deterministic "random" field; both storage paths must agree.
-        let g = Grid2D::new(16, 16, 1.0, 1.0).unwrap();
-        let mut f = Field2D::new(&g);
-        for i in 0..f.ex.len() {
-            f.ex[i] = ((i * 37 + 11) % 101) as f64 * 0.1;
-            f.ey[i] = ((i * 53 + 29) % 97) as f64 * -0.2;
-        }
-        let layout = Morton::new(16, 16).unwrap();
-        let mut e8 = RedundantE::new(&layout);
-        e8.fill_from(&f, &layout, 1.0, 1.0);
-
-        let npart = 200;
-        let mut icell = Vec::new();
-        let mut ix = Vec::new();
-        let mut iy = Vec::new();
-        let mut dx = Vec::new();
-        let mut dy = Vec::new();
-        for i in 0..npart {
-            let cx = (i * 7) % 16;
-            let cy = (i * 13) % 16;
-            ix.push(cx as u32);
-            iy.push(cy as u32);
-            icell.push(layout.encode(cx, cy) as u32);
-            dx.push(((i * 31) % 100) as f64 / 100.0);
-            dy.push(((i * 17) % 100) as f64 / 100.0);
-        }
-        let mut vx_a = vec![0.0; npart];
-        let mut vy_a = vec![0.0; npart];
-        let mut vx_b = vec![0.0; npart];
-        let mut vy_b = vec![0.0; npart];
-        update_velocities_redundant(&icell, &dx, &dy, &mut vx_a, &mut vy_a, &e8.e8, 1.5, 2.5);
-        update_velocities_standard(&ix, &iy, &dx, &dy, &mut vx_b, &mut vy_b, &f, 1.5, 2.5);
-        for i in 0..npart {
-            assert!((vx_a[i] - vx_b[i]).abs() < 1e-13, "i={i}");
-            assert!((vy_a[i] - vy_b[i]).abs() < 1e-13, "i={i}");
-        }
     }
 
     #[test]
@@ -253,40 +146,5 @@ mod tests {
         let mut vy = vec![0.0];
         update_velocities_redundant(&icell, &dx, &dy, &mut vx, &mut vy, &e8.e8, 1.0, 1.0);
         assert!((vx[0] - 5.75).abs() < 1e-14);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = Grid2D::new(16, 16, 1.0, 1.0).unwrap();
-        let layout = RowMajor::new(16, 16).unwrap();
-        let mut f = Field2D::new(&g);
-        for i in 0..f.ex.len() {
-            f.ex[i] = (i % 13) as f64;
-            f.ey[i] = (i % 7) as f64;
-        }
-        let mut e8 = RedundantE::new(&layout);
-        e8.fill_from(&f, &layout, 1.0, 1.0);
-
-        let n = 10_000;
-        let mut p = crate::particles::ParticlesSoA::zeroed(n);
-        for i in 0..n {
-            p.icell[i] = (i % 256) as u32;
-            p.dx[i] = (i % 10) as f64 / 10.0;
-            p.dy[i] = (i % 9) as f64 / 9.0;
-        }
-        let mut q = p.clone();
-        update_velocities_redundant(
-            &p.icell.clone(),
-            &p.dx.clone(),
-            &p.dy.clone(),
-            &mut p.vx,
-            &mut p.vy,
-            &e8.e8,
-            1.0,
-            1.0,
-        );
-        par_update_velocities_redundant(&mut q, &e8.e8, 1.0, 1.0, 4);
-        assert_eq!(p.vx, q.vx);
-        assert_eq!(p.vy, q.vy);
     }
 }

@@ -3,10 +3,11 @@
 //! This crate implements the system of *Barsamian, Hirstoaga, Violard,
 //! “Efficient Data Structures for a Hybrid Parallel and Vectorized
 //! Particle-in-Cell Code”, IPDPSW 2017*: a minimal 2-D electrostatic PIC
-//! code whose every data-structure and loop-shape decision is exposed as a
-//! configuration knob, so the paper's optimization ladder (Table IV), layout
-//! comparison (Tables II–III), and parallel experiments (Figs. 7–9,
-//! Tables VI–VII) can all be reproduced from one code base.
+//! code on the data layout the paper arrives at. The layouts and loop
+//! shapes it is measured *against* (the lower rungs of Table IV, the
+//! "2d standard" row of Table III, the AoS/fused cells of Table VII) are
+//! reference kernels in `pic_bench::reference`, so the tables still
+//! regenerate from one workspace.
 //!
 //! ## The PIC loop
 //!
@@ -14,19 +15,17 @@
 //! 1. periodically **sort** particles by cell index ([`sort`]);
 //! 2. zero ρ, then for each particle **update velocity** (interpolate E),
 //!    **update position** (periodic wrap), **accumulate charge**
-//!    ([`kernels`] — fused in one loop or split into three);
+//!    ([`kernels`] — three split loops, streamed strip by strip);
 //! 3. solve **Poisson** for E from ρ (the `spectral` crate).
 //!
-//! ## Data-structure knobs
+//! ## Data structures
 //!
-//! * particles: AoS vs SoA ([`particles`]);
-//! * grid quantities: standard 2-D arrays vs redundant cell-based arrays
-//!   ([`fields`]);
+//! * particles: Structure of Arrays ([`particles`]);
+//! * grid quantities: redundant cell-based arrays ([`fields`]);
 //! * cell ordering: row-major, L4D, Morton, Hilbert (the `sfc` crate);
-//! * position update: `if`+modulo, integer modulo, or branchless bitwise
-//!   ([`kernels::position`]);
-//! * loop structure: one fused loop vs three split loops;
-//! * coefficient hoisting: raw vs pre-scaled fields and velocities.
+//! * position update: branchless bitwise ([`kernels::position`]);
+//! * knobs that remain ([`sim::PicConfig`]): scalar vs lane-blocked
+//!   kernels, exact vs lane-reduced deposit, coefficient hoisting.
 //!
 //! ## Quickstart
 //!
@@ -49,7 +48,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autotune;
 pub mod control;
 pub mod diag;
 pub mod em;
@@ -57,7 +55,6 @@ pub mod faultlog;
 pub mod fields;
 pub mod grid;
 pub mod kernels;
-pub mod par;
 pub mod particles;
 pub mod pool;
 pub mod resilience;

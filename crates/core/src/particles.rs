@@ -1,5 +1,5 @@
-//! Particle storage — Array-of-Structures vs Structure-of-Arrays — and
-//! initial distributions.
+//! Particle storage (Structure-of-Arrays, §IV-C1) and initial
+//! distributions.
 //!
 //! Each particle is a cell index plus normalized in-cell offsets (paper §II)
 //! and a velocity. The cell coordinates `(ix, iy)` are stored explicitly as
@@ -14,32 +14,6 @@
 use crate::grid::Grid2D;
 use crate::rng::Rng;
 use sfc::CellLayout;
-
-/// One particle, AoS form.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Particle {
-    /// Flat cell index under the active layout.
-    pub icell: u32,
-    /// Cell x-coordinate.
-    pub ix: u32,
-    /// Cell y-coordinate.
-    pub iy: u32,
-    /// Offset within the cell along x, in `[0, 1)`.
-    pub dx: f64,
-    /// Offset within the cell along y, in `[0, 1)`.
-    pub dy: f64,
-    /// Velocity along x (units per the simulation's hoisting convention).
-    pub vx: f64,
-    /// Velocity along y.
-    pub vy: f64,
-}
-
-/// Array-of-Structures storage (the paper's baseline particle layout).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ParticlesAoS {
-    /// The particles.
-    pub p: Vec<Particle>,
-}
 
 /// Structure-of-Arrays storage (the layout that vectorizes, §IV-C1).
 ///
@@ -92,58 +66,6 @@ impl ParticlesSoA {
             vx: vec![0.0; n],
             vy: vec![0.0; n],
         }
-    }
-
-    /// Extract particle `i` (test/diagnostic helper, not a kernel path).
-    pub fn get(&self, i: usize) -> Particle {
-        Particle {
-            icell: self.icell[i],
-            ix: self.ix[i],
-            iy: self.iy[i],
-            dx: self.dx[i],
-            dy: self.dy[i],
-            vx: self.vx[i],
-            vy: self.vy[i],
-        }
-    }
-
-    /// Store particle `i`.
-    pub fn set(&mut self, i: usize, p: Particle) {
-        self.icell[i] = p.icell;
-        self.ix[i] = p.ix;
-        self.iy[i] = p.iy;
-        self.dx[i] = p.dx;
-        self.dy[i] = p.dy;
-        self.vx[i] = p.vx;
-        self.vy[i] = p.vy;
-    }
-
-    /// Convert to AoS (for the layout-comparison harnesses).
-    pub fn to_aos(&self) -> ParticlesAoS {
-        ParticlesAoS {
-            p: (0..self.len()).map(|i| self.get(i)).collect(),
-        }
-    }
-}
-
-impl ParticlesAoS {
-    /// Number of particles.
-    pub fn len(&self) -> usize {
-        self.p.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.p.is_empty()
-    }
-
-    /// Convert to SoA.
-    pub fn to_soa(&self) -> ParticlesSoA {
-        let mut s = ParticlesSoA::zeroed(self.len());
-        for (i, &p) in self.p.iter().enumerate() {
-            s.set(i, p);
-        }
-        s
     }
 }
 
@@ -418,18 +340,6 @@ mod tests {
         let g = grid();
         let w = particle_weight(&g, 1000);
         assert!((w * 1000.0 - g.lx * g.ly).abs() < 1e-9);
-    }
-
-    #[test]
-    fn aos_soa_roundtrip() {
-        let g = grid();
-        let l = RowMajor::new(32, 32).unwrap();
-        let soa = initialize(&g, &l, InitialDistribution::Uniform, 100, 5);
-        let aos = soa.to_aos();
-        let back = aos.to_soa();
-        assert_eq!(soa.icell, back.icell);
-        assert_eq!(soa.dx, back.dx);
-        assert_eq!(soa.vy, back.vy);
     }
 
     #[test]

@@ -387,7 +387,7 @@ impl spectral::fft::RowExecutor for ThreadPool {
 
 /// Split `n` items into `nchunks` near-equal contiguous ranges; returns the
 /// half-open range of chunk `c`. Chunk sizes differ by at most one, with the
-/// larger chunks first (matching [`crate::kernels::split_soa_mut`]).
+/// larger chunks first (matching [`crate::kernels::split_soa_mut_into`]).
 #[inline]
 pub fn chunk_range(n: usize, nchunks: usize, c: usize) -> (usize, usize) {
     let base = n / nchunks;

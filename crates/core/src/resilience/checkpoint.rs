@@ -5,7 +5,7 @@
 //! ```text
 //! magic            8 B   b"PIC2DCKP"
 //! version          u32   FORMAT_VERSION
-//! config_fprint    u64   hash of Debug-formatted PicConfig (layout knobs,
+//! config_fprint    u64   hash of a canonical PicConfig string (ordering,
 //!                        grid, dt, seed — a snapshot only restores into a
 //!                        simulation built from the same configuration)
 //! step_count       u64
@@ -98,15 +98,19 @@ fn deposit_code(p: DepositPath) -> u32 {
     match p {
         DepositPath::Exact => 0,
         DepositPath::LaneReduce => 1,
-        DepositPath::SortedBlock => 2,
     }
 }
 
+/// Code 2 was the sorted-block deposit; it is retired, never reassigned.
 fn deposit_from_code(c: u32) -> Result<DepositPath, PicError> {
     match c {
         0 => Ok(DepositPath::Exact),
         1 => Ok(DepositPath::LaneReduce),
-        2 => Ok(DepositPath::SortedBlock),
+        2 => Err(PicError::Checkpoint(
+            "snapshot was taken on the sorted-block deposit path (code 2), which has been \
+             removed; re-run from an Exact or LaneReduce checkpoint"
+                .into(),
+        )),
         _ => Err(PicError::Checkpoint(format!(
             "snapshot has unknown deposit-path code {c}"
         ))),
@@ -128,7 +132,7 @@ pub struct SimState {
     pub charge_ref: f64,
     /// Active hot-path knobs and controller state at capture time.
     pub hot_path: HotPathMeta,
-    /// Particle store (SoA canonical form; AoS runs convert losslessly).
+    /// Particle store.
     pub particles: ParticlesSoA,
     /// Charge density on grid points.
     pub rho: Vec<f64>,
@@ -500,12 +504,18 @@ pub fn decode(bytes: &[u8]) -> Result<SimState, PicError> {
 /// an 8-thread run restores into a 1-thread run (and a shrunken
 /// distributed survivor can adopt a dead rank's snapshot regardless of its
 /// pool size).
+///
+/// The string still spells out the four layout/loop settings and the sort
+/// flavour that used to be options (`particle_layout=Soa;…;
+/// sort_out_of_place=true`): they are what every run now does, and keeping
+/// the tokens keeps the fingerprint of every snapshot written before they
+/// became constants.
 pub fn config_fingerprint(cfg: &crate::sim::PicConfig) -> u64 {
     let canon = format!(
         "grid_nx={};grid_ny={};lx={:?};ly={:?};n_particles={};dt={:?};\
-         distribution={:?};ordering={:?};particle_layout={:?};\
-         field_layout={:?};loop_structure={:?};position_update={:?};\
-         hoisted={:?};sort_out_of_place={:?};seed={};keep_range={:?};\
+         distribution={:?};ordering={:?};particle_layout=Soa;\
+         field_layout=Redundant;loop_structure=Split;position_update=Branchless;\
+         hoisted={:?};sort_out_of_place=true;seed={};keep_range={:?};\
          keep_cells={:?};controller={:?}",
         cfg.grid_nx,
         cfg.grid_ny,
@@ -515,12 +525,7 @@ pub fn config_fingerprint(cfg: &crate::sim::PicConfig) -> u64 {
         cfg.dt,
         cfg.distribution,
         cfg.ordering,
-        cfg.particle_layout,
-        cfg.field_layout,
-        cfg.loop_structure,
-        cfg.position_update,
         cfg.hoisted,
-        cfg.sort_out_of_place,
         cfg.seed,
         cfg.keep_range,
         cfg.keep_cells,
@@ -803,7 +808,7 @@ mod tests {
             charge_ref: -1024.0,
             hot_path: HotPathMeta {
                 kernel_path: KernelPath::Lanes,
-                deposit_path: DepositPath::SortedBlock,
+                deposit_path: DepositPath::LaneReduce,
                 sort_period: 17,
                 controller: vec![0xA5, 0x5A, 0x3C, 0xC3],
             },
@@ -885,6 +890,22 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_of_snapshots_written_before_the_layout_knobs_went_is_kept() {
+        // Values computed at the commit that still had `particle_layout`,
+        // `field_layout`, `loop_structure`, `position_update` and
+        // `sort_out_of_place` as `PicConfig` fields.
+        use crate::sim::PicConfig;
+        assert_eq!(
+            config_fingerprint(&PicConfig::landau_table1(1000)),
+            0xaadad49aaa413e1a
+        );
+        assert_eq!(
+            config_fingerprint(&PicConfig::two_stream(1000)),
+            0xc0ba00a72e88901e
+        );
+    }
+
+    #[test]
     fn fingerprint_ignores_hot_path_knobs() {
         // The adaptive controller retunes kernel/deposit/sort-period at
         // runtime; since format v2 they are snapshot metadata, not config
@@ -896,7 +917,7 @@ mod tests {
         a.sort_period = 10;
         let mut b = a.clone();
         b.kernel_path = crate::sim::KernelPath::Lanes;
-        b.deposit_path = crate::sim::DepositPath::SortedBlock;
+        b.deposit_path = crate::sim::DepositPath::LaneReduce;
         b.sort_period = 50;
         assert_eq!(config_fingerprint(&a), config_fingerprint(&b));
     }
@@ -925,6 +946,13 @@ mod tests {
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
         let err = decode(&bytes).unwrap_err();
         assert!(matches!(err, PicError::Checkpoint(ref m) if m.contains("kernel-path")));
+        // Deposit code 2 (the removed sorted-block path) is refused by name.
+        let mut bytes = encode(&s);
+        bytes[72..76].copy_from_slice(&2u32.to_le_bytes());
+        let sum = snapshot_hash(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        let err = decode(&bytes).unwrap_err();
+        assert!(matches!(err, PicError::Checkpoint(ref m) if m.contains("sorted-block")));
     }
 
     #[test]

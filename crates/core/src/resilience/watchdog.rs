@@ -68,11 +68,6 @@ fn scan_finite(name: &str, values: &[f64]) -> Result<(), PicError> {
 }
 
 /// Scan the simulation for invariant violations; `Ok(())` means healthy.
-///
-/// For AoS-layout runs the SoA view read here can lag the canonical AoS
-/// array between sorts — call
-/// [`sync_particles`](Simulation::sync_particles) first (as
-/// [`run_resilient`] does) when checking mid-run.
 pub fn check_invariants(sim: &Simulation, wcfg: &WatchdogConfig) -> Result<(), PicError> {
     // 1. Grid quantities must be finite.
     let (ex, ey) = sim.e_field();
@@ -150,10 +145,8 @@ pub struct WatchdogViolation {
 /// Scan invariants and export the verdict: `None` means healthy, `Some`
 /// carries the step and the first failed invariant — the shape a
 /// multi-tenant runtime records into its [`crate::faultlog::FaultLog`]
-/// and attaches to quarantine evidence. Syncs AoS-layout particles first,
-/// so it is safe to call mid-run on either layout.
-pub fn scan_violation(sim: &mut Simulation, wcfg: &WatchdogConfig) -> Option<WatchdogViolation> {
-    sim.sync_particles();
+/// and attaches to quarantine evidence.
+pub fn scan_violation(sim: &Simulation, wcfg: &WatchdogConfig) -> Option<WatchdogViolation> {
     match check_invariants(sim, wcfg) {
         Ok(()) => None,
         Err(e) => Some(WatchdogViolation {
@@ -207,7 +200,6 @@ pub fn run_resilient_with_reduce(
         if !due {
             continue;
         }
-        sim.sync_particles();
         match check_invariants(sim, wcfg) {
             Ok(()) => {
                 if sim.steps().is_multiple_of(checkpoint_every) || sim.steps() == target {

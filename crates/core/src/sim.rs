@@ -1,9 +1,20 @@
-//! The full PIC simulation loop with every paper knob exposed.
+//! The full PIC simulation loop on the paper's optimized data layout.
 //!
-//! [`PicConfig`] selects the data structures and loop shapes; [`Simulation`]
-//! runs the leap-frog Vlasov–Poisson loop of the paper's Fig. 1 and records
-//! per-phase wall-clock times ([`PhaseTimes`]) and physics diagnostics
-//! ([`Diagnostics`]) — everything the table/figure harnesses need.
+//! [`Simulation`] runs the leap-frog Vlasov–Poisson loop of the paper's
+//! Fig. 1 on *one* particle path — SoA particles, redundant cell-based E/ρ,
+//! three split loops streamed strip by strip, branchless push (§IV, the last
+//! rung of Table IV) — and records per-phase wall-clock times
+//! ([`PhaseTimes`]) and physics diagnostics ([`Diagnostics`]). The layouts
+//! and loop shapes the paper measures that path *against* (AoS, standard
+//! grid arrays, the fused loop, the naive pushes) are reference code in
+//! `pic_bench::reference`, not options here.
+//!
+//! [`PicConfig`] keeps the three hot-path knobs production callers set to
+//! different values: `kernel_path` (scalar vs lane-blocked loops,
+//! bit-identical, retuned online by [`crate::control`]), `deposit_path`
+//! (`Exact` for bit-reproducible ρ, `LaneReduce` for speed) and `hoisted`
+//! (§IV-D; the unhoisted form keeps physical velocity units) — plus the
+//! cell `ordering`.
 //!
 //! ## Units
 //!
@@ -18,8 +29,8 @@
 use crate::control::{self, ControllerConfig, HotPathController, SwitchEvent};
 use crate::fields::{Field2D, RedundantE, RedundantRho};
 use crate::grid::Grid2D;
-use crate::kernels::{self, accumulate, aos, deposit, fused, position, simd, velocity, SoaViewMut};
-use crate::particles::{self, InitialDistribution, ParticlesAoS, ParticlesSoA};
+use crate::kernels::{self, accumulate, deposit, position, simd, velocity, SoaViewMut};
+use crate::particles::{self, InitialDistribution, ParticlesSoA};
 use crate::pool::{chunk_range, ThreadPool, MAX_THREADS};
 use crate::resilience::checkpoint::{self as ckpt};
 use crate::rng::Rng;
@@ -34,40 +45,6 @@ use std::time::Instant;
 pub const QE: f64 = -1.0;
 /// Electron mass in normalized units.
 pub const ME: f64 = 1.0;
-
-/// Particle storage layout (§IV-C1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParticleLayout {
-    /// Array of Structures — the baseline.
-    Aos,
-    /// Structure of Arrays — the vectorizable layout.
-    Soa,
-}
-
-/// Grid-quantity storage layout (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FieldLayout {
-    /// Standard 2-D grid-point arrays.
-    Standard,
-    /// Redundant cell-based arrays (4× memory, contiguous per-particle).
-    Redundant,
-}
-
-/// Particle-loop structure (§IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoopStructure {
-    /// The shape the paper splits away from: one loop whose body kicks,
-    /// pushes and deposits a single particle before moving to the next
-    /// ([`crate::kernels::fused`]) — scalar, sequential, kept as the
-    /// per-particle ablation rung.
-    Fused,
-    /// The paper's optimized shape: kick, push and deposit as three loops,
-    /// each over many particles, so each one vectorizes. On the SoA layout
-    /// with redundant fields the three loops run strip by strip inside one
-    /// streaming pass over the particles ([`STRIP`]); the other
-    /// combinations run them as three whole-array passes.
-    Split,
-}
 
 /// Instruction shape of the optimized inner kernels.
 ///
@@ -86,17 +63,6 @@ pub enum KernelPath {
 }
 
 pub use crate::kernels::deposit::DepositPath;
-
-/// Shape of the update-positions loop (§IV-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PositionUpdate {
-    /// `if` + real modulo + `floor()` call.
-    NaiveIf,
-    /// Unconditional integer modulo.
-    ModuloInt,
-    /// Branchless int-cast floor + bitwise AND wrap.
-    Branchless,
-}
 
 /// A concrete layout instance for static-dispatch kernels.
 #[derive(Debug, Clone)]
@@ -148,7 +114,7 @@ pub struct PhaseTimes {
     pub update_v: f64,
     /// Update-positions loop.
     pub update_x: f64,
-    /// Charge-accumulation loop (including the fused loop when unsplit).
+    /// Charge-accumulation loop.
     pub accumulate: f64,
     /// Particle sorting.
     pub sort: f64,
@@ -315,32 +281,18 @@ pub struct PicConfig {
     pub distribution: InitialDistribution,
     /// Cell ordering for the redundant structures.
     pub ordering: Ordering,
-    /// Particle storage layout.
-    pub particle_layout: ParticleLayout,
-    /// Grid-quantity storage layout.
-    pub field_layout: FieldLayout,
-    /// Loop structure.
-    pub loop_structure: LoopStructure,
-    /// Update-positions shape.
-    pub position_update: PositionUpdate,
-    /// Scalar vs explicit lane-blocked inner kernels (split-redundant SoA
-    /// path; other paths always run scalar).
+    /// Scalar vs explicit lane-blocked inner kernels.
     pub kernel_path: KernelPath,
-    /// Which deposition kernel the split-redundant paths (SoA and AoS) run.
-    /// `Exact` preserves the scalar accumulation order bit-for-bit; the
-    /// reassociated paths ([`DepositPath::LaneReduce`],
-    /// [`DepositPath::SortedBlock`]) stay within the per-cell FP bound of
-    /// `crates/core/src/kernels/deposit.rs`. Standard-field and fused paths
-    /// deposit inline and ignore this knob; the initial deposit at
-    /// construction always runs `Exact` so every path starts from identical
-    /// state.
+    /// Which deposition kernel the streaming pass runs. `Exact` preserves
+    /// the scalar accumulation order bit-for-bit; the reassociated
+    /// [`DepositPath::LaneReduce`] stays within the per-cell FP bound of
+    /// `crates/core/src/kernels/deposit.rs`. The initial deposit at
+    /// construction always runs `Exact` so both start from identical state.
     pub deposit_path: DepositPath,
     /// Coefficient hoisting (§IV-D).
     pub hoisted: bool,
     /// Sort every `sort_period` steps (0 = never).
     pub sort_period: usize,
-    /// Use the out-of-place sort (paper default) or in-place.
-    pub sort_out_of_place: bool,
     /// Workers in the simulation's persistent thread pool (1 = sequential,
     /// no pool).
     pub threads: usize,
@@ -372,7 +324,6 @@ pub struct PicConfig {
 impl PicConfig {
     /// The paper's Table I test case — linear Landau damping on a 128×128
     /// grid — scaled to `n_particles` markers (the paper uses 50 million).
-    /// Fully optimized settings (the ladder's last rung).
     pub fn landau_table1(n_particles: usize) -> Self {
         let k = 0.5;
         let l = 2.0 * std::f64::consts::PI / k; // 4π
@@ -385,15 +336,10 @@ impl PicConfig {
             dt: 0.05,
             distribution: InitialDistribution::Landau { alpha: 0.01, k },
             ordering: Ordering::Morton,
-            particle_layout: ParticleLayout::Soa,
-            field_layout: FieldLayout::Redundant,
-            loop_structure: LoopStructure::Split,
-            position_update: PositionUpdate::Branchless,
             kernel_path: KernelPath::Lanes,
             deposit_path: DepositPath::LaneReduce,
             hoisted: true,
             sort_period: 20,
-            sort_out_of_place: true,
             threads: 1,
             seed: 0xB1C0DE,
             keep_range: None,
@@ -425,21 +371,6 @@ impl PicConfig {
         cfg
     }
 
-    /// The Table IV *baseline*: AoS, standard 2-D structures, one fused
-    /// loop, naive-if positions, no hoisting.
-    pub fn baseline(n_particles: usize) -> Self {
-        let mut cfg = Self::landau_table1(n_particles);
-        cfg.ordering = Ordering::RowMajor;
-        cfg.particle_layout = ParticleLayout::Aos;
-        cfg.field_layout = FieldLayout::Standard;
-        cfg.loop_structure = LoopStructure::Fused;
-        cfg.position_update = PositionUpdate::NaiveIf;
-        cfg.kernel_path = KernelPath::Scalar;
-        cfg.deposit_path = DepositPath::Exact;
-        cfg.hoisted = false;
-        cfg
-    }
-
     fn validate(&self) -> Result<(), PicError> {
         if self.n_particles == 0 {
             return Err(PicError::Config("need at least one particle".into()));
@@ -457,21 +388,6 @@ impl PicConfig {
                 self.dt
             )));
         }
-        if self.field_layout == FieldLayout::Standard
-            && !matches!(self.ordering, Ordering::RowMajor)
-        {
-            return Err(PicError::Config(
-                "the standard field layout only supports row-major ordering".into(),
-            ));
-        }
-        if self.loop_structure == LoopStructure::Fused
-            && self.field_layout == FieldLayout::Redundant
-            && !matches!(self.ordering, Ordering::RowMajor)
-        {
-            return Err(PicError::Config(
-                "the fused redundant loop is implemented for row-major ordering only".into(),
-            ));
-        }
         Ok(())
     }
 }
@@ -482,10 +398,7 @@ pub struct Simulation {
     grid: Grid2D,
     layout: AnyLayout,
     solver: PoissonSolver2D,
-    /// SoA store — the primary representation.
     particles: ParticlesSoA,
-    /// AoS mirror, maintained only when `cfg.particle_layout == Aos`.
-    particles_aos: Option<ParticlesAoS>,
     scratch: ParticlesSoA,
     field: Field2D,
     e8: RedundantE,
@@ -518,7 +431,7 @@ pub struct Simulation {
     solve_scratch: SolveScratch,
     /// Online adaptive controller (present when `cfg.controller` is set):
     /// drives the sort schedule from observed disorder and retunes the
-    /// kernel/deposit paths at sort boundaries.
+    /// kernel path at sort boundaries.
     controller: Option<HotPathController>,
     /// `Σ|v|²` (physical units) summed inside the last streaming pass, kept
     /// for the diagnostics sample that ends the step. Every `&mut` route to
@@ -607,17 +520,17 @@ impl Simulation {
             Some(p) => Some(p),
             None => (cfg.threads > 1).then(|| Arc::new(ThreadPool::new(cfg.threads))),
         };
-        let rho_arenas = match (&pool, cfg.field_layout) {
-            (Some(p), FieldLayout::Redundant) => (0..p.nthreads())
+        let rho_arenas = match &pool {
+            Some(p) => (0..p.nthreads())
                 .map(|_| RedundantRho::new(layout.as_dyn()))
                 .collect(),
-            _ => Vec::new(),
+            None => Vec::new(),
         };
 
         let controller = cfg
             .controller
             .clone()
-            .map(|cc| HotPathController::new(cc, cfg.kernel_path, cfg.deposit_path));
+            .map(|cc| HotPathController::new(cc, cfg.kernel_path));
 
         Ok(Self {
             // Deposition magnitude: macro-charge per unit area, so that the
@@ -630,7 +543,6 @@ impl Simulation {
             layout,
             solver,
             particles: ParticlesSoA::zeroed(0),
-            particles_aos: None,
             scratch: ParticlesSoA::zeroed(0),
             field,
             e8,
@@ -735,9 +647,6 @@ impl Simulation {
             }
         }
         sim.refresh_field_views();
-        if sim.cfg.particle_layout == ParticleLayout::Aos {
-            sim.particles_aos = Some(sim.particles.to_aos());
-        }
         sim.record_diag();
         Ok(sim)
     }
@@ -772,9 +681,7 @@ impl Simulation {
         &self.diag
     }
 
-    /// Read-only particle view (SoA). For AoS-layout runs the AoS array is
-    /// canonical between sorts; call [`sync_particles`](Self::sync_particles)
-    /// first when reading mid-run.
+    /// Read-only particle view.
     pub fn particles(&self) -> &ParticlesSoA {
         &self.particles
     }
@@ -797,9 +704,8 @@ impl Simulation {
         (&mut self.field.ex, &mut self.field.ey)
     }
 
-    /// Mutable particle store (SoA). Drivers that migrate particles between
-    /// ranks edit the arrays directly; only meaningful for SoA-layout runs
-    /// (AoS runs keep a separate canonical mirror between sorts).
+    /// Mutable particle store. Drivers that migrate particles between ranks
+    /// edit the arrays directly.
     pub fn particles_mut(&mut self) -> &mut ParticlesSoA {
         self.pass_speed_sq = None;
         &mut self.particles
@@ -858,22 +764,10 @@ impl Simulation {
     /// Capture the complete restorable state as a versioned, checksummed
     /// binary snapshot. Restoring it (into a simulation built from the
     /// same [`PicConfig`]) and stepping on is bit-exact against an
-    /// uninterrupted run, for both SoA and AoS particle layouts.
+    /// uninterrupted run. Serializes straight from the live store: cloning
+    /// a multi-megabyte particle array per coordinated checkpoint was the
+    /// largest single cost of the resilient step loop.
     pub fn checkpoint(&self) -> Vec<u8> {
-        // AoS runs keep the AoS array canonical between sorts; serialize
-        // from it so no stale SoA data leaks into the snapshot. The
-        // conversion copies f64/u32 values verbatim — no precision loss.
-        // SoA runs serialize straight from the live store: cloning a
-        // multi-megabyte particle array per coordinated checkpoint was
-        // the largest single cost of the resilient step loop.
-        let converted;
-        let particles = match &self.particles_aos {
-            Some(aos) => {
-                converted = aos.to_soa();
-                &converted
-            }
-            None => &self.particles,
-        };
         let hot_path = ckpt::HotPathMeta {
             kernel_path: self.cfg.kernel_path,
             deposit_path: self.cfg.deposit_path,
@@ -890,7 +784,7 @@ impl Simulation {
             rng_state: self.rng.state(),
             charge_ref: self.charge_ref,
             hot_path: &hot_path,
-            particles,
+            particles: &self.particles,
             rho: &self.field.rho,
             ex: &self.field.ex,
             ey: &self.field.ey,
@@ -904,8 +798,8 @@ impl Simulation {
     /// checksum, carry a different format version, belong to a different
     /// configuration, or whose array shapes disagree with this
     /// simulation's grid. Derived structures (the redundant field view,
-    /// the AoS mirror, the sort scratch buffer) are rebuilt, not restored
-    /// — they are deterministic functions of the restored state.
+    /// the sort scratch buffer) are rebuilt, not restored — they are
+    /// deterministic functions of the restored state.
     pub fn restore(&mut self, snapshot: &[u8]) -> Result<(), PicError> {
         let st = ckpt::decode(snapshot)?;
         if st.config_fingerprint != ckpt::config_fingerprint(&self.cfg) {
@@ -940,12 +834,11 @@ impl Simulation {
             Some(c) => Some(HotPathController::new(
                 c.config().clone(),
                 st.hot_path.kernel_path,
-                st.hot_path.deposit_path,
             )),
             None => None,
         };
 
-        // Adopt the hot-path metadata: the controller (or the autotuner)
+        // Adopt the hot-path metadata: the controller (or a `set_*` call)
         // may have moved these off the configured defaults, and a resumed
         // run must continue from the last decision, not silently revert.
         self.cfg.kernel_path = st.hot_path.kernel_path;
@@ -965,8 +858,6 @@ impl Simulation {
         self.diag.history = st.diag;
         self.rho4.clear();
         self.refresh_field_views();
-        self.particles_aos =
-            (self.cfg.particle_layout == ParticleLayout::Aos).then(|| self.particles.to_aos());
         Ok(())
     }
 
@@ -1027,10 +918,8 @@ impl Simulation {
     /// Rebuild the redundant (possibly scaled) field view from `field`.
     fn refresh_field_views(&mut self) {
         let t = Instant::now();
-        if self.cfg.field_layout == FieldLayout::Redundant {
-            let (sx, sy) = self.kick_scales();
-            self.e8.fill_from(&self.field, self.layout.as_dyn(), sx, sy);
-        }
+        let (sx, sy) = self.kick_scales();
+        self.e8.fill_from(&self.field, self.layout.as_dyn(), sx, sy);
         self.timers.convert += t.elapsed().as_secs_f64();
     }
 
@@ -1046,21 +935,6 @@ impl Simulation {
         } else {
             (1.0, 1.0)
         }
-    }
-
-    /// A pre-scaled copy of the standard field arrays: `E · qΔt²/(mΔ)` per
-    /// axis — the §IV-D hoisting applied to the standard layout (one
-    /// O(ncells) pass per step instead of O(N) per-particle multiplies).
-    fn scaled_standard_field(&self) -> Field2D {
-        let (sx, sy) = self.kick_scales();
-        let mut f = self.field.clone();
-        for v in f.ex.iter_mut() {
-            *v *= sx;
-        }
-        for v in f.ey.iter_mut() {
-            *v *= sy;
-        }
-        f
     }
 
     /// `(coeff_x, coeff_y)` for unhoisted kicks, `scale` for unhoisted pushes.
@@ -1085,10 +959,6 @@ impl Simulation {
             c,
             c,
         );
-    }
-
-    fn nchunks(&self) -> usize {
-        self.cfg.threads.max(1) * 4
     }
 
     /// Advance one time step (paper Fig. 1, lines 4–13).
@@ -1130,20 +1000,14 @@ impl Simulation {
             // Hot-path decisions are committed only at sort boundaries, so
             // `Exact`-path runs stay bit-exact between them and the deposit
             // always sees freshly sorted runs.
-            if let Some(mut c) = self.controller.take() {
-                let (k, d) = c.on_sort(self.step_count as u64);
-                self.cfg.kernel_path = k;
-                self.cfg.deposit_path = d;
-                self.controller = Some(c);
+            if let Some(c) = self.controller.as_mut() {
+                self.cfg.kernel_path = c.on_sort(self.step_count as u64);
             }
         }
 
         // Particle loops (lines 7–12).
         let before = self.timers;
-        match self.cfg.particle_layout {
-            ParticleLayout::Soa => self.step_soa(),
-            ParticleLayout::Aos => self.step_aos(),
-        }
+        self.particle_pass();
         self.observe_controller(before);
     }
 
@@ -1158,20 +1022,14 @@ impl Simulation {
         };
         let secs = self.timers.total() - before.total();
         let stride = c.config().stride;
-        let cells = self.grid.ncells();
-        let d = match &self.particles_aos {
-            Some(aos) => {
-                control::measure_disorder_with(aos.p.len(), stride, cells, |i| aos.p[i].icell)
-            }
-            None => control::measure_disorder(&self.particles.icell, stride, cells),
-        };
+        let d = control::measure_disorder(&self.particles.icell, stride, self.grid.ncells());
         c.observe(d, secs);
     }
 
     /// Second half of a step: Poisson solve on the (reduced) ρ and
     /// diagnostics. Must follow a [`step_pre_reduce`](Self::step_pre_reduce).
     pub fn step_post_reduce(&mut self) {
-        // ρ₄ → grid ρ (redundant path) happened inside step_*; solve (line 13).
+        // ρ₄ → grid ρ happened inside the particle pass; solve (line 13).
         self.solve_field();
         self.refresh_field_views();
         self.record_diag();
@@ -1206,27 +1064,10 @@ impl Simulation {
         }
     }
 
-    /// Sort the particles now, regardless of the configured period (used by
-    /// the [`crate::autotune`] machinery and by harnesses that manage their
-    /// own sorting schedule).
-    pub fn force_sort(&mut self) {
-        self.sort_particles();
-    }
-
-    /// Switch between scalar and lane-blocked inner kernels at runtime.
-    /// Both paths produce bit-identical physics, so this is safe mid-run;
-    /// the autotuner and benches use it to compare the two.
-    pub fn set_kernel_path(&mut self, path: KernelPath) {
-        self.cfg.kernel_path = path;
-    }
-
-    /// Switch the deposition kernel at runtime. Unlike
-    /// [`set_kernel_path`](Self::set_kernel_path) this *does* change the
-    /// rounding of subsequent steps (within the per-cell FP bound of
-    /// [`crate::kernels::deposit`]) unless switching between the two exact
-    /// forms; the autotuner restores the configured value after its trials,
-    /// and checkpoints record the active value as metadata so a restored
-    /// run resumes it.
+    /// Switch the deposition kernel at runtime. This changes the rounding
+    /// of subsequent steps (within the per-cell FP bound of
+    /// [`crate::kernels::deposit`]); checkpoints record the active value as
+    /// metadata so a restored run resumes it.
     pub fn set_deposit_path(&mut self, path: DepositPath) {
         self.cfg.deposit_path = path;
     }
@@ -1238,16 +1079,12 @@ impl Simulation {
     }
 
     /// Attach an online adaptive controller ([`crate::control`]) starting
-    /// from the currently active kernel/deposit knobs. Also records the
+    /// from the currently active kernel path. Also records the
     /// profile in the configuration, so subsequent checkpoints fingerprint
     /// the controller-enabled run.
     pub fn enable_controller(&mut self, ccfg: ControllerConfig) {
         self.cfg.controller = Some(ccfg.clone());
-        self.controller = Some(HotPathController::new(
-            ccfg,
-            self.cfg.kernel_path,
-            self.cfg.deposit_path,
-        ));
+        self.controller = Some(HotPathController::new(ccfg, self.cfg.kernel_path));
     }
 
     /// The attached adaptive controller, if any.
@@ -1296,50 +1133,19 @@ impl Simulation {
     fn sort_particles(&mut self) {
         let t = Instant::now();
         self.pass_speed_sq = None;
-        let ncells = self.layout.as_dyn().ncells();
-        // Keep the canonical representation (SoA or AoS) sorted.
-        if self.cfg.particle_layout == ParticleLayout::Aos {
-            if let Some(aos) = self.particles_aos.take() {
-                self.particles = aos.to_soa();
-            }
-        }
-        if self.cfg.sort_out_of_place {
-            self.sort_out_of_place();
-        } else {
-            sort::sort_in_place_with(&mut self.particles, ncells, &mut self.sort_arena);
-        }
-        if self.cfg.particle_layout == ParticleLayout::Aos {
-            self.particles_aos = Some(self.particles.to_aos());
-        }
+        self.sort_out_of_place();
         self.timers.sort += t.elapsed().as_secs_f64();
     }
 
-    // ---------------- SoA stepping ----------------
-
-    fn step_soa(&mut self) {
-        match (self.cfg.loop_structure, self.cfg.field_layout) {
-            (LoopStructure::Split, FieldLayout::Redundant) => self.soa_split_redundant(),
-            (LoopStructure::Split, FieldLayout::Standard) => self.soa_split_standard(),
-            (LoopStructure::Fused, FieldLayout::Redundant) => self.soa_fused_redundant(),
-            (LoopStructure::Fused, FieldLayout::Standard) => self.soa_fused_standard(),
-        }
-    }
-
-    /// The optimized particle loops as one streaming pass
-    /// ([`strip_pass`]): every `hoisted × KernelPath × layout × DepositPath`
-    /// combination runs the same strip driver over its selected kernels.
-    fn soa_split_redundant(&mut self) {
+    /// The particle loops as one streaming pass ([`strip_pass`]): every
+    /// `hoisted × KernelPath × layout × DepositPath` combination runs the
+    /// same strip driver over its selected kernels.
+    fn particle_pass(&mut self) {
         let lanes = self.cfg.kernel_path == KernelPath::Lanes;
         let hoisted = self.cfg.hoisted;
         let (coeff_x, coeff_y, unhoisted_scale) = self.unhoisted_coeffs();
         let scale = if hoisted { 1.0 } else { unhoisted_scale };
         let (ncx, ncy) = (self.grid.ncx, self.grid.ncy);
-        // A pooled run always pushes branchless; the other two shapes are
-        // sequential ablation rungs.
-        let shape = match self.pool {
-            Some(_) => PositionUpdate::Branchless,
-            None => self.cfg.position_update,
-        };
         let speed_scales = self.speed_scales();
 
         let e8 = &self.e8.e8;
@@ -1357,19 +1163,16 @@ impl Simulation {
                 v.icell, v.dx, v.dy, v.vx, v.vy, e8, coeff_x, coeff_y,
             ),
         };
-        let push_row_major = |v: &mut SoaViewMut<'_>| match (shape, lanes) {
-            (PositionUpdate::NaiveIf, _) => position::update_positions_naive_if(
-                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
-            ),
-            (PositionUpdate::ModuloInt, _) => position::update_positions_modulo(
-                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
-            ),
-            (PositionUpdate::Branchless, true) => simd::update_positions_branchless_lanes(
-                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
-            ),
-            (PositionUpdate::Branchless, false) => position::update_positions_branchless(
-                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
-            ),
+        let push_row_major = |v: &mut SoaViewMut<'_>| {
+            if lanes {
+                simd::update_positions_branchless_lanes(
+                    v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
+                )
+            } else {
+                position::update_positions_branchless(
+                    v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
+                )
+            }
         };
         let deposit = deposit::select_kernel(self.cfg.deposit_path, self.cfg.kernel_path);
         let weight = self.wq * QE.signum();
@@ -1388,9 +1191,9 @@ impl Simulation {
         };
         let speed_sq = match &self.layout {
             AnyLayout::RowMajor(_) => pass(&push_row_major),
-            AnyLayout::L4D(l) => pass(&push_in_layout(l, shape, lanes, scale)),
-            AnyLayout::Morton(l) => pass(&push_in_layout(l, shape, lanes, scale)),
-            AnyLayout::Hilbert(l) => pass(&push_in_layout(l, shape, lanes, scale)),
+            AnyLayout::L4D(l) => pass(&push_in_layout(l, lanes, scale)),
+            AnyLayout::Morton(l) => pass(&push_in_layout(l, lanes, scale)),
+            AnyLayout::Hilbert(l) => pass(&push_in_layout(l, lanes, scale)),
         };
         self.pass_speed_sq = Some(speed_sq);
 
@@ -1398,313 +1201,6 @@ impl Simulation {
         self.rho4
             .reduce_to_grid(self.layout.as_dyn(), &mut self.field.rho);
         self.timers.convert += t.elapsed().as_secs_f64();
-    }
-
-    fn soa_split_standard(&mut self) {
-        // Standard fields are row-major only (validated). With hoisting the
-        // kick reads a pre-scaled field copy and velocities are normalized
-        // (grid units/step); unhoisted keeps per-particle coefficients.
-        let hoisted = self.cfg.hoisted;
-        let scaled = hoisted.then(|| self.scaled_standard_field());
-        let (cx, cy, scale) = if hoisted {
-            (1.0, 1.0, 1.0)
-        } else {
-            self.unhoisted_coeffs()
-        };
-        let kick_field = scaled.as_ref().unwrap_or(&self.field);
-        let p = &mut self.particles;
-        let t = Instant::now();
-        velocity::update_velocities_standard(
-            &p.ix, &p.iy, &p.dx, &p.dy, &mut p.vx, &mut p.vy, kick_field, cx, cy,
-        );
-        self.timers.update_v += t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        let (ncx, ncy) = (self.grid.ncx, self.grid.ncy);
-        // scale is 1.0 under hoisting (normalized velocities), Δt/Δx
-        // otherwise (physical velocities).
-        let eff_scale = scale;
-        let ParticlesSoA {
-            icell,
-            ix,
-            iy,
-            dx,
-            dy,
-            vx,
-            vy,
-        } = p;
-        match self.cfg.position_update {
-            PositionUpdate::NaiveIf => position::update_positions_naive_if(
-                icell, ix, iy, dx, dy, vx, vy, ncx, ncy, eff_scale,
-            ),
-            PositionUpdate::ModuloInt => position::update_positions_modulo(
-                icell, ix, iy, dx, dy, vx, vy, ncx, ncy, eff_scale,
-            ),
-            PositionUpdate::Branchless => position::update_positions_branchless(
-                icell, ix, iy, dx, dy, vx, vy, ncx, ncy, eff_scale,
-            ),
-        }
-        self.timers.update_x += t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        self.field.clear_rho();
-        accumulate::accumulate_standard(
-            &p.ix,
-            &p.iy,
-            &p.dx,
-            &p.dy,
-            &mut self.field.rho,
-            self.grid.ncx,
-            self.grid.ncy,
-            self.wq * QE.signum(),
-        );
-        self.timers.accumulate += t.elapsed().as_secs_f64();
-    }
-
-    fn soa_fused_redundant(&mut self) {
-        let t = Instant::now();
-        self.rho4.clear();
-        let w = self.wq * QE.signum();
-        fused::fused_redundant_soa(
-            &mut self.particles,
-            &self.e8.e8,
-            &mut self.rho4,
-            self.grid.ncx,
-            self.grid.ncy,
-            w,
-        );
-        self.timers.accumulate += t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        self.rho4
-            .reduce_to_grid(self.layout.as_dyn(), &mut self.field.rho);
-        self.timers.convert += t.elapsed().as_secs_f64();
-    }
-
-    fn soa_fused_standard(&mut self) {
-        let hoisted = self.cfg.hoisted;
-        let scaled = hoisted.then(|| self.scaled_standard_field());
-        let (cx, cy, scale) = if hoisted {
-            (1.0, 1.0, 1.0)
-        } else {
-            self.unhoisted_coeffs()
-        };
-        let t = Instant::now();
-        self.field.clear_rho();
-        // Work around the borrow of field (read ex/ey, write rho): take rho.
-        let mut rho = std::mem::take(&mut self.field.rho);
-        fused::fused_standard_soa(
-            &mut self.particles,
-            scaled.as_ref().unwrap_or(&self.field),
-            &mut rho,
-            cx,
-            cy,
-            scale,
-            self.wq * QE.signum(),
-        );
-        self.field.rho = rho;
-        self.timers.accumulate += t.elapsed().as_secs_f64();
-    }
-
-    // ---------------- AoS stepping ----------------
-
-    fn step_aos(&mut self) {
-        let mut aos = self
-            .particles_aos
-            .take()
-            .unwrap_or_else(|| self.particles.to_aos());
-        let threads = self.cfg.threads;
-        let chunk = aos.len().div_ceil(self.nchunks()).max(1);
-
-        match (self.cfg.loop_structure, self.cfg.field_layout) {
-            (LoopStructure::Fused, FieldLayout::Standard) => {
-                let hoisted = self.cfg.hoisted;
-                let scaled = hoisted.then(|| self.scaled_standard_field());
-                let (cx, cy, scale) = if hoisted {
-                    (1.0, 1.0, 1.0)
-                } else {
-                    self.unhoisted_coeffs()
-                };
-                let t = Instant::now();
-                self.field.clear_rho();
-                let mut rho = std::mem::take(&mut self.field.rho);
-                aos::fused_standard_aos(
-                    &mut aos.p,
-                    scaled.as_ref().unwrap_or(&self.field),
-                    &mut rho,
-                    cx,
-                    cy,
-                    scale,
-                    self.wq * QE.signum(),
-                );
-                self.field.rho = rho;
-                self.timers.accumulate += t.elapsed().as_secs_f64();
-            }
-            (LoopStructure::Split, FieldLayout::Standard) => {
-                let hoisted = self.cfg.hoisted;
-                let scaled = hoisted.then(|| self.scaled_standard_field());
-                let (cx, cy, scale) = if hoisted {
-                    (1.0, 1.0, 1.0)
-                } else {
-                    self.unhoisted_coeffs()
-                };
-                let t = Instant::now();
-                aos::update_velocities_standard_aos(
-                    &mut aos.p,
-                    scaled.as_ref().unwrap_or(&self.field),
-                    cx,
-                    cy,
-                );
-                self.timers.update_v += t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                match self.cfg.position_update {
-                    PositionUpdate::NaiveIf => aos::update_positions_naive_if_aos(
-                        &mut aos.p,
-                        self.grid.ncx,
-                        self.grid.ncy,
-                        scale,
-                    ),
-                    _ => aos::update_positions_branchless_aos(
-                        &mut aos.p,
-                        self.grid.ncx,
-                        self.grid.ncy,
-                        scale,
-                    ),
-                }
-                self.timers.update_x += t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                self.field.clear_rho();
-                aos::accumulate_standard_aos(
-                    &aos.p,
-                    &mut self.field.rho,
-                    self.grid.ncx,
-                    self.grid.ncy,
-                    self.wq * QE.signum(),
-                );
-                self.timers.accumulate += t.elapsed().as_secs_f64();
-            }
-            (LoopStructure::Split, FieldLayout::Redundant) => {
-                // Hoisted redundant AoS pipeline (Table VII's “AoS, 3 loops”).
-                let t = Instant::now();
-                let scaled_e8;
-                let e8: &[[f64; 8]] = if self.cfg.hoisted {
-                    &self.e8.e8
-                } else {
-                    // Unhoisted: fold the coefficient into a scaled copy once.
-                    let (cx, cy, _) = self.unhoisted_coeffs();
-                    let mut scaled = self.e8.clone();
-                    for cell in scaled.e8.iter_mut() {
-                        let (ex, ey) = cell.split_at_mut(4);
-                        for e in ex {
-                            *e *= cx;
-                        }
-                        for e in ey {
-                            *e *= cy;
-                        }
-                    }
-                    scaled_e8 = scaled;
-                    &scaled_e8.e8
-                };
-                if threads > 1 {
-                    aos::par_update_velocities_redundant_aos(&mut aos.p, e8, chunk);
-                } else {
-                    aos::update_velocities_redundant_aos(&mut aos.p, e8);
-                }
-                self.timers.update_v += t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                let scale = if self.cfg.hoisted {
-                    1.0
-                } else {
-                    self.cfg.dt / self.grid.dx()
-                };
-                {
-                    let (ncx, ncy) = (self.grid.ncx, self.grid.ncy);
-                    macro_rules! aos_push {
-                        ($l:expr) => {{
-                            let l = $l;
-                            if threads > 1 {
-                                aos::par_update_positions_branchless_layout_aos(
-                                    &mut aos.p, l, scale, chunk,
-                                );
-                            } else {
-                                aos::update_positions_branchless_layout_aos(&mut aos.p, l, scale);
-                            }
-                        }};
-                    }
-                    match &self.layout {
-                        AnyLayout::RowMajor(_) => {
-                            if threads > 1 {
-                                aos::par_update_positions_branchless_aos(
-                                    &mut aos.p, ncx, ncy, scale, chunk,
-                                );
-                            } else {
-                                aos::update_positions_branchless_aos(&mut aos.p, ncx, ncy, scale);
-                            }
-                        }
-                        AnyLayout::L4D(l) => aos_push!(l),
-                        AnyLayout::Morton(l) => aos_push!(l),
-                        AnyLayout::Hilbert(l) => aos_push!(l),
-                    }
-                }
-                self.timers.update_x += t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                self.rho4.clear();
-                let w = self.wq * QE.signum();
-                let kernel = deposit::select_kernel_aos(self.cfg.deposit_path);
-                if threads > 1 {
-                    aos::par_accumulate_redundant_aos_with(
-                        &aos.p,
-                        &mut self.rho4,
-                        w,
-                        chunk,
-                        kernel,
-                    );
-                } else {
-                    kernel(&aos.p, &mut self.rho4.rho4, w);
-                }
-                self.timers.accumulate += t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                self.rho4
-                    .reduce_to_grid(self.layout.as_dyn(), &mut self.field.rho);
-                self.timers.convert += t.elapsed().as_secs_f64();
-            }
-            (LoopStructure::Fused, FieldLayout::Redundant) => {
-                // Table VII's “AoS, 1 loop” on the optimized structures.
-                let t = Instant::now();
-                self.rho4.clear();
-                let w = self.wq * QE.signum();
-                let (ncx, ncy) = (self.grid.ncx, self.grid.ncy);
-                if threads > 1 {
-                    let (e8, rho4) = (&self.e8.e8, &mut self.rho4);
-                    aos::par_fused_redundant_aos(&mut aos.p, e8, rho4, ncx, ncy, w, chunk);
-                } else {
-                    aos::fused_redundant_aos(
-                        &mut aos.p,
-                        &self.e8.e8,
-                        &mut self.rho4.rho4,
-                        ncx,
-                        ncy,
-                        w,
-                    );
-                }
-                self.timers.accumulate += t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                self.rho4
-                    .reduce_to_grid(self.layout.as_dyn(), &mut self.field.rho);
-                self.timers.convert += t.elapsed().as_secs_f64();
-            }
-        }
-
-        self.particles_aos = Some(aos);
-    }
-
-    /// Synchronize the SoA view from the AoS store (AoS runs keep the AoS
-    /// array canonical between sorts; call this before reading
-    /// [`particles`](Self::particles) mid-run).
-    pub fn sync_particles(&mut self) {
-        self.pass_speed_sq = None;
-        if let Some(aos) = &self.particles_aos {
-            self.particles = aos.to_soa();
-        }
     }
 
     // ---------------- diagnostics ----------------
@@ -1721,39 +1217,25 @@ impl Simulation {
 
     /// Kinetic energy in physical units, `½·w·m·Σ|v|²`.
     ///
-    /// The SoA sum has the shape of the streaming pass — lane-blocked
+    /// The sum has the shape of the streaming pass — lane-blocked
     /// partials per strip, per [`chunk_range`] chunk (over the pool when
     /// there is one), chunks added in worker order — so it is deterministic
     /// for a given particle order and pool width, and right after a
     /// [`step`](Self::step) it equals the recorded sample bit for bit.
     pub fn kinetic_energy(&self) -> f64 {
         let (sx, sy) = self.speed_scales();
-        let sum: f64 = match &self.particles_aos {
-            Some(aos) => aos
-                .p
-                .iter()
-                .map(|p| {
-                    let vx = p.vx * sx;
-                    let vy = p.vy * sy;
-                    vx * vx + vy * vy
-                })
-                .sum(),
-            None => {
-                let (vx, vy) = (&self.particles.vx, &self.particles.vy);
-                let nw = self.pool.as_ref().map_or(1, |p| p.nthreads());
-                let mut partials = [0.0f64; MAX_THREADS];
-                let chunk = |w: usize, out: &mut f64| {
-                    let (s, e) = chunk_range(vx.len(), nw, w);
-                    *out = chunk_speed_sq(&vx[s..e], &vy[s..e], sx, sy);
-                };
-                match &self.pool {
-                    Some(pool) => pool.run_items(&mut partials[..nw], chunk),
-                    None => chunk(0, &mut partials[0]),
-                }
-                partials[..nw].iter().sum()
-            }
+        let (vx, vy) = (&self.particles.vx, &self.particles.vy);
+        let nw = self.pool.as_ref().map_or(1, |p| p.nthreads());
+        let mut partials = [0.0f64; MAX_THREADS];
+        let chunk = |w: usize, out: &mut f64| {
+            let (s, e) = chunk_range(vx.len(), nw, w);
+            *out = chunk_speed_sq(&vx[s..e], &vy[s..e], sx, sy);
         };
-        self.kinetic_from_speed_sq(sum)
+        match &self.pool {
+            Some(pool) => pool.run_items(&mut partials[..nw], chunk),
+            None => chunk(0, &mut partials[0]),
+        }
+        self.kinetic_from_speed_sq(partials[..nw].iter().sum())
     }
 
     fn kinetic_from_speed_sq(&self, sum: f64) -> f64 {
@@ -1953,20 +1435,19 @@ fn strip_pass(
 /// The push kernel for one strip under a space-filling-curve layout.
 fn push_in_layout<'l, L: CellLayout + Sync>(
     layout: &'l L,
-    shape: PositionUpdate,
     lanes: bool,
     scale: f64,
 ) -> impl Fn(&mut SoaViewMut<'_>) + Sync + 'l {
-    move |v| match (shape, lanes) {
-        (PositionUpdate::NaiveIf, _) => position::update_positions_naive_if_layout(
-            v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
-        ),
-        (_, true) => simd::update_positions_branchless_layout_lanes(
-            v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
-        ),
-        (_, false) => position::update_positions_branchless_layout(
-            v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
-        ),
+    move |v| {
+        if lanes {
+            simd::update_positions_branchless_layout_lanes(
+                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
+            )
+        } else {
+            position::update_positions_branchless_layout(
+                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
+            )
+        }
     }
 }
 
@@ -2042,77 +1523,6 @@ mod tests {
     }
 
     #[test]
-    fn aos_and_soa_agree() {
-        let mk = |layout| {
-            let mut cfg = small(2000);
-            cfg.ordering = Ordering::RowMajor;
-            cfg.particle_layout = layout;
-            cfg.field_layout = FieldLayout::Redundant;
-            let mut sim = Simulation::new(cfg).unwrap();
-            sim.run(3);
-            sim.rho().to_vec()
-        };
-        let a = mk(ParticleLayout::Soa);
-        let b = mk(ParticleLayout::Aos);
-        for i in 0..a.len() {
-            assert!((a[i] - b[i]).abs() < 1e-9, "rho[{i}]");
-        }
-    }
-
-    #[test]
-    fn fused_and_split_agree() {
-        let mk = |ls| {
-            let mut cfg = small(2000);
-            cfg.ordering = Ordering::RowMajor;
-            cfg.loop_structure = ls;
-            let mut sim = Simulation::new(cfg).unwrap();
-            sim.run(3);
-            sim.rho().to_vec()
-        };
-        let a = mk(LoopStructure::Split);
-        let b = mk(LoopStructure::Fused);
-        for i in 0..a.len() {
-            assert!((a[i] - b[i]).abs() < 1e-9, "rho[{i}]");
-        }
-    }
-
-    #[test]
-    fn standard_and_redundant_fields_agree() {
-        let mk = |fl, hoisted| {
-            let mut cfg = small(2000);
-            cfg.ordering = Ordering::RowMajor;
-            cfg.field_layout = fl;
-            cfg.hoisted = hoisted;
-            let mut sim = Simulation::new(cfg).unwrap();
-            sim.run(3);
-            sim.rho().to_vec()
-        };
-        let a = mk(FieldLayout::Redundant, false);
-        let b = mk(FieldLayout::Standard, false);
-        for i in 0..a.len() {
-            assert!((a[i] - b[i]).abs() < 1e-9, "rho[{i}]");
-        }
-    }
-
-    #[test]
-    fn hoisted_standard_fields_agree_with_unhoisted() {
-        let mk = |hoisted| {
-            let mut cfg = small(2000);
-            cfg.ordering = Ordering::RowMajor;
-            cfg.field_layout = FieldLayout::Standard;
-            cfg.hoisted = hoisted;
-            let mut sim = Simulation::new(cfg).unwrap();
-            sim.run(4);
-            sim.rho().to_vec()
-        };
-        let a = mk(true);
-        let b = mk(false);
-        for i in 0..a.len() {
-            assert!((a[i] - b[i]).abs() < 1e-8, "rho[{i}]: {} vs {}", a[i], b[i]);
-        }
-    }
-
-    #[test]
     fn hoisted_and_unhoisted_agree() {
         let mk = |hoisted| {
             let mut cfg = small(2000);
@@ -2147,20 +1557,17 @@ mod tests {
 
     #[test]
     fn sorting_does_not_change_physics() {
-        let mk = |period, oop| {
+        let mk = |period| {
             let mut cfg = small(3000);
             cfg.sort_period = period;
-            cfg.sort_out_of_place = oop;
             let mut sim = Simulation::new(cfg).unwrap();
             sim.run(6);
             sim.rho().to_vec()
         };
-        let a = mk(0, true);
-        let b = mk(2, true);
-        let c = mk(2, false);
+        let a = mk(0);
+        let b = mk(2);
         for i in 0..a.len() {
             assert!((a[i] - b[i]).abs() < 1e-9);
-            assert!((a[i] - c[i]).abs() < 1e-9);
         }
     }
 
@@ -2180,25 +1587,6 @@ mod tests {
                     assert_eq!(p.icell[i] as usize, want, "{ord} threads={threads} i={i}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn position_update_variants_agree() {
-        let mk = |pu| {
-            let mut cfg = small(2000);
-            cfg.ordering = Ordering::RowMajor;
-            cfg.position_update = pu;
-            let mut sim = Simulation::new(cfg).unwrap();
-            sim.run(4);
-            sim.rho().to_vec()
-        };
-        let a = mk(PositionUpdate::Branchless);
-        let b = mk(PositionUpdate::NaiveIf);
-        let c = mk(PositionUpdate::ModuloInt);
-        for i in 0..a.len() {
-            assert!((a[i] - b[i]).abs() < 1e-9);
-            assert!((a[i] - c[i]).abs() < 1e-9);
         }
     }
 
@@ -2232,9 +1620,10 @@ mod tests {
             Simulation::new(cfg.clone()),
             Err(PicError::Config(_))
         ));
+        // The unhoisted form needs square cells.
         cfg.n_particles = 100;
-        cfg.field_layout = FieldLayout::Standard;
-        cfg.ordering = Ordering::Morton;
+        cfg.hoisted = false;
+        cfg.lx *= 2.0;
         assert!(Simulation::new(cfg).is_err());
     }
 
@@ -2262,7 +1651,7 @@ mod tests {
             sim.reset_timers();
             let t = Instant::now();
             for _ in 0..5 {
-                sim.soa_split_redundant();
+                sim.particle_pass();
             }
             let wall = t.elapsed().as_secs_f64();
             let pt = sim.timers();

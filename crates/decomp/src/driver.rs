@@ -9,7 +9,7 @@ use pic_core::grid::Grid2D;
 use pic_core::particles::{self, ParticlesSoA};
 use pic_core::resilience::checkpoint as ckpt;
 use pic_core::rng::Rng;
-use pic_core::sim::{ParticleLayout, PicConfig, Simulation};
+use pic_core::sim::{PicConfig, Simulation};
 use pic_core::PicError;
 use spectral::poisson::{PoissonSolver2D, SolveScratch};
 use std::ops::Range;
@@ -201,11 +201,6 @@ impl DecomposedSimulation {
         dcfg: DecompConfig,
         comm: &mut Comm,
     ) -> Result<Self, DecompError> {
-        if cfg.particle_layout != ParticleLayout::Soa {
-            return Err(DecompError::Config(
-                "decomposed runs require the SoA particle layout".into(),
-            ));
-        }
         if cfg.keep_range.is_some() || cfg.keep_cells.is_some() {
             return Err(DecompError::Config(
                 "keep_range/keep_cells are owned by the decomposition driver".into(),
@@ -309,11 +304,6 @@ impl DecomposedSimulation {
         slot_owner: Vec<usize>,
         snapshot: &[u8],
     ) -> Result<Self, DecompError> {
-        if cfg.particle_layout != ParticleLayout::Soa {
-            return Err(DecompError::Config(
-                "decomposed runs require the SoA particle layout".into(),
-            ));
-        }
         if cfg.keep_range.is_some() || cfg.keep_cells.is_some() {
             return Err(DecompError::Config(
                 "keep_range/keep_cells are owned by the decomposition driver".into(),

@@ -165,7 +165,7 @@ impl Tenant {
     }
 
     /// Run the kind's invariant scan against the runtime's thresholds.
-    pub fn scan(&mut self, wcfg: &WatchdogConfig) -> Option<WatchdogViolation> {
+    pub fn scan(&self, wcfg: &WatchdogConfig) -> Option<WatchdogViolation> {
         match self {
             Tenant::Single(s) => scan_violation(s, wcfg),
             Tenant::Em(s) => s.scan_violation(wcfg),

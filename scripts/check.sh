@@ -20,6 +20,38 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> paper tables smoke (tables III/IV/VII through pic_bench::reference, row labels)"
+# Tiny scale: the point is that the reference driver still runs and every
+# paper row is still printed. Tables III/IV rewrite their results/ JSON, so
+# put the recorded full-scale files back afterwards.
+keep="$(mktemp -d)"
+cp results/BENCH_table3.json results/BENCH_table4.json "$keep"
+restore_tables() {
+    cp "$keep"/BENCH_table3.json "$keep"/BENCH_table4.json results/
+    rm -rf "$keep"
+    trap - EXIT
+}
+trap restore_tables EXIT
+smoke() { # <bin> <extra args> <row label>...
+    local bin="$1" extra="$2" out label
+    shift 2
+    # shellcheck disable=SC2086
+    out="$(cargo run --release -q -p pic-bench --bin "$bin" -- --particles 20000 --iters 4 $extra 2>/dev/null)"
+    for label in "$@"; do
+        grep -qF -- "$label" <<<"$out" || {
+            echo "$bin: row '$label' missing"
+            exit 1
+        }
+    done
+}
+smoke table3_loop_times "" "2d standard" "Row-major" "L4D(SIZE=8)" "Morton" "Hilbert"
+smoke table4_opt_ladder "" "Baseline" "+ Loop Hoisting" "+ Loop Splitting" \
+    "+ Redundant arrays (E and rho)" "+ Structure of Arrays (particles)" \
+    "+ Space-filling curves (E and rho)" "+ Optimized update-positions loop" \
+    "+ Lane-blocked kernels" "+ Vectorized deposition"
+smoke table7_aos_soa_loops "--threads 2" "AoS, 1 loop" "AoS, 3 loops" "SoA, 1 loop" "SoA, 3 loops"
+restore_tables
+
 echo "==> benchmark package gate (fmt, clippy, unit tests, 1/20-size smoke of all eight workloads)"
 # Compiles the benchmark against the library API it lists in
 # benchmark/README.md and applies its output checks (finite, charge 1e-9,
@@ -48,7 +80,7 @@ cargo run --release -q -p pic-bench --bin bench_species || {
     cargo run --release -q -p pic-bench --bin bench_species
 }
 
-echo "==> deposition parity matrix (DepositPath x layout x threads, release)"
+echo "==> deposition parity matrix (DepositPath x threads x sortedness, release)"
 cargo test -q --release --test parity_kernel_path
 
 echo "==> kernel microbenches -> results/BENCH_kernels.json"

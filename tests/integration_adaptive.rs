@@ -1,102 +1,56 @@
 //! End-to-end tests of the online adaptive hot-path controller: bit-exact
-//! checkpoint/restore around controller switches, and mid-adaptation
-//! resume of the recorded hot-path knobs.
+//! checkpoint/restore of controller-driven runs, and resume of the recorded
+//! hot-path knobs.
 
 use pic2d::pic_core::control::ControllerConfig;
 use pic2d::pic_core::em::{EmConfig, EmSimulation};
 use pic2d::pic_core::sim::{DepositPath, KernelPath, PicConfig, Simulation};
 
-fn adaptive_cfg(n: usize) -> PicConfig {
-    let mut cfg = PicConfig::landau_table1(n);
-    cfg.grid_nx = 32;
-    cfg.grid_ny = 32;
-    // Start on a deposit path the low-density workload will abandon:
-    // uniform-block fraction stays near zero, so the deterministic
-    // controller walks SortedBlock -> LaneReduce after its patience.
-    cfg.deposit_path = DepositPath::SortedBlock;
-    cfg.controller = Some(ControllerConfig {
+/// The deterministic profile with a sort every few steps, so short runs
+/// cross several controller-chosen sort boundaries.
+fn fast_sorting() -> ControllerConfig {
+    ControllerConfig {
         min_sort_spacing: 2,
         max_sort_spacing: 6,
         ..ControllerConfig::deterministic()
-    });
-    cfg
-}
-
-/// A deterministic-controller run restores bit-identically from
-/// checkpoints taken before, during, and after a hot-path switch: the
-/// restored run replays the same sort schedule and the same switch
-/// decisions, so the final checkpoint bytes are equal.
-#[test]
-fn controller_run_restores_bit_identically_around_switches() {
-    let cfg = adaptive_cfg(3_000);
-    let steps = 60usize;
-
-    let mut reference = Simulation::new(cfg.clone()).unwrap();
-    let mut snaps = vec![reference.checkpoint()];
-    let mut switch_steps = Vec::new();
-    for s in 0..steps {
-        reference.step();
-        for ev in reference.take_hot_path_events() {
-            let _ = ev;
-            switch_steps.push(s + 1);
-        }
-        snaps.push(reference.checkpoint());
-    }
-    assert!(
-        !switch_steps.is_empty(),
-        "workload must trigger at least one switch for the test to bite"
-    );
-    let first = switch_steps[0];
-    assert!(first < steps, "switch must land inside the run");
-
-    // Before the first switch, at it, and well after it.
-    for &from in &[first.saturating_sub(1), first, (first + steps) / 2] {
-        let mut resumed = Simulation::new(cfg.clone()).unwrap();
-        resumed.restore(&snaps[from]).unwrap();
-        assert_eq!(resumed.steps(), from);
-        for _ in from..steps {
-            resumed.step();
-        }
-        assert_eq!(
-            resumed.checkpoint(),
-            snaps[steps],
-            "restore from step {from} must replay to identical bytes"
-        );
     }
 }
 
-/// A checkpoint taken mid-adaptation records the controller's last
-/// decisions as metadata; restoring into a simulation built from the
-/// *original* config resumes those knobs instead of resetting them.
+/// A checkpoint taken mid-adaptation records the knobs active at that
+/// moment — here a deposit path switched at run time — as metadata;
+/// restoring into a simulation built from the *original* config resumes
+/// them, and the controller with them, instead of resetting.
 #[test]
 fn restore_resumes_mid_adaptation_hot_path_knobs() {
-    let cfg = adaptive_cfg(3_000);
+    let mut cfg = PicConfig::landau_table1(3_000);
+    cfg.grid_nx = 32;
+    cfg.grid_ny = 32;
+    cfg.controller = Some(fast_sorting());
     let mut sim = Simulation::new(cfg.clone()).unwrap();
-    let mut switched = false;
-    for _ in 0..60 {
-        sim.step();
-        if !sim.take_hot_path_events().is_empty() {
-            switched = true;
-        }
-    }
-    assert!(switched, "controller must have adapted at least once");
-    let adapted_deposit = sim.config().deposit_path;
-    assert_ne!(
-        adapted_deposit,
-        DepositPath::SortedBlock,
-        "the low-uniformity workload abandons the configured deposit path"
+    sim.run(20);
+    sim.set_deposit_path(DepositPath::Exact);
+    sim.run(20);
+    assert_eq!(
+        sim.config().deposit_path,
+        DepositPath::Exact,
+        "the controller leaves the deposit path where the caller put it"
     );
+    let since = sim.controller().unwrap().steps_since_sort();
     let snap = sim.checkpoint();
 
-    // Fresh simulation from the original (pre-adaptation) config.
+    // Fresh simulation from the original config.
     let mut resumed = Simulation::new(cfg).unwrap();
-    assert_eq!(resumed.config().deposit_path, DepositPath::SortedBlock);
+    assert_eq!(resumed.config().deposit_path, DepositPath::LaneReduce);
     resumed.restore(&snap).unwrap();
-    assert_eq!(resumed.config().deposit_path, adapted_deposit);
-    assert!(
-        resumed.controller().is_some(),
-        "controller must survive the restore"
-    );
+    assert_eq!(resumed.config().deposit_path, DepositPath::Exact);
+    let c = resumed
+        .controller()
+        .expect("controller must survive the restore");
+    assert_eq!(c.steps_since_sort(), since, "mid-window, not reset");
+
+    sim.run(20);
+    resumed.run(20);
+    assert_eq!(sim.checkpoint(), resumed.checkpoint());
 }
 
 /// `set_sort_period` is recorded as checkpoint metadata (not identity):
@@ -123,8 +77,8 @@ fn restore_adopts_recorded_sort_period() {
     );
 }
 
-/// A pinned-deposit (`allow_deposit_switch = false`) Exact-path controller
-/// run never leaves the Exact deposit, so adaptivity cannot perturb the
+/// An Exact-path controller run never leaves the Exact deposit — the
+/// controller has no deposit arm — so adaptivity cannot perturb the
 /// per-cell FP summation order the Exact contract promises.
 #[test]
 fn pinned_exact_controller_stays_exact_and_restores_bitwise() {
@@ -133,12 +87,7 @@ fn pinned_exact_controller_stays_exact_and_restores_bitwise() {
     cfg.grid_ny = 32;
     cfg.deposit_path = DepositPath::Exact;
     cfg.kernel_path = KernelPath::Scalar;
-    cfg.controller = Some(ControllerConfig {
-        allow_deposit_switch: false,
-        min_sort_spacing: 2,
-        max_sort_spacing: 6,
-        ..ControllerConfig::deterministic()
-    });
+    cfg.controller = Some(fast_sorting());
 
     let mut a = Simulation::new(cfg.clone()).unwrap();
     a.run(20);
@@ -158,12 +107,7 @@ fn pinned_exact_controller_stays_exact_and_restores_bitwise() {
 #[test]
 fn em_controller_run_restores_bit_identically() {
     let mut cfg = EmConfig::ion_acoustic(600);
-    cfg.deposit_path = DepositPath::SortedBlock;
-    cfg.controller = Some(ControllerConfig {
-        min_sort_spacing: 2,
-        max_sort_spacing: 6,
-        ..ControllerConfig::deterministic()
-    });
+    cfg.controller = Some(fast_sorting());
 
     let mut a = EmSimulation::new(cfg.clone()).unwrap();
     for _ in 0..25 {

@@ -197,16 +197,13 @@ fn rejected_configs() {
         let mut bad = cfg(Ordering::L4D(8));
         bad.ordering = Ordering::L4D(8);
         let l4d = DecomposedSimulation::new(bad, DecompConfig::default(), comm).is_err();
-        let mut aos = cfg(Ordering::Morton);
-        aos.particle_layout = pic2d::pic_core::sim::ParticleLayout::Aos;
-        let aos = DecomposedSimulation::new(aos, DecompConfig::default(), comm).is_err();
         let mut kr = cfg(Ordering::Morton);
         kr.keep_range = Some((0, 10));
         let kr = matches!(
             DecomposedSimulation::new(kr, DecompConfig::default(), comm),
             Err(DecompError::Config(_))
         );
-        l4d && aos && kr
+        l4d && kr
     });
     assert!(outcomes.iter().all(|&ok| ok));
 }

@@ -1,14 +1,14 @@
 //! End-to-end resilience: the fault-injected `minimpi` transport inside
-//! the real PIC loop, checkpoint/restart bit-exactness for both particle
-//! layouts, snapshot integrity checking, and the invariant watchdog.
+//! the real PIC loop, checkpoint/restart bit-exactness, snapshot integrity
+//! checking, and the invariant watchdog.
 
 use pic2d::minimpi::{CommError, FaultPlan, World};
 use pic2d::pic_core::faultlog::{FaultKind, FaultLog};
-use pic2d::pic_core::resilience::checkpoint::config_fingerprint;
+use pic2d::pic_core::resilience::checkpoint::{config_fingerprint, snapshot_hash};
 use pic2d::pic_core::resilience::{
     run_resilient, run_resilient_distributed, DistConfig, WatchdogConfig,
 };
-use pic2d::pic_core::sim::{KernelPath, ParticleLayout, PicConfig, Simulation};
+use pic2d::pic_core::sim::{KernelPath, PicConfig, Simulation};
 use pic2d::pic_core::PicError;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -101,40 +101,38 @@ fn unrecoverable_faults_error_out_instead_of_deadlocking() {
 // ---------------- checkpoint / restart ----------------
 
 /// Checkpoint → restore → continue must be bit-identical to an
-/// uninterrupted run, for both particle layouts.
+/// uninterrupted run.
 #[test]
-fn checkpoint_roundtrip_is_bit_exact_for_both_layouts() {
-    for layout in [ParticleLayout::Aos, ParticleLayout::Soa] {
-        let mut c = cfg(3_000);
-        c.particle_layout = layout;
-        c.sort_period = 4; // exercise sorting on both sides of the snapshot
+fn checkpoint_roundtrip_is_bit_exact() {
+    let mut c = cfg(3_000);
+    c.sort_period = 4; // exercise sorting on both sides of the snapshot
 
-        let mut uninterrupted = Simulation::new(c.clone()).unwrap();
-        uninterrupted.run(10);
+    let mut uninterrupted = Simulation::new(c.clone()).unwrap();
+    uninterrupted.run(10);
 
-        let mut sim = Simulation::new(c.clone()).unwrap();
-        sim.run(6);
-        let snapshot = sim.checkpoint();
-        sim.run(37); // wander off; the snapshot must win
-        sim.restore(&snapshot).unwrap();
-        assert_eq!(sim.steps(), 6, "{layout:?}: restored step counter");
-        sim.run(4);
+    let mut sim = Simulation::new(c).unwrap();
+    sim.run(6);
+    let snapshot = sim.checkpoint();
+    sim.run(37); // wander off; the snapshot must win
+    sim.restore(&snapshot).unwrap();
+    assert_eq!(sim.steps(), 6, "restored step counter");
+    sim.run(4);
 
-        assert_eq!(
-            sim.rho(),
-            uninterrupted.rho(),
-            "{layout:?}: rho must match bit-for-bit"
-        );
-        // For the AoS layout the SoA view lags the canonical array
-        // between sorts; sync both before comparing.
-        sim.sync_particles();
-        uninterrupted.sync_particles();
-        let (a, b) = (sim.particles(), uninterrupted.particles());
-        assert_eq!(a.ix, b.ix, "{layout:?}: ix");
-        assert_eq!(a.dx, b.dx, "{layout:?}: dx");
-        assert_eq!(a.vx, b.vx, "{layout:?}: vx");
-        assert_eq!(a.vy, b.vy, "{layout:?}: vy");
-    }
+    assert_eq!(sim.rho(), uninterrupted.rho(), "rho must match bit-for-bit");
+    assert_eq!(sim.particles(), uninterrupted.particles());
+}
+
+/// The production path computes the bits it computed before the ablation
+/// variants left the library: the hash was taken at that commit (identical
+/// in debug and release builds) and covers particles, fields, diagnostics
+/// and the configuration fingerprint.
+#[test]
+fn production_path_snapshot_bits_are_pinned() {
+    let mut c = PicConfig::landau_table1(100_003);
+    c.seed = 7;
+    let mut sim = Simulation::new(c).unwrap();
+    sim.run(45);
+    assert_eq!(snapshot_hash(&sim.checkpoint()), 0x2f233d0135f989cd);
 }
 
 /// A snapshot survives the disk roundtrip and restores into a *fresh*
@@ -200,7 +198,6 @@ fn run_distributed(
     n: usize,
     steps: u64,
     ranks: usize,
-    layout: ParticleLayout,
     path: KernelPath,
     plan: Option<FaultPlan>,
 ) -> Vec<(bool, usize, LogicalResults, FaultLog)> {
@@ -208,7 +205,6 @@ fn run_distributed(
         let per = n / ranks;
         let make_cfg = move |id: usize| {
             let mut c = cfg(n);
-            c.particle_layout = layout;
             c.kernel_path = path;
             c.keep_range = Some((id * per, (id + 1) * per));
             c
@@ -254,8 +250,7 @@ fn merge_logical(outs: &[(bool, usize, LogicalResults, FaultLog)]) -> LogicalRes
     all
 }
 
-/// The acceptance scenario, swept over the full layout matrix:
-/// {AoS, SoA} × {Scalar, Lanes} × {1, 2, 4 ranks}. For multi-rank runs the
+/// The acceptance scenario, swept over {Scalar, Lanes} × {1, 2, 4 ranks}. For multi-rank runs the
 /// last rank is killed mid-run; the survivors must detect it, shrink,
 /// restore the dead rank's slice from the buddy checkpoint, and finish with
 /// ρ and diagnostics bit-exactly equal to the fault-free run. The 1-rank
@@ -268,62 +263,59 @@ fn crash_recovery_matrix_is_bit_exact() {
     // 4 ops per checkpointed step and 2 per plain step — op 13 lands in
     // step 3's reduction, one step past the committed step-2 checkpoint.
     let kill_op = 13;
-    for layout in [ParticleLayout::Aos, ParticleLayout::Soa] {
-        for path in [KernelPath::Scalar, KernelPath::Lanes] {
-            let tag = format!("{layout:?}/{path:?}");
+    for path in [KernelPath::Scalar, KernelPath::Lanes] {
+        let tag = format!("{path:?}");
 
-            // 1 rank: distributed runner ≡ plain simulation, bitwise.
-            let solo = run_distributed(n, steps, 1, layout, path, None);
-            assert!(solo[0].0, "{tag}: solo run survives");
-            let solo_results = merge_logical(&solo);
-            let mut c = cfg(n);
-            c.particle_layout = layout;
-            c.kernel_path = path;
-            c.keep_range = Some((0, n));
-            let mut plain = Simulation::new(c).unwrap();
-            plain.run(steps as usize);
-            assert_eq!(
-                solo_results[&0].0,
-                plain.rho(),
-                "{tag}: 1-rank distributed run must equal the plain simulation"
+        // 1 rank: distributed runner ≡ plain simulation, bitwise.
+        let solo = run_distributed(n, steps, 1, path, None);
+        assert!(solo[0].0, "{tag}: solo run survives");
+        let solo_results = merge_logical(&solo);
+        let mut c = cfg(n);
+        c.kernel_path = path;
+        c.keep_range = Some((0, n));
+        let mut plain = Simulation::new(c).unwrap();
+        plain.run(steps as usize);
+        assert_eq!(
+            solo_results[&0].0,
+            plain.rho(),
+            "{tag}: 1-rank distributed run must equal the plain simulation"
+        );
+
+        for ranks in [2usize, 4] {
+            let clean = run_distributed(n, steps, ranks, path, None);
+            assert!(clean.iter().all(|o| o.0), "{tag}/{ranks}: all survive");
+            let clean_results = merge_logical(&clean);
+            assert_eq!(clean_results.len(), ranks);
+
+            let plan = FaultPlan::new(0xD1E).kill_rank(ranks - 1, kill_op);
+            let faulty = run_distributed(n, steps, ranks, path, Some(plan));
+            assert!(
+                !faulty[ranks - 1].0,
+                "{tag}/{ranks}: killed rank reports non-survivor"
             );
-
-            for ranks in [2usize, 4] {
-                let clean = run_distributed(n, steps, ranks, layout, path, None);
-                assert!(clean.iter().all(|o| o.0), "{tag}/{ranks}: all survive");
-                let clean_results = merge_logical(&clean);
-                assert_eq!(clean_results.len(), ranks);
-
-                let plan = FaultPlan::new(0xD1E).kill_rank(ranks - 1, kill_op);
-                let faulty = run_distributed(n, steps, ranks, layout, path, Some(plan));
-                assert!(
-                    !faulty[ranks - 1].0,
-                    "{tag}/{ranks}: killed rank reports non-survivor"
-                );
-                assert!(
-                    faulty[..ranks - 1].iter().all(|o| o.0),
-                    "{tag}/{ranks}: survivors finish"
-                );
-                assert!(
-                    faulty.iter().any(|o| o.1 >= 1),
-                    "{tag}/{ranks}: at least one recovery happened"
-                );
-                let faulty_results = merge_logical(&faulty);
+            assert!(
+                faulty[..ranks - 1].iter().all(|o| o.0),
+                "{tag}/{ranks}: survivors finish"
+            );
+            assert!(
+                faulty.iter().any(|o| o.1 >= 1),
+                "{tag}/{ranks}: at least one recovery happened"
+            );
+            let faulty_results = merge_logical(&faulty);
+            assert_eq!(
+                faulty_results.len(),
+                ranks,
+                "{tag}/{ranks}: every logical rank hosted after recovery"
+            );
+            for id in 0..ranks {
                 assert_eq!(
-                    faulty_results.len(),
-                    ranks,
-                    "{tag}/{ranks}: every logical rank hosted after recovery"
+                    faulty_results[&id].0, clean_results[&id].0,
+                    "{tag}/{ranks}: logical rank {id} ρ bit-exact after recovery"
                 );
-                for id in 0..ranks {
-                    assert_eq!(
-                        faulty_results[&id].0, clean_results[&id].0,
-                        "{tag}/{ranks}: logical rank {id} ρ bit-exact after recovery"
-                    );
-                    assert_eq!(
-                        faulty_results[&id].1, clean_results[&id].1,
-                        "{tag}/{ranks}: logical rank {id} diagnostics history bit-exact"
-                    );
-                }
+                assert_eq!(
+                    faulty_results[&id].1, clean_results[&id].1,
+                    "{tag}/{ranks}: logical rank {id} diagnostics history bit-exact"
+                );
             }
         }
     }
@@ -334,14 +326,7 @@ fn crash_recovery_matrix_is_bit_exact() {
 #[test]
 fn ledger_records_kill_detect_shrink_rollback() {
     let plan = FaultPlan::new(0xBEEF).kill_rank(3, 13);
-    let outs = run_distributed(
-        1_200,
-        6,
-        4,
-        ParticleLayout::Soa,
-        KernelPath::Lanes,
-        Some(plan),
-    );
+    let outs = run_distributed(1_200, 6, 4, KernelPath::Lanes, Some(plan));
     let mut merged = FaultLog::new();
     for (_, _, _, log) in outs {
         merged.merge(log);

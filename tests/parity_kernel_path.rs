@@ -3,7 +3,8 @@
 //! ρ, same particle cells/offsets/velocities — across cell orderings,
 //! thread counts, and particle counts that do and do not divide the lane
 //! width. This is the contract that makes `KernelPath` a pure performance
-//! knob: switching it (or autotuning over it) can never change physics.
+//! knob: switching it (or letting the controller switch it) can never change
+//! physics.
 
 use pic_core::sim::{KernelPath, PicConfig, Simulation};
 use sfc::Ordering;
@@ -82,77 +83,72 @@ fn parity_at_lane_edge_counts() {
 
 #[test]
 fn parity_on_baseline_row_major() {
-    // The baseline config exercises the non-redundant/standard dispatch
-    // (where the lane path only affects the branchless position update).
-    let mut c = PicConfig::baseline(777);
-    c.grid_nx = 32;
-    c.grid_ny = 32;
+    // What production keeps of the Table IV baseline settings: row-major
+    // cells and unhoisted coefficients, i.e. the coefficient-form kernels
+    // (`coeff`/`scale` multiplied per particle) on both kernel paths.
+    let mut c = cfg(777);
+    c.ordering = Ordering::RowMajor;
+    c.hoisted = false;
+    c.deposit_path = DepositPath::Exact;
     assert_paths_bit_identical(c, 5, "baseline");
 }
 
 // ---------------------------------------------------------------------------
 // DepositPath parity: the deposition-kernel knob must likewise never change
 // physics beyond its documented contract — `Exact` stays bit-identical to
-// the scalar accumulation order, and the reassociated paths (`LaneReduce`,
-// `SortedBlock`) stay within a tight tolerance of the exact result at the
-// simulation level and within the proven per-cell FP bound at the kernel
-// level.
+// the scalar accumulation order, and the reassociated `LaneReduce` stays
+// within a tight tolerance of the exact result at the simulation level and
+// within the proven per-cell FP bound at the kernel level.
 // ---------------------------------------------------------------------------
 
 use pic_core::kernels::{accumulate, deposit};
 use pic_core::rng::Rng;
-use pic_core::sim::{DepositPath, ParticleLayout};
+use pic_core::sim::DepositPath;
 
-/// {AoS, SoA} x {1, 2, 4 threads} x {sorted, unsorted}: under every combo,
-/// `Exact` is bit-identical between the scalar and lane kernel paths, and
-/// each reassociated path tracks the exact run to a loose per-cell
-/// tolerance (the per-deposit FP bound fed back through the field solve for
-/// a handful of steps).
+/// {1, 2, 4 threads} x {sorted, unsorted}: under every combo, `Exact` is
+/// bit-identical between the scalar and lane kernel paths, and `LaneReduce`
+/// tracks the exact run to a loose per-cell tolerance (the per-deposit FP
+/// bound fed back through the field solve for a handful of steps).
 #[test]
 fn deposit_path_matrix() {
-    for layout in [ParticleLayout::Soa, ParticleLayout::Aos] {
-        for threads in [1usize, 2, 4] {
-            for sorted in [true, false] {
-                let make = |dp: DepositPath| {
-                    let mut c = cfg(1511);
-                    c.ordering = Ordering::Morton;
-                    c.particle_layout = layout;
-                    c.threads = threads;
-                    // Sorted: re-sort every step so the deposit always sees
-                    // long same-cell runs. Unsorted: never sort, so drift
-                    // scrambles the cell order the kernels walk.
-                    c.sort_period = if sorted { 1 } else { 0 };
-                    c.deposit_path = dp;
-                    c
-                };
-                let what = format!("{layout:?} threads={threads} sorted={sorted}");
+    for threads in [1usize, 2, 4] {
+        for sorted in [true, false] {
+            let make = |dp: DepositPath| {
+                let mut c = cfg(1511);
+                c.ordering = Ordering::Morton;
+                c.threads = threads;
+                // Sorted: re-sort every step so the deposit always sees
+                // long same-cell runs. Unsorted: never sort, so drift
+                // scrambles the cell order the kernels walk.
+                c.sort_period = if sorted { 1 } else { 0 };
+                c.deposit_path = dp;
+                c
+            };
+            let what = format!("threads={threads} sorted={sorted}");
 
-                // Exact deposit: scalar vs lane kernel paths, bit for bit.
-                assert_paths_bit_identical(make(DepositPath::Exact), 5, &what);
+            // Exact deposit: scalar vs lane kernel paths, bit for bit.
+            assert_paths_bit_identical(make(DepositPath::Exact), 5, &what);
 
-                // Reassociated deposits track the exact run closely.
-                let mut exact = Simulation::new(make(DepositPath::Exact)).unwrap();
-                exact.run(5);
-                for dp in [DepositPath::LaneReduce, DepositPath::SortedBlock] {
-                    let mut sim = Simulation::new(make(dp)).unwrap();
-                    sim.run(5);
-                    let (re, rr) = (exact.rho(), sim.rho());
-                    for i in 0..re.len() {
-                        assert!(
-                            (re[i] - rr[i]).abs() < 1e-9,
-                            "{what} {dp:?}: rho[{i}] drifted: {} vs {}",
-                            rr[i],
-                            re[i]
-                        );
-                    }
-                }
+            // The reassociated deposit tracks the exact run closely.
+            let mut exact = Simulation::new(make(DepositPath::Exact)).unwrap();
+            exact.run(5);
+            let mut sim = Simulation::new(make(DepositPath::LaneReduce)).unwrap();
+            sim.run(5);
+            let (re, rr) = (exact.rho(), sim.rho());
+            for i in 0..re.len() {
+                assert!(
+                    (re[i] - rr[i]).abs() < 1e-9,
+                    "{what} LaneReduce: rho[{i}] drifted: {} vs {}",
+                    rr[i],
+                    re[i]
+                );
             }
         }
     }
 }
 
 /// Kernel-level bound at full scale: 1M particles on a 128x128 grid
-/// (~61 per cell), sorted and unsorted. Every reassociated path lands
+/// (~61 per cell), sorted and unsorted. The reassociated deposit lands
 /// within the per-cell bound `4 k^2 eps |w|` (k = particles in the cell)
 /// of the exact scalar accumulation — the bound proven in
 /// `crates/core/src/kernels/deposit.rs`.
@@ -176,24 +172,18 @@ fn reassociated_deposit_within_cell_bound_at_1m() {
         for &c in &icell {
             counts[c as usize] += 1;
         }
-        let kernels: [(&str, deposit::DepositFn); 2] = [
-            ("lane_reduce", deposit::accumulate_lane_reduce),
-            ("sorted_block", deposit::accumulate_sorted_block),
-        ];
-        for (name, kernel) in kernels {
-            let mut got = vec![[0.0f64; 4]; NCELLS];
-            kernel(&icell, &dx, &dy, &mut got, w);
-            for c in 0..NCELLS {
-                let k = counts[c] as f64;
-                let bound = 4.0 * k * k * f64::EPSILON * w.abs();
-                for corner in 0..4 {
-                    let d = (got[c][corner] - reference[c][corner]).abs();
-                    assert!(
-                        d <= bound,
-                        "{name} sorted={sorted} cell={c} corner={corner}: \
-                         |diff| {d:e} exceeds bound {bound:e} (k={k})"
-                    );
-                }
+        let mut got = vec![[0.0f64; 4]; NCELLS];
+        deposit::accumulate_lane_reduce(&icell, &dx, &dy, &mut got, w);
+        for c in 0..NCELLS {
+            let k = counts[c] as f64;
+            let bound = 4.0 * k * k * f64::EPSILON * w.abs();
+            for corner in 0..4 {
+                let d = (got[c][corner] - reference[c][corner]).abs();
+                assert!(
+                    d <= bound,
+                    "lane_reduce sorted={sorted} cell={c} corner={corner}: \
+                     |diff| {d:e} exceeds bound {bound:e} (k={k})"
+                );
             }
         }
     }
@@ -293,36 +283,13 @@ fn deposit_weight(sim: &Simulation) -> f64 {
     QE * particle_weight(grid, sim.config().n_particles) / (grid.dx() * grid.dy())
 }
 
-/// Per-grid-point reassociation bound for ρ deposited from `icell`: the
-/// proven per-cell-corner `4 k² ε |w|`, carried through the same
-/// cell → grid-point scatter as the density itself.
-fn grid_point_bound(sim: &Simulation, icell: &[u32], w: f64) -> Vec<f64> {
-    let c = sim.config();
-    let layout = AnyLayout::build(c.ordering, c.grid_nx, c.grid_ny).unwrap();
-    let mut counts = RedundantRho::new(layout.as_dyn());
-    for &cell in icell {
-        counts.rho4[cell as usize][0] += 1.0;
-    }
-    for cell in counts.rho4.iter_mut() {
-        let k = cell[0];
-        *cell = [4.0 * k * k * f64::EPSILON * w.abs(); 4];
-    }
-    let mut bound = vec![0.0; sim.grid().ncells()];
-    counts.reduce_to_grid(layout.as_dyn(), &mut bound);
-    bound
-}
-
 #[test]
 fn strip_pass_matches_whole_array_kernels() {
     const COUNTS: [usize; 7] = [0, 1, LANES - 1, STRIP - 1, STRIP, STRIP + 1, 3 * STRIP + 5];
     for ordering in Ordering::paper_set() {
         for threads in [1usize, 2, 3, 4] {
             let pool = ThreadPool::new(threads);
-            for dp in [
-                DepositPath::Exact,
-                DepositPath::LaneReduce,
-                DepositPath::SortedBlock,
-            ] {
+            for dp in [DepositPath::Exact, DepositPath::LaneReduce] {
                 for n in COUNTS {
                     let mut c = cfg(3 * STRIP + 5);
                     c.ordering = ordering;
@@ -355,25 +322,9 @@ fn strip_pass_matches_whole_array_kernels() {
                     assert_eq!(bits(&ps.vx), bits(&pr.vx), "{what}: vx");
                     assert_eq!(bits(&ps.vy), bits(&pr.vy), "{what}: vy");
 
-                    let rho = sim.rho();
-                    if dp == DepositPath::SortedBlock {
-                        // A strip edge may split a cell run, which only
-                        // reassociates that cell's sum further.
-                        let bound = grid_point_bound(&sim, &pr.icell, deposit_weight(&sim));
-                        for i in 0..rho.len() {
-                            let slack = bound[i] + 4.0 * f64::EPSILON * rho_ref[i].abs();
-                            assert!(
-                                (rho[i] - rho_ref[i]).abs() <= slack,
-                                "{what}: rho[{i}] {} vs {} (bound {slack:e})",
-                                rho[i],
-                                rho_ref[i]
-                            );
-                        }
-                    } else {
-                        // Strip starts are LANES-aligned from the chunk
-                        // start, so the lane blocks coincide.
-                        assert_eq!(bits(rho), bits(&rho_ref), "{what}: rho");
-                    }
+                    // Strip starts are LANES-aligned from the chunk start,
+                    // so the lane blocks coincide.
+                    assert_eq!(bits(sim.rho()), bits(&rho_ref), "{what}: rho");
                 }
             }
         }

@@ -455,18 +455,17 @@ fn fft_roundtrip_random() {
 #[test]
 fn deposit_paths_conserve_total_charge() {
     // Every deposition kernel — exact scalar order, exact lane-blocked,
-    // and both reassociated vectorized paths — deposits exactly `w` per
+    // and the reassociated vectorized path — deposits exactly `w` per
     // particle (the CIC weights are a partition of unity), so the grand
     // total over all cells and corners is `n * w` up to rounding, for any
     // cell ordering (sorted or scrambled) and any sign of `w`.
     use pic2d::pic_core::kernels::deposit::{self, DepositFn};
     use pic2d::pic_core::kernels::{accumulate, simd};
     let mut rng = Rng::seed_from_u64(0xd3b0);
-    let kernels: [(&str, DepositFn); 4] = [
+    let kernels: [(&str, DepositFn); 3] = [
         ("exact_scalar", accumulate::accumulate_redundant),
         ("exact_lanes", simd::accumulate_redundant_lanes),
         ("lane_reduce", deposit::accumulate_lane_reduce),
-        ("sorted_block", deposit::accumulate_sorted_block),
     ];
     for case in 0..CASES {
         let ncells = 1usize << (rng.below(6) + 4); // 16..512
