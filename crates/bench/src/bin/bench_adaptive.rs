@@ -1,4 +1,4 @@
-//! Adaptive hot-path controller gate — drifting-plasma scenarios for the
+//! Sort-cadence controller gate — drifting-plasma scenarios for the
 //! online controller in [`pic_core::control`].
 //!
 //! Two scenarios, both against honest static competitors:
@@ -6,24 +6,18 @@
 //! * **steady** (Landau damping): disorder develops only through natural
 //!   phase mixing, so well-tuned static sort periods are hard to beat —
 //!   the controller must finish within `--tolerance` percent (default 5)
-//!   of the best member of a static grid over kernel path × deposit path
-//!   × sort period (including "never sort").
+//!   of the best member of a static grid over deposit path × sort period
+//!   (including "never sort").
 //! * **drift** (two-stream with injection disorder): after a quiet phase,
 //!   a seeded physics-neutral permutation scrambles the particle array on
 //!   a cadence no fixed period matches — every static schedule either
 //!   sorts at the wrong times or traverses scrambled for most of the
-//!   drifting phase. The adaptive run starts from a deliberately poor
-//!   configuration (scalar kernel) and calibrates out of it during the
-//!   quiet phase; the gate then compares the *drifting
-//!   phase alone*, where the controller (which watches the disorder
-//!   metric, not the clock) must beat the *best* static sort period
-//!   outright. Injection time itself is excluded from every measurement —
-//!   only simulation stepping is on the clock.
-//!
-//! Every applied switch is ledgered: the run asserts the controller's
-//! decisions all landed in a [`FaultLog`] (as `adapt` records) and in a
-//! [`DiagStream`] (as `"adapt"` JSON lines) — an unledgered switch fails
-//! the gate.
+//!   drifting phase. Every competitor runs the same kernels and differs
+//!   only in *when* it sorts; the gate compares the *drifting phase
+//!   alone*, where the controller (which watches the disorder metric, not
+//!   the clock) must beat the *best* static sort period outright.
+//!   Injection time itself is excluded from every measurement — only
+//!   simulation stepping is on the clock.
 //!
 //! Results land in `results/BENCH_adaptive.json`.
 //!
@@ -33,11 +27,9 @@
 use pic_bench::cli::Args;
 use pic_bench::report::{results_path, write_json_file, Json};
 use pic_bench::table::Table;
-use pic_core::control::{ControllerConfig, SwitchEvent};
-use pic_core::diag::DiagStream;
-use pic_core::faultlog::{FaultKind, FaultLog};
+use pic_core::control::ControllerConfig;
 use pic_core::rng::Rng;
-use pic_core::sim::{DepositPath, KernelPath, PicConfig, Simulation};
+use pic_core::sim::{DepositPath, PicConfig, Simulation};
 use pic_core::PicError;
 use std::time::Instant;
 
@@ -76,14 +68,13 @@ fn inject_disorder(sim: &mut Simulation, rng: &mut Rng) {
 /// One timed run: quiet for `steady_steps`, then `drift_steps` with an
 /// injection scramble every `shuffle_every` steps. Injection time is kept
 /// off the clock. Returns `(quiet-phase, drift-phase)` stepped wall
-/// seconds and the controller's drained switch events (empty for static
-/// configs).
+/// seconds.
 fn run_once(
     cfg: &PicConfig,
     steady_steps: usize,
     drift_steps: usize,
     shuffle_every: usize,
-) -> Result<(f64, f64, Vec<SwitchEvent>), PicError> {
+) -> Result<(f64, f64), PicError> {
     let mut sim = Simulation::new(cfg.clone())?;
     let mut rng = Rng::seed_from_u64(0xD81F7);
     let t = Instant::now();
@@ -98,7 +89,7 @@ fn run_once(
         sim.step();
         drift += t.elapsed().as_secs_f64();
     }
-    Ok((quiet, drift, sim.take_hot_path_events()))
+    Ok((quiet, drift))
 }
 
 /// Min-of-reps wall time per phase for a set of configurations, with the
@@ -107,18 +98,15 @@ fn run_once(
 /// on a shared box drifts over minutes, so configs compared against each
 /// other must be measured in the same window — timing all reps of one
 /// config before the next would fold minutes of thermal drift into the
-/// comparison. Returns per-config `(quiet, drift)` minima plus the first
-/// rep's switch events per config (empty for static configs).
-#[allow(clippy::type_complexity)]
+/// comparison. Returns per-config `(quiet, drift)` minima.
 fn timed_set(
     cfgs: &[PicConfig],
     reps: usize,
     steady: usize,
     drift: usize,
     every: usize,
-) -> Result<(Vec<(f64, f64)>, Vec<Vec<SwitchEvent>>), PicError> {
+) -> Result<Vec<(f64, f64)>, PicError> {
     let mut best = vec![(f64::INFINITY, f64::INFINITY); cfgs.len()];
-    let mut events: Vec<Option<Vec<SwitchEvent>>> = vec![None; cfgs.len()];
     for rep in 0..reps.max(1) {
         // Rotate the starting position each rep: load ramps and thermal
         // drift within a rep are roughly monotonic, so a fixed order would
@@ -126,24 +114,20 @@ fn timed_set(
         let start = rep * cfgs.len() / reps.max(1);
         for k in 0..cfgs.len() {
             let i = (start + k) % cfgs.len();
-            let (q, d, ev) = run_once(&cfgs[i], steady, drift, every)?;
+            let (q, d) = run_once(&cfgs[i], steady, drift, every)?;
             best[i].0 = best[i].0.min(q);
             best[i].1 = best[i].1.min(d);
-            events[i].get_or_insert(ev);
         }
     }
-    Ok((
-        best,
-        events.into_iter().map(Option::unwrap_or_default).collect(),
-    ))
+    Ok(best)
 }
 
-fn static_label(k: KernelPath, d: DepositPath, p: usize) -> String {
-    format!(
-        "{}/{}/{p}",
-        pic_core::control::kernel_name(k),
-        pic_core::control::deposit_name(d)
-    )
+fn static_label(d: DepositPath, p: usize) -> String {
+    let deposit = match d {
+        DepositPath::Exact => "exact",
+        DepositPath::LaneReduce => "lane_reduce",
+    };
+    format!("{deposit}/{p}")
 }
 
 fn run() -> Result<(), PicError> {
@@ -153,7 +137,7 @@ fn run() -> Result<(), PicError> {
     let reps: usize = args.get("reps", 2);
     let tolerance: f64 = args.get("tolerance", 5.0); // percent, steady gate
 
-    let mut table = Table::new(&["Scenario", "Config", "Wall s", "Switches", "Verdict"]);
+    let mut table = Table::new(&["Scenario", "Config", "Wall s", "Verdict"]);
 
     // ---------------- steady: Landau damping ----------------
     // 256×256 grid: the per-cell field structures (redundant ρ rows +
@@ -169,19 +153,18 @@ fn run() -> Result<(), PicError> {
     base.grid_nx = 256;
     base.grid_ny = 256;
 
-    let steady_grid: &[(KernelPath, DepositPath, usize)] = &[
-        (KernelPath::Scalar, DepositPath::LaneReduce, 32),
-        (KernelPath::Lanes, DepositPath::LaneReduce, 0),
-        (KernelPath::Lanes, DepositPath::LaneReduce, 8),
-        (KernelPath::Lanes, DepositPath::LaneReduce, 16),
-        (KernelPath::Lanes, DepositPath::LaneReduce, 32),
-        (KernelPath::Lanes, DepositPath::LaneReduce, 64),
+    let steady_grid: &[(DepositPath, usize)] = &[
+        (DepositPath::Exact, 32),
+        (DepositPath::LaneReduce, 0),
+        (DepositPath::LaneReduce, 8),
+        (DepositPath::LaneReduce, 16),
+        (DepositPath::LaneReduce, 32),
+        (DepositPath::LaneReduce, 64),
     ];
     let mut steady_cfgs: Vec<PicConfig> = steady_grid
         .iter()
-        .map(|&(kernel, deposit, period)| {
+        .map(|&(deposit, period)| {
             let mut cfg = base.clone();
-            cfg.kernel_path = kernel;
             cfg.deposit_path = deposit;
             cfg.sort_period = period;
             cfg
@@ -190,15 +173,14 @@ fn run() -> Result<(), PicError> {
     let mut adaptive = base.clone();
     adaptive.controller = Some(ControllerConfig::default());
     steady_cfgs.push(adaptive);
-    let (steady_times, mut steady_event_sets) = timed_set(&steady_cfgs, reps, steps, 0, 0)?;
-    let steady_events = steady_event_sets.pop().unwrap_or_default();
+    let steady_times = timed_set(&steady_cfgs, reps, steps, 0, 0)?;
     let steady_secs = steady_times.last().map(|&(q, _)| q).unwrap_or(f64::NAN);
 
     let mut best_static = f64::INFINITY;
     let mut best_label = String::new();
     let mut steady_json: Vec<(String, Json)> = Vec::new();
-    for (&(kernel, deposit, period), &(secs, _)) in steady_grid.iter().zip(&steady_times) {
-        let label = static_label(kernel, deposit, period);
+    for (&(deposit, period), &(secs, _)) in steady_grid.iter().zip(&steady_times) {
+        let label = static_label(deposit, period);
         if secs < best_static {
             best_static = secs;
             best_label = label.clone();
@@ -210,14 +192,12 @@ fn run() -> Result<(), PicError> {
         "steady".into(),
         format!("best static {best_label}"),
         format!("{best_static:.4}"),
-        "-".into(),
         "baseline".into(),
     ]);
     table.row(&[
         "steady".into(),
         "adaptive".into(),
         format!("{steady_secs:.4}"),
-        format!("{}", steady_events.len()),
         format!("{:.1}% of best", steady_ratio * 100.0),
     ]);
     // ---------------- drift: two-stream + injection disorder ----------------
@@ -231,13 +211,9 @@ fn run() -> Result<(), PicError> {
     let drift_phase = steps - steady_phase;
     let shuffle_every = 24usize;
 
-    // The gate compares the *drifting phase alone*: the adaptive run
-    // starts from a deliberately poor configuration (scalar kernel) and
-    // spends its quiet phase calibrating out of it, so the
-    // quiet phase demonstrates adaptation while the drift phase answers
-    // the sort-period question on equal footing — by the time drift sets
-    // in, every competitor (static or adaptive) runs lanes/lane_reduce
-    // and differs only in *when* it sorts.
+    // The gate compares the *drifting phase alone*: every competitor
+    // (static or adaptive) runs the same kernels and differs only in
+    // *when* it sorts.
     let drift_periods = [0usize, 8, 16, 32, 64];
     let mut drift_cfgs: Vec<PicConfig> = drift_periods
         .iter()
@@ -248,12 +224,9 @@ fn run() -> Result<(), PicError> {
         })
         .collect();
     let mut drift_adaptive = drift_base.clone();
-    drift_adaptive.kernel_path = KernelPath::Scalar;
     drift_adaptive.controller = Some(ControllerConfig::default());
     drift_cfgs.push(drift_adaptive);
-    let (drift_times, mut drift_event_sets) =
-        timed_set(&drift_cfgs, reps, steady_phase, drift_phase, shuffle_every)?;
-    let drift_events = drift_event_sets.pop().unwrap_or_default();
+    let drift_times = timed_set(&drift_cfgs, reps, steady_phase, drift_phase, shuffle_every)?;
     let (adaptive_quiet, drift_secs) = *drift_times.last().unwrap_or(&(f64::NAN, f64::NAN));
     let adaptive_total = adaptive_quiet + drift_secs;
 
@@ -262,7 +235,7 @@ fn run() -> Result<(), PicError> {
     let mut best_drift_total = f64::INFINITY;
     let mut drift_json: Vec<(String, Json)> = Vec::new();
     for (&period, &(quiet, drift)) in drift_periods.iter().zip(&drift_times) {
-        let label = static_label(drift_base.kernel_path, drift_base.deposit_path, period);
+        let label = static_label(drift_base.deposit_path, period);
         if drift < best_drift {
             best_drift = drift;
             best_drift_label = label.clone();
@@ -280,50 +253,17 @@ fn run() -> Result<(), PicError> {
         "drift".into(),
         format!("best static {best_drift_label}"),
         format!("{best_drift:.4}"),
-        "-".into(),
         "baseline (drift phase)".into(),
     ]);
     table.row(&[
         "drift".into(),
-        "adaptive (from scalar/lane_reduce)".into(),
+        "adaptive".into(),
         format!("{drift_secs:.4}"),
-        format!("{}", drift_events.len()),
         format!(
             "{:.1}% of best (drift phase)",
             drift_secs / best_drift * 100.0
         ),
     ]);
-    // ---------------- every switch ledgered + streamed ----------------
-    let mut log = FaultLog::new();
-    let mut stream = DiagStream::new(Vec::new());
-    for ev in steady_events.iter().chain(&drift_events) {
-        log.record(
-            ev.step,
-            0,
-            0,
-            FaultKind::Adapt,
-            format!("{} {} -> {}", ev.what, ev.from, ev.to),
-        );
-        stream.record_adapt(None, ev);
-    }
-    stream
-        .commit()
-        .map_err(|e| PicError::Config(e.to_string()))?;
-    let total_switches = steady_events.len() + drift_events.len();
-    gate(
-        log.count(FaultKind::Adapt) == total_switches,
-        "ledger lost adapt records",
-    )?;
-    gate(
-        stream.committed_records() == total_switches as u64,
-        "diag stream lost adapt records",
-    )?;
-    let stream_bytes = String::from_utf8(stream.into_inner()).unwrap_or_default();
-    gate(
-        stream_bytes.lines().all(|l| l.contains("\"adapt\"")),
-        "diag stream emitted a non-adapt line",
-    )?;
-
     table.print();
     let json = Json::obj([
         ("particles", Json::Int(n as i64)),
@@ -341,7 +281,6 @@ fn run() -> Result<(), PicError> {
                 ("best_static_secs", Json::Num(best_static)),
                 ("adaptive_secs", Json::Num(steady_secs)),
                 ("adaptive_over_best", Json::Num(steady_ratio)),
-                ("switches", Json::Int(steady_events.len() as i64)),
             ]),
         ),
         (
@@ -357,14 +296,8 @@ fn run() -> Result<(), PicError> {
                 ("adaptive_drift_secs", Json::Num(drift_secs)),
                 ("adaptive_total_secs", Json::Num(adaptive_total)),
                 ("adaptive_over_best", Json::Num(drift_secs / best_drift)),
-                ("switches", Json::Int(drift_events.len() as i64)),
                 ("shuffle_every", Json::Int(shuffle_every as i64)),
             ]),
-        ),
-        ("switches_ledgered", Json::Int(total_switches as i64)),
-        (
-            "diag_stream_sample",
-            Json::s(stream_bytes.lines().next().unwrap_or("")),
         ),
     ]);
     let path = results_path("BENCH_adaptive.json");
@@ -386,12 +319,6 @@ fn run() -> Result<(), PicError> {
             "drift: adaptive drift-phase {drift_secs:.4}s must beat best \
              static sort period ({best_drift_label} at {best_drift:.4}s)"
         ),
-    )?;
-    gate(
-        drift_events
-            .iter()
-            .any(|ev| (ev.what, ev.from, ev.to) == ("kernel", "scalar", "lanes")),
-        "drift: the controller never left the scalar kernel — nothing was adapted",
     )?;
     Ok(())
 }

@@ -1,10 +1,8 @@
 //! Perf smoke test — the quick gate `scripts/check.sh` runs after the
 //! functional suites: time the lane-blocked kernels against their scalar
 //! twins on a small population and fail if the lane path has regressed
-//! below scalar, then check that the adaptive controller's settled
-//! steady-state pick is never worse than the static all-scalar baseline,
-//! and that the counting sort stays within a fixed multiple of a plain
-//! seven-column copy.
+//! below scalar, then check that the counting sort stays within a fixed
+//! multiple of a plain seven-column copy.
 //!
 //! Usage: perf_smoke [--particles N] [--reps R] [--tolerance PCT]
 //!
@@ -20,15 +18,13 @@
 use pic_bench::cli::Args;
 use pic_bench::harness::black_box;
 use pic_bench::workloads::{copy_columns, drifted_landau};
-use pic_core::control::ControllerConfig;
 use pic_core::fields::RedundantRho;
 use pic_core::grid::Grid2D;
 use pic_core::kernels::{accumulate, deposit, position, simd};
 use pic_core::particles::{initialize, InitialDistribution, ParticlesSoA};
-use pic_core::sim::{DepositPath, KernelPath, PicConfig, Simulation};
 use pic_core::sort::{sort_out_of_place, sort_out_of_place_with, SortArena};
 use pic_core::PicError;
-use sfc::{CellLayout, RowMajor};
+use sfc::{CellLayout, Morton, RowMajor};
 use std::time::Instant;
 
 const SIDE: usize = 128;
@@ -149,37 +145,43 @@ fn run() -> Result<(), PicError> {
         gate("deposit_vectorized", scalar, lane_reduce);
     }
 
-    // Adaptive controller: after the calibration bootstrap settles, the
-    // hot path the controller picked must never run worse than the static
-    // all-scalar baseline — a wrong steady-state pick (a stale probe)
-    // shows up here as a regression.
+    // Update-positions under the default ordering: the Morton encode sits
+    // inside the loop, where the row-major row above has plain arithmetic.
     {
-        let settle = 20_usize;
-        let window = 25_usize;
-        let step_window = |sim: &mut Simulation, reps: usize| {
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let t = Instant::now();
-                for _ in 0..window {
-                    sim.step();
-                }
-                best = best.min(t.elapsed().as_secs_f64());
-            }
-            best
-        };
-        let mut cfg = PicConfig::landau_table1(n);
-        cfg.kernel_path = KernelPath::Scalar;
-        cfg.deposit_path = DepositPath::Exact;
-        let mut baseline = Simulation::new(cfg.clone())?;
-        cfg.controller = Some(ControllerConfig::default());
-        let mut adaptive = Simulation::new(cfg)?;
-        for _ in 0..settle {
-            baseline.step();
-            adaptive.step();
-        }
-        let scalar = step_window(&mut baseline, reps);
-        let picked = step_window(&mut adaptive, reps);
-        gate("adaptive_pick", scalar, picked);
+        let morton = Morton::new(SIDE, SIDE).map_err(PicError::Layout)?;
+        let mut p = setup(&morton, n);
+        let (vx, vy) = (p.vx.clone(), p.vy.clone());
+        let start = p.clone();
+        let scalar = min_time(reps, || {
+            position::update_positions_branchless_layout(
+                &mut p.icell,
+                &mut p.ix,
+                &mut p.iy,
+                &mut p.dx,
+                &mut p.dy,
+                &vx,
+                &vy,
+                &morton,
+                1.0,
+            );
+            black_box(p.icell[0]);
+        });
+        let mut p = start;
+        let lanes = min_time(reps, || {
+            simd::update_positions_branchless_layout_lanes(
+                &mut p.icell,
+                &mut p.ix,
+                &mut p.iy,
+                &mut p.dx,
+                &mut p.dy,
+                &vx,
+                &vy,
+                &morton,
+                1.0,
+            );
+            black_box(p.icell[0]);
+        });
+        gate("update_positions_sfc", scalar, lanes);
     }
 
     // Counting sort vs a plain copy of the seven columns, on the state a run

@@ -2,7 +2,6 @@
 //! the published Decyk & Singh (2014) numbers and the paper's own columns.
 //!
 //! Usage: table5_per_particle_ns [--particles N] [--grid G] [--iters I]
-//!                               [--kernel-path scalar|lanes]
 //!                               [--sort-sweep]  # sweep the sorting period
 //!
 //! Expected shape: push (update-v + update-x) dominates; accumulate around
@@ -14,7 +13,6 @@ use pic_bench::literature::{BARSAMIAN_HASWELL, BARSAMIAN_SANDY_BRIDGE, DECYK_SIN
 use pic_bench::ns_per_particle;
 use pic_bench::table::Table;
 use pic_bench::workloads::{self, run_fresh};
-use pic_core::sim::KernelPath;
 use pic_core::PicError;
 use sfc::Ordering;
 
@@ -27,22 +25,11 @@ fn run() -> Result<(), PicError> {
     let particles = args.get("particles", workloads::DEFAULT_PARTICLES);
     let grid = args.get("grid", workloads::DEFAULT_GRID);
     let iters = args.get("iters", workloads::DEFAULT_ITERS);
-    let path_name = args.get("kernel-path", "lanes".to_string());
-    let kernel_path = match path_name.as_str() {
-        "scalar" => KernelPath::Scalar,
-        "lanes" => KernelPath::Lanes,
-        other => {
-            return Err(PicError::Config(format!(
-                "unknown --kernel-path '{other}' (expected scalar or lanes)"
-            )))
-        }
-    };
 
     println!("# Table V — time per particle per iteration (nanoseconds)");
-    println!("# particles={particles} grid={grid} iters={iters} kernel-path={path_name}");
+    println!("# particles={particles} grid={grid} iters={iters}");
 
-    let mut cfg = workloads::table1(particles, grid, Ordering::Morton);
-    cfg.kernel_path = kernel_path;
+    let cfg = workloads::table1(particles, grid, Ordering::Morton);
     eprintln!("running optimized configuration ...");
     let sim = run_fresh(cfg, iters)?;
     let ph = sim.timers();
@@ -97,7 +84,6 @@ fn run() -> Result<(), PicError> {
         let mut t = Table::new(&["Sort every", "Total(s)", "ns/particle/iter"]);
         for period in [5usize, 10, 20, 50, 100, 0] {
             let mut cfg = workloads::table1(particles, grid, Ordering::Morton);
-            cfg.kernel_path = kernel_path;
             cfg.sort_period = period;
             let sim = run_fresh(cfg, iters)?;
             let total = sim.timers().total();

@@ -6,9 +6,10 @@
 //! AoS ([`aos`]), fused, standard-field and naive-push ([`soa`]) kernels, one
 //! [`Variant`] value naming a cell of §IV's ablation space, and a small
 //! [`ReferenceRun`] that steps a variant's loops over state lifted from a
-//! production `Simulation::new`. Tables III ("2d standard"), IV (the six
-//! rungs below "+ Optimized update-positions loop") and VII drive it, and
-//! its test is the oracle that holds every variant to the production ρ.
+//! production `Simulation::new`. Tables III ("2d standard"), IV (the seven
+//! paper rungs, "+ Optimized update-positions loop" included) and VII drive
+//! it, and its test is the oracle that holds every variant to the
+//! production ρ.
 
 pub mod aos;
 pub mod soa;
@@ -185,8 +186,8 @@ fn timed(bucket: &mut f64, f: impl FnOnce()) {
 
 impl ReferenceRun {
     /// Initialize `cfg` through the production driver and lift its state.
-    /// `cfg.kernel_path`, `deposit_path` and `controller` are ignored (the
-    /// reference loops are scalar and exact); `threads > 1` fans out the
+    /// `cfg.deposit_path` and `controller` are ignored (the reference
+    /// loops are scalar and exact); `threads > 1` fans out the
     /// AoS redundant loops only.
     pub fn new(cfg: PicConfig, variant: Variant) -> Result<Self, PicError> {
         let layout = AnyLayout::build(cfg.ordering, cfg.grid_nx, cfg.grid_ny)?;

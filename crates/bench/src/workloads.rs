@@ -10,7 +10,7 @@ use crate::reference::{
     FieldLayout, LoopStructure, ParticleLayout, PositionUpdate, ReferenceRun, Variant,
 };
 use pic_core::particles::ParticlesSoA;
-use pic_core::sim::{DepositPath, KernelPath, PhaseTimes, PicConfig, Simulation};
+use pic_core::sim::{DepositPath, PhaseTimes, PicConfig, Simulation};
 use pic_core::PicError;
 use sfc::Ordering;
 
@@ -37,20 +37,21 @@ pub fn table1(particles: usize, grid: usize, ordering: Ordering) -> PicConfig {
 pub type Row = (&'static str, PicConfig, Option<Variant>);
 
 /// The rungs of the Table IV optimization ladder, in paper order, plus an
-/// eighth rung for the lane-blocked kernel path (an optimization on top of
-/// the paper's ladder; the paper gets its vectorization from icc's
+/// eighth rung for the lane-blocked kernels (an optimization on top of the
+/// paper's ladder; the paper gets its vectorization from icc's
 /// auto-vectorizer, this codebase makes the lane blocking explicit) and a
 /// ninth for the vectorized deposition (`DepositPath::LaneReduce` — the
 /// reassociated per-lane private-ρ deposit, the fastest path in
 /// `BENCH_kernels.json`; rungs 1–8 keep the exact scalar-order deposit).
-/// The six rungs below "+ Optimized update-positions loop" are reference
-/// variants run as whole-array loops; from that rung on the ladder is the
-/// production driver (strip-mined pass). Rows share grid/particles/seed so
+/// The seven paper rungs are reference variants run as whole-array scalar
+/// loops — the last of them, "+ Optimized update-positions loop", through
+/// pic-core's public scalar kernels; "+ Lane-blocked kernels" is the first
+/// rung on the production driver, so the lane kernels and the strip-mined
+/// pass enter the ladder together. Rows share grid/particles/seed so
 /// timings are comparable.
 pub fn table4_ladder(particles: usize, grid: usize) -> Vec<Row> {
     let mut cfg = table1(particles, grid, Ordering::RowMajor);
     cfg.hoisted = false;
-    cfg.kernel_path = KernelPath::Scalar;
     cfg.deposit_path = DepositPath::Exact;
     let mut v = Variant::BASELINE;
     let mut ladder = vec![("Baseline", cfg.clone(), Some(v))];
@@ -69,8 +70,8 @@ pub fn table4_ladder(particles: usize, grid: usize) -> Vec<Row> {
     ladder.push(("+ Structure of Arrays (particles)", cfg.clone(), Some(v)));
     cfg.ordering = Ordering::Morton;
     ladder.push(("+ Space-filling curves (E and rho)", cfg.clone(), Some(v)));
-    ladder.push(("+ Optimized update-positions loop", cfg.clone(), None));
-    cfg.kernel_path = KernelPath::Lanes;
+    v.push = PositionUpdate::Branchless;
+    ladder.push(("+ Optimized update-positions loop", cfg.clone(), Some(v)));
     ladder.push(("+ Lane-blocked kernels", cfg.clone(), None));
     cfg.deposit_path = DepositPath::LaneReduce;
     ladder.push(("+ Vectorized deposition", cfg, None));
@@ -158,17 +159,21 @@ mod tests {
         assert_eq!(ladder.len(), 9);
         assert_eq!(ladder[0].0, "Baseline");
         assert_eq!(ladder[0].2, Some(Variant::BASELINE));
-        // The six lower rungs are reference variants, the top three the
+        // The seven paper rungs are reference variants — the last the
+        // production layout as whole-array scalar loops — the top two the
         // production driver; the last is the fully optimized configuration.
-        assert!(ladder[..6].iter().all(|r| r.2.is_some()));
-        assert!(ladder[6..].iter().all(|r| r.2.is_none()));
+        assert!(ladder[..7].iter().all(|r| r.2.is_some()));
+        assert!(ladder[7..].iter().all(|r| r.2.is_none()));
+        let production_shape = Variant {
+            particles: ParticleLayout::Soa,
+            fields: FieldLayout::Redundant,
+            loops: LoopStructure::Split,
+            push: PositionUpdate::Branchless,
+        };
+        assert_eq!(ladder[6].2, Some(production_shape));
         let last = &ladder[8].1;
-        assert_eq!(last.kernel_path, KernelPath::Lanes);
         assert_eq!(last.deposit_path, DepositPath::LaneReduce);
         assert!(matches!(last.ordering, Ordering::Morton));
-        assert!(ladder[..7]
-            .iter()
-            .all(|r| r.1.kernel_path == KernelPath::Scalar));
         assert!(ladder[..8]
             .iter()
             .all(|r| r.1.deposit_path == DepositPath::Exact));

@@ -1,44 +1,29 @@
-//! Online adaptive hot-path control — the runtime half of the paper's
-//! §IV-E future work ("automatic finding of this optimal number" of steps
+//! Online sort-cadence control — the runtime half of the paper's §IV-E
+//! future work ("automatic finding of this optimal number" of steps
 //! between sorts), done as a closed loop.
 //!
-//! The loop observes two cheap per-step signals:
+//! The loop observes one cheap per-step signal, a **particle-disorder
+//! metric** sampled from the `icell` array: the fraction of non-monotone
+//! (descending) transitions between consecutive particles, the normalized
+//! *mean jump distance* between consecutive particles (the component that
+//! actually prices cache distance in the field arrays), plus the fraction
+//! of lane blocks whose eight entries share one cell (the blocks the
+//! lane-reduce deposit collapses to one store — reported, not acted on).
 //!
-//! * a **particle-disorder metric** sampled from the `icell` array — the
-//!   fraction of non-monotone (descending) transitions between consecutive
-//!   particles, the normalized *mean jump distance* between consecutive
-//!   particles (the component that actually prices cache distance in the
-//!   field arrays), plus the fraction of lane blocks whose eight entries
-//!   share one cell (the blocks the lane-reduce deposit collapses to one
-//!   store — reported, not acted on);
-//! * **EWMA'd per-phase wall times** of the particle loops, attributed to
-//!   the kernel arm that ran them.
+//! [`HotPathController`] maps it to the one decision the paper leaves to be
+//! found at run time — *sort now?* — by a threshold on the disorder EWMA,
+//! bounded by a minimum and maximum spacing. Every input is a function of
+//! the particle trajectory and none of wall time, so the controller state
+//! serialized into a checkpoint ([`HotPathController::encode_state`]) is
+//! too, and a restored run replays the same sort schedule — and therefore
+//! the same bytes — as the run that checkpointed.
 //!
-//! [`HotPathController`] maps the signals to `(KernelPath, sort-now)`
-//! decisions with hysteresis, applied only at sort boundaries:
-//!
-//! * **Sorting** is triggered when the disorder EWMA crosses a threshold
-//!   (bounded by a minimum and maximum spacing) — a deterministic function
-//!   of the particle trajectory, never of wall time, so a checkpointed run
-//!   replays the same sort schedule bit-for-bit.
-//! * **DepositPath** is never touched: the one alternative the controller
-//!   could select (the sorted-batch deposit) was never selected on any
-//!   recorded workload and lost at every size (DESIGN.md §14), so the arm
-//!   is gone and the configured deposit — `Exact` included — stays put.
-//! * **KernelPath** is the only knob driven by measured wall time: the
-//!   controller periodically probes the other arm for one inter-sort
-//!   window and switches when the probe beats the incumbent by a margin.
-//!   The two arms are bit-identical, so timing noise can never change the
-//!   physics — only the speed.
-//!
-//! Every applied switch is returned as a [`SwitchEvent`] for the caller to
-//! ledger through [`crate::faultlog::FaultLog`] /
-//! [`crate::diag::DiagStream`]. Controller state serializes into the
-//! checkpoint ([`HotPathController::encode_state`]), so a restored run
-//! resumes the last decision and — in deterministic mode
-//! ([`ControllerConfig::deterministic`]) — replays bit-identically.
+//! Nothing else is chosen at run time. The kernels are the lane-blocked
+//! ones unconditionally and the deposit is the configured one: the two
+//! arms this controller used to carry (a sorted-batch deposit, DESIGN.md
+//! §14.2; a wall-clock probe flipping scalar ↔ lane-blocked kernels,
+//! DESIGN.md §17.2) were each measured, never won, and removed.
 
-use crate::sim::{DepositPath, KernelPath};
 use crate::PicError;
 
 /// Width of the disorder-sampling block, matching the kernels' lane width
@@ -68,7 +53,7 @@ pub struct Disorder {
     pub jump_frac: f64,
     /// Fraction of examined full lane blocks whose [`LANE_BLOCK`] entries
     /// all share one cell, in `[0, 1]` — the blocks
-    /// [`DepositPath::LaneReduce`] collapses to a single store.
+    /// [`crate::sim::DepositPath::LaneReduce`] collapses to a single store.
     pub uniform_block_frac: f64,
 }
 
@@ -146,10 +131,11 @@ pub struct ControllerConfig {
     /// densities, while the mean jump ramps smoothly over tens of steps,
     /// tracking the measured traversal-cost ramp (an external shuffle,
     /// reported by [`HotPathController::note_shuffle`], saturates it to
-    /// `1.0` at once). The default is read off `bench_adaptive`'s steady
-    /// scenario (1.6 M particles, 256² grid): its static grid is cheapest
-    /// at a 16-step period, and 16 steps of steady-state drift after a
-    /// sort bring the EWMA to 0.196.
+    /// `1.0` at once). The period a threshold yields depends on the
+    /// workload: the default was read off `bench_adaptive`'s steady
+    /// scenario (1.6 M particles, 256² grid), whose static grid is cheapest
+    /// at a 16-step period and whose EWMA reaches 0.196 sixteen steps
+    /// after a sort; DESIGN.md §17.3 records what it realizes elsewhere.
     pub sort_threshold: f64,
     /// Never sort more often than every this many steps (amortization
     /// floor — a sort every step would dominate the step cost).
@@ -158,7 +144,7 @@ pub struct ControllerConfig {
     /// slowly drifting population cannot decay indefinitely below the
     /// threshold while locality erodes.
     pub max_sort_spacing: usize,
-    /// EWMA smoothing factor in `(0, 1]` for all signal averages.
+    /// EWMA smoothing factor in `(0, 1]` for the signal averages.
     pub alpha: f64,
     /// Disorder sampling stride in lane blocks (1 = full scan; larger
     /// strides sample a `1/stride` subset). The observation runs every
@@ -168,23 +154,6 @@ pub struct ControllerConfig {
     /// jump converges with a few tens of thousands of sampled pairs, so
     /// the default is coarse.
     pub stride: usize,
-    /// Feed measured wall times into the kernel-arm decision. `false` is
-    /// the fully deterministic mode: the kernel arm never changes, and the
-    /// serialized controller state is a pure function of the particle
-    /// trajectory (checkpoints of a forked run stay byte-identical).
-    pub use_timing: bool,
-    /// Probe the other kernel arm for one inter-sort window every this
-    /// many sorts (timing mode only).
-    pub probe_period: u32,
-    /// Cap a probe's inter-sort window at this many steps: an active probe
-    /// forces an early sort boundary once the cap is reached, so the cost
-    /// of measuring the slower arm is bounded even when the steady-state
-    /// sort spacing is long. Probe *starts* are counter-scheduled, so this
-    /// keeps the sort schedule independent of measured times.
-    pub probe_window: u32,
-    /// Relative per-step advantage a probed arm needs before the
-    /// controller switches to it (hysteresis against timing noise).
-    pub kernel_margin: f64,
 }
 
 impl Default for ControllerConfig {
@@ -195,117 +164,52 @@ impl Default for ControllerConfig {
             max_sort_spacing: 128,
             alpha: 0.35,
             stride: 32,
-            use_timing: true,
-            probe_period: 12,
-            probe_window: 4,
-            kernel_margin: 0.05,
         }
     }
 }
 
 impl ControllerConfig {
-    /// The fully deterministic profile: disorder-driven sorting, kernel
-    /// arm pinned (no timing inputs). A run
-    /// under this profile replays bit-identically from any checkpoint,
-    /// including checkpoints taken mid-adaptation.
+    /// Shim for `benchmark/`, equal to [`default`](Self::default): every
+    /// profile is deterministic now that no decision reads a clock. Goes
+    /// with the paired `[benchmark]` issue that stops calling it.
     pub fn deterministic() -> Self {
-        Self {
-            use_timing: false,
-            ..Self::default()
-        }
+        Self::default()
     }
 }
 
-/// One applied hot-path switch, for the fault ledger and the diagnostics
-/// stream.
+/// A hot-path switch — of which there are none: nothing but the sort
+/// schedule is decided at run time, so the type is uninhabited and the
+/// `take_hot_path_events` shims that `benchmark/` still calls
+/// ([`crate::sim::Simulation::take_hot_path_events`],
+/// [`crate::em::EmSimulation::take_hot_path_events`]) return empty lists by
+/// construction. Goes with them in the paired `[benchmark]` issue.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SwitchEvent {
-    /// Simulation step at which the switch was applied (a sort boundary).
-    pub step: u64,
-    /// Which knob switched: `"kernel"` (the only one the controller
-    /// moves today).
-    pub what: &'static str,
-    /// Previous value (stable lowercase name).
-    pub from: &'static str,
-    /// New value (stable lowercase name).
-    pub to: &'static str,
-    /// Disorder EWMA at the decision.
-    pub disorder: f64,
-    /// Uniform-block EWMA at the decision.
-    pub uniform: f64,
-    /// Steps between the two most recent sorts (the realized period).
-    pub period: u64,
-}
+pub enum SwitchEvent {}
 
-/// Stable lowercase name of a kernel path (ledger vocabulary).
-pub fn kernel_name(p: KernelPath) -> &'static str {
-    match p {
-        KernelPath::Scalar => "scalar",
-        KernelPath::Lanes => "lanes",
-    }
-}
-
-/// Stable lowercase name of a deposit path (ledger vocabulary).
-pub fn deposit_name(p: DepositPath) -> &'static str {
-    match p {
-        DepositPath::Exact => "exact",
-        DepositPath::LaneReduce => "lane_reduce",
-    }
-}
-
-fn arm_index(p: KernelPath) -> usize {
-    match p {
-        KernelPath::Scalar => 0,
-        KernelPath::Lanes => 1,
-    }
-}
-
-fn other_arm(p: KernelPath) -> KernelPath {
-    match p {
-        KernelPath::Scalar => KernelPath::Lanes,
-        KernelPath::Lanes => KernelPath::Scalar,
-    }
-}
-
-/// The online controller. One per simulation (per rank in decomposed
-/// runs — each rank adapts to its own subdomain's disorder).
+/// The online sort-cadence policy. One per simulation (per rank in
+/// decomposed runs — each rank adapts to its own subdomain's disorder).
 #[derive(Debug, Clone)]
 pub struct HotPathController {
     cfg: ControllerConfig,
-    /// Committed kernel arm (what runs outside probe windows).
-    kernel: KernelPath,
-    /// Arm running a probe window, if one is active.
-    probe_arm: Option<KernelPath>,
     steps_since_sort: u64,
     /// EWMA normalized-mean-jump since the last sort (see
     /// [`Disorder::jump_frac`]).
     disorder: f64,
     /// EWMA uniform-block fraction.
     uniform: f64,
-    /// EWMA per-step particle-loop seconds per kernel arm.
-    arm_secs: [f64; 2],
-    arm_seen: [bool; 2],
-    sorts_since_probe: u32,
     /// Steps between the two most recent sorts.
     last_period: u64,
-    events: Vec<SwitchEvent>,
 }
 
 impl HotPathController {
-    /// Build a controller starting from the configured kernel path.
-    pub fn new(cfg: ControllerConfig, kernel: KernelPath) -> Self {
+    /// Build a controller with nothing observed yet.
+    pub fn new(cfg: ControllerConfig) -> Self {
         Self {
             cfg,
-            kernel,
-            probe_arm: None,
             steps_since_sort: 0,
             disorder: 0.0,
             uniform: 0.0,
-            arm_secs: [0.0; 2],
-            arm_seen: [false; 2],
-            sorts_since_probe: 0,
             last_period: 0,
-            events: Vec::new(),
         }
     }
 
@@ -314,29 +218,14 @@ impl HotPathController {
         &self.cfg
     }
 
-    /// Should this step begin with a sort? Deterministic: a threshold on
-    /// the disorder EWMA (fed only by particle state), bounded by the
-    /// min/max spacing. Never consults wall time, so a restored run makes
-    /// the same sort decisions as the run that checkpointed.
+    /// Should this step begin with a sort? A threshold on the disorder
+    /// EWMA (fed only by particle state), bounded by the min/max spacing,
+    /// so a restored run makes the same sort decisions as the run that
+    /// checkpointed.
     pub fn should_sort(&self) -> bool {
         let since = self.steps_since_sort + 1; // spacing if we sort now
         if since < self.cfg.min_sort_spacing.max(1) as u64 {
             return false;
-        }
-        // Calibration bootstrap (timing mode): until both kernel arms have
-        // been measured once, sort at the minimum spacing so the probe
-        // machinery gets its first samples within a few windows instead of
-        // waiting out a long steady-state spacing. Which arms have run is
-        // itself counter-scheduled, so this stays replay-deterministic.
-        if self.cfg.use_timing && !(self.arm_seen[0] && self.arm_seen[1]) {
-            return true;
-        }
-        // A running probe ends at the next boundary, so cap its window:
-        // the slower arm never runs longer than `probe_window` steps.
-        // Probe starts are counter-scheduled, so the sort schedule stays
-        // independent of the measured wall times.
-        if self.probe_arm.is_some() && since >= self.cfg.probe_window.max(1) as u64 {
-            return true;
         }
         if self.cfg.max_sort_spacing > 0 && since >= self.cfg.max_sort_spacing as u64 {
             return true;
@@ -344,78 +233,21 @@ impl HotPathController {
         self.disorder >= self.cfg.sort_threshold
     }
 
-    /// Commit decisions at a sort boundary (call right after the sort
-    /// ran). Returns the [`KernelPath`] to run the coming inter-sort window
-    /// with — possibly a probe arm.
-    pub fn on_sort(&mut self, step: u64) -> KernelPath {
+    /// Record a sort boundary (call right after the sort ran).
+    pub fn on_sort(&mut self) {
         self.last_period = self.steps_since_sort;
         self.steps_since_sort = 0;
         // The population is sorted now: the accumulated disorder is gone.
         self.disorder = 0.0;
-
-        self.decide_kernel(step);
-        self.probe_arm.unwrap_or(self.kernel)
     }
 
-    fn decide_kernel(&mut self, step: u64) {
-        if !self.cfg.use_timing {
-            return;
-        }
-        if let Some(probed) = self.probe_arm.take() {
-            // A probe window just finished; its EWMA is fresh. Switch only
-            // on a sustained margin over the incumbent.
-            let cur = self.arm_secs[arm_index(self.kernel)];
-            let alt = self.arm_secs[arm_index(probed)];
-            if self.arm_seen[0]
-                && self.arm_seen[1]
-                && alt < cur * (1.0 - self.cfg.kernel_margin)
-                && probed != self.kernel
-            {
-                self.events.push(SwitchEvent {
-                    step,
-                    what: "kernel",
-                    from: kernel_name(self.kernel),
-                    to: kernel_name(probed),
-                    disorder: self.disorder,
-                    uniform: self.uniform,
-                    period: self.last_period,
-                });
-                self.kernel = probed;
-            }
-        } else {
-            self.sorts_since_probe += 1;
-            let incumbent_seen = self.arm_seen[arm_index(self.kernel)];
-            let alt_seen = self.arm_seen[arm_index(other_arm(self.kernel))];
-            let due = self.sorts_since_probe >= self.cfg.probe_period.max(1);
-            // Probe as soon as the incumbent has a fresh baseline while the
-            // other arm is unmeasured (calibration), on the regular cadence
-            // afterwards. Never launch a probe before the incumbent has been
-            // measured: the comparison at the end of the window would be
-            // discarded and the probe wasted.
-            if incumbent_seen && (due || !alt_seen) {
-                self.sorts_since_probe = 0;
-                self.probe_arm = Some(other_arm(self.kernel));
-            }
-        }
-    }
-
-    /// Feed one step's observations: the sampled disorder and the wall
-    /// seconds the particle loops took. Call after the particle loops of
+    /// Feed one step's sampled disorder. Call after the particle loops of
     /// every step.
-    pub fn observe(&mut self, d: Disorder, particle_secs: f64) {
+    pub fn observe(&mut self, d: Disorder) {
         self.steps_since_sort += 1;
         let a = self.cfg.alpha.clamp(1e-6, 1.0);
         self.disorder += a * (d.jump_frac - self.disorder);
         self.uniform += a * (d.uniform_block_frac - self.uniform);
-        if self.cfg.use_timing {
-            let arm = arm_index(self.probe_arm.unwrap_or(self.kernel));
-            if self.arm_seen[arm] {
-                self.arm_secs[arm] += a * (particle_secs - self.arm_secs[arm]);
-            } else {
-                self.arm_secs[arm] = particle_secs;
-                self.arm_seen[arm] = true;
-            }
-        }
     }
 
     /// Notify the controller that an external mechanism (rank migration,
@@ -426,18 +258,12 @@ impl HotPathController {
         self.disorder = 1.0;
     }
 
-    /// Committed kernel arm (ignoring any active probe window).
-    pub fn kernel(&self) -> KernelPath {
-        self.kernel
-    }
-
     /// Current disorder EWMA.
     pub fn disorder(&self) -> f64 {
         self.disorder
     }
 
-    /// Current uniform-block EWMA — reported in every [`SwitchEvent`], not
-    /// an input to any decision.
+    /// Current uniform-block EWMA — reported, not an input to any decision.
     pub fn uniform(&self) -> f64 {
         self.uniform
     }
@@ -453,45 +279,28 @@ impl HotPathController {
         self.steps_since_sort
     }
 
-    /// Drain the switch events applied since the last call, oldest first.
-    pub fn take_events(&mut self) -> Vec<SwitchEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     // ---------------- checkpoint state ----------------
 
-    /// Serialize the decision state (EWMAs, counters, committed kernel)
-    /// into a little-endian blob for the checkpoint's hot-path metadata.
-    /// In deterministic mode the blob is a pure function of the particle
-    /// trajectory; in timing mode it additionally carries the wall-time
-    /// EWMAs (which restore the kernel preference but are not replayable
-    /// bit-for-bit across machines).
+    /// Serialize the decision state (counters and EWMAs) into a
+    /// little-endian blob for the checkpoint's hot-path metadata: a pure
+    /// function of the particle trajectory, so checkpoints of a forked run
+    /// stay byte-identical.
     pub fn encode_state(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(CTRL_STATE_LEN);
         b.push(CTRL_STATE_VERSION);
-        b.push(arm_index(self.kernel) as u8);
-        b.push(match self.probe_arm {
-            None => u8::MAX,
-            Some(p) => arm_index(p) as u8,
-        });
-        b.extend_from_slice(&self.sorts_since_probe.to_le_bytes());
         b.extend_from_slice(&self.steps_since_sort.to_le_bytes());
         b.extend_from_slice(&self.last_period.to_le_bytes());
         b.extend_from_slice(&self.disorder.to_bits().to_le_bytes());
         b.extend_from_slice(&self.uniform.to_bits().to_le_bytes());
-        for s in self.arm_secs {
-            b.extend_from_slice(&s.to_bits().to_le_bytes());
-        }
-        b.push(self.arm_seen[0] as u8);
-        b.push(self.arm_seen[1] as u8);
         b
     }
 
     /// Restore the decision state from an [`encode_state`] blob
     /// (configuration is not serialized — it comes from the owning
     /// config's controller profile). Blobs of any other length or version
-    /// — the 63-byte v1 layout that carried the removed deposit arm
-    /// included — are rejected, never reinterpreted.
+    /// — the 63-byte v1 layout that carried the removed deposit arm and
+    /// the 57-byte v2 layout that carried the removed kernel arm included
+    /// — are rejected, never reinterpreted.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), PicError> {
         if bytes.len() != CTRL_STATE_LEN {
             return Err(PicError::Checkpoint(format!(
@@ -505,40 +314,20 @@ impl HotPathController {
                 bytes[0]
             )));
         }
-        let kernel = arm_from_code(bytes[1])?;
-        let probe_arm = match bytes[2] {
-            u8::MAX => None,
-            c => Some(arm_from_code(c)?),
-        };
-        let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
         let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-        let f64_at = |o: usize| f64::from_bits(u64_at(o));
-        self.kernel = kernel;
-        self.probe_arm = probe_arm;
-        self.sorts_since_probe = u32_at(3);
-        self.steps_since_sort = u64_at(7);
-        self.last_period = u64_at(15);
-        self.disorder = f64_at(23);
-        self.uniform = f64_at(31);
-        self.arm_secs = [f64_at(39), f64_at(47)];
-        self.arm_seen = [bytes[55] != 0, bytes[56] != 0];
-        self.events.clear();
+        self.steps_since_sort = u64_at(1);
+        self.last_period = u64_at(9);
+        self.disorder = f64::from_bits(u64_at(17));
+        self.uniform = f64::from_bits(u64_at(25));
         Ok(())
     }
 }
 
 /// Serialized controller-state length ([`HotPathController::encode_state`]).
-pub const CTRL_STATE_LEN: usize = 57;
-/// v2 dropped the deposit arm's committed path, candidate and streak.
-const CTRL_STATE_VERSION: u8 = 2;
-
-fn arm_from_code(c: u8) -> Result<KernelPath, PicError> {
-    match c {
-        0 => Ok(KernelPath::Scalar),
-        1 => Ok(KernelPath::Lanes),
-        _ => Err(PicError::Checkpoint(format!("bad kernel code {c}"))),
-    }
-}
+pub const CTRL_STATE_LEN: usize = 33;
+/// v2 dropped the deposit arm's committed path, candidate and streak; v3
+/// the kernel arm's committed and probed paths, probe counter and timings.
+const CTRL_STATE_VERSION: u8 = 3;
 
 #[cfg(test)]
 mod tests {
@@ -623,142 +412,104 @@ mod tests {
 
     #[test]
     fn sort_decision_respects_spacing_bounds() {
-        let mut c = HotPathController::new(
-            ControllerConfig {
-                sort_threshold: 0.1,
-                min_sort_spacing: 3,
-                max_sort_spacing: 6,
-                alpha: 1.0,
-                use_timing: false,
-                ..ControllerConfig::default()
-            },
-            KernelPath::Lanes,
-        );
+        let mut c = HotPathController::new(ControllerConfig {
+            sort_threshold: 0.1,
+            min_sort_spacing: 3,
+            max_sort_spacing: 6,
+            alpha: 1.0,
+            ..ControllerConfig::default()
+        });
         // High disorder, but inside the minimum spacing: no sort.
         let noisy = Disorder {
             jump_frac: 0.9,
             ..Disorder::NONE
         };
-        c.observe(noisy, 0.0);
+        c.observe(noisy);
         assert!(!c.should_sort(), "min spacing must hold");
-        c.observe(noisy, 0.0);
+        c.observe(noisy);
         assert!(c.should_sort(), "threshold crossed past the minimum");
-        c.on_sort(2);
+        c.on_sort();
+        assert_eq!(c.last_period(), 2);
         // Zero disorder: no sort until the maximum spacing forces one.
         for step in 0..5 {
             assert!(!c.should_sort(), "step {step}");
-            c.observe(Disorder::NONE, 0.0);
+            c.observe(Disorder::NONE);
         }
         assert!(c.should_sort(), "max spacing must force a sort");
     }
 
     #[test]
-    fn kernel_probe_switches_to_faster_arm() {
-        let mut c = HotPathController::new(
-            ControllerConfig {
-                alpha: 1.0,
-                probe_period: 2,
-                kernel_margin: 0.05,
-                ..ControllerConfig::default()
-            },
-            KernelPath::Scalar,
-        );
-        // Window 1 under the incumbent (scalar, slow).
-        c.observe(Disorder::NONE, 10.0);
-        let arm = c.on_sort(1);
-        // The unmeasured arm triggers an early probe.
-        assert_eq!(arm, KernelPath::Lanes);
-        // Probe window: lanes is much faster.
-        c.observe(Disorder::NONE, 1.0);
-        let arm = c.on_sort(2);
-        assert_eq!(arm, KernelPath::Lanes, "probe won by a wide margin");
-        assert_eq!(c.kernel(), KernelPath::Lanes);
-        let ev = c.take_events();
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].what, "kernel");
-        assert_eq!(ev[0].from, "scalar");
-        assert_eq!(ev[0].to, "lanes");
-    }
-
-    #[test]
-    fn deterministic_mode_never_probes() {
-        let mut c = HotPathController::new(ControllerConfig::deterministic(), KernelPath::Lanes);
-        for step in 0..20 {
-            c.observe(Disorder::NONE, (step % 3) as f64);
-            assert_eq!(c.on_sort(step), KernelPath::Lanes);
-        }
-        assert!(c.take_events().is_empty());
-        // Wall times were never folded into the state.
-        assert_eq!(c.arm_secs, [0.0; 2]);
-    }
-
-    #[test]
     fn state_roundtrip_is_identity() {
-        let mut c = HotPathController::new(ControllerConfig::default(), KernelPath::Scalar);
+        let mut c = HotPathController::new(ControllerConfig::default());
         for step in 0..7 {
-            c.observe(
-                Disorder {
-                    descent_frac: 0.3,
-                    jump_frac: 0.2,
-                    uniform_block_frac: 0.6,
-                },
-                0.5 + step as f64,
-            );
+            c.observe(Disorder {
+                descent_frac: 0.3,
+                jump_frac: 0.2,
+                uniform_block_frac: 0.6,
+            });
             if step % 3 == 2 {
-                c.on_sort(step);
+                c.on_sort();
             }
         }
         let blob = c.encode_state();
         assert_eq!(blob.len(), CTRL_STATE_LEN);
-        let mut d = HotPathController::new(ControllerConfig::default(), KernelPath::Lanes);
+        let mut d = HotPathController::new(ControllerConfig::default());
         d.restore_state(&blob).unwrap();
-        assert_eq!(d.kernel(), c.kernel());
         assert_eq!(d.encode_state(), blob);
+        assert_eq!(d.should_sort(), c.should_sort());
         // Corrupt blobs are rejected.
         assert!(d.restore_state(&blob[..blob.len() - 1]).is_err());
         let mut bad = blob.clone();
-        bad[1] = 9;
+        bad[0] = 9;
         assert!(d.restore_state(&bad).is_err());
     }
 
     #[test]
-    fn parent_format_blob_is_rejected_not_misread() {
-        // The v1 layout (63 bytes: version, kernel, deposit, probe arm,
-        // deposit candidate, deposit streak, then the v2 tail) as the
-        // previous format wrote it.
-        let mut v1 = vec![1u8, 1, 1, u8::MAX, 1];
-        v1.extend_from_slice(&0u32.to_le_bytes()); // deposit streak
-        v1.extend_from_slice(&3u32.to_le_bytes()); // sorts since probe
-        v1.extend_from_slice(&5u64.to_le_bytes()); // steps since sort
-        v1.extend_from_slice(&16u64.to_le_bytes()); // last period
+    fn retired_format_blobs_are_rejected_not_misread() {
+        // The v2 tail both retired layouts end in: probe counter, steps
+        // since sort, last period, two EWMAs, two arm timings, two flags.
+        let mut tail = Vec::new();
+        tail.extend_from_slice(&3u32.to_le_bytes());
+        tail.extend_from_slice(&5u64.to_le_bytes());
+        tail.extend_from_slice(&16u64.to_le_bytes());
         for x in [0.1f64, 0.01, 0.5, 0.4] {
-            v1.extend_from_slice(&x.to_bits().to_le_bytes());
+            tail.extend_from_slice(&x.to_bits().to_le_bytes());
         }
-        v1.extend_from_slice(&[1, 1]);
-        assert_eq!(v1.len(), 63);
+        tail.extend_from_slice(&[1, 1]);
+        // v1 (63 bytes): version, kernel, deposit, probe arm, deposit
+        // candidate, deposit streak, tail. v2 (57): version, kernel, probe
+        // arm, tail.
+        let mut v1 = vec![1u8, 1, 1, u8::MAX, 1];
+        v1.extend_from_slice(&0u32.to_le_bytes());
+        v1.extend_from_slice(&tail);
+        let mut v2 = vec![2u8, 1, u8::MAX];
+        v2.extend_from_slice(&tail);
 
-        let mut c = HotPathController::new(ControllerConfig::default(), KernelPath::Scalar);
-        c.observe(Disorder::NONE, 1.0);
+        let mut c = HotPathController::new(ControllerConfig::default());
+        c.observe(Disorder::NONE);
         let before = c.encode_state();
-        let err = c.restore_state(&v1).unwrap_err();
-        assert!(matches!(err, PicError::Checkpoint(ref m) if m.contains("63 bytes")));
-        // Cut or padded to today's length it still fails, on the version.
-        let err = c.restore_state(&v1[..CTRL_STATE_LEN]).unwrap_err();
-        assert!(matches!(err, PicError::Checkpoint(ref m) if m.contains("version 1")));
+        for (old, len, version) in [(&v1, 63, 1), (&v2, 57, 2)] {
+            assert_eq!(old.len(), len);
+            let err = c.restore_state(old).unwrap_err();
+            assert!(
+                matches!(err, PicError::Checkpoint(ref m) if m.contains(&format!("{len} bytes")))
+            );
+            // Cut to today's length it still fails, on the version.
+            let err = c.restore_state(&old[..CTRL_STATE_LEN]).unwrap_err();
+            assert!(
+                matches!(err, PicError::Checkpoint(ref m) if m.contains(&format!("version {version}")))
+            );
+        }
         assert_eq!(c.encode_state(), before, "a rejected blob changes nothing");
     }
 
     #[test]
     fn note_shuffle_forces_next_eligible_sort() {
-        let mut c = HotPathController::new(
-            ControllerConfig {
-                min_sort_spacing: 1,
-                use_timing: false,
-                ..ControllerConfig::default()
-            },
-            KernelPath::Lanes,
-        );
-        c.observe(Disorder::NONE, 0.0);
+        let mut c = HotPathController::new(ControllerConfig {
+            min_sort_spacing: 1,
+            ..ControllerConfig::default()
+        });
+        c.observe(Disorder::NONE);
         assert!(!c.should_sort());
         c.note_shuffle();
         assert!(c.should_sort());

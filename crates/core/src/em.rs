@@ -7,7 +7,7 @@
 //! unchanged — per-species [`crate::species::SpeciesArena`]s over the same
 //! SoA layout, the redundant 8-double E view for gathers, redundant
 //! per-corner ρ and **J** arenas for contiguous deposits — and the same
-//! `KernelPath`/`DepositPath` knobs drive the 2d3v kernels
+//! `DepositPath` knob drives the lane-blocked 2d3v kernels
 //! ([`crate::kernels::boris`], [`crate::kernels::current`]).
 //!
 //! Velocities are stored in *physical* units throughout (no §IV-D
@@ -18,23 +18,22 @@
 //! cells.
 //!
 //! Determinism contract: trajectories depend only on the config and the
-//! executing pool *width*, exactly as in the electrostatic driver, and the
-//! `Exact` deposit path over `Scalar`/`Lanes` kernels is bit-identical.
+//! executing pool *width*, exactly as in the electrostatic driver, and on
+//! the `Exact` deposit path a step is bit-identical to whole-array calls of
+//! the scalar reference kernels (`tests/integration_species.rs`).
 
 use crate::control::{self, ControllerConfig, HotPathController, SwitchEvent};
 use crate::fields::{Field2D, RedundantE, RedundantJ, RedundantRho};
 use crate::grid::Grid2D;
-use crate::kernels::accumulate;
 use crate::kernels::boris::{select_boris, BorisCoeffs};
-use crate::kernels::current;
 use crate::kernels::deposit::DepositPath;
-use crate::kernels::{position, simd, velocity};
-use crate::particles::InitialDistribution;
-use crate::pool::ThreadPool;
+use crate::kernels::{self, accumulate, current, simd, velocity, SoaViewMut};
+use crate::particles::{InitialDistribution, ParticlesSoA};
+use crate::pool::{ThreadPool, MAX_THREADS};
 use crate::resilience::checkpoint::{self as ckpt, EmSpeciesState, EmState};
 use crate::resilience::watchdog::{WatchdogConfig, WatchdogViolation};
 use crate::rng::Rng;
-use crate::sim::{AnyLayout, DiagSample, Diagnostics, KernelPath};
+use crate::sim::{push_in_layout, AnyLayout, DiagSample, Diagnostics, KernelPath, StripFn};
 use crate::species::{
     species_moments, split_species_mut, SpeciesArena, SpeciesDef, SpeciesMoments,
 };
@@ -42,7 +41,6 @@ use crate::PicError;
 use sfc::Ordering;
 use spectral::poisson::{PoissonSolver2D, SolveScratch};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Configuration of a multi-species 2d3v run.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,8 +65,6 @@ pub struct EmConfig {
     pub solve_e: bool,
     /// Cell ordering for the redundant structures.
     pub ordering: Ordering,
-    /// Scalar vs lane-blocked inner kernels.
-    pub kernel_path: KernelPath,
     /// Deposition kernel for both ρ and **J**.
     pub deposit_path: DepositPath,
     /// Sort every `sort_period` steps (0 = never).
@@ -82,10 +78,9 @@ pub struct EmConfig {
     /// `1/nranks` of *each* species; the per-step ρ/J reductions
     /// ([`EmSimulation::step_with_reduce`]) restore the global densities.
     pub replica: Option<(usize, usize)>,
-    /// Online adaptive hot-path control ([`crate::control`]) — same
-    /// semantics as [`crate::sim::PicConfig::controller`]: `Some` drives
-    /// the sort schedule from observed disorder and retunes the
-    /// kernel/deposit paths at sort boundaries.
+    /// Online sort-cadence control ([`crate::control`]) — same semantics
+    /// as [`crate::sim::PicConfig::controller`]: `Some` drives the sort
+    /// schedule from observed disorder.
     pub controller: Option<crate::control::ControllerConfig>,
 }
 
@@ -101,7 +96,6 @@ impl EmConfig {
             b0: [0.0; 3],
             solve_e: true,
             ordering: Ordering::Morton,
-            kernel_path: KernelPath::Lanes,
             deposit_path: DepositPath::LaneReduce,
             sort_period: 20,
             threads: 1,
@@ -250,7 +244,6 @@ impl EmConfig {
             b0: [0.0; 3],
             solve_e: true,
             ordering: cfg.ordering,
-            kernel_path: cfg.kernel_path,
             deposit_path: cfg.deposit_path,
             sort_period: cfg.sort_period,
             threads: cfg.threads,
@@ -476,10 +469,7 @@ impl EmSimulation {
             ),
             None => (Vec::new(), Vec::new()),
         };
-        let controller = cfg
-            .controller
-            .clone()
-            .map(|cc| HotPathController::new(cc, cfg.kernel_path));
+        let controller = cfg.controller.clone().map(HotPathController::new);
         Ok(Self {
             grid,
             layout,
@@ -668,13 +658,12 @@ impl EmSimulation {
         self.cfg.sort_period = period;
     }
 
-    /// Attach an online adaptive controller ([`crate::control`]) starting
-    /// from the currently active kernel path; the profile is also
-    /// recorded in the configuration so checkpoints fingerprint the
-    /// controller-enabled run.
+    /// Attach an online sort-cadence controller ([`crate::control`]); the
+    /// profile is also recorded in the configuration so checkpoints
+    /// fingerprint the controller-enabled run.
     pub fn enable_controller(&mut self, ccfg: ControllerConfig) {
         self.cfg.controller = Some(ccfg.clone());
-        self.controller = Some(HotPathController::new(ccfg, self.cfg.kernel_path));
+        self.controller = Some(HotPathController::new(ccfg));
     }
 
     /// The attached adaptive controller, if any.
@@ -682,13 +671,10 @@ impl EmSimulation {
         self.controller.as_ref()
     }
 
-    /// Drain the hot-path switch events applied since the last call
-    /// (empty when no controller is attached).
+    /// Shim for `benchmark/`: always empty, like
+    /// [`crate::sim::Simulation::take_hot_path_events`].
     pub fn take_hot_path_events(&mut self) -> Vec<SwitchEvent> {
-        self.controller
-            .as_mut()
-            .map(|c| c.take_events())
-            .unwrap_or_default()
+        Vec::new()
     }
 
     // ---------------- stepping ----------------
@@ -725,26 +711,20 @@ impl EmSimulation {
         };
         if sort_now {
             self.sort_all();
-            // Hot-path decisions commit only at sort boundaries (same
-            // bit-exactness contract as the electrostatic driver).
             if let Some(c) = self.controller.as_mut() {
-                self.cfg.kernel_path = c.on_sort(self.step_count as u64);
+                c.on_sort();
             }
         }
-        let t = self.controller.is_some().then(Instant::now);
         self.push_velocities();
         self.push_positions();
         self.deposit_rho();
         self.deposit_current();
-        if let Some(t) = t {
-            self.observe_controller(t.elapsed().as_secs_f64());
-        }
+        self.observe_controller();
     }
 
-    /// Feed the attached controller this step's observables: the
-    /// count-weighted mean disorder across the species arenas and the
-    /// particle-loop wall seconds.
-    fn observe_controller(&mut self, secs: f64) {
+    /// Feed the attached controller this step's observable: the
+    /// count-weighted mean disorder across the species arenas.
+    fn observe_controller(&mut self) {
         let Some(c) = self.controller.as_mut() else {
             return;
         };
@@ -775,7 +755,7 @@ impl EmSimulation {
         } else {
             control::Disorder::NONE
         };
-        c.observe(d, secs);
+        c.observe(d);
     }
 
     /// Second half of a step: field solve on the (reduced) ρ, redundant
@@ -813,7 +793,7 @@ impl EmSimulation {
     /// (physical units, so the same `e8` serves all species), rotation by
     /// the per-species hoisted constants.
     fn push_velocities(&mut self) {
-        let kernel = select_boris(self.cfg.kernel_path);
+        let kernel = select_boris(KernelPath::Lanes);
         let e8 = &self.e8.e8;
         for (arena, coeffs) in self.species.iter_mut().zip(&self.boris) {
             match &self.pool {
@@ -845,83 +825,19 @@ impl EmSimulation {
     fn push_positions(&mut self) {
         let scale = self.cfg.dt / self.grid.dx();
         let (ncx, ncy) = (self.grid.ncx, self.grid.ncy);
-        let lanes = self.cfg.kernel_path == KernelPath::Lanes;
+        let pool = self.pool.as_deref();
+        let push_row_major = |v: &mut SoaViewMut<'_>| {
+            simd::update_positions_branchless_lanes(
+                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
+            )
+        };
         for arena in &mut self.species {
             let p = &mut arena.p;
-            if let Some(pool) = &self.pool {
-                let mut views = split_species_mut(p, &mut arena.vz, pool.nthreads());
-                macro_rules! pooled_layout {
-                    ($l:expr) => {{
-                        let l = $l;
-                        pool.run_items(&mut views, |_, v| {
-                            if lanes {
-                                simd::update_positions_branchless_layout_lanes(
-                                    v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, l, scale,
-                                );
-                            } else {
-                                position::update_positions_branchless_layout(
-                                    v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, l, scale,
-                                );
-                            }
-                        });
-                    }};
-                }
-                match &self.layout {
-                    AnyLayout::RowMajor(_) => pool.run_items(&mut views, |_, v| {
-                        if lanes {
-                            simd::update_positions_branchless_lanes(
-                                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
-                            );
-                        } else {
-                            position::update_positions_branchless(
-                                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
-                            );
-                        }
-                    }),
-                    AnyLayout::L4D(l) => pooled_layout!(l),
-                    AnyLayout::Morton(l) => pooled_layout!(l),
-                    AnyLayout::Hilbert(l) => pooled_layout!(l),
-                }
-                continue;
-            }
-            let crate::particles::ParticlesSoA {
-                icell,
-                ix,
-                iy,
-                dx,
-                dy,
-                vx,
-                vy,
-            } = p;
-            macro_rules! push_layout {
-                ($l:expr) => {{
-                    let l = $l;
-                    if lanes {
-                        simd::update_positions_branchless_layout_lanes(
-                            icell, ix, iy, dx, dy, vx, vy, l, scale,
-                        );
-                    } else {
-                        position::update_positions_branchless_layout(
-                            icell, ix, iy, dx, dy, vx, vy, l, scale,
-                        );
-                    }
-                }};
-            }
             match &self.layout {
-                AnyLayout::RowMajor(_) => {
-                    if lanes {
-                        simd::update_positions_branchless_lanes(
-                            icell, ix, iy, dx, dy, vx, vy, ncx, ncy, scale,
-                        );
-                    } else {
-                        position::update_positions_branchless(
-                            icell, ix, iy, dx, dy, vx, vy, ncx, ncy, scale,
-                        );
-                    }
-                }
-                AnyLayout::L4D(l) => push_layout!(l),
-                AnyLayout::Morton(l) => push_layout!(l),
-                AnyLayout::Hilbert(l) => push_layout!(l),
+                AnyLayout::RowMajor(_) => push_store(p, pool, &push_row_major),
+                AnyLayout::L4D(l) => push_store(p, pool, &push_in_layout(l, scale)),
+                AnyLayout::Morton(l) => push_store(p, pool, &push_in_layout(l, scale)),
+                AnyLayout::Hilbert(l) => push_store(p, pool, &push_in_layout(l, scale)),
             }
         }
     }
@@ -963,15 +879,12 @@ impl EmSimulation {
                         &mut self.rho_arenas,
                         w,
                         self.cfg.deposit_path,
-                        self.cfg.kernel_path,
+                        KernelPath::Lanes,
                     );
                 }
                 None => {
                     let arena = &self.species[si];
-                    crate::kernels::deposit::select_kernel(
-                        self.cfg.deposit_path,
-                        self.cfg.kernel_path,
-                    )(
+                    kernels::deposit::select_kernel(self.cfg.deposit_path, KernelPath::Lanes)(
                         &arena.p.icell,
                         &arena.p.dx,
                         &arena.p.dy,
@@ -1006,12 +919,12 @@ impl EmSimulation {
                         &mut self.j_arenas,
                         w,
                         self.cfg.deposit_path,
-                        self.cfg.kernel_path,
+                        KernelPath::Lanes,
                     );
                 }
                 None => {
                     let arena = &self.species[si];
-                    current::select_current_kernel(self.cfg.deposit_path, self.cfg.kernel_path)(
+                    current::select_current_kernel(self.cfg.deposit_path, KernelPath::Lanes)(
                         &arena.p.icell,
                         &arena.p.dx,
                         &arena.p.dy,
@@ -1076,7 +989,6 @@ impl EmSimulation {
             rng_state: self.rng.state(),
             charge_ref: self.charge_ref,
             hot_path: ckpt::HotPathMeta {
-                kernel_path: self.cfg.kernel_path,
                 deposit_path: self.cfg.deposit_path,
                 sort_period: self.cfg.sort_period as u64,
                 controller: self
@@ -1143,15 +1055,11 @@ impl EmSimulation {
                 nc.restore_state(&state.hot_path.controller)?;
                 Some(nc)
             }
-            Some(c) => Some(HotPathController::new(
-                c.config().clone(),
-                state.hot_path.kernel_path,
-            )),
+            Some(c) => Some(HotPathController::new(c.config().clone())),
             None => None,
         };
         // Adopt the hot-path metadata so the resumed run continues from
-        // the controller's (or a `set_*` call's) last decision.
-        self.cfg.kernel_path = state.hot_path.kernel_path;
+        // a `set_*` call's last setting.
         self.cfg.deposit_path = state.hot_path.deposit_path;
         self.cfg.sort_period = state.hot_path.sort_period as usize;
         self.controller = restored_ctrl;
@@ -1258,6 +1166,21 @@ impl EmSimulation {
     }
 }
 
+/// Push a whole store with `push`, one [`chunk_range`](crate::pool::chunk_range)
+/// chunk per pool worker.
+fn push_store(p: &mut ParticlesSoA, pool: Option<&ThreadPool>, push: &StripFn<'_>) {
+    let nw = pool.map_or(1, ThreadPool::nthreads);
+    let mut views: [Option<SoaViewMut<'_>>; MAX_THREADS] = [const { None }; MAX_THREADS];
+    let nv = kernels::split_soa_mut_into(p, nw, &mut views);
+    let run = |_: usize, v: &mut Option<SoaViewMut<'_>>| {
+        push(v.as_mut().expect("view slot filled"));
+    };
+    match pool {
+        Some(pool) => pool.run_items(&mut views[..nv], run),
+        None => run(0, &mut views[0]),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1279,28 +1202,6 @@ mod tests {
         assert_eq!(sim.species().len(), 2);
         assert_eq!(sim.diagnostics().history.len(), 6);
         assert!(sim.scan_violation(&WatchdogConfig::default()).is_none());
-    }
-
-    #[test]
-    fn kernel_paths_bit_identical_on_exact_deposit() {
-        let mut a = tiny(400);
-        a.deposit_path = DepositPath::Exact;
-        a.kernel_path = KernelPath::Scalar;
-        let mut b = a.clone();
-        b.kernel_path = KernelPath::Lanes;
-        let mut sa = EmSimulation::new(a).unwrap();
-        let mut sb = EmSimulation::new(b).unwrap();
-        sa.run(10);
-        sb.run(10);
-        for (x, y) in sa.species().iter().zip(sb.species()) {
-            assert_eq!(x.p.vx, y.p.vx);
-            assert_eq!(x.p.vy, y.p.vy);
-            assert_eq!(x.vz, y.vz);
-            assert_eq!(x.p.icell, y.p.icell);
-        }
-        assert_eq!(sa.rho(), sb.rho());
-        assert_eq!(sa.j_field().0, sb.j_field().0);
-        assert_eq!(sa.j_field().2, sb.j_field().2);
     }
 
     #[test]

@@ -53,9 +53,6 @@ pub enum FaultKind {
     Quarantine,
     /// A job was evicted from the admission queue under overload.
     Shed,
-    /// The adaptive hot-path controller switched a kernel or deposit path
-    /// at a sort boundary ([`crate::control`]).
-    Adapt,
 }
 
 impl FaultKind {
@@ -78,7 +75,6 @@ impl FaultKind {
             FaultKind::Preempt => "preempt",
             FaultKind::Quarantine => "quarantine",
             FaultKind::Shed => "shed",
-            FaultKind::Adapt => "adapt",
         }
     }
 }

@@ -159,6 +159,11 @@ pub fn update_positions_branchless_lanes(
 /// arithmetic vectorizes; `layout.encode` stays scalar per lane (the same
 /// extra cost Table III charges the SFC orderings). Bit-identical to
 /// [`super::position::update_positions_branchless_layout`].
+///
+/// Kept out of line: per layout its one production caller is a strip
+/// closure, and folded into that the push would show up in profiles and
+/// symbol tables under a closure's name.
+#[inline(never)]
 pub fn update_positions_branchless_layout_lanes<L: CellLayout>(
     icell: &mut [u32],
     ix: &mut [u32],

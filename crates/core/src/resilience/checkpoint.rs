@@ -11,11 +11,12 @@
 //! step_count       u64
 //! rng_state        4×u64 xoshiro256++ stream position
 //! charge_ref       f64   total-charge reference for the watchdog
-//! kernel_path      u32   active hot-path knobs at capture time — metadata,
-//! deposit_path     u32   not fingerprint: the adaptive controller may have
-//! sort_period      u64   moved them off the configured defaults, and a
-//! ctrl_len, ctrl   u64+n restored run must resume the last decision (plus
-//!                        the controller's serialized decision state)
+//! kernel_path      u32   retired slot: written 1 (lanes), 0/1 read and ignored
+//! deposit_path     u32   active hot-path knobs at capture time — metadata,
+//! sort_period      u64   not fingerprint: a `set_*` call may have moved them
+//! ctrl_len, ctrl   u64+n off the configured defaults, and a restored run
+//!                        must resume them (plus the sort-cadence
+//!                        controller's serialized decision state)
 //! n_particles      u64
 //! icell,ix,iy      3×n×u32
 //! dx,dy,vx,vy      4×n×f64
@@ -33,7 +34,7 @@
 //! silently corrupting a resumed run.
 
 use crate::particles::ParticlesSoA;
-use crate::sim::{DepositPath, DiagSample, KernelPath};
+use crate::sim::{DepositPath, DiagSample};
 use crate::PicError;
 
 /// Current snapshot format version. Bumped on any layout change; decoding
@@ -45,17 +46,14 @@ pub const FORMAT_VERSION: u32 = 2;
 const MAGIC: [u8; 8] = *b"PIC2DCKP";
 
 /// Active hot-path knobs at capture time, carried as snapshot *metadata*
-/// rather than folded into the config fingerprint: the adaptive controller
-/// ([`crate::control::HotPathController`]) may have moved the kernel,
-/// deposit, or sort period off the configured defaults, and a restored run
-/// must resume the controller's last decision instead of silently
+/// rather than folded into the config fingerprint: a `set_deposit_path` /
+/// `set_sort_period` call may have moved them off the configured defaults,
+/// and a restored run must resume the last setting instead of silently
 /// reverting. `controller` is the serialized decision state
 /// ([`crate::control::HotPathController::encode_state`]); empty when no
 /// controller is attached.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HotPathMeta {
-    /// Kernel path in effect when the snapshot was captured.
-    pub kernel_path: KernelPath,
     /// Deposit path in effect when the snapshot was captured.
     pub deposit_path: DepositPath,
     /// Sort period in effect (the legacy fixed cadence; ignored while a
@@ -65,29 +63,16 @@ pub struct HotPathMeta {
     pub controller: Vec<u8>,
 }
 
-impl HotPathMeta {
-    /// Metadata for a config-driven run (no adaptation has happened).
-    pub fn fixed(kernel_path: KernelPath, deposit_path: DepositPath, sort_period: u64) -> Self {
-        Self {
-            kernel_path,
-            deposit_path,
-            sort_period,
-            controller: Vec::new(),
-        }
-    }
-}
+/// What the retired kernel-path slot is written as: the code `Lanes` had,
+/// so snapshots keep the bytes (and hashes) they always had.
+const KERNEL_SLOT_LANES: u32 = 1;
 
-fn kernel_code(p: KernelPath) -> u32 {
-    match p {
-        KernelPath::Scalar => 0,
-        KernelPath::Lanes => 1,
-    }
-}
-
-fn kernel_from_code(c: u32) -> Result<KernelPath, PicError> {
+/// The kernel-path slot once said which of two bit-identical kernel arms
+/// was running; both codes (0 scalar, 1 lanes) restore to the same bytes,
+/// so they are accepted and dropped. Anything else is corruption.
+fn check_kernel_slot(c: u32) -> Result<(), PicError> {
     match c {
-        0 => Ok(KernelPath::Scalar),
-        1 => Ok(KernelPath::Lanes),
+        0 | KERNEL_SLOT_LANES => Ok(()),
         _ => Err(PicError::Checkpoint(format!(
             "snapshot has unknown kernel-path code {c}"
         ))),
@@ -227,7 +212,7 @@ fn put_f64_slice(buf: &mut Vec<u8>, s: &[f64]) {
 }
 
 fn put_hot_path(buf: &mut Vec<u8>, hp: &HotPathMeta) {
-    put_u32(buf, kernel_code(hp.kernel_path));
+    put_u32(buf, KERNEL_SLOT_LANES);
     put_u32(buf, deposit_code(hp.deposit_path));
     put_u64(buf, hp.sort_period);
     put_u64(buf, hp.controller.len() as u64);
@@ -374,13 +359,12 @@ impl<'a> Reader<'a> {
     }
 
     fn hot_path(&mut self) -> Result<HotPathMeta, PicError> {
-        let kernel_path = kernel_from_code(self.u32()?)?;
+        check_kernel_slot(self.u32()?)?;
         let deposit_path = deposit_from_code(self.u32()?)?;
         let sort_period = self.u64()?;
         let n = self.len_prefix(1)?;
         let controller = self.take(n)?.to_vec();
         Ok(HotPathMeta {
-            kernel_path,
             deposit_path,
             sort_period,
             controller,
@@ -493,13 +477,11 @@ pub fn decode(bytes: &[u8]) -> Result<SimState, PicError> {
 
 /// Fingerprint a configuration over an explicit canonical field list:
 /// every knob that shapes the physics or the data layout. The hot-path
-/// knobs — `kernel_path`, `deposit_path`, `sort_period` — are deliberately
-/// *excluded* since snapshot format v2: the adaptive controller
-/// ([`crate::control::HotPathController`]) retunes them at runtime, and a
-/// checkpoint taken mid-adaptation must restore into the same job (the
-/// active values travel as [`HotPathMeta`] instead). The controller
-/// *profile* is included — it shapes the sort schedule and therefore the
-/// trajectory. `threads` stays excluded: it only partitions work across
+/// knobs — `deposit_path`, `sort_period` — are deliberately *excluded*
+/// since snapshot format v2: they can be retuned at runtime, and a
+/// checkpoint taken afterwards must restore into the same job (the active
+/// values travel as [`HotPathMeta`] instead). The controller *profile* is
+/// included — it shapes the sort schedule and therefore the trajectory. `threads` stays excluded: it only partitions work across
 /// the pool without changing what is computed, so a checkpoint written on
 /// an 8-thread run restores into a 1-thread run (and a shrunken
 /// distributed survivor can adopt a dead rank's snapshot regardless of its
@@ -752,8 +734,8 @@ pub fn decode_em(bytes: &[u8]) -> Result<EmState, PicError> {
 /// two worlds that differ in any species never share a fingerprint and
 /// snapshots can never cross-restore between them. `threads` is excluded
 /// for the same portability reason as the legacy fingerprint, and the
-/// hot-path knobs (`kernel_path`/`deposit_path`/`sort_period`) are
-/// excluded for the same adaptive-restore reason as
+/// hot-path knobs (`deposit_path`/`sort_period`) are excluded for the same
+/// retune-then-restore reason as
 /// [`config_fingerprint`] — they travel as [`HotPathMeta`] instead, while
 /// the controller profile (which shapes the sort schedule) is covered.
 pub fn em_config_fingerprint(cfg: &crate::em::EmConfig) -> u64 {
@@ -807,7 +789,6 @@ mod tests {
             rng_state: [1, 2, 3, 4],
             charge_ref: -1024.0,
             hot_path: HotPathMeta {
-                kernel_path: KernelPath::Lanes,
                 deposit_path: DepositPath::LaneReduce,
                 sort_period: 17,
                 controller: vec![0xA5, 0x5A, 0x3C, 0xC3],
@@ -907,16 +888,14 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_hot_path_knobs() {
-        // The adaptive controller retunes kernel/deposit/sort-period at
-        // runtime; since format v2 they are snapshot metadata, not config
-        // identity — a checkpoint taken mid-adaptation restores into the
-        // job that configured it.
+        // Deposit path and sort period can be retuned at runtime; since
+        // format v2 they are snapshot metadata, not config identity — a
+        // checkpoint taken afterwards restores into the job that
+        // configured it.
         let mut a = crate::sim::PicConfig::landau_table1(1000);
-        a.kernel_path = crate::sim::KernelPath::Scalar;
         a.deposit_path = crate::sim::DepositPath::Exact;
         a.sort_period = 10;
         let mut b = a.clone();
-        b.kernel_path = crate::sim::KernelPath::Lanes;
         b.deposit_path = crate::sim::DepositPath::LaneReduce;
         b.sort_period = 50;
         assert_eq!(config_fingerprint(&a), config_fingerprint(&b));
@@ -929,7 +908,7 @@ mod tests {
         // so it is part of config identity.
         let a = crate::sim::PicConfig::landau_table1(1000);
         let mut b = a.clone();
-        b.controller = Some(crate::control::ControllerConfig::deterministic());
+        b.controller = Some(crate::control::ControllerConfig::default());
         assert_ne!(config_fingerprint(&a), config_fingerprint(&b));
     }
 
@@ -938,10 +917,18 @@ mod tests {
         let s = sample_state();
         let t = decode(&encode(&s)).unwrap();
         assert_eq!(t.hot_path, s.hot_path);
-        // Unknown path codes are rejected even with a valid checksum.
+        // The retired kernel slot is written as the lanes code; a snapshot
+        // a build with the scalar arm wrote (code 0) decodes to the same
+        // state.
         let mut bytes = encode(&s);
-        bytes[68..72].copy_from_slice(&7u32.to_le_bytes()); // kernel code
         let n = bytes.len();
+        assert_eq!(bytes[68..72], 1u32.to_le_bytes());
+        bytes[68..72].copy_from_slice(&0u32.to_le_bytes());
+        let sum = snapshot_hash(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(decode(&bytes).unwrap(), s);
+        // Unknown path codes are rejected even with a valid checksum.
+        bytes[68..72].copy_from_slice(&7u32.to_le_bytes()); // kernel code
         let sum = snapshot_hash(&bytes[..n - 8]);
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
         let err = decode(&bytes).unwrap_err();

@@ -9,12 +9,13 @@
 //! grid arrays, the fused loop, the naive pushes) are reference code in
 //! `pic_bench::reference`, not options here.
 //!
-//! [`PicConfig`] keeps the three hot-path knobs production callers set to
-//! different values: `kernel_path` (scalar vs lane-blocked loops,
-//! bit-identical, retuned online by [`crate::control`]), `deposit_path`
-//! (`Exact` for bit-reproducible ρ, `LaneReduce` for speed) and `hoisted`
-//! (§IV-D; the unhoisted form keeps physical velocity units) — plus the
-//! cell `ordering`.
+//! [`PicConfig`] keeps the two hot-path knobs production callers set to
+//! different values: `deposit_path` (`Exact` for bit-reproducible ρ,
+//! `LaneReduce` for speed) and `hoisted` (§IV-D; the unhoisted form keeps
+//! physical velocity units) — plus the cell `ordering`. The kick and the
+//! push are the lane-blocked kernels ([`crate::kernels::simd`])
+//! unconditionally; the only thing found at run time is when to sort
+//! ([`crate::control`]).
 //!
 //! ## Units
 //!
@@ -29,7 +30,7 @@
 use crate::control::{self, ControllerConfig, HotPathController, SwitchEvent};
 use crate::fields::{Field2D, RedundantE, RedundantRho};
 use crate::grid::Grid2D;
-use crate::kernels::{self, accumulate, deposit, position, simd, velocity, SoaViewMut};
+use crate::kernels::{self, accumulate, deposit, simd, velocity, SoaViewMut};
 use crate::particles::{self, InitialDistribution, ParticlesSoA};
 use crate::pool::{chunk_range, ThreadPool, MAX_THREADS};
 use crate::resilience::checkpoint::{self as ckpt};
@@ -46,7 +47,12 @@ pub const QE: f64 = -1.0;
 /// Electron mass in normalized units.
 pub const ME: f64 = 1.0;
 
-/// Instruction shape of the optimized inner kernels.
+/// Instruction shape of the optimized inner kernels — the argument of the
+/// kernel selectors ([`deposit::select_kernel`],
+/// [`crate::kernels::boris::select_boris`],
+/// [`crate::kernels::current::select_current_kernel`]), not a run option:
+/// both drivers run `Lanes`, and `Scalar` is the reference the parity tests
+/// and `pic_bench::reference` compare against.
 ///
 /// Both paths compute the same per-particle expressions in the same order,
 /// so their results are bit-identical; they differ only in how the loops
@@ -281,8 +287,6 @@ pub struct PicConfig {
     pub distribution: InitialDistribution,
     /// Cell ordering for the redundant structures.
     pub ordering: Ordering,
-    /// Scalar vs explicit lane-blocked inner kernels.
-    pub kernel_path: KernelPath,
     /// Which deposition kernel the streaming pass runs. `Exact` preserves
     /// the scalar accumulation order bit-for-bit; the reassociated
     /// [`DepositPath::LaneReduce`] stays within the per-cell FP bound of
@@ -311,13 +315,12 @@ pub struct PicConfig {
     /// a contiguous range of the SFC cell ordering instead of a fixed index
     /// slice of the particle population. `None` keeps everything.
     pub keep_cells: Option<(u32, u32)>,
-    /// Online adaptive hot-path control ([`crate::control`]). `Some`
-    /// attaches a [`HotPathController`] that drives the sort schedule from
-    /// the observed particle disorder and retunes
-    /// `kernel_path`/`deposit_path` at sort boundaries; `None` keeps the
-    /// fixed `sort_period` cadence and the configured paths. The profile
-    /// is part of the checkpoint fingerprint (it shapes the trajectory);
-    /// the knobs it moves travel as snapshot metadata.
+    /// Online sort-cadence control ([`crate::control`]). `Some` attaches a
+    /// [`HotPathController`] that drives the sort schedule from the
+    /// observed particle disorder; `None` keeps the fixed `sort_period`
+    /// cadence. The profile is part of the checkpoint fingerprint (it
+    /// shapes the trajectory); its decision state travels as snapshot
+    /// metadata.
     pub controller: Option<crate::control::ControllerConfig>,
 }
 
@@ -336,7 +339,6 @@ impl PicConfig {
             dt: 0.05,
             distribution: InitialDistribution::Landau { alpha: 0.01, k },
             ordering: Ordering::Morton,
-            kernel_path: KernelPath::Lanes,
             deposit_path: DepositPath::LaneReduce,
             hoisted: true,
             sort_period: 20,
@@ -429,9 +431,8 @@ pub struct Simulation {
     sort_arena: sort::SortArena,
     /// Reusable spectral workspaces for the per-step Poisson solve.
     solve_scratch: SolveScratch,
-    /// Online adaptive controller (present when `cfg.controller` is set):
-    /// drives the sort schedule from observed disorder and retunes the
-    /// kernel path at sort boundaries.
+    /// Online sort-cadence controller (present when `cfg.controller` is
+    /// set): drives the sort schedule from observed disorder.
     controller: Option<HotPathController>,
     /// `Σ|v|²` (physical units) summed inside the last streaming pass, kept
     /// for the diagnostics sample that ends the step. Every `&mut` route to
@@ -527,10 +528,7 @@ impl Simulation {
             None => Vec::new(),
         };
 
-        let controller = cfg
-            .controller
-            .clone()
-            .map(|cc| HotPathController::new(cc, cfg.kernel_path));
+        let controller = cfg.controller.clone().map(HotPathController::new);
 
         Ok(Self {
             // Deposition magnitude: macro-charge per unit area, so that the
@@ -769,7 +767,6 @@ impl Simulation {
     /// largest single cost of the resilient step loop.
     pub fn checkpoint(&self) -> Vec<u8> {
         let hot_path = ckpt::HotPathMeta {
-            kernel_path: self.cfg.kernel_path,
             deposit_path: self.cfg.deposit_path,
             sort_period: self.cfg.sort_period as u64,
             controller: self
@@ -824,24 +821,20 @@ impl Simulation {
         // Resume the snapshot's controller decision state before adopting
         // anything (a bad blob must reject without touching live state).
         // An empty blob means the snapshot was taken without a controller:
-        // start this one fresh from the recorded knobs.
+        // start this one fresh.
         let restored_ctrl = match &self.controller {
             Some(c) if !st.hot_path.controller.is_empty() => {
                 let mut nc = c.clone();
                 nc.restore_state(&st.hot_path.controller)?;
                 Some(nc)
             }
-            Some(c) => Some(HotPathController::new(
-                c.config().clone(),
-                st.hot_path.kernel_path,
-            )),
+            Some(c) => Some(HotPathController::new(c.config().clone())),
             None => None,
         };
 
-        // Adopt the hot-path metadata: the controller (or a `set_*` call)
-        // may have moved these off the configured defaults, and a resumed
-        // run must continue from the last decision, not silently revert.
-        self.cfg.kernel_path = st.hot_path.kernel_path;
+        // Adopt the hot-path metadata: a `set_*` call may have moved these
+        // off the configured defaults, and a resumed run must continue from
+        // the last setting, not silently revert.
         self.cfg.deposit_path = st.hot_path.deposit_path;
         self.cfg.sort_period = st.hot_path.sort_period as usize;
         self.controller = restored_ctrl;
@@ -997,33 +990,24 @@ impl Simulation {
         };
         if sort_now {
             self.sort_particles();
-            // Hot-path decisions are committed only at sort boundaries, so
-            // `Exact`-path runs stay bit-exact between them and the deposit
-            // always sees freshly sorted runs.
             if let Some(c) = self.controller.as_mut() {
-                self.cfg.kernel_path = c.on_sort(self.step_count as u64);
+                c.on_sort();
             }
         }
 
         // Particle loops (lines 7–12).
-        let before = self.timers;
         self.particle_pass();
-        self.observe_controller(before);
+        self.observe_controller();
     }
 
-    /// Feed the attached controller this step's observables: the sampled
-    /// particle disorder and the particle-loop wall seconds (the timer
-    /// delta across the loops — sort ran before `before` was captured and
-    /// the solve/convert phases run after, so the delta is exactly the
-    /// kick/push/deposit time).
-    fn observe_controller(&mut self, before: PhaseTimes) {
+    /// Feed the attached controller this step's sampled particle disorder.
+    fn observe_controller(&mut self) {
         let Some(c) = self.controller.as_mut() else {
             return;
         };
-        let secs = self.timers.total() - before.total();
         let stride = c.config().stride;
         let d = control::measure_disorder(&self.particles.icell, stride, self.grid.ncells());
-        c.observe(d, secs);
+        c.observe(d);
     }
 
     /// Second half of a step: Poisson solve on the (reduced) ρ and
@@ -1078,13 +1062,12 @@ impl Simulation {
         self.cfg.sort_period = period;
     }
 
-    /// Attach an online adaptive controller ([`crate::control`]) starting
-    /// from the currently active kernel path. Also records the
-    /// profile in the configuration, so subsequent checkpoints fingerprint
-    /// the controller-enabled run.
+    /// Attach an online sort-cadence controller ([`crate::control`]). Also
+    /// records the profile in the configuration, so subsequent checkpoints
+    /// fingerprint the controller-enabled run.
     pub fn enable_controller(&mut self, ccfg: ControllerConfig) {
         self.cfg.controller = Some(ccfg.clone());
-        self.controller = Some(HotPathController::new(ccfg, self.cfg.kernel_path));
+        self.controller = Some(HotPathController::new(ccfg));
     }
 
     /// The attached adaptive controller, if any.
@@ -1092,15 +1075,11 @@ impl Simulation {
         self.controller.as_ref()
     }
 
-    /// Drain the hot-path switch events applied since the last call
-    /// (empty when no controller is attached). Drivers ledger these
-    /// through [`crate::faultlog::FaultLog`] /
-    /// [`crate::diag::DiagStream`].
+    /// Shim for `benchmark/`: always empty — no hot path is switched at
+    /// run time ([`SwitchEvent`] is uninhabited). Goes with the paired
+    /// `[benchmark]` issue that stops calling it.
     pub fn take_hot_path_events(&mut self) -> Vec<SwitchEvent> {
-        self.controller
-            .as_mut()
-            .map(|c| c.take_events())
-            .unwrap_or_default()
+        Vec::new()
     }
 
     /// Tell the attached controller that an external mechanism (rank
@@ -1138,10 +1117,9 @@ impl Simulation {
     }
 
     /// The particle loops as one streaming pass ([`strip_pass`]): every
-    /// `hoisted × KernelPath × layout × DepositPath` combination runs the
-    /// same strip driver over its selected kernels.
+    /// `hoisted × layout × DepositPath` combination runs the same strip
+    /// driver over its selected lane kernels.
     fn particle_pass(&mut self) {
-        let lanes = self.cfg.kernel_path == KernelPath::Lanes;
         let hoisted = self.cfg.hoisted;
         let (coeff_x, coeff_y, unhoisted_scale) = self.unhoisted_coeffs();
         let scale = if hoisted { 1.0 } else { unhoisted_scale };
@@ -1149,32 +1127,21 @@ impl Simulation {
         let speed_scales = self.speed_scales();
 
         let e8 = &self.e8.e8;
-        let kick = |v: &mut SoaViewMut<'_>| match (hoisted, lanes) {
-            (true, true) => {
+        let kick = |v: &mut SoaViewMut<'_>| {
+            if hoisted {
                 simd::update_velocities_redundant_hoisted_lanes(v.icell, v.dx, v.dy, v.vx, v.vy, e8)
+            } else {
+                simd::update_velocities_redundant_lanes(
+                    v.icell, v.dx, v.dy, v.vx, v.vy, e8, coeff_x, coeff_y,
+                )
             }
-            (true, false) => {
-                velocity::update_velocities_redundant_hoisted(v.icell, v.dx, v.dy, v.vx, v.vy, e8)
-            }
-            (false, true) => simd::update_velocities_redundant_lanes(
-                v.icell, v.dx, v.dy, v.vx, v.vy, e8, coeff_x, coeff_y,
-            ),
-            (false, false) => velocity::update_velocities_redundant(
-                v.icell, v.dx, v.dy, v.vx, v.vy, e8, coeff_x, coeff_y,
-            ),
         };
         let push_row_major = |v: &mut SoaViewMut<'_>| {
-            if lanes {
-                simd::update_positions_branchless_lanes(
-                    v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
-                )
-            } else {
-                position::update_positions_branchless(
-                    v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
-                )
-            }
+            simd::update_positions_branchless_lanes(
+                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
+            )
         };
-        let deposit = deposit::select_kernel(self.cfg.deposit_path, self.cfg.kernel_path);
+        let deposit = deposit::select_kernel(self.cfg.deposit_path, KernelPath::Lanes);
         let weight = self.wq * QE.signum();
 
         let (particles, pool) = (&mut self.particles, self.pool.as_deref());
@@ -1191,9 +1158,9 @@ impl Simulation {
         };
         let speed_sq = match &self.layout {
             AnyLayout::RowMajor(_) => pass(&push_row_major),
-            AnyLayout::L4D(l) => pass(&push_in_layout(l, lanes, scale)),
-            AnyLayout::Morton(l) => pass(&push_in_layout(l, lanes, scale)),
-            AnyLayout::Hilbert(l) => pass(&push_in_layout(l, lanes, scale)),
+            AnyLayout::L4D(l) => pass(&push_in_layout(l, scale)),
+            AnyLayout::Morton(l) => pass(&push_in_layout(l, scale)),
+            AnyLayout::Hilbert(l) => pass(&push_in_layout(l, scale)),
         };
         self.pass_speed_sq = Some(speed_sq);
 
@@ -1288,7 +1255,7 @@ pub const STRIP: usize = 8192;
 const _: () = assert!(STRIP.is_multiple_of(simd::LANES));
 
 /// A kernel applied to one strip of particles.
-type StripFn<'a> = dyn Fn(&mut SoaViewMut<'_>) + Sync + 'a;
+pub(crate) type StripFn<'a> = dyn Fn(&mut SoaViewMut<'_>) + Sync + 'a;
 
 /// The kernels one streaming pass runs on every strip, selected once per
 /// step; dispatch is per strip, so it costs nothing per particle.
@@ -1433,21 +1400,14 @@ fn strip_pass(
 }
 
 /// The push kernel for one strip under a space-filling-curve layout.
-fn push_in_layout<'l, L: CellLayout + Sync>(
+pub(crate) fn push_in_layout<'l, L: CellLayout + Sync>(
     layout: &'l L,
-    lanes: bool,
     scale: f64,
 ) -> impl Fn(&mut SoaViewMut<'_>) + Sync + 'l {
     move |v| {
-        if lanes {
-            simd::update_positions_branchless_layout_lanes(
-                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
-            )
-        } else {
-            position::update_positions_branchless_layout(
-                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
-            )
-        }
+        simd::update_positions_branchless_layout_lanes(
+            v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
+        )
     }
 }
 

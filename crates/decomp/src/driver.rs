@@ -465,21 +465,6 @@ impl DecomposedSimulation {
         let t0 = self.tag0(comm);
         let res = self.step_inner(comm, t0);
         self.faults.ingest_transport(self.step, comm.take_events());
-        // Ledger this rank's adaptive hot-path switches (if a controller is
-        // enabled) alongside the transport events, so per-rank decision
-        // histories are auditable after the run.
-        for ev in self.sim.take_hot_path_events() {
-            self.faults.record(
-                ev.step,
-                self.rank,
-                comm.op_count(),
-                FaultKind::Adapt,
-                format!(
-                    "{} {} -> {} (disorder {:.3}, uniform {:.3}, period {})",
-                    ev.what, ev.from, ev.to, ev.disorder, ev.uniform, ev.period
-                ),
-            );
-        }
         res
     }
 
@@ -1069,13 +1054,12 @@ impl DecomposedSimulation {
         self.mode
     }
 
-    /// Enable the online adaptive hot-path controller on this rank's local
+    /// Enable the online sort-cadence controller on this rank's local
     /// simulation ([`pic_core::control`]). Decisions are strictly per-rank
-    /// — each rank tracks its own disorder and phase timings, so a rank
-    /// whose subdomain drifts can shorten its sort period without forcing
-    /// the quiet ranks to follow. Step counts stay collective, so the tag
-    /// schedule is untouched; every applied switch lands in
-    /// [`fault_log`](Self::fault_log) as [`FaultKind::Adapt`].
+    /// — each rank tracks its own disorder, so a rank whose subdomain
+    /// drifts can shorten its sort period without forcing the quiet ranks
+    /// to follow. Step counts stay collective, so the tag schedule is
+    /// untouched.
     pub fn enable_hot_path_controller(&mut self, ccfg: pic_core::control::ControllerConfig) {
         self.sim.enable_controller(ccfg);
     }

@@ -554,7 +554,6 @@ impl JobRuntime {
         }
         let t0 = Instant::now();
         let mut killed = false;
-        let mut adapt_events = Vec::new();
         {
             let pool = &self.pool;
             let job = &mut self.jobs[j];
@@ -586,15 +585,6 @@ impl JobRuntime {
                 if let Some(stream) = job.stream.as_mut() {
                     sim.record_stream(stream, id.0);
                 }
-                // Hot-path controller decisions stream next to the physics
-                // samples and are ledgered after the slice (the ledger
-                // lives outside this borrow).
-                for ev in sim.take_hot_path_events() {
-                    if let Some(stream) = job.stream.as_mut() {
-                        stream.record_adapt(Some(id.0), &ev);
-                    }
-                    adapt_events.push(ev);
-                }
             }
             if !killed {
                 // Corruption injections land at the checkpoint scan — the
@@ -619,19 +609,6 @@ impl JobRuntime {
         let elapsed = t0.elapsed();
 
         let id = self.jobs[j].id;
-        for ev in &adapt_events {
-            self.log.record_for_job(
-                id.0,
-                ev.step,
-                0,
-                0,
-                FaultKind::Adapt,
-                format!(
-                    "{} {} -> {} (disorder {:.3}, uniform {:.3}, period {})",
-                    ev.what, ev.from, ev.to, ev.disorder, ev.uniform, ev.period
-                ),
-            );
-        }
         for s in &stalls {
             self.log.record_for_job(
                 id.0,

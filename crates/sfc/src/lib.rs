@@ -49,14 +49,12 @@ mod linear;
 pub mod locality;
 mod morton;
 pub mod partition;
-pub mod three_d;
 
 pub use dilate::{contract_bits, contract_bits_lut, dilate_bits, dilate_bits_lut};
 pub use hilbert::Hilbert;
 pub use l4d::L4D;
 pub use linear::{ColMajor, RowMajor};
 pub use morton::{Morton, MortonLut};
-pub use three_d::{CellLayout3D, Hilbert3D, Morton3D, RowMajor3D};
 
 /// Error type for layout construction.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -72,7 +72,7 @@ cargo run --release -q -p pic-bench --bin bench_jobs || {
     cargo run --release -q -p pic-bench --bin bench_jobs
 }
 
-echo "==> species gate (2d3v scenarios: conservation, cyclotron vs analytic, lane parity)"
+echo "==> species gate (2d3v scenarios: conservation, cyclotron vs analytic, deposit parity)"
 # Physics gates are seeded and deterministic, but keep the standing
 # one-retry policy of the other release-binary gates.
 cargo run --release -q -p pic-bench --bin bench_species || {

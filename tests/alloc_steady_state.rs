@@ -11,7 +11,7 @@
 //! from any thread. The single test body serializes its phases so nothing
 //! else in the process can allocate while tracking is on.
 
-use pic_core::sim::{KernelPath, PicConfig, Simulation};
+use pic_core::sim::{PicConfig, Simulation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -53,13 +53,12 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Build a fully-optimized simulation, warm it past its first sort period,
 /// then count allocator calls over two further sort periods.
-fn steady_state_allocs(threads: usize, path: KernelPath) -> u64 {
+fn steady_state_allocs(threads: usize) -> u64 {
     let mut cfg = PicConfig::landau_table1(20_000);
     cfg.grid_nx = 32;
     cfg.grid_ny = 32;
     cfg.threads = threads;
     cfg.sort_period = 5;
-    cfg.kernel_path = path;
     let mut sim = Simulation::new(cfg).unwrap();
 
     // Measure two full sort periods. Warm-up first: at least one sort
@@ -80,15 +79,11 @@ fn steady_state_allocs(threads: usize, path: KernelPath) -> u64 {
 fn step_is_allocation_free_after_warmup() {
     // One test body: phases must not interleave with other allocating
     // tests, and a single #[test] in this binary guarantees that.
-    for (threads, path) in [
-        (1, KernelPath::Scalar),
-        (1, KernelPath::Lanes),
-        (2, KernelPath::Lanes),
-    ] {
-        let n = steady_state_allocs(threads, path);
+    for threads in [1, 2] {
+        let n = steady_state_allocs(threads);
         assert_eq!(
             n, 0,
-            "steady-state step allocated {n} times (threads={threads}, {path:?})"
+            "steady-state step allocated {n} times (threads={threads})"
         );
     }
 }

@@ -1,22 +1,22 @@
-//! End-to-end tests of the online adaptive hot-path controller: bit-exact
-//! checkpoint/restore of controller-driven runs, and resume of the recorded
-//! hot-path knobs.
+//! End-to-end tests of the online sort-cadence controller: bit-exact
+//! checkpoint/restore of controller-driven runs under the default profile,
+//! and resume of the recorded hot-path knobs.
 
 use pic2d::pic_core::control::ControllerConfig;
 use pic2d::pic_core::em::{EmConfig, EmSimulation};
-use pic2d::pic_core::sim::{DepositPath, KernelPath, PicConfig, Simulation};
+use pic2d::pic_core::sim::{DepositPath, PicConfig, Simulation};
 
-/// The deterministic profile with a sort every few steps, so short runs
-/// cross several controller-chosen sort boundaries.
+/// The default profile with a sort every few steps, so short runs cross
+/// several controller-chosen sort boundaries.
 fn fast_sorting() -> ControllerConfig {
     ControllerConfig {
         min_sort_spacing: 2,
         max_sort_spacing: 6,
-        ..ControllerConfig::deterministic()
+        ..ControllerConfig::default()
     }
 }
 
-/// A checkpoint taken mid-adaptation records the knobs active at that
+/// A checkpoint taken mid-window records the knobs active at that
 /// moment — here a deposit path switched at run time — as metadata;
 /// restoring into a simulation built from the *original* config resumes
 /// them, and the controller with them, instead of resetting.
@@ -75,6 +75,9 @@ fn restore_adopts_recorded_sort_period() {
         13,
         "restored run must resume the active sort period"
     );
+    sim.run(20);
+    resumed.run(20);
+    assert_eq!(sim.checkpoint(), resumed.checkpoint());
 }
 
 /// An Exact-path controller run never leaves the Exact deposit — the
@@ -86,7 +89,6 @@ fn pinned_exact_controller_stays_exact_and_restores_bitwise() {
     cfg.grid_nx = 32;
     cfg.grid_ny = 32;
     cfg.deposit_path = DepositPath::Exact;
-    cfg.kernel_path = KernelPath::Scalar;
     cfg.controller = Some(fast_sorting());
 
     let mut a = Simulation::new(cfg.clone()).unwrap();
@@ -102,7 +104,7 @@ fn pinned_exact_controller_stays_exact_and_restores_bitwise() {
     assert_eq!(a.checkpoint(), b.checkpoint());
 }
 
-/// The EM driver threads the same controller: a deterministic-controller
+/// The EM driver threads the same controller: a controller-driven
 /// multi-species run restores bit-identically from a mid-run checkpoint.
 #[test]
 fn em_controller_run_restores_bit_identically() {

@@ -4,7 +4,7 @@
 //! arrays, fused loop, naive pushes — are held to the same ρ by the oracle
 //! test in `pic_bench::reference`.)
 
-use pic2d::pic_core::sim::{DepositPath, KernelPath, PicConfig, Simulation};
+use pic2d::pic_core::sim::{DepositPath, PicConfig, Simulation};
 use pic2d::sfc::Ordering;
 
 fn base_cfg(n: usize) -> PicConfig {
@@ -24,27 +24,23 @@ fn rho_after(cfg: PicConfig, steps: usize) -> Vec<f64> {
 fn every_configuration_computes_the_same_physics() {
     // The paper's whole premise: the optimizations change performance, not
     // results. Every setting of the knobs `PicConfig` keeps — 4 orderings ×
-    // 2 kernel paths × 2 deposit paths × hoisted or not — must agree on ρ
-    // after 4 steps.
+    // 2 deposit paths × hoisted or not — must agree on ρ after 4 steps.
     let reference = rho_after(base_cfg(2_000), 4);
     for ordering in Ordering::paper_set() {
-        for kp in [KernelPath::Scalar, KernelPath::Lanes] {
-            for dp in [DepositPath::Exact, DepositPath::LaneReduce] {
-                for hoisted in [true, false] {
-                    let mut cfg = base_cfg(2_000);
-                    cfg.ordering = ordering;
-                    cfg.kernel_path = kp;
-                    cfg.deposit_path = dp;
-                    cfg.hoisted = hoisted;
-                    let rho = rho_after(cfg, 4);
-                    for i in 0..reference.len() {
-                        assert!(
-                            (rho[i] - reference[i]).abs() < 1e-8,
-                            "{ordering} {kp:?} {dp:?} hoisted={hoisted}: rho[{i}] = {} vs {}",
-                            rho[i],
-                            reference[i]
-                        );
-                    }
+        for dp in [DepositPath::Exact, DepositPath::LaneReduce] {
+            for hoisted in [true, false] {
+                let mut cfg = base_cfg(2_000);
+                cfg.ordering = ordering;
+                cfg.deposit_path = dp;
+                cfg.hoisted = hoisted;
+                let rho = rho_after(cfg, 4);
+                for i in 0..reference.len() {
+                    assert!(
+                        (rho[i] - reference[i]).abs() < 1e-8,
+                        "{ordering} {dp:?} hoisted={hoisted}: rho[{i}] = {} vs {}",
+                        rho[i],
+                        reference[i]
+                    );
                 }
             }
         }

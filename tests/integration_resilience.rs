@@ -4,11 +4,11 @@
 
 use pic2d::minimpi::{CommError, FaultPlan, World};
 use pic2d::pic_core::faultlog::{FaultKind, FaultLog};
-use pic2d::pic_core::resilience::checkpoint::{config_fingerprint, snapshot_hash};
+use pic2d::pic_core::resilience::checkpoint::snapshot_hash;
 use pic2d::pic_core::resilience::{
     run_resilient, run_resilient_distributed, DistConfig, WatchdogConfig,
 };
-use pic2d::pic_core::sim::{KernelPath, PicConfig, Simulation};
+use pic2d::pic_core::sim::{PicConfig, Simulation};
 use pic2d::pic_core::PicError;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -198,14 +198,12 @@ fn run_distributed(
     n: usize,
     steps: u64,
     ranks: usize,
-    path: KernelPath,
     plan: Option<FaultPlan>,
 ) -> Vec<(bool, usize, LogicalResults, FaultLog)> {
     let body = move |comm: &mut pic2d::minimpi::Comm| {
         let per = n / ranks;
         let make_cfg = move |id: usize| {
             let mut c = cfg(n);
-            c.kernel_path = path;
             c.keep_range = Some((id * per, (id + 1) * per));
             c
         };
@@ -250,7 +248,7 @@ fn merge_logical(outs: &[(bool, usize, LogicalResults, FaultLog)]) -> LogicalRes
     all
 }
 
-/// The acceptance scenario, swept over {Scalar, Lanes} × {1, 2, 4 ranks}. For multi-rank runs the
+/// The acceptance scenario, swept over {1, 2, 4 ranks}. For multi-rank runs the
 /// last rank is killed mid-run; the survivors must detect it, shrink,
 /// restore the dead rank's slice from the buddy checkpoint, and finish with
 /// ρ and diagnostics bit-exactly equal to the fault-free run. The 1-rank
@@ -263,60 +261,55 @@ fn crash_recovery_matrix_is_bit_exact() {
     // 4 ops per checkpointed step and 2 per plain step — op 13 lands in
     // step 3's reduction, one step past the committed step-2 checkpoint.
     let kill_op = 13;
-    for path in [KernelPath::Scalar, KernelPath::Lanes] {
-        let tag = format!("{path:?}");
+    // 1 rank: distributed runner ≡ plain simulation, bitwise.
+    let solo = run_distributed(n, steps, 1, None);
+    assert!(solo[0].0, "solo run survives");
+    let solo_results = merge_logical(&solo);
+    let mut c = cfg(n);
+    c.keep_range = Some((0, n));
+    let mut plain = Simulation::new(c).unwrap();
+    plain.run(steps as usize);
+    assert_eq!(
+        solo_results[&0].0,
+        plain.rho(),
+        "1-rank distributed run must equal the plain simulation"
+    );
 
-        // 1 rank: distributed runner ≡ plain simulation, bitwise.
-        let solo = run_distributed(n, steps, 1, path, None);
-        assert!(solo[0].0, "{tag}: solo run survives");
-        let solo_results = merge_logical(&solo);
-        let mut c = cfg(n);
-        c.kernel_path = path;
-        c.keep_range = Some((0, n));
-        let mut plain = Simulation::new(c).unwrap();
-        plain.run(steps as usize);
-        assert_eq!(
-            solo_results[&0].0,
-            plain.rho(),
-            "{tag}: 1-rank distributed run must equal the plain simulation"
+    for ranks in [2usize, 4] {
+        let clean = run_distributed(n, steps, ranks, None);
+        assert!(clean.iter().all(|o| o.0), "{ranks} ranks: all survive");
+        let clean_results = merge_logical(&clean);
+        assert_eq!(clean_results.len(), ranks);
+
+        let plan = FaultPlan::new(0xD1E).kill_rank(ranks - 1, kill_op);
+        let faulty = run_distributed(n, steps, ranks, Some(plan));
+        assert!(
+            !faulty[ranks - 1].0,
+            "{ranks} ranks: killed rank reports non-survivor"
         );
-
-        for ranks in [2usize, 4] {
-            let clean = run_distributed(n, steps, ranks, path, None);
-            assert!(clean.iter().all(|o| o.0), "{tag}/{ranks}: all survive");
-            let clean_results = merge_logical(&clean);
-            assert_eq!(clean_results.len(), ranks);
-
-            let plan = FaultPlan::new(0xD1E).kill_rank(ranks - 1, kill_op);
-            let faulty = run_distributed(n, steps, ranks, path, Some(plan));
-            assert!(
-                !faulty[ranks - 1].0,
-                "{tag}/{ranks}: killed rank reports non-survivor"
-            );
-            assert!(
-                faulty[..ranks - 1].iter().all(|o| o.0),
-                "{tag}/{ranks}: survivors finish"
-            );
-            assert!(
-                faulty.iter().any(|o| o.1 >= 1),
-                "{tag}/{ranks}: at least one recovery happened"
-            );
-            let faulty_results = merge_logical(&faulty);
+        assert!(
+            faulty[..ranks - 1].iter().all(|o| o.0),
+            "{ranks} ranks: survivors finish"
+        );
+        assert!(
+            faulty.iter().any(|o| o.1 >= 1),
+            "{ranks} ranks: at least one recovery happened"
+        );
+        let faulty_results = merge_logical(&faulty);
+        assert_eq!(
+            faulty_results.len(),
+            ranks,
+            "{ranks} ranks: every logical rank hosted after recovery"
+        );
+        for id in 0..ranks {
             assert_eq!(
-                faulty_results.len(),
-                ranks,
-                "{tag}/{ranks}: every logical rank hosted after recovery"
+                faulty_results[&id].0, clean_results[&id].0,
+                "{ranks} ranks: logical rank {id} ρ bit-exact after recovery"
             );
-            for id in 0..ranks {
-                assert_eq!(
-                    faulty_results[&id].0, clean_results[&id].0,
-                    "{tag}/{ranks}: logical rank {id} ρ bit-exact after recovery"
-                );
-                assert_eq!(
-                    faulty_results[&id].1, clean_results[&id].1,
-                    "{tag}/{ranks}: logical rank {id} diagnostics history bit-exact"
-                );
-            }
+            assert_eq!(
+                faulty_results[&id].1, clean_results[&id].1,
+                "{ranks} ranks: logical rank {id} diagnostics history bit-exact"
+            );
         }
     }
 }
@@ -326,7 +319,7 @@ fn crash_recovery_matrix_is_bit_exact() {
 #[test]
 fn ledger_records_kill_detect_shrink_rollback() {
     let plan = FaultPlan::new(0xBEEF).kill_rank(3, 13);
-    let outs = run_distributed(1_200, 6, 4, KernelPath::Lanes, Some(plan));
+    let outs = run_distributed(1_200, 6, 4, Some(plan));
     let mut merged = FaultLog::new();
     for (_, _, _, log) in outs {
         merged.merge(log);
@@ -353,45 +346,49 @@ fn ledger_records_kill_detect_shrink_rollback() {
 
 // ---------------- checkpoint fingerprint ----------------
 
-/// Kernel path is hot-path *metadata*, not identity: a snapshot taken
-/// under one kernel path restores into a simulation configured with the
-/// other and carries its recorded path along — and thread count must NOT
-/// invalidate it either. (Before the adaptive controller, kernel path was
-/// part of the fingerprint; now the controller may legitimately flip it
-/// mid-run, so the snapshot records it as resumable state instead.)
+/// Thread count only partitions work, so it must not invalidate a
+/// snapshot.
 #[test]
-fn fingerprint_gates_kernel_path_but_not_threads() {
-    let mut scalar_cfg = cfg(800);
-    scalar_cfg.kernel_path = KernelPath::Scalar;
-    let mut sim = Simulation::new(scalar_cfg.clone()).unwrap();
+fn snapshot_restores_across_thread_counts() {
+    let cfg = cfg(800);
+    let mut sim = Simulation::new(cfg.clone()).unwrap();
     sim.run(2);
     let snap = sim.checkpoint();
 
-    let mut lanes_cfg = scalar_cfg.clone();
-    lanes_cfg.kernel_path = KernelPath::Lanes;
-    assert_eq!(
-        config_fingerprint(&scalar_cfg),
-        config_fingerprint(&lanes_cfg),
-        "kernel path must not change checkpoint identity"
-    );
-    let mut lanes_sim = Simulation::new(lanes_cfg).unwrap();
-    lanes_sim
-        .restore(&snap)
-        .expect("hot-path knobs must not gate restores");
-    // The restore adopts the snapshot's recorded kernel path, so the
-    // resumed run replays the checkpointed trajectory bit-exactly.
-    assert_eq!(lanes_sim.config().kernel_path, KernelPath::Scalar);
-    assert_eq!(lanes_sim.steps(), 2);
-
     // Same physics, different pool width: the snapshot must still be
     // accepted and leave the simulation at the checkpointed step.
-    let mut threaded_cfg = scalar_cfg.clone();
+    let mut threaded_cfg = cfg;
     threaded_cfg.threads = 2;
     let mut threaded = Simulation::new(threaded_cfg).unwrap();
     threaded
         .restore(&snap)
         .expect("thread count must not invalidate a snapshot");
     assert_eq!(threaded.steps(), 2);
+}
+
+/// The retired kernel-path slot: builds that still had a scalar arm wrote
+/// code 0 there. The arms were bit-identical, so such a snapshot restores
+/// and replays to the bytes of one written today (code 1).
+#[test]
+fn snapshot_with_the_scalar_kernel_code_restores_and_replays() {
+    let cfg = cfg(800);
+    let mut sim = Simulation::new(cfg.clone()).unwrap();
+    sim.run(2);
+    let mut old = sim.checkpoint();
+    // magic 8 + version 4 + fingerprint 8 + steps 8 + rng 32 + charge 8.
+    assert_eq!(old[68..72], 1u32.to_le_bytes());
+    old[68..72].copy_from_slice(&0u32.to_le_bytes());
+    let n = old.len();
+    let sum = snapshot_hash(&old[..n - 8]);
+    old[n - 8..].copy_from_slice(&sum.to_le_bytes());
+
+    let mut resumed = Simulation::new(cfg).unwrap();
+    resumed
+        .restore(&old)
+        .expect("kernel code 0 is accepted and ignored");
+    sim.run(5);
+    resumed.run(5);
+    assert_eq!(sim.checkpoint(), resumed.checkpoint());
 }
 
 // ---------------- watchdog ----------------

@@ -1,85 +1,173 @@
 //! Integration of the multi-species 2d3v electromagnetic subsystem:
-//! cyclotron motion against the analytic gyro-circle on both kernel
-//! dispatch paths, bit-exact equivalence with the legacy electrostatic
-//! driver at `B = 0`, per-species conservation laws, and electrostatic and
-//! electromagnetic tenants sharing one job runtime under the calibrated
-//! cost-based scheduler.
+//! cyclotron motion against the analytic gyro-circle, a step held bit for
+//! bit to whole-array calls of the scalar reference kernels, equivalence
+//! with the legacy electrostatic driver at `B = 0`, per-species
+//! conservation laws, and electrostatic and electromagnetic tenants sharing
+//! one job runtime under the calibrated cost-based scheduler.
 
+mod common;
+
+use common::scalar_push;
 use pic2d::pic_core::em::{EmConfig, EmSimulation};
+use pic2d::pic_core::fields::{Field2D, RedundantE, RedundantJ, RedundantRho};
+use pic2d::pic_core::kernels::accumulate::pool_accumulate_redundant;
+use pic2d::pic_core::kernels::boris::{boris_push, BorisCoeffs};
+use pic2d::pic_core::kernels::current::pool_deposit_current;
 use pic2d::pic_core::kernels::deposit::DepositPath;
+use pic2d::pic_core::particles::ParticlesSoA;
+use pic2d::pic_core::pool::ThreadPool;
 use pic2d::pic_core::resilience::checkpoint::snapshot_hash;
-use pic2d::pic_core::sim::{KernelPath, PicConfig, Simulation};
+use pic2d::pic_core::sim::{AnyLayout, KernelPath, PicConfig, Simulation};
 use pic2d::serve::{JobRuntime, JobSpec, JobState, RuntimeConfig};
+use pic2d::sfc::Ordering;
 use std::f64::consts::PI;
 
 #[test]
-fn cyclotron_period_and_radius_match_analytic_on_both_kernel_paths() {
+fn cyclotron_period_and_radius_match_analytic() {
     // Ω = |q|B/m = 1, v₀ = 0.5 ⇒ period 2π, gyro-radius 0.5. The Boris
     // rotation angle 2·atan(ΩΔt/2) carries an O((ΩΔt)²) period error,
     // ≈ 2·10⁻⁵ relative at Δt = 0.05 — far inside the 1 % gates.
-    for path in [KernelPath::Scalar, KernelPath::Lanes] {
-        let mut cfg = EmConfig::cyclotron(512);
-        cfg.kernel_path = path;
-        let dt = cfg.dt;
-        let mut sim = EmSimulation::new(cfg).unwrap();
+    let cfg = EmConfig::cyclotron(512);
+    let dt = cfg.dt;
+    let mut sim = EmSimulation::new(cfg).unwrap();
 
-        let steps = 126; // just past one analytic period
-        let mut prev = sim.moments()[0].mean_v;
-        let mut rotation = 0.0;
-        let (mut x, mut xmin, mut xmax) = (0.0f64, 0.0f64, 0.0f64);
-        for _ in 0..steps {
-            sim.step();
-            let cur = sim.moments()[0].mean_v;
-            let da = cur[1].atan2(cur[0]) - prev[1].atan2(prev[0]);
-            rotation += (da + PI).rem_euclid(2.0 * PI) - PI;
-            prev = cur;
-            // Integrate the mean x-displacement: its extent over a full
-            // turn is the gyro-diameter.
-            x += dt * cur[0];
-            xmin = xmin.min(x);
-            xmax = xmax.max(x);
-        }
-
-        let period = steps as f64 * dt * 2.0 * PI / rotation.abs();
-        let rel_period = (period - 2.0 * PI).abs() / (2.0 * PI);
-        assert!(rel_period < 0.01, "{path:?}: gyro-period {period} vs 2π");
-
-        let radius = (xmax - xmin) / 2.0;
-        assert!(
-            (radius - 0.5).abs() / 0.5 < 0.01,
-            "{path:?}: gyro-radius {radius} vs analytic 0.5"
-        );
-
-        // E = 0: the Boris rotation preserves |v| exactly.
-        let m = sim.moments()[0];
-        let speed = (m.mean_v[0].powi(2) + m.mean_v[1].powi(2)).sqrt();
-        assert!((speed - 0.5).abs() < 1e-12, "{path:?}: speed {speed}");
+    let steps = 126; // just past one analytic period
+    let mut prev = sim.moments()[0].mean_v;
+    let mut rotation = 0.0;
+    let (mut x, mut xmin, mut xmax) = (0.0f64, 0.0f64, 0.0f64);
+    for _ in 0..steps {
+        sim.step();
+        let cur = sim.moments()[0].mean_v;
+        let da = cur[1].atan2(cur[0]) - prev[1].atan2(prev[0]);
+        rotation += (da + PI).rem_euclid(2.0 * PI) - PI;
+        prev = cur;
+        // Integrate the mean x-displacement: its extent over a full
+        // turn is the gyro-diameter.
+        x += dt * cur[0];
+        xmin = xmin.min(x);
+        xmax = xmax.max(x);
     }
+
+    let period = steps as f64 * dt * 2.0 * PI / rotation.abs();
+    let rel_period = (period - 2.0 * PI).abs() / (2.0 * PI);
+    assert!(rel_period < 0.01, "gyro-period {period} vs 2π");
+
+    let radius = (xmax - xmin) / 2.0;
+    assert!(
+        (radius - 0.5).abs() / 0.5 < 0.01,
+        "gyro-radius {radius} vs analytic 0.5"
+    );
+
+    // E = 0: the Boris rotation preserves |v| exactly.
+    let m = sim.moments()[0];
+    let speed = (m.mean_v[0].powi(2) + m.mean_v[1].powi(2)).sqrt();
+    assert!((speed - 0.5).abs() < 1e-12, "speed {speed}");
 }
 
+/// The EM twin of `parity_kernel_path.rs::strip_pass_matches_whole_array_kernels`:
+/// one `EmSimulation` step (lane-blocked kernels, fanned out over the pool)
+/// against whole-array calls of the scalar Boris, push, ρ and **J** kernels
+/// per species — every particle column and every grid array, bit for bit.
+/// The reassociated deposit has one kernel; for it the check is that the
+/// driver hands it the chunks a whole-store call would.
 #[test]
-fn lane_blocked_em_trajectory_is_bit_identical_to_scalar() {
-    // With the Exact deposit the lane-blocked Boris push and current
-    // deposition must reproduce the scalar trajectory to the last bit.
-    // (The checkpoint bytes themselves differ — the fingerprint covers
-    // `kernel_path` — so compare the state arrays.)
-    let run = |path: KernelPath| {
-        let mut cfg = EmConfig::ion_acoustic(2_000);
-        cfg.kernel_path = path;
-        cfg.deposit_path = DepositPath::Exact;
-        let mut sim = EmSimulation::new(cfg).unwrap();
-        sim.run(10);
-        sim
-    };
-    let a = run(KernelPath::Scalar);
-    let b = run(KernelPath::Lanes);
-    assert_eq!(a.rho(), b.rho());
-    assert_eq!(a.j_field(), b.j_field());
-    for (sa, sb) in a.species().iter().zip(b.species()) {
-        assert_eq!(sa.p.icell, sb.p.icell, "{}", sa.def.name);
-        assert_eq!(sa.p.vx, sb.p.vx, "{}", sa.def.name);
-        assert_eq!(sa.p.vy, sb.p.vy, "{}", sa.def.name);
-        assert_eq!(sa.vz, sb.vz, "{}", sa.def.name);
+fn em_step_matches_whole_array_scalar_kernels() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for ordering in Ordering::paper_set() {
+        for threads in [1usize, 2, 3] {
+            let pool = ThreadPool::new(threads);
+            for dp in [DepositPath::Exact, DepositPath::LaneReduce] {
+                // Marker counts off the lane width (2003 and 500), and a
+                // field with every rotation component.
+                let mut cfg = EmConfig::magnetized_two_stream(2_003);
+                cfg.b0 = [0.1, -0.2, 0.5];
+                cfg.ordering = ordering;
+                cfg.threads = threads;
+                cfg.deposit_path = dp;
+                let mut sim = EmSimulation::new(cfg.clone()).unwrap();
+                sim.run(3); // drift off the sorted start; step 4 does not sort
+                let what = format!("{ordering} threads={threads} {dp:?}");
+
+                let grid = *sim.grid();
+                let layout = AnyLayout::build(ordering, cfg.grid_nx, cfg.grid_ny).unwrap();
+                let mut field = Field2D::new(&grid);
+                field.ex.copy_from_slice(sim.e_field().0);
+                field.ey.copy_from_slice(sim.e_field().1);
+                let mut e8 = RedundantE::new(layout.as_dyn());
+                e8.fill_from(&field, layout.as_dyn(), 1.0, 1.0);
+                let scale = cfg.dt / grid.dx();
+
+                let mut rho4 = RedundantRho::new(layout.as_dyn());
+                let mut j12 = RedundantJ::new(layout.as_dyn());
+                let mut rho_arenas: Vec<_> = (0..threads)
+                    .map(|_| RedundantRho::new(layout.as_dyn()))
+                    .collect();
+                let mut j_arenas: Vec<_> = (0..threads)
+                    .map(|_| RedundantJ::new(layout.as_dyn()))
+                    .collect();
+                let mut pushed: Vec<(ParticlesSoA, Vec<f64>)> = Vec::new();
+                for arena in sim.species() {
+                    let (mut p, mut vz) = (arena.p.clone(), arena.vz.clone());
+                    let coeffs = BorisCoeffs::new(arena.def.charge, arena.def.mass, cfg.dt, cfg.b0);
+                    boris_push(
+                        &p.icell, &p.dx, &p.dy, &mut p.vx, &mut p.vy, &mut vz, &e8.e8, &coeffs,
+                    );
+                    scalar_push(&layout, &mut p, cfg.grid_nx, cfg.grid_ny, scale);
+                    let w = arena.deposit_weight(&grid);
+                    pool_accumulate_redundant(
+                        &pool,
+                        &p.icell,
+                        &p.dx,
+                        &p.dy,
+                        &mut rho4,
+                        &mut rho_arenas,
+                        w,
+                        dp,
+                        KernelPath::Scalar,
+                    );
+                    pool_deposit_current(
+                        &pool,
+                        &p.icell,
+                        &p.dx,
+                        &p.dy,
+                        &p.vx,
+                        &p.vy,
+                        &vz,
+                        &mut j12,
+                        &mut j_arenas,
+                        w,
+                        dp,
+                        KernelPath::Scalar,
+                    );
+                    pushed.push((p, vz));
+                }
+                let ng = grid.ncells();
+                let (mut rho, mut jx, mut jy, mut jz) =
+                    (vec![0.0; ng], vec![0.0; ng], vec![0.0; ng], vec![0.0; ng]);
+                rho4.reduce_to_grid(layout.as_dyn(), &mut rho);
+                j12.reduce_to_grid(layout.as_dyn(), &mut jx, &mut jy, &mut jz);
+
+                // The step's second half solves E from ρ and leaves the
+                // particles, ρ and J alone.
+                sim.step();
+                for (arena, (p, vz)) in sim.species().iter().zip(&pushed) {
+                    let what = format!("{what} {}", arena.def.name);
+                    assert_eq!(arena.p.icell, p.icell, "{what}: icell");
+                    assert_eq!(arena.p.ix, p.ix, "{what}: ix");
+                    assert_eq!(arena.p.iy, p.iy, "{what}: iy");
+                    assert_eq!(bits(&arena.p.dx), bits(&p.dx), "{what}: dx");
+                    assert_eq!(bits(&arena.p.dy), bits(&p.dy), "{what}: dy");
+                    assert_eq!(bits(&arena.p.vx), bits(&p.vx), "{what}: vx");
+                    assert_eq!(bits(&arena.p.vy), bits(&p.vy), "{what}: vy");
+                    assert_eq!(bits(&arena.vz), bits(vz), "{what}: vz");
+                }
+                assert_eq!(bits(sim.rho()), bits(&rho), "{what}: rho");
+                let (sjx, sjy, sjz) = sim.j_field();
+                assert_eq!(bits(sjx), bits(&jx), "{what}: jx");
+                assert_eq!(bits(sjy), bits(&jy), "{what}: jy");
+                assert_eq!(bits(sjz), bits(&jz), "{what}: jz");
+            }
+        }
     }
 }
 

@@ -1,46 +1,110 @@
-//! Kernel-path parity: a simulation stepped on the lane-blocked SIMD path
-//! must be *bit-identical* to the same simulation on the scalar path — same
-//! ρ, same particle cells/offsets/velocities — across cell orderings,
-//! thread counts, and particle counts that do and do not divide the lane
-//! width. This is the contract that makes `KernelPath` a pure performance
-//! knob: switching it (or letting the controller switch it) can never change
-//! physics.
+//! Production-path parity: every step `Simulation` takes on the lane-blocked
+//! strip pass must be *bit-identical* to the same step composed from
+//! whole-array calls of the public **scalar** kernels — same ρ, same
+//! particle cells/offsets/velocities — across cell orderings, thread
+//! counts, and particle counts that do and do not divide the lane width or
+//! the strip length. The scalar kernels are the reference; this is the
+//! oracle that lets production run the lane kernels unconditionally.
 
-use pic_core::sim::{KernelPath, PicConfig, Simulation};
+mod common;
+
+use common::scalar_push;
+use pic_core::fields::{Field2D, RedundantE, RedundantRho};
+use pic_core::kernels::simd::LANES;
+use pic_core::kernels::{accumulate, deposit, velocity};
+use pic_core::particles::{particle_weight, ParticlesSoA};
+use pic_core::pool::ThreadPool;
+use pic_core::rng::Rng;
+use pic_core::sim::{AnyLayout, DepositPath, KernelPath, PicConfig, Simulation, ME, QE, STRIP};
+use pic_core::sort::sort_out_of_place;
 use sfc::Ordering;
 
-/// Run `cfg` for `steps` under both kernel paths and compare every
-/// particle- and field-level output bit for bit.
-fn assert_paths_bit_identical(mut cfg: PicConfig, steps: usize, what: &str) {
-    cfg.kernel_path = KernelPath::Scalar;
-    let mut scalar = Simulation::new(cfg.clone()).unwrap();
-    cfg.kernel_path = KernelPath::Lanes;
-    let mut lanes = Simulation::new(cfg).unwrap();
-
-    scalar.run(steps);
-    lanes.run(steps);
-
-    let (rs, rl) = (scalar.rho(), lanes.rho());
-    assert_eq!(rs.len(), rl.len(), "{what}: rho length");
-    for i in 0..rs.len() {
-        assert_eq!(
-            rs[i].to_bits(),
-            rl[i].to_bits(),
-            "{what}: rho[{i}] differs: {} vs {}",
-            rs[i],
-            rl[i]
-        );
+/// Advance a copy of `sim`'s particles through its next step with
+/// whole-array calls of the scalar kernels — the sort first, when the step
+/// is due one — and return them with the deposited grid ρ. `pool` has the
+/// simulation's width, so the per-worker arenas merge in the same order.
+fn scalar_step(sim: &Simulation, pool: &ThreadPool) -> (ParticlesSoA, Vec<f64>) {
+    let c = sim.config();
+    let grid = sim.grid();
+    let layout = AnyLayout::build(c.ordering, c.grid_nx, c.grid_ny).unwrap();
+    let mut p = sim.particles().clone();
+    if c.sort_period > 0 && (sim.steps() + 1).is_multiple_of(c.sort_period) {
+        let mut scratch = ParticlesSoA::zeroed(0);
+        sort_out_of_place(&mut p, &mut scratch, layout.as_dyn().ncells());
     }
 
-    let (ps, pl) = (scalar.particles(), lanes.particles());
-    assert_eq!(ps.icell, pl.icell, "{what}: icell");
-    assert_eq!(ps.ix, pl.ix, "{what}: ix");
-    assert_eq!(ps.iy, pl.iy, "{what}: iy");
-    for i in 0..ps.len() {
-        assert_eq!(ps.dx[i].to_bits(), pl.dx[i].to_bits(), "{what}: dx[{i}]");
-        assert_eq!(ps.dy[i].to_bits(), pl.dy[i].to_bits(), "{what}: dy[{i}]");
-        assert_eq!(ps.vx[i].to_bits(), pl.vx[i].to_bits(), "{what}: vx[{i}]");
-        assert_eq!(ps.vy[i].to_bits(), pl.vy[i].to_bits(), "{what}: vy[{i}]");
+    let mut field = Field2D::new(grid);
+    let (ex, ey) = sim.e_field();
+    field.ex.copy_from_slice(ex);
+    field.ey.copy_from_slice(ey);
+    // Hoisted (§IV-D): the constants live in the stored field and
+    // velocities. Unhoisted: the kernels multiply per particle.
+    let kick = QE * c.dt / ME;
+    let (sx, sy, scale) = if c.hoisted {
+        (kick * c.dt / grid.dx(), kick * c.dt / grid.dy(), 1.0)
+    } else {
+        (1.0, 1.0, c.dt / grid.dx())
+    };
+    let mut e8 = RedundantE::new(layout.as_dyn());
+    e8.fill_from(&field, layout.as_dyn(), sx, sy);
+
+    if c.hoisted {
+        velocity::update_velocities_redundant_hoisted(
+            &p.icell, &p.dx, &p.dy, &mut p.vx, &mut p.vy, &e8.e8,
+        );
+    } else {
+        velocity::update_velocities_redundant(
+            &p.icell, &p.dx, &p.dy, &mut p.vx, &mut p.vy, &e8.e8, kick, kick,
+        );
+    }
+    scalar_push(&layout, &mut p, c.grid_nx, c.grid_ny, scale);
+
+    // `Exact` has a scalar kernel; the reassociated deposit has one kernel,
+    // and what is checked for it is that strips and chunks leave its lane
+    // blocks where a whole-chunk call puts them.
+    let w = QE * particle_weight(grid, c.n_particles) / (grid.dx() * grid.dy());
+    let mut rho4 = RedundantRho::new(layout.as_dyn());
+    let mut arenas: Vec<RedundantRho> = (0..pool.nthreads())
+        .map(|_| RedundantRho::new(layout.as_dyn()))
+        .collect();
+    accumulate::pool_accumulate_redundant(
+        pool,
+        &p.icell,
+        &p.dx,
+        &p.dy,
+        &mut rho4,
+        &mut arenas,
+        w,
+        c.deposit_path,
+        KernelPath::Scalar,
+    );
+    let mut rho = vec![0.0; grid.ncells()];
+    rho4.reduce_to_grid(layout.as_dyn(), &mut rho);
+    (p, rho)
+}
+
+/// `sim`, having just stepped, against the reference for that step.
+fn assert_same_bits(sim: &Simulation, pr: &ParticlesSoA, rho_ref: &[f64], what: &str) {
+    let ps = sim.particles();
+    assert_eq!(ps.icell, pr.icell, "{what}: icell");
+    assert_eq!(ps.ix, pr.ix, "{what}: ix");
+    assert_eq!(ps.iy, pr.iy, "{what}: iy");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&ps.dx), bits(&pr.dx), "{what}: dx");
+    assert_eq!(bits(&ps.dy), bits(&pr.dy), "{what}: dy");
+    assert_eq!(bits(&ps.vx), bits(&pr.vx), "{what}: vx");
+    assert_eq!(bits(&ps.vy), bits(&pr.vy), "{what}: vy");
+    assert_eq!(bits(sim.rho()), bits(rho_ref), "{what}: rho");
+}
+
+/// Run `cfg` for `steps`, holding every step to [`scalar_step`].
+fn assert_steps_match_scalar_kernels(cfg: PicConfig, steps: usize, what: &str) {
+    let pool = ThreadPool::new(cfg.threads);
+    let mut sim = Simulation::new(cfg).unwrap();
+    for step in 1..=steps {
+        let (pr, rho_ref) = scalar_step(&sim, &pool);
+        sim.step();
+        assert_same_bits(&sim, &pr, &rho_ref, &format!("{what}, step {step}"));
     }
 }
 
@@ -59,7 +123,7 @@ fn parity_across_orderings() {
     for ordering in Ordering::paper_set() {
         let mut c = cfg(1003);
         c.ordering = ordering;
-        assert_paths_bit_identical(c, 7, &format!("ordering {ordering}"));
+        assert_steps_match_scalar_kernels(c, 7, &format!("ordering {ordering}"));
     }
 }
 
@@ -69,7 +133,7 @@ fn parity_with_thread_pool() {
         let mut c = cfg(2005);
         c.ordering = Ordering::Morton;
         c.threads = threads;
-        assert_paths_bit_identical(c, 7, &format!("threads {threads}"));
+        assert_steps_match_scalar_kernels(c, 7, &format!("threads {threads}"));
     }
 }
 
@@ -77,7 +141,7 @@ fn parity_with_thread_pool() {
 fn parity_at_lane_edge_counts() {
     // Below one lane block, exactly one block, one block plus a tail.
     for n in [1, 5, 8, 9, 1003] {
-        assert_paths_bit_identical(cfg(n), 5, &format!("n {n}"));
+        assert_steps_match_scalar_kernels(cfg(n), 5, &format!("n {n}"));
     }
 }
 
@@ -85,28 +149,24 @@ fn parity_at_lane_edge_counts() {
 fn parity_on_baseline_row_major() {
     // What production keeps of the Table IV baseline settings: row-major
     // cells and unhoisted coefficients, i.e. the coefficient-form kernels
-    // (`coeff`/`scale` multiplied per particle) on both kernel paths.
+    // (`coeff`/`scale` multiplied per particle).
     let mut c = cfg(777);
     c.ordering = Ordering::RowMajor;
     c.hoisted = false;
     c.deposit_path = DepositPath::Exact;
-    assert_paths_bit_identical(c, 5, "baseline");
+    assert_steps_match_scalar_kernels(c, 5, "baseline");
 }
 
 // ---------------------------------------------------------------------------
-// DepositPath parity: the deposition-kernel knob must likewise never change
-// physics beyond its documented contract — `Exact` stays bit-identical to
+// DepositPath parity: the deposition-kernel knob must never change physics
+// beyond its documented contract — `Exact` stays bit-identical to
 // the scalar accumulation order, and the reassociated `LaneReduce` stays
 // within a tight tolerance of the exact result at the simulation level and
 // within the proven per-cell FP bound at the kernel level.
 // ---------------------------------------------------------------------------
 
-use pic_core::kernels::{accumulate, deposit};
-use pic_core::rng::Rng;
-use pic_core::sim::DepositPath;
-
 /// {1, 2, 4 threads} x {sorted, unsorted}: under every combo, `Exact` is
-/// bit-identical between the scalar and lane kernel paths, and `LaneReduce`
+/// bit-identical to the scalar kernels, and `LaneReduce`
 /// tracks the exact run to a loose per-cell tolerance (the per-deposit FP
 /// bound fed back through the field solve for a handful of steps).
 #[test]
@@ -126,8 +186,8 @@ fn deposit_path_matrix() {
             };
             let what = format!("threads={threads} sorted={sorted}");
 
-            // Exact deposit: scalar vs lane kernel paths, bit for bit.
-            assert_paths_bit_identical(make(DepositPath::Exact), 5, &what);
+            // Exact deposit: the scalar kernels, bit for bit.
+            assert_steps_match_scalar_kernels(make(DepositPath::Exact), 5, &what);
 
             // The reassociated deposit tracks the exact run closely.
             let mut exact = Simulation::new(make(DepositPath::Exact)).unwrap();
@@ -192,96 +252,10 @@ fn reassociated_deposit_within_cell_bound_at_1m() {
 // ---------------------------------------------------------------------------
 // Strip-pass parity: `Simulation::step` streams each worker chunk through
 // kick → push → deposit in strips of `STRIP` particles. One step must match
-// a reference composed from whole-array calls of the public kernels, over
-// cell orderings, pool widths, deposit paths and particle counts around the
-// lane and strip edges (including fewer particles than workers).
+// the whole-array scalar reference over cell orderings, pool widths, deposit
+// paths and particle counts around the lane and strip edges (including fewer
+// particles than workers).
 // ---------------------------------------------------------------------------
-
-use pic_core::fields::{Field2D, RedundantE, RedundantRho};
-use pic_core::kernels::simd::{self, LANES};
-use pic_core::particles::{particle_weight, ParticlesSoA};
-use pic_core::pool::ThreadPool;
-use pic_core::sim::{AnyLayout, ME, QE, STRIP};
-
-/// Advance a copy of `sim`'s particles one step with whole-array kernel
-/// calls (hoisted lane kernels, as `cfg()` selects) and return them with
-/// the deposited grid ρ. `pool` has the simulation's width, so the
-/// per-worker arenas merge in the same order.
-fn whole_array_step(sim: &Simulation, pool: &ThreadPool) -> (ParticlesSoA, Vec<f64>) {
-    let c = sim.config();
-    let grid = sim.grid();
-    let layout = AnyLayout::build(c.ordering, c.grid_nx, c.grid_ny).unwrap();
-
-    let mut field = Field2D::new(grid);
-    let (ex, ey) = sim.e_field();
-    field.ex.copy_from_slice(ex);
-    field.ey.copy_from_slice(ey);
-    let kick = QE * c.dt / ME;
-    let mut e8 = RedundantE::new(layout.as_dyn());
-    e8.fill_from(
-        &field,
-        layout.as_dyn(),
-        kick * c.dt / grid.dx(),
-        kick * c.dt / grid.dy(),
-    );
-
-    let mut p = sim.particles().clone();
-    simd::update_velocities_redundant_hoisted_lanes(
-        &p.icell, &p.dx, &p.dy, &mut p.vx, &mut p.vy, &e8.e8,
-    );
-    {
-        let ParticlesSoA {
-            icell,
-            ix,
-            iy,
-            dx,
-            dy,
-            vx,
-            vy,
-        } = &mut p;
-        macro_rules! push {
-            ($l:expr) => {
-                simd::update_positions_branchless_layout_lanes(
-                    icell, ix, iy, dx, dy, vx, vy, $l, 1.0,
-                )
-            };
-        }
-        match &layout {
-            AnyLayout::RowMajor(_) => simd::update_positions_branchless_lanes(
-                icell, ix, iy, dx, dy, vx, vy, c.grid_nx, c.grid_ny, 1.0,
-            ),
-            AnyLayout::L4D(l) => push!(l),
-            AnyLayout::Morton(l) => push!(l),
-            AnyLayout::Hilbert(l) => push!(l),
-        }
-    }
-
-    let w = deposit_weight(sim);
-    let mut rho4 = RedundantRho::new(layout.as_dyn());
-    let mut arenas: Vec<RedundantRho> = (0..pool.nthreads())
-        .map(|_| RedundantRho::new(layout.as_dyn()))
-        .collect();
-    accumulate::pool_accumulate_redundant(
-        pool,
-        &p.icell,
-        &p.dx,
-        &p.dy,
-        &mut rho4,
-        &mut arenas,
-        w,
-        c.deposit_path,
-        c.kernel_path,
-    );
-    let mut rho = vec![0.0; grid.ncells()];
-    rho4.reduce_to_grid(layout.as_dyn(), &mut rho);
-    (p, rho)
-}
-
-/// Signed charge density one marker deposits.
-fn deposit_weight(sim: &Simulation) -> f64 {
-    let grid = sim.grid();
-    QE * particle_weight(grid, sim.config().n_particles) / (grid.dx() * grid.dy())
-}
 
 #[test]
 fn strip_pass_matches_whole_array_kernels() {
@@ -308,23 +282,12 @@ fn strip_pass_matches_whole_array_kernels() {
                     p.vx.truncate(n);
                     p.vy.truncate(n);
 
-                    let (pr, rho_ref) = whole_array_step(&sim, &pool);
+                    let (pr, rho_ref) = scalar_step(&sim, &pool);
                     sim.step();
+                    // ρ too: strip starts are LANES-aligned from the chunk
+                    // start, so the lane blocks coincide.
                     let what = format!("{ordering} threads={threads} {dp:?} n={n}");
-
-                    let ps = sim.particles();
-                    assert_eq!(ps.icell, pr.icell, "{what}: icell");
-                    assert_eq!(ps.ix, pr.ix, "{what}: ix");
-                    assert_eq!(ps.iy, pr.iy, "{what}: iy");
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&ps.dx), bits(&pr.dx), "{what}: dx");
-                    assert_eq!(bits(&ps.dy), bits(&pr.dy), "{what}: dy");
-                    assert_eq!(bits(&ps.vx), bits(&pr.vx), "{what}: vx");
-                    assert_eq!(bits(&ps.vy), bits(&pr.vy), "{what}: vy");
-
-                    // Strip starts are LANES-aligned from the chunk start,
-                    // so the lane blocks coincide.
-                    assert_eq!(bits(sim.rho()), bits(&rho_ref), "{what}: rho");
+                    assert_same_bits(&sim, &pr, &rho_ref, &what);
                 }
             }
         }
