@@ -323,6 +323,16 @@ impl HotPathController {
     }
 }
 
+/// Does step number `step` begin with a sort? The attached controller's
+/// call when there is one, the fixed `sort_period` cadence (0 = never)
+/// otherwise — the one sort schedule of both drivers.
+pub(crate) fn sort_due(ctrl: &Option<HotPathController>, sort_period: usize, step: usize) -> bool {
+    match ctrl {
+        Some(c) => c.should_sort(),
+        None => sort_period > 0 && step.is_multiple_of(sort_period),
+    }
+}
+
 /// Serialized controller-state length ([`HotPathController::encode_state`]).
 pub const CTRL_STATE_LEN: usize = 33;
 /// v2 dropped the deposit arm's committed path, candidate and streak; v3

@@ -6,16 +6,20 @@
 //! [`crate::sim::Simulation`]. It reuses the paper's data structures
 //! unchanged — per-species [`crate::species::SpeciesArena`]s over the same
 //! SoA layout, the redundant 8-double E view for gathers, redundant
-//! per-corner ρ and **J** arenas for contiguous deposits — and the same
-//! `DepositPath` knob drives the lane-blocked 2d3v kernels
-//! ([`crate::kernels::boris`], [`crate::kernels::current`]).
+//! per-corner ρ and **J** arenas for contiguous deposits — and steps through
+//! the same streaming pass ([`crate::pass`]), once per species: the view
+//! carries `vz`, the kick is the lane-blocked Boris push
+//! ([`crate::kernels::boris`]), and the **J** deposit
+//! ([`crate::kernels::current`]) follows the ρ deposit of the same pushed
+//! strip under the one `DepositPath` knob.
 //!
 //! Velocities are stored in *physical* units throughout (no §IV-D
 //! hoisting: per-species q/m would need one scaled field copy per species,
-//! forfeiting the redundant layout's bandwidth win). The position push
-//! therefore runs the branchless kernels with the single scale `Δt/Δx`,
-//! which — like the unhoisted electrostatic baseline — requires square
-//! cells.
+//! forfeiting the redundant layout's bandwidth win), so one `e8` serves
+//! every species and the position push runs the branchless kernels with
+//! the single scale `Δt/Δx`, which — like the unhoisted electrostatic
+//! baseline — requires square cells; `vz` moves no particle in the 2d
+//! domain.
 //!
 //! Determinism contract: trajectories depend only on the config and the
 //! executing pool *width*, exactly as in the electrostatic driver, and on
@@ -25,18 +29,17 @@
 use crate::control::{self, ControllerConfig, HotPathController, SwitchEvent};
 use crate::fields::{Field2D, RedundantE, RedundantJ, RedundantRho};
 use crate::grid::Grid2D;
-use crate::kernels::boris::{select_boris, BorisCoeffs};
-use crate::kernels::deposit::DepositPath;
-use crate::kernels::{self, accumulate, current, simd, velocity, SoaViewMut};
-use crate::particles::{InitialDistribution, ParticlesSoA};
-use crate::pool::{ThreadPool, MAX_THREADS};
+use crate::kernels::boris::{boris_push_lanes, BorisCoeffs};
+use crate::kernels::deposit::{self, DepositPath};
+use crate::kernels::{accumulate, current, velocity, SoaViewMut};
+use crate::particles::InitialDistribution;
+use crate::pass::{store_speed_sq, strip_pass, StripKernels};
+use crate::pool::ThreadPool;
 use crate::resilience::checkpoint::{self as ckpt, EmSpeciesState, EmState};
 use crate::resilience::watchdog::{WatchdogConfig, WatchdogViolation};
 use crate::rng::Rng;
-use crate::sim::{push_in_layout, AnyLayout, DiagSample, Diagnostics, KernelPath, StripFn};
-use crate::species::{
-    species_moments, split_species_mut, SpeciesArena, SpeciesDef, SpeciesMoments,
-};
+use crate::sim::{AnyLayout, DiagSample, Diagnostics, KernelPath, PhaseTimes};
+use crate::species::{species_moments, SpeciesArena, SpeciesDef, SpeciesMoments};
 use crate::PicError;
 use sfc::Ordering;
 use spectral::poisson::{PoissonSolver2D, SolveScratch};
@@ -347,6 +350,10 @@ pub struct EmSimulation {
     solve_scratch: SolveScratch,
     /// Online adaptive controller (present when `cfg.controller` is set).
     controller: Option<HotPathController>,
+    /// Kinetic energy summed inside the last streaming passes, kept for the
+    /// diagnostics sample that ends the step; a restore between the step
+    /// halves drops it, so the sample then recomputes.
+    pass_kinetic: Option<f64>,
 }
 
 impl EmSimulation {
@@ -492,6 +499,7 @@ impl EmSimulation {
             charge_ref: 0.0,
             solve_scratch: SolveScratch::new(),
             controller,
+            pass_kinetic: None,
             cfg,
         })
     }
@@ -508,7 +516,7 @@ impl EmSimulation {
                 &mut sim.rng,
                 replica,
             );
-            arena.sort(ncells);
+            arena.sort(ncells, sim.pool.as_deref());
             sim.species.push(arena);
         }
 
@@ -615,15 +623,13 @@ impl EmSimulation {
     }
 
     /// Total kinetic energy `Σ_s ½·m_s·w_s·Σ|v|²` (all three components).
+    /// Each species' sum has the shape of the streaming pass
+    /// (`pass::store_speed_sq`), so right after a [`step`](Self::step) this
+    /// equals the recorded sample bit for bit.
     pub fn kinetic_energy(&self) -> f64 {
-        self.species
-            .iter()
-            .map(|s| {
-                let sum: f64 = (0..s.len())
-                    .map(|i| s.p.vx[i] * s.p.vx[i] + s.p.vy[i] * s.p.vy[i] + s.vz[i] * s.vz[i])
-                    .sum();
-                0.5 * s.def.mass * s.weight * sum
-            })
+        let pool = self.pool.as_deref();
+        (self.species.iter())
+            .map(|s| s.kinetic(store_speed_sq(&s.p.vx, &s.p.vy, &s.vz, (1.0, 1.0), pool)))
             .sum()
     }
 
@@ -632,19 +638,10 @@ impl EmSimulation {
         self.solver.field_energy(&self.field.ex, &self.field.ey)
     }
 
-    /// Amplitude of `E_x`'s Fourier mode `m` along x (y-averaged), same
-    /// estimator as the electrostatic driver.
+    /// Amplitude of `E_x`'s Fourier mode `m` along x
+    /// ([`Field2D::ex_mode_amplitude`]).
     pub fn ex_mode_amplitude(&self, mode: usize) -> f64 {
-        let (ncx, ncy) = (self.grid.ncx, self.grid.ncy);
-        let mut re = 0.0;
-        let mut im = 0.0;
-        for ix in 0..ncx {
-            let row: f64 = self.field.ex[ix * ncy..(ix + 1) * ncy].iter().sum();
-            let theta = -2.0 * std::f64::consts::PI * (mode * ix) as f64 / ncx as f64;
-            re += row * theta.cos();
-            im += row * theta.sin();
-        }
-        2.0 * (re * re + im * im).sqrt() / (ncx * ncy) as f64
+        self.field.ex_mode_amplitude(mode)
     }
 
     /// Switch the deposition kernel mid-run (changes rounding within the
@@ -677,6 +674,12 @@ impl EmSimulation {
         Vec::new()
     }
 
+    /// Pre-reserve diagnostic-history capacity for `n` further steps so
+    /// steady-state stepping appends samples without reallocating.
+    pub fn reserve_diagnostics(&mut self, n: usize) {
+        self.diag.history.reserve(n);
+    }
+
     // ---------------- stepping ----------------
 
     /// Advance one step.
@@ -696,29 +699,21 @@ impl EmSimulation {
         self.step_post_reduce();
     }
 
-    /// First half of a step: sort (periodically), Boris push, position
-    /// push, and the ρ/**J** deposits — leaving the per-rank partial grids
-    /// in [`rho_mut`](Self::rho_mut)/[`j_mut`](Self::j_mut). Drivers whose
+    /// First half of a step: sort (periodically), then one streaming pass
+    /// per species (Boris kick, position push, ρ and **J** deposits) —
+    /// leaving the per-rank partial grids in
+    /// [`rho_mut`](Self::rho_mut)/[`j_mut`](Self::j_mut). Drivers whose
     /// reduction isn't expressible as a closure call this, reduce, then
     /// finish with [`step_post_reduce`](Self::step_post_reduce).
     pub fn step_pre_reduce(&mut self) {
         self.step_count += 1;
-        let sort_now = match &self.controller {
-            Some(c) => c.should_sort(),
-            None => {
-                self.cfg.sort_period > 0 && self.step_count.is_multiple_of(self.cfg.sort_period)
-            }
-        };
-        if sort_now {
+        if control::sort_due(&self.controller, self.cfg.sort_period, self.step_count) {
             self.sort_all();
             if let Some(c) = self.controller.as_mut() {
                 c.on_sort();
             }
         }
-        self.push_velocities();
-        self.push_positions();
-        self.deposit_rho();
-        self.deposit_current();
+        self.particle_pass();
         self.observe_controller();
     }
 
@@ -785,61 +780,47 @@ impl EmSimulation {
     fn sort_all(&mut self) {
         let ncells = self.layout.as_dyn().ncells();
         for arena in &mut self.species {
-            arena.sort(ncells);
+            arena.sort(ncells, self.pool.as_deref());
         }
     }
 
-    /// Boris push for every species: E gathered from the redundant view
-    /// (physical units, so the same `e8` serves all species), rotation by
-    /// the per-species hoisted constants.
-    fn push_velocities(&mut self) {
-        let kernel = select_boris(KernelPath::Lanes);
-        let e8 = &self.e8.e8;
+    /// The particle loops of every species, one [`strip_pass`] each (module
+    /// docs). ρ₄/J₁₂ are cleared once and every pass adds its species'
+    /// signed contribution, in table order.
+    fn particle_pass(&mut self) {
+        let (e8, pool, path) = (&self.e8.e8, self.pool.as_deref(), self.cfg.deposit_path);
+        self.rho4.clear();
+        self.j12.clear();
+        let mut total = 0.0;
         for (arena, coeffs) in self.species.iter_mut().zip(&self.boris) {
-            match &self.pool {
-                Some(pool) => {
-                    let mut views = split_species_mut(&mut arena.p, &mut arena.vz, pool.nthreads());
-                    pool.run_items(&mut views, |_, v| {
-                        kernel(v.icell, v.dx, v.dy, v.vx, v.vy, v.vz, e8, coeffs);
-                    });
-                }
-                None => {
-                    kernel(
-                        &arena.p.icell,
-                        &arena.p.dx,
-                        &arena.p.dy,
-                        &mut arena.p.vx,
-                        &mut arena.p.vy,
-                        &mut arena.vz,
-                        e8,
-                        coeffs,
-                    );
-                }
-            }
+            let kick = |v: &mut SoaViewMut<'_>| {
+                boris_push_lanes(v.icell, v.dx, v.dy, v.vx, v.vy, v.vz, e8, coeffs)
+            };
+            let kernels = StripKernels {
+                kick: &kick,
+                layout: &self.layout,
+                push_scale: self.cfg.dt / self.grid.dx(),
+                deposit: deposit::select_kernel(path, KernelPath::Lanes),
+                current: Some(current::select_current_kernel(path, KernelPath::Lanes)),
+                weight: arena.deposit_weight(&self.grid),
+                speed_scales: (1.0, 1.0),
+            };
+            let rho = (&mut self.rho4, &mut self.rho_arenas[..]);
+            let j = Some((&mut self.j12, &mut self.j_arenas[..]));
+            // This driver keeps no per-phase timers: the laps are dropped.
+            let laps = &mut PhaseTimes::default();
+            let speed_sq = strip_pass(&mut arena.p, &mut arena.vz, pool, rho, j, &kernels, laps);
+            total += arena.kinetic(speed_sq);
         }
-    }
-
-    /// Branchless position push with the single physical scale `Δt/Δx`
-    /// (square cells enforced at validation). `vz` does not move particles
-    /// in the 2d domain.
-    fn push_positions(&mut self) {
-        let scale = self.cfg.dt / self.grid.dx();
-        let (ncx, ncy) = (self.grid.ncx, self.grid.ncy);
-        let pool = self.pool.as_deref();
-        let push_row_major = |v: &mut SoaViewMut<'_>| {
-            simd::update_positions_branchless_lanes(
-                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
-            )
-        };
-        for arena in &mut self.species {
-            let p = &mut arena.p;
-            match &self.layout {
-                AnyLayout::RowMajor(_) => push_store(p, pool, &push_row_major),
-                AnyLayout::L4D(l) => push_store(p, pool, &push_in_layout(l, scale)),
-                AnyLayout::Morton(l) => push_store(p, pool, &push_in_layout(l, scale)),
-                AnyLayout::Hilbert(l) => push_store(p, pool, &push_in_layout(l, scale)),
-            }
-        }
+        self.pass_kinetic = Some(total);
+        self.rho4
+            .reduce_to_grid(self.layout.as_dyn(), &mut self.field.rho);
+        self.j12.reduce_to_grid(
+            self.layout.as_dyn(),
+            &mut self.jx,
+            &mut self.jy,
+            &mut self.jz,
+        );
     }
 
     /// Initial ρ deposit: always the scalar `Exact` kernel (off the hot
@@ -861,106 +842,10 @@ impl EmSimulation {
             .reduce_to_grid(self.layout.as_dyn(), &mut self.field.rho);
     }
 
-    /// Per-step ρ deposit: clear once, accumulate every species' signed
-    /// contribution through the configured kernel, reduce corners to grid.
-    fn deposit_rho(&mut self) {
-        self.rho4.clear();
-        for si in 0..self.species.len() {
-            let w = self.species[si].deposit_weight(&self.grid);
-            match &self.pool {
-                Some(pool) => {
-                    let arena = &self.species[si];
-                    accumulate::pool_accumulate_redundant(
-                        pool,
-                        &arena.p.icell,
-                        &arena.p.dx,
-                        &arena.p.dy,
-                        &mut self.rho4,
-                        &mut self.rho_arenas,
-                        w,
-                        self.cfg.deposit_path,
-                        KernelPath::Lanes,
-                    );
-                }
-                None => {
-                    let arena = &self.species[si];
-                    kernels::deposit::select_kernel(self.cfg.deposit_path, KernelPath::Lanes)(
-                        &arena.p.icell,
-                        &arena.p.dx,
-                        &arena.p.dy,
-                        &mut self.rho4.rho4,
-                        w,
-                    )
-                }
-            }
-        }
-        self.rho4
-            .reduce_to_grid(self.layout.as_dyn(), &mut self.field.rho);
-    }
-
-    /// Per-step **J** deposit, mirroring [`deposit_rho`](Self::deposit_rho)
-    /// over the 12-double current rows.
-    fn deposit_current(&mut self) {
-        self.j12.clear();
-        for si in 0..self.species.len() {
-            let w = self.species[si].deposit_weight(&self.grid);
-            match &self.pool {
-                Some(pool) => {
-                    let arena = &self.species[si];
-                    current::pool_deposit_current(
-                        pool,
-                        &arena.p.icell,
-                        &arena.p.dx,
-                        &arena.p.dy,
-                        &arena.p.vx,
-                        &arena.p.vy,
-                        &arena.vz,
-                        &mut self.j12,
-                        &mut self.j_arenas,
-                        w,
-                        self.cfg.deposit_path,
-                        KernelPath::Lanes,
-                    );
-                }
-                None => {
-                    let arena = &self.species[si];
-                    current::select_current_kernel(self.cfg.deposit_path, KernelPath::Lanes)(
-                        &arena.p.icell,
-                        &arena.p.dx,
-                        &arena.p.dy,
-                        &arena.p.vx,
-                        &arena.p.vy,
-                        &arena.vz,
-                        &mut self.j12.j12,
-                        w,
-                    )
-                }
-            }
-        }
-        self.j12.reduce_to_grid(
-            self.layout.as_dyn(),
-            &mut self.jx,
-            &mut self.jy,
-            &mut self.jz,
-        );
-    }
-
     fn solve_field(&mut self) {
-        match &self.pool {
-            Some(pool) => self.solver.solve_e_pooled(
-                &self.field.rho,
-                &mut self.field.ex,
-                &mut self.field.ey,
-                &mut self.solve_scratch,
-                pool.as_ref(),
-            ),
-            None => self.solver.solve_e_with(
-                &self.field.rho,
-                &mut self.field.ex,
-                &mut self.field.ey,
-                &mut self.solve_scratch,
-            ),
-        }
+        let pool = self.pool.as_deref();
+        self.field
+            .solve_e(&self.solver, &mut self.solve_scratch, pool);
     }
 
     fn refresh_field_views(&mut self) {
@@ -970,9 +855,10 @@ impl EmSimulation {
     }
 
     fn record_diag(&mut self) {
+        let kinetic = (self.pass_kinetic.take()).unwrap_or_else(|| self.kinetic_energy());
         self.diag.history.push(DiagSample {
             time: self.step_count as f64 * self.cfg.dt,
-            kinetic: self.kinetic_energy(),
+            kinetic,
             field: self.field_energy(),
             ex_mode: self.ex_mode_amplitude(1),
         });
@@ -1063,6 +949,7 @@ impl EmSimulation {
         self.cfg.deposit_path = state.hot_path.deposit_path;
         self.cfg.sort_period = state.hot_path.sort_period as usize;
         self.controller = restored_ctrl;
+        self.pass_kinetic = None;
         self.species = state
             .species
             .into_iter()
@@ -1166,21 +1053,6 @@ impl EmSimulation {
     }
 }
 
-/// Push a whole store with `push`, one [`chunk_range`](crate::pool::chunk_range)
-/// chunk per pool worker.
-fn push_store(p: &mut ParticlesSoA, pool: Option<&ThreadPool>, push: &StripFn<'_>) {
-    let nw = pool.map_or(1, ThreadPool::nthreads);
-    let mut views: [Option<SoaViewMut<'_>>; MAX_THREADS] = [const { None }; MAX_THREADS];
-    let nv = kernels::split_soa_mut_into(p, nw, &mut views);
-    let run = |_: usize, v: &mut Option<SoaViewMut<'_>>| {
-        push(v.as_mut().expect("view slot filled"));
-    };
-    match pool {
-        Some(pool) => pool.run_items(&mut views[..nv], run),
-        None => run(0, &mut views[0]),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1213,6 +1085,47 @@ mod tests {
         sim.run(5);
         resumed.run(5);
         assert_eq!(sim.checkpoint(), resumed.checkpoint());
+    }
+
+    #[test]
+    fn kinetic_energy_is_the_recorded_sample() {
+        for threads in [1, 2, 3] {
+            // Electrons over three strips, ions over one, both off the
+            // lane width.
+            let mut cfg = EmConfig::magnetized_two_stream(3 * crate::sim::STRIP + 5);
+            cfg.threads = threads;
+            let mut sim = EmSimulation::new(cfg.clone()).unwrap();
+            let recorded =
+                |sim: &EmSimulation| sim.diagnostics().history.last().unwrap().kinetic.to_bits();
+            assert_eq!(sim.kinetic_energy().to_bits(), recorded(&sim));
+            for _ in 0..3 {
+                sim.step();
+                assert_eq!(
+                    sim.kinetic_energy().to_bits(),
+                    recorded(&sim),
+                    "threads={threads}"
+                );
+            }
+            let plain: f64 = sim.moments().iter().map(|m| m.kinetic).sum();
+            let last = f64::from_bits(recorded(&sim));
+            assert!(
+                (last - plain).abs() <= 1e-12 * plain,
+                "threads={threads}: {last} vs plain sum {plain}"
+            );
+
+            // A restore between the step halves drops the in-pass sum: the
+            // sample is the energy of the restored particles.
+            let snap = sim.checkpoint();
+            sim.step_pre_reduce();
+            sim.restore(&snap).unwrap();
+            sim.step_post_reduce();
+            assert_eq!(
+                sim.kinetic_energy().to_bits(),
+                recorded(&sim),
+                "threads={threads}: after restore"
+            );
+            assert_eq!(sim.kinetic_energy().to_bits(), last.to_bits());
+        }
     }
 
     #[test]

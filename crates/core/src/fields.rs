@@ -19,7 +19,9 @@
 //! 3 → `(ix+1, iy+1)` (neighbours wrap periodically).
 
 use crate::grid::Grid2D;
+use crate::pool::ThreadPool;
 use sfc::CellLayout;
+use spectral::poisson::{PoissonSolver2D, SolveScratch};
 
 /// The CIC corner-weight coefficient tables of Fig. 2:
 /// `w[corner] = (CX[corner] + SX[corner]·dx) · (CY[corner] + SY[corner]·dy)`.
@@ -68,6 +70,39 @@ impl Field2D {
     /// Zero the charge density (paper's Fig. 1, line 7).
     pub fn clear_rho(&mut self) {
         self.rho.fill(0.0);
+    }
+
+    /// Solve Poisson from `rho` into `ex`/`ey`, striping the FFT passes over
+    /// `pool` when there is one ([`PoissonSolver2D::solve_e_pooled`]); the
+    /// two paths are bit-exact, so trajectories stay invariant under the
+    /// thread count.
+    pub(crate) fn solve_e(
+        &mut self,
+        solver: &PoissonSolver2D,
+        scratch: &mut SolveScratch,
+        pool: Option<&ThreadPool>,
+    ) {
+        match pool {
+            Some(pool) => {
+                solver.solve_e_pooled(&self.rho, &mut self.ex, &mut self.ey, scratch, pool)
+            }
+            None => solver.solve_e_with(&self.rho, &mut self.ex, &mut self.ey, scratch),
+        }
+    }
+
+    /// Amplitude of `E_x`'s Fourier mode `m` along x (averaged over y):
+    /// `(2/ncx)·|Σ_x Ē_x(x) e^{−i 2π m x/ncx}|` with `Ē_x` the y-average.
+    pub fn ex_mode_amplitude(&self, mode: usize) -> f64 {
+        let (ncx, ncy) = (self.ncx, self.ncy);
+        let mut re = 0.0;
+        let mut im = 0.0;
+        for ix in 0..ncx {
+            let row: f64 = self.ex[ix * ncy..(ix + 1) * ncy].iter().sum();
+            let theta = -2.0 * std::f64::consts::PI * (mode * ix) as f64 / ncx as f64;
+            re += row * theta.cos();
+            im += row * theta.sin();
+        }
+        2.0 * (re * re + im * im).sqrt() / (ncx * ncy) as f64
     }
 }
 

@@ -38,7 +38,8 @@ pub mod velocity;
 
 use crate::particles::ParticlesSoA;
 
-/// A mutable view over one contiguous range of a [`ParticlesSoA`]; the
+/// A mutable view over one contiguous range of a particle store — a
+/// [`ParticlesSoA`] plus the optional `vz` column of a 2d3v store; the
 /// default is the empty view.
 #[derive(Default)]
 pub struct SoaViewMut<'a> {
@@ -56,6 +57,8 @@ pub struct SoaViewMut<'a> {
     pub vx: &'a mut [f64],
     /// y velocities.
     pub vy: &'a mut [f64],
+    /// z velocities: index-parallel with the rest, or empty for a 2d2v store.
+    pub vz: &'a mut [f64],
 }
 
 impl<'a> SoaViewMut<'a> {
@@ -71,6 +74,7 @@ impl<'a> SoaViewMut<'a> {
 
     /// Reborrow the sub-range `start..end` of this view.
     pub fn range_mut(&mut self, start: usize, end: usize) -> SoaViewMut<'_> {
+        let nz = self.vz.len();
         SoaViewMut {
             icell: &mut self.icell[start..end],
             ix: &mut self.ix[start..end],
@@ -79,26 +83,31 @@ impl<'a> SoaViewMut<'a> {
             dy: &mut self.dy[start..end],
             vx: &mut self.vx[start..end],
             vy: &mut self.vy[start..end],
+            vz: &mut self.vz[start.min(nz)..end.min(nz)],
         }
     }
 }
 
-/// Split a particle store into `nchunks` disjoint mutable views of
-/// near-equal size (for thread fan-out), larger chunks first, without
-/// allocating: the views go into `out` (a stack array on the hot path) and
-/// the count produced is returned — fewer than `nchunks` when there are
-/// fewer particles than chunks.
+/// Split a particle store — `p` plus its `vz` column, empty for a 2d2v
+/// store — into `nchunks` disjoint mutable views of near-equal size (for
+/// thread fan-out), larger chunks first, without allocating: the views go
+/// into `out` (a stack array on the hot path) and the count produced is
+/// returned — fewer than `nchunks` when there are fewer particles than
+/// chunks.
 ///
 /// # Panics
 ///
 /// Panics if `out` is shorter than the number of chunks produced
-/// (`min(nchunks.max(1), n.max(1))`).
+/// (`min(nchunks.max(1), n.max(1))`), or if a non-empty `vz` is not
+/// index-parallel with `p`.
 pub fn split_soa_mut_into<'a>(
     p: &'a mut ParticlesSoA,
+    vz: &'a mut [f64],
     nchunks: usize,
     out: &mut [Option<SoaViewMut<'a>>],
 ) -> usize {
     let n = p.len();
+    assert!(vz.is_empty() || vz.len() == n, "vz not parallel with p");
     let nchunks = nchunks.max(1).min(n.max(1));
     assert!(
         out.len() >= nchunks,
@@ -108,39 +117,27 @@ pub fn split_soa_mut_into<'a>(
     let base = n / nchunks;
     let extra = n % nchunks;
 
-    let (mut icell, mut ix, mut iy, mut dx, mut dy, mut vx, mut vy) = (
-        p.icell.as_mut_slice(),
-        p.ix.as_mut_slice(),
-        p.iy.as_mut_slice(),
-        p.dx.as_mut_slice(),
-        p.dy.as_mut_slice(),
-        p.vx.as_mut_slice(),
-        p.vy.as_mut_slice(),
-    );
+    /// Cut the first `len` elements (all of a shorter column) off `s`.
+    fn take<'a, T>(s: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+        let whole = std::mem::take(s);
+        let (head, rest) = whole.split_at_mut(len.min(whole.len()));
+        *s = rest;
+        head
+    }
+    let (mut icell, mut ix, mut iy) = (&mut p.icell[..], &mut p.ix[..], &mut p.iy[..]);
+    let (mut dx, mut dy) = (&mut p.dx[..], &mut p.dy[..]);
+    let (mut vx, mut vy, mut vz) = (&mut p.vx[..], &mut p.vy[..], vz);
     for (c, slot) in out.iter_mut().enumerate().take(nchunks) {
         let len = base + usize::from(c < extra);
-        let (a, b) = icell.split_at_mut(len);
-        icell = b;
-        let (a2, b2) = ix.split_at_mut(len);
-        ix = b2;
-        let (a3, b3) = iy.split_at_mut(len);
-        iy = b3;
-        let (a4, b4) = dx.split_at_mut(len);
-        dx = b4;
-        let (a5, b5) = dy.split_at_mut(len);
-        dy = b5;
-        let (a6, b6) = vx.split_at_mut(len);
-        vx = b6;
-        let (a7, b7) = vy.split_at_mut(len);
-        vy = b7;
         *slot = Some(SoaViewMut {
-            icell: a,
-            ix: a2,
-            iy: a3,
-            dx: a4,
-            dy: a5,
-            vx: a6,
-            vy: a7,
+            icell: take(&mut icell, len),
+            ix: take(&mut ix, len),
+            iy: take(&mut iy, len),
+            dx: take(&mut dx, len),
+            dy: take(&mut dy, len),
+            vx: take(&mut vx, len),
+            vy: take(&mut vy, len),
+            vz: take(&mut vz, len),
         });
     }
     nchunks
@@ -158,17 +155,27 @@ mod tests {
             (0, 4, vec![0]),
             (100, 7, vec![15, 15, 14, 14, 14, 14, 14]),
         ] {
-            let mut p = ParticlesSoA::zeroed(n);
-            for i in 0..n {
-                p.icell[i] = i as u32;
+            for has_vz in [false, true] {
+                let mut p = ParticlesSoA::zeroed(n);
+                for i in 0..n {
+                    p.icell[i] = i as u32;
+                }
+                let mut vz = vec![0.0; if has_vz { n } else { 0 }];
+                let mut slots: [Option<SoaViewMut>; 16] = [const { None }; 16];
+                let nv = split_soa_mut_into(&mut p, &mut vz, nchunks, &mut slots);
+                let mut views: Vec<&mut SoaViewMut> = slots[..nv].iter_mut().flatten().collect();
+                let lens: Vec<usize> = views.iter().map(|v| v.len()).collect();
+                assert_eq!(lens, want, "n={n} nchunks={nchunks}");
+                let seen: Vec<u32> = views.iter().flat_map(|v| v.icell.iter().copied()).collect();
+                assert_eq!(seen, (0..n as u32).collect::<Vec<u32>>());
+                // `vz` travels with the chunk and with any sub-range of it.
+                for v in &mut views {
+                    let len = v.len();
+                    assert_eq!(v.vz.len(), if has_vz { len } else { 0 });
+                    let tail = v.range_mut(len / 2, len);
+                    assert_eq!(tail.vz.len(), if has_vz { tail.len() } else { 0 });
+                }
             }
-            let mut slots: [Option<SoaViewMut>; 16] = [const { None }; 16];
-            let nv = split_soa_mut_into(&mut p, nchunks, &mut slots);
-            let views: Vec<&SoaViewMut> = slots[..nv].iter().flatten().collect();
-            let lens: Vec<usize> = views.iter().map(|v| v.len()).collect();
-            assert_eq!(lens, want, "n={n} nchunks={nchunks}");
-            let seen: Vec<u32> = views.iter().flat_map(|v| v.icell.iter().copied()).collect();
-            assert_eq!(seen, (0..n as u32).collect::<Vec<u32>>());
         }
     }
 }

@@ -15,7 +15,7 @@
 //! 1. periodically **sort** particles by cell index ([`sort`]);
 //! 2. zero ρ, then for each particle **update velocity** (interpolate E),
 //!    **update position** (periodic wrap), **accumulate charge**
-//!    ([`kernels`] — three split loops, streamed strip by strip);
+//!    ([`kernels`] — three split loops, streamed strip by strip by [`pass`]);
 //! 3. solve **Poisson** for E from ρ (the `spectral` crate).
 //!
 //! ## Data structures
@@ -56,6 +56,7 @@ pub mod fields;
 pub mod grid;
 pub mod kernels;
 pub mod particles;
+pub mod pass;
 pub mod pool;
 pub mod resilience;
 pub mod rng;

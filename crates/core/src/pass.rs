@@ -1,0 +1,256 @@
+//! The one particle loop of the library: a strip-mined streaming pass that
+//! kicks, sums `Σ|v|²`, pushes and deposits each strip of particles while it
+//! is in cache, so a particle crosses the memory bus once per step.
+//!
+//! Both drivers step through `strip_pass`: [`crate::sim::Simulation`] with
+//! a leap-frog kick over its 2d2v store, [`crate::em::EmSimulation`] once
+//! per species with the Boris kick, a `vz` column in the view and the **J**
+//! deposit after the ρ deposit of the same pushed positions.
+
+use crate::fields::{RedundantJ, RedundantRho};
+use crate::kernels::{self, current, deposit, simd, SoaViewMut};
+use crate::particles::ParticlesSoA;
+use crate::pool::{chunk_range, ThreadPool, MAX_THREADS};
+use crate::sim::{AnyLayout, PhaseTimes};
+use sfc::CellLayout;
+use std::time::Instant;
+
+/// Particles per strip of the streaming particle pass: a multiple of the
+/// lane width, so strip edges fall on the lane-block edges of a whole-chunk
+/// kernel call, and small enough (8192 × 44 B ≈ 360 KB) that a strip stays
+/// in L2 from its kick to its deposit. Chosen by sweep (DESIGN.md §9), plain
+/// step at 16 M particles / 2 threads: 114.8 ms as three whole-array
+/// passes, then 71.3 / 67.8 / 66.1 / 67.4 / 93.7 ms at strip 512 / 2048 /
+/// 8192 / 32768 / ∞; at 1 M / 1 thread every length is within noise of the
+/// three-pass step (8.3–8.8 ms vs 8.4), 512 the slowest.
+pub const STRIP: usize = 8192;
+const _: () = assert!(STRIP.is_multiple_of(simd::LANES));
+
+/// A kernel applied to one strip of particles.
+pub(crate) type StripFn<'a> = dyn Fn(&mut SoaViewMut<'_>) + Sync + 'a;
+
+/// The kernels one streaming pass runs on every strip, selected once per
+/// step; dispatch is per strip, so it costs nothing per particle.
+pub(crate) struct StripKernels<'a> {
+    pub kick: &'a StripFn<'a>,
+    /// The branchless push re-encodes cells in `layout`; `push_scale` takes
+    /// stored velocities to cells per step.
+    pub layout: &'a AnyLayout,
+    pub push_scale: f64,
+    pub deposit: deposit::DepositFn,
+    /// **J** deposit of the pushed strip (2d3v passes only).
+    pub current: Option<current::CurrentFn>,
+    /// Signed deposition weight.
+    pub weight: f64,
+    /// Stored in-plane velocity → physical factors for the in-pass `Σ|v|²`
+    /// (`vz` is always stored physical).
+    pub speed_scales: (f64, f64),
+}
+
+/// One worker's share of a streaming pass.
+struct PassItem<'a> {
+    view: SoaViewMut<'a>,
+    /// Where this worker deposits ρ and **J**: its private arenas (`own`),
+    /// or the pass targets themselves when it is the only worker.
+    rho: &'a mut RedundantRho,
+    j: Option<&'a mut RedundantJ>,
+    /// The deposit targets are this worker's arenas, which it clears; the
+    /// pass targets arrive cleared by the caller.
+    own: bool,
+    /// `Σ|v|²` over the view, taken after the kick.
+    speed_sq: f64,
+    /// Per-phase seconds as laps of `clock`: every lap starts where the
+    /// previous one ended, so the three buckets add up to the worker's time
+    /// in the pass.
+    times: PhaseTimes,
+    clock: Instant,
+}
+
+/// Close the current lap of `clock` into `bucket`.
+fn lap(clock: &mut Instant, bucket: &mut f64) {
+    let now = Instant::now();
+    *bucket += (now - *clock).as_secs_f64();
+    *clock = now;
+}
+
+/// `Σ|v|²` of one strip. A zero second scale makes the lane kernel sum the
+/// single `vz` column; an empty `vz` adds `+0.0`, which changes no bit.
+fn strip_speed_sq(vx: &[f64], vy: &[f64], vz: &[f64], (sx, sy): (f64, f64)) -> f64 {
+    simd::sum_speed_sq_lanes(vx, vy, sx, sy) + simd::sum_speed_sq_lanes(vz, vz, 1.0, 0.0)
+}
+
+impl PassItem<'_> {
+    /// Walk the view strip by strip: kick → `Σ|v|²` partial → push → ρ then
+    /// **J** deposit of the pushed positions, so each particle moves between
+    /// memory and cache once per step. The last strip and the `n mod LANES`
+    /// remainder go through the kernels' own scalar tails.
+    fn run(&mut self, k: &StripKernels<'_>) {
+        // Work on locals and store once at the end: neighbouring items
+        // share cache lines, and these are written several times a strip.
+        let (mut clock, mut times, mut speed_sq) = (self.clock, self.times, self.speed_sq);
+        if self.own {
+            self.rho.clear();
+            if let Some(j) = self.j.as_mut() {
+                j.clear();
+            }
+        }
+        lap(&mut clock, &mut times.accumulate);
+        let n = self.view.len();
+        let mut start = 0;
+        while start < n {
+            let end = (start + STRIP).min(n);
+            let mut strip = self.view.range_mut(start, end);
+            (k.kick)(&mut strip);
+            speed_sq += strip_speed_sq(strip.vx, strip.vy, strip.vz, k.speed_scales);
+            lap(&mut clock, &mut times.update_v);
+            push_strip(&mut strip, k.layout, k.push_scale);
+            lap(&mut clock, &mut times.update_x);
+            let s = &strip;
+            (k.deposit)(s.icell, s.dx, s.dy, &mut self.rho.rho4, k.weight);
+            if let (Some(current), Some(j)) = (k.current, self.j.as_mut()) {
+                current(s.icell, s.dx, s.dy, s.vx, s.vy, s.vz, &mut j.j12, k.weight);
+            }
+            lap(&mut clock, &mut times.accumulate);
+            start = end;
+        }
+        (self.clock, self.times, self.speed_sq) = (clock, times, speed_sq);
+    }
+}
+
+/// `Σ|v|²` of a whole store (`vz` empty for a 2d2v one) in the shape
+/// [`strip_pass`] sums it: one lane-blocked partial per strip, strips added
+/// in order within each [`chunk_range`] chunk (over the pool when there is
+/// one), chunks added in worker order — so on unchanged velocities it equals
+/// the pass's return value bit for bit.
+pub(crate) fn store_speed_sq(
+    vx: &[f64],
+    vy: &[f64],
+    vz: &[f64],
+    scales: (f64, f64),
+    pool: Option<&ThreadPool>,
+) -> f64 {
+    let nw = pool.map_or(1, ThreadPool::nthreads);
+    let nz = vz.len();
+    let mut partials = [0.0f64; MAX_THREADS];
+    let chunk = |w: usize, out: &mut f64| {
+        let (mut start, chunk_end) = chunk_range(vx.len(), nw, w);
+        let mut sum = 0.0;
+        while start < chunk_end {
+            let end = (start + STRIP).min(chunk_end);
+            let svz = &vz[start.min(nz)..end.min(nz)];
+            sum += strip_speed_sq(&vx[start..end], &vy[start..end], svz, scales);
+            start = end;
+        }
+        *out = sum;
+    };
+    match pool {
+        Some(pool) => pool.run_items(&mut partials[..nw], chunk),
+        None => chunk(0, &mut partials[0]),
+    }
+    partials[..nw].iter().sum()
+}
+
+/// The particle loops of one step, for one particle store, as a single
+/// fan-out: worker `w` walks its [`chunk_range`] chunk in strips
+/// ([`PassItem::run`]) and deposits into its own arenas; the leader then
+/// *adds* the arenas, in worker order, into `rho.0` (and `j.0`), which the
+/// caller cleared — so one pass per species accumulates a multi-species ρ
+/// with the association of one pooled deposit per species, and the result is
+/// deterministic for a given pool width. Without a pool (or with one worker)
+/// the same strip loop runs on the whole store, straight into the targets.
+/// Returns `Σ|v|²`, per-worker partials added in worker order.
+///
+/// `rho` and `j` are `(target, per-worker arenas)`; `j` goes with
+/// [`StripKernels::current`]. The leader's laps go to `timers`; its wait at
+/// the join and the arena merge count as accumulate, like the deposit
+/// fan-out they replace.
+pub(crate) fn strip_pass(
+    particles: &mut ParticlesSoA,
+    vz: &mut [f64],
+    pool: Option<&ThreadPool>,
+    rho: (&mut RedundantRho, &mut [RedundantRho]),
+    mut j: Option<(&mut RedundantJ, &mut [RedundantJ])>,
+    kernels: &StripKernels<'_>,
+    timers: &mut PhaseTimes,
+) -> f64 {
+    let clock = Instant::now();
+    let nw = pool.map_or(1, ThreadPool::nthreads);
+    let own = nw > 1;
+    let mut views: [Option<SoaViewMut<'_>>; MAX_THREADS] = [const { None }; MAX_THREADS];
+    kernels::split_soa_mut_into(particles, vz, nw, &mut views);
+    let (rho4, rho_arenas) = rho;
+    let rho_targets = if own {
+        &mut rho_arenas[..nw]
+    } else {
+        std::slice::from_mut(&mut *rho4)
+    };
+    let j_targets = j.as_mut().map(|(j12, arenas)| {
+        if own {
+            &mut arenas[..nw]
+        } else {
+            std::slice::from_mut(&mut **j12)
+        }
+    });
+    let mut j_targets = j_targets.into_iter().flatten();
+    // Fewer particles than workers leaves the last views empty; those
+    // workers still clear their arenas.
+    let mut work: [Option<PassItem<'_>>; MAX_THREADS] = [const { None }; MAX_THREADS];
+    for ((slot, view), rho) in work.iter_mut().zip(&mut views).zip(rho_targets) {
+        *slot = Some(PassItem {
+            view: view.take().unwrap_or_default(),
+            rho,
+            j: j_targets.next(),
+            own,
+            speed_sq: 0.0,
+            times: PhaseTimes::default(),
+            clock,
+        });
+    }
+    let run = |_: usize, slot: &mut Option<PassItem<'_>>| {
+        slot.as_mut().expect("work slot filled").run(kernels);
+    };
+    match pool {
+        Some(pool) => pool.run_items(&mut work[..nw], run),
+        None => run(0, &mut work[0]),
+    }
+
+    let speed_sq = work[..nw].iter().flatten().map(|item| item.speed_sq).sum();
+    let leader = work[0].as_ref().expect("work slot filled");
+    let (mut times, mut clock) = (leader.times, leader.clock);
+    if own {
+        for arena in &rho_arenas[..nw] {
+            rho4.add_assign(arena);
+        }
+        if let Some((j12, arenas)) = j {
+            for arena in &arenas[..nw] {
+                j12.add_assign(arena);
+            }
+        }
+    }
+    lap(&mut clock, &mut times.accumulate);
+    timers.update_v += times.update_v;
+    timers.update_x += times.update_x;
+    timers.accumulate += times.accumulate;
+    speed_sq
+}
+
+/// The branchless push of one strip: the arithmetic row-major form, the
+/// layout's own `encode` otherwise.
+fn push_strip(v: &mut SoaViewMut<'_>, layout: &AnyLayout, scale: f64) {
+    fn in_layout<L: CellLayout>(v: &mut SoaViewMut<'_>, layout: &L, scale: f64) {
+        simd::update_positions_branchless_layout_lanes(
+            v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
+        )
+    }
+    match layout {
+        AnyLayout::RowMajor(l) => {
+            let (ncx, ncy) = (l.ncx(), l.ncy());
+            simd::update_positions_branchless_lanes(
+                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
+            )
+        }
+        AnyLayout::L4D(l) => in_layout(v, l, scale),
+        AnyLayout::Morton(l) => in_layout(v, l, scale),
+        AnyLayout::Hilbert(l) => in_layout(v, l, scale),
+    }
+}

@@ -30,9 +30,10 @@
 use crate::control::{self, ControllerConfig, HotPathController, SwitchEvent};
 use crate::fields::{Field2D, RedundantE, RedundantRho};
 use crate::grid::Grid2D;
-use crate::kernels::{self, accumulate, deposit, simd, velocity, SoaViewMut};
+use crate::kernels::{accumulate, deposit, simd, velocity, SoaViewMut};
 use crate::particles::{self, InitialDistribution, ParticlesSoA};
-use crate::pool::{chunk_range, ThreadPool, MAX_THREADS};
+use crate::pass::{store_speed_sq, strip_pass, StripKernels};
+use crate::pool::ThreadPool;
 use crate::resilience::checkpoint::{self as ckpt};
 use crate::rng::Rng;
 use crate::sort;
@@ -69,6 +70,7 @@ pub enum KernelPath {
 }
 
 pub use crate::kernels::deposit::DepositPath;
+pub use crate::pass::STRIP;
 
 /// A concrete layout instance for static-dispatch kernels.
 #[derive(Debug, Clone)]
@@ -884,27 +886,12 @@ impl Simulation {
             .reduce_to_grid(self.layout.as_dyn(), &mut self.field.rho);
     }
 
-    /// Solve Poisson from `field.rho` into `field.ex/ey`. Multi-threaded
-    /// runs stripe the FFT passes over the persistent pool
-    /// ([`PoissonSolver2D::solve_e_pooled`]); the two paths are bit-exact,
-    /// so trajectories stay invariant under the thread count.
+    /// Solve Poisson from `field.rho` into `field.ex/ey` ([`Field2D::solve_e`]).
     fn solve_field(&mut self) {
         let t = Instant::now();
-        match &self.pool {
-            Some(pool) => self.solver.solve_e_pooled(
-                &self.field.rho,
-                &mut self.field.ex,
-                &mut self.field.ey,
-                &mut self.solve_scratch,
-                pool.as_ref(),
-            ),
-            None => self.solver.solve_e_with(
-                &self.field.rho,
-                &mut self.field.ex,
-                &mut self.field.ey,
-                &mut self.solve_scratch,
-            ),
-        }
+        let pool = self.pool.as_deref();
+        self.field
+            .solve_e(&self.solver, &mut self.solve_scratch, pool);
         self.timers.solve += t.elapsed().as_secs_f64();
     }
 
@@ -982,13 +969,7 @@ impl Simulation {
 
         // Periodic sort (lines 4–6): disorder-driven when a controller is
         // attached, the fixed configured cadence otherwise.
-        let sort_now = match &self.controller {
-            Some(c) => c.should_sort(),
-            None => {
-                self.cfg.sort_period > 0 && self.step_count.is_multiple_of(self.cfg.sort_period)
-            }
-        };
-        if sort_now {
+        if control::sort_due(&self.controller, self.cfg.sort_period, self.step_count) {
             self.sort_particles();
             if let Some(c) = self.controller.as_mut() {
                 c.on_sort();
@@ -1122,10 +1103,6 @@ impl Simulation {
     fn particle_pass(&mut self) {
         let hoisted = self.cfg.hoisted;
         let (coeff_x, coeff_y, unhoisted_scale) = self.unhoisted_coeffs();
-        let scale = if hoisted { 1.0 } else { unhoisted_scale };
-        let (ncx, ncy) = (self.grid.ncx, self.grid.ncy);
-        let speed_scales = self.speed_scales();
-
         let e8 = &self.e8.e8;
         let kick = |v: &mut SoaViewMut<'_>| {
             if hoisted {
@@ -1136,32 +1113,21 @@ impl Simulation {
                 )
             }
         };
-        let push_row_major = |v: &mut SoaViewMut<'_>| {
-            simd::update_positions_branchless_lanes(
-                v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, ncx, ncy, scale,
-            )
+        let kernels = StripKernels {
+            kick: &kick,
+            layout: &self.layout,
+            push_scale: if hoisted { 1.0 } else { unhoisted_scale },
+            deposit: deposit::select_kernel(self.cfg.deposit_path, KernelPath::Lanes),
+            current: None,
+            weight: self.wq * QE.signum(),
+            speed_scales: self.speed_scales(),
         };
-        let deposit = deposit::select_kernel(self.cfg.deposit_path, KernelPath::Lanes);
-        let weight = self.wq * QE.signum();
-
-        let (particles, pool) = (&mut self.particles, self.pool.as_deref());
-        let (rho4, arenas, timers) = (&mut self.rho4, &mut self.rho_arenas, &mut self.timers);
-        let mut pass = |push: &StripFn<'_>| {
-            let kernels = StripKernels {
-                kick: &kick,
-                push,
-                deposit,
-                weight,
-                speed_scales,
-            };
-            strip_pass(particles, pool, rho4, arenas, &kernels, timers)
-        };
-        let speed_sq = match &self.layout {
-            AnyLayout::RowMajor(_) => pass(&push_row_major),
-            AnyLayout::L4D(l) => pass(&push_in_layout(l, scale)),
-            AnyLayout::Morton(l) => pass(&push_in_layout(l, scale)),
-            AnyLayout::Hilbert(l) => pass(&push_in_layout(l, scale)),
-        };
+        let t = Instant::now();
+        self.rho4.clear();
+        self.timers.accumulate += t.elapsed().as_secs_f64();
+        let rho = (&mut self.rho4, &mut self.rho_arenas[..]);
+        let (p, pool) = (&mut self.particles, self.pool.as_deref());
+        let speed_sq = strip_pass(p, &mut [], pool, rho, None, &kernels, &mut self.timers);
         self.pass_speed_sq = Some(speed_sq);
 
         let t = Instant::now();
@@ -1184,25 +1150,14 @@ impl Simulation {
 
     /// Kinetic energy in physical units, `½·w·m·Σ|v|²`.
     ///
-    /// The sum has the shape of the streaming pass — lane-blocked
-    /// partials per strip, per [`chunk_range`] chunk (over the pool when
-    /// there is one), chunks added in worker order — so it is deterministic
-    /// for a given particle order and pool width, and right after a
-    /// [`step`](Self::step) it equals the recorded sample bit for bit.
+    /// The sum has the shape of the streaming pass (`pass::store_speed_sq`), so
+    /// it is deterministic for a given particle order and pool width, and
+    /// right after a [`step`](Self::step) it equals the recorded sample bit
+    /// for bit.
     pub fn kinetic_energy(&self) -> f64 {
-        let (sx, sy) = self.speed_scales();
-        let (vx, vy) = (&self.particles.vx, &self.particles.vy);
-        let nw = self.pool.as_ref().map_or(1, |p| p.nthreads());
-        let mut partials = [0.0f64; MAX_THREADS];
-        let chunk = |w: usize, out: &mut f64| {
-            let (s, e) = chunk_range(vx.len(), nw, w);
-            *out = chunk_speed_sq(&vx[s..e], &vy[s..e], sx, sy);
-        };
-        match &self.pool {
-            Some(pool) => pool.run_items(&mut partials[..nw], chunk),
-            None => chunk(0, &mut partials[0]),
-        }
-        self.kinetic_from_speed_sq(partials[..nw].iter().sum())
+        let p = &self.particles;
+        let pool = self.pool.as_deref();
+        self.kinetic_from_speed_sq(store_speed_sq(&p.vx, &p.vy, &[], self.speed_scales(), pool))
     }
 
     fn kinetic_from_speed_sq(&self, sum: f64) -> f64 {
@@ -1214,19 +1169,10 @@ impl Simulation {
         self.solver.field_energy(&self.field.ex, &self.field.ey)
     }
 
-    /// Amplitude of `E_x`'s Fourier mode `m` along x (averaged over y):
-    /// `(2/ncx)·|Σ_x Ē_x(x) e^{−i 2π m x/ncx}|` with `Ē_x` the y-average.
+    /// Amplitude of `E_x`'s Fourier mode `m` along x
+    /// ([`Field2D::ex_mode_amplitude`]).
     pub fn ex_mode_amplitude(&self, mode: usize) -> f64 {
-        let (ncx, ncy) = (self.grid.ncx, self.grid.ncy);
-        let mut re = 0.0;
-        let mut im = 0.0;
-        for ix in 0..ncx {
-            let row: f64 = self.field.ex[ix * ncy..(ix + 1) * ncy].iter().sum();
-            let theta = -2.0 * std::f64::consts::PI * (mode * ix) as f64 / ncx as f64;
-            re += row * theta.cos();
-            im += row * theta.sin();
-        }
-        2.0 * (re * re + im * im).sqrt() / (ncx * ncy) as f64
+        self.field.ex_mode_amplitude(mode)
     }
 
     fn record_diag(&mut self) {
@@ -1240,174 +1186,6 @@ impl Simulation {
             field: self.field_energy(),
             ex_mode: self.ex_mode_amplitude(1),
         });
-    }
-}
-
-/// Particles per strip of the streaming particle pass: a multiple of the
-/// lane width, so strip edges fall on the lane-block edges of a whole-chunk
-/// kernel call, and small enough (8192 × 44 B ≈ 360 KB) that a strip stays
-/// in L2 from its kick to its deposit. Chosen by sweep (DESIGN.md §9), plain
-/// step at 16 M particles / 2 threads: 114.8 ms as three whole-array
-/// passes, then 71.3 / 67.8 / 66.1 / 67.4 / 93.7 ms at strip 512 / 2048 /
-/// 8192 / 32768 / ∞; at 1 M / 1 thread every length is within noise of the
-/// three-pass step (8.3–8.8 ms vs 8.4), 512 the slowest.
-pub const STRIP: usize = 8192;
-const _: () = assert!(STRIP.is_multiple_of(simd::LANES));
-
-/// A kernel applied to one strip of particles.
-pub(crate) type StripFn<'a> = dyn Fn(&mut SoaViewMut<'_>) + Sync + 'a;
-
-/// The kernels one streaming pass runs on every strip, selected once per
-/// step; dispatch is per strip, so it costs nothing per particle.
-struct StripKernels<'a> {
-    kick: &'a StripFn<'a>,
-    push: &'a StripFn<'a>,
-    deposit: deposit::DepositFn,
-    /// Signed deposition weight.
-    weight: f64,
-    /// Stored-velocity → physical factors for the in-pass `Σ|v|²`.
-    speed_scales: (f64, f64),
-}
-
-/// One worker's share of a streaming pass.
-struct PassItem<'a> {
-    view: SoaViewMut<'a>,
-    /// Where this worker deposits: its private arena, or ρ₄ itself when it
-    /// is the only worker.
-    rho: &'a mut RedundantRho,
-    /// `Σ|v|²` over the view, taken after the kick.
-    speed_sq: f64,
-    /// Per-phase seconds as laps of `clock`: every lap starts where the
-    /// previous one ended, so the three buckets add up to the worker's time
-    /// in the pass.
-    times: PhaseTimes,
-    clock: Instant,
-}
-
-/// Close the current lap of `clock` into `bucket`.
-fn lap(clock: &mut Instant, bucket: &mut f64) {
-    let now = Instant::now();
-    *bucket += (now - *clock).as_secs_f64();
-    *clock = now;
-}
-
-impl PassItem<'_> {
-    /// Walk the view strip by strip: kick → `Σ|v|²` partial → push → deposit
-    /// of the pushed positions, so each particle moves between memory and
-    /// cache once per step. The last strip and the `n mod LANES` remainder
-    /// go through the kernels' own scalar tails.
-    fn run(&mut self, k: &StripKernels<'_>) {
-        // Work on locals and store once at the end: neighbouring items
-        // share cache lines, and these are written several times a strip.
-        let (mut clock, mut times, mut speed_sq) = (self.clock, self.times, self.speed_sq);
-        self.rho.clear();
-        lap(&mut clock, &mut times.accumulate);
-        let n = self.view.len();
-        let (sx, sy) = k.speed_scales;
-        let mut start = 0;
-        while start < n {
-            let end = (start + STRIP).min(n);
-            let mut strip = self.view.range_mut(start, end);
-            (k.kick)(&mut strip);
-            speed_sq += simd::sum_speed_sq_lanes(strip.vx, strip.vy, sx, sy);
-            lap(&mut clock, &mut times.update_v);
-            (k.push)(&mut strip);
-            lap(&mut clock, &mut times.update_x);
-            (k.deposit)(
-                strip.icell,
-                strip.dx,
-                strip.dy,
-                &mut self.rho.rho4,
-                k.weight,
-            );
-            lap(&mut clock, &mut times.accumulate);
-            start = end;
-        }
-        (self.clock, self.times, self.speed_sq) = (clock, times, speed_sq);
-    }
-}
-
-/// `Σ|v|²` of one worker chunk in the shape [`PassItem::run`] sums it: one
-/// lane-blocked partial per strip, strips added in order.
-fn chunk_speed_sq(vx: &[f64], vy: &[f64], sx: f64, sy: f64) -> f64 {
-    let mut sum = 0.0;
-    for (svx, svy) in vx.chunks(STRIP).zip(vy.chunks(STRIP)) {
-        sum += simd::sum_speed_sq_lanes(svx, svy, sx, sy);
-    }
-    sum
-}
-
-/// The particle loops of one step as a single fan-out: worker `w` walks its
-/// [`chunk_range`] chunk in strips ([`PassItem::run`]) and deposits into its
-/// own arena; the arenas are then merged into `rho4` in worker order, so ρ
-/// is deterministic for a given pool width. Without a pool (or with one
-/// worker) the same strip loop runs on the whole store, straight into
-/// `rho4`. Returns `Σ|v|²`, per-worker partials added in worker order.
-///
-/// The leader's laps go to `timers`; its wait at the join and the arena
-/// merge count as accumulate, like the deposit fan-out they replace.
-fn strip_pass(
-    particles: &mut ParticlesSoA,
-    pool: Option<&ThreadPool>,
-    rho4: &mut RedundantRho,
-    arenas: &mut [RedundantRho],
-    kernels: &StripKernels<'_>,
-    timers: &mut PhaseTimes,
-) -> f64 {
-    let clock = Instant::now();
-    let nw = pool.map_or(1, ThreadPool::nthreads);
-    let mut views: [Option<SoaViewMut<'_>>; MAX_THREADS] = [const { None }; MAX_THREADS];
-    kernels::split_soa_mut_into(particles, nw, &mut views);
-    let targets = if nw == 1 {
-        std::slice::from_mut(&mut *rho4)
-    } else {
-        &mut arenas[..nw]
-    };
-    // Fewer particles than workers leaves the last views empty; those
-    // workers still clear their arena.
-    let mut work: [Option<PassItem<'_>>; MAX_THREADS] = [const { None }; MAX_THREADS];
-    for ((slot, view), rho) in work.iter_mut().zip(&mut views).zip(targets) {
-        *slot = Some(PassItem {
-            view: view.take().unwrap_or_default(),
-            rho,
-            speed_sq: 0.0,
-            times: PhaseTimes::default(),
-            clock,
-        });
-    }
-    let run = |_: usize, slot: &mut Option<PassItem<'_>>| {
-        slot.as_mut().expect("work slot filled").run(kernels);
-    };
-    match pool {
-        Some(pool) => pool.run_items(&mut work[..nw], run),
-        None => run(0, &mut work[0]),
-    }
-
-    let speed_sq = work[..nw].iter().flatten().map(|item| item.speed_sq).sum();
-    let leader = work[0].as_ref().expect("work slot filled");
-    let (mut times, mut clock) = (leader.times, leader.clock);
-    if nw > 1 {
-        rho4.clear();
-        for arena in &arenas[..nw] {
-            rho4.add_assign(arena);
-        }
-    }
-    lap(&mut clock, &mut times.accumulate);
-    timers.update_v += times.update_v;
-    timers.update_x += times.update_x;
-    timers.accumulate += times.accumulate;
-    speed_sq
-}
-
-/// The push kernel for one strip under a space-filling-curve layout.
-pub(crate) fn push_in_layout<'l, L: CellLayout + Sync>(
-    layout: &'l L,
-    scale: f64,
-) -> impl Fn(&mut SoaViewMut<'_>) + Sync + 'l {
-    move |v| {
-        simd::update_positions_branchless_layout_lanes(
-            v.icell, v.ix, v.iy, v.dx, v.dy, v.vx, v.vy, layout, scale,
-        )
     }
 }
 

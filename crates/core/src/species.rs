@@ -6,14 +6,17 @@
 //! [`ParticlesSoA`] arena — so every existing position/sort/deposit kernel
 //! runs on it unchanged — plus a parallel out-of-plane `vz` array that only
 //! the 2d3v kernels ([`crate::kernels::boris`], [`crate::kernels::current`])
-//! touch. The 2d2v hot path pays nothing for the extension.
+//! touch. It travels as the optional `vz` slice of the kernels' one view
+//! type ([`SoaViewMut`], empty for a 2d2v store), so both stores step
+//! through the same streaming pass and the 2d2v hot path pays nothing.
 //!
 //! Velocities in a species arena are always in *physical* units (the
 //! multi-species driver does not hoist; see `kernels/boris.rs`).
 
 use crate::grid::Grid2D;
+use crate::kernels::{split_soa_mut_into, SoaViewMut};
 use crate::particles::{initialize_with_rng, InitialDistribution, ParticlesSoA};
-use crate::pool::chunk_range;
+use crate::pool::{chunk_range, ThreadPool};
 use crate::rng::Rng;
 use crate::sort::{sort_columns, SortArena};
 use sfc::CellLayout;
@@ -163,16 +166,23 @@ impl SpeciesArena {
         self.weight * self.def.charge / (grid.dx() * grid.dy())
     }
 
+    /// Kinetic energy `½·m·w·Σ|v|²` of this species from its `Σ|v|²`.
+    pub fn kinetic(&self, speed_sq: f64) -> f64 {
+        0.5 * self.def.mass * self.weight * speed_sq
+    }
+
     /// Stable counting sort by `icell` carrying `vz` as an eighth column
     /// through the shared permutation-first engine ([`crate::sort`]).
-    /// Allocation-free once the scratch buffers are sized.
-    pub fn sort(&mut self, ncells: usize) {
+    /// Runs on `pool` when there is one; the sort is stable, so the result
+    /// does not depend on the pool or its width. Allocation-free once the
+    /// scratch buffers are sized.
+    pub fn sort(&mut self, ncells: usize, pool: Option<&ThreadPool>) {
         sort_columns(
             &mut self.p,
             &mut self.scratch,
             Some((&mut self.vz, &mut self.vz_scratch)),
             ncells,
-            None,
+            pool,
             &mut self.sort_arena,
         );
     }
@@ -191,75 +201,25 @@ fn slice_soa(p: &ParticlesSoA, s: usize, e: usize) -> ParticlesSoA {
     }
 }
 
-/// A mutable view over one contiguous range of a species arena — the 2d3v
-/// counterpart of [`crate::kernels::SoaViewMut`], carrying `vz`.
-pub struct SpeciesViewMut<'a> {
-    /// Cell indices.
-    pub icell: &'a mut [u32],
-    /// Cell x-coordinates.
-    pub ix: &'a mut [u32],
-    /// Cell y-coordinates.
-    pub iy: &'a mut [u32],
-    /// In-cell x offsets.
-    pub dx: &'a mut [f64],
-    /// In-cell y offsets.
-    pub dy: &'a mut [f64],
-    /// x velocities.
-    pub vx: &'a mut [f64],
-    /// y velocities.
-    pub vy: &'a mut [f64],
-    /// z velocities.
-    pub vz: &'a mut [f64],
-}
+/// A mutable view over one contiguous range of a species arena: the
+/// kernels' [`SoaViewMut`] with its `vz` column filled.
+pub type SpeciesViewMut<'a> = SoaViewMut<'a>;
 
-/// Split a species arena into `nchunks` disjoint contiguous views using
-/// the same [`chunk_range`] partition as the pooled deposit, so the push
-/// and deposit fan-outs see identical ranges.
+/// Split a species arena into exactly `nchunks` disjoint contiguous views
+/// (the trailing ones empty when there are fewer particles than chunks) on
+/// the [`chunk_range`] partition of the streaming pass and the pooled
+/// deposits — the allocating whole-array form the oracle tests and
+/// `benchmark/` fan out over; the step itself uses
+/// [`split_soa_mut_into`].
 pub fn split_species_mut<'a>(
     p: &'a mut ParticlesSoA,
     vz: &'a mut [f64],
     nchunks: usize,
 ) -> Vec<SpeciesViewMut<'a>> {
-    let n = p.len();
-    assert_eq!(vz.len(), n);
-    let mut out = Vec::with_capacity(nchunks);
-    let (mut icell, mut ix, mut iy) = (&mut p.icell[..], &mut p.ix[..], &mut p.iy[..]);
-    let (mut dx, mut dy) = (&mut p.dx[..], &mut p.dy[..]);
-    let (mut vx, mut vy, mut vz) = (&mut p.vx[..], &mut p.vy[..], vz);
-    let mut taken = 0usize;
-    for c in 0..nchunks {
-        let (s, e) = chunk_range(n, nchunks, c);
-        let len = e - s;
-        debug_assert_eq!(s, taken);
-        taken += len;
-        let (a, rest) = icell.split_at_mut(len);
-        icell = rest;
-        let (b, rest) = ix.split_at_mut(len);
-        ix = rest;
-        let (c2, rest) = iy.split_at_mut(len);
-        iy = rest;
-        let (d, rest) = dx.split_at_mut(len);
-        dx = rest;
-        let (e2, rest) = dy.split_at_mut(len);
-        dy = rest;
-        let (f, rest) = vx.split_at_mut(len);
-        vx = rest;
-        let (g, rest) = vy.split_at_mut(len);
-        vy = rest;
-        let (h, rest) = vz.split_at_mut(len);
-        vz = rest;
-        out.push(SpeciesViewMut {
-            icell: a,
-            ix: b,
-            iy: c2,
-            dx: d,
-            dy: e2,
-            vx: f,
-            vy: g,
-            vz: h,
-        });
-    }
-    out
+    assert_eq!(vz.len(), p.len());
+    let mut out: Vec<_> = (0..nchunks).map(|_| None).collect();
+    split_soa_mut_into(p, vz, nchunks, &mut out);
+    out.into_iter().map(Option::unwrap_or_default).collect()
 }
 
 /// Zeroth/first/second velocity moments of one species, in physical units.
@@ -314,7 +274,7 @@ pub fn species_moments(arena: &SpeciesArena) -> SpeciesMoments {
         momentum: [m * w * sum[0], m * w * sum[1], m * w * sum[2]],
         mean_v: mean,
         temperature,
-        kinetic: 0.5 * m * w * (sumsq[0] + sumsq[1] + sumsq[2]),
+        kinetic: arena.kinetic(sumsq[0] + sumsq[1] + sumsq[2]),
     }
 }
 
@@ -367,13 +327,24 @@ mod tests {
             pairs.push((a.p.vx[i].to_bits(), a.vz[i].to_bits()));
         }
         pairs.sort_unstable();
-        a.sort(256);
+        let unsorted = a.clone();
+        a.sort(256, None);
         assert!(crate::sort::is_sorted_by_cell(&a.p));
         let mut after: Vec<(u64, u64)> = (0..a.len())
             .map(|i| (a.p.vx[i].to_bits(), a.vz[i].to_bits()))
             .collect();
         after.sort_unstable();
         assert_eq!(pairs, after);
+
+        // The sort is stable, so a pool of any width gives the same columns.
+        for width in 1..=3 {
+            let pool = ThreadPool::new(width);
+            let mut b = unsorted.clone();
+            b.sort(256, Some(&pool));
+            assert_eq!(b.p, a.p, "pool width {width}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&b.vz), bits(&a.vz), "pool width {width}: vz");
+        }
     }
 
     #[test]
@@ -427,14 +398,17 @@ mod tests {
     fn split_species_views_cover_all_particles() {
         let g = grid();
         let l = RowMajor::new(16, 16).unwrap();
-        let def = SpeciesDef::electrons(103, InitialDistribution::Uniform);
-        let mut rng = Rng::seed_from_u64(5);
-        let mut a = SpeciesArena::initialize(def, &g, &l, &mut rng, None);
-        let views = split_species_mut(&mut a.p, &mut a.vz, 4);
-        let total: usize = views.iter().map(|v| v.icell.len()).sum();
-        assert_eq!(total, 103);
-        for v in &views {
-            assert_eq!(v.vz.len(), v.icell.len());
+        // Always `nchunks` views on the `chunk_range` cut, empty past `n`.
+        for n in [103, 2] {
+            let def = SpeciesDef::electrons(n, InitialDistribution::Uniform);
+            let mut rng = Rng::seed_from_u64(5);
+            let mut a = SpeciesArena::initialize(def, &g, &l, &mut rng, None);
+            let views = split_species_mut(&mut a.p, &mut a.vz, 4);
+            assert_eq!(views.len(), 4);
+            for (c, v) in views.iter().enumerate() {
+                let (s, e) = chunk_range(n, 4, c);
+                assert_eq!((v.icell.len(), v.vz.len()), (e - s, e - s));
+            }
         }
     }
 }

@@ -73,12 +73,9 @@ cargo run --release -q -p pic-bench --bin bench_jobs || {
 }
 
 echo "==> species gate (2d3v scenarios: conservation, cyclotron vs analytic, deposit parity)"
-# Physics gates are seeded and deterministic, but keep the standing
-# one-retry policy of the other release-binary gates.
-cargo run --release -q -p pic-bench --bin bench_species || {
-    echo "species gate failed once; retrying"
-    cargo run --release -q -p pic-bench --bin bench_species
-}
+# Seeded and deterministic (no wall-clock gate), so no retry: a failure
+# that does not repeat is a nondeterminism to find, not noise to ride out.
+cargo run --release -q -p pic-bench --bin bench_species
 
 echo "==> deposition parity matrix (DepositPath x threads x sortedness, release)"
 cargo test -q --release --test parity_kernel_path

@@ -1,16 +1,17 @@
-//! Steady-state allocation audit: after warm-up, `Simulation::step` must
-//! perform ZERO heap allocations — including steps that sort and steps on
-//! the pooled multi-threaded path. This pins down the point of the
-//! persistent pool / arena work: per-worker ρ arenas, the sort arena, the
-//! spectral solve scratch, and the stack-array fork-join views mean the
-//! hot loop never touches the allocator once the first sort period has
-//! populated every scratch buffer.
+//! Steady-state allocation audit: after warm-up, `Simulation::step` and
+//! `EmSimulation::step` must perform ZERO heap allocations — including
+//! steps that sort and steps on the pooled multi-threaded path. This pins
+//! down the point of the persistent pool / arena work: per-worker ρ (and
+//! **J**) arenas, the sort arenas, the spectral solve scratch, and the
+//! stack-array fork-join views mean the hot loop never touches the
+//! allocator once the first sort period has populated every scratch buffer.
 //!
 //! Mechanism: a counting `#[global_allocator]` that forwards to the system
 //! allocator and, while the `TRACK` flag is up, counts every allocation
 //! from any thread. The single test body serializes its phases so nothing
 //! else in the process can allocate while tracking is on.
 
+use pic_core::em::{EmConfig, EmSimulation};
 use pic_core::sim::{PicConfig, Simulation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,26 +52,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Build a fully-optimized simulation, warm it past its first sort period,
-/// then count allocator calls over two further sort periods.
-fn steady_state_allocs(threads: usize) -> u64 {
-    let mut cfg = PicConfig::landau_table1(20_000);
-    cfg.grid_nx = 32;
-    cfg.grid_ny = 32;
-    cfg.threads = threads;
-    cfg.sort_period = 5;
-    let mut sim = Simulation::new(cfg).unwrap();
+const SORT_PERIOD: usize = 5;
 
-    // Measure two full sort periods. Warm-up first: at least one sort
-    // (fills the sort arena, per-worker ρ arenas, and the spectral
-    // scratch), plus history capacity for everything still to come.
-    let measured = 2 * 5;
-    sim.reserve_diagnostics(measured + 16);
-    sim.run(7);
+/// Warm a freshly built simulation past its first sort period, then count
+/// allocator calls over two further sort periods.
+fn steady_state_allocs<S>(sim: &mut S, reserve: fn(&mut S, usize), run: fn(&mut S, usize)) -> u64 {
+    // Warm-up: at least one sort (fills the sort arena, per-worker deposit
+    // arenas, and the spectral scratch), plus history capacity for
+    // everything still to come.
+    let measured = 2 * SORT_PERIOD;
+    reserve(sim, measured + 16);
+    run(sim, SORT_PERIOD + 2);
 
     ALLOC_CALLS.store(0, Ordering::SeqCst);
     TRACK.store(true, Ordering::SeqCst);
-    sim.run(measured);
+    run(sim, measured);
     TRACK.store(false, Ordering::SeqCst);
     ALLOC_CALLS.load(Ordering::SeqCst)
 }
@@ -80,10 +76,31 @@ fn step_is_allocation_free_after_warmup() {
     // One test body: phases must not interleave with other allocating
     // tests, and a single #[test] in this binary guarantees that.
     for threads in [1, 2] {
-        let n = steady_state_allocs(threads);
+        let mut cfg = PicConfig::landau_table1(20_000);
+        cfg.grid_nx = 32;
+        cfg.grid_ny = 32;
+        cfg.threads = threads;
+        cfg.sort_period = SORT_PERIOD;
+        let mut sim = Simulation::new(cfg).unwrap();
+        let n = steady_state_allocs(&mut sim, Simulation::reserve_diagnostics, Simulation::run);
         assert_eq!(
             n, 0,
             "steady-state step allocated {n} times (threads={threads})"
+        );
+
+        // Two species, both longer than one strip of the streaming pass.
+        let mut cfg = EmConfig::magnetized_two_stream(40_000);
+        cfg.threads = threads;
+        cfg.sort_period = SORT_PERIOD;
+        let mut em = EmSimulation::new(cfg).unwrap();
+        let n = steady_state_allocs(
+            &mut em,
+            EmSimulation::reserve_diagnostics,
+            EmSimulation::run,
+        );
+        assert_eq!(
+            n, 0,
+            "steady-state EM step allocated {n} times (threads={threads})"
         );
     }
 }
