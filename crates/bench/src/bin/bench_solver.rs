@@ -11,7 +11,9 @@
 //! * **slab** — the distributed `SlabSolver` at 1/2/4 ranks (row-slab
 //!   ownership), 256² and 512². Per-rank solve wall time (max over ranks,
 //!   best-of reps) and per-rank persistent grid bytes. Gates: both must
-//!   *shrink* as ranks grow — the whole point of not gathering to a root.
+//!   *shrink* as ranks grow — the whole point of not gathering to a root —
+//!   and one rank holds exactly two complex slabs, `32·nx·ny` bytes (half
+//!   the four slabs a per-component inverse needed).
 //! * the table printed to stdout for eyeballing.
 //!
 //! Wall times are in-process (`minimpi` ranks are threads), so treat the
@@ -33,13 +35,16 @@ const THREADS: [usize; 3] = [1, 2, 4];
 const RANKS: [usize; 3] = [1, 2, 4];
 const REPS: usize = 5;
 const GATE_GRID: usize = 256;
-/// Wall-clock noise margin for the pooled gate: on a single-core box the
-/// pool cannot beat serial by concurrency, only by the tiled-transpose
-/// column pass, so tolerate scheduler jitter around parity.
+/// Wall-clock noise margin for the pooled gate: both paths run the same
+/// gather-free column butterflies, so the pool wins only by concurrency —
+/// nothing on a one-core box, two vCPUs on the sizing host with four
+/// workers oversubscribing them — so tolerate scheduler jitter around
+/// parity.
 const NOISE: f64 = 1.05;
-/// Above this grid the transpose buffers (≥16 MiB each) blow the last
-/// cache level and the out-of-place passes pay streaming traffic the
-/// strided serial path does not; gate only against a gross regression.
+/// Above this grid the pooled column pass's tile buffer (≥16 MiB) blows the
+/// last cache level: every pass copies the grid out to tiles and back,
+/// streaming traffic the serial path's in-place row-slice column pass does
+/// not pay; gate only against a gross regression.
 const CACHE_BOUND_GRID: usize = 1024;
 const CACHE_BOUND_NOISE: f64 = 1.25;
 const SLAB_TAG: u64 = 1 << 41;
@@ -215,6 +220,13 @@ fn run() -> Result<(), PicError> {
                 .find(|s| s.grid == grid && s.ranks == ranks)
                 .unwrap()
         };
+        let two_slabs = (2 * grid * grid * std::mem::size_of::<spectral::Complex64>()) as u64;
+        if at(1).bytes_per_rank != two_slabs {
+            violations.push(format!(
+                "slab @ {grid}²: 1-rank memory {} B is not two complex slabs ({two_slabs} B)",
+                at(1).bytes_per_rank
+            ));
+        }
         for ranks in [2usize, 4] {
             if at(ranks).bytes_per_rank >= at(1).bytes_per_rank {
                 violations.push(format!(
@@ -280,6 +292,7 @@ fn run() -> Result<(), PicError> {
             "gates",
             Json::Arr(vec![
                 Json::s("pooled 4T <= serial (5% noise margin) at 256²+"),
+                Json::s("slab 1-rank bytes == 32·nx·ny (two complex slabs)"),
                 Json::s("slab per-rank bytes shrink at 2/4 ranks"),
                 Json::s("slab per-rank solve compute shrinks at 2/4 ranks"),
             ]),

@@ -1123,7 +1123,7 @@ impl DecomposedSimulation {
     }
 
     /// Persistent bytes this rank dedicates to field-solver grid state:
-    /// the four slab buffers in [`SolverMode::Slab`] (shrinks as ranks are
+    /// the two slab buffers in [`SolverMode::Slab`] (shrinks as ranks are
     /// added), or three full-grid arrays on the root in
     /// [`SolverMode::RootGather`] (zero on the other ranks).
     pub fn solver_grid_bytes(&self) -> u64 {

@@ -5,35 +5,41 @@
 //! and solves there — O(grid) memory and solve time on the root, with every
 //! other rank idle. This module distributes the row–column FFT instead:
 //!
-//! * each rank owns a contiguous **row slab** (`chunk_range(nx, p, r)` grid
-//!   rows) for the y-direction passes, and a contiguous **column slab**
-//!   (`chunk_range(ny, p, r)` transposed rows) for the x-direction passes;
+//! * each rank owns a contiguous **row slab** of whole row pairs
+//!   (`chunk_range(nx/2, p, r)` pairs) for the y-direction passes, and a
+//!   contiguous **column slab** (`chunk_range(ny, p, r)` transposed rows)
+//!   for the x-direction passes;
+//! * ρ is real, so grid rows `2m`, `2m + 1` arrive packed as `a + i·b` and
+//!   share one row transform ([`FftPlan::forward_real_pairs`]) — which is
+//!   why slabs hold whole pairs;
 //! * the distributed transpose between the two layouts is one
 //!   [`Comm::try_all_to_all`] block exchange — the classic slab/pencil
 //!   dance of distributed FFTs;
-//! * the spectral scale `Ê = −ik ρ̂ / |k|²` runs element-wise in the
-//!   transposed layout with the exact expression of
-//!   `PoissonSolver2D::scale_spectral`, so every coefficient carries the
-//!   same bits as the serial solve.
+//! * the spectral scale runs element-wise in the transposed layout through
+//!   [`field_mode`], the one per-mode expression of every solve path, into
+//!   the combined `Ẑ = Êx + i·Êy`; one inverse returns `Ex + i·Ey`, so the
+//!   inverse transpose carries one complex field.
 //!
 //! Bit-exactness with [`PoissonSolver2D::solve_e`]: the serial 2-D forward
 //! runs rows (y) then columns (x), the inverse columns then rows — and each
 //! 1-D transform is an independent in-place butterfly over the same values
 //! in the same order no matter which rank executes it. The slab pipeline
-//! replicates those per-transform value sequences exactly (rows of the row
-//! slab, then rows of the transposed column slab), so the solved E matches
-//! the serial field bit for bit. The parity tests assert `to_bits`
+//! replicates those per-transform value sequences exactly (row pairs of the
+//! row slab, then rows of the transposed column slab), so the solved E
+//! matches the serial field bit for bit. The parity tests assert `to_bits`
 //! equality.
 //!
-//! Per-rank memory is four slab buffers ≈ `64·nx·ny/p` bytes — it *shrinks*
+//! Per-rank memory is two slab buffers ≈ `32·nx·ny/p` bytes — it *shrinks*
 //! as ranks are added, where the root-gather path pinned O(grid) on the
 //! root regardless of `p` (see `results/BENCH_solver.json`).
+//!
+//! [`PoissonSolver2D::solve_e`]: spectral::poisson::PoissonSolver2D::solve_e
 
 use crate::DecompError;
 use minimpi::Comm;
 use pic_core::pool::chunk_range;
 use spectral::fft::{Fft2Plan, FftPlan};
-use spectral::poisson::wavenumbers;
+use spectral::poisson::{field_mode, wavenumbers};
 use spectral::Complex64;
 
 /// Distributed slab solver state for one rank: 1-D plans, wavenumbers,
@@ -44,7 +50,7 @@ pub struct SlabSolver {
     /// This rank's index within the communicator group.
     me: usize,
     /// Row-slab bounds `[r0, r1)` of every rank: grid rows for the
-    /// y-direction passes.
+    /// y-direction passes, whole row pairs (`r0` even).
     row_bounds: Vec<(usize, usize)>,
     /// Column-slab bounds `[c0, c1)` of every rank: grid columns, i.e.
     /// rows of the transposed layout, for the x-direction passes.
@@ -62,14 +68,12 @@ pub struct SlabSolver {
     e_send: Vec<Vec<usize>>,
     /// `e_recv[q]`: this rank's E points within rank `q`'s slab.
     e_recv: Vec<Vec<usize>>,
-    /// Row slab (`nrows × ny`), holds ρ̂ then Ex on the way back.
+    /// Row slab (`nrows × ny`): packed ρ row pairs, ρ̂ rows, then
+    /// `Ex + i·Ey` on the way back.
     slab: Vec<Complex64>,
-    /// Second row slab for Ey.
-    slab2: Vec<Complex64>,
-    /// Column slab (`ncols × nx`, transposed layout), ρ̂ᵀ then Êx.
+    /// Column slab (`ncols × nx`, transposed layout): ρ̂ᵀ, then
+    /// `Êx + i·Êy`.
     tslab: Vec<Complex64>,
-    /// Second column slab for Êy.
-    tslab2: Vec<Complex64>,
 }
 
 impl SlabSolver {
@@ -90,7 +94,14 @@ impl SlabSolver {
     ) -> Result<Self, DecompError> {
         let plan = Fft2Plan::new(nx, ny)
             .map_err(|e| DecompError::Config(format!("slab solver plan: {e}")))?;
-        let row_bounds: Vec<_> = (0..p).map(|r| chunk_range(nx, p, r)).collect();
+        // Whole row pairs: `nx` is a power of two, so only `nx = 1` leaves
+        // a lone row, held by the first rank as its one "pair".
+        let row_bounds: Vec<_> = (0..p)
+            .map(|r| {
+                let (a, b) = chunk_range(nx.div_ceil(2), p, r);
+                ((2 * a).min(nx), (2 * b).min(nx))
+            })
+            .collect();
         let col_bounds: Vec<_> = (0..p).map(|r| chunk_range(ny, p, r)).collect();
         let (r0, r1) = row_bounds[me];
         let (c0, c1) = col_bounds[me];
@@ -148,17 +159,14 @@ impl SlabSolver {
             e_send,
             e_recv,
             slab: vec![Complex64::ZERO; (r1 - r0) * ny],
-            slab2: vec![Complex64::ZERO; (r1 - r0) * ny],
             tslab: vec![Complex64::ZERO; (c1 - c0) * nx],
-            tslab2: vec![Complex64::ZERO; (c1 - c0) * nx],
         })
     }
 
     /// Persistent per-rank buffer bytes — the slab path's grid memory
     /// footprint, which shrinks as ranks are added.
     pub fn solver_bytes(&self) -> u64 {
-        ((self.slab.len() + self.slab2.len() + self.tslab.len() + self.tslab2.len())
-            * std::mem::size_of::<Complex64>()) as u64
+        ((self.slab.len() + self.tslab.len()) * std::mem::size_of::<Complex64>()) as u64
     }
 
     /// This rank's row-slab bounds `[r0, r1)`.
@@ -183,7 +191,9 @@ impl SlabSolver {
         let (c0, c1) = self.col_bounds[self.me];
         let p = self.row_bounds.len();
 
-        // 1. Route owned ρ to slab owners.
+        // 1. Route owned ρ to slab owners, packed two rows per complex
+        //    row: row 2m into the real part, row 2m + 1 into the imaginary
+        //    part of the pair's first row.
         let blocks: Vec<Vec<f64>> = (0..p)
             .map(|q| self.rho_send[q].iter().map(|&pt| rho[pt]).collect())
             .collect();
@@ -191,14 +201,18 @@ impl SlabSolver {
         for (q, vals) in parts.iter().enumerate() {
             debug_assert_eq!(vals.len(), self.rho_recv[q].len());
             for (&pt, &v) in self.rho_recv[q].iter().zip(vals) {
-                self.slab[(pt / ny - r0) * ny + pt % ny] = Complex64::from_re(v);
+                let lr = pt / ny - r0;
+                let z = &mut self.slab[(lr & !1) * ny + pt % ny];
+                if lr % 2 == 0 {
+                    z.re = v;
+                } else {
+                    z.im = v;
+                }
             }
         }
 
-        // 2. Forward y pass: each slab row is a full grid row.
-        for r in self.slab.chunks_exact_mut(ny) {
-            self.plan.row_plan().forward(r);
-        }
+        // 2. Forward y pass: one complex transform per grid row pair.
+        self.plan.row_plan().forward_real_pairs(&mut self.slab);
 
         // 3. Distributed forward transpose: row slabs → column slabs.
         let blocks: Vec<Vec<f64>> = (0..p)
@@ -232,74 +246,50 @@ impl SlabSolver {
             self.plan.col_plan().forward(r);
         }
 
-        // 5. Spectral scale in the transposed layout — the exact per-mode
-        //    expression of the serial solver, so every Ê bit matches.
-        for jt in 0..c1 - c0 {
-            let ky = self.ky[c0 + jt];
-            for ix in 0..nx {
-                let kx = self.kx[ix];
-                let k2 = kx * kx + ky * ky;
-                let idx = jt * nx + ix;
-                if k2 != 0.0 {
-                    let phi_hat = self.tslab[idx] / k2;
-                    self.tslab[idx] = -phi_hat.mul_i().scale(kx);
-                    self.tslab2[idx] = -phi_hat.mul_i().scale(ky);
-                } else {
-                    self.tslab[idx] = Complex64::ZERO;
-                    self.tslab2[idx] = Complex64::ZERO;
-                }
+        // 5. Spectral scale in the transposed layout through the one
+        //    per-mode expression of every solve path: Ẑ = Êx + i·Êy.
+        for (jt, r) in self.tslab.chunks_exact_mut(nx).enumerate() {
+            for (ix, z) in r.iter_mut().enumerate() {
+                *z = field_mode(*z, &self.kx, &self.ky, ix, c0 + jt);
             }
         }
 
-        // 6. Inverse x pass on both fields (the serial inverse runs columns
-        //    first, rows second — flip of the forward order).
+        // 6. Inverse x pass (the serial inverse runs columns first, rows
+        //    second — flip of the forward order).
         for r in self.tslab.chunks_exact_mut(nx) {
             self.plan.col_plan().inverse(r);
         }
-        for r in self.tslab2.chunks_exact_mut(nx) {
-            self.plan.col_plan().inverse(r);
-        }
 
-        // 7. One combined inverse transpose: both fields per message.
+        // 7. Inverse transpose of the one combined field.
         let blocks: Vec<Vec<f64>> = (0..p)
             .map(|q| {
                 let (qr0, qr1) = self.row_bounds[q];
-                let mut b = Vec::with_capacity((qr1 - qr0) * (c1 - c0) * 4);
-                for t in [&self.tslab, &self.tslab2] {
-                    for jt in 0..c1 - c0 {
-                        for &z in &t[jt * nx + qr0..jt * nx + qr1] {
-                            b.push(z.re);
-                            b.push(z.im);
-                        }
+                let mut b = Vec::with_capacity((qr1 - qr0) * (c1 - c0) * 2);
+                for jt in 0..c1 - c0 {
+                    for &z in &self.tslab[jt * nx + qr0..jt * nx + qr1] {
+                        b.push(z.re);
+                        b.push(z.im);
                     }
                 }
                 b
             })
             .collect();
         let parts = comm.try_all_to_all(&blocks, tag0 + 2)?;
+        let nrows = self.slab.len() / ny.max(1);
         for (q, vals) in parts.iter().enumerate() {
             let (qc0, qc1) = self.col_bounds[q];
-            let half = vals.len() / 2;
-            debug_assert_eq!(half, (qc1 - qc0) * (self.slab.len() / ny.max(1)) * 2);
-            for (dst, field) in [
-                (&mut self.slab, &vals[..half]),
-                (&mut self.slab2, &vals[half..]),
-            ] {
-                let mut it = field.chunks_exact(2);
-                for jt in 0..qc1 - qc0 {
-                    for i in 0..dst.len() / ny.max(1) {
-                        let v = it.next().expect("transpose payload underrun");
-                        dst[i * ny + qc0 + jt] = Complex64::new(v[0], v[1]);
-                    }
+            debug_assert_eq!(vals.len(), (qc1 - qc0) * nrows * 2);
+            let mut it = vals.chunks_exact(2);
+            for jt in 0..qc1 - qc0 {
+                for i in 0..nrows {
+                    let v = it.next().expect("transpose payload underrun");
+                    self.slab[i * ny + qc0 + jt] = Complex64::new(v[0], v[1]);
                 }
             }
         }
 
-        // 8. Inverse y pass on both fields.
+        // 8. Inverse y pass.
         for r in self.slab.chunks_exact_mut(ny) {
-            self.plan.row_plan().inverse(r);
-        }
-        for r in self.slab2.chunks_exact_mut(ny) {
             self.plan.row_plan().inverse(r);
         }
 
@@ -310,7 +300,7 @@ impl SlabSolver {
                 for &pt in &self.e_send[q] {
                     let i = (pt / ny - r0) * ny + pt % ny;
                     b.push(self.slab[i].re);
-                    b.push(self.slab2[i].re);
+                    b.push(self.slab[i].im);
                 }
                 b
             })

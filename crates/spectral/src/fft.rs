@@ -6,6 +6,7 @@
 //! *plan* — because the Poisson solve runs every time step.
 
 use crate::{Complex64, SpectralError};
+use std::ops::Range;
 
 /// Transform direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,19 +107,115 @@ impl FftPlan {
         let mut toff = 0usize;
         while m < n {
             let tw = &self.twiddles[toff..toff + m];
+            for block in data.chunks_exact_mut(2 * m) {
+                let (lo, hi) = block.split_at_mut(m);
+                for ((u, v), &w) in lo.iter_mut().zip(hi).zip(tw) {
+                    let w = if invert { w.conj() } else { w };
+                    let x = *u;
+                    let t = w * *v;
+                    *u = x + t;
+                    *v = x - t;
+                }
+            }
+            toff += m;
+            m <<= 1;
+        }
+    }
+
+    /// Transform columns `cols` of `data`, `n` rows of `stride` elements,
+    /// in place — the column pass of a 2-D transform without a gather. The
+    /// bit reversal swaps row slices and every butterfly runs
+    /// `a[c] ± w·b[c]` over the row slices `a`, `b` of its two rows, so each
+    /// column sees exactly the operations, in exactly the order, of
+    /// [`forward`](Self::forward) / [`inverse`](Self::inverse) on that column
+    /// gathered into a buffer: the bits are the same.
+    fn transform_cols(
+        &self,
+        data: &mut [Complex64],
+        stride: usize,
+        cols: Range<usize>,
+        dir: Direction,
+    ) {
+        let n = self.n;
+        let invert = dir == Direction::Inverse;
+        let span = |r: usize| r * stride + cols.start..r * stride + cols.end;
+        for i in 0..n {
+            let j = self.rev[i] as usize;
+            if i < j {
+                let (lo, hi) = data.split_at_mut(j * stride);
+                lo[span(i)].swap_with_slice(&mut hi[cols.clone()]);
+            }
+        }
+        let mut m = 1usize;
+        let mut toff = 0usize;
+        while m < n {
+            let tw = &self.twiddles[toff..toff + m];
             let mut k = 0;
             while k < n {
                 for j in 0..m {
                     let w = if invert { tw[j].conj() } else { tw[j] };
-                    let u = data[k + j];
-                    let t = w * data[k + j + m];
-                    data[k + j] = u + t;
-                    data[k + j + m] = u - t;
+                    let (lo, hi) = data.split_at_mut((k + j + m) * stride);
+                    let a = &mut lo[span(k + j)];
+                    for (u, v) in a.iter_mut().zip(&mut hi[cols.clone()]) {
+                        let x = *u;
+                        let t = w * *v;
+                        *u = x + t;
+                        *v = x - t;
+                    }
                 }
                 k += 2 * m;
             }
             toff += m;
             m <<= 1;
+        }
+        if invert {
+            let inv = 1.0 / n as f64;
+            for r in 0..n {
+                for z in &mut data[span(r)] {
+                    *z = z.scale(inv);
+                }
+            }
+        }
+    }
+
+    /// Forward transform of real rows, two rows per complex transform.
+    ///
+    /// `rows` holds whole rows of `len()` elements. On entry the first row
+    /// of every pair holds `a + i·b` — the pair's two real rows packed into
+    /// one — and the second row's content is ignored; a trailing unpaired
+    /// row (an odd row count) holds its real values in `.re`. On return
+    /// every row holds its own full spectrum, unpacked from the packed
+    /// transform `Z` by Hermitian symmetry:
+    /// `X_a[k] = (Z[k] + conj Z[N−k])/2`, `X_b[k] = (Z[k] − conj Z[N−k])/(2i)`.
+    ///
+    /// # Panics
+    /// Panics if `rows.len()` is not a multiple of `len()`.
+    pub fn forward_real_pairs(&self, rows: &mut [Complex64]) {
+        let n = self.n;
+        assert_eq!(rows.len() % n, 0, "partial row in real row pass");
+        let mut pairs = rows.chunks_exact_mut(2 * n);
+        for pair in &mut pairs {
+            let (za, zb) = pair.split_at_mut(n);
+            self.transform(za, false);
+            for k in 0..=n / 2 {
+                let kk = (n - k) & (n - 1);
+                let (z, zc) = (za[k], za[kk]);
+                let xa = Complex64::new((z.re + zc.re) * 0.5, (z.im - zc.im) * 0.5);
+                let xb = Complex64::new((z.im + zc.im) * 0.5, (zc.re - z.re) * 0.5);
+                // Conjugate images first: at k = kk (0 and N/2) the plain
+                // value, with its +0 imaginary part, is the one kept.
+                za[kk] = xa.conj();
+                zb[kk] = xb.conj();
+                za[k] = xa;
+                zb[k] = xb;
+            }
+        }
+        let lone = pairs.into_remainder();
+        if !lone.is_empty() {
+            for z in lone.iter_mut() {
+                z.im = 0.0;
+            }
+            self.transform(lone, false);
         }
     }
 }
@@ -201,34 +298,27 @@ pub fn transpose_tiled(
         "transpose destination size mismatch"
     );
     assert!(tile >= 1, "transpose tile must be nonzero");
-    transpose_block(src, rows, cols, 0, dst, tile);
-}
-
-/// Transpose columns `j0 ..` of `src` (`rows × cols`) into `block`, a
-/// contiguous run of destination rows starting at row `j0` of the full
-/// `cols × rows` transpose. `transpose_tiled` is the `j0 = 0`, whole-output
-/// case; the parallel transform hands each executor block its own slice.
-fn transpose_block(
-    src: &[Complex64],
-    rows: usize,
-    cols: usize,
-    j0: usize,
-    block: &mut [Complex64],
-    tile: usize,
-) {
-    let brows = block.len() / rows.max(1);
-    for jt in (0..brows).step_by(tile) {
-        let jhi = (jt + tile).min(brows);
+    for jt in (0..cols).step_by(tile) {
+        let jhi = (jt + tile).min(cols);
         for it in (0..rows).step_by(tile) {
             let ihi = (it + tile).min(rows);
             for j in jt..jhi {
                 for i in it..ihi {
-                    block[j * rows + i] = src[i * cols + j0 + j];
+                    dst[j * rows + i] = src[i * cols + j];
                 }
             }
         }
     }
 }
+
+/// Column band of [`Fft2Plan`]'s column pass: 32 `Complex64` (512 B, eight
+/// cache lines) per row slice, so a band of a 128-row grid is 64 KiB and
+/// stays in L2 through every butterfly stage, and a 128-column grid still
+/// splits into four tiles for the workers of a pooled pass. Swept at 8–128
+/// on 128²–512² (serial and 2-wide): 8 and 16 lose up to 1.5× at 512², 64
+/// and 128 leave a 2-wide pool idle at 128²; 32 is within noise of the
+/// best everywhere.
+const COL_BAND: usize = 32;
 
 /// A reusable 2-D FFT plan (row–column algorithm) for an `nx × ny` grid
 /// stored row-major (`data[ix * ny + iy]`).
@@ -279,8 +369,7 @@ impl Fft2Plan {
     /// # Panics
     /// Panics if `data.len() != nx * ny`.
     pub fn forward(&self, data: &mut [Complex64]) {
-        let mut colbuf = vec![Complex64::ZERO; self.nx];
-        self.forward_with(data, &mut colbuf);
+        self.forward_par(data, &mut [], &SerialExec);
     }
 
     /// In-place 2-D inverse transform (normalized by `1/(nx·ny)`).
@@ -288,156 +377,150 @@ impl Fft2Plan {
     /// # Panics
     /// Panics if `data.len() != nx * ny`.
     pub fn inverse(&self, data: &mut [Complex64]) {
-        let mut colbuf = vec![Complex64::ZERO; self.nx];
-        self.inverse_with(data, &mut colbuf);
+        self.inverse_par(data, &mut [], &SerialExec);
     }
 
-    /// [`forward`](Self::forward) with a caller-owned column buffer of
-    /// `nx` entries — the allocation-free form for per-step solves.
+    /// [`forward`](Self::forward) with each pass striped over `exec`.
     ///
-    /// # Panics
-    /// Panics if `data.len() != nx * ny` or `colbuf.len() != nx`.
-    pub fn forward_with(&self, data: &mut [Complex64], colbuf: &mut [Complex64]) {
-        self.transform2(data, Direction::Forward, colbuf);
-    }
-
-    /// [`inverse`](Self::inverse) with a caller-owned column buffer of
-    /// `nx` entries.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != nx * ny` or `colbuf.len() != nx`.
-    pub fn inverse_with(&self, data: &mut [Complex64], colbuf: &mut [Complex64]) {
-        self.transform2(data, Direction::Inverse, colbuf);
-    }
-
     /// Pass order: the forward transform runs rows then columns; the
     /// inverse runs columns then rows — the reversed composition, so each
     /// 1-D pass is undone by its own inverse in reverse order. The order
-    /// fixes the floating-point rounding, and the parallel
-    /// ([`forward_par`](Self::forward_par)) and distributed (slab) solvers
-    /// replicate it exactly to stay bit-identical with this path.
-    fn transform2(&self, data: &mut [Complex64], dir: Direction, colbuf: &mut [Complex64]) {
-        assert_eq!(data.len(), self.nx * self.ny, "2-D FFT size mismatch");
-        assert_eq!(colbuf.len(), self.nx, "2-D FFT column buffer mismatch");
-        match dir {
-            Direction::Forward => {
-                self.rows_pass(data, dir);
-                self.cols_pass(data, dir, colbuf);
-            }
-            Direction::Inverse => {
-                self.cols_pass(data, dir, colbuf);
-                self.rows_pass(data, dir);
-            }
-        }
-    }
-
-    /// Transform every (contiguous) row with the length-`ny` plan.
-    fn rows_pass(&self, data: &mut [Complex64], dir: Direction) {
-        for r in data.chunks_exact_mut(self.ny) {
-            match dir {
-                Direction::Forward => self.row.forward(r),
-                Direction::Inverse => self.row.inverse(r),
-            }
-        }
-    }
-
-    /// Transform every column: gather → transform → scatter, one column
-    /// buffer at a time.
-    fn cols_pass(&self, data: &mut [Complex64], dir: Direction, colbuf: &mut [Complex64]) {
-        let col = self.col_plan();
-        for iy in 0..self.ny {
-            for ix in 0..self.nx {
-                colbuf[ix] = data[ix * self.ny + iy];
-            }
-            match dir {
-                Direction::Forward => col.forward(colbuf),
-                Direction::Inverse => col.inverse(colbuf),
-            }
-            for ix in 0..self.nx {
-                data[ix * self.ny + iy] = colbuf[ix];
-            }
-        }
-    }
-
-    /// [`forward_with`](Self::forward_with), with the row batches of each
-    /// pass striped over `exec` and the column pass run on contiguous rows
-    /// of a tiled transpose (`tbuf`, `nx * ny` entries) instead of a
-    /// strided gather/scatter. Bit-exact with the sequential path: every
-    /// 1-D transform sees the same values in the same butterfly order, and
-    /// the passes compose in the same row-then-column order.
+    /// fixes the floating-point rounding, and the distributed (slab) solver
+    /// replicates it exactly to stay bit-identical with this path. `tbuf`
+    /// (`nx * ny` entries) holds the column tiles of a multi-worker
+    /// executor; a width-1 executor runs the column pass in place and never
+    /// touches it (pass `&mut []`). Every executor width computes the same
+    /// bits.
     ///
     /// # Panics
-    /// Panics if `data.len() != nx * ny` or `tbuf.len() != nx * ny`.
+    /// Panics if `data.len() != nx * ny`, or if `exec.width() > 1` and
+    /// `tbuf.len() != nx * ny`.
     pub fn forward_par(
         &self,
         data: &mut [Complex64],
         tbuf: &mut [Complex64],
         exec: &dyn RowExecutor,
     ) {
-        let n = self.nx * self.ny;
-        assert_eq!(data.len(), n, "2-D FFT size mismatch");
-        assert_eq!(tbuf.len(), n, "2-D FFT transpose buffer mismatch");
-        self.par_pass(data, self.ny, &self.row, Direction::Forward, exec);
-        par_transpose(data, self.nx, self.ny, tbuf, exec);
-        self.par_pass(tbuf, self.nx, self.col_plan(), Direction::Forward, exec);
-        par_transpose(tbuf, self.ny, self.nx, data, exec);
+        self.check(data, tbuf, exec);
+        self.rows_pass(data, Direction::Forward, exec);
+        self.cols_pass(data, tbuf, Direction::Forward, exec);
     }
 
-    /// [`inverse_with`](Self::inverse_with) on the executor: columns first,
-    /// then rows — the sequential inverse pass order — each pass striped
-    /// over `exec` with transposes in between. Bit-exact with the
-    /// sequential path.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != nx * ny` or `tbuf.len() != nx * ny`.
+    /// [`inverse`](Self::inverse) on the executor: columns first, then
+    /// rows. Buffers and panics as [`forward_par`](Self::forward_par).
     pub fn inverse_par(
         &self,
         data: &mut [Complex64],
         tbuf: &mut [Complex64],
         exec: &dyn RowExecutor,
     ) {
-        let n = self.nx * self.ny;
-        assert_eq!(data.len(), n, "2-D FFT size mismatch");
-        assert_eq!(tbuf.len(), n, "2-D FFT transpose buffer mismatch");
-        par_transpose(data, self.nx, self.ny, tbuf, exec);
-        self.par_pass(tbuf, self.nx, self.col_plan(), Direction::Inverse, exec);
-        par_transpose(tbuf, self.ny, self.nx, data, exec);
-        self.par_pass(data, self.ny, &self.row, Direction::Inverse, exec);
+        self.check(data, tbuf, exec);
+        self.cols_pass(data, tbuf, Direction::Inverse, exec);
+        self.rows_pass(data, Direction::Inverse, exec);
     }
 
-    /// One 1-D pass over every `row_len`-element row of `data`, striped
-    /// across the executor's row blocks.
-    fn par_pass(
+    /// The forward transform of the real field `src` (row-major `nx × ny`)
+    /// into `data`: grid rows `2m` and `2m + 1` go through one complex row
+    /// transform as `a + i·b` ([`FftPlan::forward_real_pairs`]), which halves
+    /// the row pass, then the column pass of
+    /// [`forward_par`](Self::forward_par) runs on the unpacked spectra.
+    /// Buffers as [`forward_par`](Self::forward_par); every executor width
+    /// computes the same bits.
+    ///
+    /// # Panics
+    /// Panics if `src.len()` or `data.len()` differs from `nx * ny`, or if
+    /// `exec.width() > 1` and `tbuf.len() != nx * ny`.
+    pub fn forward_real(
         &self,
+        src: &[f64],
         data: &mut [Complex64],
-        row_len: usize,
-        plan: &FftPlan,
-        dir: Direction,
+        tbuf: &mut [Complex64],
         exec: &dyn RowExecutor,
     ) {
-        exec.run_rows(data, row_len, &|_first, block| {
-            for r in block.chunks_exact_mut(row_len) {
+        self.check(data, tbuf, exec);
+        assert_eq!(src.len(), data.len(), "2-D FFT real input size mismatch");
+        let ny = self.ny;
+        let pair = ny * self.nx.min(2);
+        exec.run_rows(data, pair, &|p0, block| {
+            let src = &src[p0 * pair..][..block.len()];
+            for (z, s) in block.chunks_mut(2 * ny).zip(src.chunks(2 * ny)) {
+                let (a, b) = s.split_at(ny);
+                for (zi, &ai) in z.iter_mut().zip(a) {
+                    zi.re = ai;
+                }
+                for (zi, &bi) in z.iter_mut().zip(b) {
+                    zi.im = bi;
+                }
+            }
+            self.row.forward_real_pairs(block);
+        });
+        self.cols_pass(data, tbuf, Direction::Forward, exec);
+    }
+
+    fn check(&self, data: &[Complex64], tbuf: &[Complex64], exec: &dyn RowExecutor) {
+        let n = self.nx * self.ny;
+        assert_eq!(data.len(), n, "2-D FFT size mismatch");
+        assert!(
+            exec.width() <= 1 || tbuf.len() == n,
+            "2-D FFT tile buffer mismatch"
+        );
+    }
+
+    /// Transform every (contiguous) row with the length-`ny` plan, row
+    /// batches striped over `exec`.
+    fn rows_pass(&self, data: &mut [Complex64], dir: Direction, exec: &dyn RowExecutor) {
+        let (ny, row) = (self.ny, &self.row);
+        exec.run_rows(data, ny, &|_, block| {
+            for r in block.chunks_exact_mut(ny) {
                 match dir {
-                    Direction::Forward => plan.forward(r),
-                    Direction::Inverse => plan.inverse(r),
+                    Direction::Forward => row.forward(r),
+                    Direction::Inverse => row.inverse(r),
                 }
             }
         });
     }
-}
 
-/// Transpose `src` (`rows × cols`) into `dst` (`cols × rows`), each
-/// executor block tiling its own contiguous run of destination rows.
-fn par_transpose(
-    src: &[Complex64],
-    rows: usize,
-    cols: usize,
-    dst: &mut [Complex64],
-    exec: &dyn RowExecutor,
-) {
-    exec.run_rows(dst, rows, &|j0, block| {
-        transpose_block(src, rows, cols, j0, block, TRANSPOSE_TILE);
-    });
+    /// Transform every column, [`COL_BAND`] columns at a time, with the
+    /// butterflies on row slices ([`FftPlan::transform_cols`]). One worker
+    /// transforms the bands in place; several copy each band into its own
+    /// contiguous `nx × band` tile of `tbuf`, transform the tiles, and copy
+    /// them back row by row — the same operations on every element either
+    /// way.
+    fn cols_pass(
+        &self,
+        data: &mut [Complex64],
+        tbuf: &mut [Complex64],
+        dir: Direction,
+        exec: &dyn RowExecutor,
+    ) {
+        let (nx, ny, col) = (self.nx, self.ny, self.col_plan());
+        let band = COL_BAND.min(ny);
+        if exec.width() <= 1 {
+            for c0 in (0..ny).step_by(band) {
+                col.transform_cols(data, ny, c0..c0 + band, dir);
+            }
+            return;
+        }
+        let tile = nx * band;
+        let src = &*data;
+        exec.run_rows(tbuf, tile, &|t0, block| {
+            for (t, tl) in block.chunks_exact_mut(tile).enumerate() {
+                let c0 = (t0 + t) * band;
+                for (r, seg) in tl.chunks_exact_mut(band).enumerate() {
+                    seg.copy_from_slice(&src[r * ny + c0..][..band]);
+                }
+                col.transform_cols(tl, band, 0..band, dir);
+            }
+        });
+        let tiles = &*tbuf;
+        exec.run_rows(data, ny, &|r0, block| {
+            for (r, row) in block.chunks_exact_mut(ny).enumerate() {
+                for (t, seg) in row.chunks_exact_mut(band).enumerate() {
+                    seg.copy_from_slice(&tiles[t * tile + (r0 + r) * band..][..band]);
+                }
+            }
+        });
+    }
 }
 
 /// Naive `O(N²)` DFT, used as the test oracle.
@@ -695,54 +778,143 @@ mod tests {
         assert_eq!(rect.col_plan().len(), 32);
     }
 
+    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    const SHAPES: [(usize, usize); 8] = [
+        (8, 8),
+        (16, 32),
+        (64, 16),
+        (32, 4),
+        (2, 64),
+        (1, 8),
+        (8, 1),
+        (1, 1),
+    ];
+
     #[test]
-    fn parallel_transform_bit_exact_with_sequential() {
-        for (nx, ny) in [(8usize, 8usize), (16, 32), (64, 16), (1, 8), (8, 1)] {
+    fn column_pass_matches_per_column_transforms_bit_for_bit() {
+        // The row-slice column pass against the gather → 1-D transform →
+        // scatter it replaced, forward (rows, then columns) and inverse
+        // (columns, then rows), on every executor width.
+        for (nx, ny) in SHAPES {
             let plan = Fft2Plan::new(nx, ny).unwrap();
             let sig = rand_signal(nx * ny, (nx * 100 + ny) as u64);
-            let mut colbuf = vec![Complex64::ZERO; nx];
-            let mut seq = sig.clone();
-            plan.forward_with(&mut seq, &mut colbuf);
-            for exec in [&Blocks(1) as &dyn RowExecutor, &Blocks(3), &Blocks(64)] {
-                let mut par = sig.clone();
+            let per_column = |d: &mut [Complex64], dir: Direction| {
+                let mut col = vec![Complex64::ZERO; nx];
+                for iy in 0..ny {
+                    for ix in 0..nx {
+                        col[ix] = d[ix * ny + iy];
+                    }
+                    match dir {
+                        Direction::Forward => plan.col_plan().forward(&mut col),
+                        Direction::Inverse => plan.col_plan().inverse(&mut col),
+                    }
+                    for ix in 0..nx {
+                        d[ix * ny + iy] = col[ix];
+                    }
+                }
+            };
+            let mut fwd = sig.clone();
+            for r in fwd.chunks_exact_mut(ny) {
+                plan.row_plan().forward(r);
+            }
+            per_column(&mut fwd, Direction::Forward);
+            let mut inv = sig.clone();
+            per_column(&mut inv, Direction::Inverse);
+            for r in inv.chunks_exact_mut(ny) {
+                plan.row_plan().inverse(r);
+            }
+
+            let mut d = sig.clone();
+            plan.forward(&mut d);
+            assert_eq!(bits(&d), bits(&fwd), "forward {nx}x{ny}");
+            let mut d = sig.clone();
+            plan.inverse(&mut d);
+            assert_eq!(bits(&d), bits(&inv), "inverse {nx}x{ny}");
+            for exec in [&Blocks(2) as &dyn RowExecutor, &Blocks(3), &Blocks(64)] {
                 let mut tbuf = vec![Complex64::ZERO; nx * ny];
-                plan.forward_par(&mut par, &mut tbuf, exec);
-                assert_eq!(par, seq, "forward {nx}x{ny} width={}", exec.width());
-                plan.inverse_par(&mut par, &mut tbuf, exec);
-                let mut undo = seq.clone();
-                plan.inverse_with(&mut undo, &mut colbuf);
-                assert_eq!(par, undo, "inverse {nx}x{ny} width={}", exec.width());
+                let mut d = sig.clone();
+                plan.forward_par(&mut d, &mut tbuf, exec);
+                assert_eq!(
+                    bits(&d),
+                    bits(&fwd),
+                    "forward {nx}x{ny} width={}",
+                    exec.width()
+                );
+                let mut d = sig.clone();
+                plan.inverse_par(&mut d, &mut tbuf, exec);
+                assert_eq!(
+                    bits(&d),
+                    bits(&inv),
+                    "inverse {nx}x{ny} width={}",
+                    exec.width()
+                );
             }
         }
     }
 
     #[test]
-    fn inverse_pass_order_is_reversed_composition() {
-        // Column-inverse then row-inverse must bit-exactly undo each pass
-        // applied manually in the forward order.
-        let (nx, ny) = (8usize, 16usize);
-        let plan = Fft2Plan::new(nx, ny).unwrap();
-        let sig = rand_signal(nx * ny, 77);
-        let mut d = sig.clone();
-        plan.forward(&mut d);
-        // Manually undo: columns first (gather/scatter), then rows.
-        let mut col = vec![Complex64::ZERO; nx];
-        for iy in 0..ny {
-            for ix in 0..nx {
-                col[ix] = d[ix * ny + iy];
-            }
-            plan.col_plan().inverse(&mut col);
-            for ix in 0..nx {
-                d[ix * ny + iy] = col[ix];
+    fn real_row_pairs_unpack_to_the_complex_row_spectra() {
+        for n in [1usize, 2, 8, 64] {
+            let plan = FftPlan::new(n).unwrap();
+            for nrows in [1usize, 2, 3, 6] {
+                let real: Vec<f64> = rand_signal(n * nrows, (n * 10 + nrows) as u64)
+                    .iter()
+                    .map(|z| z.re)
+                    .collect();
+                // Pack: the first row of each pair carries a + i·b; the
+                // second row and a lone row's imaginary part hold garbage.
+                let mut rows = vec![Complex64::new(7.0, -3.0); n * nrows];
+                for (z, s) in rows.chunks_mut(2 * n).zip(real.chunks(2 * n)) {
+                    for i in 0..n {
+                        z[i].re = s[i];
+                        if s.len() == 2 * n {
+                            z[i].im = s[n + i];
+                        }
+                    }
+                }
+                plan.forward_real_pairs(&mut rows);
+                for (r, got) in rows.chunks(n).enumerate() {
+                    let mut want: Vec<Complex64> = real[r * n..(r + 1) * n]
+                        .iter()
+                        .map(|&x| Complex64::from_re(x))
+                        .collect();
+                    plan.forward(&mut want);
+                    for k in 0..n {
+                        assert!(
+                            close(got[k], want[k], 1e-12),
+                            "n={n} rows={nrows} r={r} k={k}"
+                        );
+                    }
+                }
             }
         }
-        for r in d.chunks_exact_mut(ny) {
-            plan.row_plan().inverse(r);
+    }
+
+    #[test]
+    fn real_forward_matches_complex_forward_on_every_width() {
+        for (nx, ny) in SHAPES {
+            let plan = Fft2Plan::new(nx, ny).unwrap();
+            let real: Vec<f64> = rand_signal(nx * ny, (nx + 7 * ny) as u64)
+                .iter()
+                .map(|z| z.re)
+                .collect();
+            let mut want: Vec<Complex64> = real.iter().map(|&x| Complex64::from_re(x)).collect();
+            plan.forward(&mut want);
+            let mut serial = vec![Complex64::ZERO; nx * ny];
+            plan.forward_real(&real, &mut serial, &mut [], &SerialExec);
+            for k in 0..nx * ny {
+                assert!(close(serial[k], want[k], 1e-12), "{nx}x{ny} k={k}");
+            }
+            for exec in [&Blocks(2) as &dyn RowExecutor, &Blocks(3), &Blocks(64)] {
+                let mut tbuf = vec![Complex64::ZERO; nx * ny];
+                let mut d = vec![Complex64::new(1.0, 1.0); nx * ny];
+                plan.forward_real(&real, &mut d, &mut tbuf, exec);
+                assert_eq!(bits(&d), bits(&serial), "{nx}x{ny} width={}", exec.width());
+            }
         }
-        let mut via_plan = sig.clone();
-        plan.forward(&mut via_plan);
-        plan.inverse(&mut via_plan);
-        assert_eq!(d, via_plan);
     }
 
     #[test]

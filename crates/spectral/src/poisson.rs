@@ -13,8 +13,16 @@
 //! mode of ρ (the mean charge) is projected out: a periodic system must be
 //! globally neutral, and PIC codes enforce this by subtracting the uniform
 //! ion background — dropping the zero mode is exactly that subtraction.
+//!
+//! The field solve is built around what the data is. ρ is real, so the
+//! forward transform runs two grid rows per complex row transform
+//! ([`Fft2Plan::forward_real`]); Ex and Ey are real, so the spectral scale
+//! writes one combined `Ẑ = Êx + i·Êy` ([`field_mode`]) and one complex
+//! inverse returns `Ex = Re`, `Ey = Im`: half a row pass, a column pass and
+//! one inverse — 1.75 complex 2-D transforms' work where a complex forward
+//! and one inverse per component cost three.
 
-use crate::fft::{Fft2Plan, RowExecutor};
+use crate::fft::{Fft2Plan, RowExecutor, SerialExec};
 use crate::{Complex64, SpectralError};
 
 /// The signed angular wavenumbers of an `n`-point periodic axis of extent
@@ -35,17 +43,49 @@ pub fn wavenumbers(n: usize, l: f64) -> Vec<f64> {
         .collect()
 }
 
+/// The combined field coefficient `Ẑ = Êx + i·Êy` of mode `(ix, iy)` from
+/// the density coefficient `rho_hat`, with `kx`, `ky` the axes'
+/// [`wavenumbers`]: `Ê = −ik ρ̂ / |k|²`, the zero mode projected out.
+///
+/// **Nyquist rule:** Êx is zero on the row `ix = nx/2` and Êy on the column
+/// `iy = ny/2`. There the `+k` and `−k` modes are one coefficient, so `−ik`
+/// makes that component's contribution anti-Hermitian — purely imaginary in
+/// real space. A per-component inverse dropped it by keeping `.re`; in the
+/// combined inverse it would land in the other component, so it is zeroed
+/// here. Every solve path — serial, pooled, slab — calls this one function,
+/// which is what keeps them bit-identical.
+#[inline]
+pub fn field_mode(rho_hat: Complex64, kx: &[f64], ky: &[f64], ix: usize, iy: usize) -> Complex64 {
+    let (kxv, kyv) = (kx[ix], ky[iy]);
+    let k2 = kxv * kxv + kyv * kyv;
+    if k2 == 0.0 {
+        return Complex64::ZERO;
+    }
+    // Ê = −ik · ρ̂/k²  (φ̂ = ρ̂/k², Ê = −ik φ̂).
+    let phi_hat = rho_hat / k2;
+    let ex = if ix == kx.len() / 2 {
+        Complex64::ZERO
+    } else {
+        -phi_hat.mul_i().scale(kxv)
+    };
+    let ey = if iy == ky.len() / 2 {
+        Complex64::ZERO
+    } else {
+        -phi_hat.mul_i().scale(kyv)
+    };
+    ex + ey.mul_i()
+}
+
 /// Reusable buffers for [`PoissonSolver2D::solve_e_with`]: the spectral
-/// workspaces that [`PoissonSolver2D::solve_e`] allocates on every call.
+/// workspace that [`PoissonSolver2D::solve_e`] allocates on every call.
 /// Own one per simulation and the per-step field solve allocates nothing.
 #[derive(Debug, Default, Clone)]
 pub struct SolveScratch {
+    /// ρ̂, then `Ẑ = Êx + i·Êy`, then `Ex + i·Ey`.
     hat: Vec<Complex64>,
-    hx: Vec<Complex64>,
-    hy: Vec<Complex64>,
-    colbuf: Vec<Complex64>,
-    /// Transpose buffer for the pool-parallel transform passes
-    /// ([`PoissonSolver2D::solve_e_pooled`]); grown lazily like the rest.
+    /// Column tiles of a multi-worker solve
+    /// ([`PoissonSolver2D::solve_e_pooled`]); never grown by a width-1
+    /// executor.
     tbuf: Vec<Complex64>,
 }
 
@@ -55,19 +95,11 @@ impl SolveScratch {
         Self::default()
     }
 
-    fn ensure(&mut self, n: usize, nx: usize) {
+    fn ensure(&mut self, n: usize, tiles: bool) {
         if self.hat.len() < n {
             self.hat.resize(n, Complex64::ZERO);
-            self.hx.resize(n, Complex64::ZERO);
-            self.hy.resize(n, Complex64::ZERO);
         }
-        if self.colbuf.len() < nx {
-            self.colbuf.resize(nx, Complex64::ZERO);
-        }
-    }
-
-    fn ensure_tbuf(&mut self, n: usize) {
-        if self.tbuf.len() < n {
+        if tiles && self.tbuf.len() < n {
             self.tbuf.resize(n, Complex64::ZERO);
         }
     }
@@ -168,7 +200,8 @@ impl PoissonSolver2D {
 
     /// Solve directly for the electric field `E = −∇φ` with `−Δφ = ρ`.
     ///
-    /// One forward transform and two inverse transforms; `Ê = −ik ρ̂ / |k|²`.
+    /// One real-input forward transform and one complex inverse of
+    /// `Êx + i·Êy` ([`field_mode`]).
     ///
     /// # Panics
     /// Panics if slice lengths differ from `nx * ny`.
@@ -189,34 +222,16 @@ impl PoissonSolver2D {
         ey: &mut [f64],
         scratch: &mut SolveScratch,
     ) {
-        let n = self.nx * self.ny;
-        assert_eq!(rho.len(), n);
-        assert_eq!(ex.len(), n);
-        assert_eq!(ey.len(), n);
-        scratch.ensure(n, self.nx);
-        let hat = &mut scratch.hat[..n];
-        let hx = &mut scratch.hx[..n];
-        let hy = &mut scratch.hy[..n];
-        let colbuf = &mut scratch.colbuf[..self.nx];
-        for (h, &r) in hat.iter_mut().zip(rho) {
-            *h = Complex64::from_re(r);
-        }
-        self.plan.forward_with(hat, colbuf);
-        self.scale_spectral(hat, hx, hy);
-        self.plan.inverse_with(hx, colbuf);
-        self.plan.inverse_with(hy, colbuf);
-        for i in 0..n {
-            ex[i] = hx[i].re;
-            ey[i] = hy[i].re;
-        }
+        self.solve_e_pooled(rho, ex, ey, scratch, &SerialExec);
     }
 
-    /// [`solve_e_with`](Self::solve_e_with) with the transform passes run
-    /// on `exec` (a thread pool in the simulation hot path): row batches
-    /// striped across workers, column passes on contiguous rows of a tiled
-    /// transpose. Bit-exact with the sequential path — every 1-D transform
-    /// and every spectral scale performs the identical operation sequence —
-    /// and allocation-free once `scratch` has grown to the grid size.
+    /// [`solve_e_with`](Self::solve_e_with) with the transform passes and
+    /// the spectral scale run on `exec` (a thread pool in the simulation
+    /// hot path): row batches striped across workers, the column pass on
+    /// per-worker column tiles. Bit-exact with the sequential path — every
+    /// element sees the identical operation sequence on every executor
+    /// width — and allocation-free once `scratch` has grown to the grid
+    /// size.
     ///
     /// # Panics
     /// Panics if slice lengths differ from `nx * ny`.
@@ -232,44 +247,27 @@ impl PoissonSolver2D {
         assert_eq!(rho.len(), n);
         assert_eq!(ex.len(), n);
         assert_eq!(ey.len(), n);
-        scratch.ensure(n, self.nx);
-        scratch.ensure_tbuf(n);
+        let tiles = exec.width() > 1;
+        scratch.ensure(n, tiles);
         let hat = &mut scratch.hat[..n];
-        let hx = &mut scratch.hx[..n];
-        let hy = &mut scratch.hy[..n];
-        let tbuf = &mut scratch.tbuf[..n];
-        for (h, &r) in hat.iter_mut().zip(rho) {
-            *h = Complex64::from_re(r);
-        }
-        self.plan.forward_par(hat, tbuf, exec);
-        self.scale_spectral(hat, hx, hy);
-        self.plan.inverse_par(hx, tbuf, exec);
-        self.plan.inverse_par(hy, tbuf, exec);
-        for i in 0..n {
-            ex[i] = hx[i].re;
-            ey[i] = hy[i].re;
-        }
-    }
-
-    /// The per-mode scale `Ê = −ik ρ̂ / |k|²` (zero mode projected out),
-    /// shared by every solve path so they stay bit-identical.
-    fn scale_spectral(&self, hat: &[Complex64], hx: &mut [Complex64], hy: &mut [Complex64]) {
-        for ix in 0..self.nx {
-            for iy in 0..self.ny {
-                let kx = self.kx[ix];
-                let ky = self.ky[iy];
-                let k2 = kx * kx + ky * ky;
-                let idx = ix * self.ny + iy;
-                if k2 != 0.0 {
-                    // Ê = −ik · ρ̂/k²  (φ̂ = ρ̂/k², Ê = −ik φ̂).
-                    let phi_hat = hat[idx] / k2;
-                    hx[idx] = -phi_hat.mul_i().scale(kx);
-                    hy[idx] = -phi_hat.mul_i().scale(ky);
-                } else {
-                    hx[idx] = Complex64::ZERO;
-                    hy[idx] = Complex64::ZERO;
+        let tbuf = if tiles {
+            &mut scratch.tbuf[..n]
+        } else {
+            &mut []
+        };
+        self.plan.forward_real(rho, hat, tbuf, exec);
+        let (ny, kx, ky) = (self.ny, &self.kx, &self.ky);
+        exec.run_rows(hat, ny, &|r0, block| {
+            for (r, row) in block.chunks_exact_mut(ny).enumerate() {
+                for (iy, z) in row.iter_mut().enumerate() {
+                    *z = field_mode(*z, kx, ky, r0 + r, iy);
                 }
             }
+        });
+        self.plan.inverse_par(hat, tbuf, exec);
+        for ((x, y), z) in ex.iter_mut().zip(ey.iter_mut()).zip(hat.iter()) {
+            *x = z.re;
+            *y = z.im;
         }
     }
 

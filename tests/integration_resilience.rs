@@ -122,17 +122,22 @@ fn checkpoint_roundtrip_is_bit_exact() {
     assert_eq!(sim.particles(), uninterrupted.particles());
 }
 
-/// The production path computes the bits it computed before the ablation
-/// variants left the library: the hash was taken at that commit (identical
-/// in debug and release builds) and covers particles, fields, diagnostics
-/// and the configuration fingerprint.
+/// The production path's bits are pinned: the hash (identical in debug and
+/// release builds) covers particles, fields, diagnostics and the
+/// configuration fingerprint. Re-pinned once, by design, when the field
+/// solve became a real-input forward plus one combined inverse
+/// (0x2f233d0135f989cd → 0xf338ea91a73864db): E moves by rounding —
+/// within 1e-13·max|E| of the old three-transform solve,
+/// `parity_solver::solve_matches_three_transform_oracle` — and 45 steps
+/// carry that into every particle. The fingerprint did not move, so older
+/// snapshots still restore.
 #[test]
 fn production_path_snapshot_bits_are_pinned() {
     let mut c = PicConfig::landau_table1(100_003);
     c.seed = 7;
     let mut sim = Simulation::new(c).unwrap();
     sim.run(45);
-    assert_eq!(snapshot_hash(&sim.checkpoint()), 0x2f233d0135f989cd);
+    assert_eq!(snapshot_hash(&sim.checkpoint()), 0xf338ea91a73864db);
 }
 
 /// A snapshot survives the disk roundtrip and restores into a *fresh*
