@@ -5,8 +5,8 @@ use pic_bench::harness::{
     black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput,
 };
 use pic_core::pool::ThreadPool;
-use spectral::fft::{transpose_tiled, Fft2Plan, FftPlan, TRANSPOSE_TILE};
-use spectral::poisson::PoissonSolver2D;
+use spectral::fft::{Fft2Plan, FftPlan};
+use spectral::poisson::{PoissonSolver2D, SolveScratch};
 use spectral::Complex64;
 
 fn bench_fft1d(c: &mut Criterion) {
@@ -47,57 +47,6 @@ fn bench_fft2d(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_fft2d_par(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fft_2d_par");
-    for n in [128usize, 256, 512] {
-        let plan = Fft2Plan::new(n, n).unwrap();
-        let data: Vec<Complex64> = (0..n * n)
-            .map(|i| Complex64::new((i as f64 * 0.7).sin(), 0.0))
-            .collect();
-        g.throughput(Throughput::Elements((n * n) as u64));
-        for threads in [1usize, 2, 4] {
-            let pool = ThreadPool::new(threads);
-            let mut tbuf = vec![Complex64::ZERO; n * n];
-            g.bench_with_input(
-                BenchmarkId::new(format!("forward_{threads}t"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        let mut d = data.clone();
-                        plan.forward_par(&mut d, &mut tbuf, &pool);
-                        black_box(d[0])
-                    })
-                },
-            );
-        }
-    }
-    g.finish();
-}
-
-fn bench_transpose(c: &mut Criterion) {
-    let mut g = c.benchmark_group("transpose");
-    for n in [256usize, 512, 1024] {
-        let src: Vec<Complex64> = (0..n * n)
-            .map(|i| Complex64::new(i as f64, -(i as f64)))
-            .collect();
-        let mut dst = vec![Complex64::ZERO; n * n];
-        g.throughput(Throughput::Elements((n * n) as u64));
-        g.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| {
-                transpose_tiled(black_box(&src), &mut dst, n, n, 1);
-                black_box(dst[0])
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("tiled", n), &n, |b, _| {
-            b.iter(|| {
-                transpose_tiled(black_box(&src), &mut dst, n, n, TRANSPOSE_TILE);
-                black_box(dst[0])
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_poisson(c: &mut Criterion) {
     let mut g = c.benchmark_group("poisson_solve_e");
     for n in [128usize, 256] {
@@ -116,10 +65,33 @@ fn bench_poisson(c: &mut Criterion) {
     g.finish();
 }
 
+/// The solve the simulation runs: `solve_e_pooled` on a thread pool, each
+/// worker carrying its column bands through the fused column phase.
+fn bench_poisson_pooled(c: &mut Criterion) {
+    let mut g = c.benchmark_group("poisson_solve_e_pooled");
+    for n in [128usize, 256, 512] {
+        let solver = PoissonSolver2D::new(n, n, 1.0, 1.0).unwrap();
+        let rho: Vec<f64> = (0..n * n).map(|i| ((i * 31) % 101) as f64 * 0.01).collect();
+        let (mut ex, mut ey) = (vec![0.0; n * n], vec![0.0; n * n]);
+        let mut scratch = SolveScratch::new();
+        g.throughput(Throughput::Elements((n * n) as u64));
+        for threads in [1usize, 2] {
+            let pool = ThreadPool::new(threads);
+            g.bench_with_input(BenchmarkId::new(format!("{threads}t"), n), &n, |b, _| {
+                b.iter(|| {
+                    solver.solve_e_pooled(black_box(&rho), &mut ex, &mut ey, &mut scratch, &pool);
+                    black_box(ex[0])
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = short();
-    targets = bench_fft1d, bench_fft2d, bench_fft2d_par, bench_transpose, bench_poisson
+    targets = bench_fft1d, bench_fft2d, bench_poisson, bench_poisson_pooled
 }
 
 /// Short-run Criterion config so `cargo bench --workspace` completes in

@@ -7,11 +7,12 @@
 //! out-of-place sort sits on; `main` closes with ns/particle per case.
 
 use pic_bench::harness::{black_box, criterion_group, BenchmarkId, Criterion, Throughput};
+use pic_bench::reference::sort::sort_in_place;
 use pic_bench::report::{take_records, BenchRecord};
 use pic_bench::workloads::{copy_columns, drifted_landau};
 use pic_core::particles::ParticlesSoA;
 use pic_core::pool::ThreadPool;
-use pic_core::sort::{pool_sort_out_of_place, sort_in_place, sort_out_of_place, SortArena};
+use pic_core::sort::{pool_sort_out_of_place, sort_out_of_place, SortArena};
 use std::cell::RefCell;
 
 const NCELLS: usize = 128 * 128;

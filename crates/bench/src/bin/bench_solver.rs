@@ -8,17 +8,23 @@
 //!   reps. Gate: 4 threads must not lose to serial at 256² and above —
 //!   the pool-parallel path is the simulation default whenever
 //!   `cfg.threads > 1`, so a regression here slows every hybrid run.
+//!   Every pooled row records the host's `nproc` and whether its pool
+//!   oversubscribes it: on a 2-vCPU host the 4-thread rows measure
+//!   oversubscription, not scaling.
 //! * **slab** — the distributed `SlabSolver` at 1/2/4 ranks (row-slab
 //!   ownership), 256² and 512². Per-rank solve wall time (max over ranks,
 //!   best-of reps) and per-rank persistent grid bytes. Gates: both must
 //!   *shrink* as ranks grow — the whole point of not gathering to a root —
 //!   and one rank holds exactly two complex slabs, `32·nx·ny` bytes (half
-//!   the four slabs a per-component inverse needed).
+//!   the four slabs a per-component inverse needed). The JSON also sets
+//!   the 1-rank slab beside the serial solve of the same grid
+//!   (`slab_1rank_vs_serial`): the pipeline overhead of the distributed
+//!   path when it distributes nothing.
 //! * the table printed to stdout for eyeballing.
 //!
 //! Wall times are in-process (`minimpi` ranks are threads), so treat the
-//! slab numbers as memory-bandwidth-bound transpose costs, not network
-//! costs.
+//! slab numbers as memory-bandwidth-bound block-exchange costs, not
+//! network costs.
 
 use decomp::SlabSolver;
 use minimpi::World;
@@ -162,6 +168,7 @@ fn main() -> std::process::ExitCode {
 
 fn run() -> Result<(), PicError> {
     let mut violations: Vec<String> = Vec::new();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // ---- pooled ----
     let mut pooled: Vec<PooledSample> = Vec::new();
@@ -250,9 +257,37 @@ fn run() -> Result<(), PicError> {
     println!("\nslab-distributed solve (best of {REPS}, max over ranks):");
     print!("{}", table.render());
 
+    // ---- 1-rank slab against serial ----
+    let mut table = Table::new(&["grid", "serial ms", "1-rank slab ms", "slab/serial"]);
+    let one_rank: Vec<(usize, f64, f64)> = SLAB_GRIDS
+        .iter()
+        .map(|&grid| {
+            let serial = pooled
+                .iter()
+                .find(|s| s.grid == grid && s.threads == 0)
+                .map(|s| s.secs)
+                .unwrap();
+            let slab1 = slab
+                .iter()
+                .find(|s| s.grid == grid && s.ranks == 1)
+                .map(|s| s.max_wall_secs)
+                .unwrap();
+            table.row(&[
+                format!("{grid}x{grid}"),
+                format!("{:.3}", serial * 1e3),
+                format!("{:.3}", slab1 * 1e3),
+                format!("{:.2}x", slab1 / serial),
+            ]);
+            (grid, serial, slab1)
+        })
+        .collect();
+    println!("\n1-rank slab against the serial solve:");
+    print!("{}", table.render());
+
     // ---- JSON ----
     let json = Json::obj([
         ("reps", Json::Int(REPS as i64)),
+        ("nproc", Json::Int(nproc as i64)),
         (
             "pooled",
             Json::Arr(
@@ -266,6 +301,7 @@ fn run() -> Result<(), PicError> {
                                 Json::s(if s.threads == 0 { "serial" } else { "pooled" }),
                             ),
                             ("threads", Json::Int(s.threads.max(1) as i64)),
+                            ("oversubscribed", Json::Bool(s.threads > nproc)),
                             ("secs", Json::Num(s.secs)),
                         ])
                     })
@@ -283,6 +319,22 @@ fn run() -> Result<(), PicError> {
                             ("max_wall_secs", Json::Num(s.max_wall_secs)),
                             ("max_compute_secs", Json::Num(s.max_compute_secs)),
                             ("bytes_per_rank", Json::Int(s.bytes_per_rank as i64)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "slab_1rank_vs_serial",
+            Json::Arr(
+                one_rank
+                    .iter()
+                    .map(|&(grid, serial, slab1)| {
+                        Json::obj([
+                            ("grid", Json::Int(grid as i64)),
+                            ("serial_secs", Json::Num(serial)),
+                            ("slab_1rank_secs", Json::Num(slab1)),
+                            ("ratio", Json::Num(slab1 / serial)),
                         ])
                     })
                     .collect(),

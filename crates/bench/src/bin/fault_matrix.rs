@@ -17,7 +17,7 @@
 //!   every rank must surface a `CommError` (never deadlock) and the
 //!   ledgers must record the kill and the survivor-side timeouts/retries.
 //! * **a2a drop+corrupt** — the slab solver's four all-to-all exchanges
-//!   per solve under the lossy link; the distributed transpose must come
+//!   per solve under the lossy link; the distributed solve must come
 //!   out bit-exact and the retransmissions must show up as `Retry`
 //!   transport events.
 //! * **a2a kill** — a rank dies between all-to-all rounds mid-solve;
@@ -335,7 +335,7 @@ fn check_a2a_drop_corrupt() -> Result<(), PicError> {
 fn check_a2a_kill() -> Result<(), PicError> {
     let ranks = 4;
     // Op 2 is the second all-to-all round: the kill lands between the
-    // ρ-in exchange and the forward distributed transpose.
+    // ρ-in exchange and the forward band exchange.
     let plan = FaultPlan::new(0xA2AD).kill_rank(1, 2);
     let outcomes = World::run_with_faults(ranks, plan, move |comm| {
         comm.set_recv_deadline(Duration::from_secs(1));

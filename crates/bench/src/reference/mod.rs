@@ -13,6 +13,7 @@
 
 pub mod aos;
 pub mod soa;
+pub mod sort;
 
 use aos::ParticlesAoS;
 use pic_core::fields::{Field2D, RedundantE, RedundantRho};

@@ -345,7 +345,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
 }
 
 /// The pool as a [`spectral::fft::RowExecutor`]: the seam through which the
-/// per-step Poisson solve stripes its FFT row batches and transpose blocks
+/// per-step Poisson solve stripes its FFT row batches and column-band tiles
 /// over the same persistent workers as the particle loops. The batch is
 /// split into at most `nthreads` contiguous whole-row blocks held in a
 /// stack array ([`MAX_THREADS`] slots), so the hot path stays allocation-

@@ -25,9 +25,9 @@
 //!   `icell` array (the paper accepts this read amplification), builds its
 //!   own slice of the permutation and gathers its own slices inside a single
 //!   fan-out. The result is the exact stable order of the sequential sort.
-//! * [`sort_in_place`] — cycle-chasing counting sort; no extra array but
-//!   roughly three moves per displaced particle (the paper's §V-B1
-//!   ablation).
+//!
+//! The paper's §V-B1 in-place ablation (cycle chasing, roughly three moves
+//! per displaced particle) lives in `pic_bench::reference::sort`.
 
 use crate::particles::ParticlesSoA;
 use crate::pool::{ThreadPool, MAX_THREADS};
@@ -309,47 +309,6 @@ pub(crate) fn sort_columns(
     std::mem::swap(extra_in, extra_out);
 }
 
-/// In-place cycle-chasing counting sort (no scratch array; ~3 moves per
-/// displaced particle — the paper's measured 2× slower variant).
-pub fn sort_in_place(p: &mut ParticlesSoA, ncells: usize) {
-    let mut arena = SortArena::new();
-    sort_in_place_with(p, ncells, &mut arena);
-}
-
-/// [`sort_in_place`] with caller-owned scratch buffers (allocation-free in
-/// steady state).
-pub fn sort_in_place_with(p: &mut ParticlesSoA, ncells: usize, arena: &mut SortArena) {
-    arena.ensure(ncells);
-    cell_counts_into(&p.icell, &mut arena.counts[..ncells]);
-    cell_starts_into(&arena.counts[..ncells], &mut arena.starts[..ncells + 1]);
-    let starts = &arena.starts;
-    // `next[c]`: next free slot within cell c's output range.
-    arena.cursor[..ncells].copy_from_slice(&starts[..ncells]);
-    let next = &mut arena.cursor;
-    // Walk output slots; for each, chase the displacement cycle.
-    for cell in 0..ncells {
-        let end = starts[cell + 1];
-        while next[cell] < end {
-            let i = next[cell] as usize;
-            let c = p.icell[i] as usize;
-            if c == cell {
-                next[cell] += 1;
-            } else {
-                // Swap particle i to its destination cell's cursor.
-                let j = next[c] as usize;
-                next[c] += 1;
-                p.icell.swap(i, j);
-                p.ix.swap(i, j);
-                p.iy.swap(i, j);
-                p.dx.swap(i, j);
-                p.dy.swap(i, j);
-                p.vx.swap(i, j);
-                p.vy.swap(i, j);
-            }
-        }
-    }
-}
-
 /// True if particles are sorted by cell index (diagnostic).
 pub fn is_sorted_by_cell(p: &ParticlesSoA) -> bool {
     p.icell.windows(2).all(|w| w[0] <= w[1])
@@ -409,35 +368,14 @@ mod tests {
     }
 
     #[test]
-    fn in_place_sorts_and_permutes() {
-        let mut p = mk(5000, 64, 43);
-        let before = payload_multiset(&p);
-        sort_in_place(&mut p, 64);
-        assert!(is_sorted_by_cell(&p));
-        assert_eq!(payload_multiset(&p), before);
-    }
-
-    #[test]
-    fn already_sorted_is_noop_permutation() {
-        let mut p = mk(1000, 16, 46);
-        let mut scratch = ParticlesSoA::zeroed(0);
-        sort_out_of_place(&mut p, &mut scratch, 16);
-        let snapshot = p.clone();
-        sort_in_place(&mut p, 16);
-        assert_eq!(p.icell, snapshot.icell);
-        assert_eq!(p.vx, snapshot.vx);
-    }
-
-    #[test]
     fn empty_and_single() {
         let mut p = ParticlesSoA::zeroed(0);
         let mut scratch = ParticlesSoA::zeroed(0);
         sort_out_of_place(&mut p, &mut scratch, 16);
-        sort_in_place(&mut p, 16);
         assert!(p.is_empty());
 
         let mut p = mk(1, 16, 47);
-        sort_in_place(&mut p, 16);
+        sort_out_of_place(&mut p, &mut scratch, 16);
         assert_eq!(p.len(), 1);
     }
 
@@ -448,8 +386,6 @@ mod tests {
         p.ix.fill(0);
         p.iy.fill(5);
         let before = payload_multiset(&p);
-        sort_in_place(&mut p, 64);
-        assert_eq!(payload_multiset(&p), before);
         let mut scratch = ParticlesSoA::zeroed(0);
         sort_out_of_place(&mut p, &mut scratch, 64);
         assert_eq!(payload_multiset(&p), before);
@@ -472,24 +408,6 @@ mod tests {
             assert_eq!(a.icell, b.icell, "nthreads={nthreads}");
             assert_eq!(a.vx, b.vx, "nthreads={nthreads}");
         }
-    }
-
-    #[test]
-    fn in_place_arena_variant_sorts_and_permutes() {
-        // The cycle-chasing sort is unstable, so only sortedness and the
-        // payload multiset are comparable across variants.
-        let mut p = mk(2000, 16, 50);
-        let before = payload_multiset(&p);
-        let mut arena = SortArena::new();
-        sort_in_place_with(&mut p, 16, &mut arena);
-        assert!(is_sorted_by_cell(&p));
-        assert_eq!(payload_multiset(&p), before);
-        // Reuse the arena on a second store.
-        let mut q = mk(500, 16, 51);
-        let before = payload_multiset(&q);
-        sort_in_place_with(&mut q, 16, &mut arena);
-        assert!(is_sorted_by_cell(&q));
-        assert_eq!(payload_multiset(&q), before);
     }
 
     #[test]

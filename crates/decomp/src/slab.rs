@@ -7,58 +7,56 @@
 //!
 //! * each rank owns a contiguous **row slab** of whole row pairs
 //!   (`chunk_range(nx/2, p, r)` pairs) for the y-direction passes, and a
-//!   contiguous **column slab** (`chunk_range(ny, p, r)` transposed rows)
-//!   for the x-direction passes;
+//!   contiguous **column band** (`chunk_range(ny, p, r)` grid columns, all
+//!   `nx` rows, row-major) for the x-direction passes;
 //! * ρ is real, so grid rows `2m`, `2m + 1` arrive packed as `a + i·b` and
 //!   share one row transform ([`FftPlan::forward_real_pairs`]) — which is
 //!   why slabs hold whole pairs;
-//! * the distributed transpose between the two layouts is one
-//!   [`Comm::try_all_to_all`] block exchange — the classic slab/pencil
-//!   dance of distributed FFTs;
-//! * the spectral scale runs element-wise in the transposed layout through
-//!   [`field_mode`], the one per-mode expression of every solve path, into
-//!   the combined `Ẑ = Êx + i·Êy`; one inverse returns `Ex + i·Ey`, so the
-//!   inverse transpose carries one complex field.
+//! * one [`Comm::try_all_to_all`] block exchange moves each rank's rows,
+//!   cut to every band's columns, to the band owners. A block is a run of
+//!   whole band rows in both layouts, so sending and receiving are row-slice
+//!   copies — nothing is transposed element by element;
+//! * on its band each rank runs [`PoissonSolver2D::column_phase`], the one
+//!   column phase of every solve path: forward columns, [`field_mode`]
+//!   into `Ẑ = Êx + i·Êy`, inverse columns, one sub-band at a time. One
+//!   inverse returns `Ex + i·Ey`, so the return exchange carries one
+//!   complex field.
 //!
-//! Bit-exactness with [`PoissonSolver2D::solve_e`]: the serial 2-D forward
-//! runs rows (y) then columns (x), the inverse columns then rows — and each
-//! 1-D transform is an independent in-place butterfly over the same values
-//! in the same order no matter which rank executes it. The slab pipeline
-//! replicates those per-transform value sequences exactly (row pairs of the
-//! row slab, then rows of the transposed column slab), so the solved E
-//! matches the serial field bit for bit. The parity tests assert `to_bits`
-//! equality.
+//! Bit-exactness with [`PoissonSolver2D::solve_e`]: every row transform and
+//! every column transform is an independent butterfly over the same values
+//! in the same order no matter which rank executes it, and `field_mode`
+//! depends only on the mode. The slab pipeline runs the serial solve's row
+//! passes on its row pairs and the serial column phase on its band, so the
+//! solved E matches the serial field bit for bit. The parity tests assert
+//! `to_bits` equality.
 //!
-//! Per-rank memory is two slab buffers ≈ `32·nx·ny/p` bytes — it *shrinks*
-//! as ranks are added, where the root-gather path pinned O(grid) on the
-//! root regardless of `p` (see `results/BENCH_solver.json`).
+//! Per-rank memory is the row slab plus the band ≈ `32·nx·ny/p` bytes — it
+//! *shrinks* as ranks are added, where the root-gather path pinned O(grid)
+//! on the root regardless of `p` (see `results/BENCH_solver.json`).
 //!
+//! [`FftPlan::forward_real_pairs`]: spectral::fft::FftPlan::forward_real_pairs
+//! [`PoissonSolver2D::column_phase`]: spectral::poisson::PoissonSolver2D::column_phase
 //! [`PoissonSolver2D::solve_e`]: spectral::poisson::PoissonSolver2D::solve_e
+//! [`field_mode`]: spectral::poisson::field_mode
 
 use crate::DecompError;
 use minimpi::Comm;
 use pic_core::pool::chunk_range;
-use spectral::fft::{Fft2Plan, FftPlan};
-use spectral::poisson::{field_mode, wavenumbers};
+use spectral::poisson::PoissonSolver2D;
 use spectral::Complex64;
 
-/// Distributed slab solver state for one rank: 1-D plans, wavenumbers,
-/// the point routing tables, and the reusable slab buffers.
+/// Distributed slab solver state for one rank: the grid's solver (plans
+/// and wavenumbers), the point routing tables, and the reusable buffers.
 pub struct SlabSolver {
-    nx: usize,
-    ny: usize,
     /// This rank's index within the communicator group.
     me: usize,
     /// Row-slab bounds `[r0, r1)` of every rank: grid rows for the
     /// y-direction passes, whole row pairs (`r0` even).
     row_bounds: Vec<(usize, usize)>,
-    /// Column-slab bounds `[c0, c1)` of every rank: grid columns, i.e.
-    /// rows of the transposed layout, for the x-direction passes.
+    /// Column-band bounds `[c0, c1)` of every rank: grid columns for the
+    /// x-direction passes.
     col_bounds: Vec<(usize, usize)>,
-    /// Shared 1-D plans (one table on square grids).
-    plan: Fft2Plan,
-    kx: Vec<f64>,
-    ky: Vec<f64>,
+    solver: PoissonSolver2D,
     /// `rho_send[q]`: this rank's owned points whose grid row lies in
     /// rank `q`'s slab (ascending point order on both endpoints).
     rho_send: Vec<Vec<usize>>,
@@ -71,13 +69,36 @@ pub struct SlabSolver {
     /// Row slab (`nrows × ny`): packed ρ row pairs, ρ̂ rows, then
     /// `Ex + i·Ey` on the way back.
     slab: Vec<Complex64>,
-    /// Column slab (`ncols × nx`, transposed layout): ρ̂ᵀ, then
-    /// `Êx + i·Êy`.
-    tslab: Vec<Complex64>,
+    /// Column band (`nx × (c1 − c0)`, row-major): ρ̂ rows cut to this
+    /// rank's columns, then column-inverted `Êx + i·Êy`.
+    band: Vec<Complex64>,
+    /// Outgoing blocks, one per rank, refilled by each of a solve's four
+    /// exchanges in turn: the exchanges run one after another, so one set
+    /// serves them all and a solve allocates no send buffer once the set
+    /// has grown. Received blocks are still allocated by
+    /// [`Comm::try_all_to_all`].
+    send: Vec<Vec<f64>>,
+}
+
+/// Append `zs` to `b` as interleaved `re, im` pairs.
+fn push_complex(b: &mut Vec<f64>, zs: &[Complex64]) {
+    b.reserve(2 * zs.len());
+    for z in zs {
+        b.push(z.re);
+        b.push(z.im);
+    }
+}
+
+/// Overwrite `zs` from interleaved `re, im` pairs.
+fn pull_complex(zs: &mut [Complex64], vals: &[f64]) {
+    debug_assert_eq!(vals.len(), zs.len() * 2, "exchange payload size");
+    for (z, v) in zs.iter_mut().zip(vals.chunks_exact(2)) {
+        *z = Complex64::new(v[0], v[1]);
+    }
 }
 
 impl SlabSolver {
-    /// Build the solver for rank `me` of `p`: slab bounds, FFT plans, and
+    /// Build the solver for rank `me` of `p`: slab bounds, the grid solver, and
     /// the all-to-all routing lists derived from every rank's owned/E point
     /// sets (both endpoints filter the same ascending lists, so sender and
     /// receiver agree on payload order without any index traffic).
@@ -92,7 +113,7 @@ impl SlabSolver {
         all_owned_points: &[Vec<usize>],
         all_e_points: &[Vec<usize>],
     ) -> Result<Self, DecompError> {
-        let plan = Fft2Plan::new(nx, ny)
+        let solver = PoissonSolver2D::new(nx, ny, lx, ly)
             .map_err(|e| DecompError::Config(format!("slab solver plan: {e}")))?;
         // Whole row pairs: `nx` is a power of two, so only `nx = 1` leaves
         // a lone row, held by the first rank as its one "pair".
@@ -106,67 +127,44 @@ impl SlabSolver {
         let (r0, r1) = row_bounds[me];
         let (c0, c1) = col_bounds[me];
 
-        let in_rows =
-            |bounds: (usize, usize)| move |&&pt: &&usize| pt / ny >= bounds.0 && pt / ny < bounds.1;
-        let rho_send: Vec<Vec<usize>> = (0..p)
-            .map(|q| {
-                all_owned_points[me]
-                    .iter()
-                    .filter(in_rows(row_bounds[q]))
-                    .copied()
-                    .collect()
-            })
+        // The points of `pts` whose grid row lies in `rows`.
+        let pick = |pts: &[usize], (lo, hi): (usize, usize)| -> Vec<usize> {
+            pts.iter()
+                .copied()
+                .filter(|&pt| (lo..hi).contains(&(pt / ny)))
+                .collect()
+        };
+        let mine = row_bounds[me];
+        let rho_send = row_bounds
+            .iter()
+            .map(|&b| pick(&all_owned_points[me], b))
             .collect();
-        let rho_recv: Vec<Vec<usize>> = (0..p)
-            .map(|q| {
-                all_owned_points[q]
-                    .iter()
-                    .filter(in_rows(row_bounds[me]))
-                    .copied()
-                    .collect()
-            })
-            .collect();
-        let e_send: Vec<Vec<usize>> = (0..p)
-            .map(|q| {
-                all_e_points[q]
-                    .iter()
-                    .filter(in_rows(row_bounds[me]))
-                    .copied()
-                    .collect()
-            })
-            .collect();
-        let e_recv: Vec<Vec<usize>> = (0..p)
-            .map(|q| {
-                all_e_points[me]
-                    .iter()
-                    .filter(in_rows(row_bounds[q]))
-                    .copied()
-                    .collect()
-            })
+        let rho_recv = all_owned_points.iter().map(|pts| pick(pts, mine)).collect();
+        let e_send = all_e_points.iter().map(|pts| pick(pts, mine)).collect();
+        let e_recv = row_bounds
+            .iter()
+            .map(|&b| pick(&all_e_points[me], b))
             .collect();
 
         Ok(Self {
-            nx,
-            ny,
             me,
             row_bounds,
             col_bounds,
-            plan,
-            kx: wavenumbers(nx, lx),
-            ky: wavenumbers(ny, ly),
+            solver,
             rho_send,
             rho_recv,
             e_send,
             e_recv,
             slab: vec![Complex64::ZERO; (r1 - r0) * ny],
-            tslab: vec![Complex64::ZERO; (c1 - c0) * nx],
+            band: vec![Complex64::ZERO; nx * (c1 - c0)],
+            send: vec![Vec::new(); p],
         })
     }
 
     /// Persistent per-rank buffer bytes — the slab path's grid memory
     /// footprint, which shrinks as ranks are added.
     pub fn solver_bytes(&self) -> u64 {
-        ((self.slab.len() + self.tslab.len()) * std::mem::size_of::<Complex64>()) as u64
+        ((self.slab.len() + self.band.len()) * std::mem::size_of::<Complex64>()) as u64
     }
 
     /// This rank's row-slab bounds `[r0, r1)`.
@@ -177,7 +175,7 @@ impl SlabSolver {
     /// Distributed solve (collective): `rho` holds global density at this
     /// rank's owned points; on return `ex`/`ey` hold the solved field at
     /// this rank's E points. Uses tags `tag0 .. tag0+3` (ρ scatter,
-    /// forward transpose, inverse transpose, E delivery).
+    /// forward band exchange, return exchange, E delivery).
     pub fn solve(
         &mut self,
         comm: &mut Comm,
@@ -186,24 +184,42 @@ impl SlabSolver {
         ey: &mut [f64],
         tag0: u64,
     ) -> Result<(), DecompError> {
-        let (ny, nx) = (self.ny, self.nx);
-        let (r0, _) = self.row_bounds[self.me];
-        let (c0, c1) = self.col_bounds[self.me];
-        let p = self.row_bounds.len();
+        let Self {
+            me,
+            row_bounds,
+            col_bounds,
+            solver,
+            rho_send,
+            rho_recv,
+            e_send,
+            e_recv,
+            slab,
+            band,
+            send,
+        } = self;
+        let ny = solver.dims().1;
+        let (r0, _) = row_bounds[*me];
+        let (c0, c1) = col_bounds[*me];
+        let width = c1 - c0;
+        let row = solver.plan().row_plan();
 
         // 1. Route owned ρ to slab owners, packed two rows per complex
         //    row: row 2m into the real part, row 2m + 1 into the imaginary
         //    part of the pair's first row.
-        let blocks: Vec<Vec<f64>> = (0..p)
-            .map(|q| self.rho_send[q].iter().map(|&pt| rho[pt]).collect())
-            .collect();
-        let parts = comm.try_all_to_all(&blocks, tag0)?;
-        for (q, vals) in parts.iter().enumerate() {
-            debug_assert_eq!(vals.len(), self.rho_recv[q].len());
-            for (&pt, &v) in self.rho_recv[q].iter().zip(vals) {
-                let lr = pt / ny - r0;
-                let z = &mut self.slab[(lr & !1) * ny + pt % ny];
-                if lr % 2 == 0 {
+        for (b, pts) in send.iter_mut().zip(rho_send.iter()) {
+            b.clear();
+            b.extend(pts.iter().map(|&pt| rho[pt]));
+        }
+        let parts = comm.try_all_to_all(send, tag0)?;
+        for (vals, pts) in parts.iter().zip(rho_recv.iter()) {
+            debug_assert_eq!(vals.len(), pts.len());
+            for (&pt, &v) in pts.iter().zip(vals) {
+                // `ny` is a power of two, so the slab offset's `ny` bit is
+                // the local row's parity and clearing it lands on the
+                // pair's first row.
+                let off = pt - r0 * ny;
+                let z = &mut slab[off & !ny];
+                if off & ny == 0 {
                     z.re = v;
                 } else {
                     z.im = v;
@@ -212,112 +228,62 @@ impl SlabSolver {
         }
 
         // 2. Forward y pass: one complex transform per grid row pair.
-        self.plan.row_plan().forward_real_pairs(&mut self.slab);
+        row.forward_real_pairs(slab);
 
-        // 3. Distributed forward transpose: row slabs → column slabs.
-        let blocks: Vec<Vec<f64>> = (0..p)
-            .map(|q| {
-                let (qc0, qc1) = self.col_bounds[q];
-                let mut b = Vec::with_capacity(self.slab.len() / ny.max(1) * (qc1 - qc0) * 2);
-                for row in self.slab.chunks_exact(ny) {
-                    for &z in &row[qc0..qc1] {
-                        b.push(z.re);
-                        b.push(z.im);
-                    }
-                }
-                b
-            })
-            .collect();
-        let parts = comm.try_all_to_all(&blocks, tag0 + 1)?;
-        for (q, vals) in parts.iter().enumerate() {
-            let (qr0, qr1) = self.row_bounds[q];
-            debug_assert_eq!(vals.len(), (qr1 - qr0) * (c1 - c0) * 2);
-            let mut it = vals.chunks_exact(2);
-            for i in 0..qr1 - qr0 {
-                for jt in 0..c1 - c0 {
-                    let v = it.next().expect("transpose payload underrun");
-                    self.tslab[jt * nx + qr0 + i] = Complex64::new(v[0], v[1]);
-                }
+        // 3. Rows to band owners: rank q gets every slab row cut to its
+        //    columns, which are whole rows `[r0, r1)` of q's band.
+        for (b, &(qc0, qc1)) in send.iter_mut().zip(col_bounds.iter()) {
+            b.clear();
+            for line in slab.chunks_exact(ny) {
+                push_complex(b, &line[qc0..qc1]);
+            }
+        }
+        let parts = comm.try_all_to_all(send, tag0 + 1)?;
+        for (vals, &(qr0, qr1)) in parts.iter().zip(row_bounds.iter()) {
+            pull_complex(&mut band[qr0 * width..qr1 * width], vals);
+        }
+
+        // 4. The column phase: forward x pass, Ẑ = Êx + i·Êy, inverse x pass.
+        solver.column_phase(band, width, c0);
+
+        // 5. Band rows back to their slab owners: rank q's rows of the band
+        //    are the columns `[c0, c1)` of q's slab rows.
+        for (b, &(qr0, qr1)) in send.iter_mut().zip(row_bounds.iter()) {
+            b.clear();
+            push_complex(b, &band[qr0 * width..qr1 * width]);
+        }
+        let parts = comm.try_all_to_all(send, tag0 + 2)?;
+        for (vals, &(qc0, qc1)) in parts.iter().zip(col_bounds.iter()) {
+            let w = qc1 - qc0;
+            for (line, v) in slab
+                .chunks_exact_mut(ny)
+                .zip(vals.chunks_exact(2 * w.max(1)))
+            {
+                pull_complex(&mut line[qc0..qc1], v);
             }
         }
 
-        // 4. Forward x pass: each transposed-slab row is a full grid column.
-        for r in self.tslab.chunks_exact_mut(nx) {
-            self.plan.col_plan().forward(r);
+        // 6. Inverse y pass.
+        for r in slab.chunks_exact_mut(ny) {
+            row.inverse(r);
         }
 
-        // 5. Spectral scale in the transposed layout through the one
-        //    per-mode expression of every solve path: Ẑ = Êx + i·Êy.
-        for (jt, r) in self.tslab.chunks_exact_mut(nx).enumerate() {
-            for (ix, z) in r.iter_mut().enumerate() {
-                *z = field_mode(*z, &self.kx, &self.ky, ix, c0 + jt);
+        // 7. Deliver E to each rank's E points.
+        for (b, pts) in send.iter_mut().zip(e_send.iter()) {
+            b.clear();
+            for &pt in pts {
+                let z = slab[pt - r0 * ny];
+                b.extend([z.re, z.im]);
             }
         }
-
-        // 6. Inverse x pass (the serial inverse runs columns first, rows
-        //    second — flip of the forward order).
-        for r in self.tslab.chunks_exact_mut(nx) {
-            self.plan.col_plan().inverse(r);
-        }
-
-        // 7. Inverse transpose of the one combined field.
-        let blocks: Vec<Vec<f64>> = (0..p)
-            .map(|q| {
-                let (qr0, qr1) = self.row_bounds[q];
-                let mut b = Vec::with_capacity((qr1 - qr0) * (c1 - c0) * 2);
-                for jt in 0..c1 - c0 {
-                    for &z in &self.tslab[jt * nx + qr0..jt * nx + qr1] {
-                        b.push(z.re);
-                        b.push(z.im);
-                    }
-                }
-                b
-            })
-            .collect();
-        let parts = comm.try_all_to_all(&blocks, tag0 + 2)?;
-        let nrows = self.slab.len() / ny.max(1);
-        for (q, vals) in parts.iter().enumerate() {
-            let (qc0, qc1) = self.col_bounds[q];
-            debug_assert_eq!(vals.len(), (qc1 - qc0) * nrows * 2);
-            let mut it = vals.chunks_exact(2);
-            for jt in 0..qc1 - qc0 {
-                for i in 0..nrows {
-                    let v = it.next().expect("transpose payload underrun");
-                    self.slab[i * ny + qc0 + jt] = Complex64::new(v[0], v[1]);
-                }
-            }
-        }
-
-        // 8. Inverse y pass.
-        for r in self.slab.chunks_exact_mut(ny) {
-            self.plan.row_plan().inverse(r);
-        }
-
-        // 9. Deliver E to each rank's E points.
-        let blocks: Vec<Vec<f64>> = (0..p)
-            .map(|q| {
-                let mut b = Vec::with_capacity(self.e_send[q].len() * 2);
-                for &pt in &self.e_send[q] {
-                    let i = (pt / ny - r0) * ny + pt % ny;
-                    b.push(self.slab[i].re);
-                    b.push(self.slab[i].im);
-                }
-                b
-            })
-            .collect();
-        let parts = comm.try_all_to_all(&blocks, tag0 + 3)?;
-        for (q, vals) in parts.iter().enumerate() {
-            debug_assert_eq!(vals.len(), self.e_recv[q].len() * 2);
-            for (&pt, v) in self.e_recv[q].iter().zip(vals.chunks_exact(2)) {
+        let parts = comm.try_all_to_all(send, tag0 + 3)?;
+        for (vals, pts) in parts.iter().zip(e_recv.iter()) {
+            debug_assert_eq!(vals.len(), pts.len() * 2);
+            for (&pt, v) in pts.iter().zip(vals.chunks_exact(2)) {
                 ex[pt] = v[0];
                 ey[pt] = v[1];
             }
         }
         Ok(())
-    }
-
-    /// The length-`ny` plan of the y passes (exposed for benchmarks).
-    pub fn row_plan(&self) -> &FftPlan {
-        self.plan.row_plan()
     }
 }

@@ -129,7 +129,7 @@ impl FftPlan {
     /// column sees exactly the operations, in exactly the order, of
     /// [`forward`](Self::forward) / [`inverse`](Self::inverse) on that column
     /// gathered into a buffer: the bits are the same.
-    fn transform_cols(
+    pub(crate) fn transform_cols(
         &self,
         data: &mut [Complex64],
         stride: usize,
@@ -220,9 +220,10 @@ impl FftPlan {
     }
 }
 
-/// An executor for batches of independent whole-row transforms — the seam
+/// An executor for batches of independent whole-row work — the seam
 /// through which a thread pool (which lives upstream of this dependency-free
-/// crate) parallelizes the 2-D transform passes.
+/// crate) parallelizes the passes of
+/// [`PoissonSolver2D::solve_e_pooled`](crate::poisson::PoissonSolver2D::solve_e_pooled).
 ///
 /// The contract of [`run_rows`](Self::run_rows): partition `data` into
 /// contiguous blocks of whole `row_len`-element rows and invoke
@@ -270,55 +271,16 @@ impl RowExecutor for SerialExec {
     }
 }
 
-/// Default tile edge for [`transpose_tiled`]: a 16×16 `Complex64` tile
-/// touches 4 KiB of source and 4 KiB of destination — both L1-resident, so
-/// the strided side of the transpose misses at most once per cache line.
-pub const TRANSPOSE_TILE: usize = 16;
-
-/// Cache-blocked out-of-place matrix transpose: `src` is `rows × cols`
-/// row-major and `dst` becomes `cols × rows` (`dst[j * rows + i] =
-/// src[i * cols + j]`). The loops walk `tile × tile` blocks so both the
-/// read and the write side stay within a few cache lines per block — the
-/// naive double loop strides one side by `cols` (or `rows`) every element
-/// and thrashes at grid sizes ≥ 256².
-///
-/// # Panics
-/// Panics if the slice lengths differ from `rows * cols` or `tile == 0`.
-pub fn transpose_tiled(
-    src: &[Complex64],
-    dst: &mut [Complex64],
-    rows: usize,
-    cols: usize,
-    tile: usize,
-) {
-    assert_eq!(src.len(), rows * cols, "transpose source size mismatch");
-    assert_eq!(
-        dst.len(),
-        rows * cols,
-        "transpose destination size mismatch"
-    );
-    assert!(tile >= 1, "transpose tile must be nonzero");
-    for jt in (0..cols).step_by(tile) {
-        let jhi = (jt + tile).min(cols);
-        for it in (0..rows).step_by(tile) {
-            let ihi = (it + tile).min(rows);
-            for j in jt..jhi {
-                for i in it..ihi {
-                    dst[j * rows + i] = src[i * cols + j];
-                }
-            }
-        }
-    }
-}
-
-/// Column band of [`Fft2Plan`]'s column pass: 32 `Complex64` (512 B, eight
-/// cache lines) per row slice, so a band of a 128-row grid is 64 KiB and
-/// stays in L2 through every butterfly stage, and a 128-column grid still
-/// splits into four tiles for the workers of a pooled pass. Swept at 8–128
-/// on 128²–512² (serial and 2-wide): 8 and 16 lose up to 1.5× at 512², 64
-/// and 128 leave a 2-wide pool idle at 128²; 32 is within noise of the
-/// best everywhere.
-const COL_BAND: usize = 32;
+/// Column band of every column pass: 32 `Complex64` (512 B, eight cache
+/// lines) per row slice, so a band of a 128-row grid is 64 KiB and stays in
+/// L2 through every butterfly stage — through the forward transform, the
+/// spectral scale and the inverse of the fused column phase
+/// ([`PoissonSolver2D::column_phase`](crate::poisson::PoissonSolver2D::column_phase))
+/// — and a 128-column grid still splits into four tiles for the workers of
+/// a pooled solve. Swept at 8–128 on 128²–512² (serial and 2-wide): 8 and
+/// 16 lose up to 1.5× at 512², 64 and 128 leave a 2-wide pool idle at 128²;
+/// 32 is within noise of the best everywhere.
+pub(crate) const COL_BAND: usize = 32;
 
 /// A reusable 2-D FFT plan (row–column algorithm) for an `nx × ny` grid
 /// stored row-major (`data[ix * ny + iy]`).
@@ -364,162 +326,40 @@ impl Fft2Plan {
         (self.nx, self.ny)
     }
 
-    /// In-place 2-D forward transform.
+    /// In-place 2-D forward transform: rows, then columns.
     ///
     /// # Panics
     /// Panics if `data.len() != nx * ny`.
     pub fn forward(&self, data: &mut [Complex64]) {
-        self.forward_par(data, &mut [], &SerialExec);
+        assert_eq!(data.len(), self.nx * self.ny, "2-D FFT size mismatch");
+        for r in data.chunks_exact_mut(self.ny) {
+            self.row.forward(r);
+        }
+        self.cols(data, Direction::Forward);
     }
 
-    /// In-place 2-D inverse transform (normalized by `1/(nx·ny)`).
+    /// In-place 2-D inverse transform (normalized by `1/(nx·ny)`): columns,
+    /// then rows — the reversed composition, so each 1-D pass is undone by
+    /// its own inverse in reverse order.
     ///
     /// # Panics
     /// Panics if `data.len() != nx * ny`.
     pub fn inverse(&self, data: &mut [Complex64]) {
-        self.inverse_par(data, &mut [], &SerialExec);
-    }
-
-    /// [`forward`](Self::forward) with each pass striped over `exec`.
-    ///
-    /// Pass order: the forward transform runs rows then columns; the
-    /// inverse runs columns then rows — the reversed composition, so each
-    /// 1-D pass is undone by its own inverse in reverse order. The order
-    /// fixes the floating-point rounding, and the distributed (slab) solver
-    /// replicates it exactly to stay bit-identical with this path. `tbuf`
-    /// (`nx * ny` entries) holds the column tiles of a multi-worker
-    /// executor; a width-1 executor runs the column pass in place and never
-    /// touches it (pass `&mut []`). Every executor width computes the same
-    /// bits.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != nx * ny`, or if `exec.width() > 1` and
-    /// `tbuf.len() != nx * ny`.
-    pub fn forward_par(
-        &self,
-        data: &mut [Complex64],
-        tbuf: &mut [Complex64],
-        exec: &dyn RowExecutor,
-    ) {
-        self.check(data, tbuf, exec);
-        self.rows_pass(data, Direction::Forward, exec);
-        self.cols_pass(data, tbuf, Direction::Forward, exec);
-    }
-
-    /// [`inverse`](Self::inverse) on the executor: columns first, then
-    /// rows. Buffers and panics as [`forward_par`](Self::forward_par).
-    pub fn inverse_par(
-        &self,
-        data: &mut [Complex64],
-        tbuf: &mut [Complex64],
-        exec: &dyn RowExecutor,
-    ) {
-        self.check(data, tbuf, exec);
-        self.cols_pass(data, tbuf, Direction::Inverse, exec);
-        self.rows_pass(data, Direction::Inverse, exec);
-    }
-
-    /// The forward transform of the real field `src` (row-major `nx × ny`)
-    /// into `data`: grid rows `2m` and `2m + 1` go through one complex row
-    /// transform as `a + i·b` ([`FftPlan::forward_real_pairs`]), which halves
-    /// the row pass, then the column pass of
-    /// [`forward_par`](Self::forward_par) runs on the unpacked spectra.
-    /// Buffers as [`forward_par`](Self::forward_par); every executor width
-    /// computes the same bits.
-    ///
-    /// # Panics
-    /// Panics if `src.len()` or `data.len()` differs from `nx * ny`, or if
-    /// `exec.width() > 1` and `tbuf.len() != nx * ny`.
-    pub fn forward_real(
-        &self,
-        src: &[f64],
-        data: &mut [Complex64],
-        tbuf: &mut [Complex64],
-        exec: &dyn RowExecutor,
-    ) {
-        self.check(data, tbuf, exec);
-        assert_eq!(src.len(), data.len(), "2-D FFT real input size mismatch");
-        let ny = self.ny;
-        let pair = ny * self.nx.min(2);
-        exec.run_rows(data, pair, &|p0, block| {
-            let src = &src[p0 * pair..][..block.len()];
-            for (z, s) in block.chunks_mut(2 * ny).zip(src.chunks(2 * ny)) {
-                let (a, b) = s.split_at(ny);
-                for (zi, &ai) in z.iter_mut().zip(a) {
-                    zi.re = ai;
-                }
-                for (zi, &bi) in z.iter_mut().zip(b) {
-                    zi.im = bi;
-                }
-            }
-            self.row.forward_real_pairs(block);
-        });
-        self.cols_pass(data, tbuf, Direction::Forward, exec);
-    }
-
-    fn check(&self, data: &[Complex64], tbuf: &[Complex64], exec: &dyn RowExecutor) {
-        let n = self.nx * self.ny;
-        assert_eq!(data.len(), n, "2-D FFT size mismatch");
-        assert!(
-            exec.width() <= 1 || tbuf.len() == n,
-            "2-D FFT tile buffer mismatch"
-        );
-    }
-
-    /// Transform every (contiguous) row with the length-`ny` plan, row
-    /// batches striped over `exec`.
-    fn rows_pass(&self, data: &mut [Complex64], dir: Direction, exec: &dyn RowExecutor) {
-        let (ny, row) = (self.ny, &self.row);
-        exec.run_rows(data, ny, &|_, block| {
-            for r in block.chunks_exact_mut(ny) {
-                match dir {
-                    Direction::Forward => row.forward(r),
-                    Direction::Inverse => row.inverse(r),
-                }
-            }
-        });
-    }
-
-    /// Transform every column, [`COL_BAND`] columns at a time, with the
-    /// butterflies on row slices ([`FftPlan::transform_cols`]). One worker
-    /// transforms the bands in place; several copy each band into its own
-    /// contiguous `nx × band` tile of `tbuf`, transform the tiles, and copy
-    /// them back row by row — the same operations on every element either
-    /// way.
-    fn cols_pass(
-        &self,
-        data: &mut [Complex64],
-        tbuf: &mut [Complex64],
-        dir: Direction,
-        exec: &dyn RowExecutor,
-    ) {
-        let (nx, ny, col) = (self.nx, self.ny, self.col_plan());
-        let band = COL_BAND.min(ny);
-        if exec.width() <= 1 {
-            for c0 in (0..ny).step_by(band) {
-                col.transform_cols(data, ny, c0..c0 + band, dir);
-            }
-            return;
+        assert_eq!(data.len(), self.nx * self.ny, "2-D FFT size mismatch");
+        self.cols(data, Direction::Inverse);
+        for r in data.chunks_exact_mut(self.ny) {
+            self.row.inverse(r);
         }
-        let tile = nx * band;
-        let src = &*data;
-        exec.run_rows(tbuf, tile, &|t0, block| {
-            for (t, tl) in block.chunks_exact_mut(tile).enumerate() {
-                let c0 = (t0 + t) * band;
-                for (r, seg) in tl.chunks_exact_mut(band).enumerate() {
-                    seg.copy_from_slice(&src[r * ny + c0..][..band]);
-                }
-                col.transform_cols(tl, band, 0..band, dir);
-            }
-        });
-        let tiles = &*tbuf;
-        exec.run_rows(data, ny, &|r0, block| {
-            for (r, row) in block.chunks_exact_mut(ny).enumerate() {
-                for (t, seg) in row.chunks_exact_mut(band).enumerate() {
-                    seg.copy_from_slice(&tiles[t * tile + (r0 + r) * band..][..band]);
-                }
-            }
-        });
+    }
+
+    /// Transform every column in place, [`COL_BAND`] columns at a time, with
+    /// the butterflies on row slices ([`FftPlan::transform_cols`]).
+    fn cols(&self, data: &mut [Complex64], dir: Direction) {
+        let ny = self.ny;
+        for c0 in (0..ny).step_by(COL_BAND) {
+            self.col_plan()
+                .transform_cols(data, ny, c0..(c0 + COL_BAND).min(ny), dir);
+        }
     }
 }
 
@@ -710,61 +550,6 @@ mod tests {
         }
     }
 
-    /// A serial executor that still exercises the multi-block partition
-    /// logic: splits every batch into `k` near-equal whole-row blocks.
-    struct Blocks(usize);
-
-    impl RowExecutor for Blocks {
-        fn width(&self) -> usize {
-            self.0
-        }
-
-        fn run_rows(
-            &self,
-            data: &mut [Complex64],
-            row_len: usize,
-            f: &(dyn Fn(usize, &mut [Complex64]) + Sync),
-        ) {
-            let nrows = data.len() / row_len.max(1);
-            let k = self.0.clamp(1, nrows.max(1));
-            let (base, extra) = (nrows / k, nrows % k);
-            let mut rest = data;
-            let mut first = 0;
-            for c in 0..k {
-                let take = base + usize::from(c < extra);
-                let (head, tail) = rest.split_at_mut(take * row_len);
-                if !head.is_empty() {
-                    f(first, head);
-                }
-                first += take;
-                rest = tail;
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_roundtrip_and_naive_parity() {
-        for (rows, cols) in [(1usize, 1usize), (4, 8), (16, 16), (13, 7), (33, 65)] {
-            let src = rand_signal(rows * cols, (rows * 1000 + cols) as u64);
-            for tile in [1usize, 8, 13, TRANSPOSE_TILE] {
-                let mut t = vec![Complex64::ZERO; rows * cols];
-                transpose_tiled(&src, &mut t, rows, cols, tile);
-                for i in 0..rows {
-                    for j in 0..cols {
-                        assert_eq!(
-                            t[j * rows + i],
-                            src[i * cols + j],
-                            "rows={rows} cols={cols} tile={tile} ({i},{j})"
-                        );
-                    }
-                }
-                let mut back = vec![Complex64::ZERO; rows * cols];
-                transpose_tiled(&t, &mut back, cols, rows, tile);
-                assert_eq!(back, src, "rows={rows} cols={cols} tile={tile}");
-            }
-        }
-    }
-
     #[test]
     fn square_plan_is_shared() {
         let sq = Fft2Plan::new(64, 64).unwrap();
@@ -797,7 +582,7 @@ mod tests {
     fn column_pass_matches_per_column_transforms_bit_for_bit() {
         // The row-slice column pass against the gather → 1-D transform →
         // scatter it replaced, forward (rows, then columns) and inverse
-        // (columns, then rows), on every executor width.
+        // (columns, then rows).
         for (nx, ny) in SHAPES {
             let plan = Fft2Plan::new(nx, ny).unwrap();
             let sig = rand_signal(nx * ny, (nx * 100 + ny) as u64);
@@ -833,25 +618,6 @@ mod tests {
             let mut d = sig.clone();
             plan.inverse(&mut d);
             assert_eq!(bits(&d), bits(&inv), "inverse {nx}x{ny}");
-            for exec in [&Blocks(2) as &dyn RowExecutor, &Blocks(3), &Blocks(64)] {
-                let mut tbuf = vec![Complex64::ZERO; nx * ny];
-                let mut d = sig.clone();
-                plan.forward_par(&mut d, &mut tbuf, exec);
-                assert_eq!(
-                    bits(&d),
-                    bits(&fwd),
-                    "forward {nx}x{ny} width={}",
-                    exec.width()
-                );
-                let mut d = sig.clone();
-                plan.inverse_par(&mut d, &mut tbuf, exec);
-                assert_eq!(
-                    bits(&d),
-                    bits(&inv),
-                    "inverse {nx}x{ny} width={}",
-                    exec.width()
-                );
-            }
         }
     }
 
@@ -889,30 +655,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn real_forward_matches_complex_forward_on_every_width() {
-        for (nx, ny) in SHAPES {
-            let plan = Fft2Plan::new(nx, ny).unwrap();
-            let real: Vec<f64> = rand_signal(nx * ny, (nx + 7 * ny) as u64)
-                .iter()
-                .map(|z| z.re)
-                .collect();
-            let mut want: Vec<Complex64> = real.iter().map(|&x| Complex64::from_re(x)).collect();
-            plan.forward(&mut want);
-            let mut serial = vec![Complex64::ZERO; nx * ny];
-            plan.forward_real(&real, &mut serial, &mut [], &SerialExec);
-            for k in 0..nx * ny {
-                assert!(close(serial[k], want[k], 1e-12), "{nx}x{ny} k={k}");
-            }
-            for exec in [&Blocks(2) as &dyn RowExecutor, &Blocks(3), &Blocks(64)] {
-                let mut tbuf = vec![Complex64::ZERO; nx * ny];
-                let mut d = vec![Complex64::new(1.0, 1.0); nx * ny];
-                plan.forward_real(&real, &mut d, &mut tbuf, exec);
-                assert_eq!(bits(&d), bits(&serial), "{nx}x{ny} width={}", exec.width());
             }
         }
     }

@@ -15,14 +15,24 @@
 //! ion background — dropping the zero mode is exactly that subtraction.
 //!
 //! The field solve is built around what the data is. ρ is real, so the
-//! forward transform runs two grid rows per complex row transform
-//! ([`Fft2Plan::forward_real`]); Ex and Ey are real, so the spectral scale
-//! writes one combined `Ẑ = Êx + i·Êy` ([`field_mode`]) and one complex
-//! inverse returns `Ex = Re`, `Ey = Im`: half a row pass, a column pass and
-//! one inverse — 1.75 complex 2-D transforms' work where a complex forward
-//! and one inverse per component cost three.
+//! forward row pass runs two grid rows per complex row transform
+//! ([`FftPlan::forward_real_pairs`](crate::fft::FftPlan::forward_real_pairs));
+//! Ex and Ey are real, so the spectral scale writes one combined
+//! `Ẑ = Êx + i·Êy` ([`field_mode`]) and one complex inverse returns
+//! `Ex = Re`, `Ey = Im`: half a row pass, a column pass and one inverse —
+//! 1.75 complex 2-D transforms' work where a complex forward and one
+//! inverse per component cost three.
+//!
+//! Pass order: forward rows, then the **column phase**
+//! ([`PoissonSolver2D::column_phase`]) — forward columns, [`field_mode`],
+//! inverse columns, one 32-column band at a time while the band is in
+//! cache — then inverse rows. Every solve path runs that one column phase:
+//! the serial solve in place on the whole grid, each pooled worker on its
+//! own band tile, each slab rank on its column band. Each column transform
+//! is independent and `field_mode` depends only on the mode, so every path
+//! performs the same operations on every element: the bits are the same.
 
-use crate::fft::{Fft2Plan, RowExecutor, SerialExec};
+use crate::fft::{Direction, Fft2Plan, RowExecutor, SerialExec, COL_BAND};
 use crate::{Complex64, SpectralError};
 
 /// The signed angular wavenumbers of an `n`-point periodic axis of extent
@@ -52,8 +62,8 @@ pub fn wavenumbers(n: usize, l: f64) -> Vec<f64> {
 /// makes that component's contribution anti-Hermitian — purely imaginary in
 /// real space. A per-component inverse dropped it by keeping `.re`; in the
 /// combined inverse it would land in the other component, so it is zeroed
-/// here. Every solve path — serial, pooled, slab — calls this one function,
-/// which is what keeps them bit-identical.
+/// here. [`PoissonSolver2D::column_phase`] is its one caller on every solve
+/// path — serial, pooled, slab — which is what keeps them bit-identical.
 #[inline]
 pub fn field_mode(rho_hat: Complex64, kx: &[f64], ky: &[f64], ix: usize, iy: usize) -> Complex64 {
     let (kxv, kyv) = (kx[ix], ky[iy]);
@@ -170,6 +180,37 @@ impl PoissonSolver2D {
         &self.ky
     }
 
+    /// The 2-D plan whose row plan runs the row passes of a solve.
+    pub fn plan(&self) -> &Fft2Plan {
+        &self.plan
+    }
+
+    /// The fused column phase of the E solve on a tile of `width` grid
+    /// columns starting at global column `c0`: `tile` holds all `nx` rows
+    /// of those columns, row-major with stride `width`, as row-transformed
+    /// ρ̂ on entry and as column-inverted `Êx + i·Êy` on return. Walks
+    /// [`COL_BAND`]-column sub-bands; on each it runs the forward column
+    /// transform, [`field_mode`] and the inverse column transform while the
+    /// sub-band is still in cache.
+    ///
+    /// # Panics
+    /// Panics if `tile.len() != nx * width` or `c0 + width > ny`.
+    pub fn column_phase(&self, tile: &mut [Complex64], width: usize, c0: usize) {
+        assert_eq!(tile.len(), self.nx * width, "column tile size mismatch");
+        assert!(c0 + width <= self.ny, "column tile beyond the grid");
+        let col = self.plan.col_plan();
+        for b0 in (0..width).step_by(COL_BAND) {
+            let cols = b0..(b0 + COL_BAND).min(width);
+            col.transform_cols(tile, width, cols.clone(), Direction::Forward);
+            for (ix, row) in tile.chunks_exact_mut(width).enumerate() {
+                for (iy, z) in (c0 + b0..).zip(&mut row[cols.clone()]) {
+                    *z = field_mode(*z, &self.kx, &self.ky, ix, iy);
+                }
+            }
+            col.transform_cols(tile, width, cols, Direction::Inverse);
+        }
+    }
+
     /// Solve for the potential: given `rho` (row-major, `rho[ix*ny + iy]`),
     /// write φ into `phi`. The mean of φ is zero.
     ///
@@ -225,13 +266,15 @@ impl PoissonSolver2D {
         self.solve_e_pooled(rho, ex, ey, scratch, &SerialExec);
     }
 
-    /// [`solve_e_with`](Self::solve_e_with) with the transform passes and
-    /// the spectral scale run on `exec` (a thread pool in the simulation
-    /// hot path): row batches striped across workers, the column pass on
-    /// per-worker column tiles. Bit-exact with the sequential path — every
-    /// element sees the identical operation sequence on every executor
-    /// width — and allocation-free once `scratch` has grown to the grid
-    /// size.
+    /// [`solve_e_with`](Self::solve_e_with) with the passes run on `exec`
+    /// (a thread pool in the simulation hot path): row batches striped
+    /// across workers, and the [`column_phase`](Self::column_phase) on
+    /// per-worker band tiles — each band copied into its tile once and back
+    /// once. A width-1 executor runs the column phase in place on the whole
+    /// grid and never touches the tile buffer. Bit-exact with the
+    /// sequential path — every element sees the identical operation
+    /// sequence on every executor width — and allocation-free once
+    /// `scratch` has grown to the grid size.
     ///
     /// # Panics
     /// Panics if slice lengths differ from `nx * ny`.
@@ -243,28 +286,63 @@ impl PoissonSolver2D {
         scratch: &mut SolveScratch,
         exec: &dyn RowExecutor,
     ) {
-        let n = self.nx * self.ny;
+        let (nx, ny) = (self.nx, self.ny);
+        let n = nx * ny;
         assert_eq!(rho.len(), n);
         assert_eq!(ex.len(), n);
         assert_eq!(ey.len(), n);
         let tiles = exec.width() > 1;
         scratch.ensure(n, tiles);
         let hat = &mut scratch.hat[..n];
-        let tbuf = if tiles {
-            &mut scratch.tbuf[..n]
-        } else {
-            &mut []
-        };
-        self.plan.forward_real(rho, hat, tbuf, exec);
-        let (ny, kx, ky) = (self.ny, &self.kx, &self.ky);
-        exec.run_rows(hat, ny, &|r0, block| {
-            for (r, row) in block.chunks_exact_mut(ny).enumerate() {
-                for (iy, z) in row.iter_mut().enumerate() {
-                    *z = field_mode(*z, kx, ky, r0 + r, iy);
+        let row = self.plan.row_plan();
+
+        // Forward rows: grid rows 2m and 2m + 1 packed as a + i·b.
+        let pair = ny * nx.min(2);
+        exec.run_rows(hat, pair, &|p0, block| {
+            let src = &rho[p0 * pair..][..block.len()];
+            for (z, s) in block.chunks_mut(2 * ny).zip(src.chunks(2 * ny)) {
+                let (a, b) = s.split_at(ny);
+                for (zi, &ai) in z.iter_mut().zip(a) {
+                    zi.re = ai;
+                }
+                for (zi, &bi) in z.iter_mut().zip(b) {
+                    zi.im = bi;
                 }
             }
+            row.forward_real_pairs(block);
         });
-        self.plan.inverse_par(hat, tbuf, exec);
+
+        if tiles {
+            let band = COL_BAND.min(ny);
+            let tile = nx * band;
+            let tbuf = &mut scratch.tbuf[..n];
+            let src = &*hat;
+            exec.run_rows(tbuf, tile, &|t0, block| {
+                for (t, tl) in block.chunks_exact_mut(tile).enumerate() {
+                    let c0 = (t0 + t) * band;
+                    for (r, seg) in tl.chunks_exact_mut(band).enumerate() {
+                        seg.copy_from_slice(&src[r * ny + c0..][..band]);
+                    }
+                    self.column_phase(tl, band, c0);
+                }
+            });
+            let bands = &*tbuf;
+            exec.run_rows(hat, ny, &|r0, block| {
+                for (r, line) in block.chunks_exact_mut(ny).enumerate() {
+                    for (t, seg) in line.chunks_exact_mut(band).enumerate() {
+                        seg.copy_from_slice(&bands[t * tile + (r0 + r) * band..][..band]);
+                    }
+                }
+            });
+        } else {
+            self.column_phase(hat, ny, 0);
+        }
+
+        exec.run_rows(hat, ny, &|_, block| {
+            for r in block.chunks_exact_mut(ny) {
+                row.inverse(r);
+            }
+        });
         for ((x, y), z) in ex.iter_mut().zip(ey.iter_mut()).zip(hat.iter()) {
             *x = z.re;
             *y = z.im;
@@ -397,23 +475,115 @@ mod tests {
         assert!((e - PI * PI).abs() < 1e-8, "energy {e}");
     }
 
+    /// A serial executor that still exercises the multi-block partition
+    /// logic: splits every batch into `k` near-equal whole-row blocks.
+    struct Blocks(usize);
+
+    impl RowExecutor for Blocks {
+        fn width(&self) -> usize {
+            self.0
+        }
+
+        fn run_rows(
+            &self,
+            data: &mut [Complex64],
+            row_len: usize,
+            f: &(dyn Fn(usize, &mut [Complex64]) + Sync),
+        ) {
+            let nrows = data.len() / row_len.max(1);
+            let k = self.0.clamp(1, nrows.max(1));
+            let (base, extra) = (nrows / k, nrows % k);
+            let mut rest = data;
+            let mut first = 0;
+            for c in 0..k {
+                let take = base + usize::from(c < extra);
+                let (head, tail) = rest.split_at_mut(take * row_len);
+                if !head.is_empty() {
+                    f(first, head);
+                }
+                first += take;
+                rest = tail;
+            }
+        }
+    }
+
     #[test]
     fn pooled_solve_bit_exact_with_sequential() {
-        use crate::fft::SerialExec;
-        for (nx, ny) in [(16usize, 16usize), (32, 16), (8, 64)] {
+        let shapes = [
+            (16usize, 16usize),
+            (32, 16),
+            (8, 64),
+            (64, 128),
+            (1, 8),
+            (8, 1),
+        ];
+        for (nx, ny) in shapes {
             let s = PoissonSolver2D::new(nx, ny, 2.0 * PI, 4.0 * PI).unwrap();
             let rho = grid_fn(nx, ny, 2.0 * PI, 4.0 * PI, |x, y| {
-                (x).cos() * (0.5 * y).sin() + 0.25 * (2.0 * x).sin()
+                (x).cos() * (0.5 * y).sin() + 0.25 * (2.0 * x).sin() + 0.1 * (7.0 * y).cos()
             });
             let n = nx * ny;
             let (mut ex_s, mut ey_s) = (vec![0.0; n], vec![0.0; n]);
             let mut scratch = SolveScratch::new();
             s.solve_e_with(&rho, &mut ex_s, &mut ey_s, &mut scratch);
-            let (mut ex_p, mut ey_p) = (vec![0.0; n], vec![0.0; n]);
-            s.solve_e_pooled(&rho, &mut ex_p, &mut ey_p, &mut scratch, &SerialExec);
-            for i in 0..n {
-                assert_eq!(ex_s[i].to_bits(), ex_p[i].to_bits(), "ex {nx}x{ny} i={i}");
-                assert_eq!(ey_s[i].to_bits(), ey_p[i].to_bits(), "ey {nx}x{ny} i={i}");
+            for exec in [&Blocks(2) as &dyn RowExecutor, &Blocks(3), &Blocks(64)] {
+                let (mut ex_p, mut ey_p) = (vec![0.0; n], vec![0.0; n]);
+                s.solve_e_pooled(&rho, &mut ex_p, &mut ey_p, &mut scratch, exec);
+                let w = exec.width();
+                for i in 0..n {
+                    assert_eq!(
+                        ex_s[i].to_bits(),
+                        ex_p[i].to_bits(),
+                        "ex {nx}x{ny} w={w} i={i}"
+                    );
+                    assert_eq!(
+                        ey_s[i].to_bits(),
+                        ey_p[i].to_bits(),
+                        "ey {nx}x{ny} w={w} i={i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_phase_matches_whole_grid_passes() {
+        // The fused band-by-band phase against the three whole-grid sweeps
+        // it replaced — forward column pass, field_mode, inverse column
+        // pass — on tiles of every width, bands wider and narrower than
+        // COL_BAND, at every column offset.
+        let (nx, ny) = (16usize, 128usize);
+        let s = PoissonSolver2D::new(nx, ny, 2.0 * PI, 3.0).unwrap();
+        let sig: Vec<Complex64> = grid_fn(nx, ny, 1.0, 1.0, |x, y| (3.0 * x + y * y).sin())
+            .iter()
+            .zip(grid_fn(nx, ny, 1.0, 1.0, |x, y| (x * y).cos()))
+            .map(|(&a, b)| Complex64::new(a, b))
+            .collect();
+        let mut want = sig.clone();
+        let col = s.plan().col_plan();
+        col.transform_cols(&mut want, ny, 0..ny, Direction::Forward);
+        for (i, z) in want.iter_mut().enumerate() {
+            *z = field_mode(*z, s.kx(), s.ky(), i / ny, i % ny);
+        }
+        col.transform_cols(&mut want, ny, 0..ny, Direction::Inverse);
+        for width in [1usize, 11, 32, 43, 128] {
+            for c0 in (0..=ny - width).step_by(width.max(37)) {
+                let mut tile: Vec<Complex64> = sig
+                    .chunks_exact(ny)
+                    .flat_map(|r| r[c0..c0 + width].to_vec())
+                    .collect();
+                s.column_phase(&mut tile, width, c0);
+                for (ix, got) in tile.chunks_exact(width).enumerate() {
+                    for (j, z) in got.iter().enumerate() {
+                        let w = want[ix * ny + c0 + j];
+                        assert_eq!(
+                            (z.re.to_bits(), z.im.to_bits()),
+                            (w.re.to_bits(), w.im.to_bits()),
+                            "width={width} c0={c0} ({ix},{})",
+                            c0 + j
+                        );
+                    }
+                }
             }
         }
     }

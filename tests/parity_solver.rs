@@ -13,7 +13,7 @@
 
 use pic2d::decomp::{DecompConfig, DecomposedSimulation, SlabSolver, SolverMode};
 use pic2d::minimpi::World;
-use pic2d::pic_core::pool::ThreadPool;
+use pic2d::pic_core::pool::{chunk_range, ThreadPool};
 use pic2d::pic_core::rng::Rng;
 use pic2d::pic_core::sim::{PicConfig, Simulation};
 use pic2d::sfc::Ordering;
@@ -26,19 +26,93 @@ const NY: usize = 32;
 const LX: f64 = 4.0 * std::f64::consts::PI;
 const LY: f64 = 4.0 * std::f64::consts::PI;
 
+/// Grids the 32² cases never reach: 128² spans four column sub-bands, and
+/// its 3-rank slab bands (43/43/42 columns) are neither a multiple of nor
+/// narrower than one sub-band; 64×128 and 128×64 run non-square plans.
+const WIDE_GRIDS: [(usize, usize); 3] = [(128, 128), (64, 128), (128, 64)];
+
 /// A deterministic, structure-rich density: random per-point values from
 /// the in-repo PRNG (every caller regenerates the same field).
-fn test_rho(seed: u64) -> Vec<f64> {
+fn rho_on(nx: usize, ny: usize, seed: u64) -> Vec<f64> {
     let mut rng = Rng::seed_from_u64(seed);
-    (0..NX * NY).map(|_| rng.range(-1.0, 1.0)).collect()
+    (0..nx * ny).map(|_| rng.range(-1.0, 1.0)).collect()
 }
 
-fn serial_solution(rho: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let solver = PoissonSolver2D::new(NX, NY, LX, LY).unwrap();
-    let (mut ex, mut ey) = (vec![0.0; NX * NY], vec![0.0; NX * NY]);
+fn serial_on(nx: usize, ny: usize, rho: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let solver = PoissonSolver2D::new(nx, ny, LX, LY).unwrap();
+    let (mut ex, mut ey) = (vec![0.0; nx * ny], vec![0.0; nx * ny]);
     let mut scratch = SolveScratch::new();
     solver.solve_e_with(rho, &mut ex, &mut ey, &mut scratch);
     (ex, ey)
+}
+
+fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g} vs {w}");
+    }
+}
+
+/// Owned and E points of every rank for a slab solve of an `nx × ny` grid.
+type Ownership = fn(usize, usize, usize) -> (Vec<Vec<usize>>, Vec<Vec<usize>>);
+
+/// Labelled ownerships to run a grid's slab solves under.
+type Owners<'a> = &'a [(&'a str, Ownership)];
+
+/// SFC ownership: each rank's owned and E points under a Morton or
+/// Hilbert partition (square grids only).
+fn sfc_ownership(
+    ord: Ordering,
+    nx: usize,
+    ny: usize,
+    p: usize,
+) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    use pic2d::decomp::{HaloPlan, Partition};
+    let part = Partition::new(ord, nx, ny, p).unwrap();
+    let plans: Vec<HaloPlan> = (0..p).map(|r| HaloPlan::build(&part, r, 2)).collect();
+    (
+        plans.iter().map(|h| h.owned_points.clone()).collect(),
+        plans.iter().map(|h| h.e_points.clone()).collect(),
+    )
+}
+
+/// Row ownership: rank r owns, and needs E on, whole grid rows — any
+/// grid shape.
+fn row_ownership(nx: usize, ny: usize, p: usize) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let pts: Vec<Vec<usize>> = (0..p)
+        .map(|r| {
+            let (r0, r1) = chunk_range(nx, p, r);
+            (r0 * ny..r1 * ny).collect()
+        })
+        .collect();
+    (pts.clone(), pts)
+}
+
+/// Slab-solve `rho` on `ranks` ranks under `own` and assert every rank's
+/// E points carry the serial solve's bits.
+fn check_slab(nx: usize, ny: usize, ranks: usize, own: Ownership, rho: &[f64], label: &str) {
+    let (ex_s, ey_s) = serial_on(nx, ny, rho);
+    let rho = rho.to_vec();
+    let out = World::run(ranks, move |comm| {
+        let (all_owned, all_e) = own(nx, ny, comm.size());
+        let mut slab =
+            SlabSolver::new(nx, ny, LX, LY, comm.rank(), comm.size(), &all_owned, &all_e).unwrap();
+        let (mut ex, mut ey) = (vec![0.0; nx * ny], vec![0.0; nx * ny]);
+        slab.solve(comm, &rho, &mut ex, &mut ey, 700).unwrap();
+        let pts = all_e[comm.rank()].clone();
+        let exv: Vec<f64> = pts.iter().map(|&p| ex[p]).collect();
+        let eyv: Vec<f64> = pts.iter().map(|&p| ey[p]).collect();
+        (pts, exv, eyv)
+    });
+    for (r, (pts, exv, eyv)) in out.iter().enumerate() {
+        assert!(
+            !pts.is_empty(),
+            "{label} ranks={ranks} rank={r}: no E points"
+        );
+        let want = |e: &[f64]| pts.iter().map(|&p| e[p]).collect::<Vec<_>>();
+        let what = format!("{label} {nx}x{ny} ranks={ranks} rank={r}");
+        assert_bits_eq(exv, &want(&ex_s), &format!("{what} ex"));
+        assert_bits_eq(eyv, &want(&ey_s), &format!("{what} ey"));
+    }
 }
 
 /// The three-transform solve: ρ → ρ̂ by a complex 2-D forward, `Êx` and
@@ -71,7 +145,8 @@ fn three_transform_solve(
 }
 
 /// The real-input, one-inverse solve agrees with the three-transform
-/// oracle to 1e-13 of max|E| on random densities over every grid shape,
+/// oracle to 1e-13 of max|E| on random densities over every grid shape
+/// (the non-square ones include both plans of `WIDE_GRIDS`),
 /// and on densities made only of Nyquist modes — the modes where the
 /// combined inverse would leak one component into the other without the
 /// Nyquist rule of `field_mode`.
@@ -81,6 +156,8 @@ fn solve_matches_three_transform_oracle() {
         (128, 128),
         (64, 32),
         (32, 64),
+        (64, 128),
+        (128, 64),
         (8, 64),
         (1, 8),
         (8, 1),
@@ -135,26 +212,19 @@ fn solve_matches_three_transform_oracle() {
 
 #[test]
 fn pooled_solve_bit_exact_across_thread_counts() {
-    let solver = PoissonSolver2D::new(NX, NY, LX, LY).unwrap();
-    let mut scratch = SolveScratch::new();
-    for case in 0..8u64 {
-        let rho = test_rho(0x9001 ^ case);
-        let (ex_s, ey_s) = serial_solution(&rho);
-        for threads in [1usize, 2, 4] {
-            let pool = ThreadPool::new(threads);
-            let (mut ex, mut ey) = (vec![0.0; NX * NY], vec![0.0; NX * NY]);
-            solver.solve_e_pooled(&rho, &mut ex, &mut ey, &mut scratch, &pool);
-            for i in 0..NX * NY {
-                assert_eq!(
-                    ex[i].to_bits(),
-                    ex_s[i].to_bits(),
-                    "case={case} threads={threads} ex[{i}]"
-                );
-                assert_eq!(
-                    ey[i].to_bits(),
-                    ey_s[i].to_bits(),
-                    "case={case} threads={threads} ey[{i}]"
-                );
+    for (nx, ny) in [(NX, NY)].into_iter().chain(WIDE_GRIDS) {
+        let solver = PoissonSolver2D::new(nx, ny, LX, LY).unwrap();
+        let mut scratch = SolveScratch::new();
+        for case in 0..8u64 {
+            let rho = rho_on(nx, ny, 0x9001 ^ case);
+            let (ex_s, ey_s) = serial_on(nx, ny, &rho);
+            for threads in [1usize, 2, 3, 4] {
+                let pool = ThreadPool::new(threads);
+                let (mut ex, mut ey) = (vec![0.0; nx * ny], vec![0.0; nx * ny]);
+                solver.solve_e_pooled(&rho, &mut ex, &mut ey, &mut scratch, &pool);
+                let what = format!("{nx}x{ny} case={case} threads={threads}");
+                assert_bits_eq(&ex, &ex_s, &format!("{what} ex"));
+                assert_bits_eq(&ey, &ey_s, &format!("{what} ey"));
             }
         }
     }
@@ -162,47 +232,22 @@ fn pooled_solve_bit_exact_across_thread_counts() {
 
 #[test]
 fn slab_solve_bit_exact_across_ranks_and_orderings() {
-    use pic2d::decomp::{HaloPlan, Partition};
-    for ord in [Ordering::Morton, Ordering::Hilbert] {
-        // 3 ranks split the 16 row pairs 6/5/5: slabs hold whole pairs,
-        // which one packed row transform needs.
-        for ranks in [1usize, 2, 3, 4] {
-            let rho = test_rho(0x51ab ^ ranks as u64);
-            let (ex_s, ey_s) = serial_solution(&rho);
-            let out = World::run(ranks, move |comm| {
-                let part = Partition::new(ord, NX, NY, comm.size()).unwrap();
-                let plans: Vec<HaloPlan> = (0..comm.size())
-                    .map(|r| HaloPlan::build(&part, r, 2))
-                    .collect();
-                let all_owned: Vec<Vec<usize>> =
-                    plans.iter().map(|p| p.owned_points.clone()).collect();
-                let all_e: Vec<Vec<usize>> = plans.iter().map(|p| p.e_points.clone()).collect();
-                let mut slab =
-                    SlabSolver::new(NX, NY, LX, LY, comm.rank(), comm.size(), &all_owned, &all_e)
-                        .unwrap();
-                let rho = test_rho(0x51ab ^ comm.size() as u64);
-                let (mut ex, mut ey) = (vec![0.0; NX * NY], vec![0.0; NX * NY]);
-                slab.solve(comm, &rho, &mut ex, &mut ey, 700).unwrap();
-                let me = comm.rank();
-                let pts = all_e[me].clone();
-                let exv: Vec<u64> = pts.iter().map(|&p| ex[p].to_bits()).collect();
-                let eyv: Vec<u64> = pts.iter().map(|&p| ey[p].to_bits()).collect();
-                (pts, exv, eyv)
-            });
-            for (r, (pts, exv, eyv)) in out.iter().enumerate() {
-                assert!(!pts.is_empty(), "{ord} ranks={ranks} rank={r}: no E points");
-                for ((&p, &xb), &yb) in pts.iter().zip(exv).zip(eyv) {
-                    assert_eq!(
-                        xb,
-                        ex_s[p].to_bits(),
-                        "{ord} ranks={ranks} rank={r} ex[{p}]"
-                    );
-                    assert_eq!(
-                        yb,
-                        ey_s[p].to_bits(),
-                        "{ord} ranks={ranks} rank={r} ey[{p}]"
-                    );
-                }
+    // At 32², 3 ranks split the 16 row pairs 6/5/5: slabs hold whole
+    // pairs, which one packed row transform needs. Both SFC partitions need
+    // square grids, so the non-square slabs use row ownership.
+    let morton: Ownership = |nx, ny, p| sfc_ownership(Ordering::Morton, nx, ny, p);
+    let hilbert: Ownership = |nx, ny, p| sfc_ownership(Ordering::Hilbert, nx, ny, p);
+    let rows: Ownership = row_ownership;
+    for (nx, ny) in [(NX, NY)].into_iter().chain(WIDE_GRIDS) {
+        let owns: Owners = if nx == ny {
+            &[("morton", morton), ("hilbert", hilbert)]
+        } else {
+            &[("rows", rows)]
+        };
+        for &(label, own) in owns {
+            for ranks in [1usize, 2, 3, 4] {
+                let rho = rho_on(nx, ny, 0x51ab ^ ranks as u64);
+                check_slab(nx, ny, ranks, own, &rho, label);
             }
         }
     }

@@ -12,11 +12,12 @@ use pic2d::pic_core::particles::ParticlesSoA;
 use pic2d::pic_core::pool::ThreadPool;
 use pic2d::pic_core::rng::Rng;
 use pic2d::pic_core::sort::{
-    is_sorted_by_cell, pool_sort_out_of_place, sort_in_place, sort_out_of_place, SortArena,
+    is_sorted_by_cell, pool_sort_out_of_place, sort_out_of_place, SortArena,
 };
 use pic2d::sfc::{CellLayout, Hilbert, Morton, RowMajor, L4D};
-use pic2d::spectral::fft::{dft_naive, transpose_tiled, Direction, FftPlan, TRANSPOSE_TILE};
+use pic2d::spectral::fft::{dft_naive, Direction, FftPlan};
 use pic2d::spectral::Complex64;
+use pic_bench::reference::sort::sort_in_place;
 
 const CASES: usize = 256;
 
@@ -391,45 +392,6 @@ fn fft_matches_dft() {
         for k in 0..16 {
             assert!((fast[k] - slow[k]).abs() < 1e-8, "k={k}");
         }
-    }
-}
-
-#[test]
-fn tiled_transpose_roundtrip_any_tile() {
-    // Double transpose is the identity for every matrix shape and every
-    // tile size — including tile 1 (no blocking), the default 16, and
-    // tiles that do not divide the dimensions (ragged edge blocks).
-    let mut rng = Rng::seed_from_u64(0x7a05);
-    for case in 0..CASES {
-        let rows = rng.below(48) as usize + 1;
-        let cols = rng.below(48) as usize + 1;
-        let tile = match case % 3 {
-            0 => 1,
-            1 => 8,
-            _ => rng.below(20) as usize + 1, // frequently non-divisible
-        };
-        let src: Vec<Complex64> = (0..rows * cols)
-            .map(|_| Complex64::new(rng.range(-1e3, 1e3), rng.range(-1e3, 1e3)))
-            .collect();
-        let mut t = vec![Complex64::ZERO; rows * cols];
-        transpose_tiled(&src, &mut t, rows, cols, tile);
-        // Spot-check the defining identity dst[j*rows+i] = src[i*cols+j].
-        for _ in 0..16 {
-            let i = rng.below(rows as u64) as usize;
-            let j = rng.below(cols as u64) as usize;
-            assert_eq!(
-                t[j * rows + i],
-                src[i * cols + j],
-                "case={case} rows={rows} cols={cols} tile={tile} ({i},{j})"
-            );
-        }
-        let mut back = vec![Complex64::ZERO; rows * cols];
-        transpose_tiled(&t, &mut back, cols, rows, tile);
-        assert_eq!(back, src, "case={case} rows={rows} cols={cols} tile={tile}");
-        // Tile size never changes the result: compare against the default.
-        let mut t16 = vec![Complex64::ZERO; rows * cols];
-        transpose_tiled(&src, &mut t16, rows, cols, TRANSPOSE_TILE);
-        assert_eq!(t, t16, "case={case}: tile {tile} differs from default");
     }
 }
 
