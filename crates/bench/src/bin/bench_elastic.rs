@@ -20,7 +20,6 @@
 
 use decomp::{
     run_elastic_member, run_elastic_spare, DecompConfig, ElasticConfig, ElasticOutcome, Partition,
-    SolverMode,
 };
 use minimpi::{FaultPlan, World};
 use pic_bench::cli::Args;
@@ -142,7 +141,6 @@ fn elastic_ecfg() -> ElasticConfig {
     ElasticConfig {
         checkpoint_every: 2,
         recut_every: 3,
-        slab_floor: 2,
         max_recoveries: 4,
         heartbeat_timeout: None,
         recv_deadline: Some(Duration::from_secs(10)),
@@ -160,10 +158,7 @@ fn elastic_run(
     let t = Instant::now();
     let outs = World::run_elastic(ACTIVE, spares, plan, move |comm| {
         let e = elastic_ecfg();
-        let d = DecompConfig {
-            solver: SolverMode::Slab,
-            ..DecompConfig::default()
-        };
+        let d = DecompConfig::default();
         if comm.is_member() {
             run_elastic_member(comm, elastic_cfg(n), d, &e, steps).unwrap()
         } else {

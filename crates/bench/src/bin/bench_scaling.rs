@@ -5,19 +5,23 @@
 //! the full grid and allreduces ρ each step (tree algorithm, so the volume
 //! is actually counted; the flat shared-memory path moves no messages).
 //! The decomposed run shards the grid with `decomp::DecomposedSimulation`:
-//! halo exchange + gather/solve/scatter + migration, all point-to-point.
+//! halo exchange + slab-distributed solve + migration.
 //!
 //! Emits `results/BENCH_scaling.json` and gates on the headline claim of
-//! the decomposition: at 4+ ranks the *average per-rank* volume of the
-//! decomposed run must undercut the replicated allreduce. Exits nonzero if
-//! any configuration violates that, so `scripts/check.sh` can gate on it.
+//! the halo model: at 4+ ranks the *average per-rank* halo + migration
+//! volume of the decomposed run must undercut the replicated allreduce.
+//! Exits nonzero if any configuration violates that, so `scripts/check.sh`
+//! can gate on it. The slab solve's all-to-all volume is reported beside
+//! it and not gated: the solve spends grid-sized traffic to keep per-rank
+//! grid memory and compute shrinking with ranks (at 4 ranks on 32² it is
+//! about the allreduce's volume), a trade `bench_solver` gates.
 //!
 //! Byte counts come from `minimpi`'s transport accounting (logical payload
 //! f64s through `send_ft`/`stash_take`, sent + received, retransmits not
 //! double-counted); wall times are whole-`World` and include thread spawn,
 //! so treat them as a scaling snapshot, not a microbenchmark.
 
-use decomp::{DecompConfig, DecomposedSimulation, SolverMode};
+use decomp::{DecompConfig, DecomposedSimulation};
 use minimpi::World;
 use pic_bench::report::{results_path, write_json_file, Json};
 use pic_bench::table::Table;
@@ -51,14 +55,27 @@ struct Sample {
     /// Per-rank logical bytes (sent + received) over all steps, init
     /// excluded.
     bytes_per_rank: Vec<u64>,
-    /// Decomposition only: per-phase totals summed over ranks.
-    phases: Option<[u64; 4]>,
+    /// Decomposition only: halo, solve and migration totals summed over
+    /// ranks.
+    phases: Option<[u64; 3]>,
 }
 
 impl Sample {
-    fn avg_bytes_per_rank_step(&self) -> f64 {
-        let total: u64 = self.bytes_per_rank.iter().sum();
+    fn per_rank_step(&self, total: u64) -> f64 {
         total as f64 / self.ranks as f64 / STEPS as f64
+    }
+
+    fn avg_bytes_per_rank_step(&self) -> f64 {
+        self.per_rank_step(self.bytes_per_rank.iter().sum())
+    }
+
+    /// The gated volume: every byte of a replicated run, the halo and
+    /// migration bytes of a decomposed one.
+    fn gated_bytes_per_rank_step(&self) -> f64 {
+        match self.phases {
+            Some([halo, _, migrate]) => self.per_rank_step(halo + migrate),
+            None => self.avg_bytes_per_rank_step(),
+        }
     }
 
     fn max_bytes_per_rank_step(&self) -> f64 {
@@ -99,28 +116,16 @@ fn run_replicated(ranks: usize, n_total: usize) -> Sample {
 fn run_decomposed(ranks: usize, n_total: usize) -> Sample {
     let t = Instant::now();
     let out = World::run(ranks, move |comm| {
-        // Pin the root-gather solver: this gate is about the halo model's
-        // boundary-sized traffic beating replication's allreduce. The slab
-        // solver deliberately spends grid-sized all-to-all volume to shrink
-        // per-rank memory and compute — that trade is gated in bench_solver.
-        let dcfg = DecompConfig {
-            solver: SolverMode::RootGather,
-            ..DecompConfig::default()
-        };
-        let mut dsim = DecomposedSimulation::new(base_cfg(n_total), dcfg, comm).unwrap();
+        let mut dsim =
+            DecomposedSimulation::new(base_cfg(n_total), DecompConfig::default(), comm).unwrap();
         dsim.run(STEPS, comm).unwrap();
         let s = dsim.stats();
         (
             s.total_bytes(),
-            [
-                s.halo_bytes,
-                s.gather_bytes,
-                s.scatter_bytes,
-                s.migrate_bytes,
-            ],
+            [s.halo_bytes, s.solve_bytes, s.migrate_bytes],
         )
     });
-    let mut phases = [0u64; 4];
+    let mut phases = [0u64; 3];
     for (_, p) in &out {
         for (acc, v) in phases.iter_mut().zip(p) {
             *acc += v;
@@ -151,15 +156,22 @@ fn sample_json(s: &Sample) -> Json {
             Json::Num(s.max_bytes_per_rank_step()),
         ),
     ];
-    if let Some([halo, gather, scatter, migrate]) = s.phases {
+    if let Some([halo, solve, migrate]) = s.phases {
         fields.push((
             "phase_bytes_total".to_string(),
             Json::Obj(vec![
                 ("halo".to_string(), Json::Int(halo as i64)),
-                ("gather".to_string(), Json::Int(gather as i64)),
-                ("scatter".to_string(), Json::Int(scatter as i64)),
+                ("solve".to_string(), Json::Int(solve as i64)),
                 ("migrate".to_string(), Json::Int(migrate as i64)),
             ]),
+        ));
+        fields.push((
+            "halo_migrate_bytes_per_rank_step".to_string(),
+            Json::Num(s.gated_bytes_per_rank_step()),
+        ));
+        fields.push((
+            "solve_bytes_per_rank_step".to_string(),
+            Json::Num(s.per_rank_step(solve)),
         ));
     }
     Json::Obj(fields)
@@ -176,6 +188,8 @@ fn regime(name: &str, n_of_ranks: impl Fn(usize) -> usize) -> (Vec<Sample>, Vec<
         "secs",
         "B/rank/step avg",
         "B/rank/step max",
+        "gated B/rank/step",
+        "solve B/rank/step",
     ]);
     for &ranks in &RANK_COUNTS {
         let n = n_of_ranks(ranks);
@@ -189,13 +203,18 @@ fn regime(name: &str, n_of_ranks: impl Fn(usize) -> usize) -> (Vec<Sample>, Vec<
                 format!("{:.3}", s.secs),
                 format!("{:.0}", s.avg_bytes_per_rank_step()),
                 format!("{:.0}", s.max_bytes_per_rank_step()),
+                format!("{:.0}", s.gated_bytes_per_rank_step()),
+                s.phases.map_or("-".to_string(), |[_, solve, _]| {
+                    format!("{:.0}", s.per_rank_step(solve))
+                }),
             ]);
         }
-        if ranks >= 4 && dec.avg_bytes_per_rank_step() >= repl.avg_bytes_per_rank_step() {
+        if ranks >= 4 && dec.gated_bytes_per_rank_step() >= repl.gated_bytes_per_rank_step() {
             violations.push(format!(
-                "{name} @ {ranks} ranks: decomposed {:.0} B/rank/step >= replicated {:.0}",
-                dec.avg_bytes_per_rank_step(),
-                repl.avg_bytes_per_rank_step()
+                "{name} @ {ranks} ranks: decomposed halo + migration {:.0} B/rank/step >= \
+                 replicated {:.0}",
+                dec.gated_bytes_per_rank_step(),
+                repl.gated_bytes_per_rank_step()
             ));
         }
         samples.push(repl);
@@ -224,7 +243,10 @@ fn run() -> Result<(), PicError> {
         ),
         (
             "gate",
-            Json::s("decomposed avg B/rank/step < replicated at 4+ ranks"),
+            Json::s(
+                "decomposed halo + migration avg B/rank/step < replicated at 4+ ranks \
+                 (slab solve bytes reported, not gated)",
+            ),
         ),
     ]);
     let path = results_path("BENCH_scaling.json");
@@ -238,6 +260,6 @@ fn run() -> Result<(), PicError> {
             violations.join("; ")
         )));
     }
-    println!("gate passed: decomposition undercuts replication volume at 4+ ranks");
+    println!("gate passed: halo + migration volume undercuts the replicated allreduce at 4+ ranks");
     Ok(())
 }

@@ -1,5 +1,10 @@
 //! The decomposed step loop: deposit → migrate-send → halo → solve →
 //! migrate-drain, with particle migration latency hidden behind the solve.
+//!
+//! The field solve is always the slab pipeline ([`SlabSolver`]): every
+//! rank runs the row and column passes of its own slab and band, no rank
+//! gathers ρ or holds the full grid, and a lone rank (one survivor, or a
+//! one-rank world) runs it as a serial-cost solve that moves no payload.
 
 use crate::halo::{self, HaloPlan};
 use crate::{exchange_rho_routed, slab::SlabSolver, DecompError, Partition};
@@ -11,7 +16,6 @@ use pic_core::resilience::checkpoint as ckpt;
 use pic_core::rng::Rng;
 use pic_core::sim::{PicConfig, Simulation};
 use pic_core::PicError;
-use spectral::poisson::{PoissonSolver2D, SolveScratch};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -19,9 +23,10 @@ use std::time::Instant;
 /// tags of the replication path (≤ ~2⁴⁰ + small), far below minimpi's
 /// control namespaces (2⁴⁴⁺). Each step burns [`TAGS_PER_STEP`] tags.
 const TAG_BASE: u64 = 1 << 42;
-/// Tags consumed per step: halo, gather, scatter, migrate, four
-/// all-to-all rounds of the slab solve, and three re-partition rounds
-/// (histogram, particle exchange, field handoff).
+/// Tags consumed per step: halo, two unused, migrate, four all-to-all
+/// rounds of the slab solve, and three re-partition rounds (histogram,
+/// particle exchange, field handoff). The block layout is kept so tag
+/// numbers do not move.
 const TAGS_PER_STEP: u64 = 16;
 /// Point-to-point frames carry raw tags (minimpi epoch-qualifies only its
 /// collectives), so the driver folds the communicator epoch into its tag
@@ -32,17 +37,15 @@ const EPOCH_TAG_SHIFT: u64 = 36;
 /// Tag of the one-time initialization allreduce.
 const INIT_TAG: u64 = TAG_BASE - 16;
 
-/// Which rank set runs the spectral Poisson solve each step.
+/// The field-solve distribution. Kept only as a pinned shim: the
+/// benchmark package's API list (`benchmark/README.md`) names
+/// `SolverMode::Slab`, and the slab pipeline is the one decomposed solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverMode {
     /// Slab-distributed solve: every rank owns a contiguous row slab,
     /// all-to-all exchanges implement the distributed transpose, and no
-    /// rank ever holds the full grid. The default.
+    /// rank ever holds the full grid.
     Slab,
-    /// Gather ρ to the first group rank, solve the full grid there, and
-    /// scatter E back — the legacy fallback, O(grid) memory and solve time
-    /// on one rank.
-    RootGather,
 }
 
 /// Knobs of the decomposition itself (the physics lives in [`PicConfig`]).
@@ -56,7 +59,8 @@ pub struct DecompConfig {
     /// Cut the curve by initial per-cell particle counts instead of cell
     /// counts, so ranks start with near-equal particle loads.
     pub weighted: bool,
-    /// Field-solve distribution strategy.
+    /// Field-solve distribution: a pinned shim with one value (see
+    /// [`SolverMode`]).
     pub solver: SolverMode,
     /// Per-job tag-namespace block ([`minimpi::job_tag_block`]), folded
     /// into every tag this driver uses. Concurrent decomposed jobs
@@ -83,14 +87,8 @@ impl Default for DecompConfig {
 pub struct CommStats {
     /// Bytes moved (sent + received) by ρ halo exchanges.
     pub halo_bytes: u64,
-    /// Bytes moved by the owned-ρ gather to the solving rank
-    /// ([`SolverMode::RootGather`] only).
-    pub gather_bytes: u64,
-    /// Bytes moved by the E scatter from the solving rank
-    /// ([`SolverMode::RootGather`] only).
-    pub scatter_bytes: u64,
-    /// Bytes moved by the slab solve's all-to-all rounds
-    /// ([`SolverMode::Slab`] only).
+    /// Bytes moved by the slab solve's all-to-all rounds (a rank's own
+    /// blocks never travel, so a 1-rank solve moves none).
     pub solve_bytes: u64,
     /// Bytes moved by particle migration.
     pub migrate_bytes: u64,
@@ -100,8 +98,7 @@ pub struct CommStats {
     pub migrated_in: u64,
     /// Wall seconds in the ρ halo exchange.
     pub halo_secs: f64,
-    /// Wall seconds in the field solve (gather + solve + scatter for the
-    /// root path; the full all-to-all pipeline for the slab path).
+    /// Wall seconds in the field solve: the full all-to-all pipeline.
     pub solve_secs: f64,
     /// Wall seconds posting migration sends (classify + send + compact) —
     /// before the solve, so the payloads travel while ranks compute.
@@ -115,11 +112,7 @@ pub struct CommStats {
 impl CommStats {
     /// Total bytes moved across all phases.
     pub fn total_bytes(&self) -> u64 {
-        self.halo_bytes
-            + self.gather_bytes
-            + self.scatter_bytes
-            + self.solve_bytes
-            + self.migrate_bytes
+        self.halo_bytes + self.solve_bytes + self.migrate_bytes
     }
 
     /// Total wall seconds attributed to communication-bearing phases.
@@ -130,13 +123,13 @@ impl CommStats {
 
 /// A spatially decomposed PIC run: this rank advances only the particles
 /// inside its subdomain and stores valid field values only on its points
-/// (plus halos). The spectral Poisson solve is either slab-distributed
-/// across all ranks (default) or gathered to one root rank
-/// ([`SolverMode`]).
+/// (plus halos). The spectral Poisson solve is slab-distributed across
+/// all ranks ([`SlabSolver`]).
 ///
 /// Collective in construction and in [`step`](Self::step): every rank of
 /// the communicator must call them in lockstep with identical
 /// configurations.
+///
 /// # Slots
 ///
 /// The partition is indexed by *slot*, not world rank: slot `s` is the
@@ -151,44 +144,79 @@ pub struct DecomposedSimulation {
     partition: Partition,
     plan: HaloPlan,
     rank: usize,
-    root: usize,
     step: u64,
     stats: CommStats,
     faults: FaultLog,
-    backend: SolverBackend,
+    slab: SlabSolver,
     /// `owned_points` of every slot (solver routing needs them; cheap
     /// enough to keep everywhere).
     all_owned_points: Vec<Vec<usize>>,
     /// `e_points` of every slot.
     all_e_points: Vec<Vec<usize>>,
     /// The physics configuration (with this rank's `keep_cells` applied) —
-    /// kept so re-partitions and backend rebuilds can re-derive grid
+    /// kept so re-partitions and solver rebuilds can re-derive grid
     /// parameters and fingerprints.
     cfg: PicConfig,
     dcfg: DecompConfig,
-    /// The solver mode currently in force (may differ from `dcfg.solver`
-    /// after a graceful degradation).
-    mode: SolverMode,
     /// The partition slot this rank hosts.
     my_slot: usize,
     /// Slot → hosting world rank (bijection with the live group).
     slot_owner: Vec<usize>,
 }
 
-/// Per-rank field-solver state, by mode.
-enum SolverBackend {
-    /// Root gather/solve/scatter: `Some` on the root rank only.
-    Root(Option<RootSolver>),
-    /// Slab-distributed solve: every rank carries one.
-    Slab(SlabSolver),
+/// Build the halo plan of every slot of `part` once: this rank's plan,
+/// plus every slot's `owned_points` and `e_points` (the slab solver's
+/// routing tables).
+fn slot_plans(
+    part: &Partition,
+    my_slot: usize,
+    halo_width: usize,
+) -> (HaloPlan, Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let mut plans: Vec<HaloPlan> = (0..part.nranks())
+        .map(|s| HaloPlan::build(part, s, halo_width))
+        .collect();
+    let owned = plans.iter().map(|h| h.owned_points.clone()).collect();
+    let epts = plans.iter().map(|h| h.e_points.clone()).collect();
+    (plans.swap_remove(my_slot), owned, epts)
 }
 
-struct RootSolver {
-    solver: PoissonSolver2D,
-    scratch: SolveScratch,
-    rho: Vec<f64>,
-    ex: Vec<f64>,
-    ey: Vec<f64>,
+/// Build this rank's slab solver for the current group: slab indices
+/// follow the *group order* of the hosting ranks. Every slab value is
+/// computed by identical arithmetic wherever it is hosted (row FFTs are
+/// per-row, the exchanges are pure copies), so the solved E is bitwise
+/// independent of hosting.
+fn slab_for(
+    cfg: &PicConfig,
+    comm: &Comm,
+    slot_owner: &[usize],
+    all_owned_points: &[Vec<usize>],
+    all_e_points: &[Vec<usize>],
+) -> Result<SlabSolver, DecompError> {
+    let group = comm.group();
+    let me = group
+        .iter()
+        .position(|&r| r == comm.rank())
+        .expect("member of own group");
+    // Each group member's slot's points, in group order.
+    let by_group = |all: &[Vec<usize>]| -> Vec<Vec<usize>> {
+        group
+            .iter()
+            .map(|&r| {
+                let slot = slot_owner.iter().position(|&o| o == r);
+                all[slot.expect("rank hosts a slot")].clone()
+            })
+            .collect()
+    };
+    SlabSolver::new(
+        cfg.grid_nx,
+        cfg.grid_ny,
+        cfg.lx,
+        cfg.ly,
+        me,
+        group.len(),
+        &by_group(all_owned_points),
+        &by_group(all_e_points),
+    )
 }
 
 impl DecomposedSimulation {
@@ -244,13 +272,9 @@ impl DecomposedSimulation {
         let range = partition.range(my_slot);
         cfg.keep_cells = Some((range.start as u32, range.end as u32));
 
-        let plan = HaloPlan::build(&partition, my_slot, dcfg.halo_width);
-        let all_owned_points: Vec<Vec<usize>> = (0..nranks)
-            .map(|s| HaloPlan::build(&partition, s, dcfg.halo_width).owned_points)
-            .collect();
-        let all_e_points: Vec<Vec<usize>> = (0..nranks)
-            .map(|s| HaloPlan::build(&partition, s, dcfg.halo_width).e_points)
-            .collect();
+        let (plan, all_owned_points, all_e_points) =
+            slot_plans(&partition, my_slot, dcfg.halo_width);
+        let slab = slab_for(&cfg, comm, &slot_owner, &all_owned_points, &all_e_points)?;
 
         let mut comm_err = None;
         let init_tag = INIT_TAG + dcfg.tag_block;
@@ -263,26 +287,22 @@ impl DecomposedSimulation {
             return Err(e.into());
         }
 
-        let mut this = Self {
+        Ok(Self {
             sim,
             partition,
             plan,
             rank,
-            root: comm.group()[0],
             step: 0,
             stats: CommStats::default(),
             faults: FaultLog::new(),
-            backend: SolverBackend::Root(None),
+            slab,
             all_owned_points,
             all_e_points,
             cfg,
             dcfg,
-            mode: dcfg.solver,
             my_slot,
             slot_owner,
-        };
-        this.build_backend(comm)?;
-        Ok(this)
+        })
     }
 
     /// Build a driver on a *joining* rank by adopting partition state the
@@ -294,8 +314,10 @@ impl DecomposedSimulation {
     /// step/tag schedule exactly where the group rolled back to.
     ///
     /// `cfg` must be the run's original physics configuration (same
-    /// `keep_cells`-free form every rank passed to [`new`](Self::new));
-    /// `dcfg.solver` must name the mode currently in force.
+    /// `keep_cells`-free form every rank passed to [`new`](Self::new)).
+    /// `slot_owner` may still double-host orphaned slots on their ring
+    /// buddies, provided a [`recut_to`](Self::recut_to) installs a
+    /// bijective hosting before the first step.
     pub fn new_adopted(
         mut cfg: PicConfig,
         dcfg: DecompConfig,
@@ -330,13 +352,9 @@ impl DecomposedSimulation {
         // every field of this state, the construction only sizes buffers
         // and builds kernels deterministically.
         let sim = Simulation::new_with_reduce(cfg.clone(), |_| {})?;
-        let plan = HaloPlan::build(&partition, my_slot, dcfg.halo_width);
-        let all_owned_points: Vec<Vec<usize>> = (0..partition.nranks())
-            .map(|s| HaloPlan::build(&partition, s, dcfg.halo_width).owned_points)
-            .collect();
-        let all_e_points: Vec<Vec<usize>> = (0..partition.nranks())
-            .map(|s| HaloPlan::build(&partition, s, dcfg.halo_width).e_points)
-            .collect();
+        let (plan, all_owned_points, all_e_points) =
+            slot_plans(&partition, my_slot, dcfg.halo_width);
+        let slab = slab_for(&cfg, comm, &slot_owner, &all_owned_points, &all_e_points)?;
         let range = partition.range(my_slot);
         cfg.keep_cells = Some((range.start as u32, range.end as u32));
 
@@ -345,88 +363,22 @@ impl DecomposedSimulation {
             partition,
             plan,
             rank,
-            root: comm.group()[0],
             step: 0,
             stats: CommStats::default(),
             faults: FaultLog::new(),
-            backend: SolverBackend::Root(None),
+            slab,
             all_owned_points,
             all_e_points,
             cfg,
             dcfg,
-            mode: dcfg.solver,
             my_slot,
             slot_owner,
         };
         this.sim
             .set_keep_cells(Some((range.start as u32, range.end as u32)))?;
-        this.build_backend(comm)?;
         this.sim.restore(snapshot)?;
         this.step = this.sim.steps() as u64;
         Ok(this)
-    }
-
-    /// Rebuild the field-solver backend for the current partition, slot
-    /// map, and mode. Slab indices follow the *group order* of the hosting
-    /// ranks; every slab value is computed by identical arithmetic
-    /// wherever it is hosted (row FFTs are per-row, transposes are pure
-    /// permutations), so the solved E is bitwise independent of hosting.
-    fn build_backend(&mut self, comm: &Comm) -> Result<(), DecompError> {
-        let group = comm.group();
-        self.root = group[0];
-        self.backend = match self.mode {
-            SolverMode::Slab => {
-                let me = group
-                    .iter()
-                    .position(|&r| r == self.rank)
-                    .expect("member of own group");
-                let owned: Vec<Vec<usize>> = group
-                    .iter()
-                    .map(|&r| self.all_owned_points[self.slot_of(r)].clone())
-                    .collect();
-                let epts: Vec<Vec<usize>> = group
-                    .iter()
-                    .map(|&r| self.all_e_points[self.slot_of(r)].clone())
-                    .collect();
-                SolverBackend::Slab(SlabSolver::new(
-                    self.cfg.grid_nx,
-                    self.cfg.grid_ny,
-                    self.cfg.lx,
-                    self.cfg.ly,
-                    me,
-                    group.len(),
-                    &owned,
-                    &epts,
-                )?)
-            }
-            SolverMode::RootGather => SolverBackend::Root(if self.rank == self.root {
-                let n = self.cfg.grid_nx * self.cfg.grid_ny;
-                Some(RootSolver {
-                    solver: PoissonSolver2D::new(
-                        self.cfg.grid_nx,
-                        self.cfg.grid_ny,
-                        self.cfg.lx,
-                        self.cfg.ly,
-                    )
-                    .map_err(PicError::from)?,
-                    scratch: SolveScratch::new(),
-                    rho: vec![0.0; n],
-                    ex: vec![0.0; n],
-                    ey: vec![0.0; n],
-                })
-            } else {
-                None
-            }),
-        };
-        Ok(())
-    }
-
-    /// The slot hosted by world rank `r`.
-    fn slot_of(&self, r: usize) -> usize {
-        self.slot_owner
-            .iter()
-            .position(|&o| o == r)
-            .expect("rank hosts a slot")
     }
 
     /// First tag of this step's block, with the communicator epoch and the
@@ -452,8 +404,7 @@ impl DecomposedSimulation {
     ///    shipped out and compacted away now, so their payloads travel
     ///    while every rank is busy solving;
     /// 4. halo-exchange partial ρ so owned points hold global values;
-    /// 5. field solve — slab-distributed all-to-all pipeline, or the
-    ///    root gather/solve/scatter fallback ([`SolverMode`]);
+    /// 5. field solve — the slab-distributed all-to-all pipeline;
     /// 6. rebuild the local redundant field view and diagnostics;
     /// 7. **drain migration receives** posted in step 3.
     ///
@@ -504,84 +455,13 @@ impl DecomposedSimulation {
         exchange_rho_routed(comm, &self.plan, self.sim.rho_mut(), t0, &self.slot_owner)?;
         phase(comm, &mut self.stats.halo_bytes, &mut self.stats.halo_secs);
 
-        match &mut self.backend {
-            SolverBackend::Slab(slab) => {
-                let (rho, ex, ey) = self.sim.field_mut();
-                slab.solve(comm, rho, ex, ey, t0 + 4)?;
-                phase(
-                    comm,
-                    &mut self.stats.solve_bytes,
-                    &mut self.stats.solve_secs,
-                );
-            }
-            SolverBackend::Root(solver) => {
-                let rho = self.sim.rho_mut();
-                let owned: Vec<f64> = self.plan.owned_points.iter().map(|&p| rho[p]).collect();
-                let gathered = comm.try_gather(&owned, t0 + 1)?;
-                phase(
-                    comm,
-                    &mut self.stats.gather_bytes,
-                    &mut self.stats.solve_secs,
-                );
-
-                match gathered {
-                    Some(parts) => {
-                        let rs = solver.as_mut().expect("gather root solves");
-                        // Gathered parts arrive in group order; map each
-                        // back to the slot its sender hosts.
-                        let group = comm.group().to_vec();
-                        for (g, vals) in parts.iter().enumerate() {
-                            let slot = self
-                                .slot_owner
-                                .iter()
-                                .position(|&o| o == group[g])
-                                .expect("group member hosts a slot");
-                            for (&v, &p) in vals.iter().zip(&self.all_owned_points[slot]) {
-                                rs.rho[p] = v;
-                            }
-                        }
-                        rs.solver
-                            .solve_e_with(&rs.rho, &mut rs.ex, &mut rs.ey, &mut rs.scratch);
-                        for (s, pts) in self.all_e_points.iter().enumerate() {
-                            if s == self.my_slot {
-                                continue;
-                            }
-                            let payload: Vec<f64> = pts
-                                .iter()
-                                .map(|&p| rs.ex[p])
-                                .chain(pts.iter().map(|&p| rs.ey[p]))
-                                .collect();
-                            comm.try_send(self.slot_owner[s], t0 + 2, &payload)?;
-                        }
-                        let (ex, ey) = self.sim.e_field_mut();
-                        for &p in &self.plan.e_points {
-                            ex[p] = rs.ex[p];
-                            ey[p] = rs.ey[p];
-                        }
-                    }
-                    None => {
-                        let data = comm.try_recv_group(self.root, t0 + 2)?;
-                        let n = self.plan.e_points.len();
-                        if data.len() != 2 * n {
-                            return Err(DecompError::Config(format!(
-                                "E scatter payload: {} values for {n} points",
-                                data.len()
-                            )));
-                        }
-                        let (ex, ey) = self.sim.e_field_mut();
-                        for (i, &p) in self.plan.e_points.iter().enumerate() {
-                            ex[p] = data[i];
-                            ey[p] = data[n + i];
-                        }
-                    }
-                }
-                phase(
-                    comm,
-                    &mut self.stats.scatter_bytes,
-                    &mut self.stats.solve_secs,
-                );
-            }
-        }
+        let (rho, ex, ey) = self.sim.field_mut();
+        self.slab.solve(comm, rho, ex, ey, t0 + 4)?;
+        phase(
+            comm,
+            &mut self.stats.solve_bytes,
+            &mut self.stats.solve_secs,
+        );
 
         self.sim.step_post_external_solve();
 
@@ -685,8 +565,8 @@ impl DecomposedSimulation {
     /// Snapshot the local simulation state (particles, fields, RNG,
     /// diagnostics). The snapshot is the plain [`Simulation::checkpoint`]
     /// format — its config fingerprint covers grid, physics, and this
-    /// rank's `keep_cells` range, but *not* the solver mode or thread
-    /// count, so a snapshot taken under one solver restores into another.
+    /// rank's `keep_cells` range, but *not* the rank or thread count of
+    /// the solve.
     pub fn checkpoint(&self) -> Vec<u8> {
         self.sim.checkpoint()
     }
@@ -886,7 +766,7 @@ impl DecomposedSimulation {
                 }
             }
         }
-        // 4. Adopt the new partition and rebuild plans + backend. A re-cut
+        // 4. Adopt the new partition and rebuild plans + solver. A re-cut
         //    appends arrivals out of cell order, so tell the adaptive
         //    controller (if any) the population was externally shuffled —
         //    the next eligible boundary sorts instead of waiting for the
@@ -909,7 +789,7 @@ impl DecomposedSimulation {
 
     /// Install a partition + hosting map: update `keep_cells` (and the
     /// checkpoint fingerprint with it), rebuild the halo plans and the
-    /// solver backend. Purely local.
+    /// slab solver. Purely local.
     fn apply_partition(
         &mut self,
         comm: &Comm,
@@ -921,23 +801,25 @@ impl DecomposedSimulation {
         let keep = (range.start as u32, range.end as u32);
         self.sim.set_keep_cells(Some(keep))?;
         self.cfg.keep_cells = Some(keep);
-        self.plan = HaloPlan::build(&part, my_slot, self.dcfg.halo_width);
-        self.all_owned_points = (0..part.nranks())
-            .map(|s| HaloPlan::build(&part, s, self.dcfg.halo_width).owned_points)
-            .collect();
-        self.all_e_points = (0..part.nranks())
-            .map(|s| HaloPlan::build(&part, s, self.dcfg.halo_width).e_points)
-            .collect();
+        (self.plan, self.all_owned_points, self.all_e_points) =
+            slot_plans(&part, my_slot, self.dcfg.halo_width);
+        self.slab = slab_for(
+            &self.cfg,
+            comm,
+            &slot_owner,
+            &self.all_owned_points,
+            &self.all_e_points,
+        )?;
         self.partition = part;
         self.slot_owner = slot_owner;
         self.my_slot = my_slot;
-        self.build_backend(comm)
+        Ok(())
     }
 
     /// Re-resolve the slot → rank hosting map against the current group
     /// (same partition): how incumbents absorb a membership change —
     /// a joiner adopting a dead rank's slot — without moving any data.
-    /// Rebuilds plans and backend against the (possibly rolled-back)
+    /// Rebuilds plans and solver against the (possibly rolled-back)
     /// partition.
     pub fn reconfigure_hosts(
         &mut self,
@@ -966,8 +848,8 @@ impl DecomposedSimulation {
 
     /// Roll this rank back for recovery: re-adopt the partition that was
     /// in force at the checkpoint (`ranges`, this rank at `my_slot`) and
-    /// restore the snapshot into it. Leaves the hosting map and solver
-    /// backend *stale* — the caller must follow with
+    /// restore the snapshot into it. Leaves the hosting map and slab
+    /// solver *stale* — the caller must follow with
     /// [`reconfigure_hosts`](Self::reconfigure_hosts) or
     /// [`recut_to`](Self::recut_to) before stepping; splitting the two is
     /// what lets shrink recovery inject a dead slot's state in between.
@@ -1037,23 +919,6 @@ impl DecomposedSimulation {
         Ok(())
     }
 
-    /// Switch the field-solve distribution strategy in place (graceful
-    /// degradation and recovery). Checkpoints are portable across the
-    /// switch: the config fingerprint never covered solver parallelism.
-    pub fn set_solver_mode(&mut self, comm: &Comm, mode: SolverMode) -> Result<(), DecompError> {
-        if mode != self.mode {
-            self.mode = mode;
-            self.build_backend(comm)?;
-        }
-        Ok(())
-    }
-
-    /// The solver mode currently in force (tracks degradations, unlike
-    /// the configured [`DecompConfig::solver`]).
-    pub fn solver_mode(&self) -> SolverMode {
-        self.mode
-    }
-
     /// Enable the online sort-cadence controller on this rank's local
     /// simulation ([`pic_core::control`]). Decisions are strictly per-rank
     /// — each rank tracks its own disorder, so a rank whose subdomain
@@ -1120,37 +985,6 @@ impl DecomposedSimulation {
     /// Cells owned by this rank's slot.
     pub fn local_cells(&self) -> usize {
         self.partition.range(self.my_slot).len()
-    }
-
-    /// Persistent bytes this rank dedicates to field-solver grid state:
-    /// the two slab buffers in [`SolverMode::Slab`] (shrinks as ranks are
-    /// added), or three full-grid arrays on the root in
-    /// [`SolverMode::RootGather`] (zero on the other ranks).
-    pub fn solver_grid_bytes(&self) -> u64 {
-        match &self.backend {
-            SolverBackend::Slab(s) => s.solver_bytes(),
-            SolverBackend::Root(Some(rs)) => (3 * rs.rho.len() * std::mem::size_of::<f64>()) as u64,
-            SolverBackend::Root(None) => 0,
-        }
-    }
-
-    /// The assembled global ρ of the last step — root rank of
-    /// [`SolverMode::RootGather`] only (`None` under the slab solver,
-    /// where no rank holds the full grid).
-    pub fn global_rho(&self) -> Option<&[f64]> {
-        match &self.backend {
-            SolverBackend::Root(Some(rs)) => Some(rs.rho.as_slice()),
-            _ => None,
-        }
-    }
-
-    /// The solved global E of the last step — root rank of
-    /// [`SolverMode::RootGather`] only.
-    pub fn global_e(&self) -> Option<(&[f64], &[f64])> {
-        match &self.backend {
-            SolverBackend::Root(Some(rs)) => Some((rs.ex.as_slice(), rs.ey.as_slice())),
-            _ => None,
-        }
     }
 }
 

@@ -22,18 +22,17 @@
 //!   idempotently after a rollback: the particle multiset at the boundary
 //!   is unchanged, so the histogram — exact integers, order-independent —
 //!   reproduces the same cuts and the replayed re-cut moves nothing.
-//! * **Graceful degradation.** When sustained faults push the live count
-//!   below [`ElasticConfig::slab_floor`], the slab-distributed Poisson
-//!   solve falls back to root-gather; at one survivor the decomposition
-//!   degenerates to a replicated single-domain run. Both transitions are
-//!   ledgered as [`FaultKind::Degrade`] and checkpoints stay portable
-//!   across them (the snapshot fingerprint never covered solver
-//!   parallelism).
+//! * **Graceful degradation.** With no spare to admit, each death re-cuts
+//!   the run to fewer slots; the slab-distributed Poisson solve runs on
+//!   whatever ranks remain. At one survivor the decomposition degenerates
+//!   to a replicated single-domain run on a 1-rank slab, which costs what
+//!   the serial solve costs. That collapse is ledgered as
+//!   [`FaultKind::Degrade`].
 //!
 //! See `DESIGN.md` § "Elastic recovery model" for the protocol walk-through
 //! and the bit-exactness argument.
 
-use crate::{DecompConfig, DecompError, DecomposedSimulation, SolverMode};
+use crate::{DecompConfig, DecompError, DecomposedSimulation};
 use minimpi::{Comm, CommError};
 use pic_core::faultlog::{FaultKind, FaultLog};
 use pic_core::particles::ParticlesSoA;
@@ -51,6 +50,9 @@ const ECKPT_TAG: u64 = 1 << 41;
 /// additionally epoch-qualified by minimpi itself; the explicit epoch mix
 /// matters for the point-to-point snapshot handoff.
 const EREC_TAG: u64 = (1 << 41) + (1 << 40);
+/// Header slots of the recovery topology broadcast: the agreed rollback
+/// step and the checkpoint-time slot count.
+const TOPO_HEAD: usize = 2;
 
 /// Knobs for the elastic runner.
 #[derive(Debug, Clone)]
@@ -60,11 +62,6 @@ pub struct ElasticConfig {
     /// Re-cut the partition from a live particle histogram every this many
     /// steps; 0 disables scheduled re-cuts.
     pub recut_every: u64,
-    /// Minimum live-rank count for the slab-distributed solve; below it
-    /// the run degrades to [`SolverMode::RootGather`] instead of erroring.
-    /// At one survivor the run always degenerates to a replicated
-    /// single-domain simulation, whatever the floor.
-    pub slab_floor: usize,
     /// Give up after this many completed recoveries.
     pub max_recoveries: usize,
     /// Arm the heartbeat failure detector with this timeout.
@@ -86,7 +83,6 @@ impl Default for ElasticConfig {
         Self {
             checkpoint_every: 5,
             recut_every: 0,
-            slab_floor: 2,
             max_recoveries: 4,
             heartbeat_timeout: None,
             recv_deadline: None,
@@ -118,8 +114,6 @@ pub struct ElasticOutcome {
     pub checkpoints: usize,
     /// Re-cut operations performed (scheduled + recovery, incl. replays).
     pub recuts: usize,
-    /// The solver mode in force at the end.
-    pub mode: Option<SolverMode>,
     /// Final local particles (the slot's population, in the deterministic
     /// slot-ordered array layout).
     pub particles: ParticlesSoA,
@@ -148,7 +142,6 @@ impl ElasticOutcome {
             recoveries: 0,
             checkpoints: 0,
             recuts: 0,
-            mode: None,
             particles: ParticlesSoA::default(),
             owned_points: Vec::new(),
             rho_owned: Vec::new(),
@@ -187,25 +180,6 @@ struct LoopState {
     checkpoints: usize,
     recuts: usize,
     log: FaultLog,
-}
-
-/// The solver mode a group of `live` ranks runs: the configured mode,
-/// degraded to root-gather below the floor, and always root-gather for the
-/// degenerate single-rank (replicated) group, where gather/scatter are
-/// no-ops and the "root" solve is simply local.
-fn mode_for(live: usize, dcfg: &DecompConfig, ecfg: &ElasticConfig) -> SolverMode {
-    if live == 1 || live < ecfg.slab_floor {
-        SolverMode::RootGather
-    } else {
-        dcfg.solver
-    }
-}
-
-fn mode_code(m: SolverMode) -> f64 {
-    match m {
-        SolverMode::Slab => 0.0,
-        SolverMode::RootGather => 1.0,
-    }
 }
 
 fn is_rank_failed(e: &DecompError) -> Option<(usize, usize)> {
@@ -293,12 +267,10 @@ fn boundary_cycle(
 fn recover(
     comm: &mut Comm,
     drv: &mut DecomposedSimulation,
-    dcfg: &DecompConfig,
     ecfg: &ElasticConfig,
     st: &mut LoopState,
 ) -> Result<(), DecompError> {
     let rank = comm.rank();
-    let prev_mode = drv.solver_mode();
     comm.shrink()?;
     st.log.ingest_transport(st.step, comm.take_events());
     if st.cks.is_empty() {
@@ -388,24 +360,22 @@ fn recover(
             )));
         }
     }
-    let new_mode = mode_for(group.len(), dcfg, ecfg);
 
     // Topology broadcast — redundant for incumbents (they all computed the
-    // same resolution above) but it is what hands a joiner the cuts, the
-    // old hosting (to locate its snapshot's holder), and the mode. Fixed
-    // world-sized layout so a joiner can size the buffer without knowing
-    // the slot count: [agreed, old_n, mode, ends…, old hosts…, resolved…]
-    // with -1 marking an orphan slot.
+    // same resolution above) but it is what hands a joiner the cuts and the
+    // old hosting (to locate its snapshot's holder). Fixed world-sized
+    // layout so a joiner can size the buffer without knowing the slot
+    // count: [agreed, old_n, ends…, old hosts…, resolved…] with -1 marking
+    // an orphan slot.
     {
         let w = comm.size();
-        let mut payload = vec![0.0f64; 3 + 3 * w];
+        let mut payload = vec![0.0f64; TOPO_HEAD + 3 * w];
         payload[0] = agreed as f64;
         payload[1] = old_n as f64;
-        payload[2] = mode_code(new_mode);
         for s in 0..old_n {
-            payload[3 + s] = ck.ranges[s].end as f64;
-            payload[3 + w + s] = ck.slot_owner[s] as f64;
-            payload[3 + 2 * w + s] = if orphans.contains(&s) {
+            payload[TOPO_HEAD + s] = ck.ranges[s].end as f64;
+            payload[TOPO_HEAD + w + s] = ck.slot_owner[s] as f64;
+            payload[TOPO_HEAD + 2 * w + s] = if orphans.contains(&s) {
                 -1.0
             } else {
                 resolved[s] as f64
@@ -428,7 +398,7 @@ fn recover(
     }
 
     // Roll back: re-adopt the checkpoint-time partition and restore the
-    // own snapshot (plans and backend stay stale until the topology step
+    // own snapshot (plans and solver stay stale until the topology step
     // below rebuilds them).
     let ranges = ck.ranges.clone();
     let ck_slot = ck.my_slot;
@@ -482,27 +452,15 @@ fn recover(
         st.recuts += 1;
     }
 
-    if new_mode != prev_mode {
-        drv.set_solver_mode(comm, new_mode)?;
-    }
-    // Ledger every rung of the degradation ladder: the solver downgrade
-    // (slab → root-gather below the floor) and the final decomposed →
-    // replicated collapse at one survivor — the latter even when the
-    // solver mode was already degraded on an earlier recovery.
-    let degrade = if group.len() == 1 && old_n > 1 {
-        Some("replicated single-domain fallback (1 survivor)".to_string())
-    } else if prev_mode == SolverMode::Slab && new_mode == SolverMode::RootGather {
-        Some(format!(
-            "slab solve below floor {}: falling back to root-gather on {} rank(s)",
-            ecfg.slab_floor,
-            group.len()
-        ))
-    } else {
-        None
-    };
-    if let Some(detail) = degrade {
-        st.log
-            .record(agreed, rank, comm.op_count(), FaultKind::Degrade, detail);
+    // Ledger the decomposed → replicated collapse at one survivor.
+    if group.len() == 1 && old_n > 1 {
+        st.log.record(
+            agreed,
+            rank,
+            comm.op_count(),
+            FaultKind::Degrade,
+            "replicated single-domain fallback (1 survivor)".to_string(),
+        );
     }
 
     st.step = agreed;
@@ -517,7 +475,6 @@ fn recover(
 fn member_loop(
     comm: &mut Comm,
     mut drv: DecomposedSimulation,
-    dcfg: &DecompConfig,
     ecfg: &ElasticConfig,
     nsteps: u64,
     mut st: LoopState,
@@ -555,7 +512,7 @@ fn member_loop(
                         st.recoveries
                     )));
                 }
-                if let Err(re) = recover(comm, &mut drv, dcfg, ecfg, &mut st) {
+                if let Err(re) = recover(comm, &mut drv, ecfg, &mut st) {
                     break Err(re);
                 }
             }
@@ -607,7 +564,6 @@ fn member_loop(
         recoveries: st.recoveries,
         checkpoints: st.checkpoints,
         recuts: st.recuts,
-        mode: Some(drv.solver_mode()),
         particles: state.particles,
         owned_points,
         rho_owned,
@@ -635,8 +591,7 @@ fn apply_comm_cfg(comm: &mut Comm, ecfg: &ElasticConfig) {
 /// checkpoint/re-cut schedule; with a kill and an available spare the
 /// group shrinks, admits the spare into the dead rank's slot, rolls back,
 /// and replays — bit-exact against the fault-free run. With kills and no
-/// spares it degrades: fewer slots per re-cut, root-gather below the slab
-/// floor, replicated at one survivor.
+/// spares it degrades: fewer slots per re-cut, replicated at one survivor.
 pub fn run_elastic_member(
     comm: &mut Comm,
     cfg: PicConfig,
@@ -655,9 +610,7 @@ pub fn run_elastic_member(
         recuts: 0,
         log: FaultLog::new(),
     };
-    let mut effective = dcfg;
-    effective.solver = mode_for(comm.group_size(), &dcfg, ecfg);
-    let drv = match DecomposedSimulation::new(cfg, effective, comm) {
+    let drv = match DecomposedSimulation::new(cfg, dcfg, comm) {
         Ok(d) => d,
         Err(e) => {
             // A rank killed during construction still reports a death
@@ -681,7 +634,7 @@ pub fn run_elastic_member(
     };
     let mut st = st;
     st.log.ingest_transport(0, comm.take_events());
-    member_loop(comm, drv, &dcfg, ecfg, nsteps, st)
+    member_loop(comm, drv, ecfg, nsteps, st)
 }
 
 /// Run as a spare: park in the admission queue until a recovery votes this
@@ -715,29 +668,26 @@ pub fn run_elastic_spare(
     let mut buf = [0.0f64];
     comm.try_broadcast(&mut buf, EREC_TAG + 1)?;
     let w = comm.size();
-    let mut topo = vec![0.0f64; 3 + 3 * w];
+    let mut topo = vec![0.0f64; TOPO_HEAD + 3 * w];
     comm.try_broadcast(&mut topo, EREC_TAG + 2)?;
     let agreed = topo[0] as u64;
     let old_n = topo[1] as usize;
-    let bcast_mode = if topo[2] == 0.0 {
-        SolverMode::Slab
-    } else {
-        SolverMode::RootGather
-    };
     let mut ranges = Vec::with_capacity(old_n);
     let mut start = 0usize;
     for s in 0..old_n {
-        let end = topo[3 + s] as usize;
+        let end = topo[TOPO_HEAD + s] as usize;
         ranges.push(start..end);
         start = end;
     }
-    let old_hosts: Vec<usize> = (0..old_n).map(|s| topo[3 + w + s] as usize).collect();
+    let old_hosts: Vec<usize> = (0..old_n)
+        .map(|s| topo[TOPO_HEAD + w + s] as usize)
+        .collect();
     let mut orphans: Vec<usize> = Vec::new();
     // Mirror the incumbents' `adoptive` resolution exactly: joiner ranks
     // in adopted slots, the ring buddy standing in for each orphan.
     let adoptive: Vec<usize> = (0..old_n)
         .map(|s| {
-            let v = topo[3 + 2 * w + s];
+            let v = topo[TOPO_HEAD + 2 * w + s];
             if v < 0.0 {
                 orphans.push(s);
                 old_hosts[(s + 1) % old_n]
@@ -766,23 +716,10 @@ pub fn run_elastic_spare(
     }
 
     // With orphans pending, the interim hosting is not a bijection (buddy
-    // stand-ins double-host), which only the root-gather backend tolerates;
-    // the re-cut below rebuilds the real topology, then the agreed mode is
-    // installed. Without orphans the agreed mode is valid immediately.
-    let mut build_dcfg = dcfg;
-    build_dcfg.solver = if orphans.is_empty() {
-        bcast_mode
-    } else {
-        SolverMode::RootGather
-    };
-    let mut drv = DecomposedSimulation::new_adopted(
-        cfg,
-        build_dcfg,
-        comm,
-        ranges,
-        adoptive.clone(),
-        &snapshot,
-    )?;
+    // stand-ins double-host); the re-cut below installs the real topology
+    // and rebuilds the slab solver before any step runs.
+    let mut drv =
+        DecomposedSimulation::new_adopted(cfg, dcfg, comm, ranges, adoptive.clone(), &snapshot)?;
     let mut st = LoopState {
         cks: Vec::new(),
         step: agreed,
@@ -802,7 +739,6 @@ pub fn run_elastic_spare(
         drv.recut_to(comm, adoptive, group, new_my_slot)?;
         st.recuts += 1;
     }
-    drv.set_solver_mode(comm, bcast_mode)?;
     st.log.ingest_transport(agreed, comm.take_events());
-    member_loop(comm, drv, &dcfg, ecfg, nsteps, st)
+    member_loop(comm, drv, ecfg, nsteps, st)
 }

@@ -23,10 +23,10 @@
 //! * [`DecomposedSimulation`] composes these with the existing
 //!   [`Simulation`](pic_core::sim::Simulation) kernels: deposit locally,
 //!   halo-exchange partial ρ to the owning ranks over minimpi
-//!   point-to-point messages, gather the owned densities to a root that
-//!   runs the (global, spectral) Poisson solve, scatter each subdomain's E
-//!   values back, and migrate particles whose `icell` left the subdomain
-//!   before the next kick.
+//!   point-to-point messages, run the spectral Poisson solve distributed
+//!   over all ranks ([`SlabSolver`]: row slabs and column bands exchanged
+//!   by all-to-all, no rank holding the full grid), and migrate particles
+//!   whose `icell` left the subdomain before the next kick.
 //!
 //! The decomposed trajectory matches a serial run of the same
 //! configuration to ≤1e-9 on ρ and E (only floating-point summation order

@@ -1,9 +1,6 @@
 //! Slab-distributed spectral Poisson solve: no rank ever holds the full
-//! grid.
-//!
-//! The root-gather path assembles the whole `nx × ny` density on one rank
-//! and solves there — O(grid) memory and solve time on the root, with every
-//! other rank idle. This module distributes the row–column FFT instead:
+//! grid, and no rank gathers ρ to solve it alone. This is the decomposed
+//! runtime's one field solve; it distributes the row–column FFT:
 //!
 //! * each rank owns a contiguous **row slab** of whole row pairs
 //!   (`chunk_range(nx/2, p, r)` pairs) for the y-direction passes, and a
@@ -20,7 +17,11 @@
 //!   column phase of every solve path: forward columns, [`field_mode`]
 //!   into `Ẑ = Êx + i·Êy`, inverse columns, one sub-band at a time. One
 //!   inverse returns `Ex + i·Ey`, so the return exchange carries one
-//!   complex field.
+//!   complex field;
+//! * a rank's own share of each exchange is copied in place and never
+//!   enters the transport. A rank holding the whole grid (one rank, one
+//!   survivor) swaps its slab and band buffers instead of copying, so the
+//!   1-rank solve costs what the serial solve costs.
 //!
 //! Bit-exactness with [`PoissonSolver2D::solve_e`]: every row transform and
 //! every column transform is an independent butterfly over the same values
@@ -31,8 +32,7 @@
 //! `to_bits` equality.
 //!
 //! Per-rank memory is the row slab plus the band ≈ `32·nx·ny/p` bytes — it
-//! *shrinks* as ranks are added, where the root-gather path pinned O(grid)
-//! on the root regardless of `p` (see `results/BENCH_solver.json`).
+//! *shrinks* as ranks are added (see `results/BENCH_solver.json`).
 //!
 //! [`FftPlan::forward_real_pairs`]: spectral::fft::FftPlan::forward_real_pairs
 //! [`PoissonSolver2D::column_phase`]: spectral::poisson::PoissonSolver2D::column_phase
@@ -44,6 +44,7 @@ use minimpi::Comm;
 use pic_core::pool::chunk_range;
 use spectral::poisson::PoissonSolver2D;
 use spectral::Complex64;
+use std::ops::Range;
 
 /// Distributed slab solver state for one rank: the grid's solver (plans
 /// and wavenumbers), the point routing tables, and the reusable buffers.
@@ -58,14 +59,24 @@ pub struct SlabSolver {
     col_bounds: Vec<(usize, usize)>,
     solver: PoissonSolver2D,
     /// `rho_send[q]`: this rank's owned points whose grid row lies in
-    /// rank `q`'s slab (ascending point order on both endpoints).
+    /// rank `q`'s slab (ascending point order on both endpoints); empty
+    /// for `q = me`.
     rho_send: Vec<Vec<usize>>,
-    /// `rho_recv[q]`: rank `q`'s owned points within this rank's slab.
+    /// `rho_recv[q]`: rank `q`'s owned points within this rank's slab;
+    /// empty for `q = me`.
     rho_recv: Vec<Vec<usize>>,
-    /// `e_send[q]`: rank `q`'s E points within this rank's slab.
+    /// This rank's owned points within its own slab, copied locally: runs
+    /// of consecutive points within one grid row.
+    rho_self: Vec<Range<usize>>,
+    /// `e_send[q]`: rank `q`'s E points within this rank's slab; empty for
+    /// `q = me`.
     e_send: Vec<Vec<usize>>,
-    /// `e_recv[q]`: this rank's E points within rank `q`'s slab.
+    /// `e_recv[q]`: this rank's E points within rank `q`'s slab; empty for
+    /// `q = me`.
     e_recv: Vec<Vec<usize>>,
+    /// This rank's E points within its own slab, copied locally: runs of
+    /// consecutive points within one grid row.
+    e_self: Vec<Range<usize>>,
     /// Row slab (`nrows × ny`): packed ρ row pairs, ρ̂ rows, then
     /// `Ex + i·Ey` on the way back.
     slab: Vec<Complex64>,
@@ -75,8 +86,8 @@ pub struct SlabSolver {
     /// Outgoing blocks, one per rank, refilled by each of a solve's four
     /// exchanges in turn: the exchanges run one after another, so one set
     /// serves them all and a solve allocates no send buffer once the set
-    /// has grown. Received blocks are still allocated by
-    /// [`Comm::try_all_to_all`].
+    /// has grown. `send[me]` stays empty. Blocks received from other ranks
+    /// are still allocated by [`Comm::try_all_to_all`].
     send: Vec<Vec<f64>>,
 }
 
@@ -87,6 +98,19 @@ fn push_complex(b: &mut Vec<f64>, zs: &[Complex64]) {
         b.push(z.re);
         b.push(z.im);
     }
+}
+
+/// Ascending points `pts` as maximal runs of consecutive points that stay
+/// within one grid row of width `ny`.
+fn row_runs(pts: &[usize], ny: usize) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for &pt in pts {
+        match runs.last_mut() {
+            Some(run) if run.end == pt && !pt.is_multiple_of(ny) => run.end += 1,
+            _ => runs.push(pt..pt + 1),
+        }
+    }
+    runs
 }
 
 /// Overwrite `zs` from interleaved `re, im` pairs.
@@ -135,16 +159,22 @@ impl SlabSolver {
                 .collect()
         };
         let mine = row_bounds[me];
-        let rho_send = row_bounds
+        let mut rho_send: Vec<_> = row_bounds
             .iter()
             .map(|&b| pick(&all_owned_points[me], b))
             .collect();
-        let rho_recv = all_owned_points.iter().map(|pts| pick(pts, mine)).collect();
-        let e_send = all_e_points.iter().map(|pts| pick(pts, mine)).collect();
-        let e_recv = row_bounds
+        let mut rho_recv: Vec<_> = all_owned_points.iter().map(|pts| pick(pts, mine)).collect();
+        let mut e_send: Vec<_> = all_e_points.iter().map(|pts| pick(pts, mine)).collect();
+        let mut e_recv: Vec<_> = row_bounds
             .iter()
             .map(|&b| pick(&all_e_points[me], b))
             .collect();
+        // This rank's own entries are its share of each exchange, copied in
+        // place: they leave the routing lists.
+        rho_recv[me].clear();
+        e_send[me].clear();
+        let rho_self = row_runs(&std::mem::take(&mut rho_send[me]), ny);
+        let e_self = row_runs(&std::mem::take(&mut e_recv[me]), ny);
 
         Ok(Self {
             me,
@@ -153,8 +183,10 @@ impl SlabSolver {
             solver,
             rho_send,
             rho_recv,
+            rho_self,
             e_send,
             e_recv,
+            e_self,
             slab: vec![Complex64::ZERO; (r1 - r0) * ny],
             band: vec![Complex64::ZERO; nx * (c1 - c0)],
             send: vec![Vec::new(); p],
@@ -176,6 +208,13 @@ impl SlabSolver {
     /// rank's owned points; on return `ex`/`ey` hold the solved field at
     /// this rank's E points. Uses tags `tag0 .. tag0+3` (ρ scatter,
     /// forward band exchange, return exchange, E delivery).
+    ///
+    /// This rank's own share of each exchange never enters the transport:
+    /// it is copied straight between its ρ, slab, band and E arrays, and
+    /// its outgoing block stays empty. A 1-rank solve therefore moves no
+    /// payload at all, and each round is still one
+    /// [`Comm::try_all_to_all`] call, so op counts do not depend on how
+    /// much of the grid a rank keeps.
     pub fn solve(
         &mut self,
         comm: &mut Comm,
@@ -191,16 +230,24 @@ impl SlabSolver {
             solver,
             rho_send,
             rho_recv,
+            rho_self,
             e_send,
             e_recv,
+            e_self,
             slab,
             band,
             send,
         } = self;
+        let me = *me;
         let ny = solver.dims().1;
-        let (r0, _) = row_bounds[*me];
-        let (c0, c1) = col_bounds[*me];
+        let (r0, r1) = row_bounds[me];
+        let (c0, c1) = col_bounds[me];
         let width = c1 - c0;
+        let own_band = r0 * width..r1 * width;
+        // A rank holding every row and column keeps the whole grid: its
+        // band and slab share one layout, so they trade buffers instead
+        // of copying.
+        let whole = width == ny && slab.len() == band.len();
         let row = solver.plan().row_plan();
 
         // 1. Route owned ρ to slab owners, packed two rows per complex
@@ -209,6 +256,19 @@ impl SlabSolver {
         for (b, pts) in send.iter_mut().zip(rho_send.iter()) {
             b.clear();
             b.extend(pts.iter().map(|&pt| rho[pt]));
+        }
+        for run in rho_self.iter() {
+            let off = run.start - r0 * ny;
+            let pair = &mut slab[off & !ny..][..run.len()];
+            if off & ny == 0 {
+                pair.iter_mut()
+                    .zip(&rho[run.clone()])
+                    .for_each(|(z, &v)| z.re = v);
+            } else {
+                pair.iter_mut()
+                    .zip(&rho[run.clone()])
+                    .for_each(|(z, &v)| z.im = v);
+            }
         }
         let parts = comm.try_all_to_all(send, tag0)?;
         for (vals, pts) in parts.iter().zip(rho_recv.iter()) {
@@ -232,15 +292,29 @@ impl SlabSolver {
 
         // 3. Rows to band owners: rank q gets every slab row cut to its
         //    columns, which are whole rows `[r0, r1)` of q's band.
-        for (b, &(qc0, qc1)) in send.iter_mut().zip(col_bounds.iter()) {
+        for (q, (b, &(qc0, qc1))) in send.iter_mut().zip(col_bounds.iter()).enumerate() {
             b.clear();
-            for line in slab.chunks_exact(ny) {
-                push_complex(b, &line[qc0..qc1]);
+            if q != me {
+                for line in slab.chunks_exact(ny) {
+                    push_complex(b, &line[qc0..qc1]);
+                }
+            }
+        }
+        if whole {
+            std::mem::swap(slab, band);
+        } else {
+            for (dst, line) in band[own_band.clone()]
+                .chunks_exact_mut(width.max(1))
+                .zip(slab.chunks_exact(ny))
+            {
+                dst.copy_from_slice(&line[c0..c1]);
             }
         }
         let parts = comm.try_all_to_all(send, tag0 + 1)?;
-        for (vals, &(qr0, qr1)) in parts.iter().zip(row_bounds.iter()) {
-            pull_complex(&mut band[qr0 * width..qr1 * width], vals);
+        for (q, (vals, &(qr0, qr1))) in parts.iter().zip(row_bounds.iter()).enumerate() {
+            if q != me {
+                pull_complex(&mut band[qr0 * width..qr1 * width], vals);
+            }
         }
 
         // 4. The column phase: forward x pass, Ẑ = Êx + i·Êy, inverse x pass.
@@ -248,12 +322,27 @@ impl SlabSolver {
 
         // 5. Band rows back to their slab owners: rank q's rows of the band
         //    are the columns `[c0, c1)` of q's slab rows.
-        for (b, &(qr0, qr1)) in send.iter_mut().zip(row_bounds.iter()) {
+        for (q, (b, &(qr0, qr1))) in send.iter_mut().zip(row_bounds.iter()).enumerate() {
             b.clear();
-            push_complex(b, &band[qr0 * width..qr1 * width]);
+            if q != me {
+                push_complex(b, &band[qr0 * width..qr1 * width]);
+            }
+        }
+        if whole {
+            std::mem::swap(slab, band);
+        } else {
+            for (line, src) in slab
+                .chunks_exact_mut(ny)
+                .zip(band[own_band].chunks_exact(width.max(1)))
+            {
+                line[c0..c1].copy_from_slice(src);
+            }
         }
         let parts = comm.try_all_to_all(send, tag0 + 2)?;
-        for (vals, &(qc0, qc1)) in parts.iter().zip(col_bounds.iter()) {
+        for (q, (vals, &(qc0, qc1))) in parts.iter().zip(col_bounds.iter()).enumerate() {
+            if q == me {
+                continue;
+            }
             let w = qc1 - qc0;
             for (line, v) in slab
                 .chunks_exact_mut(ny)
@@ -274,6 +363,13 @@ impl SlabSolver {
             for &pt in pts {
                 let z = slab[pt - r0 * ny];
                 b.extend([z.re, z.im]);
+            }
+        }
+        for run in e_self.iter() {
+            let zs = &slab[run.start - r0 * ny..run.end - r0 * ny];
+            for ((x, y), z) in ex[run.clone()].iter_mut().zip(&mut ey[run.clone()]).zip(zs) {
+                *x = z.re;
+                *y = z.im;
             }
         }
         let parts = comm.try_all_to_all(send, tag0 + 3)?;

@@ -5,13 +5,14 @@
 //! per-1-D-transform value sequences and per-mode spectral scale, so their
 //! output is not merely close to the sequential `PoissonSolver2D` — it is
 //! the same bits. These tests assert `to_bits` equality across thread
-//! counts, rank counts, and SFC orderings, and that checkpoints cross
-//! solver modes without perturbing the trajectory. The serial solve itself
-//! is held to the three-transform pipeline it replaced (complex forward of
-//! ρ, one complex inverse per component, `.re` kept), which lives here and
-//! nowhere else, as the oracle.
+//! counts, rank counts, and SFC orderings, inside a decomposed run against
+//! a whole-grid solve of its assembled density, and that checkpoints cross
+//! thread counts without perturbing the trajectory. The serial solve
+//! itself is held to the three-transform pipeline it replaced (complex
+//! forward of ρ, one complex inverse per component, `.re` kept), which
+//! lives here and nowhere else, as the oracle.
 
-use pic2d::decomp::{DecompConfig, DecomposedSimulation, SlabSolver, SolverMode};
+use pic2d::decomp::{DecompConfig, DecomposedSimulation, SlabSolver};
 use pic2d::minimpi::World;
 use pic2d::pic_core::pool::{chunk_range, ThreadPool};
 use pic2d::pic_core::rng::Rng;
@@ -305,89 +306,57 @@ fn serial_snapshot_restores_into_pooled_run() {
     close(ey_s, ey_p, "ey");
 }
 
-/// A snapshot taken under the root-gather solver restores into a
-/// slab-distributed run of the same partition and continues bit-exactly —
-/// both modes feed the identical assembled density through bit-identical
-/// spectral pipelines.
+/// Inside a 4-rank decomposed run, the slab solve's E at every rank's
+/// E points is the whole-grid serial solve of the assembled density, bit
+/// for bit: each step's global ρ is gathered from the ranks' owned points
+/// (which tile the grid) and solved by `solve_e_with` in the test, and
+/// the particle population is conserved.
 #[test]
-fn root_gather_snapshot_restores_bit_exact_into_slab_run() {
-    let ranks = 2;
-    let cfg = || {
-        let mut c = PicConfig::landau_table1(4_000);
-        c.grid_nx = NX;
-        c.grid_ny = NY;
-        c.sort_period = 2;
-        c
-    };
-    let out = World::run(ranks, move |comm| {
-        let root_cfg = DecompConfig {
-            solver: SolverMode::RootGather,
-            ..DecompConfig::default()
-        };
-        let mut a = DecomposedSimulation::new(cfg(), root_cfg, comm).unwrap();
-        a.run(4, comm).unwrap();
-        let snap = a.checkpoint();
-        a.run(3, comm).unwrap();
-
-        let mut b = DecomposedSimulation::new(cfg(), DecompConfig::default(), comm).unwrap();
-        assert!(matches!(
-            b.partition().range(comm.rank()),
-            r if r == a.partition().range(comm.rank())
-        ));
-        b.restore(&snap).expect("cross-solver-mode restore");
-        b.run(3, comm).unwrap();
-
-        let bits = |v: &[f64], pts: &[usize]| -> Vec<u64> {
-            pts.iter().map(|&p| v[p].to_bits()).collect()
-        };
-        let pts_o = a.plan().owned_points.clone();
-        let pts_e = a.plan().e_points.clone();
-        let rho_a = bits(a.sim().rho(), &pts_o);
-        let rho_b = bits(b.sim().rho(), &pts_o);
-        let (ex_a, ey_a) = a.sim().e_field();
-        let (ex_b, ey_b) = b.sim().e_field();
-        (
-            rho_a == rho_b,
-            bits(ex_a, &pts_e) == bits(ex_b, &pts_e),
-            bits(ey_a, &pts_e) == bits(ey_b, &pts_e),
-            a.sim().particles().icell == b.sim().particles().icell,
-        )
-    });
-    for (r, &(rho_ok, ex_ok, ey_ok, parts_ok)) in out.iter().enumerate() {
-        assert!(rho_ok, "rank {r}: rho diverged across solver modes");
-        assert!(ex_ok, "rank {r}: ex diverged across solver modes");
-        assert!(ey_ok, "rank {r}: ey diverged across solver modes");
-        assert!(parts_ok, "rank {r}: particles diverged across solver modes");
+fn decomposed_slab_field_matches_whole_grid_solve() {
+    const RANKS: usize = 4;
+    const STEPS: usize = 5;
+    for ord in [Ordering::Morton, Ordering::Hilbert] {
+        let out = World::run(RANKS, move |comm| {
+            let mut cfg = sim_cfg(1);
+            cfg.ordering = ord;
+            let mut d = DecomposedSimulation::new(cfg, DecompConfig::default(), comm).unwrap();
+            let mut steps = Vec::new();
+            for _ in 0..STEPS {
+                d.step(comm).unwrap();
+                let (owned, epts) = (&d.plan().owned_points, &d.plan().e_points);
+                let rho = d.sim().rho();
+                let (ex, ey) = d.sim().e_field();
+                steps.push((
+                    owned.iter().map(|&p| (p, rho[p])).collect::<Vec<_>>(),
+                    epts.iter().map(|&p| (p, ex[p], ey[p])).collect::<Vec<_>>(),
+                ));
+            }
+            (steps, d.local_particles())
+        });
+        for step in 0..STEPS {
+            let mut rho = vec![f64::NAN; NX * NY];
+            for (steps, _) in &out {
+                for &(p, v) in &steps[step].0 {
+                    assert!(rho[p].is_nan(), "{ord} step {step}: point {p} owned twice");
+                    rho[p] = v;
+                }
+            }
+            assert!(
+                rho.iter().all(|v| !v.is_nan()),
+                "{ord}: owned points miss the grid"
+            );
+            let (ex_s, ey_s) = serial_on(NX, NY, &rho);
+            for (r, (steps, _)) in out.iter().enumerate() {
+                let what = format!("{ord} step {step} rank {r}");
+                let (ex, ey): (Vec<f64>, Vec<f64>) =
+                    steps[step].1.iter().map(|&(_, x, y)| (x, y)).unzip();
+                let pts: Vec<usize> = steps[step].1.iter().map(|&(p, _, _)| p).collect();
+                let want = |e: &[f64]| pts.iter().map(|&p| e[p]).collect::<Vec<_>>();
+                assert_bits_eq(&ex, &want(&ex_s), &format!("{what} ex"));
+                assert_bits_eq(&ey, &want(&ey_s), &format!("{what} ey"));
+            }
+        }
+        let total: usize = out.iter().map(|(_, n)| n).sum();
+        assert_eq!(total, 4_000, "{ord}: particle count not conserved");
     }
-}
-
-/// End-to-end: a decomposed run under each solver mode stays within 1e-9
-/// of the serial trajectory (the modes are bit-identical to each other;
-/// only the halo summation order separates them from serial).
-#[test]
-fn solver_modes_produce_identical_decomposed_trajectories() {
-    let mk = |mode: SolverMode| {
-        World::run(4, move |comm| {
-            let dcfg = DecompConfig {
-                solver: mode,
-                ..DecompConfig::default()
-            };
-            let mut d = DecomposedSimulation::new(sim_cfg(1), dcfg, comm).unwrap();
-            d.run(5, comm).unwrap();
-            let rho = d.sim().rho();
-            let pts = d.plan().owned_points.clone();
-            let vals: Vec<u64> = pts.iter().map(|&p| rho[p].to_bits()).collect();
-            (pts, vals, d.local_particles())
-        })
-    };
-    let slab = mk(SolverMode::Slab);
-    let root = mk(SolverMode::RootGather);
-    let mut total = 0usize;
-    for (r, (s, g)) in slab.iter().zip(&root).enumerate() {
-        assert_eq!(s.0, g.0, "rank {r}: owned points differ");
-        assert_eq!(s.1, g.1, "rank {r}: owned rho differs between modes");
-        assert_eq!(s.2, g.2, "rank {r}: particle count differs");
-        total += s.2;
-    }
-    assert_eq!(total, 4_000, "particle count not conserved");
 }
