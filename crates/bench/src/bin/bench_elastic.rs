@@ -2,7 +2,7 @@
 //! wall time, and does the weighted live re-cut keep per-rank loads
 //! bounded where static equal-area cuts collapse?
 //!
-//! Two sections land in `results/BENCH_elastic.json`:
+//! Three sections land in `results/BENCH_elastic.json`:
 //!
 //! * **load balance** (gating, deterministic) — three skewed per-cell
 //!   histograms (gaussian blob, hot band, hot quadrant) on a 64×64 grid,
@@ -15,11 +15,19 @@
 //!   slot, the group rolls back and replays. Wall time is compared
 //!   against the fault-free elastic run of the same schedule, and the
 //!   post-rejoin per-slot particle loads are reported.
+//! * **checkpoint overhead** (report-only) — what the runner costs a
+//!   fault-free run: 4 ranks, 400 k particles on 64×64, 200 steps under
+//!   `run_elastic_member` with the heartbeat detector armed and a buddy
+//!   checkpoint every 100 steps, against a plain `DecomposedSimulation::run`.
+//!   Each of 5 reps times the two back to back; the median paired ratio is
+//!   reported, because machine load varies between invocations far more
+//!   than within one.
 //!
-//! Usage: bench_elastic [--particles N] [--steps S]
+//! Usage: bench_elastic [--particles N] [--steps S] (recovery section only)
 
 use decomp::{
-    run_elastic_member, run_elastic_spare, DecompConfig, ElasticConfig, ElasticOutcome, Partition,
+    run_elastic_member, run_elastic_spare, DecompConfig, DecomposedSimulation, ElasticConfig,
+    ElasticOutcome, Partition,
 };
 use minimpi::{FaultPlan, World};
 use pic_bench::cli::Args;
@@ -168,6 +176,59 @@ fn elastic_run(
     (t.elapsed().as_secs_f64(), outs)
 }
 
+// ---------------------------------------------------------------------------
+// Section 3: checkpoint overhead on the fault-free path.
+// ---------------------------------------------------------------------------
+
+const OVERHEAD_PARTICLES: usize = 400_000;
+const OVERHEAD_STEPS: u64 = 200;
+const OVERHEAD_CKPT_EVERY: u64 = 100;
+const OVERHEAD_REPS: usize = 5;
+
+fn overhead_cfg() -> PicConfig {
+    let mut cfg = PicConfig::landau_table1(OVERHEAD_PARTICLES);
+    cfg.grid_nx = 64;
+    cfg.grid_ny = 64;
+    cfg
+}
+
+/// Wall time of a plain decomposed run: no detector, no checkpoints.
+fn plain_secs() -> f64 {
+    let t = Instant::now();
+    World::run(ACTIVE, |comm| {
+        let d = DecompConfig::default();
+        let mut sim = DecomposedSimulation::new(overhead_cfg(), d, comm).unwrap();
+        sim.run(OVERHEAD_STEPS as usize, comm).unwrap();
+    });
+    t.elapsed().as_secs_f64()
+}
+
+/// Wall time of the same run under the elastic runner, and the
+/// checkpoints each rank committed.
+fn elastic_secs() -> Result<(f64, usize), PicError> {
+    let ecfg = ElasticConfig {
+        checkpoint_every: OVERHEAD_CKPT_EVERY,
+        recut_every: 0,
+        max_recoveries: 1,
+        heartbeat_timeout: Some(Duration::from_secs(2)),
+        recv_deadline: Some(Duration::from_secs(30)),
+        join_deadline: Duration::from_secs(1),
+        admit_attempts: 1,
+    };
+    let t = Instant::now();
+    let outs = World::run(ACTIVE, |comm| {
+        let d = DecompConfig::default();
+        run_elastic_member(comm, overhead_cfg(), d, &ecfg, OVERHEAD_STEPS).unwrap()
+    });
+    let secs = t.elapsed().as_secs_f64();
+    if !outs.iter().all(|o| o.survivor && o.recoveries == 0) {
+        return Err(PicError::Diverged(
+            "fault-free elastic run recovered".into(),
+        ));
+    }
+    Ok((secs, outs[0].checkpoints))
+}
+
 fn main() -> std::process::ExitCode {
     pic_bench::exit_on_error(run)
 }
@@ -253,6 +314,23 @@ fn run() -> Result<(), PicError> {
         max_load / avg_load
     );
 
+    // -- checkpoint overhead -----------------------------------------------
+    let mut pairs = Vec::with_capacity(OVERHEAD_REPS);
+    let mut checkpoints = 0;
+    for _ in 0..OVERHEAD_REPS {
+        let plain = plain_secs();
+        let (elastic, cks) = elastic_secs()?;
+        pairs.push((elastic / plain, plain, elastic));
+        checkpoints = cks;
+    }
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (ratio, plain_s, elastic_s) = pairs[pairs.len() / 2];
+    let overhead_pct = (ratio - 1.0) * 100.0;
+    println!(
+        "  checkpoint overhead: plain {plain_s:.3}s, elastic {elastic_s:.3}s \
+         ({overhead_pct:+.2}% for heartbeats + {checkpoints} buddy checkpoints)"
+    );
+
     let json = Json::obj([
         (
             "load_balance",
@@ -275,6 +353,21 @@ fn run() -> Result<(), PicError> {
                 ("overhead_s", Json::Num(fault_s - base_s)),
                 ("recoveries", Json::Int(recoveries as i64)),
                 ("post_rejoin_max_over_avg", Json::Num(max_load / avg_load)),
+            ]),
+        ),
+        (
+            "checkpoint_overhead",
+            Json::obj([
+                ("particles", Json::Int(OVERHEAD_PARTICLES as i64)),
+                ("steps", Json::Int(OVERHEAD_STEPS as i64)),
+                ("ranks", Json::Int(ACTIVE as i64)),
+                ("grid", Json::s("64x64")),
+                ("checkpoint_every", Json::Int(OVERHEAD_CKPT_EVERY as i64)),
+                ("reps", Json::Int(OVERHEAD_REPS as i64)),
+                ("plain_s", Json::Num(plain_s)),
+                ("elastic_s", Json::Num(elastic_s)),
+                ("overhead_pct", Json::Num(overhead_pct)),
+                ("checkpoints", Json::Int(checkpoints as i64)),
             ]),
         ),
     ]);

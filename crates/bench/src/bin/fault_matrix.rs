@@ -1,18 +1,16 @@
 //! Fault-matrix gate for `scripts/check.sh`: fixed-seed fault scenarios
 //! that must all recover AND reproduce the fault-free trajectory bitwise.
 //!
-//! Five scenarios, all on a small Landau workload so the release-mode run
+//! Seven scenarios, all on a small Landau workload so the release-mode run
 //! stays under a couple of seconds:
 //!
-//! * **drop+corrupt** — 4 ranks over a link dropping 25% and corrupting
-//!   15% of frames; the ack/retry transport must hide it completely.
-//! * **kill@2** / **kill@4** — the last rank is killed mid-step on 2- and
-//!   4-rank runs; survivors must detect, shrink, roll back to the buddy
-//!   checkpoint, and finish with ρ bit-identical per logical rank.
+//! * **drop+corrupt** — 4 ranks of the replicated hybrid loop over a link
+//!   dropping 25% and corrupting 15% of frames; the ack/retry transport
+//!   must hide it completely.
 //! * **p2p drop+corrupt** — the same lossy link under the *decomposed*
-//!   runtime, whose halo/gather/scatter/migration traffic is all
-//!   point-to-point; retries must hide the faults bit-exactly and land in
-//!   the `FaultLog` ledger.
+//!   runtime, whose halo and migration traffic is point-to-point;
+//!   retries must hide the faults bit-exactly and land in the `FaultLog`
+//!   ledger.
 //! * **p2p kill** — a rank dies mid-step under the decomposed runtime;
 //!   every rank must surface a `CommError` (never deadlock) and the
 //!   ledgers must record the kill and the survivor-side timeouts/retries.
@@ -28,9 +26,9 @@
 //!   scheduled re-cuts — final per-slot state must be bit-exact against
 //!   the fault-free run of the same schedule.
 //! * **chaos degrade** — repeated kills with no spares drive a 4-rank slab
-//!   run down the degradation ladder (slab → root-gather below the floor →
-//!   replicated at one survivor) with every transition ledgered and the
-//!   full particle population conserved exactly.
+//!   run down to one survivor (4 → 3 → 2 slab ranks → replicated) with
+//!   every transition ledgered and the full particle population conserved
+//!   exactly.
 //!
 //! Any mismatch or failed recovery exits nonzero, so check.sh can gate on
 //! it. Seeds are fixed: the scenarios are deterministic, not sampled.
@@ -42,18 +40,13 @@ use decomp::{
 use minimpi::{Comm, FaultPlan, TransportEventKind, World};
 use pic_core::faultlog::FaultKind;
 use pic_core::pool::chunk_range;
-use pic_core::resilience::{run_resilient_distributed, DistConfig};
 use pic_core::sim::{PicConfig, Simulation};
 use pic_core::PicError;
 use sfc::Ordering;
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 const N: usize = 2_000;
 const STEPS: u64 = 6;
-// Lands in step 3's reduction, one step past the committed step-2
-// checkpoint (init 2 ops, checkpointed step 4 ops, plain step 2 ops).
-const KILL_OP: u64 = 13;
 
 fn workload(id: usize, ranks: usize) -> PicConfig {
     let per = N / ranks;
@@ -63,79 +56,6 @@ fn workload(id: usize, ranks: usize) -> PicConfig {
     cfg.sort_period = 0;
     cfg.keep_range = Some((id * per, (id + 1) * per));
     cfg
-}
-
-/// ρ per logical rank from a distributed run, merged across ranks.
-type RhoById = BTreeMap<usize, Vec<f64>>;
-
-fn merge(per_rank: Vec<RhoById>) -> RhoById {
-    let mut all = RhoById::new();
-    for m in per_rank {
-        for (id, rho) in m {
-            assert!(
-                all.insert(id, rho).is_none(),
-                "logical rank {id} hosted twice"
-            );
-        }
-    }
-    all
-}
-
-fn resilient_body(ranks: usize) -> impl Fn(&mut Comm) -> (bool, usize, RhoById) + Send + Sync {
-    move |comm| {
-        let make_cfg = move |id: usize| workload(id, ranks);
-        let rcfg = DistConfig {
-            checkpoint_every: 2,
-            max_recoveries: 2,
-            heartbeat_timeout: None,
-            recv_deadline: Some(Duration::from_secs(10)),
-        };
-        let out = run_resilient_distributed(comm, &make_cfg, STEPS, &rcfg).unwrap();
-        let rhos = out
-            .sims
-            .iter()
-            .map(|(id, sim)| (*id, sim.rho().to_vec()))
-            .collect();
-        (out.survivor, out.recoveries, rhos)
-    }
-}
-
-fn check_kill(ranks: usize) -> Result<(), PicError> {
-    let clean = merge(
-        World::run(ranks, resilient_body(ranks))
-            .into_iter()
-            .map(|(_, _, r)| r)
-            .collect(),
-    );
-    let plan = FaultPlan::new(0xD1E).kill_rank(ranks - 1, KILL_OP);
-    let outcomes = World::run_with_faults(ranks, plan, resilient_body(ranks));
-    let mut recovered = false;
-    for (rank, (survivor, recoveries, _)) in outcomes.iter().enumerate() {
-        if rank == ranks - 1 && *survivor {
-            return Err(PicError::Diverged(format!(
-                "kill@{ranks}: rank {rank} should have died"
-            )));
-        }
-        recovered |= *survivor && *recoveries > 0;
-    }
-    if !recovered {
-        return Err(PicError::Diverged(format!(
-            "kill@{ranks}: no survivor reported a recovery"
-        )));
-    }
-    let faulty = merge(outcomes.into_iter().map(|(_, _, r)| r).collect());
-    for (id, rho) in &clean {
-        if faulty.get(id) != Some(rho) {
-            return Err(PicError::Diverged(format!(
-                "kill@{ranks}: logical rank {id} diverged from the fault-free run"
-            )));
-        }
-    }
-    println!(
-        "  kill@{ranks}: recovered, {} logical ranks bit-exact",
-        clean.len()
-    );
-    Ok(())
 }
 
 fn lossy_body(ranks: usize) -> impl Fn(&mut Comm) -> Vec<f64> + Send + Sync {
@@ -517,8 +437,6 @@ fn main() -> std::process::ExitCode {
 fn run() -> Result<(), PicError> {
     println!("fault matrix ({N} particles, {STEPS} steps):");
     check_drop_corrupt()?;
-    check_kill(2)?;
-    check_kill(4)?;
     check_p2p_drop_corrupt()?;
     check_p2p_kill()?;
     check_a2a_drop_corrupt()?;

@@ -1,6 +1,6 @@
 //! Fault tolerance for the simulation runtime.
 //!
-//! Three mechanisms, usable separately or together:
+//! Two mechanisms, usable separately or together:
 //!
 //! * [`checkpoint`] — a versioned, checksummed binary snapshot format for
 //!   the full simulation state (particles, fields, RNG stream, step
@@ -14,23 +14,16 @@
 //!   either roll the simulation back to the last good checkpoint
 //!   ([`watchdog::run_resilient`]) or surface as a clean
 //!   [`PicError::Diverged`](crate::PicError::Diverged).
-//! * [`distributed`] — crash-fault tolerance for multi-rank runs:
-//!   coordinated buddy checkpointing over `minimpi`, failure detection,
-//!   ULFM-style communicator shrinking, and rollback recovery that keeps
-//!   the trajectory bit-exact against the fault-free run
-//!   ([`distributed::run_resilient_distributed`]).
 //!
+//! Surviving a killed rank is the decomposition layer's job
+//! (`decomp::elastic`), which replicates these snapshots to ring buddies.
 //! See `DESIGN.md` § "Resilience model" and § "Crash-fault model" for the
 //! formats and the threat model.
 
 pub mod checkpoint;
-pub mod distributed;
 pub mod watchdog;
 
 pub use checkpoint::{decode, encode, SimState, FORMAT_VERSION};
-pub use distributed::{
-    pack_snaps, run_resilient_distributed, unpack_snaps, DistConfig, DistOutcome,
-};
 pub use watchdog::{
     check_invariants, run_resilient, scan_violation, ResilientReport, WatchdogConfig,
     WatchdogViolation,

@@ -1,10 +1,9 @@
 //! Elastic recovery: rank rejoin, live re-partition, and graceful
 //! degradation under sustained faults.
 //!
-//! The crash-fault story so far only *shrinks*: a death costs a rank for
-//! the rest of the run, and the replicated runner's rollback machinery
-//! does not exist for the spatially decomposed path at all. This module
-//! closes both gaps with one runner:
+//! This is the one runner that survives a killed rank. Ring-buddy
+//! checkpoints, agreement on a rollback step and adoption of a dead
+//! slot's snapshot all live here, around three mechanisms:
 //!
 //! * **Rejoin.** Spare ranks park in [`minimpi::Comm::try_join`]; after a
 //!   shrink the surviving members vote one in
@@ -37,8 +36,7 @@ use minimpi::{Comm, CommError};
 use pic_core::faultlog::{FaultKind, FaultLog};
 use pic_core::particles::ParticlesSoA;
 use pic_core::resilience::checkpoint as ckpt;
-use pic_core::resilience::{pack_snaps, unpack_snaps};
-use pic_core::sim::PicConfig;
+use pic_core::sim::{DiagSample, PicConfig};
 use std::ops::Range;
 use std::time::Duration;
 
@@ -125,6 +123,9 @@ pub struct ElasticOutcome {
     pub ex_owned: Vec<f64>,
     /// E·y at [`owned_points`](Self::owned_points), in order.
     pub ey_owned: Vec<f64>,
+    /// The final slot's diagnostics history: one sample per step plus the
+    /// initial state, with any rolled-back steps truncated.
+    pub diag: Vec<DiagSample>,
     /// This rank's fault ledger (driver + runner events merged); merge the
     /// per-rank logs with [`FaultLog::merge`] for the whole story.
     pub log: FaultLog,
@@ -147,6 +148,7 @@ impl ElasticOutcome {
             rho_owned: Vec::new(),
             ex_owned: Vec::new(),
             ey_owned: Vec::new(),
+            diag: Vec::new(),
             log,
         }
     }
@@ -169,6 +171,30 @@ struct Ckpt {
     /// The ward's packed snapshot (ring predecessor in slot space), held
     /// in transport form and unpacked only if recovery needs it.
     buddy: Vec<f64>,
+}
+
+/// Pack one slot's snapshot into the f64 words it travels in between
+/// buddies: `[slot, nbytes, bytes eight per word (zero-padded)…]`.
+fn pack_snap(slot: usize, bytes: &[u8]) -> Vec<f64> {
+    let mut out = Vec::with_capacity(2 + bytes.len().div_ceil(8));
+    out.push(slot as f64);
+    out.push(bytes.len() as f64);
+    out.extend(bytes.chunks(8).map(|c| {
+        let mut word = [0u8; 8];
+        word[..c.len()].copy_from_slice(c);
+        f64::from_bits(u64::from_le_bytes(word))
+    }));
+    out
+}
+
+/// Inverse of [`pack_snap`]: the slot and the snapshot bytes.
+fn unpack_snap(payload: &[f64]) -> (usize, Vec<u8>) {
+    let mut bytes: Vec<u8> = payload[2..]
+        .iter()
+        .flat_map(|w| w.to_bits().to_le_bytes())
+        .collect();
+    bytes.truncate(payload[1] as usize);
+    (payload[0] as usize, bytes)
 }
 
 struct LoopState {
@@ -217,7 +243,7 @@ fn boundary_cycle(
             // of slot (s+1) mod n, so recovery can locate a dead slot's
             // copy from the checkpoint-time topology alone.
             let tag = ECKPT_TAG + (comm.epoch() << 24) + st.step;
-            let payload = pack_snaps(&[(my_slot, own.clone())]);
+            let payload = pack_snap(my_slot, &own);
             comm.try_send(slot_owner[(my_slot + 1) % n], tag, &payload)?;
             let got = comm.try_recv_group(slot_owner[(my_slot + n - 1) % n], tag)?;
             st.log.record(
@@ -407,10 +433,7 @@ fn recover(
         .iter()
         .filter(|&&s| holder(s) == rank)
         .map(|&s| {
-            let snaps = unpack_snaps(&ck.buddy);
-            let (id, bytes) = snaps.into_iter().next().ok_or_else(|| {
-                DecompError::Config(format!("empty buddy payload while recovering slot {s}"))
-            })?;
+            let (id, bytes) = unpack_snap(&ck.buddy);
             if id != s {
                 return Err(DecompError::Config(format!(
                     "buddy payload holds slot {id}, expected orphan slot {s}"
@@ -429,6 +452,13 @@ fn recover(
     );
     for (s, bytes) in &orphan_injections {
         drv.inject_snapshot(*s, bytes)?;
+        st.log.record(
+            agreed,
+            rank,
+            comm.op_count(),
+            FaultKind::Restore,
+            format!("injected orphan slot {s} from its buddy snapshot"),
+        );
     }
 
     if orphans.is_empty() {
@@ -569,6 +599,7 @@ fn member_loop(
         rho_owned,
         ex_owned,
         ey_owned,
+        diag: state.diag,
         log,
     })
 }
@@ -703,12 +734,8 @@ pub fn run_elastic_spare(
 
     // Receive the adopted slot's snapshot from its checkpoint-time buddy.
     let htag = EREC_TAG + (comm.epoch() << 12) + 3;
-    let payload = comm.try_recv(old_hosts[(my_slot + 1) % old_n], htag)?;
-    let snaps = unpack_snaps(&payload);
-    let (id, snapshot) = snaps
-        .into_iter()
-        .next()
-        .ok_or_else(|| DecompError::Config("empty snapshot handoff payload".into()))?;
+    let holder = old_hosts[(my_slot + 1) % old_n];
+    let (id, snapshot) = unpack_snap(&comm.try_recv(holder, htag)?);
     if id != my_slot {
         return Err(DecompError::Config(format!(
             "snapshot handoff holds slot {id}, expected {my_slot}"
@@ -730,6 +757,13 @@ pub fn run_elastic_spare(
         recuts: 0,
         log: FaultLog::new(),
     };
+    st.log.record(
+        agreed,
+        rank,
+        comm.op_count(),
+        FaultKind::Restore,
+        format!("adopted slot {my_slot} from its buddy on rank {holder}"),
+    );
     if !orphans.is_empty() {
         let group = comm.group().to_vec();
         let new_my_slot = group
@@ -741,4 +775,20 @@ pub fn run_elastic_spare(
     }
     st.log.ingest_transport(agreed, comm.take_events());
     member_loop(comm, drv, ecfg, nsteps, st)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn snapshot_packing_roundtrips() {
+        for bytes in [
+            vec![1u8, 2, 3, 4, 5, 6, 7, 8, 9],
+            (0..=255u8).collect::<Vec<u8>>(),
+            Vec::new(),
+        ] {
+            assert_eq!(unpack_snap(&pack_snap(3, &bytes)), (3, bytes));
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! Integration of the spatial decomposition with the PIC loop: a sharded
 //! run — each rank owning a contiguous SFC range of cells, halo-exchanging
-//! partial ρ, receiving its subdomain's E from the root's global solve, and
+//! partial ρ, solving for E in the slab-distributed spectral solve, and
 //! migrating boundary-crossing particles — must reproduce the serial
 //! trajectory within floating-point summation noise, and must conserve the
 //! global particle count exactly.

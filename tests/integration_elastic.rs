@@ -1,18 +1,19 @@
 //! Elastic recovery end to end: a rank dies mid-run, a spare is admitted
 //! into its slot, the group rolls back and replays — and the final state
-//! is bit-exact against the fault-free run of the same schedule. With no
-//! spares available, sustained kills degrade the run gracefully (fewer
-//! slots, replicated at one survivor) while conserving the particle
-//! population exactly, with every transition ledgered. When more ranks die
-//! at once than spares wait, the spare adopts one slot and the rest are
-//! re-cut away.
+//! (particles, ρ, E and the diagnostics history) is bit-exact against the
+//! fault-free run of the same schedule, at two and at four ranks. A
+//! one-rank run is the plain simulation. With no spares available,
+//! sustained kills degrade the run gracefully (fewer slots, replicated at
+//! one survivor) while conserving the particle population exactly, with
+//! every transition ledgered. When more ranks die at once than spares
+//! wait, the spare adopts one slot and the rest are re-cut away.
 
 use pic2d::decomp::{
     run_elastic_member, run_elastic_spare, DecompConfig, ElasticConfig, ElasticOutcome,
 };
 use pic2d::minimpi::{FaultPlan, World};
 use pic2d::pic_core::faultlog::{FaultKind, FaultLog};
-use pic2d::pic_core::sim::PicConfig;
+use pic2d::pic_core::sim::{DiagSample, PicConfig, Simulation};
 use pic2d::sfc::Ordering;
 use std::time::Duration;
 
@@ -50,8 +51,13 @@ fn ecfg() -> ElasticConfig {
     }
 }
 
-fn run_world(ord: Ordering, spares: usize, plan: Option<FaultPlan>) -> Vec<ElasticOutcome> {
-    World::run_elastic(ACTIVE, spares, plan, move |comm| {
+fn run_world(
+    ord: Ordering,
+    active: usize,
+    spares: usize,
+    plan: Option<FaultPlan>,
+) -> Vec<ElasticOutcome> {
+    World::run_elastic(active, spares, plan, move |comm| {
         let e = ecfg();
         if comm.is_member() {
             run_elastic_member(comm, cfg(ord), dcfg(), &e, STEPS).unwrap()
@@ -75,73 +81,159 @@ fn by_slot(outs: &[ElasticOutcome], slot: usize) -> &ElasticOutcome {
         .unwrap_or_else(|| panic!("no survivor hosts slot {slot}"))
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn diag_bits(d: &[DiagSample]) -> Vec<[u64; 4]> {
+    d.iter()
+        .map(|s| {
+            [
+                s.time.to_bits(),
+                s.kinetic.to_bits(),
+                s.field.to_bits(),
+                s.ex_mode.to_bits(),
+            ]
+        })
+        .collect()
+}
+
 #[test]
 fn kill_then_rejoin_replays_bit_exact() {
-    for ord in [Ordering::Morton, Ordering::Hilbert] {
-        // Fault-free baseline of the identical schedule (same loop,
-        // same checkpoint and re-cut cadence, no spares needed).
-        let base = run_world(ord, 0, None);
-        assert!(base.iter().all(|o| o.survivor && o.recoveries == 0));
+    for active in [2, ACTIVE] {
+        for ord in [Ordering::Morton, Ordering::Hilbert] {
+            kill_then_rejoin(ord, active);
+        }
+    }
+}
 
-        // Same run, but rank 2 is killed mid-flight and one spare
-        // (world rank 4) waits in the admission queue.
-        let plan = FaultPlan::new(7).kill_rank(2, 40);
-        let outs = run_world(ord, 1, Some(plan));
+fn kill_then_rejoin(ord: Ordering, active: usize) {
+    let tag = format!("{active} ranks, {ord}");
+    // Fault-free baseline of the identical schedule (same loop, same
+    // checkpoint and re-cut cadence, no spares needed).
+    let base = run_world(ord, active, 0, None);
+    assert!(base.iter().all(|o| o.survivor && o.recoveries == 0));
 
-        let dead = &outs[2];
-        assert!(!dead.survivor, "{ord}: rank 2 should be dead");
-        let joiner = &outs[4];
-        assert!(
-            joiner.joined && joiner.survivor,
-            "{ord}: spare was not admitted"
+    // Same run, but a middle rank is killed mid-flight and one spare
+    // (world rank `active`) waits in the admission queue.
+    let victim = active / 2;
+    let plan = FaultPlan::new(7).kill_rank(victim, 40);
+    let outs = run_world(ord, active, 1, Some(plan));
+
+    assert!(
+        !outs[victim].survivor,
+        "{tag}: rank {victim} should be dead"
+    );
+    let joiner = &outs[active];
+    assert!(
+        joiner.joined && joiner.survivor,
+        "{tag}: spare was not admitted"
+    );
+    assert_eq!(
+        joiner.slot,
+        Some(victim),
+        "{tag}: joiner should adopt the dead rank's slot"
+    );
+
+    // Every slot's final state — particle arrays in their deterministic
+    // slot order, ρ/E at the owned points, and the diagnostics history —
+    // must be bitwise identical to the fault-free run's. A rollback that
+    // failed to truncate the history would leave extra samples.
+    for slot in 0..active {
+        let b = by_slot(&base, slot);
+        let f = by_slot(&outs, slot);
+        assert_eq!(b.steps, STEPS);
+        assert_eq!(f.steps, STEPS);
+        assert_eq!(
+            b.owned_points, f.owned_points,
+            "{tag} slot {slot}: partitions diverged"
         );
         assert_eq!(
-            joiner.slot,
-            Some(2),
-            "{ord}: joiner should adopt the dead rank's slot"
+            b.particles, f.particles,
+            "{tag} slot {slot}: particle state diverged"
         );
-
-        // Every slot's final state — particle arrays in their
-        // deterministic slot order, and ρ/E at the owned points —
-        // must be bitwise identical to the fault-free run's.
-        for slot in 0..ACTIVE {
-            let b = by_slot(&base, slot);
-            let f = by_slot(&outs, slot);
-            assert_eq!(b.steps, STEPS);
-            assert_eq!(f.steps, STEPS);
-            assert_eq!(
-                b.owned_points, f.owned_points,
-                "{ord} slot {slot}: partitions diverged"
-            );
-            assert_eq!(
-                b.particles, f.particles,
-                "{ord} slot {slot}: particle state diverged"
-            );
-            assert_eq!(b.rho_owned, f.rho_owned, "{ord} slot {slot}: rho diverged");
-            assert_eq!(b.ex_owned, f.ex_owned, "{ord} slot {slot}: Ex diverged");
-            assert_eq!(b.ey_owned, f.ey_owned, "{ord} slot {slot}: Ey diverged");
-        }
-
-        // The whole episode is ledgered in causal order.
-        let log = merged_log(&outs);
-        assert!(
-            log.has_sequence(&[
-                FaultKind::Kill,
-                FaultKind::Shrink,
-                FaultKind::Join,
-                FaultKind::Rollback,
-            ]),
-            "{ord}: missing kill → shrink → join → rollback sequence"
+        assert_eq!(
+            bits(&b.rho_owned),
+            bits(&f.rho_owned),
+            "{tag} slot {slot}: rho diverged"
         );
-        let survivors: Vec<&ElasticOutcome> = outs
-            .iter()
-            .filter(|o| o.survivor && o.slot.is_some())
-            .collect();
-        assert_eq!(survivors.len(), ACTIVE, "{ord}: group not restored");
-        assert!(survivors.iter().all(|o| o.recoveries == 1 || o.joined));
-        // Particle conservation: the slots tile the population.
-        let total: usize = survivors.iter().map(|o| o.particles.len()).sum();
-        assert_eq!(total, N, "{ord}: particles lost in recovery");
+        assert_eq!(
+            bits(&b.ex_owned),
+            bits(&f.ex_owned),
+            "{tag} slot {slot}: Ex diverged"
+        );
+        assert_eq!(
+            bits(&b.ey_owned),
+            bits(&f.ey_owned),
+            "{tag} slot {slot}: Ey diverged"
+        );
+        assert_eq!(b.diag.len(), STEPS as usize + 1, "{tag} slot {slot}");
+        assert_eq!(
+            diag_bits(&b.diag),
+            diag_bits(&f.diag),
+            "{tag} slot {slot}: diagnostics history diverged"
+        );
+    }
+
+    // The whole episode is ledgered in causal order, with the buddy
+    // checkpoints and the joiner's restore from its buddy's copy.
+    let log = merged_log(&outs);
+    assert!(
+        log.has_sequence(&[
+            FaultKind::Kill,
+            FaultKind::Detect,
+            FaultKind::Shrink,
+            FaultKind::Join,
+            FaultKind::Rollback,
+        ]),
+        "{tag}: ledger must order kill -> detect -> shrink -> join -> rollback:\n{}",
+        log.to_json()
+    );
+    assert!(log.count(FaultKind::Checkpoint) > 0, "{tag}");
+    assert!(log.count(FaultKind::BuddyStore) > 0, "{tag}");
+    assert!(
+        log.count(FaultKind::Restore) > 0,
+        "{tag}: buddy restore logged"
+    );
+    // The dump is parseable JSON in shape: array of flat objects.
+    let json = log.to_json();
+    assert!(json.trim_start().starts_with('['));
+    assert!(json.contains("\"kind\": \"kill\""));
+    assert!(json.contains("\"kind\": \"shrink\""));
+
+    let survivors: Vec<&ElasticOutcome> = outs
+        .iter()
+        .filter(|o| o.survivor && o.slot.is_some())
+        .collect();
+    assert_eq!(survivors.len(), active, "{tag}: group not restored");
+    assert!(survivors.iter().all(|o| o.recoveries == 1 || o.joined));
+    // Particle conservation: the slots tile the population.
+    let total: usize = survivors.iter().map(|o| o.particles.len()).sum();
+    assert_eq!(total, N, "{tag}: particles lost in recovery");
+}
+
+#[test]
+fn one_rank_elastic_run_is_the_plain_simulation() {
+    // One member and no spare: the runner's checkpoints and scheduled
+    // re-cuts must leave the trajectory of a plain `Simulation::run`
+    // untouched, bit for bit.
+    for ord in [Ordering::Morton, Ordering::Hilbert] {
+        let out = run_world(ord, 1, 0, None).remove(0);
+        let mut plain = Simulation::new(cfg(ord)).unwrap();
+        plain.run(STEPS as usize);
+
+        assert_eq!(out.steps, STEPS);
+        assert_eq!(out.owned_points, (0..32 * 32).collect::<Vec<_>>());
+        assert_eq!(&out.particles, plain.particles(), "{ord}: particles");
+        let (ex, ey) = plain.e_field();
+        assert_eq!(bits(&out.rho_owned), bits(plain.rho()), "{ord}: rho");
+        assert_eq!(bits(&out.ex_owned), bits(ex), "{ord}: Ex");
+        assert_eq!(bits(&out.ey_owned), bits(ey), "{ord}: Ey");
+        assert_eq!(
+            diag_bits(&out.diag),
+            diag_bits(&plain.diagnostics().history),
+            "{ord}: diagnostics history"
+        );
     }
 }
 
@@ -236,12 +328,18 @@ fn two_kills_one_spare_adopts_one_slot_and_recuts_the_orphan() {
     //
     // Both die at op 36, the step-2 checkpoint send (every rank runs the
     // same 16 ops per step up to the first re-cut). Whether both deaths
-    // land in one shrink is up to the thread scheduler: a survivor that
-    // notices the first death before the second rank reaches its op 36
-    // agrees on a different dead set than the other survivor, and
-    // `Comm::shrink` does not reconcile the two, so that run errors out.
-    // Such a run is discarded and the world run again; every assertion
-    // below holds on the run that completes.
+    // land in one shrink is up to the thread scheduler, and a run where
+    // they do not errors out in one of two ways:
+    // - the second death is seen only after the first shrink committed,
+    //   inside `recover`'s own collectives, and `recover` returns that
+    //   error instead of recovering again ("rank 3 detected as failed" on
+    //   rank 0 and the spare);
+    // - rank 0 reports "peer inbox disconnected" while rank 2 times out
+    //   waiting on it.
+    // `Comm::shrink` is not the cause: a shrink that commits only on
+    // unanimous votes errors as often, with the same signatures. Such a
+    // run is discarded and the world run again; every assertion below
+    // holds on the run that completes.
     let ord = Ordering::Morton;
     let outs = (0..TWO_KILL_ATTEMPTS)
         .find_map(|_| {

@@ -3,14 +3,10 @@
 //! checking, and the invariant watchdog.
 
 use pic2d::minimpi::{CommError, FaultPlan, World};
-use pic2d::pic_core::faultlog::{FaultKind, FaultLog};
 use pic2d::pic_core::resilience::checkpoint::snapshot_hash;
-use pic2d::pic_core::resilience::{
-    run_resilient, run_resilient_distributed, DistConfig, WatchdogConfig,
-};
+use pic2d::pic_core::resilience::{run_resilient, WatchdogConfig};
 use pic2d::pic_core::sim::{PicConfig, Simulation};
 use pic2d::pic_core::PicError;
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 fn cfg(n: usize) -> PicConfig {
@@ -190,163 +186,6 @@ fn corrupted_snapshots_are_rejected() {
     let mut twin = Simulation::new(cfg(500)).unwrap();
     twin.run(2);
     assert_eq!(sim.rho(), twin.rho());
-}
-
-// ---------------- crash faults: kill, shrink, buddy recovery ----------------
-
-/// Per-logical-rank results: deposited ρ plus the full diagnostics history.
-type LogicalResults = BTreeMap<usize, (Vec<f64>, Vec<(f64, f64, f64, f64)>)>;
-
-/// Run `steps` of the distributed resilient runner on `ranks` ranks,
-/// optionally under a fault plan, and collect every rank's outcome.
-fn run_distributed(
-    n: usize,
-    steps: u64,
-    ranks: usize,
-    plan: Option<FaultPlan>,
-) -> Vec<(bool, usize, LogicalResults, FaultLog)> {
-    let body = move |comm: &mut pic2d::minimpi::Comm| {
-        let per = n / ranks;
-        let make_cfg = move |id: usize| {
-            let mut c = cfg(n);
-            c.keep_range = Some((id * per, (id + 1) * per));
-            c
-        };
-        let rcfg = DistConfig {
-            checkpoint_every: 2,
-            max_recoveries: 2,
-            heartbeat_timeout: None,
-            recv_deadline: Some(Duration::from_secs(10)),
-        };
-        let out = run_resilient_distributed(comm, &make_cfg, steps, &rcfg).unwrap();
-        let results: LogicalResults = out
-            .sims
-            .iter()
-            .map(|(id, sim)| {
-                let hist = sim
-                    .diagnostics()
-                    .history
-                    .iter()
-                    .map(|d| (d.time, d.kinetic, d.field, d.ex_mode))
-                    .collect();
-                (*id, (sim.rho().to_vec(), hist))
-            })
-            .collect();
-        (out.survivor, out.recoveries, results, out.log)
-    };
-    match plan {
-        Some(p) => World::run_with_faults(ranks, p, body),
-        None => World::run(ranks, body),
-    }
-}
-
-fn merge_logical(outs: &[(bool, usize, LogicalResults, FaultLog)]) -> LogicalResults {
-    let mut all = LogicalResults::new();
-    for (_, _, results, _) in outs {
-        for (id, v) in results {
-            assert!(
-                all.insert(*id, v.clone()).is_none(),
-                "logical rank {id} hosted twice"
-            );
-        }
-    }
-    all
-}
-
-/// The acceptance scenario, swept over {1, 2, 4 ranks}. For multi-rank runs the
-/// last rank is killed mid-run; the survivors must detect it, shrink,
-/// restore the dead rank's slice from the buddy checkpoint, and finish with
-/// ρ and diagnostics bit-exactly equal to the fault-free run. The 1-rank
-/// run instead checks the runner degenerates to a plain simulation.
-#[test]
-fn crash_recovery_matrix_is_bit_exact() {
-    let n = 1_200;
-    let steps = 6u64;
-    // Per-rank op schedule (checkpoint every 2 steps): init 2 ops, then
-    // 4 ops per checkpointed step and 2 per plain step — op 13 lands in
-    // step 3's reduction, one step past the committed step-2 checkpoint.
-    let kill_op = 13;
-    // 1 rank: distributed runner ≡ plain simulation, bitwise.
-    let solo = run_distributed(n, steps, 1, None);
-    assert!(solo[0].0, "solo run survives");
-    let solo_results = merge_logical(&solo);
-    let mut c = cfg(n);
-    c.keep_range = Some((0, n));
-    let mut plain = Simulation::new(c).unwrap();
-    plain.run(steps as usize);
-    assert_eq!(
-        solo_results[&0].0,
-        plain.rho(),
-        "1-rank distributed run must equal the plain simulation"
-    );
-
-    for ranks in [2usize, 4] {
-        let clean = run_distributed(n, steps, ranks, None);
-        assert!(clean.iter().all(|o| o.0), "{ranks} ranks: all survive");
-        let clean_results = merge_logical(&clean);
-        assert_eq!(clean_results.len(), ranks);
-
-        let plan = FaultPlan::new(0xD1E).kill_rank(ranks - 1, kill_op);
-        let faulty = run_distributed(n, steps, ranks, Some(plan));
-        assert!(
-            !faulty[ranks - 1].0,
-            "{ranks} ranks: killed rank reports non-survivor"
-        );
-        assert!(
-            faulty[..ranks - 1].iter().all(|o| o.0),
-            "{ranks} ranks: survivors finish"
-        );
-        assert!(
-            faulty.iter().any(|o| o.1 >= 1),
-            "{ranks} ranks: at least one recovery happened"
-        );
-        let faulty_results = merge_logical(&faulty);
-        assert_eq!(
-            faulty_results.len(),
-            ranks,
-            "{ranks} ranks: every logical rank hosted after recovery"
-        );
-        for id in 0..ranks {
-            assert_eq!(
-                faulty_results[&id].0, clean_results[&id].0,
-                "{ranks} ranks: logical rank {id} ρ bit-exact after recovery"
-            );
-            assert_eq!(
-                faulty_results[&id].1, clean_results[&id].1,
-                "{ranks} ranks: logical rank {id} diagnostics history bit-exact"
-            );
-        }
-    }
-}
-
-/// The fault-event ledger must record the full causal story of a rank
-/// death: kill → detect → shrink → rollback, in that order.
-#[test]
-fn ledger_records_kill_detect_shrink_rollback() {
-    let plan = FaultPlan::new(0xBEEF).kill_rank(3, 13);
-    let outs = run_distributed(1_200, 6, 4, Some(plan));
-    let mut merged = FaultLog::new();
-    for (_, _, _, log) in outs {
-        merged.merge(log);
-    }
-    assert!(
-        merged.has_sequence(&[
-            FaultKind::Kill,
-            FaultKind::Detect,
-            FaultKind::Shrink,
-            FaultKind::Rollback,
-        ]),
-        "ledger must order kill -> detect -> shrink -> rollback:\n{}",
-        merged.to_json()
-    );
-    assert!(merged.count(FaultKind::Checkpoint) > 0);
-    assert!(merged.count(FaultKind::BuddyStore) > 0);
-    assert!(merged.count(FaultKind::Restore) > 0, "buddy restore logged");
-    // The dump is parseable JSON in shape: array of flat objects.
-    let json = merged.to_json();
-    assert!(json.trim_start().starts_with('['));
-    assert!(json.contains("\"kind\": \"kill\""));
-    assert!(json.contains("\"kind\": \"shrink\""));
 }
 
 // ---------------- checkpoint fingerprint ----------------
