@@ -31,13 +31,12 @@ use crate::fields::{Field2D, RedundantE, RedundantJ, RedundantRho};
 use crate::grid::Grid2D;
 use crate::kernels::boris::{boris_push_lanes, BorisCoeffs};
 use crate::kernels::deposit::{self, DepositPath};
-use crate::kernels::{accumulate, current, velocity, SoaViewMut};
+use crate::kernels::{accumulate, current, simd, SoaViewMut};
 use crate::particles::InitialDistribution;
-use crate::pass::{store_speed_sq, strip_pass, StripKernels};
+use crate::pass::{for_each_strip, store_speed_sq, strip_pass, StripKernels};
 use crate::pool::ThreadPool;
 use crate::resilience::checkpoint::{self as ckpt, EmSpeciesState, EmState};
 use crate::resilience::watchdog::{WatchdogConfig, WatchdogViolation};
-use crate::rng::Rng;
 use crate::sim::{AnyLayout, DiagSample, Diagnostics, KernelPath, PhaseTimes};
 use crate::species::{species_moments, SpeciesArena, SpeciesDef, SpeciesMoments};
 use crate::PicError;
@@ -77,8 +76,8 @@ pub struct EmConfig {
     /// RNG seed.
     pub seed: u64,
     /// Replicated-decomposition slice `(rank, nranks)`: every rank samples
-    /// the full population deterministically but keeps only its contiguous
-    /// `1/nranks` of *each* species; the per-step ρ/J reductions
+    /// only its contiguous `1/nranks` of *each* species' deterministic
+    /// population; the per-step ρ/J reductions
     /// ([`EmSimulation::step_with_reduce`]) restore the global densities.
     pub replica: Option<(usize, usize)>,
     /// Online sort-cadence control ([`crate::control`]) — same semantics
@@ -345,7 +344,6 @@ pub struct EmSimulation {
     pool: Option<Arc<ThreadPool>>,
     step_count: usize,
     diag: Diagnostics,
-    rng: Rng,
     charge_ref: f64,
     solve_scratch: SolveScratch,
     /// Online adaptive controller (present when `cfg.controller` is set).
@@ -437,7 +435,6 @@ impl EmSimulation {
         sim.field.ex.copy_from_slice(&state.ex);
         sim.field.ey.copy_from_slice(&state.ey);
         sim.step_count = state.step_count as usize;
-        sim.rng = Rng::from_state(state.rng_state);
         sim.charge_ref = state.charge_ref;
         sim.diag = Diagnostics {
             history: state.diag,
@@ -495,7 +492,6 @@ impl EmSimulation {
             pool,
             step_count: 0,
             diag: Diagnostics::default(),
-            rng: Rng::seed_from_u64(cfg.seed),
             charge_ref: 0.0,
             solve_scratch: SolveScratch::new(),
             controller,
@@ -508,13 +504,15 @@ impl EmSimulation {
         let defs = sim.cfg.species.clone();
         let replica = sim.cfg.replica;
         let ncells = sim.layout.as_dyn().ncells();
-        for def in defs {
+        for (index, def) in defs.into_iter().enumerate() {
             let mut arena = SpeciesArena::initialize(
                 def,
                 &sim.grid,
                 sim.layout.as_dyn(),
-                &mut sim.rng,
+                sim.cfg.seed,
+                index,
                 replica,
+                sim.pool.as_deref(),
             );
             arena.sort(ncells, sim.pool.as_deref());
             sim.species.push(arena);
@@ -530,20 +528,16 @@ impl EmSimulation {
 
         // Leap-frog half-kick back, per species: v(−Δt/2) = v(0) −
         // (q/m)·E(x₀)·Δt/2. Ez = 0 so vz is untouched; B contributes no
-        // impulse at t = 0 in the Boris stagger.
-        for si in 0..sim.species.len() {
-            let c = -0.5 * sim.species[si].def.charge * sim.cfg.dt / sim.species[si].def.mass;
-            let arena = &mut sim.species[si];
-            velocity::update_velocities_redundant(
-                &arena.p.icell,
-                &arena.p.dx,
-                &arena.p.dy,
-                &mut arena.p.vx,
-                &mut arena.p.vy,
-                &sim.e8.e8,
-                c,
-                c,
-            );
+        // impulse at t = 0 in the Boris stagger. One lane pass per species
+        // over the pool.
+        let pool = sim.pool.as_deref();
+        for arena in &mut sim.species {
+            let c = -0.5 * arena.def.charge * sim.cfg.dt / arena.def.mass;
+            let e8 = &sim.e8.e8;
+            let kick = |v: &mut SoaViewMut<'_>| {
+                simd::update_velocities_redundant_lanes(v.icell, v.dx, v.dy, v.vx, v.vy, e8, c, c)
+            };
+            for_each_strip(&mut arena.p, &mut [], pool, &kick);
         }
         sim.record_diag();
         Ok(sim)
@@ -872,7 +866,7 @@ impl EmSimulation {
         let state = EmState {
             config_fingerprint: ckpt::em_config_fingerprint(&self.cfg),
             step_count: self.step_count as u64,
-            rng_state: self.rng.state(),
+            rng_state: [0; 4],
             charge_ref: self.charge_ref,
             hot_path: ckpt::HotPathMeta {
                 deposit_path: self.cfg.deposit_path,
@@ -963,7 +957,6 @@ impl EmSimulation {
         self.jy.copy_from_slice(&state.jy);
         self.jz.copy_from_slice(&state.jz);
         self.step_count = state.step_count as usize;
-        self.rng = Rng::from_state(state.rng_state);
         self.charge_ref = state.charge_ref;
         self.diag = Diagnostics {
             history: state.diag,

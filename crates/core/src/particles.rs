@@ -10,16 +10,25 @@
 //! Velocities are stored in *grid units per time step* when the coefficient
 //! hoisting of §IV-D is enabled (`v_stored = v_phys·Δt/Δx`), or in physical
 //! units otherwise; [`crate::sim::Simulation`] owns that convention.
+//!
+//! Every initial population comes from one [`Loader`]: fixed chunks of
+//! [`CHUNK`] particles, each drawn from its own xoshiro stream keyed by
+//! `(seed, species, chunk)`. Particle `i` is therefore a pure function of
+//! `(seed, species, i)` — the same at every pool width, and addressable by
+//! index or cell range without sampling the rest of the population.
 
 use crate::grid::Grid2D;
-use crate::rng::Rng;
+use crate::kernels::{split_soa_mut_into, SoaViewMut};
+use crate::pool::{chunk_range, ThreadPool};
+use crate::rng::{hash_words, Rng};
 use sfc::CellLayout;
+use std::ops::Range;
 
 /// Structure-of-Arrays storage (the layout that vectorizes, §IV-C1).
 ///
 /// **Invariant:** every particle satisfies
 /// `icell[i] == layout.encode(ix[i], iy[i])` under the store's active
-/// layout. [`initialize_with_rng`] and [`reencode`] establish it, every
+/// layout. [`Loader`] and [`reencode`] establish it, every
 /// push kernel rewrites all three together, and migration moves whole
 /// particles, so it holds at every step boundary. The out-of-place sort
 /// ([`crate::sort`]) relies on it: `ix`/`iy` are functions of the sort key,
@@ -53,6 +62,17 @@ impl ParticlesSoA {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.icell.is_empty()
+    }
+
+    /// Append a copy of every particle of `other`.
+    pub(crate) fn append(&mut self, other: &ParticlesSoA) {
+        self.icell.extend_from_slice(&other.icell);
+        self.ix.extend_from_slice(&other.ix);
+        self.iy.extend_from_slice(&other.iy);
+        self.dx.extend_from_slice(&other.dx);
+        self.dy.extend_from_slice(&other.dy);
+        self.vx.extend_from_slice(&other.vx);
+        self.vy.extend_from_slice(&other.vy);
     }
 
     /// Allocate `n` zeroed particles.
@@ -125,6 +145,13 @@ impl InitialDistribution {
     }
 }
 
+/// Particles per sampling chunk. Chunk `c` holds particles
+/// `c·CHUNK .. (c + 1)·CHUNK` and draws them from its own xoshiro stream,
+/// seeded by `hash_words(seed, [species, c])`, so a chunk can be sampled
+/// on any worker and any range of the population without the chunks
+/// before it.
+pub const CHUNK: usize = 65_536;
+
 /// Rejection-sample x in `[0, lx)` with density `∝ 1 + α cos(k x)`.
 fn sample_perturbed_x(rng: &mut Rng, lx: f64, alpha: f64, k: f64) -> f64 {
     debug_assert!(alpha.abs() <= 1.0);
@@ -137,9 +164,285 @@ fn sample_perturbed_x(rng: &mut Rng, lx: f64, alpha: f64, k: f64) -> f64 {
     }
 }
 
+/// A seeded particle population: `n` particles of `dist` on `grid`,
+/// positions encoded under `layout`, velocities in *physical* units.
+///
+/// **Determinism.** Particle `i` is a pure function of `(seed, species,
+/// i)`: it is the `i mod CHUNK`-th draw sequence of chunk `i / CHUNK`'s
+/// stream ([`CHUNK`]). A load is therefore bit-identical at every pool
+/// width, and any index range or cell range of the population equals the
+/// matching part of a full load — which is how a replicated rank samples
+/// only its own share and a decomposed rank only its own cells.
+///
+/// Each particle draws, in order: x (rejection-sampled when the density is
+/// perturbed), y, the beam sign (two-stream only) and one Box–Muller pair
+/// for (vx, vy). A 2d3v species draws `vz` — the cosine half of one more
+/// pair — from a second stream per chunk, `hash_words(seed, [species, c,
+/// 1])`, so its in-plane columns are those of the 2d2v population with
+/// the same seed and species.
+#[derive(Clone, Copy)]
+pub struct Loader<'a> {
+    grid: &'a Grid2D,
+    layout: &'a dyn CellLayout,
+    dist: InitialDistribution,
+    n: usize,
+    seed: u64,
+    species: u64,
+    vz: bool,
+}
+
+impl<'a> Loader<'a> {
+    /// The population of species 0, without `vz`.
+    pub fn new(
+        grid: &'a Grid2D,
+        layout: &'a dyn CellLayout,
+        dist: InitialDistribution,
+        n: usize,
+        seed: u64,
+    ) -> Self {
+        Self {
+            grid,
+            layout,
+            dist,
+            n,
+            seed,
+            species: 0,
+            vz: false,
+        }
+    }
+
+    /// Species `index` of a multi-species run, with an out-of-plane `vz`
+    /// column sampled at the distribution's thermal spread.
+    pub fn species(self, index: usize) -> Self {
+        Self {
+            species: index as u64,
+            vz: true,
+            ..self
+        }
+    }
+
+    /// Sample the particles with index in `range` and, if `cells` is set,
+    /// an initial cell index in `cells`, in index order — on `pool`, one
+    /// contiguous run of chunks per worker. Returns the store and its `vz`
+    /// column (empty without [`species`](Self::species)).
+    pub fn load(
+        &self,
+        range: Range<usize>,
+        cells: Option<Range<u32>>,
+        pool: Option<&ThreadPool>,
+    ) -> (ParticlesSoA, Vec<f64>) {
+        assert!(range.start <= range.end && range.end <= self.n);
+        let shares = self.worker_shares(&range, pool);
+        match cells {
+            // Known size: every worker writes its own slice of the columns
+            // in place, so each first-touches the pages it fills.
+            None => {
+                let len = range.len();
+                let mut p = ParticlesSoA::zeroed(len);
+                let mut vz = vec![0.0; if self.vz { len } else { 0 }];
+                let mut whole = [None];
+                split_soa_mut_into(&mut p, &mut vz, 1, &mut whole);
+                let mut rest = whole[0].take().expect("one view");
+                let first = |c: usize| (c * CHUNK).clamp(range.start, range.end);
+                let mut items = Vec::with_capacity(shares.len());
+                for chunks in shares {
+                    let (a, b) = (first(chunks.start), first(chunks.end));
+                    let (head, tail) = rest.split_at(b - a);
+                    rest = tail;
+                    items.push((chunks, a, head));
+                }
+                run_workers(pool, &mut items, |(chunks, first, view)| {
+                    for c in chunks.clone() {
+                        self.sample_chunk(c, &range, |i, q| q.write(view, i - *first));
+                    }
+                });
+                (p, vz)
+            }
+            // Unknown size: each worker appends what passes the filter, and
+            // the runs are joined in worker (index) order.
+            Some(cells) => {
+                let mut items: Vec<_> = shares
+                    .into_iter()
+                    .map(|chunks| (chunks, ParticlesSoA::default(), Vec::new()))
+                    .collect();
+                run_workers(pool, &mut items, |(chunks, p, vz)| {
+                    for c in chunks.clone() {
+                        self.sample_chunk(c, &range, |_, q| {
+                            if cells.contains(&q.icell) {
+                                q.push(p);
+                                if self.vz {
+                                    vz.push(q.vz);
+                                }
+                            }
+                        });
+                    }
+                });
+                let mut runs = items.into_iter().map(|(_, p, vz)| (p, vz));
+                let (mut p, mut vz) = runs.next().expect("at least one worker");
+                for (q, qz) in runs {
+                    p.append(&q);
+                    vz.extend_from_slice(&qz);
+                }
+                (p, vz)
+            }
+        }
+    }
+
+    /// Particles per cell of the whole population (`layout.ncells()`
+    /// entries) without storing it — the load histogram a weighted
+    /// partition cuts. Sampled on `pool` like [`load`](Self::load).
+    pub fn cell_counts(&self, pool: Option<&ThreadPool>) -> Vec<f64> {
+        let ncells = self.layout.ncells();
+        let range = 0..self.n;
+        let mut items: Vec<_> = self
+            .worker_shares(&range, pool)
+            .into_iter()
+            .map(|chunks| (chunks, vec![0.0f64; ncells]))
+            .collect();
+        run_workers(pool, &mut items, |(chunks, counts)| {
+            for c in chunks.clone() {
+                self.sample_chunk(c, &range, |_, q| counts[q.icell as usize] += 1.0);
+            }
+        });
+        let mut runs = items.into_iter().map(|(_, counts)| counts);
+        let mut total = runs.next().expect("at least one worker");
+        for counts in runs {
+            for (t, c) in total.iter_mut().zip(&counts) {
+                *t += c;
+            }
+        }
+        total
+    }
+
+    /// The chunks that overlap `range`, cut into one contiguous run per
+    /// worker of `pool` (one run without a pool).
+    fn worker_shares(&self, range: &Range<usize>, pool: Option<&ThreadPool>) -> Vec<Range<usize>> {
+        let (c0, c1) = (range.start / CHUNK, range.end.div_ceil(CHUNK));
+        let width = pool.map_or(1, ThreadPool::nthreads);
+        (0..width)
+            .map(|w| {
+                let (a, b) = chunk_range(c1 - c0, width, w);
+                c0 + a..c0 + b
+            })
+            .collect()
+    }
+
+    /// Sample chunk `c` from its own stream and hand every particle whose
+    /// index lies in `range` to `emit`. The draws before `range.start`
+    /// are made and dropped; sampling stops at `range.end`.
+    fn sample_chunk(&self, c: usize, range: &Range<usize>, mut emit: impl FnMut(usize, &Sampled)) {
+        let key = [self.species, c as u64, 1];
+        let mut rng = Rng::seed_from_u64(hash_words(self.seed, &key[..2]));
+        let mut vz_rng = self
+            .vz
+            .then(|| Rng::seed_from_u64(hash_words(self.seed, &key)));
+        let vt = self.dist.thermal_spread();
+        let first = c * CHUNK;
+        let last = ((c + 1) * CHUNK).min(range.end);
+        for i in first..last {
+            let mut q = self.sample(&mut rng);
+            if let Some(z) = vz_rng.as_mut() {
+                q.vz = vt * z.normal_pair().0;
+            }
+            if i >= range.start {
+                emit(i, &q);
+            }
+        }
+    }
+
+    /// One particle's draws (see the type's docs for their order).
+    #[inline]
+    fn sample(&self, rng: &mut Rng) -> Sampled {
+        let (grid, dist) = (self.grid, self.dist);
+        let x = match dist {
+            InitialDistribution::Landau { alpha, k }
+            | InitialDistribution::TwoStream { alpha, k, .. } => {
+                sample_perturbed_x(rng, grid.lx, alpha, k)
+            }
+            InitialDistribution::DriftingMaxwellian { alpha, k, .. } if alpha != 0.0 => {
+                sample_perturbed_x(rng, grid.lx, alpha, k)
+            }
+            _ => rng.range(0.0, grid.lx),
+        };
+        let y = rng.range(0.0, grid.ly);
+        let (vx, vy) = match dist {
+            InitialDistribution::Landau { .. } | InitialDistribution::Uniform => rng.normal_pair(),
+            InitialDistribution::TwoStream { v0, vt, .. } => {
+                let sign = if rng.coin() { 1.0 } else { -1.0 };
+                let (gx, gy) = rng.normal_pair();
+                (sign * v0 + vt * gx, vt * gy)
+            }
+            InitialDistribution::DriftingMaxwellian { v0x, vt, .. } => {
+                let (gx, gy) = rng.normal_pair();
+                (v0x + vt * gx, vt * gy)
+            }
+        };
+        let (cx, ox) = grid.split_x(grid.to_grid_x(x));
+        let (cy, oy) = grid.split_y(grid.to_grid_y(y));
+        Sampled {
+            icell: self.layout.encode(cx, cy) as u32,
+            ix: cx as u32,
+            iy: cy as u32,
+            dx: ox,
+            dy: oy,
+            vx,
+            vy,
+            vz: 0.0,
+        }
+    }
+}
+
+/// One sampled particle, on its way into a store.
+struct Sampled {
+    icell: u32,
+    ix: u32,
+    iy: u32,
+    dx: f64,
+    dy: f64,
+    vx: f64,
+    vy: f64,
+    vz: f64,
+}
+
+impl Sampled {
+    /// Write into slot `j` of `view` (and of its `vz`, when it has one).
+    #[inline]
+    fn write(&self, view: &mut SoaViewMut<'_>, j: usize) {
+        view.icell[j] = self.icell;
+        view.ix[j] = self.ix;
+        view.iy[j] = self.iy;
+        view.dx[j] = self.dx;
+        view.dy[j] = self.dy;
+        view.vx[j] = self.vx;
+        view.vy[j] = self.vy;
+        if let Some(z) = view.vz.get_mut(j) {
+            *z = self.vz;
+        }
+    }
+
+    /// Append to `p` (every column but `vz`).
+    fn push(&self, p: &mut ParticlesSoA) {
+        p.icell.push(self.icell);
+        p.ix.push(self.ix);
+        p.iy.push(self.iy);
+        p.dx.push(self.dx);
+        p.dy.push(self.dy);
+        p.vx.push(self.vx);
+        p.vy.push(self.vy);
+    }
+}
+
+/// Run `f` on every item: one item per worker of `pool`, or inline.
+fn run_workers<T: Send>(pool: Option<&ThreadPool>, items: &mut [T], f: impl Fn(&mut T) + Sync) {
+    match pool {
+        Some(pool) => pool.run_items(items, |_, item| f(item)),
+        None => items.iter_mut().for_each(f),
+    }
+}
+
 /// Create `n` particles sampled from `dist` on `grid`, velocities in
-/// *physical* units, positions encoded under `layout`. Deterministic in
-/// `seed`.
+/// *physical* units, positions encoded under `layout`: the whole
+/// population of a [`Loader`], sampled on the calling thread.
 pub fn initialize(
     grid: &Grid2D,
     layout: &dyn CellLayout,
@@ -147,60 +450,9 @@ pub fn initialize(
     n: usize,
     seed: u64,
 ) -> ParticlesSoA {
-    let mut rng = Rng::seed_from_u64(seed);
-    initialize_with_rng(grid, layout, dist, n, &mut rng)
-}
-
-/// [`initialize`] with a caller-owned generator, so the caller can retain
-/// (and checkpoint) the stream position after sampling.
-pub fn initialize_with_rng(
-    grid: &Grid2D,
-    layout: &dyn CellLayout,
-    dist: InitialDistribution,
-    n: usize,
-    rng: &mut Rng,
-) -> ParticlesSoA {
-    let mut out = ParticlesSoA::zeroed(n);
-    for i in 0..n {
-        let (x_phys, y_phys, vx, vy) = match dist {
-            InitialDistribution::Landau { alpha, k } => {
-                let x = sample_perturbed_x(rng, grid.lx, alpha, k);
-                let y = rng.range(0.0, grid.ly);
-                (x, y, rng.normal(), rng.normal())
-            }
-            InitialDistribution::TwoStream { alpha, k, v0, vt } => {
-                let x = sample_perturbed_x(rng, grid.lx, alpha, k);
-                let y = rng.range(0.0, grid.ly);
-                let sign = if rng.coin() { 1.0 } else { -1.0 };
-                (x, y, sign * v0 + vt * rng.normal(), vt * rng.normal())
-            }
-            InitialDistribution::Uniform => (
-                rng.range(0.0, grid.lx),
-                rng.range(0.0, grid.ly),
-                rng.normal(),
-                rng.normal(),
-            ),
-            InitialDistribution::DriftingMaxwellian { alpha, k, v0x, vt } => {
-                let x = if alpha == 0.0 {
-                    rng.range(0.0, grid.lx)
-                } else {
-                    sample_perturbed_x(rng, grid.lx, alpha, k)
-                };
-                let y = rng.range(0.0, grid.ly);
-                (x, y, v0x + vt * rng.normal(), vt * rng.normal())
-            }
-        };
-        let (cx, ox) = grid.split_x(grid.to_grid_x(x_phys));
-        let (cy, oy) = grid.split_y(grid.to_grid_y(y_phys));
-        out.icell[i] = layout.encode(cx, cy) as u32;
-        out.ix[i] = cx as u32;
-        out.iy[i] = cy as u32;
-        out.dx[i] = ox;
-        out.dy[i] = oy;
-        out.vx[i] = vx;
-        out.vy[i] = vy;
-    }
-    out
+    Loader::new(grid, layout, dist, n, seed)
+        .load(0..n, None, None)
+        .0
 }
 
 /// The macro-particle weight: each of the `n` markers carries

@@ -150,6 +150,35 @@ pub(crate) fn store_speed_sq(
     partials[..nw].iter().sum()
 }
 
+/// Run `f` on every strip of a store (`vz` empty for a 2d2v one), each
+/// worker of `pool` walking its [`chunk_range`] chunk — for per-particle
+/// updates outside the step, whose result therefore does not depend on the
+/// pool or its width.
+pub(crate) fn for_each_strip(
+    particles: &mut ParticlesSoA,
+    vz: &mut [f64],
+    pool: Option<&ThreadPool>,
+    f: &StripFn<'_>,
+) {
+    let nw = pool.map_or(1, ThreadPool::nthreads);
+    let mut views: [Option<SoaViewMut<'_>>; MAX_THREADS] = [const { None }; MAX_THREADS];
+    let nv = kernels::split_soa_mut_into(particles, vz, nw, &mut views);
+    let run = |_: usize, slot: &mut Option<SoaViewMut<'_>>| {
+        let view = slot.as_mut().expect("view slot filled");
+        let n = view.len();
+        let mut start = 0;
+        while start < n {
+            let end = (start + STRIP).min(n);
+            f(&mut view.range_mut(start, end));
+            start = end;
+        }
+    };
+    match pool {
+        Some(pool) => pool.run_items(&mut views[..nv], run),
+        None => run(0, &mut views[0]),
+    }
+}
+
 /// The particle loops of one step, for one particle store, as a single
 /// fan-out: worker `w` walks its [`chunk_range`] chunk in strips
 /// ([`PassItem::run`]) and deposits into its own arenas; the leader then

@@ -9,7 +9,9 @@
 //!                        grid, dt, seed — a snapshot only restores into a
 //!                        simulation built from the same configuration)
 //! step_count       u64
-//! rng_state        4×u64 xoshiro256++ stream position
+//! rng_state        4×u64 retired slot: written 0, read and ignored (the
+//!                        initial population draws per-chunk streams keyed
+//!                        by the seed; nothing draws after construction)
 //! charge_ref       f64   total-charge reference for the watchdog
 //! kernel_path      u32   retired slot: written 1 (lanes), 0/1 read and ignored
 //! deposit_path     u32   active hot-path knobs at capture time — metadata,
@@ -111,7 +113,8 @@ pub struct SimState {
     pub config_fingerprint: u64,
     /// Steps taken when the snapshot was captured.
     pub step_count: u64,
-    /// RNG stream position (xoshiro256++ internal state).
+    /// Retired slot (the sampling generator's stream position in older
+    /// snapshots): written as zeros, ignored on restore.
     pub rng_state: [u64; 4],
     /// Total-charge reference captured at initialization.
     pub charge_ref: f64,
@@ -229,7 +232,7 @@ pub struct SimStateView<'a> {
     pub config_fingerprint: u64,
     /// Steps taken when the snapshot was captured.
     pub step_count: u64,
-    /// RNG stream position.
+    /// Retired slot: written as zeros, ignored on restore.
     pub rng_state: [u64; 4],
     /// Total-charge reference captured at initialization.
     pub charge_ref: f64,
@@ -547,7 +550,7 @@ pub struct EmState {
     pub config_fingerprint: u64,
     /// Steps taken when the snapshot was captured.
     pub step_count: u64,
-    /// RNG stream position.
+    /// Retired slot: written as zeros, ignored on restore.
     pub rng_state: [u64; 4],
     /// Total-charge reference captured at initialization.
     pub charge_ref: f64,

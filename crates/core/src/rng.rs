@@ -121,6 +121,18 @@ impl Rng {
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
+
+    /// Two independent standard normals from one Box–Muller draw: the
+    /// cosine and the sine half of the same radius and angle. The first
+    /// uniform is clamped away from zero as in [`normal`](Self::normal).
+    #[inline]
+    pub fn normal_pair(&mut self) -> (f64, f64) {
+        let u1 = self.uniform().max(f64::EPSILON);
+        let u2 = self.uniform();
+        let r = (-2.0 * u1.ln()).sqrt();
+        let (sin, cos) = (2.0 * std::f64::consts::PI * u2).sin_cos();
+        (r * cos, r * sin)
+    }
 }
 
 #[cfg(test)]

@@ -30,12 +30,11 @@
 use crate::control::{self, ControllerConfig, HotPathController, SwitchEvent};
 use crate::fields::{Field2D, RedundantE, RedundantRho};
 use crate::grid::Grid2D;
-use crate::kernels::{accumulate, deposit, simd, velocity, SoaViewMut};
-use crate::particles::{self, InitialDistribution, ParticlesSoA};
-use crate::pass::{store_speed_sq, strip_pass, StripKernels};
+use crate::kernels::{accumulate, deposit, simd, SoaViewMut};
+use crate::particles::{self, InitialDistribution, Loader, ParticlesSoA};
+use crate::pass::{for_each_strip, store_speed_sq, strip_pass, StripKernels};
 use crate::pool::ThreadPool;
 use crate::resilience::checkpoint::{self as ckpt};
-use crate::rng::Rng;
 use crate::sort;
 use crate::PicError;
 use sfc::{CellLayout, Hilbert, Morton, Ordering, RowMajor, L4D};
@@ -304,15 +303,16 @@ pub struct PicConfig {
     pub threads: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Process-parallel slice: sample all `n_particles` (deterministically in
-    /// `seed`) but keep only indices `[start, end)` — the paper's §V-A
+    /// Process-parallel slice: of the `n_particles` population (deterministic
+    /// in `seed`) sample and keep only indices `[start, end)` — the paper's §V-A
     /// scheme where every rank owns a fixed subset of one global particle
     /// population and the per-step allreduce of ρ (via
     /// [`Simulation::step_with_reduce`]) restores the global density.
     /// `None` keeps everything.
     pub keep_range: Option<(usize, usize)>,
-    /// Spatial slice: sample all `n_particles` (deterministically in `seed`)
-    /// but keep only those whose initial cell index falls in `[lo, hi)` —
+    /// Spatial slice: of the `n_particles` population (deterministic in
+    /// `seed`) keep only those whose initial cell index falls in `[lo, hi)`,
+    /// filtered chunk by chunk as they are sampled —
     /// the domain-decomposed counterpart of `keep_range`, where a rank owns
     /// a contiguous range of the SFC cell ordering instead of a fixed index
     /// slice of the particle population. `None` keeps everything.
@@ -414,9 +414,6 @@ pub struct Simulation {
     step_count: usize,
     timers: PhaseTimes,
     diag: Diagnostics,
-    /// The sampling RNG, retained past initialization so its stream
-    /// position can be checkpointed and restored.
-    rng: Rng,
     /// Total deposited charge right after initialization (post-reduce) —
     /// the conservation reference for the watchdog.
     charge_ref: f64,
@@ -550,7 +547,6 @@ impl Simulation {
             step_count: 0,
             timers: PhaseTimes::default(),
             diag: Diagnostics::default(),
-            rng: Rng::seed_from_u64(cfg.seed),
             charge_ref: 0.0,
             pool,
             rho_arenas,
@@ -562,62 +558,41 @@ impl Simulation {
         })
     }
 
-    /// Initialize a [`shell`](Self::shell): sample the particle population,
-    /// apply the `keep_range`/`keep_cells` filters, sort, deposit, solve the
-    /// initial field, and take the leap-frog half-step back.
+    /// Initialize a [`shell`](Self::shell): sample this rank's part of the
+    /// particle population (the `keep_range`/`keep_cells` filters) on the
+    /// pool, sort, deposit, solve the initial field, and take the leap-frog
+    /// half-step back.
     fn init(mut sim: Self, reduce: impl FnOnce(&mut [f64])) -> Result<Self, PicError> {
-        let mut particles = particles::initialize_with_rng(
-            &sim.grid,
-            sim.layout.as_dyn(),
-            sim.cfg.distribution,
-            sim.cfg.n_particles,
-            &mut sim.rng,
-        );
+        let n = sim.cfg.n_particles;
         if let Some((start, end)) = sim.cfg.keep_range {
-            if start >= end || end > sim.cfg.n_particles {
+            if start >= end || end > n {
                 return Err(PicError::Config(format!(
-                    "keep_range {start}..{end} out of bounds for {} particles",
-                    sim.cfg.n_particles
+                    "keep_range {start}..{end} out of bounds for {n} particles"
                 )));
             }
-            let take = |v: &mut Vec<u32>| *v = v[start..end].to_vec();
-            let takef = |v: &mut Vec<f64>| *v = v[start..end].to_vec();
-            take(&mut particles.icell);
-            take(&mut particles.ix);
-            take(&mut particles.iy);
-            takef(&mut particles.dx);
-            takef(&mut particles.dy);
-            takef(&mut particles.vx);
-            takef(&mut particles.vy);
         }
+        let (start, end) = sim.cfg.keep_range.unwrap_or((0, n));
+        let ncells = sim.layout.as_dyn().ncells();
         if let Some((lo, hi)) = sim.cfg.keep_cells {
-            let ncells = sim.layout.as_dyn().ncells();
             if lo >= hi || hi as usize > ncells {
                 return Err(PicError::Config(format!(
                     "keep_cells {lo}..{hi} out of bounds for {ncells} cells"
                 )));
             }
-            let mask: Vec<bool> = particles.icell.iter().map(|&c| lo <= c && c < hi).collect();
-            fn retain_mask<T: Copy>(v: &mut Vec<T>, mask: &[bool]) {
-                let mut i = 0;
-                v.retain(|_| {
-                    let keep = mask[i];
-                    i += 1;
-                    keep
-                });
-            }
-            retain_mask(&mut particles.icell, &mask);
-            retain_mask(&mut particles.ix, &mask);
-            retain_mask(&mut particles.iy, &mask);
-            retain_mask(&mut particles.dx, &mask);
-            retain_mask(&mut particles.dy, &mask);
-            retain_mask(&mut particles.vx, &mask);
-            retain_mask(&mut particles.vy, &mask);
-            if particles.is_empty() {
-                return Err(PicError::Config(format!(
-                    "keep_cells {lo}..{hi} holds no particles — subdomain too small"
-                )));
-            }
+        }
+        let loader = Loader::new(
+            &sim.grid,
+            sim.layout.as_dyn(),
+            sim.cfg.distribution,
+            n,
+            sim.cfg.seed,
+        );
+        let cells = sim.cfg.keep_cells.map(|(lo, hi)| lo..hi);
+        let (particles, _) = loader.load(start..end, cells, sim.pool.as_deref());
+        if let Some((lo, hi)) = sim.cfg.keep_cells.filter(|_| particles.is_empty()) {
+            return Err(PicError::Config(format!(
+                "keep_cells {lo}..{hi} holds no particles — subdomain too small"
+            )));
         }
 
         // Initial sort (paper's initialization line 1): always the stable
@@ -633,19 +608,9 @@ impl Simulation {
         sim.charge_ref = sim.field.rho.iter().sum();
         sim.solve_field();
 
-        // Leap-frog half-step: v(−Δt/2) = v(0) − (q/m)·E(x₀)·Δt/2.
+        // Leap-frog half-step, v(−Δt/2) = v(0) − (q/m)·E(x₀)·Δt/2, and the
+        // hoisted convention's velocity normalization.
         sim.half_kick_back();
-
-        // Velocity normalization for the hoisted convention.
-        if sim.cfg.hoisted {
-            let (sx, sy) = (sim.cfg.dt / sim.grid.dx(), sim.cfg.dt / sim.grid.dy());
-            for v in sim.particles.vx.iter_mut() {
-                *v *= sx;
-            }
-            for v in sim.particles.vy.iter_mut() {
-                *v *= sy;
-            }
-        }
         sim.refresh_field_views();
         sim.record_diag();
         Ok(sim)
@@ -780,7 +745,7 @@ impl Simulation {
         ckpt::encode_view(&ckpt::SimStateView {
             config_fingerprint: ckpt::config_fingerprint(&self.cfg),
             step_count: self.step_count as u64,
-            rng_state: self.rng.state(),
+            rng_state: [0; 4],
             charge_ref: self.charge_ref,
             hot_path: &hot_path,
             particles: &self.particles,
@@ -842,7 +807,6 @@ impl Simulation {
         self.controller = restored_ctrl;
 
         self.step_count = st.step_count as usize;
-        self.rng = Rng::from_state(st.rng_state);
         self.charge_ref = st.charge_ref;
         self.scratch = ParticlesSoA::zeroed(st.particles.len());
         self.particles = st.particles;
@@ -872,7 +836,10 @@ impl Simulation {
 
     /// Deposit the initial charge without moving particles. Always runs the
     /// scalar `Exact` kernel (off the hot path), so every [`DepositPath`]
-    /// starts a run from bit-identical initial state.
+    /// starts a run from bit-identical initial state. It stays on one thread:
+    /// its ρ feeds the half-kick back, and a pooled deposit (per-worker
+    /// arenas summed) would make the constructed velocities depend on the
+    /// pool's width.
     fn deposit_initial(&mut self) {
         self.rho4.clear();
         accumulate::accumulate_redundant(
@@ -923,22 +890,28 @@ impl Simulation {
         (c, c, self.cfg.dt / self.grid.dx())
     }
 
-    /// Shift velocities back Δt/2 using the freshly solved initial field
-    /// (physical velocity units at this point).
+    /// Shift the freshly sampled (physical) velocities back Δt/2 in the
+    /// solved initial field and, when hoisted, rescale them to grid units
+    /// per step — one lane pass over the pool. Both are per particle, so
+    /// the constructed velocities do not depend on the pool's width.
     fn half_kick_back(&mut self) {
         let mut e8 = RedundantE::new(self.layout.as_dyn());
         e8.fill_from(&self.field, self.layout.as_dyn(), 1.0, 1.0);
+        let e8 = &e8.e8;
         let c = -0.5 * QE * self.cfg.dt / ME;
-        velocity::update_velocities_redundant(
-            &self.particles.icell,
-            &self.particles.dx,
-            &self.particles.dy,
-            &mut self.particles.vx,
-            &mut self.particles.vy,
-            &e8.e8,
-            c,
-            c,
-        );
+        let (sx, sy) = if self.cfg.hoisted {
+            (self.cfg.dt / self.grid.dx(), self.cfg.dt / self.grid.dy())
+        } else {
+            (1.0, 1.0)
+        };
+        let kick = |v: &mut SoaViewMut<'_>| {
+            simd::update_velocities_redundant_lanes(v.icell, v.dx, v.dy, v.vx, v.vy, e8, c, c);
+            if self.cfg.hoisted {
+                v.vx.iter_mut().for_each(|x| *x *= sx);
+                v.vy.iter_mut().for_each(|y| *y *= sy);
+            }
+        };
+        for_each_strip(&mut self.particles, &mut [], self.pool.as_deref(), &kick);
     }
 
     /// Advance one time step (paper Fig. 1, lines 4–13).

@@ -15,9 +15,8 @@
 
 use crate::grid::Grid2D;
 use crate::kernels::{split_soa_mut_into, SoaViewMut};
-use crate::particles::{initialize_with_rng, InitialDistribution, ParticlesSoA};
+use crate::particles::{InitialDistribution, Loader, ParticlesSoA};
 use crate::pool::{chunk_range, ThreadPool};
-use crate::rng::Rng;
 use crate::sort::{sort_columns, SortArena};
 use sfc::CellLayout;
 
@@ -98,30 +97,29 @@ pub struct SpeciesArena {
 }
 
 impl SpeciesArena {
-    /// Initialize a species on `grid` under `layout`, drawing positions
-    /// and all three velocity components from `rng` (deterministic in the
-    /// stream position; species initialized in order share one stream).
+    /// Initialize species number `index` of a run seeded `seed` on `grid`
+    /// under `layout`: positions and all three velocity components come
+    /// from the [`Loader`] of `(seed, index)`, sampled on `pool`.
     ///
-    /// An optional `slice = (rank, nranks)` keeps only this rank's
+    /// An optional `slice = (rank, nranks)` samples only this rank's
     /// contiguous index range — the replicated-decomposition convention
     /// where every rank owns `1/nranks` of each species and the deposited
-    /// ρ/J are summed by an allreduce.
+    /// ρ/J are summed by an allreduce. The slice equals the same range of
+    /// the whole species bit for bit.
     pub fn initialize(
         def: SpeciesDef,
         grid: &Grid2D,
         layout: &dyn CellLayout,
-        rng: &mut Rng,
+        seed: u64,
+        index: usize,
         slice: Option<(usize, usize)>,
+        pool: Option<&ThreadPool>,
     ) -> Self {
         let n = def.n_particles;
-        let mut p = initialize_with_rng(grid, layout, def.distribution, n, rng);
-        let vt = def.distribution.thermal_spread();
-        let mut vz: Vec<f64> = (0..n).map(|_| vt * rng.normal()).collect();
-        if let Some((rank, nranks)) = slice {
-            let (s, e) = chunk_range(n, nranks, rank);
-            p = slice_soa(&p, s, e);
-            vz = vz[s..e].to_vec();
-        }
+        let (s, e) = slice.map_or((0, n), |(rank, nranks)| chunk_range(n, nranks, rank));
+        let (p, vz) = Loader::new(grid, layout, def.distribution, n, seed)
+            .species(index)
+            .load(s..e, None, pool);
         let weight = def.density * grid.lx * grid.ly / n as f64;
         Self {
             def,
@@ -185,19 +183,6 @@ impl SpeciesArena {
             pool,
             &mut self.sort_arena,
         );
-    }
-}
-
-/// Copy the index range `[s, e)` of a [`ParticlesSoA`].
-fn slice_soa(p: &ParticlesSoA, s: usize, e: usize) -> ParticlesSoA {
-    ParticlesSoA {
-        icell: p.icell[s..e].to_vec(),
-        ix: p.ix[s..e].to_vec(),
-        iy: p.iy[s..e].to_vec(),
-        dx: p.dx[s..e].to_vec(),
-        dy: p.dy[s..e].to_vec(),
-        vx: p.vx[s..e].to_vec(),
-        vy: p.vy[s..e].to_vec(),
     }
 }
 
@@ -301,8 +286,7 @@ mod tests {
                 vt: 0.05,
             },
         );
-        let mut rng = Rng::seed_from_u64(1);
-        let a = SpeciesArena::initialize(def, &g, &l, &mut rng, None);
+        let a = SpeciesArena::initialize(def, &g, &l, 1, 0, None, None);
         let n = a.len() as f64;
         let var: f64 = a.vz.iter().map(|v| v * v).sum::<f64>() / n;
         assert!(
@@ -317,8 +301,7 @@ mod tests {
         let g = grid();
         let l = RowMajor::new(16, 16).unwrap();
         let def = SpeciesDef::electrons(5000, InitialDistribution::Uniform);
-        let mut rng = Rng::seed_from_u64(2);
-        let mut a = SpeciesArena::initialize(def, &g, &l, &mut rng, None);
+        let mut a = SpeciesArena::initialize(def, &g, &l, 2, 0, None, None);
         // Tag each particle: vz = f(icell, vx) so the pairing survives any
         // permutation check.
         let mut pairs: Vec<(u64, u64)> = Vec::new();
@@ -352,15 +335,11 @@ mod tests {
         let g = grid();
         let l = RowMajor::new(16, 16).unwrap();
         let def = SpeciesDef::electrons(1001, InitialDistribution::Uniform);
-        let whole = {
-            let mut rng = Rng::seed_from_u64(3);
-            SpeciesArena::initialize(def.clone(), &g, &l, &mut rng, None)
-        };
+        let whole = SpeciesArena::initialize(def.clone(), &g, &l, 3, 0, None, None);
         let mut total = 0usize;
         let mut vx_cat: Vec<f64> = Vec::new();
         for rank in 0..3 {
-            let mut rng = Rng::seed_from_u64(3);
-            let part = SpeciesArena::initialize(def.clone(), &g, &l, &mut rng, Some((rank, 3)));
+            let part = SpeciesArena::initialize(def.clone(), &g, &l, 3, 0, Some((rank, 3)), None);
             total += part.len();
             vx_cat.extend_from_slice(&part.p.vx);
         }
@@ -381,8 +360,7 @@ mod tests {
                 vt: 1e-12,
             },
         );
-        let mut rng = Rng::seed_from_u64(4);
-        let a = SpeciesArena::initialize(def, &g, &l, &mut rng, None);
+        let a = SpeciesArena::initialize(def, &g, &l, 4, 0, None, None);
         let m = species_moments(&a);
         assert!((m.mean_v[0] - 2.0).abs() < 1e-9);
         assert!(m.mean_v[1].abs() < 1e-9);
@@ -401,8 +379,7 @@ mod tests {
         // Always `nchunks` views on the `chunk_range` cut, empty past `n`.
         for n in [103, 2] {
             let def = SpeciesDef::electrons(n, InitialDistribution::Uniform);
-            let mut rng = Rng::seed_from_u64(5);
-            let mut a = SpeciesArena::initialize(def, &g, &l, &mut rng, None);
+            let mut a = SpeciesArena::initialize(def, &g, &l, 5, 0, None, None);
             let views = split_species_mut(&mut a.p, &mut a.vz, 4);
             assert_eq!(views.len(), 4);
             for (c, v) in views.iter().enumerate() {

@@ -11,9 +11,9 @@ use crate::{exchange_rho_routed, slab::SlabSolver, DecompError, Partition};
 use minimpi::Comm;
 use pic_core::faultlog::{FaultKind, FaultLog};
 use pic_core::grid::Grid2D;
-use pic_core::particles::{self, ParticlesSoA};
+use pic_core::particles::{Loader, ParticlesSoA};
+use pic_core::pool::ThreadPool;
 use pic_core::resilience::checkpoint as ckpt;
-use pic_core::rng::Rng;
 use pic_core::sim::{PicConfig, Simulation};
 use pic_core::PicError;
 use std::ops::Range;
@@ -248,22 +248,22 @@ impl DecomposedSimulation {
             .expect("calling rank is a group member");
 
         let partition = if dcfg.weighted {
-            // Re-sample the (deterministic) initial population once to
-            // histogram per-cell loads; every rank computes the same cut.
+            // Histogram the (deterministic) initial population's per-cell
+            // loads without keeping it; every rank computes the same cut.
             let grid = Grid2D::new(cfg.grid_nx, cfg.grid_ny, cfg.lx, cfg.ly)?;
             let layout = cfg
                 .ordering
                 .build(cfg.grid_nx, cfg.grid_ny)
                 .map_err(PicError::from)?;
-            let mut rng = Rng::seed_from_u64(cfg.seed);
-            let sample = particles::initialize_with_rng(
+            let pool = (cfg.threads > 1).then(|| ThreadPool::new(cfg.threads));
+            let w = Loader::new(
                 &grid,
                 layout.as_ref(),
                 cfg.distribution,
                 cfg.n_particles,
-                &mut rng,
-            );
-            let w = crate::particle_cell_weights(&sample.icell, layout.ncells());
+                cfg.seed,
+            )
+            .cell_counts(pool.as_ref());
             Partition::new_weighted(cfg.ordering, cfg.grid_nx, cfg.grid_ny, nranks, &w)?
         } else {
             Partition::new(cfg.ordering, cfg.grid_nx, cfg.grid_ny, nranks)?

@@ -60,38 +60,75 @@ fn l4d_tile_size_does_not_change_physics() {
     }
 }
 
+/// The seeds the statistical physics tests sweep: the configuration's own
+/// default and seven more. One realization of a few hundred thousand
+/// markers scatters a fitted rate by several hundredths, so a claim about
+/// the physics is made over the sweep, not on one lucky draw.
+fn swept_seeds() -> Vec<u64> {
+    std::iter::once(PicConfig::landau_table1(1).seed)
+        .chain(1..=7)
+        .collect()
+}
+
+/// `run` on every swept seed, two seeds at a time; results in seed order.
+fn over_seeds<T: Send>(run: impl Fn(u64) -> T + Sync) -> Vec<T> {
+    let seeds = swept_seeds();
+    let (first, second) = seeds.split_at(seeds.len() / 2);
+    std::thread::scope(|s| {
+        let other = s.spawn(|| second.iter().map(|&seed| run(seed)).collect::<Vec<T>>());
+        let mut out: Vec<T> = first.iter().map(|&seed| run(seed)).collect();
+        out.extend(other.join().unwrap());
+        out
+    })
+}
+
 #[test]
 fn landau_damping_rate_matches_theory() {
-    // γ ≈ −0.1533 for k = 0.5 — the validation the paper cites (§IV).
-    let mut cfg = PicConfig::landau_table1(400_000);
-    cfg.grid_nx = 64;
-    cfg.grid_ny = 16;
-    cfg.dt = 0.05;
-    let mut sim = Simulation::new(cfg).unwrap();
-    sim.run(240); // t = 12
-    let gamma = sim.diagnostics().mode_envelope_rate(0.0, 11.0).unwrap();
+    // γ ≈ −0.1533 for k = 0.5 — the validation the paper cites (§IV). The
+    // median over the sweep must sit within 0.06 of the Z-function root.
     let theory = pic2d::spectral::dispersion::landau_damping_rate(0.5).unwrap();
+    let mut rates = over_seeds(|seed| {
+        let mut cfg = PicConfig::landau_table1(400_000);
+        cfg.grid_nx = 64;
+        cfg.grid_ny = 16;
+        cfg.dt = 0.05;
+        cfg.seed = seed;
+        let mut sim = Simulation::new(cfg).unwrap();
+        sim.run(240); // t = 12
+        sim.diagnostics().mode_envelope_rate(0.0, 11.0).unwrap()
+    });
+    eprintln!("linear Landau rates over the sweep: {rates:.3?}");
+    rates.sort_by(f64::total_cmp);
+    let median = 0.5 * (rates[3] + rates[4]);
     assert!(
-        (gamma - theory).abs() < 0.06,
-        "measured Landau rate {gamma}, Z-function theory {theory}"
+        (median - theory).abs() < 0.06,
+        "median Landau rate {median} over {rates:?}, Z-function theory {theory}"
     );
 }
 
 #[test]
 fn two_stream_grows() {
-    let mut cfg = PicConfig::two_stream(100_000);
-    cfg.grid_nx = 64;
-    cfg.grid_ny = 16;
-    cfg.dt = 0.05;
-    let mut sim = Simulation::new(cfg).unwrap();
-    sim.run(400); // t = 20
-    let h = &sim.diagnostics().history;
-    assert!(
-        h[400].ex_mode > 10.0 * h[0].ex_mode,
-        "two-stream mode must grow: {} -> {}",
-        h[0].ex_mode,
-        h[400].ex_mode
-    );
+    // The fundamental must grow at least ×10 by t = 20 — a rate of
+    // ln 10 / 20 — on every seed of the sweep. The rate is a least-squares
+    // fit of ln|Ex mode| over t ∈ [5, 20], not a ratio of two samples.
+    let bar = 10f64.ln() / 20.0;
+    let rates = over_seeds(|seed| {
+        let mut cfg = PicConfig::two_stream(100_000);
+        cfg.grid_nx = 64;
+        cfg.grid_ny = 16;
+        cfg.dt = 0.05;
+        cfg.seed = seed;
+        let mut sim = Simulation::new(cfg).unwrap();
+        sim.run(400); // t = 20
+        sim.diagnostics().mode_amplitude_rate(5.0, 20.0).unwrap()
+    });
+    eprintln!("two-stream rates over the sweep: {rates:.3?}");
+    for (seed, rate) in swept_seeds().into_iter().zip(&rates) {
+        assert!(
+            *rate > bar,
+            "seed {seed}: two-stream rate {rate} below ln 10 / 20 = {bar}"
+        );
+    }
 }
 
 #[test]

@@ -126,14 +126,19 @@ fn checkpoint_roundtrip_is_bit_exact() {
 /// within 1e-13·max|E| of the old three-transform solve,
 /// `parity_solver::solve_matches_three_transform_oracle` — and 45 steps
 /// carry that into every particle. The fingerprint did not move, so older
-/// snapshots still restore.
+/// snapshots still restore. Re-pinned a second time, by design, when the
+/// initial population moved to per-chunk sampling streams
+/// (0xf338ea91a73864db → 0x5c2913bfed6bd674): the same seed now draws a
+/// different realization of the same distribution (one Box–Muller pair
+/// per particle for vx, vy), the half-kick back runs the lane kernel, and
+/// the retired `rng_state` slot is written as zeros.
 #[test]
 fn production_path_snapshot_bits_are_pinned() {
     let mut c = PicConfig::landau_table1(100_003);
     c.seed = 7;
     let mut sim = Simulation::new(c).unwrap();
     sim.run(45);
-    assert_eq!(snapshot_hash(&sim.checkpoint()), 0xf338ea91a73864db);
+    assert_eq!(snapshot_hash(&sim.checkpoint()), 0x5c2913bfed6bd674);
 }
 
 /// A snapshot survives the disk roundtrip and restores into a *fresh*
