@@ -40,8 +40,7 @@ fn setup_n(layout: &dyn CellLayout, n: usize) -> ParticlesSoA {
     for v in p.vx.iter_mut().chain(p.vy.iter_mut()) {
         *v *= 0.5;
     }
-    let mut scratch = ParticlesSoA::zeroed(0);
-    sort_out_of_place(&mut p, &mut scratch, layout.ncells());
+    sort_out_of_place(&mut p, layout.ncells());
     p
 }
 

@@ -39,8 +39,7 @@ fn setup(layout: &dyn CellLayout, n: usize) -> ParticlesSoA {
     for v in p.vx.iter_mut().chain(p.vy.iter_mut()) {
         *v *= 0.5;
     }
-    let mut scratch = ParticlesSoA::zeroed(0);
-    sort_out_of_place(&mut p, &mut scratch, layout.ncells());
+    sort_out_of_place(&mut p, layout.ncells());
     p
 }
 
@@ -188,7 +187,7 @@ fn run() -> Result<(), PicError> {
     // hands the sort (sorted at init, then 19 pushes).
     {
         let drifted = drifted_landau(n)?;
-        let (mut p, mut scratch) = (drifted.clone(), ParticlesSoA::zeroed(n));
+        let (mut p, mut ignored) = (drifted.clone(), ParticlesSoA::default());
         let mut arena = SortArena::new();
         let mut pairs = Vec::new();
         for _ in 0..reps.max(9) {
@@ -196,7 +195,7 @@ fn run() -> Result<(), PicError> {
             copy_columns(&drifted, &mut p);
             let copy_s = t.elapsed().as_secs_f64();
             let t = Instant::now();
-            sort_out_of_place_with(&mut p, &mut scratch, SIDE * SIDE, &mut arena);
+            sort_out_of_place_with(&mut p, &mut ignored, SIDE * SIDE, &mut arena);
             let sort_s = t.elapsed().as_secs_f64();
             black_box(p.icell[0]);
             pairs.push((sort_s / copy_s, copy_s, sort_s));

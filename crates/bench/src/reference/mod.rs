@@ -166,7 +166,6 @@ pub struct ReferenceRun {
     particles: ParticlesSoA,
     /// The store of AoS variants.
     aos: Option<ParticlesAoS>,
-    scratch: ParticlesSoA,
     field: Field2D,
     e8: RedundantE,
     rho4: RedundantRho,
@@ -205,7 +204,6 @@ impl ReferenceRun {
             aos: (variant.particles == ParticleLayout::Aos)
                 .then(|| ParticlesAoS::from_soa(&particles)),
             particles,
-            scratch: ParticlesSoA::zeroed(0),
             solver: PoissonSolver2D::new(cfg.grid_nx, cfg.grid_ny, cfg.lx, cfg.ly)?,
             e8: RedundantE::new(layout.as_dyn()),
             rho4: RedundantRho::new(layout.as_dyn()),
@@ -284,9 +282,11 @@ impl ReferenceRun {
             self.particles = aos.to_soa();
         }
         let ncells = self.layout.as_dyn().ncells();
+        // The arena holds all the sort's scratch; the store argument is
+        // ignored.
         sort_out_of_place_with(
             &mut self.particles,
-            &mut self.scratch,
+            &mut ParticlesSoA::default(),
             ncells,
             &mut self.sort_arena,
         );

@@ -79,8 +79,7 @@ mod tests {
     #[test]
     fn already_sorted_is_noop_permutation() {
         let mut p = mk(1000, 16, 46);
-        let mut scratch = ParticlesSoA::zeroed(0);
-        sort_out_of_place(&mut p, &mut scratch, 16);
+        sort_out_of_place(&mut p, 16);
         let snapshot = p.clone();
         sort_in_place(&mut p, 16);
         assert_eq!(p.icell, snapshot.icell);

@@ -38,6 +38,7 @@ use crate::pool::ThreadPool;
 use crate::resilience::checkpoint::{self as ckpt, EmSpeciesState, EmState};
 use crate::resilience::watchdog::{WatchdogConfig, WatchdogViolation};
 use crate::sim::{AnyLayout, DiagSample, Diagnostics, KernelPath, PhaseTimes};
+use crate::sort::SortArena;
 use crate::species::{species_moments, SpeciesArena, SpeciesDef, SpeciesMoments};
 use crate::PicError;
 use sfc::Ordering;
@@ -330,6 +331,8 @@ pub struct EmSimulation {
     layout: AnyLayout,
     solver: PoissonSolver2D,
     species: Vec<SpeciesArena>,
+    /// The sort scratch every species shares: they sort one after another.
+    sort_arena: SortArena,
     /// Per-species Boris rotation constants, index-parallel with `species`.
     boris: Vec<BorisCoeffs>,
     field: Field2D,
@@ -479,6 +482,7 @@ impl EmSimulation {
             layout,
             solver,
             species: Vec::new(),
+            sort_arena: SortArena::new(),
             boris,
             field,
             jx: vec![0.0; ng],
@@ -514,7 +518,7 @@ impl EmSimulation {
                 replica,
                 sim.pool.as_deref(),
             );
-            arena.sort(ncells, sim.pool.as_deref());
+            arena.sort(ncells, sim.pool.as_deref(), &mut sim.sort_arena);
             sim.species.push(arena);
         }
 
@@ -774,7 +778,7 @@ impl EmSimulation {
     fn sort_all(&mut self) {
         let ncells = self.layout.as_dyn().ncells();
         for arena in &mut self.species {
-            arena.sort(ncells, self.pool.as_deref());
+            arena.sort(ncells, self.pool.as_deref(), &mut self.sort_arena);
         }
     }
 

@@ -403,7 +403,6 @@ pub struct Simulation {
     layout: AnyLayout,
     solver: PoissonSolver2D,
     particles: ParticlesSoA,
-    scratch: ParticlesSoA,
     field: Field2D,
     e8: RedundantE,
     rho4: RedundantRho,
@@ -426,7 +425,8 @@ pub struct Simulation {
     /// Per-worker private ρ₄ copies for the pooled deposition reduction,
     /// reused every step (zero steady-state allocation).
     rho_arenas: Vec<RedundantRho>,
-    /// Reusable counting-sort buffers (histogram, prefix sums, cursors).
+    /// Everything the sort owns besides the store: per-cell buffers, the
+    /// permutation and one spare column, reused every sort.
     sort_arena: sort::SortArena,
     /// Reusable spectral workspaces for the per-step Poisson solve.
     solve_scratch: SolveScratch,
@@ -540,7 +540,6 @@ impl Simulation {
             layout,
             solver,
             particles: ParticlesSoA::zeroed(0),
-            scratch: ParticlesSoA::zeroed(0),
             field,
             e8,
             rho4,
@@ -761,9 +760,9 @@ impl Simulation {
     /// Rejects (without touching current state) snapshots that fail the
     /// checksum, carry a different format version, belong to a different
     /// configuration, or whose array shapes disagree with this
-    /// simulation's grid. Derived structures (the redundant field view,
-    /// the sort scratch buffer) are rebuilt, not restored — they are
-    /// deterministic functions of the restored state.
+    /// simulation's grid. The redundant field view is rebuilt, not
+    /// restored — it is a deterministic function of the restored state —
+    /// and the sort arena, being scratch, keeps its buffers.
     pub fn restore(&mut self, snapshot: &[u8]) -> Result<(), PicError> {
         let st = ckpt::decode(snapshot)?;
         if st.config_fingerprint != ckpt::config_fingerprint(&self.cfg) {
@@ -808,7 +807,6 @@ impl Simulation {
 
         self.step_count = st.step_count as usize;
         self.charge_ref = st.charge_ref;
-        self.scratch = ParticlesSoA::zeroed(st.particles.len());
         self.particles = st.particles;
         self.pass_speed_sq = None;
         self.field.rho = st.rho;
@@ -1055,7 +1053,6 @@ impl Simulation {
     fn sort_out_of_place(&mut self) {
         sort::sort_columns(
             &mut self.particles,
-            &mut self.scratch,
             None,
             self.layout.as_dyn().ncells(),
             self.pool.as_deref(),

@@ -1,36 +1,45 @@
 //! Periodic particle sorting by cell index (paper §II and §V-B1).
 //!
 //! The number of cells is far smaller than the number of particles, so a
-//! counting (bucket) sort runs in `O(N)`:
+//! counting (bucket) sort runs in `O(N)`. One *permutation-first* engine
+//! sits behind [`sort_out_of_place`], [`sort_out_of_place_with`],
+//! [`pool_sort_out_of_place`] and `SpeciesArena::sort`:
 //!
-//! * [`sort_out_of_place`] / [`sort_out_of_place_with`] /
-//!   [`pool_sort_out_of_place`] — one *permutation-first* engine: histogram,
-//!   prefix sums, then a single scan of `icell` that writes the stable
-//!   permutation `perm[dst] = src` (the only scattered store stream, four
-//!   bytes per particle), then one **gather** per payload column
-//!   `out[d] = in[perm[d]]` (sequential stores, independent loads). The three
-//!   index columns are not permuted at all: they are functions of the sort
-//!   key (`icell == layout.encode(ix, iy)`, see
-//!   [`ParticlesSoA`](crate::particles::ParticlesSoA)), so `icell` is
-//!   run-length-filled from the prefix sums and `ix`/`iy` are filled per
-//!   cell from the cell's first source particle. The permutation lives in the
-//!   scratch `ix` column, which is written last, so the sort owns no `O(N)`
-//!   buffer beyond the second particle array the paper already pays for.
-//!   Scattering all seven columns directly — the textbook loop — costs
-//!   2–2.5× more here: the price is per scattered store stream (DESIGN.md
-//!   §18).
-//! * On a pool the *cells* are partitioned into contiguous ranges, one per
-//!   worker (the paper's scheme); the destination of a cell range is a
-//!   contiguous slice of every output column, so each worker scans the whole
-//!   `icell` array (the paper accepts this read amplification), builds its
-//!   own slice of the permutation and gathers its own slices inside a single
-//!   fan-out. The result is the exact stable order of the sequential sort.
+//! 1. a histogram of `icell` and its prefix sums;
+//! 2. one scan of `icell` writes the stable permutation `perm[dst] = src`
+//!    (the only scattered store stream, four bytes per particle) and takes
+//!    each cell's `(ix, iy)` from its first source particle;
+//! 3. per payload column (`dx dy vx vy`, plus `vz` for a species) one
+//!    **gather** `spare[d] = col[perm[d]]` (sequential stores, independent
+//!    loads), then `mem::swap` makes the spare the column and the old
+//!    column the spare;
+//! 4. the three index columns are not permuted at all: they are functions
+//!    of the sort key (`icell == layout.encode(ix, iy)`, see
+//!    [`ParticlesSoA`]), so they are refilled in place from the prefix
+//!    sums and the per-cell `(ix, iy)`.
+//!
+//! The store moves one column at a time, so besides it the sort owns one
+//! spare `f64` column and the `u32` permutation — 12 bytes per particle in
+//! a [`SortArena`], where a second particle store would cost 44 (52 with
+//! `vz`). Scattering all seven columns directly — the textbook loop — costs
+//! 2–2.5× more here: the price is per scattered store stream (DESIGN.md
+//! §18).
+//!
+//! On a pool every worker counts its own [`chunk_range`] of `icell` into
+//! its own histogram row, and the rows are added in worker order. The
+//! *cells* are then partitioned into contiguous ranges, one per worker (the
+//! paper's scheme): a cell range owns a contiguous slice of the permutation
+//! and of every column, so each worker scans the whole `icell` array (the
+//! paper accepts this read amplification) to build its slice of the
+//! permutation and gathers its slice of the first column in the same
+//! fan-out, then its slice of each further column, one fan-out per column.
+//! The result is the exact stable order of the sequential sort.
 //!
 //! The paper's §V-B1 in-place ablation (cycle chasing, roughly three moves
 //! per displaced particle) lives in `pic_bench::reference::sort`.
 
 use crate::particles::ParticlesSoA;
-use crate::pool::{ThreadPool, MAX_THREADS};
+use crate::pool::{chunk_range, ThreadPool, MAX_THREADS};
 
 /// Largest particle count a store may hold: histogram, prefix sums, write
 /// cursors and the permutation are all `u32`.
@@ -71,15 +80,24 @@ pub fn cell_starts_into(counts: &[u32], starts: &mut [u32]) {
     }
 }
 
-/// Reusable scratch buffers for the counting sorts: the per-cell histogram,
-/// prefix sums, and write cursors that the plain entry points allocate per
-/// call. Owned by the simulation so steady-state sorting allocates nothing
-/// once the arena has grown to the grid size.
+/// Everything the sort owns besides the store it sorts: per-cell buffers
+/// (histogram and one row of it per pool worker, prefix sums, cursors, each
+/// cell's `(ix, iy)`) and per-particle ones (the permutation and the spare
+/// column). Owned by the driver, so steady-state sorting allocates nothing
+/// once the arena has grown to the grid and the store; a store that
+/// shrinks keeps the allocations, and stores that sort one after another
+/// (a driver's species) share one arena.
 #[derive(Debug, Default, Clone)]
 pub struct SortArena {
     counts: Vec<u32>,
+    rows: Vec<u32>,
     starts: Vec<u32>,
     cursor: Vec<u32>,
+    reps: Vec<(u32, u32)>,
+    /// `perm[dst] = src`, the stable order.
+    perm: Vec<u32>,
+    /// The column each gather writes, then swaps with the store's.
+    spare: Vec<f64>,
 }
 
 impl SortArena {
@@ -87,42 +105,43 @@ impl SortArena {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Grow the buffers to cover `ncells` (no-op, and no allocation, once
-    /// large enough).
-    pub fn ensure(&mut self, ncells: usize) {
-        if self.counts.len() < ncells {
-            self.counts.resize(ncells, 0);
-            self.cursor.resize(ncells, 0);
-        }
-        if self.starts.len() < ncells + 1 {
-            self.starts.resize(ncells + 1, 0);
-        }
+/// Size a scratch buffer to `n` elements. Shrinking keeps the allocation;
+/// growing frees it and takes a fresh zeroed one, whose pages are first
+/// touched by the fan-out that fills them.
+fn fit<T: Copy + Default>(v: &mut Vec<T>, n: usize) {
+    if n > v.capacity() {
+        *v = Vec::new();
+        *v = vec![T::default(); n];
+    } else {
+        v.resize(n, T::default());
     }
 }
 
-/// Out-of-place counting sort. `scratch` is resized as needed and holds the
-/// sorted result, which is swapped back into `p`.
-pub fn sort_out_of_place(p: &mut ParticlesSoA, scratch: &mut ParticlesSoA, ncells: usize) {
-    let mut arena = SortArena::new();
-    sort_out_of_place_with(p, scratch, ncells, &mut arena);
+/// Out-of-place counting sort through a fresh [`SortArena`].
+pub fn sort_out_of_place(p: &mut ParticlesSoA, ncells: usize) {
+    sort_columns(p, None, ncells, None, &mut SortArena::new());
 }
 
-/// [`sort_out_of_place`] with caller-owned scratch buffers: allocation-free
-/// when `arena` has seen `ncells` before and `scratch` is already sized.
+/// [`sort_out_of_place`] through a caller-owned arena: allocation-free once
+/// `arena` has sorted `ncells` cells and `p.len()` particles. `scratch` is
+/// ignored — the arena holds everything the sort needs — and stays in the
+/// signature for existing callers.
 pub fn sort_out_of_place_with(
     p: &mut ParticlesSoA,
     scratch: &mut ParticlesSoA,
     ncells: usize,
     arena: &mut SortArena,
 ) {
-    sort_columns(p, scratch, None, ncells, None, arena);
+    let _ = scratch;
+    sort_columns(p, None, ncells, None, arena);
 }
 
-/// Zero-allocation parallel out-of-place counting sort on a persistent
-/// pool: one cell range per pool worker, with the histogram, prefix sums,
-/// per-range cursors and task descriptors all in caller-owned or stack
-/// storage. Produces the exact stable order of the sequential sort.
+/// [`sort_out_of_place_with`] on a persistent pool: one histogram row and
+/// one cell range per pool worker, task descriptors in stack storage.
+/// Produces the exact stable order of the sequential sort. `scratch` is
+/// ignored, as in [`sort_out_of_place_with`].
 pub fn pool_sort_out_of_place(
     p: &mut ParticlesSoA,
     scratch: &mut ParticlesSoA,
@@ -130,70 +149,8 @@ pub fn pool_sort_out_of_place(
     pool: &ThreadPool,
     arena: &mut SortArena,
 ) {
-    sort_columns(p, scratch, None, ncells, Some(pool), arena);
-}
-
-/// One worker's share of a sort: the cells `c0..c0 + cursor.len()` and the
-/// contiguous output slots they own in every scratch column.
-struct CellRange<'a> {
-    c0: usize,
-    /// `starts[c0..=c1]`: absolute first output slot of each cell.
-    starts: &'a [u32],
-    /// Per-cell write cursors, relative to this range's first slot.
-    cursor: &'a mut [u32],
-    icell: &'a mut [u32],
-    /// Holds the permutation until the index fill overwrites it.
-    ix: &'a mut [u32],
-    iy: &'a mut [u32],
-    /// `dx dy vx vy`, then the optional extra column (`vz`).
-    payload: [&'a mut [f64]; 5],
-}
-
-impl CellRange<'_> {
-    /// Permutation, gathers and index fill for this range. `src_payload`
-    /// is index-parallel with `self.payload`.
-    fn run(&mut self, src: &ParticlesSoA, src_payload: [&[f64]; 5]) {
-        let base = self.starts[0];
-        for (cur, &start) in self.cursor.iter_mut().zip(self.starts) {
-            *cur = start - base;
-        }
-        // The one scattered store stream: `perm[dst] = src`. Sources are
-        // visited in input order, so equal cells keep their order (stable).
-        let perm = &mut *self.ix;
-        for (i, &c) in src.icell.iter().enumerate() {
-            // One compare both selects this range's cells and bounds the
-            // cursor lookup.
-            if let Some(cur) = self.cursor.get_mut((c as usize).wrapping_sub(self.c0)) {
-                perm[*cur as usize] = i as u32;
-                *cur += 1;
-            }
-        }
-        for (out, col) in self.payload.iter_mut().zip(src_payload) {
-            for (o, &s) in out.iter_mut().zip(perm.iter()) {
-                *o = col[s as usize];
-            }
-        }
-        // The index columns are functions of the key: fill them per cell,
-        // `ix` last because it still holds the permutation.
-        for (k, w) in self.starts.windows(2).enumerate() {
-            let (s, e) = ((w[0] - base) as usize, (w[1] - base) as usize);
-            if s == e {
-                continue;
-            }
-            let first = self.ix[s] as usize;
-            debug_assert!(
-                self.ix[s..e].iter().all(|&i| {
-                    let i = i as usize;
-                    (src.ix[i], src.iy[i]) == (src.ix[first], src.iy[first])
-                }),
-                "particles of cell {} disagree on (ix, iy): icell != encode(ix, iy)",
-                self.c0 + k
-            );
-            self.icell[s..e].fill((self.c0 + k) as u32);
-            self.iy[s..e].fill(src.iy[first]);
-            self.ix[s..e].fill(src.ix[first]);
-        }
-    }
+    let _ = scratch;
+    sort_columns(p, None, ncells, Some(pool), arena);
 }
 
 /// Split `len` elements off the front of `*s`.
@@ -202,15 +159,68 @@ fn take_front<'a, T>(s: &mut &'a mut [T], len: usize) -> &'a mut [T] {
         .expect("the prefix sums cover every column")
 }
 
-/// The permutation-first engine behind every out-of-place entry point (see
-/// the module docs). Sorts `p` — and `extra`, an index-parallel column with
-/// its own scratch (the species arenas' `vz`) — stably by `icell` into
-/// `scratch`, then swaps the buffers. With a pool the cells are split into
-/// one contiguous range per worker; without, one range covers them all.
+/// Run `f(k, &mut items[k])` for every item: on the pool, item `k` on
+/// worker `k`, or inline without one.
+fn fan_out<T: Send>(pool: Option<&ThreadPool>, items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+    match pool {
+        Some(pool) => pool.run_items(items, f),
+        None => items
+            .iter_mut()
+            .enumerate()
+            .for_each(|(k, item)| f(k, item)),
+    }
+}
+
+/// Histogram of `icell` into `counts`. On a pool, worker `w` counts its
+/// [`chunk_range`] of `icell` into row `w` of `rows`, and the rows are
+/// added in worker order (integer sums: exact at every width).
+fn histogram(icell: &[u32], counts: &mut [u32], rows: &mut Vec<u32>, pool: Option<&ThreadPool>) {
+    let Some(pool) = pool else {
+        return cell_counts_into(icell, counts);
+    };
+    let (width, ncells) = (pool.nthreads(), counts.len());
+    fit(rows, width * ncells);
+    let mut items: [&mut [u32]; MAX_THREADS] = std::array::from_fn(|_| Default::default());
+    for (item, row) in items.iter_mut().zip(rows.chunks_mut(ncells)) {
+        *item = row;
+    }
+    pool.run_items(&mut items[..width], |w, row| {
+        let (a, b) = chunk_range(icell.len(), width, w);
+        cell_counts_into(&icell[a..b], row);
+    });
+    let (first, rest) = rows.split_at(ncells);
+    counts.copy_from_slice(first);
+    for row in rest.chunks(ncells) {
+        for (c, &r) in counts.iter_mut().zip(row) {
+            *c += r;
+        }
+    }
+}
+
+/// One cell range's share of the permutation scan, and of the first
+/// column's gather.
+struct ScanTask<'a> {
+    cursor: &'a mut [u32],
+    reps: &'a mut [(u32, u32)],
+    perm: &'a mut [u32],
+    out: &'a mut [f64],
+}
+
+/// One cell range's share of a later column's gather; the second gather
+/// also refills the range's index columns.
+struct GatherTask<'a> {
+    out: &'a mut [f64],
+    index: Option<[&'a mut [u32]; 3]>,
+}
+
+/// The engine behind every out-of-place entry point (see the module docs):
+/// sorts `p` — and `vz`, an index-parallel column (a species' out-of-plane
+/// velocity) — stably by `icell`. With a pool the histogram is counted per
+/// worker and the cells are split into one contiguous range per worker;
+/// without, one range covers them all.
 pub(crate) fn sort_columns(
     p: &mut ParticlesSoA,
-    scratch: &mut ParticlesSoA,
-    extra: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
+    vz: Option<&mut Vec<f64>>,
     ncells: usize,
     pool: Option<&ThreadPool>,
     arena: &mut SortArena,
@@ -220,32 +230,32 @@ pub(crate) fn sort_columns(
         n <= MAX_PARTICLES,
         "sort: {n} particles overflow the u32 counts and permutation"
     );
-    if scratch.len() != n {
-        *scratch = ParticlesSoA::zeroed(n);
-    }
-    let (mut no_in, mut no_out) = (Vec::new(), Vec::new());
-    let has_extra = extra.is_some();
-    let (extra_in, extra_out) = extra.unwrap_or((&mut no_in, &mut no_out));
-    assert_eq!(extra_in.len(), if has_extra { n } else { 0 });
-    extra_out.resize(extra_in.len(), 0.0);
-
-    arena.ensure(ncells);
+    let pool = pool.filter(|pool| pool.nthreads() > 1 && n > 0);
     let SortArena {
         counts,
+        rows,
         starts,
         cursor,
+        reps,
+        perm,
+        spare,
     } = arena;
-    let (counts, starts) = (&mut counts[..ncells], &mut starts[..ncells + 1]);
-    cell_counts_into(&p.icell, counts);
+    fit(counts, ncells);
+    fit(starts, ncells + 1);
+    fit(cursor, ncells);
+    fit(reps, ncells);
+    fit(perm, n);
+    fit(spare, n);
+    let spare_capacity = spare.capacity();
+
+    // 1. Histogram and prefix sums.
+    histogram(&p.icell, counts, rows, pool);
     cell_starts_into(counts, starts);
-    let starts = &*starts;
+    let starts = &starts[..];
 
     // Greedy cell partition into contiguous ranges of near-equal particle
     // count, in a stack array (ntasks ≤ pool width ≤ MAX_THREADS).
-    let ntasks = match pool {
-        Some(pool) if n > 0 => pool.nthreads().min(ncells).max(1),
-        _ => 1,
-    };
+    let ntasks = pool.map_or(1, |pool| pool.nthreads().min(ncells));
     let mut ranges = [(0usize, 0usize); MAX_THREADS];
     let mut nranges = 0usize;
     {
@@ -264,49 +274,152 @@ pub(crate) fn sort_columns(
         ranges[nranges] = (begin, ncells);
         nranges += 1;
     }
+    let ranges = &ranges[..nranges];
+    let slots = |(c0, c1): (usize, usize)| (starts[c1] - starts[c0]) as usize;
 
-    // Hand each range its disjoint slice of every output column.
-    let mut tasks: [Option<CellRange>; MAX_THREADS] = [const { None }; MAX_THREADS];
+    let ParticlesSoA {
+        icell,
+        ix,
+        iy,
+        dx,
+        dy,
+        vx,
+        vy,
+    } = p;
+    let mut cols = [Some(dx), Some(dy), Some(vx), Some(vy), vz];
+    assert!(
+        cols.iter().flatten().all(|col| col.len() == n),
+        "every column holds every particle"
+    );
+    let mut cols = cols.iter_mut().flatten();
+
+    // 2. One fan-out: each range writes its slice of the permutation and
+    // the representatives of its cells, before anything is overwritten,
+    // then gathers its slice of the first column into the spare.
+    let first = cols.next().expect("dx is always sorted");
     {
-        let mut cursor = &mut cursor[..ncells];
-        let mut index = [&mut scratch.icell[..], &mut scratch.ix, &mut scratch.iy];
-        let mut payload = [
-            &mut scratch.dx[..],
-            &mut scratch.dy,
-            &mut scratch.vx,
-            &mut scratch.vy,
-        ];
-        let mut extra = &mut extra_out[..];
-        for (task, &(c0, c1)) in tasks.iter_mut().zip(&ranges[..nranges]) {
-            let len = (starts[c1] - starts[c0]) as usize;
-            let [icell, ix, iy] = index.each_mut().map(|s| take_front(s, len));
-            let [dx, dy, vx, vy] = payload.each_mut().map(|s| take_front(s, len));
-            let extra = take_front(&mut extra, if has_extra { len } else { 0 });
-            *task = Some(CellRange {
-                c0,
-                starts: &starts[c0..=c1],
+        let mut tasks: [Option<ScanTask>; MAX_THREADS] = [const { None }; MAX_THREADS];
+        let (mut cursor, mut reps, mut perm) = (&mut cursor[..], &mut reps[..], &mut perm[..]);
+        let mut out = &mut spare[..];
+        for (task, &(c0, c1)) in tasks.iter_mut().zip(ranges) {
+            *task = Some(ScanTask {
                 cursor: take_front(&mut cursor, c1 - c0),
-                icell,
-                ix,
-                iy,
-                payload: [dx, dy, vx, vy, extra],
+                reps: take_front(&mut reps, c1 - c0),
+                perm: take_front(&mut perm, slots((c0, c1))),
+                out: take_front(&mut out, slots((c0, c1))),
             });
         }
+        let (icell, ix, iy, src) = (&icell[..], &ix[..], &iy[..], &first[..]);
+        fan_out(pool, &mut tasks[..nranges], |k, task| {
+            let task = task.as_mut().expect("task slot filled above");
+            let (c0, c1) = ranges[k];
+            scan(icell, ix, iy, c0, &starts[c0..=c1], task);
+            gather(task.out, task.perm, src);
+        });
     }
+    std::mem::swap(*first, spare);
 
-    let src = &*p;
-    let src_payload: [&[f64]; 5] = [&src.dx, &src.dy, &src.vx, &src.vy, extra_in];
-    let run = |task: &mut Option<CellRange>| {
-        task.as_mut()
-            .expect("task slot filled above")
-            .run(src, src_payload)
-    };
-    match pool {
-        Some(pool) if nranges > 1 => pool.run_items(&mut tasks[..nranges], |_, task| run(task)),
-        _ => run(&mut tasks[0]),
+    // 3 and 4. Per further column one fan-out gathers into the spare, which
+    // then swaps with the column; the first of them also refills the index
+    // columns, which nothing reads any more.
+    let (perm, reps) = (&perm[..], &reps[..]);
+    let mut index = Some([&mut icell[..], &mut ix[..], &mut iy[..]]);
+    for col in cols {
+        let mut tasks: [Option<GatherTask>; MAX_THREADS] = [const { None }; MAX_THREADS];
+        {
+            let mut out = &mut spare[..];
+            let mut refill = index.take();
+            for (task, &range) in tasks.iter_mut().zip(ranges) {
+                let len = slots(range);
+                *task = Some(GatherTask {
+                    out: take_front(&mut out, len),
+                    index: refill
+                        .as_mut()
+                        .map(|cols| cols.each_mut().map(|s| take_front(s, len))),
+                });
+            }
+        }
+        let src = &col[..];
+        fan_out(pool, &mut tasks[..nranges], |k, task| {
+            let task = task.as_mut().expect("task slot filled above");
+            let (c0, c1) = ranges[k];
+            gather(
+                task.out,
+                &perm[starts[c0] as usize..starts[c1] as usize],
+                src,
+            );
+            if let Some(index) = &mut task.index {
+                fill_index(c0, &starts[c0..=c1], &reps[c0..c1], index);
+            }
+        });
+        std::mem::swap(*col, spare);
     }
-    std::mem::swap(p, scratch);
-    std::mem::swap(extra_in, extra_out);
+    // The swaps moved the arena's spare into the first column and left the
+    // last column's buffer as the spare. If that buffer is shorter (a
+    // smaller store sharing the arena with a larger one), copy the first
+    // column into it and swap back, so the spare keeps the capacity of the
+    // largest store and no store keeps a buffer sized for another.
+    if spare.capacity() < spare_capacity {
+        spare.copy_from_slice(first);
+        std::mem::swap(*first, spare);
+    }
+}
+
+/// `out[d] = src[perm[d]]`: sequential stores, independent loads.
+fn gather(out: &mut [f64], perm: &[u32], src: &[f64]) {
+    for (o, &i) in out.iter_mut().zip(perm) {
+        *o = src[i as usize];
+    }
+}
+
+/// Permutation scan of one cell range: `perm[dst] = src` for the cells
+/// `c0..c0 + task.cursor.len()` (absolute first slots `starts`), then each
+/// non-empty cell's `(ix, iy)` from its first source particle.
+fn scan(icell: &[u32], ix: &[u32], iy: &[u32], c0: usize, starts: &[u32], task: &mut ScanTask) {
+    let base = starts[0];
+    for (cur, &start) in task.cursor.iter_mut().zip(starts) {
+        *cur = start - base;
+    }
+    // The one scattered store stream. Sources are visited in input order,
+    // so equal cells keep their order (stable).
+    for (i, &c) in icell.iter().enumerate() {
+        // One compare both selects this range's cells and bounds the
+        // cursor lookup.
+        if let Some(cur) = task.cursor.get_mut((c as usize).wrapping_sub(c0)) {
+            task.perm[*cur as usize] = i as u32;
+            *cur += 1;
+        }
+    }
+    for (k, (rep, w)) in task.reps.iter_mut().zip(starts.windows(2)).enumerate() {
+        let cell = &task.perm[(w[0] - base) as usize..(w[1] - base) as usize];
+        let Some(&first) = cell.first() else {
+            continue;
+        };
+        *rep = (ix[first as usize], iy[first as usize]);
+        debug_assert!(
+            cell.iter()
+                .all(|&i| (ix[i as usize], iy[i as usize]) == *rep),
+            "particles of cell {} disagree on (ix, iy): icell != encode(ix, iy)",
+            c0 + k
+        );
+    }
+}
+
+/// Refill one cell range's index columns: `icell` run-length from the
+/// prefix sums, `ix`/`iy` from each cell's representative.
+fn fill_index(
+    c0: usize,
+    starts: &[u32],
+    reps: &[(u32, u32)],
+    [icell, ix, iy]: &mut [&mut [u32]; 3],
+) {
+    let base = starts[0];
+    for (k, (w, &(x, y))) in starts.windows(2).zip(reps).enumerate() {
+        let (s, e) = ((w[0] - base) as usize, (w[1] - base) as usize);
+        icell[s..e].fill((c0 + k) as u32);
+        ix[s..e].fill(x);
+        iy[s..e].fill(y);
+    }
 }
 
 /// True if particles are sorted by cell index (diagnostic).
@@ -347,8 +460,7 @@ mod tests {
     fn out_of_place_sorts_and_permutes() {
         let mut p = mk(5000, 64, 42);
         let before = payload_multiset(&p);
-        let mut scratch = ParticlesSoA::zeroed(0);
-        sort_out_of_place(&mut p, &mut scratch, 64);
+        sort_out_of_place(&mut p, 64);
         assert!(is_sorted_by_cell(&p));
         assert_eq!(payload_multiset(&p), before);
     }
@@ -358,8 +470,7 @@ mod tests {
         // Counting sort with a forward scan is stable: equal cells keep
         // their relative order (vx payload ascends within each cell).
         let mut p = mk(2000, 16, 7);
-        let mut scratch = ParticlesSoA::zeroed(0);
-        sort_out_of_place(&mut p, &mut scratch, 16);
+        sort_out_of_place(&mut p, 16);
         for w in 0..p.len() - 1 {
             if p.icell[w] == p.icell[w + 1] {
                 assert!(p.vx[w] < p.vx[w + 1], "stability broken at {w}");
@@ -370,12 +481,11 @@ mod tests {
     #[test]
     fn empty_and_single() {
         let mut p = ParticlesSoA::zeroed(0);
-        let mut scratch = ParticlesSoA::zeroed(0);
-        sort_out_of_place(&mut p, &mut scratch, 16);
+        sort_out_of_place(&mut p, 16);
         assert!(p.is_empty());
 
         let mut p = mk(1, 16, 47);
-        sort_out_of_place(&mut p, &mut scratch, 16);
+        sort_out_of_place(&mut p, 16);
         assert_eq!(p.len(), 1);
     }
 
@@ -386,8 +496,7 @@ mod tests {
         p.ix.fill(0);
         p.iy.fill(5);
         let before = payload_multiset(&p);
-        let mut scratch = ParticlesSoA::zeroed(0);
-        sort_out_of_place(&mut p, &mut scratch, 64);
+        sort_out_of_place(&mut p, 64);
         assert_eq!(payload_multiset(&p), before);
     }
 
@@ -398,13 +507,13 @@ mod tests {
             let mut arena = SortArena::new();
             let mut a = mk(3000, 32, 49);
             let mut b = a.clone();
-            let mut s1 = ParticlesSoA::zeroed(0);
-            let mut s2 = ParticlesSoA::zeroed(0);
-            sort_out_of_place(&mut a, &mut s1, 32);
+            let mut ignored = ParticlesSoA::default();
+            sort_out_of_place(&mut a, 32);
             // Sort twice through the same arena: the second run (already
             // sorted input) must also match, proving the arena re-primes.
-            pool_sort_out_of_place(&mut b, &mut s2, 32, &pool, &mut arena);
-            pool_sort_out_of_place(&mut b, &mut s2, 32, &pool, &mut arena);
+            pool_sort_out_of_place(&mut b, &mut ignored, 32, &pool, &mut arena);
+            pool_sort_out_of_place(&mut b, &mut ignored, 32, &pool, &mut arena);
+            assert!(ignored.is_empty(), "the scratch argument is not used");
             assert_eq!(a.icell, b.icell, "nthreads={nthreads}");
             assert_eq!(a.vx, b.vx, "nthreads={nthreads}");
         }
@@ -454,9 +563,7 @@ mod tests {
         let (want, want_vz) = gathered(p, vz, &order);
         for pool in pools {
             let (mut q, mut qz) = (p.clone(), vz.to_vec());
-            let (mut scratch, mut scratch_z) = (ParticlesSoA::default(), Vec::new());
-            let extra = Some((&mut qz, &mut scratch_z));
-            sort_columns(&mut q, &mut scratch, extra, ncells, Some(pool), arena);
+            sort_columns(&mut q, Some(&mut qz), ncells, Some(pool), arena);
             let what = format!("n={} ncells={ncells} width={}", p.len(), pool.nthreads());
             assert_eq!(q, want, "{what}");
             assert_eq!(qz, want_vz, "{what}");
@@ -511,11 +618,79 @@ mod tests {
     }
 
     #[test]
+    fn one_arena_follows_a_store_that_shrinks_and_grows() {
+        // A decomposed rank's pattern: the store loses particles to its
+        // neighbours (its columns keep their buffers), then gains more than
+        // it lost. Every sort is exact, and the shrink reallocates nothing.
+        let ncells = 100;
+        let full = mk(60_000, ncells, 53);
+        let full_vz: Vec<f64> = (0..full.len()).map(|i| i as f64 + 0.5).collect();
+        for pool in &pools() {
+            let mut arena = SortArena::new();
+            let (mut q, mut qz) = (full.clone(), full_vz.clone());
+            for n in [40_000usize, 9_000, 60_000] {
+                // The first `n` particles of the full store, in its buffers.
+                for (c, f) in [&mut q.icell, &mut q.ix, &mut q.iy].into_iter().zip([
+                    &full.icell,
+                    &full.ix,
+                    &full.iy,
+                ]) {
+                    c.clear();
+                    c.extend_from_slice(&f[..n]);
+                }
+                for (c, f) in [&mut q.dx, &mut q.dy, &mut q.vx, &mut q.vy, &mut qz]
+                    .into_iter()
+                    .zip([&full.dx, &full.dy, &full.vx, &full.vy, &full_vz])
+                {
+                    c.clear();
+                    c.extend_from_slice(&f[..n]);
+                }
+                let mut order: Vec<usize> = (0..n).collect();
+                order.sort_by_key(|&i| q.icell[i]);
+                let (want, want_vz) = gathered(&q, &qz, &order);
+                let before = (arena.perm.capacity(), arena.spare.capacity());
+                sort_columns(&mut q, Some(&mut qz), ncells, Some(pool), &mut arena);
+                let what = format!("n={n} width={}", pool.nthreads());
+                assert_eq!(q, want, "{what}");
+                assert_eq!(qz, want_vz, "{what}");
+                if n < before.0 {
+                    let after = (arena.perm.capacity(), arena.spare.capacity());
+                    assert_eq!(after, before, "{what}: the shrink kept the buffers");
+                }
+            }
+
+            // A driver's species: stores of different sizes sort one after
+            // another through the arena, and each keeps buffers of its own
+            // size while the spare keeps the largest one's.
+            let mut stores = [
+                (q.clone(), qz.clone()),
+                (mk(5_000, ncells, 54), vec![0.25; 5_000]),
+            ];
+            let caps = |(p, vz): &(ParticlesSoA, Vec<f64>)| {
+                [&p.dx, &p.dy, &p.vx, &p.vy, vz].map(|c| c.capacity())
+            };
+            let want_caps = stores.each_ref().map(caps);
+            for _ in 0..2 {
+                for (store, want_caps) in stores.iter_mut().zip(want_caps) {
+                    let mut order: Vec<usize> = (0..store.0.len()).collect();
+                    order.sort_by_key(|&i| store.0.icell[i]);
+                    let want = gathered(&store.0, &store.1, &order);
+                    let (p, vz) = store;
+                    sort_columns(p, Some(vz), ncells, Some(pool), &mut arena);
+                    assert_eq!((&*p, &*vz), (&want.0, &want.1));
+                    assert_eq!(caps(store), want_caps);
+                    assert_eq!(arena.spare.capacity(), 60_000);
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "disagree on (ix, iy)")]
     #[cfg(debug_assertions)]
     fn index_fill_checks_the_key_invariant_in_debug_builds() {
         let mut p = mk(100, 4, 52);
         p.ix[17] ^= 1;
-        sort_out_of_place(&mut p, &mut ParticlesSoA::default(), 4);
+        sort_out_of_place(&mut p, 4);
     }
 }

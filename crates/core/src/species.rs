@@ -78,9 +78,8 @@ impl SpeciesDef {
     }
 }
 
-/// One species' live storage: the classic SoA arena plus `vz`, with
-/// caller-invisible sort scratch so the counting sort stays allocation-free
-/// at steady state.
+/// One species' live storage: the classic SoA arena plus `vz`. It holds no
+/// sort scratch: the driver's species share one [`SortArena`].
 #[derive(Debug, Clone)]
 pub struct SpeciesArena {
     /// The static definition.
@@ -91,9 +90,6 @@ pub struct SpeciesArena {
     pub vz: Vec<f64>,
     /// Macro-particle weight `density·Lx·Ly/n`.
     pub weight: f64,
-    scratch: ParticlesSoA,
-    vz_scratch: Vec<f64>,
-    sort_arena: SortArena,
 }
 
 impl SpeciesArena {
@@ -121,30 +117,14 @@ impl SpeciesArena {
             .species(index)
             .load(s..e, None, pool);
         let weight = def.density * grid.lx * grid.ly / n as f64;
-        Self {
-            def,
-            p,
-            vz,
-            weight,
-            scratch: ParticlesSoA::default(),
-            vz_scratch: Vec::new(),
-            sort_arena: SortArena::new(),
-        }
+        Self { def, p, vz, weight }
     }
 
     /// Build an arena directly from checkpointed storage.
     pub fn from_parts(def: SpeciesDef, p: ParticlesSoA, vz: Vec<f64>, grid: &Grid2D) -> Self {
         assert_eq!(p.len(), vz.len(), "vz must be index-parallel with p");
         let weight = def.density * grid.lx * grid.ly / def.n_particles as f64;
-        Self {
-            def,
-            p,
-            vz,
-            weight,
-            scratch: ParticlesSoA::default(),
-            vz_scratch: Vec::new(),
-            sort_arena: SortArena::new(),
-        }
+        Self { def, p, vz, weight }
     }
 
     /// Marker count in this arena (after any replication slice).
@@ -172,17 +152,10 @@ impl SpeciesArena {
     /// Stable counting sort by `icell` carrying `vz` as an eighth column
     /// through the shared permutation-first engine ([`crate::sort`]).
     /// Runs on `pool` when there is one; the sort is stable, so the result
-    /// does not depend on the pool or its width. Allocation-free once the
-    /// scratch buffers are sized.
-    pub fn sort(&mut self, ncells: usize, pool: Option<&ThreadPool>) {
-        sort_columns(
-            &mut self.p,
-            &mut self.scratch,
-            Some((&mut self.vz, &mut self.vz_scratch)),
-            ncells,
-            pool,
-            &mut self.sort_arena,
-        );
+    /// does not depend on the pool or its width. Allocation-free once
+    /// `arena` has sorted this many particles.
+    pub fn sort(&mut self, ncells: usize, pool: Option<&ThreadPool>, arena: &mut SortArena) {
+        sort_columns(&mut self.p, Some(&mut self.vz), ncells, pool, arena);
     }
 }
 
@@ -311,7 +284,7 @@ mod tests {
         }
         pairs.sort_unstable();
         let unsorted = a.clone();
-        a.sort(256, None);
+        a.sort(256, None, &mut SortArena::new());
         assert!(crate::sort::is_sorted_by_cell(&a.p));
         let mut after: Vec<(u64, u64)> = (0..a.len())
             .map(|i| (a.p.vx[i].to_bits(), a.vz[i].to_bits()))
@@ -320,10 +293,11 @@ mod tests {
         assert_eq!(pairs, after);
 
         // The sort is stable, so a pool of any width gives the same columns.
+        let mut arena = SortArena::new();
         for width in 1..=3 {
             let pool = ThreadPool::new(width);
             let mut b = unsorted.clone();
-            b.sort(256, Some(&pool));
+            b.sort(256, Some(&pool), &mut arena);
             assert_eq!(b.p, a.p, "pool width {width}");
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&b.vz), bits(&a.vz), "pool width {width}: vz");

@@ -29,8 +29,7 @@ fn scalar_step(sim: &Simulation, pool: &ThreadPool) -> (ParticlesSoA, Vec<f64>) 
     let layout = AnyLayout::build(c.ordering, c.grid_nx, c.grid_ny).unwrap();
     let mut p = sim.particles().clone();
     if c.sort_period > 0 && (sim.steps() + 1).is_multiple_of(c.sort_period) {
-        let mut scratch = ParticlesSoA::zeroed(0);
-        sort_out_of_place(&mut p, &mut scratch, layout.as_dyn().ncells());
+        sort_out_of_place(&mut p, layout.as_dyn().ncells());
     }
 
     let mut field = Field2D::new(grid);

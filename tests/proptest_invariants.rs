@@ -354,11 +354,9 @@ fn sorts_agree_and_preserve_payload() {
         let mut a = p.clone();
         let mut b = p.clone();
         let mut c = p.clone();
-        let mut s1 = ParticlesSoA::zeroed(0);
-        let mut s2 = ParticlesSoA::zeroed(0);
-        sort_out_of_place(&mut a, &mut s1, 256);
+        sort_out_of_place(&mut a, 256);
         sort_in_place(&mut b, 256);
-        pool_sort_out_of_place(&mut c, &mut s2, 256, &pool, &mut arena);
+        pool_sort_out_of_place(&mut c, &mut ParticlesSoA::default(), 256, &pool, &mut arena);
         assert!(is_sorted_by_cell(&a), "case={case}");
         assert!(is_sorted_by_cell(&b), "case={case}");
         // Out-of-place sorts are stable and must agree exactly.
