@@ -287,3 +287,16 @@ fn mixed_tenants_share_the_runtime_and_calibrate_the_cost_model() {
     // Every committed quantum fed the cost estimator.
     assert!(rt.estimator().samples() > 0, "no calibration samples");
 }
+
+/// The EM production path's bits: the magnetized two-stream world, two
+/// workers, 45 steps. Any change to the Boris kick, the current deposit,
+/// the per-species sort or the `PIC2DEMS` wire format moves this hash.
+#[test]
+fn em_production_path_snapshot_bits_are_pinned() {
+    let mut c = EmConfig::magnetized_two_stream(20_000);
+    c.threads = 2;
+    c.seed = 7;
+    let mut sim = EmSimulation::new(c).unwrap();
+    sim.run(45);
+    assert_eq!(snapshot_hash(&sim.checkpoint()), 0xe680f9079299148a);
+}
