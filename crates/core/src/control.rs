@@ -179,10 +179,10 @@ impl ControllerConfig {
 
 /// A hot-path switch — of which there are none: nothing but the sort
 /// schedule is decided at run time, so the type is uninhabited and the
-/// `take_hot_path_events` shims that `benchmark/` still calls
-/// ([`crate::sim::Simulation::take_hot_path_events`],
-/// [`crate::em::EmSimulation::take_hot_path_events`]) return empty lists by
-/// construction. Goes with them in the paired `[benchmark]` issue.
+/// `take_hot_path_events` shim that `benchmark/` still calls on both
+/// driver kinds ([`crate::engine::Pic::take_hot_path_events`]) returns an
+/// empty list by construction. Goes with it in the paired `[benchmark]`
+/// issue.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SwitchEvent {}
 

@@ -51,6 +51,7 @@
 pub mod control;
 pub mod diag;
 pub mod em;
+pub mod engine;
 pub mod faultlog;
 pub mod fields;
 pub mod grid;

@@ -2,10 +2,10 @@
 //! kicks, sums `Σ|v|²`, pushes and deposits each strip of particles while it
 //! is in cache, so a particle crosses the memory bus once per step.
 //!
-//! Both drivers step through `strip_pass`: [`crate::sim::Simulation`] with
-//! a leap-frog kick over its 2d2v store, [`crate::em::EmSimulation`] once
-//! per species with the Boris kick, a `vz` column in the view and the **J**
-//! deposit after the ρ deposit of the same pushed positions.
+//! The step engine ([`crate::engine`]) calls `strip_pass` once per species:
+//! with a leap-frog kick over the electrostatic store, whose `vz` is empty,
+//! or with the Boris kick, a `vz` column in the view and the **J** deposit
+//! after the ρ deposit of the same pushed positions.
 
 use crate::fields::{RedundantJ, RedundantRho};
 use crate::kernels::{self, current, deposit, simd, SoaViewMut};

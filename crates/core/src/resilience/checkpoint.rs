@@ -37,6 +37,7 @@
 
 use crate::particles::ParticlesSoA;
 use crate::sim::{DepositPath, DiagSample};
+use crate::species::SpeciesArena;
 use crate::PicError;
 
 /// Current snapshot format version. Bumped on any layout change; decoding
@@ -105,8 +106,8 @@ fn deposit_from_code(c: u32) -> Result<DepositPath, PicError> {
 }
 
 /// The complete restorable state of a [`crate::sim::Simulation`], as plain
-/// data. [`crate::sim::Simulation::checkpoint`] gathers one of these and
-/// [`encode`]s it; restore [`decode`]s and applies it.
+/// data: what [`decode`] reads from a snapshot that
+/// [`crate::sim::Simulation::checkpoint`] wrote through [`encode_view`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimState {
     /// Fingerprint of the owning configuration.
@@ -222,12 +223,12 @@ fn put_hot_path(buf: &mut Vec<u8>, hp: &HotPathMeta) {
     buf.extend_from_slice(&hp.controller);
 }
 
-/// Borrowed form of [`SimState`]: everything [`encode_view`] needs,
-/// without owning (or cloning) any of the arrays. A multi-megabyte
-/// particle store copied once per coordinated checkpoint was the dominant
-/// snapshot cost; serializing straight from the simulation's own buffers
-/// avoids it.
-pub struct SimStateView<'a> {
+/// The borrowed state both encoders write: everything a snapshot holds,
+/// serialized straight from the simulation's own buffers — a
+/// multi-megabyte particle store copied once per coordinated checkpoint was
+/// the dominant snapshot cost. A single-species run fills it with its one
+/// store (`vz` empty) and no **J**.
+pub struct StateView<'a> {
     /// Fingerprint of the owning configuration.
     pub config_fingerprint: u64,
     /// Steps taken when the snapshot was captured.
@@ -238,70 +239,94 @@ pub struct SimStateView<'a> {
     pub charge_ref: f64,
     /// Active hot-path knobs and controller state at capture time.
     pub hot_path: &'a HotPathMeta,
-    /// Particle store (SoA canonical form).
-    pub particles: &'a ParticlesSoA,
+    /// Per-species stores, in species-table order.
+    pub species: &'a [SpeciesArena],
     /// Charge density on grid points.
     pub rho: &'a [f64],
     /// Electric field x-component on grid points.
     pub ex: &'a [f64],
     /// Electric field y-component on grid points.
     pub ey: &'a [f64],
+    /// Current density components on grid points (empty without **J**).
+    pub jx: &'a [f64],
+    /// See [`jx`](Self::jx).
+    pub jy: &'a [f64],
+    /// See [`jx`](Self::jx).
+    pub jz: &'a [f64],
     /// Diagnostics history.
     pub diag: &'a [DiagSample],
 }
 
-/// Serialize a [`SimState`] into a self-contained checksummed snapshot.
-pub fn encode(state: &SimState) -> Vec<u8> {
-    encode_view(&SimStateView {
-        config_fingerprint: state.config_fingerprint,
-        step_count: state.step_count,
-        rng_state: state.rng_state,
-        charge_ref: state.charge_ref,
-        hot_path: &state.hot_path,
-        particles: &state.particles,
-        rho: &state.rho,
-        ex: &state.ex,
-        ey: &state.ey,
-        diag: &state.diag,
-    })
+/// Serialize the one store of a [`StateView`] in the single-species
+/// `PIC2DCKP` format that [`decode`] reads.
+pub fn encode_view(state: &StateView<'_>) -> Vec<u8> {
+    let [store] = state.species else {
+        panic!("the PIC2DCKP format holds exactly one store");
+    };
+    let n = store.p.len();
+    let len = fixed_len(state.hot_path) + n * 44 + state.rho.len() * 24 + state.diag.len() * 32;
+    let mut buf = Vec::with_capacity(len);
+    put_header(&mut buf, (MAGIC, FORMAT_VERSION), state);
+    put_store(&mut buf, &store.p, None);
+    put_grid_arrays(&mut buf, &[state.rho, state.ex, state.ey]);
+    let buf = seal(buf, state.diag);
+    debug_assert_eq!(buf.len(), len, "snapshot length");
+    buf
 }
 
-/// Serialize a borrowed [`SimStateView`]; same wire format as [`encode`].
-pub fn encode_view(state: &SimStateView<'_>) -> Vec<u8> {
-    let n = state.particles.len();
-    let mut buf = Vec::with_capacity(64 + n * 44 + state.rho.len() * 24 + state.diag.len() * 32);
-    buf.extend_from_slice(&MAGIC);
-    put_u32(&mut buf, FORMAT_VERSION);
-    put_u64(&mut buf, state.config_fingerprint);
-    put_u64(&mut buf, state.step_count);
+/// Bytes both formats spend besides their arrays: the header, the hot-path
+/// block, three length prefixes and the checksum — so each encoder
+/// allocates its snapshot once, at its exact length.
+fn fixed_len(hp: &HotPathMeta) -> usize {
+    8 + 4 + 8 + 8 + 32 + 8 + (4 + 4 + 8 + 8 + hp.controller.len()) + 3 * 8 + 8
+}
+
+/// The header both formats share: magic, version, fingerprint, step count,
+/// the retired RNG slot, charge reference, hot-path block.
+fn put_header(buf: &mut Vec<u8>, (magic, version): ([u8; 8], u32), state: &StateView<'_>) {
+    buf.extend_from_slice(&magic);
+    put_u32(buf, version);
+    put_u64(buf, state.config_fingerprint);
+    put_u64(buf, state.step_count);
     for w in state.rng_state {
-        put_u64(&mut buf, w);
+        put_u64(buf, w);
     }
-    put_f64(&mut buf, state.charge_ref);
-    put_hot_path(&mut buf, state.hot_path);
+    put_f64(buf, state.charge_ref);
+    put_hot_path(buf, state.hot_path);
+}
 
-    put_u64(&mut buf, n as u64);
-    put_u32_slice(&mut buf, &state.particles.icell);
-    put_u32_slice(&mut buf, &state.particles.ix);
-    put_u32_slice(&mut buf, &state.particles.iy);
-    put_f64_slice(&mut buf, &state.particles.dx);
-    put_f64_slice(&mut buf, &state.particles.dy);
-    put_f64_slice(&mut buf, &state.particles.vx);
-    put_f64_slice(&mut buf, &state.particles.vy);
+/// One particle store: its length, the seven columns, and `vz` when the
+/// format carries it.
+fn put_store(buf: &mut Vec<u8>, p: &ParticlesSoA, vz: Option<&[f64]>) {
+    put_u64(buf, p.len() as u64);
+    put_u32_slice(buf, &p.icell);
+    put_u32_slice(buf, &p.ix);
+    put_u32_slice(buf, &p.iy);
+    for col in [&p.dx, &p.dy, &p.vx, &p.vy] {
+        put_f64_slice(buf, col);
+    }
+    if let Some(vz) = vz {
+        put_f64_slice(buf, vz);
+    }
+}
 
-    put_u64(&mut buf, state.rho.len() as u64);
-    put_f64_slice(&mut buf, state.rho);
-    put_f64_slice(&mut buf, state.ex);
-    put_f64_slice(&mut buf, state.ey);
+/// The grid length, then each array (all of that length).
+fn put_grid_arrays(buf: &mut Vec<u8>, arrays: &[&[f64]]) {
+    put_u64(buf, arrays[0].len() as u64);
+    for a in arrays {
+        put_f64_slice(buf, a);
+    }
+}
 
-    put_u64(&mut buf, state.diag.len() as u64);
-    for s in state.diag {
+/// Append the diagnostics history and the checksum over everything before.
+fn seal(mut buf: Vec<u8>, diag: &[DiagSample]) -> Vec<u8> {
+    put_u64(&mut buf, diag.len() as u64);
+    for s in diag {
         put_f64(&mut buf, s.time);
         put_f64(&mut buf, s.kinetic);
         put_f64(&mut buf, s.field);
         put_f64(&mut buf, s.ex_mode);
     }
-
     let sum = snapshot_hash(&buf);
     put_u64(&mut buf, sum);
     buf
@@ -374,6 +399,59 @@ impl<'a> Reader<'a> {
         })
     }
 
+    /// One particle store: its length, the seven columns, and `vz` when the
+    /// format carries it (empty otherwise).
+    fn store(&mut self, with_vz: bool) -> Result<(ParticlesSoA, Vec<f64>), PicError> {
+        // 3×u32 + 4×f64 per particle, plus an f64 for vz.
+        let n = self.len_prefix(if with_vz { 52 } else { 44 })?;
+        let p = ParticlesSoA {
+            icell: self.u32_vec(n)?,
+            ix: self.u32_vec(n)?,
+            iy: self.u32_vec(n)?,
+            dx: self.f64_vec(n)?,
+            dy: self.f64_vec(n)?,
+            vx: self.f64_vec(n)?,
+            vy: self.f64_vec(n)?,
+        };
+        let vz = if with_vz {
+            self.f64_vec(n)?
+        } else {
+            Vec::new()
+        };
+        Ok((p, vz))
+    }
+
+    /// The grid length, then `K` arrays of that length.
+    fn grid_arrays<const K: usize>(&mut self) -> Result<[Vec<f64>; K], PicError> {
+        let ng = self.len_prefix(8 * K)?;
+        let mut out = [const { Vec::new() }; K];
+        for a in &mut out {
+            *a = self.f64_vec(ng)?;
+        }
+        Ok(out)
+    }
+
+    /// The diagnostics history, which must end the payload.
+    fn diag_to_end(&mut self, kind: &str) -> Result<Vec<DiagSample>, PicError> {
+        let nd = self.len_prefix(32)?; // 4×f64 per sample
+        let mut diag = Vec::with_capacity(nd);
+        for _ in 0..nd {
+            diag.push(DiagSample {
+                time: self.f64()?,
+                kinetic: self.f64()?,
+                field: self.f64()?,
+                ex_mode: self.f64()?,
+            });
+        }
+        if self.pos != self.buf.len() {
+            return Err(PicError::Checkpoint(format!(
+                "{kind}snapshot has {} trailing bytes",
+                self.buf.len() - self.pos
+            )));
+        }
+        Ok(diag)
+    }
+
     /// Bounded length prefix: a corrupted count must not drive a huge
     /// allocation before the checksum gets a chance to reject the buffer.
     fn len_prefix(&mut self, elem_bytes: usize) -> Result<usize, PicError> {
@@ -388,16 +466,26 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Parse and validate a snapshot produced by [`encode`].
-///
-/// Checks, in order: minimum size, trailing checksum over the whole
-/// payload, magic, format version, and internal length consistency. The
-/// caller ([`crate::sim::Simulation::restore`]) additionally checks the
-/// configuration fingerprint and the array lengths against its own grid.
-pub fn decode(bytes: &[u8]) -> Result<SimState, PicError> {
-    if bytes.len() < MAGIC.len() + 4 + 8 {
+/// The fields both formats carry ahead of their arrays.
+struct Header {
+    config_fingerprint: u64,
+    step_count: u64,
+    rng_state: [u64; 4],
+    charge_ref: f64,
+    hot_path: HotPathMeta,
+}
+
+/// Check a snapshot of format `(magic, version)` — minimum size, trailing
+/// checksum over the whole payload, magic, version — and read its header.
+/// `kind` prefixes the error messages (`""` or `"EM "`).
+fn open<'a>(
+    bytes: &'a [u8],
+    (magic, version): ([u8; 8], u32),
+    kind: &str,
+) -> Result<(Reader<'a>, Header), PicError> {
+    if bytes.len() < magic.len() + 4 + 8 {
         return Err(PicError::Checkpoint(format!(
-            "snapshot too small ({} bytes)",
+            "{kind}snapshot too small ({} bytes)",
             bytes.len()
         )));
     }
@@ -406,75 +494,53 @@ pub fn decode(bytes: &[u8]) -> Result<SimState, PicError> {
     let actual = snapshot_hash(payload);
     if stored != actual {
         return Err(PicError::Checkpoint(format!(
-            "snapshot checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
+            "{kind}snapshot checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
         )));
     }
-
     let mut r = Reader {
         buf: payload,
         pos: 0,
     };
-    let magic = r.take(8)?;
-    if magic != MAGIC {
-        return Err(PicError::Checkpoint("bad snapshot magic".into()));
+    if r.take(8)? != magic {
+        return Err(PicError::Checkpoint(format!("bad {kind}snapshot magic")));
     }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
+    let found = r.u32()?;
+    if found != version {
         return Err(PicError::Checkpoint(format!(
-            "unsupported snapshot version {version} (expected {FORMAT_VERSION})"
+            "unsupported {kind}snapshot version {found} (expected {version})"
         )));
     }
-    let config_fingerprint = r.u64()?;
-    let step_count = r.u64()?;
-    let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-    let charge_ref = r.f64()?;
-    let hot_path = r.hot_path()?;
-
-    let n = r.len_prefix(44)?; // 3×u32 + 4×f64 per particle
-    let particles = ParticlesSoA {
-        icell: r.u32_vec(n)?,
-        ix: r.u32_vec(n)?,
-        iy: r.u32_vec(n)?,
-        dx: r.f64_vec(n)?,
-        dy: r.f64_vec(n)?,
-        vx: r.f64_vec(n)?,
-        vy: r.f64_vec(n)?,
+    let header = Header {
+        config_fingerprint: r.u64()?,
+        step_count: r.u64()?,
+        rng_state: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
+        charge_ref: r.f64()?,
+        hot_path: r.hot_path()?,
     };
+    Ok((r, header))
+}
 
-    let ng = r.len_prefix(24)?; // 3×f64 per grid point
-    let rho = r.f64_vec(ng)?;
-    let ex = r.f64_vec(ng)?;
-    let ey = r.f64_vec(ng)?;
-
-    let nd = r.len_prefix(32)?; // 4×f64 per sample
-    let mut diag = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        diag.push(DiagSample {
-            time: r.f64()?,
-            kinetic: r.f64()?,
-            field: r.f64()?,
-            ex_mode: r.f64()?,
-        });
-    }
-
-    if r.pos != payload.len() {
-        return Err(PicError::Checkpoint(format!(
-            "snapshot has {} trailing bytes",
-            payload.len() - r.pos
-        )));
-    }
-
+/// Parse and validate a snapshot produced by [`encode_view`].
+///
+/// Checks, in order: minimum size, trailing checksum over the whole
+/// payload, magic, format version, and internal length consistency. The
+/// caller ([`crate::sim::Simulation::restore`]) additionally checks the
+/// configuration fingerprint and the array lengths against its own grid.
+pub fn decode(bytes: &[u8]) -> Result<SimState, PicError> {
+    let (mut r, h) = open(bytes, (MAGIC, FORMAT_VERSION), "")?;
+    let (particles, _) = r.store(false)?;
+    let [rho, ex, ey] = r.grid_arrays()?;
     Ok(SimState {
-        config_fingerprint,
-        step_count,
-        rng_state,
-        charge_ref,
-        hot_path,
+        config_fingerprint: h.config_fingerprint,
+        step_count: h.step_count,
+        rng_state: h.rng_state,
+        charge_ref: h.charge_ref,
+        hot_path: h.hot_path,
         particles,
         rho,
         ex,
         ey,
-        diag,
+        diag: r.diag_to_end("")?,
     })
 }
 
@@ -574,55 +640,51 @@ pub struct EmState {
     pub diag: Vec<DiagSample>,
 }
 
-/// Serialize an [`EmState`] into a self-contained checksummed snapshot
-/// (same integrity scheme as [`encode`]: trailing [`snapshot_hash`] over
-/// every preceding byte, raw IEEE-754 bit patterns throughout).
-pub fn encode_em(state: &EmState) -> Vec<u8> {
-    let np: usize = state.species.iter().map(|s| s.particles.len()).sum();
-    let mut buf = Vec::with_capacity(96 + np * 52 + state.rho.len() * 48 + state.diag.len() * 32);
-    buf.extend_from_slice(&EM_MAGIC);
-    put_u32(&mut buf, EM_FORMAT_VERSION);
-    put_u64(&mut buf, state.config_fingerprint);
-    put_u64(&mut buf, state.step_count);
-    for w in state.rng_state {
-        put_u64(&mut buf, w);
+/// A single-species snapshot is the multi-species state of one species
+/// with no `vz` and no **J** — the one shape the engine restores from.
+impl From<SimState> for EmState {
+    fn from(st: SimState) -> Self {
+        Self {
+            config_fingerprint: st.config_fingerprint,
+            step_count: st.step_count,
+            rng_state: st.rng_state,
+            charge_ref: st.charge_ref,
+            hot_path: st.hot_path,
+            species: vec![EmSpeciesState {
+                particles: st.particles,
+                vz: Vec::new(),
+            }],
+            rho: st.rho,
+            ex: st.ex,
+            ey: st.ey,
+            jx: Vec::new(),
+            jy: Vec::new(),
+            jz: Vec::new(),
+            diag: st.diag,
+        }
     }
-    put_f64(&mut buf, state.charge_ref);
-    put_hot_path(&mut buf, &state.hot_path);
+}
 
-    put_u64(&mut buf, state.species.len() as u64);
-    for sp in &state.species {
-        let n = sp.particles.len();
-        assert_eq!(sp.vz.len(), n, "vz must be index-parallel");
-        put_u64(&mut buf, n as u64);
-        put_u32_slice(&mut buf, &sp.particles.icell);
-        put_u32_slice(&mut buf, &sp.particles.ix);
-        put_u32_slice(&mut buf, &sp.particles.iy);
-        put_f64_slice(&mut buf, &sp.particles.dx);
-        put_f64_slice(&mut buf, &sp.particles.dy);
-        put_f64_slice(&mut buf, &sp.particles.vx);
-        put_f64_slice(&mut buf, &sp.particles.vy);
-        put_f64_slice(&mut buf, &sp.vz);
+/// Serialize a [`StateView`] in the multi-species `PIC2DEMS` format that
+/// [`decode_em`] reads (same integrity scheme as [`encode_view`]: trailing
+/// [`snapshot_hash`] over every preceding byte, raw IEEE-754 bit patterns
+/// throughout).
+pub fn encode_em(state: &StateView<'_>) -> Vec<u8> {
+    let (nsp, ng) = (state.species.len(), state.rho.len());
+    let np: usize = state.species.iter().map(|s| s.p.len()).sum();
+    let len = fixed_len(state.hot_path) + 8 * nsp + np * 52 + ng * 48 + state.diag.len() * 32;
+    let mut buf = Vec::with_capacity(len);
+    put_header(&mut buf, (EM_MAGIC, EM_FORMAT_VERSION), state);
+
+    put_u64(&mut buf, nsp as u64);
+    for sp in state.species {
+        assert_eq!(sp.vz.len(), sp.p.len(), "vz must be index-parallel");
+        put_store(&mut buf, &sp.p, Some(&sp.vz));
     }
-
-    put_u64(&mut buf, state.rho.len() as u64);
-    put_f64_slice(&mut buf, &state.rho);
-    put_f64_slice(&mut buf, &state.ex);
-    put_f64_slice(&mut buf, &state.ey);
-    put_f64_slice(&mut buf, &state.jx);
-    put_f64_slice(&mut buf, &state.jy);
-    put_f64_slice(&mut buf, &state.jz);
-
-    put_u64(&mut buf, state.diag.len() as u64);
-    for s in &state.diag {
-        put_f64(&mut buf, s.time);
-        put_f64(&mut buf, s.kinetic);
-        put_f64(&mut buf, s.field);
-        put_f64(&mut buf, s.ex_mode);
-    }
-
-    let sum = snapshot_hash(&buf);
-    put_u64(&mut buf, sum);
+    let s = state;
+    put_grid_arrays(&mut buf, &[s.rho, s.ex, s.ey, s.jx, s.jy, s.jz]);
+    let buf = seal(buf, state.diag);
+    debug_assert_eq!(buf.len(), len, "snapshot length");
     buf
 }
 
@@ -634,91 +696,20 @@ pub fn is_em_snapshot(bytes: &[u8]) -> bool {
 
 /// Parse and validate a snapshot produced by [`encode_em`].
 pub fn decode_em(bytes: &[u8]) -> Result<EmState, PicError> {
-    if bytes.len() < EM_MAGIC.len() + 4 + 8 {
-        return Err(PicError::Checkpoint(format!(
-            "EM snapshot too small ({} bytes)",
-            bytes.len()
-        )));
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("split_at(len-8) leaves 8 bytes"));
-    let actual = snapshot_hash(payload);
-    if stored != actual {
-        return Err(PicError::Checkpoint(format!(
-            "EM snapshot checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-        )));
-    }
-
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-    };
-    let magic = r.take(8)?;
-    if magic != EM_MAGIC {
-        return Err(PicError::Checkpoint("bad EM snapshot magic".into()));
-    }
-    let version = r.u32()?;
-    if version != EM_FORMAT_VERSION {
-        return Err(PicError::Checkpoint(format!(
-            "unsupported EM snapshot version {version} (expected {EM_FORMAT_VERSION})"
-        )));
-    }
-    let config_fingerprint = r.u64()?;
-    let step_count = r.u64()?;
-    let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-    let charge_ref = r.f64()?;
-    let hot_path = r.hot_path()?;
-
+    let (mut r, h) = open(bytes, (EM_MAGIC, EM_FORMAT_VERSION), "EM ")?;
     let nsp = r.len_prefix(8)?; // at least the length prefix per species
     let mut species = Vec::with_capacity(nsp);
     for _ in 0..nsp {
-        let n = r.len_prefix(52)?; // 3×u32 + 5×f64 per particle
-        species.push(EmSpeciesState {
-            particles: ParticlesSoA {
-                icell: r.u32_vec(n)?,
-                ix: r.u32_vec(n)?,
-                iy: r.u32_vec(n)?,
-                dx: r.f64_vec(n)?,
-                dy: r.f64_vec(n)?,
-                vx: r.f64_vec(n)?,
-                vy: r.f64_vec(n)?,
-            },
-            vz: r.f64_vec(n)?,
-        });
+        let (particles, vz) = r.store(true)?;
+        species.push(EmSpeciesState { particles, vz });
     }
-
-    let ng = r.len_prefix(48)?; // 6×f64 per grid point
-    let rho = r.f64_vec(ng)?;
-    let ex = r.f64_vec(ng)?;
-    let ey = r.f64_vec(ng)?;
-    let jx = r.f64_vec(ng)?;
-    let jy = r.f64_vec(ng)?;
-    let jz = r.f64_vec(ng)?;
-
-    let nd = r.len_prefix(32)?;
-    let mut diag = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        diag.push(DiagSample {
-            time: r.f64()?,
-            kinetic: r.f64()?,
-            field: r.f64()?,
-            ex_mode: r.f64()?,
-        });
-    }
-
-    if r.pos != payload.len() {
-        return Err(PicError::Checkpoint(format!(
-            "EM snapshot has {} trailing bytes",
-            payload.len() - r.pos
-        )));
-    }
-
+    let [rho, ex, ey, jx, jy, jz] = r.grid_arrays()?;
     Ok(EmState {
-        config_fingerprint,
-        step_count,
-        rng_state,
-        charge_ref,
-        hot_path,
+        config_fingerprint: h.config_fingerprint,
+        step_count: h.step_count,
+        rng_state: h.rng_state,
+        charge_ref: h.charge_ref,
+        hot_path: h.hot_path,
         species,
         rho,
         ex,
@@ -726,7 +717,7 @@ pub fn decode_em(bytes: &[u8]) -> Result<EmState, PicError> {
         jx,
         jy,
         jz,
-        diag,
+        diag: r.diag_to_end("EM ")?,
     })
 }
 
@@ -774,6 +765,34 @@ pub fn em_config_fingerprint(cfg: &crate::em::EmConfig) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::particles::InitialDistribution;
+    use crate::species::SpeciesDef;
+
+    /// Write an owned state through the borrowed view the engine uses.
+    fn encode(s: &SimState) -> Vec<u8> {
+        let n = s.particles.len();
+        let store = SpeciesArena {
+            def: SpeciesDef::electrons(n, InitialDistribution::Uniform),
+            p: s.particles.clone(),
+            vz: Vec::new(),
+            weight: 1.0,
+        };
+        encode_view(&StateView {
+            config_fingerprint: s.config_fingerprint,
+            step_count: s.step_count,
+            rng_state: s.rng_state,
+            charge_ref: s.charge_ref,
+            hot_path: &s.hot_path,
+            species: std::slice::from_ref(&store),
+            rho: &s.rho,
+            ex: &s.ex,
+            ey: &s.ey,
+            jx: &[],
+            jy: &[],
+            jz: &[],
+            diag: &s.diag,
+        })
+    }
 
     fn sample_state() -> SimState {
         let mut p = ParticlesSoA::zeroed(5);

@@ -14,7 +14,8 @@
 //! the last good snapshot and retries; repeated violations at the same
 //! point surface the error to the caller instead of looping forever.
 
-use crate::sim::Simulation;
+use crate::engine::kind::Kind;
+use crate::engine::Pic;
 use crate::PicError;
 
 /// Thresholds and cadences for the watchdog.
@@ -67,61 +68,77 @@ fn scan_finite(name: &str, values: &[f64]) -> Result<(), PicError> {
     Ok(())
 }
 
-/// Scan the simulation for invariant violations; `Ok(())` means healthy.
-pub fn check_invariants(sim: &Simulation, wcfg: &WatchdogConfig) -> Result<(), PicError> {
+/// Scan a simulation of either kind for invariant violations; `Ok(())`
+/// means healthy.
+pub fn check_invariants<C: Kind>(sim: &Pic<C>, wcfg: &WatchdogConfig) -> Result<(), PicError> {
     // 1. Grid quantities must be finite.
     let (ex, ey) = sim.e_field();
     scan_finite("rho", sim.rho())?;
     scan_finite("ex", ex)?;
     scan_finite("ey", ey)?;
+    for (name, j) in ["jx", "jy", "jz"]
+        .iter()
+        .zip(sim.currents.iter().flat_map(|c| &c.j))
+    {
+        scan_finite(name, j)?;
+    }
 
     // 2. Every particle must reference a valid cell, with consistent
-    //    (ix, iy) ↔ icell encoding and in-cell offsets in [0, 1].
+    //    (ix, iy) ↔ icell encoding, in-cell offsets in [0, 1] and finite
+    //    velocities.
     let grid = sim.grid();
     let (ncx, ncy) = (grid.ncx, grid.ncy);
     let layout = sim.cell_layout();
     let ncells = layout.ncells();
-    let p = sim.particles();
-    for i in 0..p.len() {
-        let (c, x, y) = (p.icell[i] as usize, p.ix[i] as usize, p.iy[i] as usize);
-        if c >= ncells || x >= ncx || y >= ncy {
-            return Err(PicError::Diverged(format!(
-                "particle {i} out of range: icell {c} (ncells {ncells}), ix {x} (ncx {ncx}), iy {y} (ncy {ncy})"
-            )));
-        }
-        if layout.encode(x, y) != c {
-            return Err(PicError::Diverged(format!(
-                "particle {i}: icell {c} disagrees with encode({x}, {y}) = {}",
-                layout.encode(x, y)
-            )));
-        }
-        let (dx, dy) = (p.dx[i], p.dy[i]);
-        if !(0.0..=1.0).contains(&dx) || !(0.0..=1.0).contains(&dy) {
-            return Err(PicError::Diverged(format!(
-                "particle {i}: offsets ({dx}, {dy}) outside [0, 1]"
-            )));
-        }
-        if !p.vx[i].is_finite() || !p.vy[i].is_finite() {
-            return Err(PicError::Diverged(format!(
-                "particle {i}: non-finite velocity ({}, {})",
-                p.vx[i], p.vy[i]
-            )));
+    for s in &sim.species {
+        let (p, name) = (&s.p, &s.def.name);
+        let bad = |what: String| {
+            Err(PicError::Diverged(format!(
+                "species '{name}' particle {what}"
+            )))
+        };
+        for i in 0..p.len() {
+            let (c, x, y) = (p.icell[i] as usize, p.ix[i] as usize, p.iy[i] as usize);
+            if c >= ncells || x >= ncx || y >= ncy {
+                return bad(format!(
+                    "{i} out of range: icell {c} (ncells {ncells}), ix {x} (ncx {ncx}), iy {y} (ncy {ncy})"
+                ));
+            }
+            if layout.encode(x, y) != c {
+                let e = layout.encode(x, y);
+                return bad(format!(
+                    "{i}: icell {c} disagrees with encode({x}, {y}) = {e}"
+                ));
+            }
+            let (dx, dy) = (p.dx[i], p.dy[i]);
+            if !(0.0..=1.0).contains(&dx) || !(0.0..=1.0).contains(&dy) {
+                return bad(format!("{i}: offsets ({dx}, {dy}) outside [0, 1]"));
+            }
+            let v = [p.vx[i], p.vy[i], s.vz.get(i).copied().unwrap_or(0.0)];
+            if !v.iter().all(|v| v.is_finite()) {
+                return bad(format!("{i}: non-finite velocity {v:?}"));
+            }
         }
     }
 
     // 3. Total charge must match the reference captured at initialization.
+    //    A neutral plasma's reference is ~0, so the tolerance scales with the
+    //    larger of |reference| and the total |deposited charge|.
     let total = sim.total_charge();
     let reference = sim.charge_reference();
-    let tol = wcfg.charge_rel_tol * reference.abs().max(1e-300);
+    let deposited: f64 = (sim.species.iter())
+        .map(|s| (s.deposit_weight(grid) * s.len() as f64).abs())
+        .sum();
+    let tol = wcfg.charge_rel_tol * reference.abs().max(deposited).max(1.0);
     if (total - reference).abs() > tol {
         return Err(PicError::Diverged(format!(
             "total charge {total} deviates from reference {reference} by more than {tol:e}"
         )));
     }
 
-    // 4. Energy drift over the recorded history.
+    // 4. Energy drift over the recorded history, when E is solved.
     let drift = sim.diagnostics().relative_energy_drift();
-    if drift > wcfg.max_energy_drift {
+    if sim.cfg.solves_e() && (!drift.is_finite() || drift > wcfg.max_energy_drift) {
         return Err(PicError::Diverged(format!(
             "relative energy drift {drift:.3e} exceeds threshold {:.3e}",
             wcfg.max_energy_drift
@@ -146,7 +163,7 @@ pub struct WatchdogViolation {
 /// carries the step and the first failed invariant — the shape a
 /// multi-tenant runtime records into its [`crate::faultlog::FaultLog`]
 /// and attaches to quarantine evidence.
-pub fn scan_violation(sim: &Simulation, wcfg: &WatchdogConfig) -> Option<WatchdogViolation> {
+pub fn scan_violation<C: Kind>(sim: &Pic<C>, wcfg: &WatchdogConfig) -> Option<WatchdogViolation> {
     match check_invariants(sim, wcfg) {
         Ok(()) => None,
         Err(e) => Some(WatchdogViolation {
@@ -157,8 +174,8 @@ pub fn scan_violation(sim: &Simulation, wcfg: &WatchdogConfig) -> Option<Watchdo
 }
 
 /// Run `nsteps` steps under watchdog protection (single-process loop).
-pub fn run_resilient(
-    sim: &mut Simulation,
+pub fn run_resilient<C: Kind>(
+    sim: &mut Pic<C>,
     nsteps: usize,
     wcfg: &WatchdogConfig,
 ) -> Result<ResilientReport, PicError> {
@@ -167,14 +184,14 @@ pub fn run_resilient(
 
 /// Run `nsteps` steps under watchdog protection, threading a charge
 /// reduction callback through every step (the distributed-run hook of
-/// [`Simulation::step_with_reduce`]).
+/// [`Pic::step_with_reduce`]).
 ///
 /// After each scan interval the invariants are checked; a violation rolls
 /// the simulation back to the last good checkpoint and replays. More than
 /// [`WatchdogConfig::max_rollbacks`] consecutive rollbacks without
 /// progress surface the violation as [`PicError::Diverged`].
-pub fn run_resilient_with_reduce(
-    sim: &mut Simulation,
+pub fn run_resilient_with_reduce<C: Kind>(
+    sim: &mut Pic<C>,
     nsteps: usize,
     wcfg: &WatchdogConfig,
     mut reduce: impl FnMut(&mut [f64]),
@@ -227,7 +244,7 @@ pub fn run_resilient_with_reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::PicConfig;
+    use crate::sim::{PicConfig, Simulation};
 
     fn small_sim() -> Simulation {
         let mut cfg = PicConfig::landau_table1(2000);

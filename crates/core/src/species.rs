@@ -116,13 +116,16 @@ impl SpeciesArena {
         let (p, vz) = Loader::new(grid, layout, def.distribution, n, seed)
             .species(index)
             .load(s..e, None, pool);
-        let weight = def.density * grid.lx * grid.ly / n as f64;
-        Self { def, p, vz, weight }
+        Self::from_parts(def, p, vz, grid)
     }
 
-    /// Build an arena directly from checkpointed storage.
+    /// Build an arena directly from loaded or checkpointed storage. `vz` is
+    /// empty for a 2d2v store, index-parallel with `p` otherwise.
     pub fn from_parts(def: SpeciesDef, p: ParticlesSoA, vz: Vec<f64>, grid: &Grid2D) -> Self {
-        assert_eq!(p.len(), vz.len(), "vz must be index-parallel with p");
+        assert!(
+            vz.is_empty() || vz.len() == p.len(),
+            "vz must be empty or index-parallel with p"
+        );
         let weight = def.density * grid.lx * grid.ly / def.n_particles as f64;
         Self { def, p, vz, weight }
     }
@@ -149,19 +152,17 @@ impl SpeciesArena {
         0.5 * self.def.mass * self.weight * speed_sq
     }
 
-    /// Stable counting sort by `icell` carrying `vz` as an eighth column
-    /// through the shared permutation-first engine ([`crate::sort`]).
+    /// Stable counting sort by `icell` carrying a non-empty `vz` as an
+    /// eighth column through the shared permutation-first engine
+    /// ([`crate::sort`]).
     /// Runs on `pool` when there is one; the sort is stable, so the result
     /// does not depend on the pool or its width. Allocation-free once
     /// `arena` has sorted this many particles.
     pub fn sort(&mut self, ncells: usize, pool: Option<&ThreadPool>, arena: &mut SortArena) {
-        sort_columns(&mut self.p, Some(&mut self.vz), ncells, pool, arena);
+        let vz = Some(&mut self.vz).filter(|vz| !vz.is_empty());
+        sort_columns(&mut self.p, vz, ncells, pool, arena);
     }
 }
-
-/// A mutable view over one contiguous range of a species arena: the
-/// kernels' [`SoaViewMut`] with its `vz` column filled.
-pub type SpeciesViewMut<'a> = SoaViewMut<'a>;
 
 /// Split a species arena into exactly `nchunks` disjoint contiguous views
 /// (the trailing ones empty when there are fewer particles than chunks) on
@@ -173,7 +174,7 @@ pub fn split_species_mut<'a>(
     p: &'a mut ParticlesSoA,
     vz: &'a mut [f64],
     nchunks: usize,
-) -> Vec<SpeciesViewMut<'a>> {
+) -> Vec<SoaViewMut<'a>> {
     assert_eq!(vz.len(), p.len());
     let mut out: Vec<_> = (0..nchunks).map(|_| None).collect();
     split_soa_mut_into(p, vz, nchunks, &mut out);

@@ -686,12 +686,8 @@ impl JobRuntime {
                 // Verify the snapshot still belongs to this tenant's
                 // config (kind and fingerprint) before re-admitting it to
                 // the executor.
-                let sim = Tenant::from_snapshot_shared(
-                    &self.jobs[j].spec.workload,
-                    &snap,
-                    self.jobs[j].fingerprint,
-                    self.pool.clone(),
-                )?;
+                let workload = &self.jobs[j].spec.workload;
+                let sim = Tenant::from_snapshot_shared(workload, &snap, self.pool.clone())?;
                 let job = &mut self.jobs[j];
                 job.sim = Some(Box::new(sim));
                 job.snapshot = Some(snap);

@@ -92,43 +92,31 @@ impl Tenant {
         }
     }
 
-    /// Restore a tenant from a snapshot after verifying (a) the snapshot
-    /// kind matches the workload kind and (b) its config fingerprint
-    /// matches `fingerprint` — a checkpoint may only re-enter the executor
-    /// under the exact config that produced it.
+    /// Restore a tenant from a snapshot after checking that the snapshot
+    /// kind matches the workload kind. The restore itself verifies the
+    /// checksum and the config fingerprint — a checkpoint may only re-enter
+    /// the executor under the exact config that produced it — so the
+    /// snapshot is decoded once.
     pub fn from_snapshot_shared(
         workload: &Workload,
         snapshot: &[u8],
-        fingerprint: u64,
         pool: Arc<ThreadPool>,
     ) -> Result<Self, String> {
-        match workload {
+        let restored = match workload {
             Workload::Single(cfg) => {
                 if ckpt::is_em_snapshot(snapshot) {
                     return Err("EM checkpoint offered to a single-species job".into());
                 }
-                let st = ckpt::decode(snapshot).map_err(|e| format!("decode checkpoint: {e}"))?;
-                if st.config_fingerprint != fingerprint {
-                    return Err("checkpoint fingerprint does not match job config".into());
-                }
-                Simulation::from_snapshot_shared(cfg.clone(), snapshot, pool)
-                    .map(Tenant::Single)
-                    .map_err(|e| format!("restore: {e}"))
+                Simulation::from_snapshot_shared(cfg.clone(), snapshot, pool).map(Tenant::Single)
             }
             Workload::MultiSpecies(cfg) => {
                 if !ckpt::is_em_snapshot(snapshot) {
                     return Err("single-species checkpoint offered to an EM job".into());
                 }
-                let st =
-                    ckpt::decode_em(snapshot).map_err(|e| format!("decode checkpoint: {e}"))?;
-                if st.config_fingerprint != fingerprint {
-                    return Err("checkpoint fingerprint does not match job config".into());
-                }
-                EmSimulation::from_snapshot_shared(cfg.clone(), snapshot, pool)
-                    .map(Tenant::Em)
-                    .map_err(|e| format!("restore: {e}"))
+                EmSimulation::from_snapshot_shared(cfg.clone(), snapshot, pool).map(Tenant::Em)
             }
-        }
+        };
+        restored.map_err(|e| format!("restore: {e}"))
     }
 
     /// Steps completed so far.
@@ -217,7 +205,7 @@ mod tests {
         let em_snap = em.checkpoint();
 
         let single_wl = Workload::Single(PicConfig::landau_table1(1_000));
-        match Tenant::from_snapshot_shared(&single_wl, &em_snap, single_wl.fingerprint(), pool) {
+        match Tenant::from_snapshot_shared(&single_wl, &em_snap, pool) {
             Err(err) => assert!(err.contains("EM checkpoint"), "{err}"),
             Ok(_) => panic!("EM snapshot accepted by a single-species job"),
         }
@@ -232,7 +220,7 @@ mod tests {
             a.step();
         }
         let snap = a.checkpoint();
-        let mut b = Tenant::from_snapshot_shared(&wl, &snap, wl.fingerprint(), pool).unwrap();
+        let mut b = Tenant::from_snapshot_shared(&wl, &snap, pool).unwrap();
         for _ in 0..3 {
             a.step();
             b.step();

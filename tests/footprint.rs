@@ -8,7 +8,9 @@
 //! on a small grid and stepped through two sort periods; the peak of its
 //! live heap, less what was live before, is divided by its particle count.
 //! The grid-sized buffers (fields, redundant copies, per-worker arenas,
-//! per-cell sort buffers) add well under one byte per particle here.
+//! per-cell sort buffers) add well under one byte per particle here. Last,
+//! one checkpoint of the 2d3v run may peak at no more than its snapshot's
+//! length (plus 5 %): it serializes from the live state, not from a clone.
 //!
 //! Mechanism: a counting `#[global_allocator]` that forwards to the system
 //! allocator and keeps the live and peak byte counts. Live bytes are a
@@ -123,7 +125,7 @@ fn peak_heap_per_particle_is_the_store_plus_one_column_and_a_permutation() {
     cfg.sort_period = SORT_PERIOD;
     let n = cfg.total_particles();
     let b = peak_per_particle(n, || {
-        let mut em = EmSimulation::new(cfg).expect("valid config");
+        let mut em = EmSimulation::new(cfg.clone()).expect("valid config");
         em.run(2 * SORT_PERIOD);
         assert_eq!(em.species().iter().map(|s| s.len()).sum::<usize>(), n);
     });
@@ -131,6 +133,24 @@ fn peak_heap_per_particle_is_the_store_plus_one_column_and_a_permutation() {
     assert!(
         b <= BOUND_2D3V,
         "EmSimulation peaked at {b:.2} B/particle > {BOUND_2D3V}"
+    );
+
+    // A checkpoint serializes straight from the live stores: besides the
+    // snapshot it returns, it holds no copy of the state.
+    const BOUND_CHECKPOINT: f64 = 1.05;
+    let mut em = EmSimulation::new(cfg).expect("valid config");
+    em.run(SORT_PERIOD + 1);
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    let snapshot = em.checkpoint();
+    let ratio = (PEAK.load(Ordering::SeqCst) - before) as f64 / snapshot.len() as f64;
+    readings.push(format!(
+        "EmSimulation::checkpoint: peak {ratio:.3} x the {} B snapshot",
+        snapshot.len()
+    ));
+    assert!(
+        ratio <= BOUND_CHECKPOINT,
+        "EmSimulation::checkpoint peaked at {ratio:.3} x its snapshot > {BOUND_CHECKPOINT}"
     );
     println!("{}", readings.join("\n"));
 }

@@ -300,3 +300,32 @@ fn em_production_path_snapshot_bits_are_pinned() {
     sim.run(45);
     assert_eq!(snapshot_hash(&sim.checkpoint()), 0xe680f9079299148a);
 }
+
+/// A checksum-valid EM snapshot with a particle in a cell past the grid is
+/// rejected, and the live state is left as it was (its next checkpoint is
+/// byte-identical). Adopted, the cell index would panic the next gather.
+#[test]
+fn em_restore_rejects_out_of_range_cells_and_keeps_live_state() {
+    let mut sim = EmSimulation::new(EmConfig::magnetized_two_stream(2_000)).unwrap();
+    sim.run(3);
+    let before = sim.checkpoint();
+    // Header (magic 8, version 4, fingerprint 8, steps 8, retired RNG 32,
+    // charge 8), hot-path block (4 + 4 + 8 + 8, no controller), species
+    // count 8, the first species' length 8: then its first `icell`.
+    let at = 68 + 24 + 8 + 8;
+    let first = u32::from_le_bytes(before[at..at + 4].try_into().unwrap());
+    assert_eq!(
+        first,
+        sim.species()[0].p.icell[0],
+        "offset of the first icell"
+    );
+    let mut bad = before.clone();
+    let ncells = sim.grid().ncells() as u32;
+    bad[at..at + 4].copy_from_slice(&ncells.to_le_bytes());
+    let n = bad.len();
+    let sum = snapshot_hash(&bad[..n - 8]);
+    bad[n - 8..].copy_from_slice(&sum.to_le_bytes());
+
+    assert!(sim.restore(&bad).is_err());
+    assert_eq!(sim.checkpoint(), before);
+}
