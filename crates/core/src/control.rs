@@ -171,7 +171,7 @@ impl Default for ControllerConfig {
 impl ControllerConfig {
     /// Shim for `benchmark/`, equal to [`default`](Self::default): every
     /// profile is deterministic now that no decision reads a clock. Goes
-    /// with the paired `[benchmark]` issue that stops calling it.
+    /// with the paired `[benchmark]` change that stops calling it.
     pub fn deterministic() -> Self {
         Self::default()
     }
@@ -182,7 +182,7 @@ impl ControllerConfig {
 /// `take_hot_path_events` shim that `benchmark/` still calls on both
 /// driver kinds ([`crate::engine::Pic::take_hot_path_events`]) returns an
 /// empty list by construction. Goes with it in the paired `[benchmark]`
-/// issue.
+/// change.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SwitchEvent {}
 

@@ -115,7 +115,7 @@ pub(crate) mod kind {
 
     /// The five questions (module docs of [`crate::engine`]) plus access to
     /// the shared settings ([`shared_settings!`](crate::engine::shared_settings)).
-    pub trait Kind: Clone + Sized {
+    pub trait Kind {
         /// The shared settings, by value.
         fn settings(&self) -> Settings;
         /// The shared settings a run may change.
@@ -199,7 +199,7 @@ pub struct Pic<C> {
     /// The particle stores, in species-table order.
     pub(crate) species: Vec<SpeciesArena>,
     /// How each species moves, index-parallel with `species`.
-    pub(crate) movers: Vec<Mover>,
+    movers: Vec<Mover>,
     pub(crate) field: Field2D,
     /// Present when the configuration deposits **J**.
     pub(crate) currents: Option<Currents>,
@@ -222,11 +222,11 @@ pub struct Pic<C> {
     /// Online sort-cadence controller (present when the config sets one).
     controller: Option<HotPathController>,
     timers: PhaseTimes,
-    pub(crate) diag: Diagnostics,
-    pub(crate) step_count: usize,
+    diag: Diagnostics,
+    step_count: usize,
     /// Total deposited charge right after initialization (post-reduce) —
     /// the conservation reference for the watchdog.
-    pub(crate) charge_ref: f64,
+    charge_ref: f64,
     /// Kinetic energy summed inside the last streaming pass, kept for the
     /// diagnostics sample that ends the step. Every `&mut` route to the
     /// stores clears it, so the sample then recomputes.
@@ -512,7 +512,7 @@ impl<C: Kind> Pic<C> {
 
     /// Shim for `benchmark/`: always empty — no hot path is switched at
     /// run time ([`SwitchEvent`] is uninhabited). Goes with the paired
-    /// `[benchmark]` issue that stops calling it.
+    /// `[benchmark]` change that stops calling it.
     pub fn take_hot_path_events(&mut self) -> Vec<SwitchEvent> {
         Vec::new()
     }
