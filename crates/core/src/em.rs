@@ -338,7 +338,7 @@ impl Pic<EmConfig> {
         cfg: &crate::sim::PicConfig,
         snapshot: &[u8],
     ) -> Result<Self, PicError> {
-        let mut st = EmState::from(ckpt::decode(snapshot)?);
+        let mut st = ckpt::decode(snapshot)?;
         let expect = ckpt::config_fingerprint(cfg);
         if st.config_fingerprint != expect {
             return Err(PicError::Checkpoint(format!(

@@ -299,8 +299,7 @@ impl<C: Kind> Pic<C> {
     /// on is bit-exact against the run that took the snapshot.
     pub fn from_snapshot(cfg: C, snapshot: &[u8]) -> Result<Self, PicError> {
         let mut sim = Self::shell(cfg, None)?;
-        sim.restore(snapshot)?;
-        Ok(sim)
+        sim.restore(snapshot).map(|()| sim)
     }
 
     /// [`from_snapshot`](Self::from_snapshot) over a shared pool — the
@@ -312,8 +311,7 @@ impl<C: Kind> Pic<C> {
         pool: Arc<ThreadPool>,
     ) -> Result<Self, PicError> {
         let mut sim = Self::shell(cfg, Some(pool))?;
-        sim.restore(snapshot)?;
-        Ok(sim)
+        sim.restore(snapshot).map(|()| sim)
     }
 
     /// Validate `cfg` and build the chassis — grid, layout, solver, field
@@ -949,11 +947,12 @@ mod tests {
 
     /// Right after a step `kinetic_energy` is the recorded sample bit for
     /// bit, for either kind at any pool width, and a plain per-particle sum
-    /// to rounding. `edit` changes the stores between the step halves: the
-    /// in-pass sum is dropped, and the sample is the edited stores' energy.
+    /// to rounding. A restore or a store edit between the step halves drops
+    /// the in-pass sum: the sample is then the energy of the restored or
+    /// edited stores.
     #[test]
     fn kinetic_energy_is_the_recorded_sample() {
-        fn check<C: Kind>(name: &str, mut sim: Pic<C>, edit: impl Fn(&mut Pic<C>)) {
+        fn check<C: Kind>(name: &str, mut sim: Pic<C>) -> Pic<C> {
             let recorded = |sim: &Pic<C>| sim.diagnostics().history.last().unwrap().kinetic;
             assert_eq!(sim.kinetic_energy().to_bits(), recorded(&sim).to_bits());
             for _ in 0..3 {
@@ -974,29 +973,38 @@ mod tests {
                 (last - plain).abs() <= 1e-12 * plain,
                 "{name}: {last} vs plain sum {plain}"
             );
+
+            let snap = sim.checkpoint();
             sim.step_pre_reduce();
-            edit(&mut sim);
+            sim.restore(&snap).unwrap();
             sim.step_post_reduce();
             let (k, r) = (sim.kinetic_energy(), recorded(&sim));
-            assert_eq!(k.to_bits(), r.to_bits(), "{name}: after the edit");
+            assert_eq!(k.to_bits(), r.to_bits(), "{name}: after restore");
+            assert_eq!(k.to_bits(), last.to_bits(), "{name}: after restore");
+            sim
         }
         // Stores over three strips and one, off the lane width.
         for threads in [1, 2, 3] {
             let mut cfg = PicConfig::landau_table1(3 * STRIP + 5);
             (cfg.grid_nx, cfg.grid_ny, cfg.threads) = (32, 32, threads);
-            let edit = |sim: &mut Simulation| sim.particles_mut().vx[0] += 1.0;
-            check(
-                &format!("electrostatic threads={threads}"),
-                Simulation::new(cfg).unwrap(),
-                edit,
+            let name = format!("electrostatic threads={threads}");
+            let mut sim = check(&name, Simulation::new(cfg).unwrap());
+            sim.step_pre_reduce();
+            sim.particles_mut().vx[0] += 1.0;
+            sim.step_post_reduce();
+            let recorded = sim.diagnostics().history.last().unwrap().kinetic;
+            assert_eq!(
+                sim.kinetic_energy().to_bits(),
+                recorded.to_bits(),
+                "{name}: after the edit"
             );
 
             let mut cfg = EmConfig::magnetized_two_stream(3 * STRIP + 5);
             cfg.threads = threads;
-            let sim = EmSimulation::new(cfg).unwrap();
-            let snap = sim.checkpoint();
-            let edit = |sim: &mut EmSimulation| sim.restore(&snap).unwrap();
-            check(&format!("2d3v threads={threads}"), sim, edit);
+            check(
+                &format!("2d3v threads={threads}"),
+                EmSimulation::new(cfg).unwrap(),
+            );
         }
     }
 

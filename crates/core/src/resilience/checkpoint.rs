@@ -105,34 +105,6 @@ fn deposit_from_code(c: u32) -> Result<DepositPath, PicError> {
     }
 }
 
-/// The complete restorable state of a [`crate::sim::Simulation`], as plain
-/// data: what [`decode`] reads from a snapshot that
-/// [`crate::sim::Simulation::checkpoint`] wrote through [`encode_view`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimState {
-    /// Fingerprint of the owning configuration.
-    pub config_fingerprint: u64,
-    /// Steps taken when the snapshot was captured.
-    pub step_count: u64,
-    /// Retired slot (the sampling generator's stream position in older
-    /// snapshots): written as zeros, ignored on restore.
-    pub rng_state: [u64; 4],
-    /// Total-charge reference captured at initialization.
-    pub charge_ref: f64,
-    /// Active hot-path knobs and controller state at capture time.
-    pub hot_path: HotPathMeta,
-    /// Particle store.
-    pub particles: ParticlesSoA,
-    /// Charge density on grid points.
-    pub rho: Vec<f64>,
-    /// Electric field x-component on grid points.
-    pub ex: Vec<f64>,
-    /// Electric field y-component on grid points.
-    pub ey: Vec<f64>,
-    /// Diagnostics history (one sample per step plus the initial state).
-    pub diag: Vec<DiagSample>,
-}
-
 /// Checksum used for snapshot integrity: FNV-1a style, but word-wise over
 /// four independent lanes folded in lane order, with a byte-serial tail
 /// for the last `len % 32` bytes. A plain byte-serial FNV is one long
@@ -520,26 +492,30 @@ fn open<'a>(
     Ok((r, header))
 }
 
-/// Parse and validate a snapshot produced by [`encode_view`].
+/// Parse and validate a snapshot produced by [`encode_view`], as the state
+/// of one species with no `vz` and no **J**.
 ///
 /// Checks, in order: minimum size, trailing checksum over the whole
 /// payload, magic, format version, and internal length consistency. The
-/// caller ([`crate::sim::Simulation::restore`]) additionally checks the
+/// caller ([`crate::engine::Pic::restore`]) additionally checks the
 /// configuration fingerprint and the array lengths against its own grid.
-pub fn decode(bytes: &[u8]) -> Result<SimState, PicError> {
+pub fn decode(bytes: &[u8]) -> Result<EmState, PicError> {
     let (mut r, h) = open(bytes, (MAGIC, FORMAT_VERSION), "")?;
-    let (particles, _) = r.store(false)?;
+    let (particles, vz) = r.store(false)?;
     let [rho, ex, ey] = r.grid_arrays()?;
-    Ok(SimState {
+    Ok(EmState {
         config_fingerprint: h.config_fingerprint,
         step_count: h.step_count,
         rng_state: h.rng_state,
         charge_ref: h.charge_ref,
         hot_path: h.hot_path,
-        particles,
+        species: vec![EmSpeciesState { particles, vz }],
         rho,
         ex,
         ey,
+        jx: Vec::new(),
+        jy: Vec::new(),
+        jz: Vec::new(),
         diag: r.diag_to_end("")?,
     })
 }
@@ -608,11 +584,13 @@ pub struct EmSpeciesState {
     pub vz: Vec<f64>,
 }
 
-/// The complete restorable state of an [`crate::em::EmSimulation`].
+/// The complete restorable state of a simulation of either kind, as plain
+/// data: what [`decode_em`] reads, and what [`decode`] reads as one species
+/// with no `vz` and no **J** — the one shape the engine restores from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmState {
-    /// Fingerprint of the owning [`crate::em::EmConfig`] (covers the
-    /// species table).
+    /// Fingerprint of the owning configuration (an
+    /// [`crate::em::EmConfig`]'s covers the species table).
     pub config_fingerprint: u64,
     /// Steps taken when the snapshot was captured.
     pub step_count: u64,
@@ -638,31 +616,6 @@ pub struct EmState {
     pub jz: Vec<f64>,
     /// Diagnostics history.
     pub diag: Vec<DiagSample>,
-}
-
-/// A single-species snapshot is the multi-species state of one species
-/// with no `vz` and no **J** — the one shape the engine restores from.
-impl From<SimState> for EmState {
-    fn from(st: SimState) -> Self {
-        Self {
-            config_fingerprint: st.config_fingerprint,
-            step_count: st.step_count,
-            rng_state: st.rng_state,
-            charge_ref: st.charge_ref,
-            hot_path: st.hot_path,
-            species: vec![EmSpeciesState {
-                particles: st.particles,
-                vz: Vec::new(),
-            }],
-            rho: st.rho,
-            ex: st.ex,
-            ey: st.ey,
-            jx: Vec::new(),
-            jy: Vec::new(),
-            jz: Vec::new(),
-            diag: st.diag,
-        }
-    }
 }
 
 /// Serialize a [`StateView`] in the multi-species `PIC2DEMS` format that
@@ -768,12 +721,13 @@ mod tests {
     use crate::particles::InitialDistribution;
     use crate::species::SpeciesDef;
 
-    /// Write an owned state through the borrowed view the engine uses.
-    fn encode(s: &SimState) -> Vec<u8> {
-        let n = s.particles.len();
+    /// Write an owned one-species state through the borrowed view the
+    /// engine uses.
+    fn encode(s: &EmState) -> Vec<u8> {
+        let p = &s.species[0].particles;
         let store = SpeciesArena {
-            def: SpeciesDef::electrons(n, InitialDistribution::Uniform),
-            p: s.particles.clone(),
+            def: SpeciesDef::electrons(p.len(), InitialDistribution::Uniform),
+            p: p.clone(),
             vz: Vec::new(),
             weight: 1.0,
         };
@@ -794,7 +748,15 @@ mod tests {
         })
     }
 
-    fn sample_state() -> SimState {
+    /// Re-stamp the checksum of an edited snapshot, so only the check
+    /// under test can fire.
+    fn reseal(bytes: &mut [u8]) {
+        let n = bytes.len();
+        let sum = snapshot_hash(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    fn sample_state() -> EmState {
         let mut p = ParticlesSoA::zeroed(5);
         for i in 0..5 {
             p.icell[i] = i as u32;
@@ -805,7 +767,7 @@ mod tests {
             p.vx[i] = -1.5 + i as f64;
             p.vy[i] = 0.5 - i as f64;
         }
-        SimState {
+        EmState {
             config_fingerprint: 0xDEAD_BEEF,
             step_count: 42,
             rng_state: [1, 2, 3, 4],
@@ -815,10 +777,16 @@ mod tests {
                 sort_period: 17,
                 controller: vec![0xA5, 0x5A, 0x3C, 0xC3],
             },
-            particles: p,
+            species: vec![EmSpeciesState {
+                particles: p,
+                vz: Vec::new(),
+            }],
             rho: vec![0.25; 16],
             ex: vec![1.0; 16],
             ey: vec![-1.0; 16],
+            jx: Vec::new(),
+            jy: Vec::new(),
+            jz: Vec::new(),
             diag: vec![DiagSample {
                 time: 0.05,
                 kinetic: 10.0,
@@ -861,10 +829,7 @@ mod tests {
         let mut bytes = encode(&sample_state());
         // Version field sits right after the 8-byte magic.
         bytes[8] = FORMAT_VERSION as u8 + 1;
-        // Re-stamp the checksum so only the version check can fire.
-        let n = bytes.len();
-        let sum = snapshot_hash(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         let err = decode(&bytes).unwrap_err();
         assert!(matches!(err, PicError::Checkpoint(ref m) if m.contains("version")));
     }
@@ -876,9 +841,7 @@ mod tests {
         // steps(8) + rng(32) + charge(8) + hot-path meta (4+4+8+8 plus the
         // 4-byte controller blob of `sample_state`) = offset 96.
         bytes[96..104].copy_from_slice(&u64::MAX.to_le_bytes());
-        let n = bytes.len();
-        let sum = snapshot_hash(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         let err = decode(&bytes).unwrap_err();
         assert!(matches!(err, PicError::Checkpoint(_)));
     }
@@ -943,23 +906,19 @@ mod tests {
         // a build with the scalar arm wrote (code 0) decodes to the same
         // state.
         let mut bytes = encode(&s);
-        let n = bytes.len();
         assert_eq!(bytes[68..72], 1u32.to_le_bytes());
         bytes[68..72].copy_from_slice(&0u32.to_le_bytes());
-        let sum = snapshot_hash(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         assert_eq!(decode(&bytes).unwrap(), s);
         // Unknown path codes are rejected even with a valid checksum.
         bytes[68..72].copy_from_slice(&7u32.to_le_bytes()); // kernel code
-        let sum = snapshot_hash(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         let err = decode(&bytes).unwrap_err();
         assert!(matches!(err, PicError::Checkpoint(ref m) if m.contains("kernel-path")));
         // Deposit code 2 (the removed sorted-block path) is refused by name.
         let mut bytes = encode(&s);
         bytes[72..76].copy_from_slice(&2u32.to_le_bytes());
-        let sum = snapshot_hash(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         let err = decode(&bytes).unwrap_err();
         assert!(matches!(err, PicError::Checkpoint(ref m) if m.contains("sorted-block")));
     }

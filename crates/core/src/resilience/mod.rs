@@ -23,7 +23,7 @@
 pub mod checkpoint;
 pub mod watchdog;
 
-pub use checkpoint::{decode, SimState, FORMAT_VERSION};
+pub use checkpoint::{decode, EmState, FORMAT_VERSION};
 pub use watchdog::{
     check_invariants, run_resilient, scan_violation, ResilientReport, WatchdogConfig,
     WatchdogViolation,

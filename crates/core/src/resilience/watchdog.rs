@@ -84,8 +84,8 @@ pub fn check_invariants<C: Kind>(sim: &Pic<C>, wcfg: &WatchdogConfig) -> Result<
     }
 
     // 2. Every particle must reference a valid cell, with consistent
-    //    (ix, iy) ↔ icell encoding, in-cell offsets in [0, 1] and finite
-    //    velocities.
+    //    (ix, iy) ↔ icell encoding, in-cell offsets in [0, 1] (the push can
+    //    round an offset up to exactly 1.0) and finite velocities.
     let grid = sim.grid();
     let (ncx, ncy) = (grid.ncx, grid.ncy);
     let layout = sim.cell_layout();
@@ -253,11 +253,38 @@ mod tests {
         Simulation::new(cfg).unwrap()
     }
 
+    /// A healthy run of either kind passes, including an offset of exactly
+    /// 1.0: the push that both kinds run floors a position a hair below a
+    /// cell edge into the cell below, and `x − floor(x)` rounds up to 1.0.
+    /// Anything past 1.0 is a violation.
     #[test]
     fn healthy_run_passes() {
-        let mut sim = small_sim();
-        sim.run(5);
-        check_invariants(&sim, &WatchdogConfig::default()).unwrap();
+        use crate::em::{EmConfig, EmSimulation};
+        use crate::kernels::position::update_positions_branchless as push;
+        let (mut c, mut ix, mut iy, mut dx, mut dy) = ([0], [0], [0], [0.0], [0.5]);
+        let (vx, vy) = ([-1e-20], [0.0]);
+        push(
+            &mut c, &mut ix, &mut iy, &mut dx, &mut dy, &vx, &vy, 8, 8, 1.0,
+        );
+        assert_eq!((ix[0], dx[0]), (7, 1.0));
+
+        fn check<C: Kind>(name: &str, mut sim: Pic<C>) {
+            sim.run(5);
+            let wcfg = WatchdogConfig::default();
+            check_invariants(&sim, &wcfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+            sim.species[0].p.dx[0] = 1.0;
+            check_invariants(&sim, &wcfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+            sim.species[0].p.dy[0] = 1.0 + f64::EPSILON;
+            let err = check_invariants(&sim, &wcfg).unwrap_err();
+            assert!(
+                matches!(err, PicError::Diverged(ref m) if m.contains("offsets")),
+                "{name}"
+            );
+        }
+        check("electrostatic", small_sim());
+        let mut cfg = EmConfig::ion_acoustic(2000);
+        (cfg.grid_nx, cfg.grid_ny) = (16, 16);
+        check("2d3v", EmSimulation::new(cfg).unwrap());
     }
 
     #[test]

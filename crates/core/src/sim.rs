@@ -173,7 +173,8 @@ pub struct Diagnostics {
 }
 
 impl Diagnostics {
-    /// `max |E_total(t) − E_total(0)| / E_total(0)` over the run.
+    /// `max |E_total(t) − E_total(0)| / E_total(0)` over the run; NaN when
+    /// any sample's total is NaN, so a finiteness check on the drift sees it.
     pub fn relative_energy_drift(&self) -> f64 {
         let e0 = match self.history.first() {
             Some(s) => s.total(),
@@ -182,7 +183,7 @@ impl Diagnostics {
         self.history
             .iter()
             .map(|s| (s.total() - e0).abs() / e0.abs().max(1e-300))
-            .fold(0.0, f64::max)
+            .fold(0.0, |m, d| if d > m || d.is_nan() { d } else { m })
     }
 
     /// Fit the exponential damping/growth rate γ of the field energy:
@@ -455,7 +456,7 @@ impl Kind for PicConfig {
     }
 
     fn decode(snapshot: &[u8]) -> Result<EmState, PicError> {
-        ckpt::decode(snapshot).map(EmState::from)
+        ckpt::decode(snapshot)
     }
 }
 
@@ -579,6 +580,13 @@ mod tests {
         sim.run(40);
         let drift = sim.diagnostics().relative_energy_drift();
         assert!(drift < 0.02, "energy drift {drift}");
+
+        // A NaN sample anywhere in the history makes the drift NaN.
+        for at in [0, 20] {
+            let mut diag = sim.diagnostics().clone();
+            diag.history[at].kinetic = f64::NAN;
+            assert!(diag.relative_energy_drift().is_nan(), "NaN at sample {at}");
+        }
     }
 
     #[test]

@@ -900,15 +900,16 @@ impl DecomposedSimulation {
                 }
             }
         }
-        let n = st.particles.len();
+        let q = &st.species[0].particles;
+        let n = q.len();
         let p = self.sim.particles_mut();
-        p.icell.extend_from_slice(&st.particles.icell);
-        p.ix.extend_from_slice(&st.particles.ix);
-        p.iy.extend_from_slice(&st.particles.iy);
-        p.dx.extend_from_slice(&st.particles.dx);
-        p.dy.extend_from_slice(&st.particles.dy);
-        p.vx.extend_from_slice(&st.particles.vx);
-        p.vy.extend_from_slice(&st.particles.vy);
+        p.icell.extend_from_slice(&q.icell);
+        p.ix.extend_from_slice(&q.ix);
+        p.iy.extend_from_slice(&q.iy);
+        p.dx.extend_from_slice(&q.dx);
+        p.dy.extend_from_slice(&q.dy);
+        p.vx.extend_from_slice(&q.vx);
+        p.vy.extend_from_slice(&q.vy);
         self.faults.record(
             self.step,
             self.rank,

@@ -577,7 +577,7 @@ fn member_loop(
 
     // Decode this rank's own final snapshot for the outcome: the canonical
     // view of the slot's particles and owned field values.
-    let state = ckpt::decode(&drv.checkpoint())?;
+    let mut state = ckpt::decode(&drv.checkpoint())?;
     let owned_points = drv.plan().owned_points.clone();
     let rho_owned: Vec<f64> = owned_points.iter().map(|&p| state.rho[p]).collect();
     let ex_owned: Vec<f64> = owned_points.iter().map(|&p| state.ex[p]).collect();
@@ -594,7 +594,7 @@ fn member_loop(
         recoveries: st.recoveries,
         checkpoints: st.checkpoints,
         recuts: st.recuts,
-        particles: state.particles,
+        particles: state.species.swap_remove(0).particles,
         owned_points,
         rho_owned,
         ex_owned,
