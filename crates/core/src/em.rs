@@ -4,10 +4,12 @@
 //! [`EmSimulation`] is the step engine of [`crate::engine`] over a table of
 //! per-species stores ([`crate::species::SpeciesArena`]) with their `vz`
 //! column filled: each species' streaming pass runs the lane-blocked Boris
-//! push against a static uniform **B** ([`crate::kernels::boris`]), and the
-//! **J** deposit ([`crate::kernels::current`]) follows the ρ deposit of the
-//! same pushed strip under the one `DepositPath` knob. E comes from the
-//! spectral Poisson solve (`solve_e`), or stays zero.
+//! push against a static uniform **B** ([`crate::kernels::boris`]) and
+//! deposits ρ. E comes from the spectral Poisson solve (`solve_e`), or
+//! stays zero, and **B** is static, so no step reads **J**:
+//! [`EmSimulation::j_field`] deposits it ([`crate::kernels::current`]) from
+//! the end-of-step stores on the first read after a step, under the same
+//! `DepositPath` knob as ρ.
 //!
 //! Velocities are stored in *physical* units (no §IV-D hoisting: per-species
 //! q/m would need one scaled field copy per species, forfeiting the
@@ -21,7 +23,7 @@
 //! (`tests/integration_species.rs`).
 
 use crate::engine::kind::{Kick, Kind, Mover, Settings, SettingsMut};
-use crate::engine::{shared_settings, Currents, Pic};
+use crate::engine::{shared_settings, Pic};
 use crate::grid::Grid2D;
 use crate::kernels::boris::BorisCoeffs;
 use crate::kernels::deposit::DepositPath;
@@ -66,8 +68,9 @@ pub struct EmConfig {
     pub seed: u64,
     /// Replicated-decomposition slice `(rank, nranks)`: every rank samples
     /// only its contiguous `1/nranks` of *each* species' deterministic
-    /// population; the per-step ρ/J reductions
-    /// ([`EmSimulation::step_with_reduce`]) restore the global densities.
+    /// population; the per-step ρ reduction
+    /// ([`EmSimulation::step_with_reduce`]) restores the global density, and
+    /// the sum of the ranks' [`EmSimulation::j_field`] is the global **J**.
     pub replica: Option<(usize, usize)>,
     /// Online sort-cadence control ([`crate::control`]) — same semantics
     /// as [`crate::sim::PicConfig::controller`]: `Some` drives the sort
@@ -367,21 +370,11 @@ impl Pic<EmConfig> {
         &self.species
     }
 
-    fn currents(&self) -> &Currents {
-        self.currents.as_ref().expect("the 2d3v kind deposits J")
-    }
-
-    /// The deposited current density `(jx, jy, jz)` on grid points.
+    /// The current density `(jx, jy, jz)` on grid points as of the last
+    /// step: zero before the first, the snapshot's after a restore, and
+    /// otherwise deposited from the stores on the first read after a step.
     pub fn j_field(&self) -> (&[f64], &[f64], &[f64]) {
-        let [jx, jy, jz] = &self.currents().j;
-        (jx, jy, jz)
-    }
-
-    /// Mutable current-density views, for in-place reduction between the
-    /// step halves.
-    pub fn j_mut(&mut self) -> (&mut [f64], &mut [f64], &mut [f64]) {
-        let c = self.currents.as_mut().expect("the 2d3v kind deposits J");
-        let [jx, jy, jz] = &mut c.j;
+        let [jx, jy, jz] = self.j_arrays();
         (jx, jy, jz)
     }
 
@@ -505,26 +498,38 @@ mod tests {
         cfg.sort_period = 3;
         let mut full = EmSimulation::new(cfg.clone()).unwrap();
 
+        // Element-wise sum of the ranks' arrays, in rank order.
+        fn sum<'a>(arrays: impl Iterator<Item = &'a [f64]>) -> Vec<f64> {
+            let mut sum = Vec::new();
+            for arr in arrays {
+                sum.resize(arr.len(), 0.0);
+                sum.iter_mut().zip(arr).for_each(|(s, a)| *s += *a);
+            }
+            sum
+        }
+        // The rank partial sums accumulate in a different order than the
+        // one-array deposit: equal within reassociation noise.
+        let close = |what: &str, a: &[f64], b: &[f64]| {
+            for (a, b) in a.iter().zip(b) {
+                assert!(
+                    (a - b).abs() < 1e-9 * b.abs().max(1.0),
+                    "{what}: {a} vs {b}"
+                );
+            }
+        };
+
         // The initial allreduce: every rank's sampled partial ρ is known
         // deterministically, so precompute the global sum from throwaway
         // shells and hand each real rank the reduced copy at init.
         let nranks = 3;
-        let rank_cfg = |r: usize| {
-            let mut c = cfg.clone();
-            c.replica = Some((r, nranks));
-            c
+        let rank_cfg = |r| EmConfig {
+            replica: Some((r, nranks)),
+            ..cfg.clone()
         };
-        let mut rho0: Vec<f64> = Vec::new();
-        for r in 0..nranks {
-            let partial = EmSimulation::new(rank_cfg(r)).unwrap().rho().to_vec();
-            if rho0.is_empty() {
-                rho0 = partial;
-            } else {
-                for (a, b) in rho0.iter_mut().zip(&partial) {
-                    *a += *b;
-                }
-            }
-        }
+        let shells: Vec<_> = (0..nranks)
+            .map(|r| EmSimulation::new(rank_cfg(r)).unwrap())
+            .collect();
+        let rho0 = sum(shells.iter().map(|s| s.rho()));
         let mut ranks: Vec<EmSimulation> = (0..nranks)
             .map(|r| {
                 EmSimulation::new_with_reduce(rank_cfg(r), |arr| arr.copy_from_slice(&rho0))
@@ -534,36 +539,35 @@ mod tests {
         let total: usize = ranks.iter().map(|r| r.species()[0].len()).sum();
         assert_eq!(total, full.species()[0].len());
 
-        for _ in 0..4 {
+        for step in 1..=4 {
             full.step();
-            // Allreduce over the step halves: every rank deposits its
-            // partials, the sums are written back, every rank solves.
+            // Allreduce ρ over the step halves: every rank deposits its
+            // partial, the sum is written back, every rank solves.
             for r in &mut ranks {
                 r.step_pre_reduce();
             }
-            let mut sums = vec![vec![0.0; rho0.len()]; 4];
-            for r in &ranks {
-                let (jx, jy, jz) = r.j_field();
-                for (sum, arr) in sums.iter_mut().zip([r.rho(), jx, jy, jz]) {
-                    sum.iter_mut().zip(arr).for_each(|(s, a)| *s += *a);
-                }
-            }
+            let rho = sum(ranks.iter().map(|r| r.rho()));
             for r in &mut ranks {
-                r.rho_mut().copy_from_slice(&sums[0]);
-                let (jx, jy, jz) = r.j_mut();
-                for (arr, sum) in [jx, jy, jz].into_iter().zip(&sums[1..]) {
-                    arr.copy_from_slice(sum);
-                }
+                r.rho_mut().copy_from_slice(&rho);
                 r.step_post_reduce();
             }
-        }
-        // Every rank now carries the reduced global ρ; it must match the
-        // full run's within reassociation noise (the rank partial sums
-        // accumulate in a different order than the one-array deposit).
-        for r in &ranks {
-            for (a, b) in r.rho().iter().zip(full.rho()) {
-                assert!((a - b).abs() < 1e-9 * b.abs().max(1.0));
+            // Each rank deposits **J** from its own stores on request: the
+            // ranks' reads sum to the full run's.
+            let reads: Vec<[&[f64]; 3]> = (ranks.iter().map(|r| r.j_field()))
+                .map(|(jx, jy, jz)| [jx, jy, jz])
+                .collect();
+            let (fx, fy, fz) = full.j_field();
+            for (c, (name, fj)) in [("jx", fx), ("jy", fy), ("jz", fz)].into_iter().enumerate() {
+                close(
+                    &format!("step {step} {name}"),
+                    &sum(reads.iter().map(|j| j[c])),
+                    fj,
+                );
             }
+        }
+        // Every rank now carries the reduced global ρ.
+        for r in &ranks {
+            close("rho", r.rho(), full.rho());
         }
     }
 

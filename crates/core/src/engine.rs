@@ -3,18 +3,19 @@
 //! [`Pic`] runs the leap-frog loop of the paper's Fig. 1 over a table of
 //! per-species particle stores ([`SpeciesArena`], the per-species container
 //! of SoAx, arXiv:1710.03462): periodic sort, one streaming pass per
-//! species (`pass::strip_pass`) into shared redundant ρ₄ (and **J**₁₂) arenas,
-//! the grid reductions, the field solve and one diagnostics sample — with
-//! per-phase timers ([`PhaseTimes`]) and the sort-cadence controller
-//! ([`crate::control`]) on every run.
+//! species (`pass::strip_pass`) into one shared redundant ρ₄, its grid
+//! reduction, the field solve and one diagnostics sample — with per-phase
+//! timers ([`PhaseTimes`]) and the sort-cadence controller
+//! ([`crate::control`]) on every run. No step reads **J**: a kind that has
+//! one deposits it from the end-of-step stores on the first read.
 //!
 //! The configuration type picks the physics:
 //! - [`crate::sim::Simulation`] is `Pic<PicConfig>`: one electron store
 //!   whose `vz` column is empty, a leap-frog electric kick (hoisted or not,
 //!   §IV-D), no **J** — the paper's 2d2v electrostatic code;
 //! - [`crate::em::EmSimulation`] is `Pic<EmConfig>`: any number of 2d3v
-//!   species under a Boris push against a static **B**, with a **J**
-//!   deposit after each ρ deposit.
+//!   species under a Boris push against a static **B**, with **J** on
+//!   request.
 //!
 //! Everything both run is written here once. Each config answers the five
 //! questions of the crate-private `Kind` trait:
@@ -23,7 +24,7 @@
 //!    this rank own (`keep_range`/`keep_cells`, or `replica`);
 //! 3. how is each species kicked, pushed and summed (a `Mover`), and how is
 //!    the redundant field pre-scaled;
-//! 4. is **J** deposited, and is E solved;
+//! 4. does it have a **J**, and is E solved;
 //! 5. which snapshot format and fingerprint does it write (`PIC2DCKP` or
 //!    `PIC2DEMS`).
 //!
@@ -47,7 +48,8 @@ use crate::PicError;
 use kind::{Kick, Kind, Mover};
 use sfc::CellLayout;
 use spectral::poisson::{PoissonSolver2D, SolveScratch};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// What each configuration supplies to the engine. The module is
@@ -137,7 +139,7 @@ pub(crate) mod kind {
         ) -> Result<SpeciesArena, PicError>;
         /// 3. How species `def` is kicked, pushed and summed.
         fn mover(&self, def: &SpeciesDef, grid: &Grid2D) -> Mover;
-        /// 4. Whether the pass deposits **J**.
+        /// 4. Whether the kind has a **J** (deposited on request).
         const DEPOSITS_J: bool;
         /// 4. Whether each step solves E (else E stays as initialized).
         fn solves_e(&self) -> bool;
@@ -179,15 +181,6 @@ macro_rules! shared_settings {
 }
 pub(crate) use shared_settings;
 
-/// The **J** deposit targets of a kind that deposits current.
-pub(crate) struct Currents {
-    /// `(Jx, Jy, Jz)` on grid points.
-    pub(crate) j: [Vec<f64>; 3],
-    j12: RedundantJ,
-    /// Per-worker private **J**₁₂ copies for the pooled deposit.
-    arenas: Vec<RedundantJ>,
-}
-
 /// A running particle-in-cell simulation over per-species stores (module
 /// docs). Name it through [`crate::sim::Simulation`] or
 /// [`crate::em::EmSimulation`].
@@ -201,8 +194,13 @@ pub struct Pic<C> {
     /// How each species moves, index-parallel with `species`.
     movers: Vec<Mover>,
     pub(crate) field: Field2D,
-    /// Present when the configuration deposits **J**.
-    pub(crate) currents: Option<Currents>,
+    /// `(Jx, Jy, Jz)` on grid points as of the last step, filled on first
+    /// read ([`j_arrays`](Self::j_arrays)) and emptied by the particle pass;
+    /// its arrays are empty for a kind without **J**.
+    pub(crate) j: OnceLock<[Vec<f64>; 3]>,
+    /// Nanoseconds spent filling `j` (it fills behind `&self`), reported
+    /// under [`PhaseTimes::accumulate`].
+    j_ns: AtomicU64,
     e8: RedundantE,
     rho4: RedundantRho,
     /// Per-worker private ρ₄ copies for the pooled deposit, reused every
@@ -347,18 +345,15 @@ impl<C: Kind> Pic<C> {
         };
         let nw = pool.as_ref().map_or(0, |p| p.nthreads());
         let l = layout.as_dyn();
-        let currents = C::DEPOSITS_J.then(|| Currents {
-            j: std::array::from_fn(|_| vec![0.0; field.rho.len()]),
-            j12: RedundantJ::new(l),
-            arenas: (0..nw).map(|_| RedundantJ::new(l)).collect(),
-        });
+        let nj = if C::DEPOSITS_J { grid.ncells() } else { 0 };
         let controller = (cfg.settings_mut().controller.clone()).map(HotPathController::new);
 
         Ok(Self {
             e8: RedundantE::new(l),
             rho4: RedundantRho::new(l),
             rho_arenas: (0..nw).map(|_| RedundantRho::new(l)).collect(),
-            currents,
+            j: OnceLock::from(std::array::from_fn(|_| vec![0.0; nj])),
+            j_ns: AtomicU64::new(0),
             grid,
             layout,
             solver,
@@ -433,12 +428,15 @@ impl<C: Kind> Pic<C> {
 
     /// Per-phase cumulative timings.
     pub fn timers(&self) -> PhaseTimes {
-        self.timers
+        let mut t = self.timers;
+        t.accumulate += self.j_ns.load(Ordering::Relaxed) as f64 * 1e-9;
+        t
     }
 
     /// Zero the phase timers (for warmup-discarding harnesses).
     pub fn reset_timers(&mut self) {
         self.timers = PhaseTimes::default();
+        *self.j_ns.get_mut() = 0;
     }
 
     /// Physics diagnostics (one sample at init + one per step).
@@ -486,6 +484,8 @@ impl<C: Kind> Pic<C> {
     /// [`crate::kernels::deposit`]); checkpoints record the active value as
     /// metadata so a restored run resumes it.
     pub fn set_deposit_path(&mut self, path: crate::sim::DepositPath) {
+        // The last step's **J** is the one its own path deposits.
+        self.j_arrays();
         *self.cfg.settings_mut().deposit_path = path;
     }
 
@@ -531,26 +531,24 @@ impl<C: Kind> Pic<C> {
         self.step_with_reduce(|_| {});
     }
 
-    /// Advance one step, calling `reduce` on each freshly deposited grid
-    /// array — ρ, then `Jx`, `Jy`, `Jz` when the kind deposits **J** —
+    /// Advance one step, calling `reduce` on the freshly deposited ρ
     /// *before* the field solve. This is the hook for the paper's
     /// process-level parallelism (§V-A): with particles split across ranks,
     /// `reduce` performs the `MPI_ALLREDUCE` that sums the per-rank
-    /// densities, and every rank then solves over the whole grid.
-    pub fn step_with_reduce(&mut self, mut reduce: impl FnMut(&mut [f64])) {
+    /// densities, and every rank then solves over the whole grid. ρ is the
+    /// only array reduced: **J** is deposited on request from this rank's
+    /// stores, so a replicated run that reads it sums the ranks' reads.
+    pub fn step_with_reduce(&mut self, reduce: impl FnOnce(&mut [f64])) {
         self.step_pre_reduce();
         reduce(&mut self.field.rho);
-        if let Some(c) = self.currents.as_mut() {
-            c.j.iter_mut().for_each(|j| reduce(j));
-        }
         self.step_post_reduce();
     }
 
     /// First half of a step: sort (periodically), then one streaming pass
-    /// per species, leaving the freshly deposited per-rank ρ (and **J**) on
-    /// the grid. Distributed drivers that cannot express their reduction as
-    /// a closure (e.g. a fallible collective that may need recovery) call
-    /// this, reduce themselves, then finish the step with
+    /// per species, leaving the freshly deposited per-rank ρ on the grid.
+    /// Distributed drivers that cannot express their reduction as a closure
+    /// (e.g. a fallible collective that may need recovery) call this,
+    /// reduce themselves, then finish the step with
     /// [`step_post_reduce`](Self::step_post_reduce).
     pub fn step_pre_reduce(&mut self) {
         self.step_count += 1;
@@ -635,21 +633,17 @@ impl<C: Kind> Pic<C> {
     }
 
     /// The particle loops of every species, one [`strip_pass`] each: kick,
-    /// push, ρ deposit and — when the kind deposits it — **J**, strip by
-    /// strip. ρ₄/J₁₂ are cleared once and every pass adds its species'
-    /// signed contribution, in table order.
+    /// push and ρ deposit, strip by strip. ρ₄ is cleared once and every
+    /// pass adds its species' signed contribution, in table order. The
+    /// stores move, so the last step's **J** goes.
     fn particle_pass(&mut self) {
         let t = Instant::now();
         self.rho4.clear();
-        if let Some(c) = self.currents.as_mut() {
-            c.j12.clear();
-        }
+        self.j.take();
         self.timers.accumulate += t.elapsed().as_secs_f64();
 
         let path = self.cfg.settings().deposit_path;
         let deposit = deposit::select_kernel(path, KernelPath::Lanes);
-        let current = (self.currents.as_ref())
-            .map(|_| current::select_current_kernel(path, KernelPath::Lanes));
         let (e8, pool) = (&self.e8.e8, self.pool.as_deref());
         let mut kinetic = 0.0;
         for (arena, mover) in self.species.iter_mut().zip(&self.movers) {
@@ -667,26 +661,75 @@ impl<C: Kind> Pic<C> {
                 layout: &self.layout,
                 push_scale: mover.push_scale,
                 deposit,
-                current,
                 weight: arena.deposit_weight(&self.grid),
                 speed_scales: mover.speed_scales,
             };
             let rho = (&mut self.rho4, &mut self.rho_arenas[..]);
-            let j = (self.currents.as_mut()).map(|c| (&mut c.j12, &mut c.arenas[..]));
             let (p, vz) = (&mut arena.p, &mut arena.vz);
-            let speed_sq = strip_pass(p, vz, pool, rho, j, &kernels, &mut self.timers);
+            let speed_sq = strip_pass(p, vz, pool, rho, &kernels, &mut self.timers);
             kinetic += arena.kinetic(speed_sq);
         }
         self.pass_kinetic = Some(kinetic);
 
         let t = Instant::now();
-        let layout = self.layout.as_dyn();
-        self.rho4.reduce_to_grid(layout, &mut self.field.rho);
-        if let Some(c) = self.currents.as_mut() {
-            let [jx, jy, jz] = &mut c.j;
-            c.j12.reduce_to_grid(layout, jx, jy, jz);
-        }
+        self.rho4
+            .reduce_to_grid(self.layout.as_dyn(), &mut self.field.rho);
         self.timers.convert += t.elapsed().as_secs_f64();
+    }
+
+    /// `(Jx, Jy, Jz)` on grid points as of the last step (empty for a kind
+    /// without **J**), deposited on the first read after a step.
+    pub(crate) fn j_arrays(&self) -> [&[f64]; 3] {
+        if !C::DEPOSITS_J {
+            return [&[]; 3];
+        }
+        let j = self.j.get_or_init(|| self.deposit_j());
+        j.each_ref().map(|j| &j[..])
+    }
+
+    /// Deposit **J** from the stores, one pooled deposit per species in
+    /// table order, then onto the grid: the lane kernel of the step's
+    /// path, the pass's `chunk_range` cut and worker-order merge, so the
+    /// bits do not depend on when the stores are read.
+    fn deposit_j(&self) -> [Vec<f64>; 3] {
+        let t = Instant::now();
+        let layout = self.layout.as_dyn();
+        // Without a pool, a one-wide one runs the kernel inline; it spawns
+        // nothing and takes no arenas.
+        let inline;
+        let pool = match self.pool.as_deref() {
+            Some(p) => p,
+            None => {
+                inline = ThreadPool::new(1);
+                &inline
+            }
+        };
+        let mut j12 = RedundantJ::new(layout);
+        let mut arenas = vec![j12.clone(); self.pool.as_ref().map_or(0, |p| p.nthreads())];
+        let path = self.cfg.settings().deposit_path;
+        for s in &self.species {
+            let (p, w) = (&s.p, s.deposit_weight(&self.grid));
+            current::pool_deposit_current(
+                pool,
+                &p.icell,
+                &p.dx,
+                &p.dy,
+                &p.vx,
+                &p.vy,
+                &s.vz,
+                &mut j12,
+                &mut arenas,
+                w,
+                path,
+                KernelPath::Lanes,
+            );
+        }
+        let mut j = std::array::from_fn(|_| vec![0.0; self.grid.ncells()]);
+        let [jx, jy, jz] = &mut j;
+        j12.reduce_to_grid(layout, jx, jy, jz);
+        let ns = t.elapsed().as_nanos() as u64;
+        self.j_ns.fetch_add(ns, Ordering::Relaxed);
+        j
     }
 
     /// Deposit the initial charge without moving particles. Always runs the
@@ -815,10 +858,7 @@ impl<C: Kind> Pic<C> {
                 .map(|c| c.encode_state())
                 .unwrap_or_default(),
         };
-        let [jx, jy, jz] = match &self.currents {
-            Some(c) => c.j.each_ref().map(|j| &j[..]),
-            None => [&[][..]; 3],
-        };
+        let [jx, jy, jz] = self.j_arrays();
         C::encode(&StateView {
             config_fingerprint: self.cfg.fingerprint(),
             step_count: self.step_count as u64,
@@ -870,7 +910,7 @@ impl<C: Kind> Pic<C> {
             )));
         }
         let ng = self.grid.ncells();
-        let nj = if self.currents.is_some() { ng } else { 0 };
+        let nj = if C::DEPOSITS_J { ng } else { 0 };
         let lengths = [st.rho.len(), st.ex.len(), st.ey.len()];
         let j_lengths = [st.jx.len(), st.jy.len(), st.jz.len()];
         if lengths.iter().any(|&l| l != ng) || j_lengths.iter().any(|&l| l != nj) {
@@ -914,9 +954,7 @@ impl<C: Kind> Pic<C> {
             .collect();
         self.pass_kinetic = None;
         (self.field.rho, self.field.ex, self.field.ey) = (st.rho, st.ex, st.ey);
-        if let Some(c) = self.currents.as_mut() {
-            c.j = [st.jx, st.jy, st.jz];
-        }
+        self.j = OnceLock::from([st.jx, st.jy, st.jz]);
         self.diag.history = st.diag;
         self.rho4.clear();
         self.refresh_field_views();

@@ -4,11 +4,12 @@
 //!
 //! The step engine ([`crate::engine`]) calls `strip_pass` once per species:
 //! with a leap-frog kick over the electrostatic store, whose `vz` is empty,
-//! or with the Boris kick, a `vz` column in the view and the **J** deposit
-//! after the ρ deposit of the same pushed positions.
+//! or with the Boris kick and a `vz` column in the view. The pass deposits
+//! only ρ, which is all the field solve reads; **J** is deposited on request,
+//! from the end-of-step stores, by the engine.
 
-use crate::fields::{RedundantJ, RedundantRho};
-use crate::kernels::{self, current, deposit, simd, SoaViewMut};
+use crate::fields::RedundantRho;
+use crate::kernels::{self, deposit, simd, SoaViewMut};
 use crate::particles::ParticlesSoA;
 use crate::pool::{chunk_range, ThreadPool, MAX_THREADS};
 use crate::sim::{AnyLayout, PhaseTimes};
@@ -38,8 +39,6 @@ pub(crate) struct StripKernels<'a> {
     pub layout: &'a AnyLayout,
     pub push_scale: f64,
     pub deposit: deposit::DepositFn,
-    /// **J** deposit of the pushed strip (2d3v passes only).
-    pub current: Option<current::CurrentFn>,
     /// Signed deposition weight.
     pub weight: f64,
     /// Stored in-plane velocity → physical factors for the in-pass `Σ|v|²`
@@ -50,12 +49,11 @@ pub(crate) struct StripKernels<'a> {
 /// One worker's share of a streaming pass.
 struct PassItem<'a> {
     view: SoaViewMut<'a>,
-    /// Where this worker deposits ρ and **J**: its private arenas (`own`),
-    /// or the pass targets themselves when it is the only worker.
+    /// Where this worker deposits ρ: its private arena (`own`), or the pass
+    /// target itself when it is the only worker.
     rho: &'a mut RedundantRho,
-    j: Option<&'a mut RedundantJ>,
-    /// The deposit targets are this worker's arenas, which it clears; the
-    /// pass targets arrive cleared by the caller.
+    /// The deposit target is this worker's arena, which it clears; the
+    /// pass target arrives cleared by the caller.
     own: bool,
     /// `Σ|v|²` over the view, taken after the kick.
     speed_sq: f64,
@@ -80,8 +78,8 @@ fn strip_speed_sq(vx: &[f64], vy: &[f64], vz: &[f64], (sx, sy): (f64, f64)) -> f
 }
 
 impl PassItem<'_> {
-    /// Walk the view strip by strip: kick → `Σ|v|²` partial → push → ρ then
-    /// **J** deposit of the pushed positions, so each particle moves between
+    /// Walk the view strip by strip: kick → `Σ|v|²` partial → push → ρ
+    /// deposit of the pushed positions, so each particle moves between
     /// memory and cache once per step. The last strip and the `n mod LANES`
     /// remainder go through the kernels' own scalar tails.
     fn run(&mut self, k: &StripKernels<'_>) {
@@ -90,9 +88,6 @@ impl PassItem<'_> {
         let (mut clock, mut times, mut speed_sq) = (self.clock, self.times, self.speed_sq);
         if self.own {
             self.rho.clear();
-            if let Some(j) = self.j.as_mut() {
-                j.clear();
-            }
         }
         lap(&mut clock, &mut times.accumulate);
         let n = self.view.len();
@@ -107,9 +102,6 @@ impl PassItem<'_> {
             lap(&mut clock, &mut times.update_x);
             let s = &strip;
             (k.deposit)(s.icell, s.dx, s.dy, &mut self.rho.rho4, k.weight);
-            if let (Some(current), Some(j)) = (k.current, self.j.as_mut()) {
-                current(s.icell, s.dx, s.dy, s.vx, s.vy, s.vz, &mut j.j12, k.weight);
-            }
             lap(&mut clock, &mut times.accumulate);
             start = end;
         }
@@ -181,24 +173,22 @@ pub(crate) fn for_each_strip(
 
 /// The particle loops of one step, for one particle store, as a single
 /// fan-out: worker `w` walks its [`chunk_range`] chunk in strips
-/// ([`PassItem::run`]) and deposits into its own arenas; the leader then
-/// *adds* the arenas, in worker order, into `rho.0` (and `j.0`), which the
-/// caller cleared — so one pass per species accumulates a multi-species ρ
-/// with the association of one pooled deposit per species, and the result is
+/// ([`PassItem::run`]) and deposits into its own arena; the leader then
+/// *adds* the arenas, in worker order, into `rho.0`, which the caller
+/// cleared — so one pass per species accumulates a multi-species ρ with the
+/// association of one pooled deposit per species, and the result is
 /// deterministic for a given pool width. Without a pool (or with one worker)
 /// the same strip loop runs on the whole store, straight into the targets.
 /// Returns `Σ|v|²`, per-worker partials added in worker order.
 ///
-/// `rho` and `j` are `(target, per-worker arenas)`; `j` goes with
-/// [`StripKernels::current`]. The leader's laps go to `timers`; its wait at
-/// the join and the arena merge count as accumulate, like the deposit
-/// fan-out they replace.
+/// `rho` is `(target, per-worker arenas)`. The leader's laps go to
+/// `timers`; its wait at the join and the arena merge count as accumulate,
+/// like the deposit fan-out they replace.
 pub(crate) fn strip_pass(
     particles: &mut ParticlesSoA,
     vz: &mut [f64],
     pool: Option<&ThreadPool>,
     rho: (&mut RedundantRho, &mut [RedundantRho]),
-    mut j: Option<(&mut RedundantJ, &mut [RedundantJ])>,
     kernels: &StripKernels<'_>,
     timers: &mut PhaseTimes,
 ) -> f64 {
@@ -213,14 +203,6 @@ pub(crate) fn strip_pass(
     } else {
         std::slice::from_mut(&mut *rho4)
     };
-    let j_targets = j.as_mut().map(|(j12, arenas)| {
-        if own {
-            &mut arenas[..nw]
-        } else {
-            std::slice::from_mut(&mut **j12)
-        }
-    });
-    let mut j_targets = j_targets.into_iter().flatten();
     // Fewer particles than workers leaves the last views empty; those
     // workers still clear their arenas.
     let mut work: [Option<PassItem<'_>>; MAX_THREADS] = [const { None }; MAX_THREADS];
@@ -228,7 +210,6 @@ pub(crate) fn strip_pass(
         *slot = Some(PassItem {
             view: view.take().unwrap_or_default(),
             rho,
-            j: j_targets.next(),
             own,
             speed_sq: 0.0,
             times: PhaseTimes::default(),
@@ -249,11 +230,6 @@ pub(crate) fn strip_pass(
     if own {
         for arena in &rho_arenas[..nw] {
             rho4.add_assign(arena);
-        }
-        if let Some((j12, arenas)) = j {
-            for arena in &arenas[..nw] {
-                j12.add_assign(arena);
-            }
         }
     }
     lap(&mut clock, &mut times.accumulate);

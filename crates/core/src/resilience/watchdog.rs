@@ -76,9 +76,11 @@ pub fn check_invariants<C: Kind>(sim: &Pic<C>, wcfg: &WatchdogConfig) -> Result<
     scan_finite("rho", sim.rho())?;
     scan_finite("ex", ex)?;
     scan_finite("ey", ey)?;
+    // **J** is a function of the particles checked below: scan it only
+    // when a read has deposited it.
     for (name, j) in ["jx", "jy", "jz"]
         .iter()
-        .zip(sim.currents.iter().flat_map(|c| &c.j))
+        .zip(sim.j.get().into_iter().flatten())
     {
         scan_finite(name, j)?;
     }

@@ -119,7 +119,7 @@ pub struct PhaseTimes {
     pub update_v: f64,
     /// Update-positions loop.
     pub update_x: f64,
-    /// Charge-accumulation loop.
+    /// Charge-accumulation loop (and the on-request **J** deposit).
     pub accumulate: f64,
     /// Particle sorting.
     pub sort: f64,

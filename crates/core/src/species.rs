@@ -100,7 +100,7 @@ impl SpeciesArena {
     /// An optional `slice = (rank, nranks)` samples only this rank's
     /// contiguous index range — the replicated-decomposition convention
     /// where every rank owns `1/nranks` of each species and the deposited
-    /// ρ/J are summed by an allreduce. The slice equals the same range of
+    /// ρ is summed by an allreduce. The slice equals the same range of
     /// the whole species bit for bit.
     pub fn initialize(
         def: SpeciesDef,

@@ -920,21 +920,6 @@ impl DecomposedSimulation {
         Ok(())
     }
 
-    /// Enable the online sort-cadence controller on this rank's local
-    /// simulation ([`pic_core::control`]). Decisions are strictly per-rank
-    /// — each rank tracks its own disorder, so a rank whose subdomain
-    /// drifts can shorten its sort period without forcing the quiet ranks
-    /// to follow. Step counts stay collective, so the tag schedule is
-    /// untouched.
-    pub fn enable_hot_path_controller(&mut self, ccfg: pic_core::control::ControllerConfig) {
-        self.sim.enable_controller(ccfg);
-    }
-
-    /// This rank's adaptive controller, when one is enabled.
-    pub fn hot_path_controller(&self) -> Option<&pic_core::control::HotPathController> {
-        self.sim.controller()
-    }
-
     /// The partition slot this rank hosts.
     pub fn my_slot(&self) -> usize {
         self.my_slot

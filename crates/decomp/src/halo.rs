@@ -232,73 +232,6 @@ fn exchange_rho_impl(
     Ok(())
 }
 
-/// Exchange partial current density: like [`exchange_rho`] but for the
-/// three components `(Jx, Jy, Jz)` of the electromagnetic deposit, packed
-/// into *one* frame per peer (`[Jx at pts.., Jy at pts.., Jz at pts..]`)
-/// so the multi-species step pays the same message count as ρ. After the
-/// call each component holds the global current at every owned point.
-pub fn exchange_current(
-    comm: &mut Comm,
-    plan: &HaloPlan,
-    jx: &mut [f64],
-    jy: &mut [f64],
-    jz: &mut [f64],
-    tag: u64,
-) -> Result<(), DecompError> {
-    exchange_current_impl(comm, plan, jx, jy, jz, tag, None)
-}
-
-/// [`exchange_current`] with the same slot routing table as
-/// [`exchange_rho_routed`], for the elastic driver's slot → world-rank
-/// indirection.
-pub fn exchange_current_routed(
-    comm: &mut Comm,
-    plan: &HaloPlan,
-    jx: &mut [f64],
-    jy: &mut [f64],
-    jz: &mut [f64],
-    tag: u64,
-    route: &[usize],
-) -> Result<(), DecompError> {
-    exchange_current_impl(comm, plan, jx, jy, jz, tag, Some(route))
-}
-
-fn exchange_current_impl(
-    comm: &mut Comm,
-    plan: &HaloPlan,
-    jx: &mut [f64],
-    jy: &mut [f64],
-    jz: &mut [f64],
-    tag: u64,
-    route: Option<&[usize]>,
-) -> Result<(), DecompError> {
-    let dst = |slot: usize| route.map_or(slot, |r| r[slot]);
-    for (peer, pts) in &plan.send {
-        let mut payload = Vec::with_capacity(3 * pts.len());
-        payload.extend(pts.iter().map(|&p| jx[p]));
-        payload.extend(pts.iter().map(|&p| jy[p]));
-        payload.extend(pts.iter().map(|&p| jz[p]));
-        comm.try_send(dst(*peer), tag, &payload)?;
-    }
-    for (peer, pts) in &plan.recv {
-        let data = comm.try_recv_group(dst(*peer), tag)?;
-        if data.len() != 3 * pts.len() {
-            return Err(DecompError::Config(format!(
-                "halo current payload from slot {peer}: {} values for {} points",
-                data.len(),
-                pts.len()
-            )));
-        }
-        let n = pts.len();
-        for (i, &p) in pts.iter().enumerate() {
-            jx[p] += data[i];
-            jy[p] += data[n + i];
-            jz[p] += data[2 * n + i];
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,59 +294,6 @@ mod tests {
                     assert!(
                         plan.e_points.binary_search(&(px * 8 + py)).is_ok(),
                         "rank {r} missing corner of cell {c}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn current_exchange_accumulates_all_partials() {
-        // Each rank deposits a recognizable partial (rank-tagged values at
-        // every point of its write region); after the exchange, every owned
-        // point must hold the sum of the partials of all ranks whose write
-        // region covers it — independently for the three components.
-        let part = Partition::new(Ordering::Morton, 8, 8, 3).unwrap();
-        let plans = std::sync::Arc::new(plan_all(&part, 1));
-        let npts = part.ncells();
-        // Reference: global sum of every rank's partial at every point.
-        let partial = |r: usize, p: usize, c: usize| (r + 1) as f64 * (p as f64 + 0.5) + c as f64;
-        let mut expect = vec![[0.0f64; 3]; npts];
-        for (r, plan) in plans.iter().enumerate() {
-            let pts = corner_point_mask(&part, &plan.write_cells);
-            for (p, &m) in pts.iter().enumerate() {
-                if m {
-                    for (c, e) in expect[p].iter_mut().enumerate() {
-                        *e += partial(r, p, c);
-                    }
-                }
-            }
-        }
-        let plans2 = plans.clone();
-        let results = minimpi::World::run(3, move |comm| {
-            let r = comm.rank();
-            let plan = &plans2[r];
-            let pts = corner_point_mask(&part, &plan.write_cells);
-            let mut j = [vec![0.0; npts], vec![0.0; npts], vec![0.0; npts]];
-            for (p, &m) in pts.iter().enumerate() {
-                if m {
-                    for (c, comp) in j.iter_mut().enumerate() {
-                        comp[p] = partial(r, p, c);
-                    }
-                }
-            }
-            let [mut jx, mut jy, mut jz] = j;
-            exchange_current(comm, plan, &mut jx, &mut jy, &mut jz, 7).unwrap();
-            (jx, jy, jz)
-        });
-        for (r, (jx, jy, jz)) in results.iter().enumerate() {
-            for &p in &plans[r].owned_points {
-                for (c, comp) in [jx, jy, jz].into_iter().enumerate() {
-                    assert!(
-                        (comp[p] - expect[p][c]).abs() < 1e-12,
-                        "rank {r} point {p} component {c}: {} vs {}",
-                        comp[p],
-                        expect[p][c]
                     );
                 }
             }

@@ -8,9 +8,9 @@
 //!
 //! * [`World::run`] spawns `nranks` OS threads, each receiving a [`Comm`]
 //!   handle — the moral equivalent of `MPI_COMM_WORLD`;
-//! * [`Comm`] provides `barrier`, `allreduce_sum` (flat, tree, and
-//!   Rabenseifner variants), point-to-point `send`/`recv`, `gather`, and
-//!   per-rank communication-time accounting (the quantity Fig. 7 plots);
+//! * [`Comm`] provides `barrier`, `allreduce_sum` (flat and tree
+//!   variants), point-to-point `send`/`recv`, `gather`, and per-rank
+//!   communication-time accounting (the quantity Fig. 7 plots);
 //! * [`cost::CostModel`] is a LogGP-style analytic model, calibrated from
 //!   measured runs, used to extrapolate the weak/strong scaling of Figs. 7
 //!   and 9 to core counts the host machine does not have.
@@ -1135,28 +1135,6 @@ impl Comm {
         res
     }
 
-    /// Combined send-then-receive, the halo-exchange workhorse: push `data`
-    /// to `dst` under `tag`, then block for the matching message from
-    /// `src` with the same tag. Safe against head-of-line deadlock because
-    /// sends complete without waiting for the receiver to post (frames park
-    /// in the receiver's stash), and under a fault plan the ack wait itself
-    /// services incoming data frames.
-    pub fn try_sendrecv(
-        &mut self,
-        dst: usize,
-        data: &[f64],
-        src: usize,
-        tag: u64,
-    ) -> Result<Vec<f64>, CommError> {
-        self.note_op()?;
-        let t = Instant::now();
-        let res = self
-            .send_ft(dst, tag, data, None)
-            .and_then(|()| self.recv_watch(src, tag, None));
-        self.comm_time_ns += t.elapsed().as_nanos() as u64;
-        res
-    }
-
     /// Pull every frame already sitting in the inbox into the stash/ack
     /// sets without blocking — run before declaring a peer failed, so a
     /// message it sent just before dying is still delivered.
@@ -1281,37 +1259,6 @@ impl Comm {
         self.try_recv(src, tag)
             .unwrap_or_else(|e| panic!("minimpi recv from rank {src}: {e}"))
     }
-
-    /// Like [`try_recv`](Self::try_recv) but into an existing buffer.
-    ///
-    /// # Panics
-    /// Panics if the received length differs from `buf` — a collective
-    /// contract violation, not a runtime fault.
-    pub fn try_recv_into(
-        &mut self,
-        src: usize,
-        tag: u64,
-        buf: &mut [f64],
-    ) -> Result<(), CommError> {
-        let data = self.try_recv(src, tag)?;
-        assert_eq!(data.len(), buf.len(), "recv_into length mismatch");
-        buf.copy_from_slice(&data);
-        Ok(())
-    }
-
-    /// Like [`recv`](Self::recv) but into an existing buffer. Bounded by
-    /// the receive deadline ([`Self::set_recv_deadline`]) like every other
-    /// blocking receive.
-    ///
-    /// # Panics
-    /// Panics if lengths differ, the receive deadline elapses, or the world
-    /// is torn down.
-    pub fn recv_into(&mut self, src: usize, tag: u64, buf: &mut [f64]) {
-        self.try_recv_into(src, tag, buf)
-            .unwrap_or_else(|e| panic!("minimpi recv_into from rank {src}: {e}"));
-    }
-
-    // ------------------------------------------------------------ collectives
 
     /// Global sum-reduction of `buf` across all ranks; every rank ends with
     /// the total (the paper's `MPI_ALLREDUCE` on ρ). Flat shared-accumulator
@@ -1463,106 +1410,6 @@ impl Comm {
     pub fn allreduce_sum_tree(&mut self, buf: &mut [f64], tag: u64) {
         self.try_allreduce_sum_tree(buf, tag)
             .unwrap_or_else(|e| panic!("minimpi allreduce_sum_tree: {e}"));
-    }
-
-    /// Rabenseifner allreduce (reduce-scatter + allgather) — the algorithm
-    /// real MPI libraries pick for large payloads: each of the `⌈log₂P⌉`
-    /// reduce-scatter rounds halves the exchanged data, so total traffic is
-    /// `2·n·(P−1)/P` instead of the tree's `2·n·log₂P`. Requires a
-    /// power-of-two rank count (callers fall back to
-    /// [`allreduce_sum_tree`](Self::allreduce_sum_tree) otherwise).
-    pub fn try_allreduce_sum_rabenseifner(
-        &mut self,
-        buf: &mut [f64],
-        tag: u64,
-    ) -> Result<(), CommError> {
-        self.note_op()?;
-        let tag = self.etag(tag);
-        let group = self.group.clone();
-        let p = group.len();
-        if p == 1 {
-            return Ok(());
-        }
-        if !p.is_power_of_two() || buf.len() < p {
-            let t = Instant::now();
-            let res = self.allreduce_tree_over(&group, buf, tag);
-            self.comm_time_ns += t.elapsed().as_nanos() as u64;
-            return res;
-        }
-        let t = Instant::now();
-        let r = self.group_index(&group);
-        let n = buf.len();
-        // Block boundaries: block b = [starts[b], starts[b+1]).
-        let starts: Vec<usize> = (0..=p).map(|b| b * n / p).collect();
-
-        // Reduce-scatter by recursive halving: after round k, this rank
-        // holds the partial sum of a 2^{k+1}-rank group on a 1/2^{k+1}
-        // slice of the buffer.
-        let mut gsize = p; // current group size
-        let mut lo = 0usize; // current block range [lo, hi) owned
-        let mut hi = p;
-        let mut round = 0u64;
-        while gsize > 1 {
-            let half = gsize / 2;
-            let partner = r ^ half;
-            let mid = lo + (hi - lo) / 2;
-            // Lower half of the group keeps [lo, mid), sends [mid, hi).
-            let (keep_lo, keep_hi, send_lo, send_hi) = if (r & half) == 0 {
-                (lo, mid, mid, hi)
-            } else {
-                (mid, hi, lo, mid)
-            };
-            let send_slice = buf[starts[send_lo]..starts[send_hi]].to_vec();
-            self.send_ft(group[partner], tag + 2 * round, &send_slice, Some(&group))?;
-            let recv = self.recv_watch(group[partner], tag + 2 * round, Some(&group))?;
-            let dst = &mut buf[starts[keep_lo]..starts[keep_hi]];
-            assert_eq!(recv.len(), dst.len());
-            for (d, s) in dst.iter_mut().zip(&recv) {
-                *d += s;
-            }
-            lo = keep_lo;
-            hi = keep_hi;
-            gsize = half;
-            round += 1;
-        }
-
-        // Allgather by recursive doubling: mirror the halving.
-        let mut gsize = 2usize;
-        while gsize <= p {
-            let half = gsize / 2;
-            let partner = r ^ half;
-            // This rank owns [lo, hi); the partner owns the sibling range.
-            let width = hi - lo;
-            let (plo, phi) = if (r & half) == 0 {
-                (lo + width, hi + width)
-            } else {
-                (lo - width, hi - width)
-            };
-            let own = buf[starts[lo]..starts[hi]].to_vec();
-            self.send_ft(group[partner], tag + 1000 + 2 * round, &own, Some(&group))?;
-            let recv = self.recv_watch(group[partner], tag + 1000 + 2 * round, Some(&group))?;
-            let dst = &mut buf[starts[plo]..starts[phi]];
-            assert_eq!(recv.len(), dst.len());
-            dst.copy_from_slice(&recv);
-            lo = lo.min(plo);
-            hi = hi.max(phi);
-            gsize *= 2;
-            round += 1;
-        }
-        debug_assert_eq!((lo, hi), (0, p));
-        self.comm_time_ns += t.elapsed().as_nanos() as u64;
-        Ok(())
-    }
-
-    /// Infallible wrapper around
-    /// [`try_allreduce_sum_rabenseifner`](Self::try_allreduce_sum_rabenseifner).
-    ///
-    /// # Panics
-    /// Panics on transport failure (only possible under fault injection or
-    /// an early-exiting peer).
-    pub fn allreduce_sum_rabenseifner(&mut self, buf: &mut [f64], tag: u64) {
-        self.try_allreduce_sum_rabenseifner(buf, tag)
-            .unwrap_or_else(|e| panic!("minimpi allreduce_sum_rabenseifner: {e}"));
     }
 
     /// Fault-aware gather over the current group: every member's `data`
@@ -2032,75 +1879,6 @@ mod tests {
     }
 
     #[test]
-    fn rabenseifner_allreduce_sums() {
-        for nranks in [2usize, 4, 8] {
-            let results = World::run(nranks, |comm| {
-                let mut v: Vec<f64> = (0..32).map(|i| (comm.rank() * 32 + i) as f64).collect();
-                comm.allreduce_sum_rabenseifner(&mut v, 0);
-                v
-            });
-            for i in 0..32 {
-                let expect: f64 = (0..nranks).map(|r| (r * 32 + i) as f64).sum();
-                for (rank, r) in results.iter().enumerate() {
-                    assert_eq!(r[i], expect, "nranks={nranks} rank={rank} i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rabenseifner_falls_back_for_odd_ranks() {
-        let results = World::run(3, |comm| {
-            let mut v = vec![1.0; 16];
-            comm.allreduce_sum_rabenseifner(&mut v, 0);
-            v[0]
-        });
-        assert!(results.iter().all(|&r| r == 3.0));
-    }
-
-    #[test]
-    fn rabenseifner_falls_back_for_small_payload() {
-        // Payload shorter than the rank count cannot be block-scattered.
-        let results = World::run(4, |comm| {
-            let mut v = vec![comm.rank() as f64; 2];
-            comm.allreduce_sum_rabenseifner(&mut v, 0);
-            v[0]
-        });
-        assert!(results.iter().all(|&r| r == 6.0));
-    }
-
-    #[test]
-    fn rabenseifner_repeated_rounds() {
-        let results = World::run(4, |comm| {
-            let mut total = 0.0;
-            for step in 0..5u64 {
-                let mut v = vec![1.0 + step as f64; 64];
-                comm.allreduce_sum_rabenseifner(&mut v, step * 10_000);
-                total += v[33];
-            }
-            total
-        });
-        let expect: f64 = (0..5).map(|s| 4.0 * (1.0 + s as f64)).sum();
-        assert!(results.iter().all(|&r| r == expect));
-    }
-
-    #[test]
-    fn rabenseifner_uneven_blocks() {
-        // Payload not divisible by rank count: blocks differ in size.
-        let results = World::run(4, |comm| {
-            let mut v: Vec<f64> = (0..13).map(|i| (comm.rank() + i) as f64).collect();
-            comm.allreduce_sum_rabenseifner(&mut v, 0);
-            v
-        });
-        for i in 0..13 {
-            let expect: f64 = (0..4).map(|r| (r + i) as f64).sum();
-            for r in &results {
-                assert_eq!(r[i], expect, "i={i}");
-            }
-        }
-    }
-
-    #[test]
     fn point_to_point_roundtrip() {
         let results = World::run(2, |comm| {
             if comm.rank() == 0 {
@@ -2265,23 +2043,6 @@ mod tests {
         });
         let per_step: f64 = (0..4).map(|r| (r + 3) as f64).sum();
         assert!(results.iter().all(|&r| r == 5.0 * per_step), "{results:?}");
-    }
-
-    #[test]
-    fn rabenseifner_recovers_under_faults() {
-        let plan = FaultPlan::new(23).drop_messages(0.3).corrupt_messages(0.2);
-        let results = World::run_with_faults(4, plan, |comm| {
-            fast_timeouts(comm);
-            let mut v: Vec<f64> = (0..16).map(|i| (comm.rank() * 16 + i) as f64).collect();
-            comm.try_allreduce_sum_rabenseifner(&mut v, 0).unwrap();
-            v
-        });
-        for i in 0..16 {
-            let expect: f64 = (0..4).map(|r| (r * 16 + i) as f64).sum();
-            for r in &results {
-                assert_eq!(r[i], expect, "i={i}");
-            }
-        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! 100k-particle job costs far more than a step of a 1k-particle one. The
 //! estimator below prices a quantum the way the paper prices a PIC step:
 //! a per-particle term (push + deposit), a per-cell term (field solve and
-//! grid reductions), both divided across the shared pool, plus a
-//! per-reduced-array communication term from
+//! ρ reduction), both divided across the shared pool, plus the step's one
+//! ρ allreduce from
 //! [`minimpi::cost::CostModel::allreduce`] — the same LogGP tree formula
 //! the scaling projections use. The compute coefficients start at
 //! plausible defaults and are recalibrated online from every committed
@@ -25,7 +25,7 @@ pub struct CostEstimator {
     per_particle_step: f64,
     /// Seconds of single-thread compute per grid cell per step.
     per_cell_step: f64,
-    /// Communication model for the per-step grid reductions.
+    /// Communication model for the per-step ρ reduction.
     comm: CostModel,
     /// Worker-pool width the compute terms are divided by.
     threads: usize,
@@ -51,23 +51,19 @@ impl CostEstimator {
     }
 
     /// Estimated wall seconds to run `steps` steps of a job with
-    /// `particles` markers over `cells` grid cells, reducing
-    /// `reduced_arrays` grid arrays per step.
-    pub fn estimate(
-        &self,
-        particles: usize,
-        cells: usize,
-        reduced_arrays: usize,
-        steps: u64,
-    ) -> f64 {
+    /// `particles` markers over `cells` grid cells. Both kinds reduce one
+    /// grid array (ρ) per step: the EM kind deposits **J** only on request.
+    pub fn estimate(&self, particles: usize, cells: usize, steps: u64) -> f64 {
         let compute = (particles as f64 * self.per_particle_step
             + cells as f64 * self.per_cell_step)
             / self.threads as f64;
-        let comm = reduced_arrays as f64
-            * self
-                .comm
-                .allreduce(self.threads, cells * std::mem::size_of::<f64>());
-        steps as f64 * (compute + comm)
+        steps as f64 * (compute + self.comm_per_step(cells))
+    }
+
+    /// Modelled wall seconds of one step's ρ allreduce over `cells` cells.
+    fn comm_per_step(&self, cells: usize) -> f64 {
+        self.comm
+            .allreduce(self.threads, cells * std::mem::size_of::<f64>())
     }
 
     /// Absorb the measured wall time of one committed quantum: subtract
@@ -77,22 +73,11 @@ impl CostEstimator {
     /// independently, so a one-dimensional update is all the signal
     /// supports). Faulted quanta must not be observed — their wall time
     /// includes injected stalls, not throughput.
-    pub fn observe(
-        &mut self,
-        particles: usize,
-        cells: usize,
-        reduced_arrays: usize,
-        steps: u64,
-        elapsed_secs: f64,
-    ) {
+    pub fn observe(&mut self, particles: usize, cells: usize, steps: u64, elapsed_secs: f64) {
         if steps == 0 || particles == 0 || !elapsed_secs.is_finite() || elapsed_secs <= 0.0 {
             return;
         }
-        let comm = reduced_arrays as f64
-            * self
-                .comm
-                .allreduce(self.threads, cells * std::mem::size_of::<f64>());
-        let compute_per_step = (elapsed_secs / steps as f64 - comm).max(0.0);
+        let compute_per_step = (elapsed_secs / steps as f64 - self.comm_per_step(cells)).max(0.0);
         // compute_per_step = (p·a + c·(ratio·a)) / threads, solve for a.
         let ratio = self.per_cell_step / self.per_particle_step;
         let denom = particles as f64 + cells as f64 * ratio;
@@ -124,15 +109,13 @@ mod tests {
     #[test]
     fn bigger_jobs_cost_more() {
         let est = CostEstimator::new(4);
-        let small = est.estimate(1_000, 256, 1, 10);
-        let big = est.estimate(100_000, 256, 1, 10);
+        let small = est.estimate(1_000, 256, 10);
+        let big = est.estimate(100_000, 256, 10);
         // 100× the particles: not a full 100× (cell + comm terms are
         // shared) but far beyond any per-step constant.
         assert!(big > small * 20.0, "{big} vs {small}");
         // More steps scale linearly.
-        assert!((est.estimate(1_000, 256, 1, 20) - 2.0 * small).abs() < 1e-12);
-        // An EM step reduces four arrays, never cheaper than one.
-        assert!(est.estimate(1_000, 256, 4, 10) > est.estimate(1_000, 256, 1, 10));
+        assert!((est.estimate(1_000, 256, 20) - 2.0 * small).abs() < 1e-12);
     }
 
     #[test]
@@ -145,7 +128,7 @@ mod tests {
         let ratio = est.per_cell_step / est.per_particle_step;
         let elapsed_per_step = p as f64 * true_per_particle + c as f64 * ratio * true_per_particle;
         for _ in 0..40 {
-            est.observe(p, c, 1, 16, 16.0 * elapsed_per_step);
+            est.observe(p, c, 16, 16.0 * elapsed_per_step);
         }
         let rel = (est.per_particle_step() - true_per_particle).abs() / true_per_particle;
         assert!(
@@ -160,10 +143,10 @@ mod tests {
     fn degenerate_observations_are_ignored() {
         let mut est = CostEstimator::new(2);
         let before = est.per_particle_step();
-        est.observe(0, 256, 1, 16, 1.0);
-        est.observe(1_000, 256, 1, 0, 1.0);
-        est.observe(1_000, 256, 1, 16, f64::NAN);
-        est.observe(1_000, 256, 1, 16, -1.0);
+        est.observe(0, 256, 16, 1.0);
+        est.observe(1_000, 256, 0, 1.0);
+        est.observe(1_000, 256, 16, f64::NAN);
+        est.observe(1_000, 256, 16, -1.0);
         assert_eq!(est.per_particle_step(), before);
         assert_eq!(est.samples(), 0);
     }

@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 pub enum SchedPolicy {
     /// Shortest-remaining-*time*-first with preemption at checkpoint
     /// boundaries: jobs are ranked by estimated remaining wall seconds
-    /// from the online-calibrated [`CostEstimator`] (particles, cells,
-    /// reduced arrays — not declared step counts), a running job yields
+    /// from the online-calibrated [`CostEstimator`] (particles and cells —
+    /// not declared step counts), a running job yields
     /// when a cheaper runnable job is waiting, and faulted jobs back off
     /// *off* the executor — other tenants run during the wait. The
     /// default.
@@ -268,12 +268,8 @@ impl JobRuntime {
     /// Price a job's remaining work with the calibrated cost model.
     fn remaining_cost(&self, job: &Job) -> f64 {
         let wl = &job.spec.workload;
-        self.estimator.estimate(
-            wl.particles(),
-            wl.cells(),
-            wl.reduced_arrays(),
-            job.remaining(),
-        )
+        self.estimator
+            .estimate(wl.particles(), wl.cells(), job.remaining())
     }
 
     /// The shared worker pool (width decides every tenant's trajectory).
@@ -652,13 +648,8 @@ impl JobRuntime {
                 .steps()
                 .saturating_sub(self.jobs[j].steps_done);
             let wl = &self.jobs[j].spec.workload;
-            self.estimator.observe(
-                wl.particles(),
-                wl.cells(),
-                wl.reduced_arrays(),
-                stepped,
-                elapsed.as_secs_f64(),
-            );
+            self.estimator
+                .observe(wl.particles(), wl.cells(), stepped, elapsed.as_secs_f64());
         }
 
         match fault {

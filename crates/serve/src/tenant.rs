@@ -55,16 +55,6 @@ impl Workload {
             Workload::MultiSpecies(cfg) => cfg.grid_nx * cfg.grid_ny,
         }
     }
-
-    /// Grid arrays reduced each step: ρ alone for the electrostatic kind,
-    /// ρ plus the three current components for the electromagnetic one —
-    /// the admission cost model charges communication per reduced array.
-    pub fn reduced_arrays(&self) -> usize {
-        match self {
-            Workload::Single(_) => 1,
-            Workload::MultiSpecies(_) => 4,
-        }
-    }
 }
 
 /// A live tenant: the simulation kind erased behind the operations the

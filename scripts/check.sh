@@ -80,6 +80,9 @@ cargo run --release -q -p pic-bench --bin bench_species
 echo "==> deposition parity matrix (DepositPath x threads x sortedness, release)"
 cargo test -q --release --test parity_kernel_path
 
+echo "==> 2d3v species tests (EM snapshot pin, on-request J deposit parity, release)"
+cargo test -q --release --test integration_species
+
 echo "==> kernel microbenches -> results/BENCH_kernels.json"
 cargo bench -p pic-bench --bench bench_kernels
 

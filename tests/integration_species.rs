@@ -1,9 +1,10 @@
 //! Integration of the multi-species 2d3v electromagnetic subsystem:
 //! cyclotron motion against the analytic gyro-circle, a step held bit for
-//! bit to whole-array calls of the scalar reference kernels, equivalence
-//! with the legacy electrostatic driver at `B = 0`, per-species
-//! conservation laws, and electrostatic and electromagnetic tenants sharing
-//! one job runtime under the calibrated cost-based scheduler.
+//! bit to whole-array calls of the scalar reference kernels, **J**
+//! deposited on request without changing the run, equivalence with the
+//! legacy electrostatic driver at `B = 0`, per-species conservation laws,
+//! and electrostatic and electromagnetic tenants sharing one job runtime
+//! under the calibrated cost-based scheduler.
 
 mod common;
 
@@ -173,6 +174,61 @@ fn em_step_matches_whole_array_scalar_kernels() {
                 }
             }
         }
+    }
+}
+
+/// **J** is deposited on request, and the request is invisible: a run
+/// that reads it after every step computes what a run that never reads
+/// it does, two reads without a step between them agree bit for bit, a
+/// fresh run reads zeros, and a restore reads the snapshot's **J** (a
+/// step-0 snapshot's zeros, not a deposit of its stores).
+#[test]
+fn j_on_request_changes_nothing_and_reads_the_last_step() {
+    fn bits(a: &[f64]) -> Vec<u64> {
+        a.iter().map(|v| v.to_bits()).collect()
+    }
+    fn j_bits(sim: &EmSimulation) -> Vec<u64> {
+        let (jx, jy, jz) = sim.j_field();
+        bits(&[jx, jy, jz].concat())
+    }
+    for threads in [1, 2] {
+        let mut cfg = EmConfig::magnetized_two_stream(3 * STRIP + 5);
+        (cfg.threads, cfg.sort_period) = (threads, 2);
+        let name = format!("threads={threads}");
+        let mut read = EmSimulation::new(cfg.clone()).unwrap();
+        let mut unread = EmSimulation::new(cfg).unwrap();
+        let zeros = j_bits(&read);
+        assert!(zeros.iter().all(|&b| b == 0), "{name}: J before step 1");
+        let step0 = read.checkpoint();
+        for step in 1..=5 {
+            read.step();
+            unread.step();
+            let before = read.timers().accumulate;
+            let first = j_bits(&read);
+            assert!(first.iter().any(|&b| b != 0), "{name}: step {step} J");
+            // The deposit is timed under `accumulate`; a second read reuses it.
+            let deposited = read.timers().accumulate;
+            assert!(deposited > before, "{name}: step {step} J deposit time");
+            assert_eq!(first, j_bits(&read), "{name}: step {step} second read");
+            assert_eq!(
+                read.timers().accumulate,
+                deposited,
+                "{name}: step {step} redeposit"
+            );
+        }
+        for (a, b) in read.species().iter().zip(unread.species()) {
+            assert_eq!((&a.p, &a.vz), (&b.p, &b.vz), "{name}: {}", a.def.name);
+        }
+        assert_eq!(bits(read.rho()), bits(unread.rho()), "{name}: rho");
+        let snap = unread.checkpoint();
+        assert!(read.checkpoint() == snap, "{name}: checkpoint bytes");
+
+        let last = j_bits(&unread);
+        read.step();
+        read.restore(&step0).unwrap();
+        assert_eq!(j_bits(&read), zeros, "{name}: J after the step-0 restore");
+        read.restore(&snap).unwrap();
+        assert_eq!(j_bits(&read), last, "{name}: J after the step-5 restore");
     }
 }
 
