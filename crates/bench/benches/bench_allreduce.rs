@@ -1,5 +1,5 @@
-//! Criterion benchmarks for the `minimpi` collectives: flat vs tree
-//! allreduce at the paper's ρ payload (128×128 doubles) across rank counts.
+//! Criterion benchmarks for the `minimpi` allreduce (recursive-doubling
+//! tree) at the paper's ρ payload (128×128 doubles) across rank counts.
 
 use minimpi::World;
 use pic_bench::harness::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -10,18 +10,6 @@ fn bench_allreduce(c: &mut Criterion) {
     g.sample_size(10);
 
     for ranks in [2usize, 4, 8] {
-        g.bench_with_input(BenchmarkId::new("flat", ranks), &ranks, |b, &ranks| {
-            b.iter(|| {
-                let r = World::run(ranks, |comm| {
-                    let mut v = vec![comm.rank() as f64; payload];
-                    for _ in 0..10 {
-                        comm.allreduce_sum(&mut v);
-                    }
-                    v[0]
-                });
-                black_box(r[0])
-            })
-        });
         g.bench_with_input(BenchmarkId::new("tree", ranks), &ranks, |b, &ranks| {
             b.iter(|| {
                 let r = World::run(ranks, |comm| {

@@ -2,8 +2,8 @@
 //! wall time at 2/4/8 ranks, weak and strong scaling.
 //!
 //! The replicated baseline is the paper's hybrid model — every rank holds
-//! the full grid and allreduces ρ each step (tree algorithm, so the volume
-//! is actually counted; the flat shared-memory path moves no messages).
+//! the full grid and allreduces ρ each step (the recursive-doubling tree,
+//! whose messages the per-rank byte counters see).
 //! The decomposed run shards the grid with `decomp::DecomposedSimulation`:
 //! halo exchange + slab-distributed solve + migration.
 //!

@@ -39,14 +39,6 @@ impl HierarchyConfig {
         }
     }
 
-    /// The Curie nodes (Xeon E5-2680, Sandy Bridge): 32 KiB/8 L1d,
-    /// 256 KiB/8 L2, 20 MiB/20 L3.
-    pub fn sandy_bridge() -> Self {
-        let mut cfg = Self::haswell();
-        cfg.levels[2].size_bytes = 20 * 1024 * 1024;
-        cfg
-    }
-
     /// A miniature hierarchy for fast tests: 1 KiB/2, 4 KiB/4, 16 KiB/8.
     pub fn tiny() -> Self {
         Self {

@@ -33,7 +33,7 @@
 //! `moments`, … for the species table) live with each config, in
 //! [`crate::sim`] and [`crate::em`].
 
-use crate::control::{self, ControllerConfig, HotPathController, SwitchEvent};
+use crate::control::{self, HotPathController, SwitchEvent};
 use crate::fields::{Field2D, RedundantE, RedundantJ, RedundantRho};
 use crate::grid::Grid2D;
 use crate::kernels::boris::boris_push_lanes;
@@ -493,14 +493,6 @@ impl<C: Kind> Pic<C> {
     /// a controller is attached — the controller owns the sort schedule.
     pub fn set_sort_period(&mut self, period: usize) {
         *self.cfg.settings_mut().sort_period = period;
-    }
-
-    /// Attach an online sort-cadence controller ([`crate::control`]). Also
-    /// records the profile in the configuration, so subsequent checkpoints
-    /// fingerprint the controller-enabled run.
-    pub fn enable_controller(&mut self, ccfg: ControllerConfig) {
-        *self.cfg.settings_mut().controller = Some(ccfg.clone());
-        self.controller = Some(HotPathController::new(ccfg));
     }
 
     /// The attached adaptive controller, if any.

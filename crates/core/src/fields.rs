@@ -67,11 +67,6 @@ impl Field2D {
         ix * self.ncy + iy
     }
 
-    /// Zero the charge density (paper's Fig. 1, line 7).
-    pub fn clear_rho(&mut self) {
-        self.rho.fill(0.0);
-    }
-
     /// Solve Poisson from `rho` into `ex`/`ey`, striping the FFT passes over
     /// `pool` when there is one ([`PoissonSolver2D::solve_e_pooled`]); the
     /// two paths are bit-exact, so trajectories stay invariant under the

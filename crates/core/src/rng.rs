@@ -8,9 +8,8 @@
 //!   Flood. Used directly for hashing (fault plans, checksum salts) and to
 //!   seed the main generator.
 //! * [`Rng`] — xoshiro256++ (Blackman & Vigna), a fast, high-quality
-//!   general-purpose generator with a 256-bit state. Deterministic in its
-//!   seed; the state is exposed so checkpoints can capture and restore it
-//!   bit-exactly.
+//!   general-purpose generator with a 256-bit state, deterministic in its
+//!   seed.
 //!
 //! All floating-point draws use the conventional 53-bit mantissa
 //! construction, so sequences are identical on every platform.
@@ -56,21 +55,6 @@ impl Rng {
             state = [0x9E37_79B9_7F4A_7C15, 1, 2, 3];
         }
         Self { state }
-    }
-
-    /// The raw 256-bit state (for checkpointing).
-    pub fn state(&self) -> [u64; 4] {
-        self.state
-    }
-
-    /// Rebuild from a checkpointed state. An all-zero state (which xoshiro
-    /// cannot escape) is replaced with a fixed nonzero one.
-    pub fn from_state(state: [u64; 4]) -> Self {
-        if state == [0; 4] {
-            Self::seed_from_u64(0)
-        } else {
-            Self { state }
-        }
     }
 
     /// Next raw 64-bit output.
@@ -148,18 +132,6 @@ mod tests {
         }
         let mut c = Rng::seed_from_u64(8);
         assert_ne!(a.next_u64(), c.next_u64());
-    }
-
-    #[test]
-    fn state_roundtrip_resumes_sequence() {
-        let mut a = Rng::seed_from_u64(42);
-        for _ in 0..10 {
-            a.next_u64();
-        }
-        let mut b = Rng::from_state(a.state());
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]

@@ -186,20 +186,6 @@ impl Diagnostics {
             .fold(0.0, |m, d| if d > m || d.is_nan() { d } else { m })
     }
 
-    /// Fit the exponential damping/growth rate γ of the field energy:
-    /// least-squares slope of `ln W_E(t)` over the samples in
-    /// `[t0, t1]`, divided by 2 (since `W_E ∝ e^{2γt}` for `E ∝ e^{γt}`).
-    /// Returns `None` with fewer than 3 usable samples.
-    pub fn field_energy_rate(&self, t0: f64, t1: f64) -> Option<f64> {
-        let pts: Vec<(f64, f64)> = self
-            .history
-            .iter()
-            .filter(|s| s.time >= t0 && s.time <= t1 && s.field > 0.0)
-            .map(|s| (s.time, s.field.ln()))
-            .collect();
-        linear_fit(&pts).map(|slope| 0.5 * slope)
-    }
-
     /// Local maxima of the `|E_x|` fundamental-mode amplitude in `[t0, t1]`
     /// — the oscillation peaks whose envelope decays at the Landau rate.
     pub fn mode_peaks(&self, t0: f64, t1: f64) -> Vec<(f64, f64)> {
@@ -487,14 +473,6 @@ impl Pic<PicConfig> {
         &mut self.species[0].p
     }
 
-    /// Mutable electric field on grid points (row-major) — for drivers that
-    /// obtain E externally (a decomposed run receives its subdomain's field
-    /// from the solving rank) and then finish the step with
-    /// [`step_post_external_solve`](Self::step_post_external_solve).
-    pub fn e_field_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        (&mut self.field.ex, &mut self.field.ey)
-    }
-
     /// `(ρ, Ex, Ey)` in one borrow — for external-solver drivers that read
     /// the reduced density and write field values in a single pass (the
     /// slab-distributed solve consumes owned-point ρ while depositing
@@ -522,7 +500,7 @@ impl Pic<PicConfig> {
 
     /// Finish a step whose Poisson solve happened *outside* this simulation:
     /// rebuild the redundant field view from the externally written
-    /// [`e_field_mut`](Self::e_field_mut) arrays and record diagnostics.
+    /// [`field_mut`](Self::field_mut) arrays and record diagnostics.
     /// The decomposed driver uses this — the slab solve hands each rank its
     /// subdomain's E values, so the local solver never runs. Must follow a
     /// [`step_pre_reduce`](Self::step_pre_reduce).

@@ -114,11 +114,6 @@ impl CommStats {
     pub fn total_bytes(&self) -> u64 {
         self.halo_bytes + self.solve_bytes + self.migrate_bytes
     }
-
-    /// Total wall seconds attributed to communication-bearing phases.
-    pub fn total_secs(&self) -> f64 {
-        self.halo_secs + self.solve_secs + self.migrate_send_secs + self.migrate_drain_secs
-    }
 }
 
 /// A spatially decomposed PIC run: this rank advances only the particles

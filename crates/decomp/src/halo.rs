@@ -175,25 +175,16 @@ impl HaloPlan {
 /// After the call, `rho` holds the *global* density at every owned point
 /// (and stale partials elsewhere).
 ///
+/// The plan's peer indices are partition slots, and the frame for slot `s`
+/// travels to world rank `route[s]`. This is how the elastic driver keeps
+/// one halo plan valid across rank deaths and rejoins — the plan (pure
+/// partition geometry) survives; only the slot → rank table changes.
+///
 /// Deadlock-free by construction: minimpi sends complete without a posted
 /// receive (frames park in the receiver's stash), and under a fault plan
 /// the sender's ack wait services incoming data frames — so the
 /// send-all-then-receive-all order below cannot cycle; injected faults
 /// surface as [`DecompError::Comm`].
-pub fn exchange_rho(
-    comm: &mut Comm,
-    plan: &HaloPlan,
-    rho: &mut [f64],
-    tag: u64,
-) -> Result<(), DecompError> {
-    exchange_rho_impl(comm, plan, rho, tag, None)
-}
-
-/// [`exchange_rho`] with a *slot routing table*: the plan's peer indices
-/// are partition slots, and the frame for slot `s` travels to world rank
-/// `route[s]`. This is how the elastic driver keeps one halo plan valid
-/// across rank deaths and rejoins — the plan (pure partition geometry)
-/// survives; only the slot → rank table changes.
 pub fn exchange_rho_routed(
     comm: &mut Comm,
     plan: &HaloPlan,
@@ -201,23 +192,12 @@ pub fn exchange_rho_routed(
     tag: u64,
     route: &[usize],
 ) -> Result<(), DecompError> {
-    exchange_rho_impl(comm, plan, rho, tag, Some(route))
-}
-
-fn exchange_rho_impl(
-    comm: &mut Comm,
-    plan: &HaloPlan,
-    rho: &mut [f64],
-    tag: u64,
-    route: Option<&[usize]>,
-) -> Result<(), DecompError> {
-    let dst = |slot: usize| route.map_or(slot, |r| r[slot]);
     for (peer, pts) in &plan.send {
         let payload: Vec<f64> = pts.iter().map(|&p| rho[p]).collect();
-        comm.try_send(dst(*peer), tag, &payload)?;
+        comm.try_send(route[*peer], tag, &payload)?;
     }
     for (peer, pts) in &plan.recv {
-        let data = comm.try_recv_group(dst(*peer), tag)?;
+        let data = comm.try_recv_group(route[*peer], tag)?;
         if data.len() != pts.len() {
             return Err(DecompError::Config(format!(
                 "halo payload from slot {peer}: {} values for {} points",

@@ -44,7 +44,7 @@ mod slab;
 
 pub use driver::{CommStats, DecompConfig, DecomposedSimulation, SolverMode};
 pub use elastic::{run_elastic_member, run_elastic_spare, ElasticConfig, ElasticOutcome};
-pub use halo::{exchange_rho, exchange_rho_routed, HaloPlan};
+pub use halo::{exchange_rho_routed, HaloPlan};
 pub use partition::{particle_cell_weights, Partition};
 pub use slab::SlabSolver;
 

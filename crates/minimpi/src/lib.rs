@@ -8,9 +8,11 @@
 //!
 //! * [`World::run`] spawns `nranks` OS threads, each receiving a [`Comm`]
 //!   handle — the moral equivalent of `MPI_COMM_WORLD`;
-//! * [`Comm`] provides `barrier`, `allreduce_sum` (flat and tree
-//!   variants), point-to-point `send`/`recv`, `gather`, and per-rank
-//!   communication-time accounting (the quantity Fig. 7 plots);
+//! * [`Comm`] provides `barrier`, `allreduce_sum`, point-to-point
+//!   `send`/`recv`, `gather`, and per-rank communication-time accounting
+//!   (the quantity Fig. 7 plots). Every collective is built on
+//!   point-to-point messages; the allreduce is a recursive-doubling tree
+//!   whose pairwise sums make every rank read the same bits, run after run;
 //! * [`cost::CostModel`] is a LogGP-style analytic model, calibrated from
 //!   measured runs, used to extrapolate the weak/strong scaling of Figs. 7
 //!   and 9 to core counts the host machine does not have.
@@ -94,7 +96,7 @@ use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Process-global monotone counter that orders fault events across ranks
@@ -176,14 +178,6 @@ pub enum CommError {
         /// Attempts made before giving up.
         attempts: usize,
     },
-    /// A payload failed checksum validation after it was already accepted —
-    /// data corrupted between the reduction buffer and this rank's copy.
-    Corrupted {
-        /// The detecting rank.
-        rank: usize,
-        /// The tag of the affected exchange (0 for the flat allreduce).
-        tag: u64,
-    },
     /// A peer's inbox was torn down (the rank returned or panicked).
     Disconnected {
         /// The rank that observed the disconnect.
@@ -219,9 +213,6 @@ impl fmt::Display for CommError {
                 f,
                 "rank {rank}: gave up sending (dst {dst}, tag {tag}) after {attempts} attempts"
             ),
-            CommError::Corrupted { rank, tag } => {
-                write!(f, "rank {rank}: checksum mismatch on tag {tag}")
-            }
             CommError::Disconnected { rank } => {
                 write!(f, "rank {rank}: peer inbox disconnected")
             }
@@ -284,9 +275,6 @@ struct JoinBoard {
 /// Shared state for one world.
 struct Shared {
     nranks: usize,
-    barrier: Barrier,
-    /// Reduction scratch, guarded; sized lazily to the first allreduce.
-    acc: Mutex<Vec<f64>>,
     /// Per-rank inbox sender handles (indexed by destination).
     inboxes: Vec<Sender<Frame>>,
     /// Total communication time across ranks, in nanoseconds.
@@ -361,9 +349,7 @@ impl World {
     /// (typically after a [`Comm::shrink`] removed a dead rank) and should
     /// call [`Comm::close_joins`] when they finish so unclaimed spares stop
     /// waiting. All `active + spares` closures run concurrently and their
-    /// results return in world-rank order. An elastic world always uses the
-    /// message-based fault-aware collectives — the fixed-count shared
-    /// barrier cannot describe a group that grows and shrinks.
+    /// results return in world-rank order.
     ///
     /// # Panics
     /// Panics if `active == 0`.
@@ -396,8 +382,6 @@ impl World {
         }
         let shared = Arc::new(Shared {
             nranks,
-            barrier: Barrier::new(nranks),
-            acc: Mutex::new(Vec::new()),
             inboxes: senders,
             comm_nanos: AtomicU64::new(0),
             dead: (0..nranks).map(|_| AtomicBool::new(false)).collect(),
@@ -466,10 +450,6 @@ pub struct Comm {
     /// worlds; spares of an elastic world start false and flip true when
     /// [`try_join`](Self::try_join) hands them an admission ticket.
     member: bool,
-    /// Whether this world was started by [`World::run_elastic`] — forces
-    /// the message-based collectives even when every spare gets admitted
-    /// and the group momentarily equals the full world.
-    elastic: bool,
     /// Communicator epoch, bumped by [`shrink`](Self::shrink) and
     /// [`try_admit`](Self::try_admit), and mixed into the high bits of
     /// collective tags so stale pre-recovery traffic never matches a
@@ -495,7 +475,9 @@ pub struct Comm {
     /// Transport-level fault ledger, drained by [`take_events`](Self::take_events).
     events: Vec<TransportEvent>,
     /// Sequence counter for internally tagged collectives (`barrier`,
-    /// the flat-allreduce fallback) — advances identically on every rank.
+    /// `allreduce_sum`) — advances identically on every rank. Reset on
+    /// every epoch bump, like `join_seq`, so an admitted spare agrees with
+    /// the incumbents.
     ctl_seq: u64,
     /// Payload `f64` values successfully sent over the message path (the
     /// per-rank communication *volume*, as distinct from the *time* in
@@ -508,8 +490,8 @@ pub struct Comm {
 /// Bits reserved above user collective tags for the communicator epoch.
 /// User tags must stay below `1 << EPOCH_SHIFT`.
 const EPOCH_SHIFT: u32 = 48;
-/// Tag namespace for internally sequenced collectives (barrier, flat
-/// allreduce fallback). Above any user tag in the tree, below epoch bits.
+/// Tag namespace for internally sequenced collectives (barrier,
+/// `allreduce_sum`). Above any user tag in the tree, below epoch bits.
 const CTL_TAG_BASE: u64 = 1 << 46;
 /// Tag namespace for the shrink agreement protocol.
 const SHRINK_TAG_BASE: u64 = 1 << 45;
@@ -567,7 +549,6 @@ impl Comm {
             max_retries: 10,
             group: (0..active).collect(),
             member: rank < active,
-            elastic: active != nranks,
             epoch: 0,
             join_seq: 0,
             op_count: 0,
@@ -597,12 +578,9 @@ impl Comm {
         self.comm_time_ns as f64 / 1e9
     }
 
-    /// Bytes of payload this rank has sent over the message path (8 bytes
-    /// per `f64`; each logical frame counts once, however many times the
-    /// reliable transport retransmitted it). The flat shared-memory
-    /// allreduce moves no messages and therefore counts nothing — benches
-    /// comparing communication volume should use the message-based
-    /// collectives, as real MPI would.
+    /// Bytes of payload this rank has sent (8 bytes per `f64`; each logical
+    /// frame counts once, however many times the reliable transport
+    /// retransmitted it).
     pub fn bytes_sent(&self) -> u64 {
         self.sent_f64s * 8
     }
@@ -647,25 +625,14 @@ impl Comm {
         // Poll at a fraction of the timeout: a blocked receive that wakes
         // every 2 ms to re-check a 2 s detector burns context switches
         // (measurable when ranks share cores) without detecting anything
-        // sooner. An explicit `set_detect_poll` afterwards still wins.
+        // sooner.
         self.detect_poll = (d / 20).clamp(Duration::from_millis(2), Duration::from_millis(250));
-    }
-
-    /// How often a blocked fault-aware receive re-checks the failure
-    /// detector (the detector's polling backoff).
-    pub fn set_detect_poll(&mut self, d: Duration) {
-        self.detect_poll = d.max(Duration::from_micros(100));
     }
 
     /// World ranks of the current communicator group, sorted ascending.
     /// Identical to `0..size()` until a [`shrink`](Self::shrink).
     pub fn group(&self) -> &[usize] {
         &self.group
-    }
-
-    /// Members of the current group (`== size()` until a shrink).
-    pub fn group_size(&self) -> usize {
-        self.group.len()
     }
 
     /// Current communicator epoch (bumped by each [`shrink`](Self::shrink)
@@ -719,11 +686,12 @@ impl Comm {
     }
 
     /// Whether the failure-detector checks are active: any fault plan, an
-    /// armed heartbeat detector, or a shrunk group means ranks can die.
+    /// armed heartbeat detector, or a group that is not the whole world (a
+    /// shrunk group, or an elastic world with spares outside it) means
+    /// ranks can die.
     fn watching(&self) -> bool {
         self.faults.is_some()
             || self.heartbeat_timeout.is_some()
-            || self.elastic
             || self.group.len() != self.shared.nranks
     }
 
@@ -824,24 +792,14 @@ impl Comm {
         tag
     }
 
-    /// Synchronize the current group. Fault-free full-group worlds use the
-    /// shared-memory barrier; under a fault plan, an armed heartbeat
-    /// detector, or a shrunk group the message-based
-    /// [`try_barrier`](Self::try_barrier) runs instead, so a dead rank
-    /// yields a panic with a clean error rather than a hang.
+    /// Synchronize the current group ([`try_barrier`](Self::try_barrier)).
     ///
     /// # Panics
     /// Panics on a detected rank failure (only possible with the failure
     /// detector active); use [`try_barrier`](Self::try_barrier) to handle.
     pub fn barrier(&mut self) {
-        if self.watching() {
-            self.try_barrier()
-                .unwrap_or_else(|e| panic!("minimpi barrier: {e}"));
-            return;
-        }
-        let t = Instant::now();
-        self.shared.barrier.wait();
-        self.comm_time_ns += t.elapsed().as_nanos() as u64;
+        self.try_barrier()
+            .unwrap_or_else(|e| panic!("minimpi barrier: {e}"));
     }
 
     /// Fault-aware barrier over the current group (gather-to-root then
@@ -1260,75 +1218,30 @@ impl Comm {
             .unwrap_or_else(|e| panic!("minimpi recv from rank {src}: {e}"))
     }
 
-    /// Global sum-reduction of `buf` across all ranks; every rank ends with
-    /// the total (the paper's `MPI_ALLREDUCE` on ρ). Flat shared-accumulator
-    /// algorithm over shared memory — message faults do not apply, but each
-    /// rank still verifies its copy of the result against a checksum taken
-    /// under the accumulator lock.
+    /// Global sum-reduction of `buf` over the current group; every member
+    /// ends with the same bits of the total (the paper's `MPI_ALLREDUCE` on
+    /// ρ). The [tree](Self::try_allreduce_sum_tree) algorithm on the next
+    /// internally sequenced tag, so callers need not pick one.
     ///
     /// # Panics
     /// Panics if ranks pass buffers of different lengths.
     pub fn try_allreduce_sum(&mut self, buf: &mut [f64]) -> Result<(), CommError> {
         self.note_op()?;
-        if self.watching() {
-            // The shared-memory barrier would hang forever if a rank dies
-            // mid-collective; with the failure detector active, route to
-            // the message-based tree, which detects and reports instead.
-            let tag = self.next_ctl_tag();
-            let group = self.group.clone();
-            let t = Instant::now();
-            let res = self.allreduce_tree_over(&group, buf, tag);
-            self.comm_time_ns += t.elapsed().as_nanos() as u64;
-            return res;
-        }
+        let tag = self.next_ctl_tag();
+        let group = self.group.clone();
         let t = Instant::now();
-        {
-            let mut acc = self.shared.acc.lock().expect("rank panicked holding lock");
-            if acc.len() != buf.len() {
-                assert!(
-                    acc.is_empty(),
-                    "allreduce length mismatch: {} vs {}",
-                    acc.len(),
-                    buf.len()
-                );
-                acc.resize(buf.len(), 0.0);
-            }
-            for (a, &b) in acc.iter_mut().zip(buf.iter()) {
-                *a += b;
-            }
-        }
-        self.shared.barrier.wait();
-        let expected;
-        {
-            let acc = self.shared.acc.lock().expect("rank panicked holding lock");
-            expected = fault::checksum(&acc);
-            buf.copy_from_slice(&acc);
-        }
-        self.shared.barrier.wait();
-        if self.rank == 0 {
-            self.shared
-                .acc
-                .lock()
-                .expect("rank panicked holding lock")
-                .clear();
-        }
-        self.shared.barrier.wait();
+        let res = self.allreduce_tree_over(&group, buf, tag);
         self.comm_time_ns += t.elapsed().as_nanos() as u64;
-        if fault::checksum(buf) != expected {
-            return Err(CommError::Corrupted {
-                rank: self.rank,
-                tag: 0,
-            });
-        }
-        Ok(())
+        res
     }
 
     /// Infallible wrapper around
     /// [`try_allreduce_sum`](Self::try_allreduce_sum).
     ///
     /// # Panics
-    /// Panics if ranks pass buffers of different lengths, or on checksum
-    /// failure.
+    /// Panics if ranks pass buffers of different lengths, or on transport
+    /// failure (only possible under fault injection or an early-exiting
+    /// peer).
     pub fn allreduce_sum(&mut self, buf: &mut [f64]) {
         self.try_allreduce_sum(buf)
             .unwrap_or_else(|e| panic!("minimpi allreduce_sum: {e}"));
@@ -1379,6 +1292,7 @@ impl Comm {
         } else {
             if r < extra {
                 let msg = self.recv_watch(group[r + pow2], tag, Some(group))?;
+                assert_eq!(msg.len(), buf.len(), "allreduce length mismatch");
                 for (b, m) in buf.iter_mut().zip(&msg) {
                     *b += m;
                 }
@@ -1389,6 +1303,7 @@ impl Comm {
                 let partner = r ^ mask;
                 self.send_ft(group[partner], tag + 2 + mask as u64, buf, Some(group))?;
                 let msg = self.recv_watch(group[partner], tag + 2 + mask as u64, Some(group))?;
+                assert_eq!(msg.len(), buf.len(), "allreduce length mismatch");
                 for (b, m) in buf.iter_mut().zip(&msg) {
                     *b += m;
                 }
@@ -1559,16 +1474,6 @@ impl Comm {
         Ok(out)
     }
 
-    /// Personalized all-to-all over the current group.
-    ///
-    /// # Panics
-    /// Panics on a detected rank failure or transport error; use
-    /// [`try_all_to_all`](Self::try_all_to_all) to handle those.
-    pub fn all_to_all(&mut self, blocks: &[Vec<f64>], tag: u64) -> Vec<Vec<f64>> {
-        self.try_all_to_all(blocks, tag)
-            .unwrap_or_else(|e| panic!("minimpi all_to_all: {e}"))
-    }
-
     // ------------------------------------------------------------- recovery
 
     /// ULFM-style shrink: agree with the surviving group members on the
@@ -1615,6 +1520,7 @@ impl Comm {
                         self.group = tentative;
                         self.epoch += 1;
                         self.join_seq = 0;
+                        self.ctl_seq = 0;
                         self.push_event(
                             TransportEventKind::Shrink,
                             None,
@@ -1688,6 +1594,7 @@ impl Comm {
                     self.group = group;
                     self.epoch = epoch;
                     self.join_seq = 0;
+                    self.ctl_seq = 0;
                     self.member = true;
                     self.push_event(
                         TransportEventKind::Join,
@@ -1770,6 +1677,7 @@ impl Comm {
         self.group = new_group;
         self.epoch += 1;
         self.join_seq = 0;
+        self.ctl_seq = 0;
         self.push_event(
             TransportEventKind::Join,
             Some(admitted[0]),
@@ -1828,6 +1736,22 @@ mod tests {
                 }
             }
         }
+        // Contributions whose float sum depends on the addition order: every
+        // rank of every world must read the same bits of the total.
+        let terms = [1e16, 1.0, -1e16, 1.0];
+        let mut sums: Vec<u64> = (0..50)
+            .flat_map(|_| {
+                World::run(4, |comm| {
+                    let mut v = vec![terms[comm.rank()]];
+                    comm.allreduce_sum(&mut v);
+                    v[0].to_bits()
+                })
+            })
+            .collect();
+        sums.sort_unstable();
+        sums.dedup();
+        let distinct: Vec<f64> = sums.iter().map(|&s| f64::from_bits(s)).collect();
+        assert_eq!(distinct.len(), 1, "order-dependent totals {distinct:?}");
     }
 
     #[test]
@@ -2294,7 +2218,7 @@ mod tests {
             let me = comm.rank();
             let blocks: Vec<Vec<f64>> =
                 (0..4).map(|d| vec![(me * 10 + d) as f64; me + d]).collect();
-            comm.all_to_all(&blocks, 40)
+            comm.try_all_to_all(&blocks, 40).unwrap()
         });
         for (me, recvd) in out.iter().enumerate() {
             for (src, block) in recvd.iter().enumerate() {
@@ -2314,7 +2238,7 @@ mod tests {
         let out = World::run(2, |comm| {
             comm.reset_data_volume();
             let blocks = vec![vec![comm.rank() as f64; 8]; 2];
-            comm.all_to_all(&blocks, 41);
+            comm.try_all_to_all(&blocks, 41).unwrap();
             (comm.bytes_sent(), comm.bytes_received())
         });
         for (r, &(sent, recvd)) in out.iter().enumerate() {
@@ -2415,7 +2339,7 @@ mod tests {
                     return (vec![], f64::NAN, 0);
                 };
                 let mut v = vec![comm.rank() as f64 + 1.0];
-                comm.try_allreduce_sum_tree(&mut v, 70).unwrap();
+                comm.try_allreduce_sum(&mut v).unwrap();
                 let joins = comm
                     .take_events()
                     .iter()
@@ -2423,8 +2347,10 @@ mod tests {
                     .count();
                 return (group, v[0], joins);
             }
-            // Members: give the spare a moment to announce itself, then
-            // admit (retrying while no candidate is visible yet).
+            // Members: run an internally sequenced collective the spare
+            // never sees, give it a moment to announce itself, then admit
+            // (retrying while no candidate is visible yet).
+            comm.try_barrier().unwrap();
             let mut admitted = None;
             for _ in 0..500 {
                 match comm.try_admit().expect("admit collective") {
@@ -2437,7 +2363,7 @@ mod tests {
             }
             assert_eq!(admitted, Some(vec![3]), "rank {}", comm.rank());
             let mut v = vec![comm.rank() as f64 + 1.0];
-            comm.try_allreduce_sum_tree(&mut v, 70).unwrap();
+            comm.try_allreduce_sum(&mut v).unwrap();
             comm.close_joins();
             let joins = comm
                 .take_events()

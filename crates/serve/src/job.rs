@@ -207,12 +207,6 @@ impl JobSpec {
         self
     }
 
-    /// Set the retry budget.
-    pub fn with_retries(mut self, n: u32) -> Self {
-        self.max_retries = n;
-        self
-    }
-
     /// Set the injected fault.
     pub fn with_injection(mut self, inj: FaultInjection) -> Self {
         self.inject = inj;

@@ -258,13 +258,6 @@ impl JobRuntime {
         &self.estimator
     }
 
-    /// Estimated wall seconds the job still needs (its workload priced by
-    /// the calibrated model over its remaining steps). `None` for unknown
-    /// ids.
-    pub fn estimated_remaining(&self, id: JobId) -> Option<f64> {
-        self.jobs.get(id.0 as usize).map(|j| self.remaining_cost(j))
-    }
-
     /// Price a job's remaining work with the calibrated cost model.
     fn remaining_cost(&self, job: &Job) -> f64 {
         let wl = &job.spec.workload;
@@ -285,11 +278,6 @@ impl JobRuntime {
     /// Result-cache `(hits, misses)` so far.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache.hits(), self.cache.misses())
-    }
-
-    /// Current report for one job.
-    pub fn job_report(&self, id: JobId) -> Option<JobReport> {
-        self.jobs.get(id.0 as usize).map(|j| j.report())
     }
 
     /// Submit a job. Returns its id immediately; the job is either

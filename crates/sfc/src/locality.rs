@@ -73,18 +73,10 @@ pub fn axis_move_stats(layout: &dyn CellLayout, axis: Axis, near_threshold: usiz
     }
 }
 
-/// Average of the `near_fraction` over both axes — a single scalar “locality
-/// score” used to rank layouts (higher is better).
-pub fn locality_score(layout: &dyn CellLayout, near_threshold: usize) -> f64 {
-    let x = axis_move_stats(layout, Axis::X, near_threshold);
-    let y = axis_move_stats(layout, Axis::Y, near_threshold);
-    0.5 * (x.near_fraction + y.near_fraction)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Hilbert, Morton, RowMajor, L4D};
+    use crate::{Hilbert, RowMajor, L4D};
 
     #[test]
     fn row_major_y_moves_all_unit() {
@@ -109,13 +101,6 @@ mod tests {
         assert_eq!(x.unit_fraction, 0.0);
         assert_eq!(x.max_abs_delta, 8);
         assert_eq!(x.near_fraction, 1.0);
-    }
-
-    #[test]
-    fn morton_beats_row_major_on_combined_score() {
-        let rm = RowMajor::new(128, 128).unwrap();
-        let mo = Morton::new(128, 128).unwrap();
-        assert!(locality_score(&mo, 8) > locality_score(&rm, 8));
     }
 
     #[test]

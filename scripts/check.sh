@@ -17,8 +17,8 @@ cargo build --release
 echo "==> cargo test (tier-1: root package)"
 cargo test -q
 
-echo "==> cargo test --workspace"
-cargo test --workspace -q
+echo "==> cargo test --workspace (member crates; the root package ran above)"
+cargo test --workspace --exclude pic2d -q
 
 echo "==> paper tables smoke (tables III/IV/VII through pic_bench::reference, row labels)"
 # Tiny scale: the point is that the reference driver still runs and every

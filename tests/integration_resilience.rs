@@ -34,10 +34,9 @@ fn four_rank_fault_injected_run_matches_fault_free() {
             let mut c = cfg(n);
             let r = comm.rank();
             c.keep_range = Some((r * per, (r + 1) * per));
-            // The tree allreduce everywhere: its fixed pairing makes the
-            // floating-point summation order (and hence ρ) identical from
-            // run to run, unlike the flat shared-accumulator reduction,
-            // whose addition order follows thread arrival.
+            // The tree allreduce's fixed pairing makes the floating-point
+            // summation order (and hence ρ) identical from run to run, so
+            // the faulty and fault-free runs can be compared bit for bit.
             let mut sim = Simulation::new_with_reduce(c, |rho| {
                 comm.try_allreduce_sum_tree(rho, 1 << 40).unwrap()
             })
