@@ -212,6 +212,9 @@ pub struct Pic<C> {
     /// determinism depends only on the pool width, never on which jobs
     /// share it.
     pool: Option<Arc<ThreadPool>>,
+    /// Whether the field solve runs on `pool`: decided once, from the grid
+    /// size ([`POOLED_SOLVE_MIN_CELLS`]).
+    pooled_solve: bool,
     /// Everything the sort owns besides the stores; the species sort one
     /// after another, so they share it.
     sort_arena: SortArena,
@@ -265,6 +268,12 @@ fn validate<C: Kind>(cfg: &C, defs: &[SpeciesDef]) -> Result<(), PicError> {
     }
     Ok(())
 }
+
+/// Smallest grid, in cells, whose field solve runs on the pool. Below it
+/// the pooled FFT passes' fork-joins cost more than they split, so the
+/// solve stays serial even in a pooled run; the two solves are bit-identical
+/// (DESIGN.md §12.4 has the sweep).
+const POOLED_SOLVE_MIN_CELLS: usize = 128 * 128;
 
 impl<C: Kind> Pic<C> {
     /// Build and initialize: load every species, sort, deposit ρ, solve
@@ -360,6 +369,7 @@ impl<C: Kind> Pic<C> {
             species: Vec::new(),
             movers,
             field,
+            pooled_solve: pool.is_some() && grid.ncells() >= POOLED_SOLVE_MIN_CELLS,
             pool,
             sort_arena: SortArena::new(),
             solve_scratch: SolveScratch::new(),
@@ -740,10 +750,11 @@ impl<C: Kind> Pic<C> {
             .reduce_to_grid(self.layout.as_dyn(), &mut self.field.rho);
     }
 
-    /// Solve Poisson from `field.rho` into `field.ex/ey` ([`Field2D::solve_e`]).
+    /// Solve Poisson from `field.rho` into `field.ex/ey` ([`Field2D::solve_e`]),
+    /// on the pool when the grid is large enough to pay for it.
     fn solve_field(&mut self) {
         let t = Instant::now();
-        let pool = self.pool.as_deref();
+        let pool = self.pool.as_deref().filter(|_| self.pooled_solve);
         self.field
             .solve_e(&self.solver, &mut self.solve_scratch, pool);
         self.timers.solve += t.elapsed().as_secs_f64();
@@ -974,6 +985,16 @@ mod tests {
     use crate::em::{EmConfig, EmSimulation};
     use crate::sim::{PicConfig, Simulation, STRIP};
     use std::time::Instant;
+
+    #[test]
+    fn the_solve_runs_on_the_pool_from_the_crossover_grid_up() {
+        for (side, threads, pooled) in [(64, 2, false), (128, 2, true), (128, 1, false)] {
+            let mut cfg = PicConfig::landau_table1(4_096);
+            (cfg.grid_nx, cfg.grid_ny, cfg.threads) = (side, side, threads);
+            let sim = Simulation::new(cfg).unwrap();
+            assert_eq!(sim.pooled_solve, pooled, "{side}² on {threads} threads");
+        }
+    }
 
     /// Right after a step `kinetic_energy` is the recorded sample bit for
     /// bit, for either kind at any pool width, and a plain per-particle sum

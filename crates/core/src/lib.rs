@@ -41,11 +41,14 @@
 //! assert!(sim.diagnostics().relative_energy_drift() < 0.05);
 //! ```
 
-// `deny`, not `forbid`: the persistent worker pool ([`pool`]) borrows job
-// closures across threads through a type-erased pointer and carries the one
-// documented `#![allow(unsafe_code)]` in the crate. Everything else is
-// checked safe code.
+// `deny`, not `forbid`: two documented sites allow `unsafe`. The persistent
+// worker pool ([`pool`], `#![allow(unsafe_code)]`) borrows job closures
+// across threads through a type-erased pointer, and the sort's private
+// `prefetch` (`#[allow(unsafe_code)]`) issues a cache hint. Everything else
+// is checked safe code, and every `unsafe` block carries a `// SAFETY:`
+// comment, which clippy enforces.
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod control;

@@ -23,11 +23,11 @@
 //!   stripe of the job has retired (so borrowed data is never freed while a
 //!   surviving worker might still touch it).
 //!
-//! This is the one module in the crate allowed to use `unsafe`: the job
-//! closure is borrowed from the caller's stack and handed to workers as a
-//! raw pointer. Soundness rests on a single invariant — **the caller blocks
-//! until every stripe has retired** — which `run` enforces unconditionally
-//! (even when a stripe panics).
+//! This module is one of the crate's two `unsafe` sites (the other is the
+//! sort's cache hint): the job closure is borrowed from the caller's stack
+//! and handed to workers as a raw pointer. Soundness rests on a single
+//! invariant — **the caller blocks until every stripe has retired** —
+//! which `run` enforces unconditionally (even when a stripe panics).
 
 #![allow(unsafe_code)]
 
@@ -106,6 +106,8 @@ struct Ctx<'a, F> {
 /// `ctx` must point at a live `Ctx<F>` whose `f` outlives this call — the
 /// pool guarantees it by blocking the publisher until all stripes retire.
 unsafe fn run_stripe<F: Fn(usize) + Sync>(ctx: *const (), worker: usize) {
+    // SAFETY: this function's contract: `ctx` points at a live `Ctx<F>`,
+    // and the publisher keeps it alive until this stripe retires.
     let ctx = unsafe { &*ctx.cast::<Ctx<'_, F>>() };
     let mut i = worker;
     while i < ctx.njobs {
@@ -285,8 +287,7 @@ impl ThreadPool {
             // A method (rather than field access) so the closure captures
             // the Sync wrapper itself, not the raw-pointer field.
             fn at(&self, i: usize) -> *mut T {
-                // SAFETY of the offset is the caller's `i < items.len()`.
-                unsafe { self.0.add(i) }
+                self.0.wrapping_add(i)
             }
         }
         let ptr = SendPtr(items.as_mut_ptr());

@@ -18,6 +18,14 @@
 //!    [`ParticlesSoA`]), so they are refilled in place from the prefix
 //!    sums and the per-cell `(ix, iy)`.
 //!
+//! Both per-particle loops wait on memory, not on bandwidth: on the state a
+//! run hands the sort (sorted, then 19 pushes) the scan's scattered `perm`
+//! stores and the gathers' loads miss cache one by one. Each loop therefore
+//! asks for its line a fixed distance ahead with a software prefetch — the
+//! scan for the slot particle `i + SCAN_AHEAD` will be stored to, the gather
+//! for `src[perm[d + GATHER_AHEAD]]` — and keeps every load, store and
+//! their order as they were (DESIGN.md §18).
+//!
 //! The store moves one column at a time, so besides it the sort owns one
 //! spare `f64` column and the `u32` permutation — 12 bytes per particle in
 //! a [`SortArena`], where a second particle store would cost 44 (52 with
@@ -365,9 +373,35 @@ pub(crate) fn sort_columns(
     }
 }
 
-/// `out[d] = src[perm[d]]`: sequential stores, independent loads.
+/// How many destinations ahead [`gather`] hints its source element.
+const GATHER_AHEAD: usize = 128;
+
+/// How many source particles ahead [`scan`] hints its destination slot.
+const SCAN_AHEAD: usize = 64;
+
+/// Ask the cache for the line holding `p`, ahead of the load or store that
+/// will need it. Only a hint: no value is read and nothing can change.
+#[inline(always)]
+#[allow(unsafe_code)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch dereferences nothing and cannot fault, so any
+    // address — one past a slice's end included — is sound to pass.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
+/// `out[d] = src[perm[d]]`: sequential stores, independent loads, each
+/// load's line requested `GATHER_AHEAD` destinations before it is read.
 fn gather(out: &mut [f64], perm: &[u32], src: &[f64]) {
-    for (o, &i) in out.iter_mut().zip(perm) {
+    for (d, (o, &i)) in out.iter_mut().zip(perm).enumerate() {
+        if let Some(&ahead) = perm.get(d + GATHER_AHEAD) {
+            prefetch(src.as_ptr().wrapping_add(ahead as usize));
+        }
         *o = src[i as usize];
     }
 }
@@ -381,8 +415,15 @@ fn scan(icell: &[u32], ix: &[u32], iy: &[u32], c0: usize, starts: &[u32], task: 
         *cur = start - base;
     }
     // The one scattered store stream. Sources are visited in input order,
-    // so equal cells keep their order (stable).
+    // so equal cells keep their order (stable). Each store's line is
+    // requested `SCAN_AHEAD` sources before it, at the slot its cell's
+    // cursor points to now.
     for (i, &c) in icell.iter().enumerate() {
+        if let Some(&ahead) = icell.get(i + SCAN_AHEAD) {
+            if let Some(&slot) = task.cursor.get((ahead as usize).wrapping_sub(c0)) {
+                prefetch(task.perm.as_ptr().wrapping_add(slot as usize));
+            }
+        }
         // One compare both selects this range's cells and bounds the
         // cursor lookup.
         if let Some(cur) = task.cursor.get_mut((c as usize).wrapping_sub(c0)) {
@@ -576,16 +617,25 @@ mod tests {
         let mut arena = SortArena::new();
         let pools = pools();
         let mut rng = crate::rng::Rng::seed_from_u64(0x50f7);
-        for n in [0usize, 1, 7, 8, 9, 1000, 100_003] {
+        // Besides small and large stores, n straddles both look-ahead
+        // distances, so every hint loop runs with and without a tail.
+        let (g, s) = (GATHER_AHEAD, SCAN_AHEAD);
+        for n in [0, 1, 7, 8, 9, s - 1, s + 1, g - 1, g, g + 1, 1000, 100_003] {
             for ncells in [1usize, 3, 100, 16_384] {
-                for kind in 0..4 {
+                for kind in 0..5 {
                     let mut p = ParticlesSoA::zeroed(n);
                     for i in 0..n {
                         let c = match kind {
                             0 => rng.below(ncells as u64) as usize, // uniform random
                             1 => ncells / 2,                        // one cell
                             2 => i * ncells / n,                    // already sorted
-                            _ => (n - 1 - i) * ncells / n,          // reverse sorted
+                            3 => (n - 1 - i) * ncells / n,          // reverse sorted
+                            // All but g / 2 particles in cell 0: on a pool
+                            // the first range is that cell, and the later
+                            // ones hold fewer particles than one gather's
+                            // look-ahead.
+                            _ if i < g / 2 => (g / 2 - i) % ncells,
+                            _ => 0,
                         } as u32;
                         // (ix, iy) are any function of the key; every
                         // payload value is unique to its particle.

@@ -501,6 +501,19 @@ const JOIN_TAG_BASE: u64 = 1 << 44;
 /// offset a single collective adds to its base tag.
 const CTL_TAG_STRIDE: u64 = 4096;
 
+/// The shrink round over `group` in the shrink tag namespace: an FNV-1a
+/// hash of the members folded to 32 bits, so every slot's
+/// `CTL_TAG_STRIDE` tags stay below `CTL_TAG_BASE`. Every member of a round
+/// holds the same group and so sends the same votes. Two different groups
+/// share a slot with probability 2⁻³², and only then can members holding
+/// different groups trade votes again.
+fn shrink_slot(group: &[usize]) -> u64 {
+    let hash = group.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &m| {
+        (h ^ m as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    hash >> 32
+}
+
 /// Bit position of the per-job tag block inside application tag
 /// namespaces. A multi-tenant runtime driving several decomposed
 /// simulations over one world folds `job_tag_block(job)` into every tag,
@@ -1486,6 +1499,10 @@ impl Comm {
     /// member's suspect bitmask over the tentative survivor group; if the
     /// union reveals suspects a member had not yet observed (or another
     /// rank dies mid-agreement), the round retries with the enlarged set.
+    /// A round's tag names its tentative group ([`shrink_slot`]), so only
+    /// members holding the same group exchange votes: a member that has not
+    /// yet seen a death cannot complete a round with members that have, and
+    /// leave them committed while it retries alone.
     /// Convergence needs the survivors' suspect sets to stabilize, which
     /// dead-flag (crash-fault) detection gives immediately; a round that
     /// cannot complete surfaces its [`CommError`] rather than hanging.
@@ -1501,7 +1518,7 @@ impl Comm {
         let old_group = self.group.clone();
         let mut suspect = vec![false; nranks];
         let mut last_err = None;
-        for attempt in 0..nranks.max(2) as u64 {
+        for _ in 0..nranks.max(2) {
             // Re-scan the detector each round: ranks that died since the
             // last attempt join the suspect set.
             for &m in &old_group {
@@ -1512,7 +1529,7 @@ impl Comm {
             let tentative: Vec<usize> =
                 old_group.iter().copied().filter(|&m| !suspect[m]).collect();
             let mut votes: Vec<f64> = suspect.iter().map(|&s| if s { 1.0 } else { 0.0 }).collect();
-            let tag = self.etag(SHRINK_TAG_BASE + CTL_TAG_STRIDE * attempt);
+            let tag = self.etag(SHRINK_TAG_BASE + CTL_TAG_STRIDE * shrink_slot(&tentative));
             match self.allreduce_tree_over(&tentative, &mut votes, tag) {
                 Ok(()) => {
                     let agreed: Vec<usize> = (0..nranks).filter(|&m| votes[m] > 0.0).collect();

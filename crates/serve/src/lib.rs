@@ -45,6 +45,7 @@
 //! `DecompConfig`, so concurrent jobs never alias step tags.
 
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod cache;
