@@ -1,6 +1,8 @@
 //! Table VI — strong scaling over threads on one socket (pure OpenMP in the
 //! paper, pure threads here): million particles advanced per second at
-//! 1/2/4/8 threads, against the ideal linear scaling.
+//! 1, 2, 4, … threads up to `--max-threads` (default: the host's
+//! `available_parallelism`, so no row time-shares a core), against the
+//! ideal linear scaling. Only the steps are timed, not construction.
 //!
 //! Usage: table6_strong_scaling_threads [--particles N] [--grid G] [--iters I]
 //!                                      [--max-threads T]
@@ -11,7 +13,8 @@
 use pic_bench::cli::Args;
 use pic_bench::mp_per_s;
 use pic_bench::table::Table;
-use pic_bench::workloads::{self, run_fresh};
+use pic_bench::workloads;
+use pic_core::sim::Simulation;
 use pic_core::PicError;
 use sfc::Ordering;
 use std::time::Instant;
@@ -25,10 +28,11 @@ fn run() -> Result<(), PicError> {
     let particles = args.get("particles", workloads::DEFAULT_PARTICLES);
     let grid = args.get("grid", workloads::DEFAULT_GRID);
     let iters = args.get("iters", 50usize);
-    let max_threads = args.get("max-threads", 8usize);
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let max_threads = args.get("max-threads", nproc);
 
-    println!("# Table VI — strong scaling over threads (million particles/s)");
-    println!("# particles={particles} grid={grid} iters={iters} sort-every=50");
+    println!("# Table VI — strong scaling over threads (million particles/s, steps only)");
+    println!("# particles={particles} grid={grid} iters={iters} sort-every=50 nproc={nproc}");
 
     let mut t = Table::new(&["Threads", "Mp/s", "Mp/s ideal", "Efficiency"]);
     let mut base = None;
@@ -38,8 +42,9 @@ fn run() -> Result<(), PicError> {
         let mut cfg = workloads::table1(particles, grid, Ordering::Morton);
         cfg.threads = threads;
         cfg.sort_period = 50;
+        let mut sim = Simulation::new(cfg)?;
         let wall = Instant::now();
-        let _sim = run_fresh(cfg, iters)?;
+        sim.run(iters);
         let elapsed = wall.elapsed().as_secs_f64();
         let mps = mp_per_s(particles, iters, elapsed);
         let b = *base.get_or_insert(mps);

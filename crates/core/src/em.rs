@@ -280,8 +280,9 @@ impl Kind for EmConfig {
         self.species.clone()
     }
 
-    /// Species `index` from its own stream of the run's seed; a replicated
-    /// rank keeps its contiguous `1/nranks` of it.
+    /// Species `index` from its own stream of the run's seed, in
+    /// block-cell order (`Loader::load_blocks`); a replicated rank keeps
+    /// its contiguous `1/nranks` of it.
     fn load(
         &self,
         index: usize,
@@ -290,10 +291,10 @@ impl Kind for EmConfig {
         layout: &dyn CellLayout,
         pool: Option<&ThreadPool>,
     ) -> Result<SpeciesArena, PicError> {
-        let (seed, replica) = (self.seed, self.replica);
-        Ok(SpeciesArena::initialize(
-            def, grid, layout, seed, index, replica, pool,
-        ))
+        let (loader, range) =
+            SpeciesArena::loader(&def, grid, layout, self.seed, index, self.replica);
+        let (p, vz) = loader.load_blocks(range, None, pool);
+        Ok(SpeciesArena::from_parts(def, p, vz, grid))
     }
 
     /// The Boris push with the species' own rotation constants; physical

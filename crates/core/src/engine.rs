@@ -388,16 +388,21 @@ impl<C: Kind> Pic<C> {
     /// field, and take the leap-frog half-step back.
     fn init(mut sim: Self, reduce: impl FnOnce(&mut [f64])) -> Result<Self, PicError> {
         let ncells = sim.layout.as_dyn().ncells();
+        let pool = sim.pool.as_deref();
         for (index, def) in sim.cfg.species_table().into_iter().enumerate() {
-            let pool = sim.pool.as_deref();
-            let mut arena = sim
+            let arena = sim
                 .cfg
                 .load(index, def, &sim.grid, sim.layout.as_dyn(), pool)?;
-            // Initial sort (the paper's initialization line 1), through the
-            // engine's own arena and pool so the first in-run sort finds
-            // both already grown.
-            arena.sort(ncells, pool, &mut sim.sort_arena);
             sim.species.push(arena);
+        }
+        // Initial sort (the paper's initialization line 1), through the
+        // engine's own arena and pool so the first in-run sort finds both
+        // already grown. The loader hands over sorted blocks, so the
+        // gathers stream through ordered runs; every species is loaded
+        // first, so the loader's block scratch is gone before the arena
+        // grows.
+        for arena in &mut sim.species {
+            arena.sort(ncells, pool, &mut sim.sort_arena);
         }
 
         // Initial deposit + solve (line 2), with the cross-rank reduction

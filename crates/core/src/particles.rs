@@ -16,11 +16,17 @@
 //! `(seed, species, chunk)`. Particle `i` is therefore a pure function of
 //! `(seed, species, i)` — the same at every pool width, and addressable by
 //! index or cell range without sampling the rest of the population.
+//!
+//! The drivers construct in *block-cell order* ([`Loader::load_blocks`]):
+//! each worker sorts every [`BLOCK`] of particles by cell while it is still
+//! in cache, so the initial sort of the whole store streams through
+//! ordered runs instead of missing on every line (DESIGN.md §19).
 
 use crate::grid::Grid2D;
 use crate::kernels::{split_soa_mut_into, SoaViewMut};
 use crate::pool::{chunk_range, ThreadPool};
 use crate::rng::{hash_words, Rng};
+use crate::sort::{sort_columns, SortArena};
 use sfc::CellLayout;
 use std::ops::Range;
 
@@ -73,6 +79,17 @@ impl ParticlesSoA {
         self.dy.extend_from_slice(&other.dy);
         self.vx.extend_from_slice(&other.vx);
         self.vy.extend_from_slice(&other.vy);
+    }
+
+    /// Drop every particle, keeping the allocations.
+    fn clear(&mut self) {
+        self.icell.clear();
+        self.ix.clear();
+        self.iy.clear();
+        self.dx.clear();
+        self.dy.clear();
+        self.vx.clear();
+        self.vy.clear();
     }
 
     /// Allocate `n` zeroed particles.
@@ -151,6 +168,14 @@ impl InitialDistribution {
 /// on any worker and any range of the population without the chunks
 /// before it.
 pub const CHUNK: usize = 65_536;
+
+/// Particles per construction block. [`Loader::load_blocks`] cuts the
+/// population at every multiple of `BLOCK` (and at the ends of the loaded
+/// range) and sorts each block by cell while it is in cache. A divisor of
+/// [`CHUNK`], so a block never straddles two chunks or two workers; the
+/// size is DESIGN.md §19's sweep.
+pub const BLOCK: usize = 32_768;
+const _: () = assert!(CHUNK.is_multiple_of(BLOCK));
 
 /// Rejection-sample x in `[0, lx)` with density `∝ 1 + α cos(k x)`.
 fn sample_perturbed_x(rng: &mut Rng, lx: f64, alpha: f64, k: f64) -> f64 {
@@ -231,61 +256,136 @@ impl<'a> Loader<'a> {
         cells: Option<Range<u32>>,
         pool: Option<&ThreadPool>,
     ) -> (ParticlesSoA, Vec<f64>) {
-        assert!(range.start <= range.end && range.end <= self.n);
-        let shares = self.worker_shares(&range, pool);
         match cells {
-            // Known size: every worker writes its own slice of the columns
-            // in place, so each first-touches the pages it fills.
-            None => {
-                let len = range.len();
-                let mut p = ParticlesSoA::zeroed(len);
-                let mut vz = vec![0.0; if self.vz { len } else { 0 }];
-                let mut whole = [None];
-                split_soa_mut_into(&mut p, &mut vz, 1, &mut whole);
-                let mut rest = whole[0].take().expect("one view");
-                let first = |c: usize| (c * CHUNK).clamp(range.start, range.end);
-                let mut items = Vec::with_capacity(shares.len());
-                for chunks in shares {
-                    let (a, b) = (first(chunks.start), first(chunks.end));
-                    let (head, tail) = rest.split_at(b - a);
-                    rest = tail;
-                    items.push((chunks, a, head));
+            None => self.fill_in_place(&range, pool, |chunks, first, view| {
+                for c in chunks {
+                    self.sample_chunk(c, &range, |i, q| q.write(view, i - first));
                 }
-                run_workers(pool, &mut items, |(chunks, first, view)| {
-                    for c in chunks.clone() {
-                        self.sample_chunk(c, &range, |i, q| q.write(view, i - *first));
-                    }
-                });
-                (p, vz)
-            }
-            // Unknown size: each worker appends what passes the filter, and
-            // the runs are joined in worker (index) order.
-            Some(cells) => {
-                let mut items: Vec<_> = shares
-                    .into_iter()
-                    .map(|chunks| (chunks, ParticlesSoA::default(), Vec::new()))
-                    .collect();
-                run_workers(pool, &mut items, |(chunks, p, vz)| {
-                    for c in chunks.clone() {
-                        self.sample_chunk(c, &range, |_, q| {
-                            if cells.contains(&q.icell) {
-                                q.push(p);
-                                if self.vz {
-                                    vz.push(q.vz);
-                                }
+            }),
+            Some(cells) => self.fill_appending(&range, pool, |chunks, p, vz| {
+                for c in chunks {
+                    self.sample_chunk(c, &range, |_, q| {
+                        if cells.contains(&q.icell) {
+                            q.push(p);
+                            if self.vz {
+                                vz.push(q.vz);
                             }
-                        });
-                    }
-                });
-                let mut runs = items.into_iter().map(|(_, p, vz)| (p, vz));
-                let (mut p, mut vz) = runs.next().expect("at least one worker");
-                for (q, qz) in runs {
-                    p.append(&q);
-                    vz.extend_from_slice(&qz);
+                        }
+                    });
                 }
-                (p, vz)
-            }
+            }),
         }
+    }
+
+    /// The particles of [`load`](Self::load) in *block-cell order*: cut at
+    /// every multiple of [`BLOCK`] of the population index and at the ends
+    /// of `range`, each block stably sorted by `icell` through the sort
+    /// engine while it is in the worker's cache, the blocks in index order.
+    ///
+    /// A stable sort of consecutive, stably sorted blocks is the stable
+    /// sort of their concatenation, so sorting this store gives what
+    /// sorting `load`'s gives, bit for bit, with its gathers streaming
+    /// through ordered runs. The blocks do not depend on the pool, so the
+    /// store is bit-identical at every pool width too. Each worker holds
+    /// one block and its sort scratch, freed on return.
+    pub fn load_blocks(
+        &self,
+        range: Range<usize>,
+        cells: Option<Range<u32>>,
+        pool: Option<&ThreadPool>,
+    ) -> (ParticlesSoA, Vec<f64>) {
+        let ncells = self.layout.ncells();
+        let block_ends_at = |i: usize| (i + 1).is_multiple_of(BLOCK) || i + 1 == range.end;
+        match cells {
+            None => self.fill_in_place(&range, pool, |chunks, first, view| {
+                let mut b = Block::default();
+                for c in chunks {
+                    self.sample_chunk(c, &range, |i, q| {
+                        b.push(q, self.vz);
+                        if block_ends_at(i) {
+                            let j = i + 1 - b.p.len() - first;
+                            b.flush(ncells, |p, vz| write_run(view, j, p, vz));
+                        }
+                    });
+                }
+            }),
+            Some(cells) => self.fill_appending(&range, pool, |chunks, out, out_vz| {
+                let mut b = Block::default();
+                for c in chunks {
+                    self.sample_chunk(c, &range, |i, q| {
+                        if cells.contains(&q.icell) {
+                            b.push(q, self.vz);
+                        }
+                        if block_ends_at(i) {
+                            b.flush(ncells, |p, vz| {
+                                out.append(p);
+                                out_vz.extend_from_slice(vz);
+                            });
+                        }
+                    });
+                }
+            }),
+        }
+    }
+
+    /// A load of known size: every worker fills its own slice of the
+    /// columns in place, so each first-touches the pages it fills. `fill`
+    /// runs once per worker, on its chunks, the index of its slice's first
+    /// particle and the slice.
+    fn fill_in_place(
+        &self,
+        range: &Range<usize>,
+        pool: Option<&ThreadPool>,
+        fill: impl Fn(Range<usize>, usize, &mut SoaViewMut<'_>) + Sync,
+    ) -> (ParticlesSoA, Vec<f64>) {
+        assert!(range.start <= range.end && range.end <= self.n);
+        let len = range.len();
+        let mut p = ParticlesSoA::zeroed(len);
+        let mut vz = vec![0.0; if self.vz { len } else { 0 }];
+        let mut whole = [None];
+        split_soa_mut_into(&mut p, &mut vz, 1, &mut whole);
+        let mut rest = whole[0].take().expect("one view");
+        let first = |c: usize| (c * CHUNK).clamp(range.start, range.end);
+        let shares = self.worker_shares(range, pool);
+        let mut items = Vec::with_capacity(shares.len());
+        for chunks in shares {
+            let (a, b) = (first(chunks.start), first(chunks.end));
+            let (head, tail) = rest.split_at(b - a);
+            rest = tail;
+            items.push((chunks, a, head));
+        }
+        run_workers(pool, &mut items, |(chunks, first, view)| {
+            fill(chunks.clone(), *first, view)
+        });
+        (p, vz)
+    }
+
+    /// A load of unknown size (a cell filter): each worker appends what it
+    /// keeps to its own store, and the stores are joined in worker (index)
+    /// order. `fill` runs once per worker, on its chunks, its store and
+    /// its `vz` column.
+    fn fill_appending(
+        &self,
+        range: &Range<usize>,
+        pool: Option<&ThreadPool>,
+        fill: impl Fn(Range<usize>, &mut ParticlesSoA, &mut Vec<f64>) + Sync,
+    ) -> (ParticlesSoA, Vec<f64>) {
+        assert!(range.start <= range.end && range.end <= self.n);
+        let mut items: Vec<_> = self
+            .worker_shares(range, pool)
+            .into_iter()
+            .map(|chunks| (chunks, ParticlesSoA::default(), Vec::new()))
+            .collect();
+        run_workers(pool, &mut items, |(chunks, p, vz)| {
+            fill(chunks.clone(), p, vz)
+        });
+        let mut runs = items.into_iter().map(|(_, p, vz)| (p, vz));
+        let (mut p, mut vz) = runs.next().expect("at least one worker");
+        for (q, qz) in runs {
+            p.append(&q);
+            vz.extend_from_slice(&qz);
+        }
+        (p, vz)
     }
 
     /// Particles per cell of the whole population (`layout.ncells()`
@@ -429,6 +529,51 @@ impl Sampled {
         p.dy.push(self.dy);
         p.vx.push(self.vx);
         p.vy.push(self.vy);
+    }
+}
+
+/// One worker's construction block: the particles it kept since the last
+/// block edge, and the sort's scratch for them.
+#[derive(Default)]
+struct Block {
+    p: ParticlesSoA,
+    vz: Vec<f64>,
+    arena: SortArena,
+}
+
+impl Block {
+    /// Add a sampled particle (and its `vz`, when the load has one).
+    #[inline]
+    fn push(&mut self, q: &Sampled, vz: bool) {
+        q.push(&mut self.p);
+        if vz {
+            self.vz.push(q.vz);
+        }
+    }
+
+    /// Sort the block stably by `icell` while it is in cache, hand it to
+    /// `out` and empty it.
+    fn flush(&mut self, ncells: usize, out: impl FnOnce(&ParticlesSoA, &[f64])) {
+        let vz = Some(&mut self.vz).filter(|vz| !vz.is_empty());
+        sort_columns(&mut self.p, vz, ncells, None, &mut self.arena);
+        out(&self.p, &self.vz);
+        self.p.clear();
+        self.vz.clear();
+    }
+}
+
+/// Copy the run `(p, vz)` into `view` from slot `j` on.
+fn write_run(view: &mut SoaViewMut<'_>, j: usize, p: &ParticlesSoA, vz: &[f64]) {
+    let r = j..j + p.len();
+    view.icell[r.clone()].copy_from_slice(&p.icell);
+    view.ix[r.clone()].copy_from_slice(&p.ix);
+    view.iy[r.clone()].copy_from_slice(&p.iy);
+    view.dx[r.clone()].copy_from_slice(&p.dx);
+    view.dy[r.clone()].copy_from_slice(&p.dy);
+    view.vx[r.clone()].copy_from_slice(&p.vx);
+    view.vy[r.clone()].copy_from_slice(&p.vy);
+    if !vz.is_empty() {
+        view.vz[r].copy_from_slice(vz);
     }
 }
 

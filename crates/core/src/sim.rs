@@ -372,7 +372,8 @@ impl Kind for PicConfig {
     }
 
     /// This rank's part of the population: the `keep_range` index slice,
-    /// filtered to the `keep_cells` cell range, sampled on the pool.
+    /// filtered to the `keep_cells` cell range, sampled on the pool in
+    /// block-cell order (`Loader::load_blocks`), ready for the initial sort.
     fn load(
         &self,
         _index: usize,
@@ -391,7 +392,7 @@ impl Kind for PicConfig {
         check_keep_cells(self.keep_cells, layout.ncells())?;
         let loader = Loader::new(grid, layout, self.distribution, n, self.seed);
         let cells = self.keep_cells.map(|(lo, hi)| lo..hi);
-        let (p, vz) = loader.load(start..end, cells, pool);
+        let (p, vz) = loader.load_blocks(start..end, cells, pool);
         if let Some((lo, hi)) = self.keep_cells.filter(|_| p.is_empty()) {
             return Err(PicError::Config(format!(
                 "keep_cells {lo}..{hi} holds no particles — subdomain too small"

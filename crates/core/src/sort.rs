@@ -3,7 +3,8 @@
 //! The number of cells is far smaller than the number of particles, so a
 //! counting (bucket) sort runs in `O(N)`. One *permutation-first* engine
 //! sits behind [`sort_out_of_place`], [`sort_out_of_place_with`],
-//! [`pool_sort_out_of_place`] and `SpeciesArena::sort`:
+//! [`pool_sort_out_of_place`], `SpeciesArena::sort` and the block sorts of
+//! `particles::Loader::load_blocks`:
 //!
 //! 1. a histogram of `icell` and its prefix sums;
 //! 2. one scan of `icell` writes the stable permutation `perm[dst] = src`

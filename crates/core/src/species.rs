@@ -19,6 +19,7 @@ use crate::particles::{InitialDistribution, Loader, ParticlesSoA};
 use crate::pool::{chunk_range, ThreadPool};
 use crate::sort::{sort_columns, SortArena};
 use sfc::CellLayout;
+use std::ops::Range;
 
 /// Static description of one particle species.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,7 +96,9 @@ pub struct SpeciesArena {
 impl SpeciesArena {
     /// Initialize species number `index` of a run seeded `seed` on `grid`
     /// under `layout`: positions and all three velocity components come
-    /// from the [`Loader`] of `(seed, index)`, sampled on `pool`.
+    /// from the [`Loader`] of `(seed, index)`, sampled on `pool` in index
+    /// order. (The EM driver constructs the same particles in block-cell
+    /// order, `Loader::load_blocks`, and sorts them.)
     ///
     /// An optional `slice = (rank, nranks)` samples only this rank's
     /// contiguous index range — the replicated-decomposition convention
@@ -111,12 +114,25 @@ impl SpeciesArena {
         slice: Option<(usize, usize)>,
         pool: Option<&ThreadPool>,
     ) -> Self {
+        let (loader, range) = Self::loader(&def, grid, layout, seed, index, slice);
+        let (p, vz) = loader.load(range, None, pool);
+        Self::from_parts(def, p, vz, grid)
+    }
+
+    /// The [`Loader`] of species `index` and the index range `slice`
+    /// keeps (see [`initialize`](Self::initialize)).
+    pub(crate) fn loader<'a>(
+        def: &SpeciesDef,
+        grid: &'a Grid2D,
+        layout: &'a dyn CellLayout,
+        seed: u64,
+        index: usize,
+        slice: Option<(usize, usize)>,
+    ) -> (Loader<'a>, Range<usize>) {
         let n = def.n_particles;
         let (s, e) = slice.map_or((0, n), |(rank, nranks)| chunk_range(n, nranks, rank));
-        let (p, vz) = Loader::new(grid, layout, def.distribution, n, seed)
-            .species(index)
-            .load(s..e, None, pool);
-        Self::from_parts(def, p, vz, grid)
+        let loader = Loader::new(grid, layout, def.distribution, n, seed).species(index);
+        (loader, s..e)
     }
 
     /// Build an arena directly from loaded or checkpointed storage. `vz` is

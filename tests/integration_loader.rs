@@ -5,11 +5,13 @@
 
 use pic2d::pic_core::em::{EmConfig, EmSimulation};
 use pic2d::pic_core::grid::Grid2D;
-use pic2d::pic_core::particles::{InitialDistribution, Loader, ParticlesSoA, CHUNK};
-use pic2d::pic_core::pool::ThreadPool;
+use pic2d::pic_core::particles::{InitialDistribution, Loader, ParticlesSoA, BLOCK, CHUNK};
+use pic2d::pic_core::pool::{chunk_range, ThreadPool};
+use pic2d::pic_core::resilience::checkpoint::snapshot_hash;
 use pic2d::pic_core::sim::{PicConfig, Simulation};
+use pic2d::pic_core::sort::sort_out_of_place;
 use pic2d::pic_core::species::{SpeciesArena, SpeciesDef};
-use pic2d::sfc::{CellLayout, Morton};
+use pic2d::sfc::{CellLayout, Morton, RowMajor};
 
 const SEED: u64 = 0x10ad;
 
@@ -224,6 +226,182 @@ fn replicated_and_decomposed_ranks_load_their_part_of_the_population() {
             &format!("rank {rank}"),
         );
     }
+}
+
+/// `(p, vz)` sorted stably by `icell` through `sort_out_of_place`. The
+/// `vz` column rides along in a second store with the same keys, since a
+/// stable sort of the same keys moves every column alike.
+fn stable_sorted((p, vz): &(ParticlesSoA, Vec<f64>), ncells: usize) -> (ParticlesSoA, Vec<f64>) {
+    let mut q = p.clone();
+    sort_out_of_place(&mut q, ncells);
+    if vz.is_empty() {
+        return (q, Vec::new());
+    }
+    let mut carrier = ParticlesSoA {
+        dx: vz.clone(),
+        ..p.clone()
+    };
+    sort_out_of_place(&mut carrier, ncells);
+    (q, carrier.dx)
+}
+
+/// Construction samples in block-cell order (every [`BLOCK`] sorted by
+/// cell in the loader) and then sorts the whole store. A stable sort of
+/// consecutive, stably sorted blocks is the stable sort of their
+/// concatenation, so each driver, load shape and pool width must build
+/// exactly the index-order load followed by one stable sort.
+///
+/// The stores are compared column by column where construction leaves the
+/// sampled values: every column of the loader's block-ordered store once
+/// sorted; every column of an `EmSimulation` run with the field solve off
+/// (E = 0, so the half-kick back adds zero); and the index and position
+/// columns of a `Simulation`, whose velocities carry the half-kick of its
+/// own field — those are held by the electrostatic pin at the end, beside
+/// the electromagnetic one.
+#[test]
+fn construction_equals_the_stable_sort_of_the_index_order_load() {
+    let (g, l) = (grid(), layout());
+    let ncells = l.ncells();
+    let pools: Vec<ThreadPool> = (1..=4).map(ThreadPool::new).collect();
+    let widths = || std::iter::once(None).chain(pools.iter().map(Some));
+    let width = |pool: Option<&ThreadPool>| pool.map_or(0, ThreadPool::nthreads);
+    let sizes = [
+        1,
+        BLOCK - 1,
+        BLOCK,
+        BLOCK + 1,
+        CHUNK - 1,
+        CHUNK + 1,
+        3 * CHUNK + 5,
+    ];
+
+    // The loader: full, an index slice that starts and ends inside a
+    // block, a cell range, both, and an EM species with vz.
+    for n in sizes {
+        for (what, loader) in [
+            ("2d2v", Loader::new(&g, &l, LANDAU, n, SEED)),
+            ("2d3v", Loader::new(&g, &l, TWO_STREAM, n, SEED).species(1)),
+        ] {
+            let slice = n / 3..n - n / 5;
+            for (range, cells) in [
+                (0..n, None),
+                (slice.clone(), None),
+                (0..n, Some(300..900)),
+                (slice, Some(0..500)),
+            ] {
+                let want = stable_sorted(&loader.load(range.clone(), cells.clone(), None), ncells);
+                let serial = loader.load_blocks(range.clone(), cells.clone(), None);
+                for pool in widths() {
+                    let got = loader.load_blocks(range.clone(), cells.clone(), pool);
+                    let what = format!(
+                        "{what} n={n} range {range:?} cells {cells:?} width {}",
+                        width(pool)
+                    );
+                    assert_same(&got, &serial, &format!("{what}, unsorted"));
+                    assert_same(&stable_sorted(&got, ncells), &want, &what);
+                }
+            }
+        }
+    }
+
+    // A one-cell pile-up: every key equal, so only a stable block sort
+    // keeps the index order.
+    let (one, row) = (
+        Grid2D::new(1, 1, g.lx, g.ly).unwrap(),
+        RowMajor::new(1, 1).unwrap(),
+    );
+    let n = 2 * CHUNK + BLOCK / 2 + 3;
+    let loader = Loader::new(&one, &row, TWO_STREAM, n, SEED).species(0);
+    let want = loader.load(0..n, None, None);
+    for pool in widths() {
+        let got = loader.load_blocks(0..n, None, pool);
+        assert_same(&got, &want, &format!("one cell, width {}", width(pool)));
+    }
+
+    // The drivers, at every width: `Simulation` whole, as a replicated
+    // rank's index slice and as a decomposed rank's cell range; a
+    // two-species `EmSimulation` whole and as a replica slice.
+    for n in sizes {
+        let mut cfg = PicConfig::landau_table1(n);
+        cfg.grid_nx = 32;
+        cfg.grid_ny = 32;
+        cfg.seed = SEED;
+        cfg.distribution = LANDAU;
+        cfg.lx = g.lx;
+        cfg.ly = g.ly;
+        let loader = Loader::new(&g, &l, LANDAU, n, SEED);
+        let slice = (n / 3, n - n / 5);
+        for (keep_range, keep_cells) in
+            [(None, None), (Some(slice), None), (None, Some((300, 900)))]
+        {
+            let (range, cells) = (
+                keep_range.map_or(0..n, |(a, b)| a..b),
+                keep_cells.map(|(a, b)| a..b),
+            );
+            let want = stable_sorted(&loader.load(range, cells, None), ncells).0;
+            if want.is_empty() {
+                continue; // a cell range with no particles is a config error
+            }
+            for threads in 1..=4 {
+                let c = PicConfig {
+                    threads,
+                    keep_range,
+                    keep_cells,
+                    ..cfg.clone()
+                };
+                let sim = Simulation::new(c).unwrap();
+                let (got, what) = (
+                    sim.particles(),
+                    format!("ES n={n} {keep_range:?} {keep_cells:?} threads {threads}"),
+                );
+                assert_eq!(got.icell, want.icell, "{what}: icell");
+                assert_eq!(got.ix, want.ix, "{what}: ix");
+                assert_eq!(got.iy, want.iy, "{what}: iy");
+                assert_eq!(bits(&got.dx), bits(&want.dx), "{what}: dx");
+                assert_eq!(bits(&got.dy), bits(&want.dy), "{what}: dy");
+            }
+        }
+
+        let mut ecfg = EmConfig::magnetized_two_stream(n);
+        ecfg.grid_nx = 32;
+        ecfg.grid_ny = 32;
+        ecfg.seed = SEED;
+        ecfg.solve_e = false;
+        ecfg.species[1].n_particles = (n / 4).max(1);
+        let eg = Grid2D::new(32, 32, ecfg.lx, ecfg.ly).unwrap();
+        for replica in [None, Some((1, 3))] {
+            for threads in 1..=4 {
+                let em = EmSimulation::new(EmConfig {
+                    threads,
+                    replica,
+                    ..ecfg.clone()
+                })
+                .unwrap();
+                for (index, s) in em.species().iter().enumerate() {
+                    let m = s.def.n_particles;
+                    let (a, b) =
+                        replica.map_or((0, m), |(rank, nranks)| chunk_range(m, nranks, rank));
+                    let loader = Loader::new(&eg, &l, s.def.distribution, m, SEED).species(index);
+                    let want = stable_sorted(&loader.load(a..b, None, None), ncells);
+                    let what = format!("EM {} n={n} {replica:?} threads {threads}", s.def.name);
+                    assert_same(&(s.p.clone(), s.vz.clone()), &want, &what);
+                }
+            }
+        }
+    }
+
+    // Construction feeds every trajectory: both production pins hold.
+    let mut c = PicConfig::landau_table1(100_003);
+    c.seed = 7;
+    let mut sim = Simulation::new(c).unwrap();
+    sim.run(45);
+    assert_eq!(snapshot_hash(&sim.checkpoint()), 0x5c2913bfed6bd674);
+    let mut c = EmConfig::magnetized_two_stream(20_000);
+    c.threads = 2;
+    c.seed = 7;
+    let mut sim = EmSimulation::new(c).unwrap();
+    sim.run(45);
+    assert_eq!(snapshot_hash(&sim.checkpoint()), 0xe680f9079299148a);
 }
 
 #[test]
