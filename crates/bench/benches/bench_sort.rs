@@ -4,9 +4,12 @@
 //! keys (every particle moves), the same keys with every
 //! `particles::BLOCK` already sorted (what construction hands the initial
 //! sort), and the state a run actually sorts (Landau, 19 pushes after a
-//! sort: most particles stay in or next to their cell). Each input also
-//! times a plain copy of the seven columns, the floor any out-of-place sort
-//! sits on; `main` closes with ns/particle per case.
+//! sort: most particles stay in or next to their cell). One more input is
+//! a single construction block (`BLOCK` uniform-random keys), the sort
+//! `Loader::load_blocks` runs once per block while it is in cache, where
+//! the per-cell passes over 16 384 cells weigh against ≈ 2 particles per
+//! cell. Each input also times a plain copy of the seven columns, the floor
+//! any out-of-place sort sits on; `main` closes with ns/particle per case.
 
 use pic_bench::harness::{black_box, criterion_group, BenchmarkId, Criterion, Throughput};
 use pic_bench::reference::sort::sort_in_place;
@@ -100,6 +103,7 @@ fn bench_input(c: &mut Criterion, group: &str, base: &ParticlesSoA) {
 
 fn bench_sorts(c: &mut Criterion) {
     bench_input(c, "counting_sort_random", &randomized(500_000));
+    bench_input(c, "counting_sort_block", &randomized(BLOCK));
     bench_input(c, "counting_sort_blocks", &block_sorted(500_000));
     let drifted = drifted_landau(1_000_000).expect("valid Table I config");
     bench_input(c, "counting_sort_drifted", &drifted);

@@ -185,9 +185,9 @@ mod tests {
         let icell: Vec<u32> = (0..n).map(|_| (rng.uniform() * 16.0) as u32).collect();
         let dx: Vec<f64> = (0..n).map(|_| rng.uniform()).collect();
         let dy: Vec<f64> = (0..n).map(|_| rng.uniform()).collect();
-        let vx: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
-        let vy: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
-        let vz: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
+        let vx: Vec<f64> = (0..n).map(|_| crate::kernels::normal(&mut rng)).collect();
+        let vy: Vec<f64> = (0..n).map(|_| crate::kernels::normal(&mut rng)).collect();
+        let vz: Vec<f64> = (0..n).map(|_| crate::kernels::normal(&mut rng)).collect();
         (icell, dx, dy, vx, vy, vz)
     }
 
@@ -198,7 +198,7 @@ mod tests {
         let mut rng = crate::rng::Rng::seed_from_u64(9);
         for e in &mut e8 {
             for v in e.iter_mut() {
-                *v = rng.normal();
+                *v = crate::kernels::normal(&mut rng);
             }
         }
         let c = BorisCoeffs::new(-1.0, 1.0, 0.05, [0.1, -0.2, 0.9]);

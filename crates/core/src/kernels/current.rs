@@ -297,7 +297,11 @@ mod tests {
         let f = |rng: &mut crate::rng::Rng| (0..n).map(|_| rng.uniform()).collect::<Vec<_>>();
         let dx = f(&mut rng);
         let dy = f(&mut rng);
-        let v = |rng: &mut crate::rng::Rng| (0..n).map(|_| rng.normal()).collect::<Vec<_>>();
+        let v = |rng: &mut crate::rng::Rng| {
+            (0..n)
+                .map(|_| crate::kernels::normal(rng))
+                .collect::<Vec<_>>()
+        };
         (icell, [dx, dy, v(&mut rng), v(&mut rng), v(&mut rng)])
     }
 

@@ -178,6 +178,15 @@ pub fn split_soa_mut_into<'a>(
     nchunks
 }
 
+/// A standard normal draw for the kernel tests' random velocities: the
+/// libm Box–Muller transform, the first uniform clamped away from zero.
+#[cfg(test)]
+pub(crate) fn normal(rng: &mut crate::rng::Rng) -> f64 {
+    let u1 = rng.uniform().max(f64::EPSILON);
+    let u2 = rng.uniform();
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,12 +20,15 @@
 //! The drivers construct in *block-cell order* ([`Loader::load_blocks`]):
 //! each worker sorts every [`BLOCK`] of particles by cell while it is still
 //! in cache, so the initial sort of the whole store streams through
-//! ordered runs instead of missing on every line (DESIGN.md §19).
+//! ordered runs instead of missing on every line (DESIGN.md §19). Only
+//! the draws are scalar: positions and velocities are computed [`LANES`]
+//! particles at a time, without libm (§19.2).
 
 use crate::grid::Grid2D;
+use crate::kernels::simd::LANES;
 use crate::kernels::{split_soa_mut_into, SoaViewMut};
 use crate::pool::{chunk_range, ThreadPool};
-use crate::rng::{hash_words, Rng};
+use crate::rng::{box_muller_lanes, hash_words, Rng};
 use crate::sort::{sort_columns, SortArena};
 use sfc::CellLayout;
 use std::ops::Range;
@@ -68,17 +71,6 @@ impl ParticlesSoA {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.icell.is_empty()
-    }
-
-    /// Append a copy of every particle of `other`.
-    pub(crate) fn append(&mut self, other: &ParticlesSoA) {
-        self.icell.extend_from_slice(&other.icell);
-        self.ix.extend_from_slice(&other.ix);
-        self.iy.extend_from_slice(&other.iy);
-        self.dx.extend_from_slice(&other.dx);
-        self.dy.extend_from_slice(&other.dy);
-        self.vx.extend_from_slice(&other.vx);
-        self.vy.extend_from_slice(&other.vy);
     }
 
     /// Drop every particle, keeping the allocations.
@@ -178,12 +170,19 @@ pub const BLOCK: usize = 32_768;
 const _: () = assert!(CHUNK.is_multiple_of(BLOCK));
 
 /// Rejection-sample x in `[0, lx)` with density `∝ 1 + α cos(k x)`.
+///
+/// A draw with `accept ≤ 1 − |α|` is taken without evaluating the cosine.
+/// The squeeze is exact: `|cos| ≤ 1` and rounding is monotone, so
+/// `|fl(α·cos kx)| ≤ |α|` and `fl(1 + fl(α·cos kx)) ≥ fl(1 − |α|)` for
+/// every x — the test accepts exactly the draws the full test accepts, and
+/// skips `cos` for all but about `2|α|/(1 + |α|)` of them.
 fn sample_perturbed_x(rng: &mut Rng, lx: f64, alpha: f64, k: f64) -> f64 {
     debug_assert!(alpha.abs() <= 1.0);
+    let squeeze = 1.0 - alpha.abs();
     loop {
         let x = rng.range(0.0, lx);
         let accept = rng.range(0.0, 1.0 + alpha.abs());
-        if accept <= 1.0 + alpha * (k * x).cos() {
+        if accept <= squeeze || accept <= 1.0 + alpha * (k * x).cos() {
             return x;
         }
     }
@@ -200,11 +199,22 @@ fn sample_perturbed_x(rng: &mut Rng, lx: f64, alpha: f64, k: f64) -> f64 {
 /// only its own share and a decomposed rank only its own cells.
 ///
 /// Each particle draws, in order: x (rejection-sampled when the density is
-/// perturbed), y, the beam sign (two-stream only) and one Box–Muller pair
-/// for (vx, vy). A 2d3v species draws `vz` — the cosine half of one more
-/// pair — from a second stream per chunk, `hash_words(seed, [species, c,
-/// 1])`, so its in-plane columns are those of the 2d2v population with
-/// the same seed and species.
+/// perturbed), y, the beam sign (two-stream only) and the two uniforms of
+/// one Box–Muller pair for (vx, vy). A 2d3v species draws `vz` — the
+/// cosine half of one more pair — from a second stream per chunk,
+/// `hash_words(seed, [species, c, 1])`, so its in-plane columns are those
+/// of the 2d2v population with the same seed and species.
+///
+/// Sampling runs in stages over lane blocks of [`LANES`] particles
+/// (DESIGN.md §19.2). A scalar walk makes the draws; a position stage
+/// splits each block's (x, y) into cells and offsets and encodes the cells
+/// in one batch; the particles a cell filter keeps are gathered into new
+/// blocks, and a velocity stage turns their uniforms into Box–Muller pairs
+/// ([`crate::rng::box_muller_lanes`]). A short block is padded. Every lane
+/// is a function of its own draws only, so velocities too are a pure
+/// function of `(seed, species, i)`, and a particle that a cell filter
+/// drops (or that [`cell_counts`](Self::cell_counts) only counts) never
+/// reaches the velocity stage.
 #[derive(Clone, Copy)]
 pub struct Loader<'a> {
     grid: &'a Grid2D,
@@ -256,22 +266,19 @@ impl<'a> Loader<'a> {
         cells: Option<Range<u32>>,
         pool: Option<&ThreadPool>,
     ) -> (ParticlesSoA, Vec<f64>) {
+        let end = |c: usize| chunk_end(c, &range);
         match cells {
             None => self.fill_in_place(&range, pool, |chunks, first, view| {
                 for c in chunks {
-                    self.sample_chunk(c, &range, |i, q| q.write(view, i - first));
+                    let mut s = self.stream(c, range.start);
+                    s.sample(end(c), |_| true, |i, run| run.write(view, i - first));
                 }
             }),
             Some(cells) => self.fill_appending(&range, pool, |chunks, p, vz| {
                 for c in chunks {
-                    self.sample_chunk(c, &range, |_, q| {
-                        if cells.contains(&q.icell) {
-                            q.push(p);
-                            if self.vz {
-                                vz.push(q.vz);
-                            }
-                        }
-                    });
+                    let mut s = self.stream(c, range.start);
+                    let keep = |icell| cells.contains(&icell);
+                    s.sample(end(c), keep, |_, run| run.append(p, vz));
                 }
             }),
         }
@@ -295,34 +302,36 @@ impl<'a> Loader<'a> {
         pool: Option<&ThreadPool>,
     ) -> (ParticlesSoA, Vec<f64>) {
         let ncells = self.layout.ncells();
-        let block_ends_at = |i: usize| (i + 1).is_multiple_of(BLOCK) || i + 1 == range.end;
+        let end = |c: usize| chunk_end(c, &range);
+        // The next block edge after particle `i` of chunk `c`.
+        let edge = |c: usize, i: usize| ((i / BLOCK + 1) * BLOCK).min(end(c));
         match cells {
             None => self.fill_in_place(&range, pool, |chunks, first, view| {
                 let mut b = Block::default();
                 for c in chunks {
-                    self.sample_chunk(c, &range, |i, q| {
-                        b.push(q, self.vz);
-                        if block_ends_at(i) {
-                            let j = i + 1 - b.p.len() - first;
-                            b.flush(ncells, |p, vz| write_run(view, j, p, vz));
-                        }
-                    });
+                    let mut s = self.stream(c, range.start);
+                    while s.next < end(c) {
+                        let start = s.next;
+                        s.sample(
+                            edge(c, start),
+                            |_| true,
+                            |_, run| run.append(&mut b.p, &mut b.vz),
+                        );
+                        b.flush(ncells, |run| run.write(view, start - first));
+                    }
                 }
             }),
             Some(cells) => self.fill_appending(&range, pool, |chunks, out, out_vz| {
                 let mut b = Block::default();
                 for c in chunks {
-                    self.sample_chunk(c, &range, |i, q| {
-                        if cells.contains(&q.icell) {
-                            b.push(q, self.vz);
-                        }
-                        if block_ends_at(i) {
-                            b.flush(ncells, |p, vz| {
-                                out.append(p);
-                                out_vz.extend_from_slice(vz);
-                            });
-                        }
-                    });
+                    let mut s = self.stream(c, range.start);
+                    while s.next < end(c) {
+                        let keep = |icell| cells.contains(&icell);
+                        s.sample(edge(c, s.next), keep, |_, run| {
+                            run.append(&mut b.p, &mut b.vz)
+                        });
+                        b.flush(ncells, |run| run.append(out, out_vz));
+                    }
                 }
             }),
         }
@@ -382,8 +391,7 @@ impl<'a> Loader<'a> {
         let mut runs = items.into_iter().map(|(_, p, vz)| (p, vz));
         let (mut p, mut vz) = runs.next().expect("at least one worker");
         for (q, qz) in runs {
-            p.append(&q);
-            vz.extend_from_slice(&qz);
+            Run::of(&q, &qz).append(&mut p, &mut vz);
         }
         (p, vz)
     }
@@ -401,7 +409,14 @@ impl<'a> Loader<'a> {
             .collect();
         run_workers(pool, &mut items, |(chunks, counts)| {
             for c in chunks.clone() {
-                self.sample_chunk(c, &range, |_, q| counts[q.icell as usize] += 1.0);
+                let (mut s, end) = (self.stream(c, 0), chunk_end(c, &range));
+                let mut b = Lanes::default();
+                while s.next < end {
+                    s.next_block(end, &mut b);
+                    for &cell in &b.icell[..b.len] {
+                        counts[cell as usize] += 1.0;
+                    }
+                }
             }
         });
         let mut runs = items.into_iter().map(|(_, counts)| counts);
@@ -427,33 +442,47 @@ impl<'a> Loader<'a> {
             .collect()
     }
 
-    /// Sample chunk `c` from its own stream and hand every particle whose
-    /// index lies in `range` to `emit`. The draws before `range.start`
-    /// are made and dropped; sampling stops at `range.end`.
-    fn sample_chunk(&self, c: usize, range: &Range<usize>, mut emit: impl FnMut(usize, &Sampled)) {
+    /// Chunk `c`'s streams, walked up to particle `from` (the draws before
+    /// it made and dropped).
+    fn stream(&self, c: usize, from: usize) -> ChunkStream<'a> {
         let key = [self.species, c as u64, 1];
-        let mut rng = Rng::seed_from_u64(hash_words(self.seed, &key[..2]));
-        let mut vz_rng = self
-            .vz
-            .then(|| Rng::seed_from_u64(hash_words(self.seed, &key)));
-        let vt = self.dist.thermal_spread();
-        let first = c * CHUNK;
-        let last = ((c + 1) * CHUNK).min(range.end);
-        for i in first..last {
-            let mut q = self.sample(&mut rng);
-            if let Some(z) = vz_rng.as_mut() {
-                q.vz = vt * z.normal_pair().0;
-            }
-            if i >= range.start {
-                emit(i, &q);
-            }
+        let mut s = ChunkStream {
+            loader: *self,
+            rng: Rng::seed_from_u64(hash_words(self.seed, &key[..2])),
+            vz_rng: self
+                .vz
+                .then(|| Rng::seed_from_u64(hash_words(self.seed, &key))),
+            next: c * CHUNK,
+        };
+        let mut dropped = Lanes::default();
+        while s.next < from {
+            dropped.len = 0;
+            s.draw(&mut dropped);
         }
+        s
     }
+}
 
-    /// One particle's draws (see the type's docs for their order).
+/// One past the last particle of chunk `c` inside `range`.
+fn chunk_end(c: usize, range: &Range<usize>) -> usize {
+    ((c + 1) * CHUNK).min(range.end)
+}
+
+/// A chunk's draw streams, at particle `next` (see [`Loader`] for the
+/// draws and their order).
+struct ChunkStream<'a> {
+    loader: Loader<'a>,
+    rng: Rng,
+    vz_rng: Option<Rng>,
+    next: usize,
+}
+
+impl ChunkStream<'_> {
+    /// The scalar walk: particle `next`'s draws, into lane `b.len` of `b`.
     #[inline]
-    fn sample(&self, rng: &mut Rng) -> Sampled {
-        let (grid, dist) = (self.grid, self.dist);
+    fn draw(&mut self, b: &mut Lanes) {
+        let Loader { grid, dist, .. } = self.loader;
+        let rng = &mut self.rng;
         let x = match dist {
             InitialDistribution::Landau { alpha, k }
             | InitialDistribution::TwoStream { alpha, k, .. } => {
@@ -465,70 +494,222 @@ impl<'a> Loader<'a> {
             _ => rng.range(0.0, grid.lx),
         };
         let y = rng.range(0.0, grid.ly);
-        let (vx, vy) = match dist {
-            InitialDistribution::Landau { .. } | InitialDistribution::Uniform => rng.normal_pair(),
-            InitialDistribution::TwoStream { v0, vt, .. } => {
-                let sign = if rng.coin() { 1.0 } else { -1.0 };
-                let (gx, gy) = rng.normal_pair();
-                (sign * v0 + vt * gx, vt * gy)
+        let shift = match dist {
+            InitialDistribution::TwoStream { v0, .. } => {
+                if rng.coin() {
+                    v0
+                } else {
+                    -v0
+                }
             }
-            InitialDistribution::DriftingMaxwellian { v0x, vt, .. } => {
-                let (gx, gy) = rng.normal_pair();
-                (v0x + vt * gx, vt * gy)
-            }
+            InitialDistribution::DriftingMaxwellian { v0x, .. } => v0x,
+            InitialDistribution::Landau { .. } | InitialDistribution::Uniform => 0.0,
         };
-        let (cx, ox) = grid.split_x(grid.to_grid_x(x));
-        let (cy, oy) = grid.split_y(grid.to_grid_y(y));
-        Sampled {
-            icell: self.layout.encode(cx, cy) as u32,
-            ix: cx as u32,
-            iy: cy as u32,
-            dx: ox,
-            dy: oy,
-            vx,
-            vy,
-            vz: 0.0,
+        let l = b.len;
+        (b.u1[l], b.u2[l]) = (rng.uniform(), rng.uniform());
+        if let Some(z) = self.vz_rng.as_mut() {
+            (b.z1[l], b.z2[l]) = (z.uniform(), z.uniform());
         }
+        (b.index[l], b.x[l], b.y[l], b.shift[l]) = (self.next, x, y, shift);
+        b.len += 1;
+        self.next += 1;
     }
-}
 
-/// One sampled particle, on its way into a store.
-struct Sampled {
-    icell: u32,
-    ix: u32,
-    iy: u32,
-    dx: f64,
-    dy: f64,
-    vx: f64,
-    vy: f64,
-    vz: f64,
-}
-
-impl Sampled {
-    /// Write into slot `j` of `view` (and of its `vz`, when it has one).
+    /// The next (up to) [`LANES`] particles before `end`: drawn by the
+    /// scalar walk, then placed in their cells together.
     #[inline]
-    fn write(&self, view: &mut SoaViewMut<'_>, j: usize) {
-        view.icell[j] = self.icell;
-        view.ix[j] = self.ix;
-        view.iy[j] = self.iy;
-        view.dx[j] = self.dx;
-        view.dy[j] = self.dy;
-        view.vx[j] = self.vx;
-        view.vy[j] = self.vy;
-        if let Some(z) = view.vz.get_mut(j) {
-            *z = self.vz;
+    fn next_block(&mut self, end: usize, b: &mut Lanes) {
+        b.len = 0;
+        while b.len < LANES && self.next < end {
+            self.draw(b);
+        }
+        b.place(self.loader.grid, self.loader.layout);
+    }
+
+    /// Sample particles `next..end`: draw and place them [`LANES`] at a
+    /// time, gather the ones whose cell `keep` accepts, and give those
+    /// their velocities [`LANES`] at a time. `emit` gets them in index
+    /// order, as runs of at most [`LANES`] with the index of each run's
+    /// first particle (consecutive indices when `keep` accepts all).
+    #[inline]
+    fn sample(
+        &mut self,
+        end: usize,
+        keep: impl Fn(u32) -> bool,
+        mut emit: impl FnMut(usize, Run<'_>),
+    ) {
+        let (vt, vz) = (self.loader.dist.thermal_spread(), self.loader.vz);
+        let mut drawn = Lanes::default();
+        let mut kept = Lanes::default();
+        while self.next < end {
+            self.next_block(end, &mut drawn);
+            for l in 0..drawn.len {
+                if keep(drawn.icell[l]) {
+                    kept.take(&drawn, l);
+                    if kept.len == LANES {
+                        kept.finish(vt, vz);
+                        emit(kept.index[0], kept.run(vz));
+                        kept.len = 0;
+                    }
+                }
+            }
+        }
+        if kept.len > 0 {
+            kept.finish(vt, vz);
+            emit(kept.index[0], kept.run(vz));
+        }
+    }
+}
+
+/// Up to [`LANES`] particles on their way through the stages, column by
+/// column. Lanes past `len` keep whatever they held: every stage computes
+/// all [`LANES`] lanes, each from its own inputs only, so padding never
+/// reaches a particle.
+#[derive(Default)]
+struct Lanes {
+    len: usize,
+    /// Each particle's population index.
+    index: [usize; LANES],
+    // The scalar walk's draws: the position, the mean x-velocity (the
+    // beam's `±v0`, the drift `v0x`, or zero), and the uniforms of the
+    // (vx, vy) pair and of the `vz` pair (zero without `vz`).
+    x: [f64; LANES],
+    y: [f64; LANES],
+    shift: [f64; LANES],
+    u1: [f64; LANES],
+    u2: [f64; LANES],
+    z1: [f64; LANES],
+    z2: [f64; LANES],
+    // The position stage's cells and offsets.
+    icell: [u32; LANES],
+    ix: [u32; LANES],
+    iy: [u32; LANES],
+    dx: [f64; LANES],
+    dy: [f64; LANES],
+    // The velocity stage's output.
+    vx: [f64; LANES],
+    vy: [f64; LANES],
+    vz: [f64; LANES],
+}
+
+impl Lanes {
+    /// The position stage: every lane's cell and in-cell offsets, by the
+    /// grid's own split (so bit for bit those of a scalar split) and one
+    /// batched encode.
+    #[inline]
+    fn place(&mut self, grid: &Grid2D, layout: &dyn CellLayout) {
+        let (mut cx, mut cy, mut cell) = ([0; LANES], [0; LANES], [0; LANES]);
+        for l in 0..LANES {
+            (cx[l], self.dx[l]) = grid.split_x(grid.to_grid_x(self.x[l]));
+            (cy[l], self.dy[l]) = grid.split_y(grid.to_grid_y(self.y[l]));
+        }
+        layout.encode_batch(&cx, &cy, &mut cell);
+        for l in 0..LANES {
+            self.icell[l] = cell[l] as u32;
+            self.ix[l] = cx[l] as u32;
+            self.iy[l] = cy[l] as u32;
         }
     }
 
-    /// Append to `p` (every column but `vz`).
-    fn push(&self, p: &mut ParticlesSoA) {
-        p.icell.push(self.icell);
-        p.ix.push(self.ix);
-        p.iy.push(self.iy);
-        p.dx.push(self.dx);
-        p.dy.push(self.dy);
-        p.vx.push(self.vx);
-        p.vy.push(self.vy);
+    /// Append lane `l` of `from` (drawn and placed) to this block.
+    #[inline]
+    fn take(&mut self, from: &Lanes, l: usize) {
+        let k = self.len;
+        self.index[k] = from.index[l];
+        (self.icell[k], self.ix[k], self.iy[k]) = (from.icell[l], from.ix[l], from.iy[l]);
+        (self.dx[k], self.dy[k], self.shift[k]) = (from.dx[l], from.dy[l], from.shift[l]);
+        (self.u1[k], self.u2[k]) = (from.u1[l], from.u2[l]);
+        (self.z1[k], self.z2[k]) = (from.z1[l], from.z2[l]);
+        self.len += 1;
+    }
+
+    /// The velocity stage: every lane's Box–Muller pair (and `vz`'s, when
+    /// the load has it), scaled by the thermal spread `vt`.
+    #[inline]
+    fn finish(&mut self, vt: f64, vz: bool) {
+        let (gx, gy) = box_muller_lanes(&self.u1, &self.u2);
+        for l in 0..LANES {
+            self.vx[l] = self.shift[l] + vt * gx[l];
+            self.vy[l] = vt * gy[l];
+        }
+        if vz {
+            let (gz, _) = box_muller_lanes(&self.z1, &self.z2);
+            for (v, g) in self.vz.iter_mut().zip(gz) {
+                *v = vt * g;
+            }
+        }
+    }
+
+    /// The particles of the block (with `vz`, when the load has it).
+    fn run(&self, vz: bool) -> Run<'_> {
+        let n = self.len;
+        Run {
+            icell: &self.icell[..n],
+            ix: &self.ix[..n],
+            iy: &self.iy[..n],
+            dx: &self.dx[..n],
+            dy: &self.dy[..n],
+            vx: &self.vx[..n],
+            vy: &self.vy[..n],
+            vz: if vz { &self.vz[..n] } else { &[] },
+        }
+    }
+}
+
+/// A run of sampled particles, column by column: a lane block or a
+/// sorted construction block. `vz` is empty when the load has none.
+#[derive(Clone, Copy)]
+struct Run<'r> {
+    icell: &'r [u32],
+    ix: &'r [u32],
+    iy: &'r [u32],
+    dx: &'r [f64],
+    dy: &'r [f64],
+    vx: &'r [f64],
+    vy: &'r [f64],
+    vz: &'r [f64],
+}
+
+impl<'r> Run<'r> {
+    /// Every particle of `p`, with its `vz` column.
+    fn of(p: &'r ParticlesSoA, vz: &'r [f64]) -> Self {
+        Run {
+            icell: &p.icell,
+            ix: &p.ix,
+            iy: &p.iy,
+            dx: &p.dx,
+            dy: &p.dy,
+            vx: &p.vx,
+            vy: &p.vy,
+            vz,
+        }
+    }
+
+    /// Copy into `view` from slot `j` on.
+    fn write(&self, view: &mut SoaViewMut<'_>, j: usize) {
+        let r = j..j + self.icell.len();
+        view.icell[r.clone()].copy_from_slice(self.icell);
+        view.ix[r.clone()].copy_from_slice(self.ix);
+        view.iy[r.clone()].copy_from_slice(self.iy);
+        view.dx[r.clone()].copy_from_slice(self.dx);
+        view.dy[r.clone()].copy_from_slice(self.dy);
+        view.vx[r.clone()].copy_from_slice(self.vx);
+        view.vy[r.clone()].copy_from_slice(self.vy);
+        if !self.vz.is_empty() {
+            view.vz[r].copy_from_slice(self.vz);
+        }
+    }
+
+    /// Append to `p` and its `vz` column.
+    fn append(&self, p: &mut ParticlesSoA, vz: &mut Vec<f64>) {
+        p.icell.extend_from_slice(self.icell);
+        p.ix.extend_from_slice(self.ix);
+        p.iy.extend_from_slice(self.iy);
+        p.dx.extend_from_slice(self.dx);
+        p.dy.extend_from_slice(self.dy);
+        p.vx.extend_from_slice(self.vx);
+        p.vy.extend_from_slice(self.vy);
+        vz.extend_from_slice(self.vz);
     }
 }
 
@@ -542,38 +723,14 @@ struct Block {
 }
 
 impl Block {
-    /// Add a sampled particle (and its `vz`, when the load has one).
-    #[inline]
-    fn push(&mut self, q: &Sampled, vz: bool) {
-        q.push(&mut self.p);
-        if vz {
-            self.vz.push(q.vz);
-        }
-    }
-
     /// Sort the block stably by `icell` while it is in cache, hand it to
     /// `out` and empty it.
-    fn flush(&mut self, ncells: usize, out: impl FnOnce(&ParticlesSoA, &[f64])) {
+    fn flush(&mut self, ncells: usize, out: impl FnOnce(Run<'_>)) {
         let vz = Some(&mut self.vz).filter(|vz| !vz.is_empty());
         sort_columns(&mut self.p, vz, ncells, None, &mut self.arena);
-        out(&self.p, &self.vz);
+        out(Run::of(&self.p, &self.vz));
         self.p.clear();
         self.vz.clear();
-    }
-}
-
-/// Copy the run `(p, vz)` into `view` from slot `j` on.
-fn write_run(view: &mut SoaViewMut<'_>, j: usize, p: &ParticlesSoA, vz: &[f64]) {
-    let r = j..j + p.len();
-    view.icell[r.clone()].copy_from_slice(&p.icell);
-    view.ix[r.clone()].copy_from_slice(&p.ix);
-    view.iy[r.clone()].copy_from_slice(&p.iy);
-    view.dx[r.clone()].copy_from_slice(&p.dx);
-    view.dy[r.clone()].copy_from_slice(&p.dy);
-    view.vx[r.clone()].copy_from_slice(&p.vx);
-    view.vy[r.clone()].copy_from_slice(&p.vy);
-    if !vz.is_empty() {
-        view.vz[r].copy_from_slice(vz);
     }
 }
 

@@ -13,6 +13,11 @@
 //!
 //! All floating-point draws use the conventional 53-bit mantissa
 //! construction, so sequences are identical on every platform.
+//!
+//! Normal draws are made [`LANES`] at a time by [`box_muller_lanes`], whose
+//! `ln` and `(sin, cos)(2πu)` are fdlibm's polynomials written branch-free
+//! in safe Rust (the lane discipline of [`crate::kernels::simd`]), so the
+//! loop over a lane block vectorizes instead of calling libm per particle.
 
 /// One step of the splitmix64 sequence starting at `x`; returns the mixed
 /// output. Also usable as a 64-bit hash finalizer.
@@ -33,6 +38,8 @@ pub fn hash_words(seed: u64, words: &[u64]) -> u64 {
     }
     h
 }
+
+use crate::kernels::simd::LANES;
 
 /// xoshiro256++ generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,26 +104,133 @@ impl Rng {
     pub fn coin(&mut self) -> bool {
         self.next_u64() >> 63 == 1
     }
+}
 
-    /// Standard normal via Box–Muller on two uniform draws. The first draw
-    /// is clamped away from zero so the logarithm is finite.
-    pub fn normal(&mut self) -> f64 {
-        let u1 = self.uniform().max(f64::EPSILON);
-        let u2 = self.uniform();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
+/// 1.5 × 2⁵²: for `|x| < 2⁵¹`, `x + MAGIC` rounds `x` to the nearest
+/// integer (ties to even) exactly, and that integer's two's-complement low
+/// bits are the low mantissa bits of the sum (as in
+/// [`crate::kernels::simd`]).
+const MAGIC: f64 = 6_755_399_441_055_744.0;
 
-    /// Two independent standard normals from one Box–Muller draw: the
-    /// cosine and the sine half of the same radius and angle. The first
-    /// uniform is clamped away from zero as in [`normal`](Self::normal).
-    #[inline]
-    pub fn normal_pair(&mut self) -> (f64, f64) {
-        let u1 = self.uniform().max(f64::EPSILON);
-        let u2 = self.uniform();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let (sin, cos) = (2.0 * std::f64::consts::PI * u2).sin_cos();
-        (r * cos, r * sin)
+// fdlibm `e_log.c`: ln 2 split so that `k·LN2_HI` is exact, and the
+// minimax coefficients of `R(z) ≈ (ln(1+f) − 2s)/s − …` in `z = s²`.
+const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000); // 6.93147180369123816490e-01
+const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76); // 1.90821492927058770002e-10
+const LG1: f64 = f64::from_bits(0x3FE5_5555_5555_5593); // 6.666666666666735130e-01
+const LG2: f64 = f64::from_bits(0x3FD9_9999_9997_FA04); // 3.999999999940941908e-01
+const LG3: f64 = f64::from_bits(0x3FD2_4924_9422_9359); // 2.857142874366239149e-01
+const LG4: f64 = f64::from_bits(0x3FCC_71C5_1D8E_78AF); // 2.222219843214978396e-01
+const LG5: f64 = f64::from_bits(0x3FC7_4664_96CB_03DE); // 1.818357216161805012e-01
+const LG6: f64 = f64::from_bits(0x3FC3_9A09_D078_C69F); // 1.531383769920937332e-01
+const LG7: f64 = f64::from_bits(0x3FC2_F112_DF3E_5244); // 1.479819860511658591e-01
+
+/// Natural logarithm of a positive normal `x`: fdlibm's `__ieee754_log`
+/// without its branches. `x = 2ᵏ·m` with `m ∈ [√2/2, √2)`, `f = m − 1`,
+/// `s = f/(2 + f)`, and `ln x = k·ln 2 + f − s·(f − R)` (or the `f²/2`
+/// form fdlibm uses for `m` near 1.4), both computed and one selected per
+/// lane. Within 1 ulp of `f64::ln` (`tests::ln_is_within_one_ulp_of_std`).
+/// Zero, subnormals, negatives, infinities and NaN are not handled: the
+/// one caller clamps its argument to `[ε, 1)`.
+#[inline(always)]
+pub(crate) fn ln(x: f64) -> f64 {
+    let bits = x.to_bits();
+    let hx = bits >> 32;
+    let m = hx & 0x000F_FFFF;
+    // 0x10_0000 when the mantissa is at least √2 − ε: then halve it
+    // (exponent 0x3FE instead of 0x3FF) and count one more power of two.
+    let i = (m + 0x9_5F64) & 0x10_0000;
+    let f = f64::from_bits(((m | (i ^ 0x3FF0_0000)) << 32) | (bits & 0xFFFF_FFFF)) - 1.0;
+    let k = (hx >> 20) as i64 - 1023 + (i >> 20) as i64;
+    let s = f / (2.0 + f);
+    let dk = k as f64;
+    let z = s * s;
+    let w = z * z;
+    let t1 = w * (LG2 + w * (LG4 + w * LG6));
+    let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
+    let r = t2 + t1;
+    let hfsq = 0.5 * f * f;
+    let near_sqrt2 = dk * LN2_HI - ((hfsq - (s * (hfsq + r) + dk * LN2_LO)) - f);
+    let elsewhere = dk * LN2_HI - ((s * (f - r) - dk * LN2_LO) - f);
+    if (0x6_147A..=0x6_B851).contains(&m) {
+        near_sqrt2
+    } else {
+        elsewhere
     }
+}
+
+// fdlibm `k_sin.c` / `k_cos.c` minimax coefficients on [−π/4, π/4], and
+// the reduction constants of `e_rem_pio2.c`: π/2 in a 33-bit head (so
+// `n·PIO2_1` is exact for small `n`) plus its tail.
+const S1: f64 = f64::from_bits(0xBFC5_5555_5555_5549); // -1.66666666666666324348e-01
+const S2: f64 = f64::from_bits(0x3F81_1111_1110_F8A6); // 8.33333333332248946124e-03
+const S3: f64 = f64::from_bits(0xBF2A_01A0_19C1_61D5); // -1.98412698298579493134e-04
+const S4: f64 = f64::from_bits(0x3EC7_1DE3_57B1_FE7D); // 2.75573137070700676789e-06
+const S5: f64 = f64::from_bits(0xBE5A_E5E6_8A2B_9CEB); // -2.50507602534068634195e-08
+const S6: f64 = f64::from_bits(0x3DE5_D93A_5ACF_D57C); // 1.58969099521155010221e-10
+const C1: f64 = f64::from_bits(0x3FA5_5555_5555_554C); // 4.16666666666666019037e-02
+const C2: f64 = f64::from_bits(0xBF56_C16C_16C1_5177); // -1.38888888888741095749e-03
+const C3: f64 = f64::from_bits(0x3EFA_01A0_19CB_1590); // 2.48015872894767294178e-05
+const C4: f64 = f64::from_bits(0xBE92_7E4F_809C_52AD); // -2.75573143513906633035e-07
+const C5: f64 = f64::from_bits(0x3E21_EE9E_BDB4_B1C4); // 2.08757232129817482790e-09
+const C6: f64 = f64::from_bits(0xBDA8_FAE9_BE88_38D4); // -1.13596475577881948265e-11
+const INV_PIO2: f64 = f64::from_bits(0x3FE4_5F30_6DC9_C883); // 6.36619772367581382433e-01
+const PIO2_1: f64 = f64::from_bits(0x3FF9_21FB_5440_0000); // 1.57079632673412561417e+00
+const PIO2_1T: f64 = f64::from_bits(0x3DD0_B461_1A62_6331); // 6.07710050650619224932e-11
+
+/// `(sin θ, cos θ)` of `θ = fl(2π·u)` for `u ∈ [0, 1)` — the angle
+/// `(2.0 * PI * u).sin_cos()` takes. `θ` is reduced by the nearest
+/// multiple `n·π/2` (`n ≤ 4`, so the head `θ − n·PIO2_1` is exact) to a
+/// head-and-tail `y₀ + y₁` in `[−π/4, π/4]`, fdlibm's kernels evaluate
+/// `sin` and `cos` of it, and `n mod 4` swaps and negates them. No branch,
+/// no table: a lane block of these vectorizes.
+#[inline(always)]
+pub(crate) fn sin_cos_tau(u: f64) -> (f64, f64) {
+    let x = std::f64::consts::TAU * u;
+    let t = x * INV_PIO2 + MAGIC;
+    let q = t.to_bits();
+    let n = t - MAGIC;
+    let r = x - n * PIO2_1;
+    let w = n * PIO2_1T;
+    let y0 = r - w;
+    let y1 = (r - y0) - w;
+
+    let z = y0 * y0;
+    let w = z * z;
+    let v = z * y0;
+    let rs = S2 + z * (S3 + z * S4) + z * w * (S5 + z * S6);
+    let sin = y0 - ((z * (0.5 * y1 - v * rs) - y1) - v * S1);
+    let rc = z * (C1 + z * (C2 + z * C3)) + w * w * (C4 + z * (C5 + z * C6));
+    let hz = 0.5 * z;
+    let one_hz = 1.0 - hz;
+    let cos = one_hz + (((1.0 - one_hz) - hz) + (z * rc - y0 * y1));
+
+    // θ = n·π/2 + y: odd n swaps the pair, n ∈ {2, 3} negates sin and
+    // n ∈ {1, 2} negates cos.
+    let (s, c) = if q & 1 == 0 { (sin, cos) } else { (cos, sin) };
+    let negate = |v: f64, bit: u64| f64::from_bits(v.to_bits() ^ ((bit & 2) << 62));
+    (negate(s, q), negate(c, q + 1))
+}
+
+/// Standard normal pairs, one per lane: the Box–Muller transform
+/// `(r cos θ, r sin θ)` with `r = √(−2 ln max(u₁, ε))` and `θ = 2π·u₂`
+/// (the first uniform is clamped away from zero so the logarithm is
+/// finite). Each lane's pair is a function of its own two uniforms only,
+/// so a particle's value does not depend on the block it shares; against
+/// the libm transform the pair moves by at most a few `ε·r`.
+#[inline]
+pub(crate) fn box_muller_lanes(
+    u1: &[f64; LANES],
+    u2: &[f64; LANES],
+) -> ([f64; LANES], [f64; LANES]) {
+    let mut gx = [0.0; LANES];
+    let mut gy = [0.0; LANES];
+    for l in 0..LANES {
+        let r = (-2.0 * ln(u1[l].max(f64::EPSILON))).sqrt();
+        let (sin, cos) = sin_cos_tau(u2[l]);
+        gx[l] = r * cos;
+        gy[l] = r * sin;
+    }
+    (gx, gy)
 }
 
 #[cfg(test)]
@@ -154,13 +268,122 @@ mod tests {
         assert!((var - 1.0 / 12.0).abs() < 0.005, "var {var}");
     }
 
+    /// Distance from `got` to `want` in units of `want`'s ulp.
+    fn ulps(got: f64, want: f64) -> f64 {
+        let ulp = f64::from_bits(want.abs().to_bits() + 1) - want.abs();
+        (got - want).abs() / ulp
+    }
+
+    /// Swept uniforms: every 53-bit draw shape — random, the edges of the
+    /// range, powers of two and their neighbours, and the octant edges
+    /// k/8 with theirs.
+    fn swept_uniforms() -> Vec<f64> {
+        let mut r = Rng::seed_from_u64(0x1a9e);
+        let mut u: Vec<f64> = (0..200_000).map(|_| r.uniform()).collect();
+        let step = 1.0 / (1u64 << 53) as f64;
+        u.extend([f64::EPSILON, 1.0 - step, 0.5 - step, 0.5]);
+        for e in 1..=53 {
+            let p = 0.5f64.powi(e);
+            u.extend([p, p + step, (p - step).max(step)]);
+        }
+        for k in 0..8 {
+            let edge = k as f64 / 8.0;
+            u.extend([edge, edge + step, (edge - step).max(0.0)]);
+        }
+        // Small uniforms, where ln is steep: 2⁻⁵² … 2⁻¹⁰ in random steps.
+        u.extend((0..20_000).map(|_| (r.uniform() * 1e-3).max(f64::EPSILON)));
+        u
+    }
+
     #[test]
-    fn normal_moments() {
+    fn ln_is_within_one_ulp_of_std() {
+        let mut worst = 0.0f64;
+        for u in swept_uniforms().into_iter().filter(|&u| u >= f64::EPSILON) {
+            let e = ulps(ln(u), u.ln());
+            assert!(
+                e <= 1.0,
+                "ln({u:e}) = {} vs std {} ({e} ulp)",
+                ln(u),
+                u.ln()
+            );
+            worst = worst.max(e);
+        }
+        // Beyond the unit interval too: the reduction covers every
+        // positive normal.
+        for x in [1.0, 1.5, 2.0, 3.0, 1e10, 1e300, f64::MIN_POSITIVE] {
+            assert!(ulps(ln(x), x.ln()) <= 1.0, "ln({x:e})");
+        }
+        assert!(worst > 0.0, "the sweep reached rounded results");
+        assert_eq!(ln(1.0), 0.0);
+    }
+
+    #[test]
+    fn sin_cos_tau_is_within_one_ulp_of_std() {
+        for u in swept_uniforms() {
+            let (s, c) = sin_cos_tau(u);
+            let (ws, wc) = (std::f64::consts::TAU * u).sin_cos();
+            // Near a zero of sin or cos the ulp of the result shrinks
+            // without bound, while the argument carries ε/2 of θ: measure
+            // against the larger of the result's ulp and ε/2.
+            for (what, got, want) in [("sin", s, ws), ("cos", c, wc)] {
+                let err = (got - want).abs();
+                let ulp = f64::from_bits(want.abs().to_bits() + 1) - want.abs();
+                assert!(
+                    err <= ulp.max(f64::EPSILON / 2.0),
+                    "{what}(2π·{u:e}) = {got:e} vs std {want:e}"
+                );
+            }
+        }
+        // The octant edges, exactly.
+        let (s, c) = sin_cos_tau(0.0);
+        assert_eq!((s, c), (0.0, 1.0));
+        let (s, c) = sin_cos_tau(0.25);
+        assert!((s - 1.0).abs() <= f64::EPSILON && c.abs() <= f64::EPSILON);
+        let (s, c) = sin_cos_tau(0.5);
+        assert!(s.abs() <= f64::EPSILON && (c + 1.0).abs() <= f64::EPSILON);
+    }
+
+    #[test]
+    fn box_muller_lanes_match_the_libm_transform() {
+        let u = swept_uniforms();
+        let mut r = Rng::seed_from_u64(0xb0c5);
+        // The swept values as u₁ with random u₂, then as u₂ with random
+        // u₁; u₁ = 0 takes the clamp to ε.
+        let mut pairs: Vec<(f64, f64)> = u.iter().map(|&a| (a, r.uniform())).collect();
+        pairs.extend(u.iter().map(|&b| (r.uniform(), b)));
+        pairs.push((0.0, 0.3));
+        for block in pairs.chunks(LANES) {
+            let mut u1 = [0.5; LANES];
+            let mut u2 = [0.5; LANES];
+            for (l, &(a, b)) in block.iter().enumerate() {
+                (u1[l], u2[l]) = (a, b);
+            }
+            let (gx, gy) = box_muller_lanes(&u1, &u2);
+            for l in 0..block.len() {
+                let radius = (-2.0 * u1[l].max(f64::EPSILON).ln()).sqrt();
+                let (s, c) = (std::f64::consts::TAU * u2[l]).sin_cos();
+                let tol = 4.0 * f64::EPSILON * radius;
+                assert!((gx[l] - radius * c).abs() <= tol, "u = {:?}", block[l]);
+                assert!((gy[l] - radius * s).abs() <= tol, "u = {:?}", block[l]);
+            }
+        }
+    }
+
+    #[test]
+    fn box_muller_moments() {
         let mut r = Rng::seed_from_u64(3);
         let n = 100_000;
-        let draws: Vec<f64> = (0..n).map(|_| r.normal()).collect();
-        let mean = draws.iter().sum::<f64>() / n as f64;
-        let var = draws.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
+        let mut draws = Vec::with_capacity(2 * n);
+        for _ in 0..n / LANES {
+            let u1: [f64; LANES] = std::array::from_fn(|_| r.uniform());
+            let u2: [f64; LANES] = std::array::from_fn(|_| r.uniform());
+            let (gx, gy) = box_muller_lanes(&u1, &u2);
+            draws.extend(gx);
+            draws.extend(gy);
+        }
+        let m = draws.len() as f64;
+        let mean = draws.iter().sum::<f64>() / m;
+        let var = draws.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / m;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.02, "var {var}");
     }

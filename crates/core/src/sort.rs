@@ -272,8 +272,11 @@ pub(crate) fn sort_columns(
         let mut begin = 0usize;
         let mut acc = 0usize;
         for (cell, &count) in counts.iter().enumerate() {
+            if nranges + 1 == ntasks {
+                break; // the last range takes the rest
+            }
             acc += count as usize;
-            if acc >= target && nranges + 1 < ntasks {
+            if acc >= target {
                 ranges[nranges] = (begin, cell + 1);
                 nranges += 1;
                 begin = cell + 1;
@@ -380,6 +383,10 @@ const GATHER_AHEAD: usize = 128;
 /// How many source particles ahead [`scan`] hints its destination slot.
 const SCAN_AHEAD: usize = 64;
 
+/// Cells of at most this many particles refill a fixed window of slots
+/// ([`fill_index`]).
+const FILL_WINDOW: usize = 4;
+
 /// Ask the cache for the line holding `p`, ahead of the load or store that
 /// will need it. Only a hint: no value is read and nothing can change.
 #[inline(always)]
@@ -433,11 +440,12 @@ fn scan(icell: &[u32], ix: &[u32], iy: &[u32], c0: usize, starts: &[u32], task: 
         }
     }
     for (k, (rep, w)) in task.reps.iter_mut().zip(starts.windows(2)).enumerate() {
-        let cell = &task.perm[(w[0] - base) as usize..(w[1] - base) as usize];
-        let Some(&first) = cell.first() else {
+        if w[0] == w[1] {
             continue;
-        };
-        *rep = (ix[first as usize], iy[first as usize]);
+        }
+        let cell = &task.perm[(w[0] - base) as usize..(w[1] - base) as usize];
+        let first = cell[0] as usize;
+        *rep = (ix[first], iy[first]);
         debug_assert!(
             cell.iter()
                 .all(|&i| (ix[i as usize], iy[i as usize]) == *rep),
@@ -449,6 +457,14 @@ fn scan(icell: &[u32], ix: &[u32], iy: &[u32], c0: usize, starts: &[u32], task: 
 
 /// Refill one cell range's index columns: `icell` run-length from the
 /// prefix sums, `ix`/`iy` from each cell's representative.
+///
+/// A construction block leaves a couple of particles per cell, where a
+/// loop per cell would mispredict its exit on nearly every cell. So a cell
+/// of at most [`FILL_WINDOW`] particles writes a whole window of that many
+/// slots, empty or not: the slots past its run belong to later cells,
+/// which are written after it and overwrite them, so every slot ends with
+/// its own cell's values. Longer cells, and windows that would run past
+/// the range's end, write their run exactly.
 fn fill_index(
     c0: usize,
     starts: &[u32],
@@ -458,9 +474,17 @@ fn fill_index(
     let base = starts[0];
     for (k, (w, &(x, y))) in starts.windows(2).zip(reps).enumerate() {
         let (s, e) = ((w[0] - base) as usize, (w[1] - base) as usize);
-        icell[s..e].fill((c0 + k) as u32);
-        ix[s..e].fill(x);
-        iy[s..e].fill(y);
+        let c = (c0 + k) as u32;
+        if e - s <= FILL_WINDOW && s + FILL_WINDOW <= icell.len() {
+            let window = s..s + FILL_WINDOW;
+            icell[window.clone()].copy_from_slice(&[c; FILL_WINDOW]);
+            ix[window.clone()].copy_from_slice(&[x; FILL_WINDOW]);
+            iy[window].copy_from_slice(&[y; FILL_WINDOW]);
+        } else if s < e {
+            icell[s..e].fill(c);
+            ix[s..e].fill(x);
+            iy[s..e].fill(y);
+        }
     }
 }
 

@@ -80,6 +80,11 @@ cargo run --release -q -p pic-bench --bin bench_species
 echo "==> deposition parity matrix (DepositPath x threads x sortedness, release)"
 cargo test -q --release --test parity_kernel_path
 
+echo "==> loader against its libm reference (lane-blocked Box-Muller, release)"
+# The lane math vectorizes only in release codegen, so the bit-identical
+# positions and the velocity bound are checked there too.
+cargo test -q --release --test integration_loader
+
 echo "==> 2d3v species tests (EM snapshot pin, on-request J deposit parity, release)"
 cargo test -q --release --test integration_species
 
