@@ -15,7 +15,6 @@ use pic_core::fields::{Field2D, RedundantE, RedundantRho};
 use pic_core::grid::Grid2D;
 use pic_core::kernels::{accumulate, deposit, position, simd, velocity};
 use pic_core::particles::{initialize, InitialDistribution, ParticlesSoA};
-use pic_core::sort::sort_out_of_place;
 use sfc::{CellLayout, Morton, RowMajor};
 
 const SIDE: usize = 128;
@@ -40,7 +39,6 @@ fn setup_n(layout: &dyn CellLayout, n: usize) -> ParticlesSoA {
     for v in p.vx.iter_mut().chain(p.vy.iter_mut()) {
         *v *= 0.5;
     }
-    sort_out_of_place(&mut p, layout.ncells());
     p
 }
 

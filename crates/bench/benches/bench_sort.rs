@@ -1,21 +1,16 @@
 //! Criterion benchmarks for the counting sorts — the paper's §V-B1
 //! in-place vs out-of-place comparison (out-of-place ≈ 2× faster) and the
-//! pool-parallel cell-partitioned variant — on three inputs: uniform-random
-//! keys (every particle moves), the same keys with every
-//! `particles::BLOCK` already sorted (what construction hands the initial
-//! sort), and the state a run actually sorts (Landau, 19 pushes after a
-//! sort: most particles stay in or next to their cell). One more input is
-//! a single construction block (`BLOCK` uniform-random keys), the sort
-//! `Loader::load_blocks` runs once per block while it is in cache, where
-//! the per-cell passes over 16 384 cells weigh against ≈ 2 particles per
-//! cell. Each input also times a plain copy of the seven columns, the floor
-//! any out-of-place sort sits on; `main` closes with ns/particle per case.
+//! pool-parallel cell-partitioned variant — on two inputs: uniform-random
+//! keys (every particle moves) and the state a run actually sorts (Landau,
+//! 19 pushes after a sort: most particles stay in or next to their cell).
+//! Each input also times a plain copy of the seven columns, the floor any
+//! out-of-place sort sits on; `main` closes with ns/particle per case.
 
 use pic_bench::harness::{black_box, criterion_group, BenchmarkId, Criterion, Throughput};
 use pic_bench::reference::sort::sort_in_place;
 use pic_bench::report::{take_records, BenchRecord};
 use pic_bench::workloads::{copy_columns, drifted_landau};
-use pic_core::particles::{ParticlesSoA, BLOCK};
+use pic_core::particles::ParticlesSoA;
 use pic_core::pool::ThreadPool;
 use pic_core::sort::{pool_sort_out_of_place, sort_out_of_place_with, SortArena};
 use std::cell::RefCell;
@@ -31,22 +26,6 @@ fn randomized(n: usize) -> ParticlesSoA {
         s ^= s << 17;
         p.icell[i] = (s % NCELLS as u64) as u32;
         p.vx[i] = i as f64;
-    }
-    p
-}
-
-/// [`randomized`] with every [`BLOCK`] of particles stably sorted by cell:
-/// the order `Loader::load_blocks` constructs in.
-fn block_sorted(n: usize) -> ParticlesSoA {
-    let mut p = randomized(n);
-    for s in (0..n).step_by(BLOCK) {
-        let e = (s + BLOCK).min(n);
-        let mut order: Vec<usize> = (s..e).collect();
-        order.sort_by_key(|&i| p.icell[i]);
-        let (icell, vx): (Vec<u32>, Vec<f64>) =
-            order.iter().map(|&i| (p.icell[i], p.vx[i])).unzip();
-        p.icell[s..e].copy_from_slice(&icell);
-        p.vx[s..e].copy_from_slice(&vx);
     }
     p
 }
@@ -103,8 +82,6 @@ fn bench_input(c: &mut Criterion, group: &str, base: &ParticlesSoA) {
 
 fn bench_sorts(c: &mut Criterion) {
     bench_input(c, "counting_sort_random", &randomized(500_000));
-    bench_input(c, "counting_sort_block", &randomized(BLOCK));
-    bench_input(c, "counting_sort_blocks", &block_sorted(500_000));
     let drifted = drifted_landau(1_000_000).expect("valid Table I config");
     bench_input(c, "counting_sort_drifted", &drifted);
 }

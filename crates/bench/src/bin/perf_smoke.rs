@@ -22,7 +22,7 @@ use pic_core::fields::RedundantRho;
 use pic_core::grid::Grid2D;
 use pic_core::kernels::{accumulate, deposit, position, simd};
 use pic_core::particles::{initialize, InitialDistribution, ParticlesSoA};
-use pic_core::sort::{sort_out_of_place, sort_out_of_place_with, SortArena};
+use pic_core::sort::{sort_out_of_place_with, SortArena};
 use pic_core::PicError;
 use sfc::{CellLayout, Morton, RowMajor};
 use std::time::Instant;
@@ -39,7 +39,6 @@ fn setup(layout: &dyn CellLayout, n: usize) -> ParticlesSoA {
     for v in p.vx.iter_mut().chain(p.vy.iter_mut()) {
         *v *= 0.5;
     }
-    sort_out_of_place(&mut p, layout.ncells());
     p
 }
 

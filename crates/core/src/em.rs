@@ -280,9 +280,8 @@ impl Kind for EmConfig {
         self.species.clone()
     }
 
-    /// Species `index` from its own stream of the run's seed, in
-    /// block-cell order (`Loader::load_blocks`); a replicated rank keeps
-    /// its contiguous `1/nranks` of it.
+    /// Species `index` from its own streams of the run's seed, born sorted
+    /// by cell; a replicated rank keeps its contiguous `1/nranks` of it.
     fn load(
         &self,
         index: usize,
@@ -293,7 +292,7 @@ impl Kind for EmConfig {
     ) -> Result<SpeciesArena, PicError> {
         let (loader, range) =
             SpeciesArena::loader(&def, grid, layout, self.seed, index, self.replica);
-        let (p, vz) = loader.load_blocks(range, None, pool);
+        let (p, vz) = loader.load(range, pool);
         Ok(SpeciesArena::from_parts(def, p, vz, grid))
     }
 

@@ -42,7 +42,7 @@ use crate::pass::{for_each_strip, store_speed_sq, strip_pass, StripKernels};
 use crate::pool::ThreadPool;
 use crate::resilience::checkpoint::{self as ckpt, EmState, StateView};
 use crate::sim::{AnyLayout, DiagSample, Diagnostics, KernelPath, PhaseTimes};
-use crate::sort::{SortArena, MAX_PARTICLES};
+use crate::sort::{is_sorted_by_cell, SortArena, MAX_PARTICLES};
 use crate::species::{SpeciesArena, SpeciesDef};
 use crate::PicError;
 use kind::{Kick, Kind, Mover};
@@ -276,8 +276,8 @@ fn validate<C: Kind>(cfg: &C, defs: &[SpeciesDef]) -> Result<(), PicError> {
 const POOLED_SOLVE_MIN_CELLS: usize = 128 * 128;
 
 impl<C: Kind> Pic<C> {
-    /// Build and initialize: load every species, sort, deposit ρ, solve
-    /// the initial field, and take the leap-frog half-step back.
+    /// Build and initialize: load every species (born sorted), deposit ρ,
+    /// solve the initial field, and take the leap-frog half-step back.
     pub fn new(cfg: C) -> Result<Self, PicError> {
         Self::new_with_reduce(cfg, |_| {})
     }
@@ -384,8 +384,8 @@ impl<C: Kind> Pic<C> {
     }
 
     /// Initialize a [`shell`](Self::shell): load this rank's part of every
-    /// species on the pool, sort each store, deposit, solve the initial
-    /// field, and take the leap-frog half-step back.
+    /// species on the pool (born sorted), grow the sort arena, deposit,
+    /// solve the initial field, and take the leap-frog half-step back.
     fn init(mut sim: Self, reduce: impl FnOnce(&mut [f64])) -> Result<Self, PicError> {
         let ncells = sim.layout.as_dyn().ncells();
         let pool = sim.pool.as_deref();
@@ -395,15 +395,13 @@ impl<C: Kind> Pic<C> {
                 .load(index, def, &sim.grid, sim.layout.as_dyn(), pool)?;
             sim.species.push(arena);
         }
-        // Initial sort (the paper's initialization line 1), through the
-        // engine's own arena and pool so the first in-run sort finds both
-        // already grown. The loader hands over sorted blocks, so the
-        // gathers stream through ordered runs; every species is loaded
-        // first, so the loader's block scratch is gone before the arena
-        // grows.
-        for arena in &mut sim.species {
-            arena.sort(ncells, pool, &mut sim.sort_arena);
-        }
+        // The paper sorts here (initialization line 1); the loader's stores
+        // are born sorted. The engine's arena still grows and first-touches
+        // its buffers on the pool now, so the first in-run sort allocates
+        // and faults in nothing.
+        debug_assert!(sim.species.iter().all(|a| is_sorted_by_cell(&a.p)));
+        let largest = sim.species.iter().map(SpeciesArena::len).max();
+        sim.sort_arena.reserve(ncells, largest.unwrap_or(0), pool);
 
         // Initial deposit + solve (line 2), with the cross-rank reduction
         // in distributed runs.

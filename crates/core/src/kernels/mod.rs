@@ -72,41 +72,6 @@ impl<'a> SoaViewMut<'a> {
         self.icell.is_empty()
     }
 
-    /// Split the view at particle `mid` into `..mid` and `mid..`.
-    pub(crate) fn split_at(self, mid: usize) -> (SoaViewMut<'a>, SoaViewMut<'a>) {
-        let zmid = mid.min(self.vz.len());
-        let (icell, icell2) = self.icell.split_at_mut(mid);
-        let (ix, ix2) = self.ix.split_at_mut(mid);
-        let (iy, iy2) = self.iy.split_at_mut(mid);
-        let (dx, dx2) = self.dx.split_at_mut(mid);
-        let (dy, dy2) = self.dy.split_at_mut(mid);
-        let (vx, vx2) = self.vx.split_at_mut(mid);
-        let (vy, vy2) = self.vy.split_at_mut(mid);
-        let (vz, vz2) = self.vz.split_at_mut(zmid);
-        (
-            SoaViewMut {
-                icell,
-                ix,
-                iy,
-                dx,
-                dy,
-                vx,
-                vy,
-                vz,
-            },
-            SoaViewMut {
-                icell: icell2,
-                ix: ix2,
-                iy: iy2,
-                dx: dx2,
-                dy: dy2,
-                vx: vx2,
-                vy: vy2,
-                vz: vz2,
-            },
-        )
-    }
-
     /// Reborrow the sub-range `start..end` of this view.
     pub fn range_mut(&mut self, start: usize, end: usize) -> SoaViewMut<'_> {
         let nz = self.vz.len();

@@ -11,25 +11,20 @@
 //! hoisting of §IV-D is enabled (`v_stored = v_phys·Δt/Δx`), or in physical
 //! units otherwise; [`crate::sim::Simulation`] owns that convention.
 //!
-//! Every initial population comes from one [`Loader`]: fixed chunks of
-//! [`CHUNK`] particles, each drawn from its own xoshiro stream keyed by
-//! `(seed, species, chunk)`. Particle `i` is therefore a pure function of
-//! `(seed, species, i)` — the same at every pool width, and addressable by
-//! index or cell range without sampling the rest of the population.
-//!
-//! The drivers construct in *block-cell order* ([`Loader::load_blocks`]):
-//! each worker sorts every [`BLOCK`] of particles by cell while it is still
-//! in cache, so the initial sort of the whole store streams through
-//! ordered runs instead of missing on every line (DESIGN.md §19). Only
-//! the draws are scalar: positions and velocities are computed [`LANES`]
-//! particles at a time, without libm (§19.2).
+//! Every initial population comes from one [`Loader`], born sorted by
+//! cell: it draws each cell's particle count as one exact multinomial,
+//! then samples each cell's particles in place from the cell's own xoshiro
+//! stream, keyed by `(seed, species, cell)`. A particle is therefore a
+//! pure function of the seed, its species, its cell and its rank in the
+//! cell — the same at every pool width and under every layout, and
+//! addressable by index or cell range without sampling the rest of the
+//! population. No construction sorts (DESIGN.md §19).
 
 use crate::grid::Grid2D;
 use crate::kernels::simd::LANES;
 use crate::kernels::{split_soa_mut_into, SoaViewMut};
 use crate::pool::{chunk_range, ThreadPool};
 use crate::rng::{box_muller_lanes, hash_words, Rng};
-use crate::sort::{sort_columns, SortArena};
 use sfc::CellLayout;
 use std::ops::Range;
 
@@ -71,17 +66,6 @@ impl ParticlesSoA {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.icell.is_empty()
-    }
-
-    /// Drop every particle, keeping the allocations.
-    fn clear(&mut self) {
-        self.icell.clear();
-        self.ix.clear();
-        self.iy.clear();
-        self.dx.clear();
-        self.dy.clear();
-        self.vx.clear();
-        self.vy.clear();
     }
 
     /// Allocate `n` zeroed particles.
@@ -154,68 +138,66 @@ impl InitialDistribution {
     }
 }
 
-/// Particles per sampling chunk. Chunk `c` holds particles
-/// `c·CHUNK .. (c + 1)·CHUNK` and draws them from its own xoshiro stream,
-/// seeded by `hash_words(seed, [species, c])`, so a chunk can be sampled
-/// on any worker and any range of the population without the chunks
-/// before it.
-pub const CHUNK: usize = 65_536;
+/// The last key word of the count stream, `hash_words(seed, [species,
+/// COUNT_STREAM])`: no cell index reaches it.
+const COUNT_STREAM: u64 = u64::MAX;
 
-/// Particles per construction block. [`Loader::load_blocks`] cuts the
-/// population at every multiple of `BLOCK` (and at the ends of the loaded
-/// range) and sorts each block by cell while it is in cache. A divisor of
-/// [`CHUNK`], so a block never straddles two chunks or two workers; the
-/// size is DESIGN.md §19's sweep.
-pub const BLOCK: usize = 32_768;
-const _: () = assert!(CHUNK.is_multiple_of(BLOCK));
-
-/// Rejection-sample x in `[0, lx)` with density `∝ 1 + α cos(k x)`.
+/// Rejection-sample an in-cell x offset in `[0, 1)` with density
+/// `∝ 1 + α cos(k x)`, `x = (cx + offset)·h` (`cx` the cell's column, `h`
+/// the cell width).
 ///
 /// A draw with `accept ≤ 1 − |α|` is taken without evaluating the cosine.
 /// The squeeze is exact: `|cos| ≤ 1` and rounding is monotone, so
 /// `|fl(α·cos kx)| ≤ |α|` and `fl(1 + fl(α·cos kx)) ≥ fl(1 − |α|)` for
 /// every x — the test accepts exactly the draws the full test accepts, and
 /// skips `cos` for all but about `2|α|/(1 + |α|)` of them.
-fn sample_perturbed_x(rng: &mut Rng, lx: f64, alpha: f64, k: f64) -> f64 {
+fn sample_offset(rng: &mut Rng, cx: f64, h: f64, (alpha, k): (f64, f64)) -> f64 {
     debug_assert!(alpha.abs() <= 1.0);
     let squeeze = 1.0 - alpha.abs();
     loop {
-        let x = rng.range(0.0, lx);
+        let offset = rng.uniform();
         let accept = rng.range(0.0, 1.0 + alpha.abs());
-        if accept <= squeeze || accept <= 1.0 + alpha * (k * x).cos() {
-            return x;
+        if accept <= squeeze || accept <= 1.0 + alpha * (k * ((cx + offset) * h)).cos() {
+            return offset;
         }
     }
 }
 
 /// A seeded particle population: `n` particles of `dist` on `grid`,
-/// positions encoded under `layout`, velocities in *physical* units.
+/// encoded under `layout`, velocities in *physical* units, born sorted by
+/// cell (DESIGN.md §19).
 ///
-/// **Determinism.** Particle `i` is a pure function of `(seed, species,
-/// i)`: it is the `i mod CHUNK`-th draw sequence of chunk `i / CHUNK`'s
-/// stream ([`CHUNK`]). A load is therefore bit-identical at every pool
-/// width, and any index range or cell range of the population equals the
-/// matching part of a full load — which is how a replicated rank samples
-/// only its own share and a decomposed rank only its own cells.
+/// **Counts.** The loader first draws how many particles each cell holds
+/// as one exact multinomial: a chain of exact binomials over the cells in
+/// row-major order `r = ix·ncy + iy`,
+/// `n_r ~ Bin(n − Σ_{r′<r} n_r′, p_r / Σ_{r′≥r} p_r′)`, from one stream
+/// keyed by `(seed, species)`, with `p_r` the closed-form integral of the
+/// density over the cell. In the store, cell `c` of `layout` holds the
+/// particles `C(c) ≤ i < C(c + 1)`, `C` the prefix sums of the counts in
+/// `icell` order. Every loader draws all the counts, in O(cells).
 ///
-/// Each particle draws, in order: x (rejection-sampled when the density is
-/// perturbed), y, the beam sign (two-stream only) and the two uniforms of
-/// one Box–Muller pair for (vx, vy). A 2d3v species draws `vz` — the
-/// cosine half of one more pair — from a second stream per chunk,
-/// `hash_words(seed, [species, c, 1])`, so its in-plane columns are those
-/// of the 2d2v population with the same seed and species.
+/// **Particles.** Cell `r` samples its particles from its own xoshiro
+/// stream, `hash_words(seed, [species, r])`: each draws its x offset (by
+/// [`sample_offset`] when the density is perturbed), its y offset, the beam
+/// sign (two-stream only) and the two uniforms of one Box–Muller pair for
+/// (vx, vy). A 2d3v species draws `vz` — the cosine half of one more pair —
+/// from a second stream per cell, `hash_words(seed, [species, r, 1])`, so
+/// its in-plane columns are those of the 2d2v population with the same
+/// seed and species. Given the counts, the offsets are i.i.d. from the
+/// density restricted to the cell, so the store has the law of `n` i.i.d.
+/// particles, stably sorted by cell.
 ///
-/// Sampling runs in stages over lane blocks of [`LANES`] particles
-/// (DESIGN.md §19.2). A scalar walk makes the draws; a position stage
-/// splits each block's (x, y) into cells and offsets and encodes the cells
-/// in one batch; the particles a cell filter keeps are gathered into new
-/// blocks, and a velocity stage turns their uniforms into Box–Muller pairs
-/// ([`crate::rng::box_muller_lanes`]). A short block is padded. Every lane
-/// is a function of its own draws only, so velocities too are a pure
-/// function of `(seed, species, i)`, and a particle that a cell filter
-/// drops (or that [`cell_counts`](Self::cell_counts) only counts) never
-/// reaches the velocity stage.
-#[derive(Clone, Copy)]
+/// **Determinism.** The `k`-th particle of a cell is a pure function of
+/// `(seed, species, ix, iy, k)`: every layout holds the same particles, in
+/// the same order within each cell; a load is bit-identical at every pool
+/// width; and any index range equals the matching part of a full load. A
+/// cell range is the index range [`cell_range`](Self::cell_range) gives,
+/// so a decomposed rank samples only its own particles.
+///
+/// Velocities are computed [`LANES`] particles at a time
+/// ([`crate::rng::box_muller_lanes`]); each lane is a function of its own
+/// uniforms only.
+#[derive(Clone)]
 pub struct Loader<'a> {
     grid: &'a Grid2D,
     layout: &'a dyn CellLayout,
@@ -224,6 +206,9 @@ pub struct Loader<'a> {
     seed: u64,
     species: u64,
     vz: bool,
+    /// `C(c)`, the first particle of cell `c`: `ncells + 1` entries, the
+    /// last `n`.
+    starts: Vec<usize>,
 }
 
 impl<'a> Loader<'a> {
@@ -235,266 +220,271 @@ impl<'a> Loader<'a> {
         n: usize,
         seed: u64,
     ) -> Self {
-        Self {
+        Self::build(grid, layout, dist, n, seed, 0, false)
+    }
+
+    /// Species `index` of a multi-species run, with an out-of-plane `vz`
+    /// column sampled at the distribution's thermal spread.
+    pub fn species(
+        grid: &'a Grid2D,
+        layout: &'a dyn CellLayout,
+        dist: InitialDistribution,
+        n: usize,
+        seed: u64,
+        index: usize,
+    ) -> Self {
+        Self::build(grid, layout, dist, n, seed, index as u64, true)
+    }
+
+    fn build(
+        grid: &'a Grid2D,
+        layout: &'a dyn CellLayout,
+        dist: InitialDistribution,
+        n: usize,
+        seed: u64,
+        species: u64,
+        vz: bool,
+    ) -> Self {
+        let mut loader = Self {
             grid,
             layout,
             dist,
             n,
             seed,
-            species: 0,
-            vz: false,
+            species,
+            vz,
+            starts: Vec::new(),
+        };
+        loader.starts = loader.draw_starts();
+        loader
+    }
+
+    /// `(α, k)` of a perturbed density, `None` for a uniform one.
+    fn perturbation(&self) -> Option<(f64, f64)> {
+        match self.dist {
+            InitialDistribution::Landau { alpha, k }
+            | InitialDistribution::TwoStream { alpha, k, .. }
+            | InitialDistribution::DriftingMaxwellian { alpha, k, .. }
+                if alpha != 0.0 =>
+            {
+                Some((alpha, k))
+            }
+            _ => None,
         }
     }
 
-    /// Species `index` of a multi-species run, with an out-of-plane `vz`
-    /// column sampled at the distribution's thermal spread.
-    pub fn species(self, index: usize) -> Self {
-        Self {
-            species: index as u64,
-            vz: true,
-            ..self
-        }
+    /// Cell `c`'s `(ix, iy)` and row-major index `r`, which keys its
+    /// streams.
+    fn cell(&self, c: usize) -> (usize, usize, usize) {
+        let (cx, cy) = self.layout.decode(c);
+        (cx, cy, cx * self.grid.ncy + cy)
     }
 
-    /// Sample the particles with index in `range` and, if `cells` is set,
-    /// an initial cell index in `cells`, in index order — on `pool`, one
-    /// contiguous run of chunks per worker. Returns the store and its `vz`
-    /// column (empty without [`species`](Self::species)).
-    pub fn load(
-        &self,
-        range: Range<usize>,
-        cells: Option<Range<u32>>,
-        pool: Option<&ThreadPool>,
-    ) -> (ParticlesSoA, Vec<f64>) {
-        let end = |c: usize| chunk_end(c, &range);
-        match cells {
-            None => self.fill_in_place(&range, pool, |chunks, first, view| {
-                for c in chunks {
-                    let mut s = self.stream(c, range.start);
-                    s.sample(end(c), |_| true, |i, run| run.write(view, i - first));
-                }
-            }),
-            Some(cells) => self.fill_appending(&range, pool, |chunks, p, vz| {
-                for c in chunks {
-                    let mut s = self.stream(c, range.start);
-                    let keep = |icell| cells.contains(&icell);
-                    s.sample(end(c), keep, |_, run| run.append(p, vz));
-                }
-            }),
+    /// The counts' prefix sums in `icell` order: the binomial chain over the
+    /// cells in row-major order, each weighted by `∫ (1 + α cos kx) dx`
+    /// over its column.
+    fn draw_starts(&self) -> Vec<usize> {
+        let (ncx, ncy) = (self.grid.ncx, self.grid.ncy);
+        let h = self.grid.dx();
+        let column = |cx: usize| match self.perturbation() {
+            Some((alpha, k)) => {
+                let x0 = cx as f64 * h;
+                (h + alpha / k * ((k * (x0 + h)).sin() - (k * x0).sin())).max(0.0)
+            }
+            None => h,
+        };
+        let columns: Vec<f64> = (0..ncx).map(column).collect();
+        let weight = |r: usize| columns[r / ncy];
+        let mut tail = vec![0.0; ncx * ncy + 1];
+        for r in (0..ncx * ncy).rev() {
+            tail[r] = weight(r) + tail[r + 1];
         }
+        let mut rng = Rng::seed_from_u64(hash_words(self.seed, &[self.species, COUNT_STREAM]));
+        let mut placed = 0;
+        let counts: Vec<usize> = (0..ncx * ncy)
+            .map(|r| {
+                // The last cell of positive weight has `tail == weight`:
+                // share 1, so it takes every particle still unplaced.
+                let left = self.n - placed;
+                let share = if tail[r] > 0.0 {
+                    weight(r) / tail[r]
+                } else {
+                    0.0
+                };
+                let k = rng.binomial(left as u64, share.min(1.0)) as usize;
+                placed += k;
+                k
+            })
+            .collect();
+        assert_eq!(placed, self.n, "the count chain places every particle");
+        let mut starts = Vec::with_capacity(counts.len() + 1);
+        starts.push(0);
+        for c in 0..counts.len() {
+            starts.push(starts[c] + counts[self.cell(c).2]);
+        }
+        starts
     }
 
-    /// The particles of [`load`](Self::load) in *block-cell order*: cut at
-    /// every multiple of [`BLOCK`] of the population index and at the ends
-    /// of `range`, each block stably sorted by `icell` through the sort
-    /// engine while it is in the worker's cache, the blocks in index order.
-    ///
-    /// A stable sort of consecutive, stably sorted blocks is the stable
-    /// sort of their concatenation, so sorting this store gives what
-    /// sorting `load`'s gives, bit for bit, with its gathers streaming
-    /// through ordered runs. The blocks do not depend on the pool, so the
-    /// store is bit-identical at every pool width too. Each worker holds
-    /// one block and its sort scratch, freed on return.
-    pub fn load_blocks(
-        &self,
-        range: Range<usize>,
-        cells: Option<Range<u32>>,
-        pool: Option<&ThreadPool>,
-    ) -> (ParticlesSoA, Vec<f64>) {
-        let ncells = self.layout.ncells();
-        let end = |c: usize| chunk_end(c, &range);
-        // The next block edge after particle `i` of chunk `c`.
-        let edge = |c: usize, i: usize| ((i / BLOCK + 1) * BLOCK).min(end(c));
-        match cells {
-            None => self.fill_in_place(&range, pool, |chunks, first, view| {
-                let mut b = Block::default();
-                for c in chunks {
-                    let mut s = self.stream(c, range.start);
-                    while s.next < end(c) {
-                        let start = s.next;
-                        s.sample(
-                            edge(c, start),
-                            |_| true,
-                            |_, run| run.append(&mut b.p, &mut b.vz),
-                        );
-                        b.flush(ncells, |run| run.write(view, start - first));
-                    }
-                }
-            }),
-            Some(cells) => self.fill_appending(&range, pool, |chunks, out, out_vz| {
-                let mut b = Block::default();
-                for c in chunks {
-                    let mut s = self.stream(c, range.start);
-                    while s.next < end(c) {
-                        let keep = |icell| cells.contains(&icell);
-                        s.sample(edge(c, s.next), keep, |_, run| {
-                            run.append(&mut b.p, &mut b.vz)
-                        });
-                        b.flush(ncells, |run| run.append(out, out_vz));
-                    }
-                }
-            }),
-        }
+    /// Particles per cell, in `icell` order: the drawn counts.
+    pub fn cell_counts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.starts.windows(2).map(|w| w[1] - w[0])
     }
 
-    /// A load of known size: every worker fills its own slice of the
-    /// columns in place, so each first-touches the pages it fills. `fill`
-    /// runs once per worker, on its chunks, the index of its slice's first
-    /// particle and the slice.
-    fn fill_in_place(
-        &self,
-        range: &Range<usize>,
-        pool: Option<&ThreadPool>,
-        fill: impl Fn(Range<usize>, usize, &mut SoaViewMut<'_>) + Sync,
-    ) -> (ParticlesSoA, Vec<f64>) {
+    /// The index range of the particles in `cells`.
+    pub fn cell_range(&self, cells: Range<u32>) -> Range<usize> {
+        self.starts[cells.start as usize]..self.starts[cells.end as usize]
+    }
+
+    /// Sample the particles with index in `range` — on `pool`, one
+    /// [`chunk_range`] share per worker, each filling its own slice of the
+    /// columns in place (so it first-touches the pages it fills). Returns
+    /// the store, sorted by cell, and its `vz` column (empty without
+    /// [`species`](Self::species)).
+    pub fn load(&self, range: Range<usize>, pool: Option<&ThreadPool>) -> (ParticlesSoA, Vec<f64>) {
         assert!(range.start <= range.end && range.end <= self.n);
         let len = range.len();
         let mut p = ParticlesSoA::zeroed(len);
         let mut vz = vec![0.0; if self.vz { len } else { 0 }];
-        let mut whole = [None];
-        split_soa_mut_into(&mut p, &mut vz, 1, &mut whole);
-        let mut rest = whole[0].take().expect("one view");
-        let first = |c: usize| (c * CHUNK).clamp(range.start, range.end);
-        let shares = self.worker_shares(range, pool);
-        let mut items = Vec::with_capacity(shares.len());
-        for chunks in shares {
-            let (a, b) = (first(chunks.start), first(chunks.end));
-            let (head, tail) = rest.split_at(b - a);
-            rest = tail;
-            items.push((chunks, a, head));
-        }
-        run_workers(pool, &mut items, |(chunks, first, view)| {
-            fill(chunks.clone(), *first, view)
-        });
-        (p, vz)
-    }
-
-    /// A load of unknown size (a cell filter): each worker appends what it
-    /// keeps to its own store, and the stores are joined in worker (index)
-    /// order. `fill` runs once per worker, on its chunks, its store and
-    /// its `vz` column.
-    fn fill_appending(
-        &self,
-        range: &Range<usize>,
-        pool: Option<&ThreadPool>,
-        fill: impl Fn(Range<usize>, &mut ParticlesSoA, &mut Vec<f64>) + Sync,
-    ) -> (ParticlesSoA, Vec<f64>) {
-        assert!(range.start <= range.end && range.end <= self.n);
-        let mut items: Vec<_> = self
-            .worker_shares(range, pool)
-            .into_iter()
-            .map(|chunks| (chunks, ParticlesSoA::default(), Vec::new()))
-            .collect();
-        run_workers(pool, &mut items, |(chunks, p, vz)| {
-            fill(chunks.clone(), p, vz)
-        });
-        let mut runs = items.into_iter().map(|(_, p, vz)| (p, vz));
-        let (mut p, mut vz) = runs.next().expect("at least one worker");
-        for (q, qz) in runs {
-            Run::of(&q, &qz).append(&mut p, &mut vz);
-        }
-        (p, vz)
-    }
-
-    /// Particles per cell of the whole population (`layout.ncells()`
-    /// entries) without storing it — the load histogram a weighted
-    /// partition cuts. Sampled on `pool` like [`load`](Self::load).
-    pub fn cell_counts(&self, pool: Option<&ThreadPool>) -> Vec<f64> {
-        let ncells = self.layout.ncells();
-        let range = 0..self.n;
-        let mut items: Vec<_> = self
-            .worker_shares(&range, pool)
-            .into_iter()
-            .map(|chunks| (chunks, vec![0.0f64; ncells]))
-            .collect();
-        run_workers(pool, &mut items, |(chunks, counts)| {
-            for c in chunks.clone() {
-                let (mut s, end) = (self.stream(c, 0), chunk_end(c, &range));
-                let mut b = Lanes::default();
-                while s.next < end {
-                    s.next_block(end, &mut b);
-                    for &cell in &b.icell[..b.len] {
-                        counts[cell as usize] += 1.0;
-                    }
-                }
-            }
-        });
-        let mut runs = items.into_iter().map(|(_, counts)| counts);
-        let mut total = runs.next().expect("at least one worker");
-        for counts in runs {
-            for (t, c) in total.iter_mut().zip(&counts) {
-                *t += c;
-            }
-        }
-        total
-    }
-
-    /// The chunks that overlap `range`, cut into one contiguous run per
-    /// worker of `pool` (one run without a pool).
-    fn worker_shares(&self, range: &Range<usize>, pool: Option<&ThreadPool>) -> Vec<Range<usize>> {
-        let (c0, c1) = (range.start / CHUNK, range.end.div_ceil(CHUNK));
         let width = pool.map_or(1, ThreadPool::nthreads);
-        (0..width)
-            .map(|w| {
-                let (a, b) = chunk_range(c1 - c0, width, w);
-                c0 + a..c0 + b
-            })
-            .collect()
-    }
-
-    /// Chunk `c`'s streams, walked up to particle `from` (the draws before
-    /// it made and dropped).
-    fn stream(&self, c: usize, from: usize) -> ChunkStream<'a> {
-        let key = [self.species, c as u64, 1];
-        let mut s = ChunkStream {
-            loader: *self,
-            rng: Rng::seed_from_u64(hash_words(self.seed, &key[..2])),
-            vz_rng: self
-                .vz
-                .then(|| Rng::seed_from_u64(hash_words(self.seed, &key))),
-            next: c * CHUNK,
+        let mut views: Vec<_> = (0..width).map(|_| None).collect();
+        split_soa_mut_into(&mut p, &mut vz, width, &mut views);
+        let mut items: Vec<_> = views
+            .into_iter()
+            .enumerate()
+            .filter_map(|(w, view)| Some((range.start + chunk_range(len, width, w).0, view?)))
+            .collect();
+        let fill = |(first, view): &mut (usize, SoaViewMut<'_>)| {
+            let first = *first;
+            // First touch, one column at a time: each column's pages then
+            // lie together in memory, as a sort's column-by-column gathers
+            // leave them, where writing all columns lane block by lane
+            // block would interleave them (DESIGN.md §19).
+            self.fill_cells(first, view);
+            for col in [
+                &mut view.dx,
+                &mut view.dy,
+                &mut view.vx,
+                &mut view.vy,
+                &mut view.vz,
+            ] {
+                col.fill(0.0);
+            }
+            let mut walk = Walk::new(self, first);
+            walk.sample(first + view.len(), |i, lanes| lanes.write(view, i - first));
         };
-        let mut dropped = Lanes::default();
-        while s.next < from {
-            dropped.len = 0;
-            s.draw(&mut dropped);
+        match pool {
+            Some(pool) => pool.run_items(&mut items, |_, item| fill(item)),
+            None => items.iter_mut().for_each(fill),
         }
-        s
+        (p, vz)
+    }
+
+    /// Write the index columns of `view`, whose first particle is `first`:
+    /// each cell's run of `icell`, `ix` and `iy`, one column after the
+    /// other.
+    fn fill_cells(&self, first: usize, view: &mut SoaViewMut<'_>) {
+        let end = first + view.len();
+        if first == end {
+            return;
+        }
+        let runs = || {
+            (self.cell_of(first)..=self.cell_of(end - 1)).filter_map(move |c| {
+                let (a, b) = (self.starts[c].max(first), self.starts[c + 1].min(end));
+                (a < b).then(|| (c, a - first..b - first))
+            })
+        };
+        for (c, run) in runs() {
+            view.icell[run].fill(c as u32);
+        }
+        for (c, run) in runs() {
+            view.ix[run].fill(self.cell(c).0 as u32);
+        }
+        for (c, run) in runs() {
+            view.iy[run].fill(self.cell(c).1 as u32);
+        }
+    }
+
+    /// The cell particle `i < n` lives in.
+    fn cell_of(&self, i: usize) -> usize {
+        self.starts[1..].partition_point(|&s| s <= i)
     }
 }
 
-/// One past the last particle of chunk `c` inside `range`.
-fn chunk_end(c: usize, range: &Range<usize>) -> usize {
-    ((c + 1) * CHUNK).min(range.end)
-}
-
-/// A chunk's draw streams, at particle `next` (see [`Loader`] for the
+/// A walk through the population in index order, at particle `next` of
+/// cell `cell`, holding that cell's draw streams (see [`Loader`] for the
 /// draws and their order).
-struct ChunkStream<'a> {
-    loader: Loader<'a>,
+struct Walk<'l> {
+    loader: &'l Loader<'l>,
+    next: usize,
+    cell: usize,
+    /// One past the last particle of `cell`.
+    cell_end: usize,
+    /// `cell`'s column, as the density's phase needs it.
+    cx: f64,
     rng: Rng,
     vz_rng: Option<Rng>,
-    next: usize,
+    /// The loader's density perturbation and the cell width.
+    wave: Option<(f64, f64)>,
+    h: f64,
 }
 
-impl ChunkStream<'_> {
-    /// The scalar walk: particle `next`'s draws, into lane `b.len` of `b`.
+impl<'l> Walk<'l> {
+    /// A walk at particle `from`: its cell's streams, with the draws of
+    /// the cell's particles before it made and dropped.
+    fn new(loader: &'l Loader<'l>, from: usize) -> Self {
+        let mut walk = Self {
+            loader,
+            next: from,
+            cell: 0,
+            cell_end: 0,
+            cx: 0.0,
+            rng: Rng::seed_from_u64(0),
+            vz_rng: None,
+            wave: loader.perturbation(),
+            h: loader.grid.dx(),
+        };
+        if from < loader.n {
+            walk.enter(loader.cell_of(from));
+            let mut dropped = Lanes::default();
+            while walk.next < from {
+                dropped.len = 0;
+                walk.draw(&mut dropped);
+            }
+        }
+        walk
+    }
+
+    /// Move to the first particle of cell `c` and seed its streams.
+    fn enter(&mut self, c: usize) {
+        let loader = self.loader;
+        let (cx, _, r) = loader.cell(c);
+        let key = [loader.species, r as u64, 1];
+        self.rng = Rng::seed_from_u64(hash_words(loader.seed, &key[..2]));
+        self.vz_rng = loader
+            .vz
+            .then(|| Rng::seed_from_u64(hash_words(loader.seed, &key)));
+        (self.cell, self.cx) = (c, cx as f64);
+        (self.next, self.cell_end) = (loader.starts[c], loader.starts[c + 1]);
+    }
+
+    /// Particle `next`'s draws, into lane `b.len` of `b`.
     #[inline]
     fn draw(&mut self, b: &mut Lanes) {
-        let Loader { grid, dist, .. } = self.loader;
+        let mut c = self.cell;
+        while self.next >= self.cell_end {
+            c += 1;
+            self.cell_end = self.loader.starts[c + 1];
+            if self.next < self.cell_end {
+                self.enter(c);
+            }
+        }
         let rng = &mut self.rng;
-        let x = match dist {
-            InitialDistribution::Landau { alpha, k }
-            | InitialDistribution::TwoStream { alpha, k, .. } => {
-                sample_perturbed_x(rng, grid.lx, alpha, k)
-            }
-            InitialDistribution::DriftingMaxwellian { alpha, k, .. } if alpha != 0.0 => {
-                sample_perturbed_x(rng, grid.lx, alpha, k)
-            }
-            _ => rng.range(0.0, grid.lx),
+        let dx = match self.wave {
+            Some(wave) => sample_offset(rng, self.cx, self.h, wave),
+            None => rng.uniform(),
         };
-        let y = rng.range(0.0, grid.ly);
-        let shift = match dist {
+        let dy = rng.uniform();
+        let shift = match self.loader.dist {
             InitialDistribution::TwoStream { v0, .. } => {
                 if rng.coin() {
                     v0
@@ -510,82 +500,46 @@ impl ChunkStream<'_> {
         if let Some(z) = self.vz_rng.as_mut() {
             (b.z1[l], b.z2[l]) = (z.uniform(), z.uniform());
         }
-        (b.index[l], b.x[l], b.y[l], b.shift[l]) = (self.next, x, y, shift);
+        (b.dx[l], b.dy[l], b.shift[l]) = (dx, dy, shift);
         b.len += 1;
         self.next += 1;
     }
 
-    /// The next (up to) [`LANES`] particles before `end`: drawn by the
-    /// scalar walk, then placed in their cells together.
+    /// Sample particles `next..end` [`LANES`] at a time: `emit` gets each
+    /// lane block with the index of its first particle.
     #[inline]
-    fn next_block(&mut self, end: usize, b: &mut Lanes) {
-        b.len = 0;
-        while b.len < LANES && self.next < end {
-            self.draw(b);
-        }
-        b.place(self.loader.grid, self.loader.layout);
-    }
-
-    /// Sample particles `next..end`: draw and place them [`LANES`] at a
-    /// time, gather the ones whose cell `keep` accepts, and give those
-    /// their velocities [`LANES`] at a time. `emit` gets them in index
-    /// order, as runs of at most [`LANES`] with the index of each run's
-    /// first particle (consecutive indices when `keep` accepts all).
-    #[inline]
-    fn sample(
-        &mut self,
-        end: usize,
-        keep: impl Fn(u32) -> bool,
-        mut emit: impl FnMut(usize, Run<'_>),
-    ) {
+    fn sample(&mut self, end: usize, mut emit: impl FnMut(usize, &Lanes)) {
         let (vt, vz) = (self.loader.dist.thermal_spread(), self.loader.vz);
-        let mut drawn = Lanes::default();
-        let mut kept = Lanes::default();
+        let mut b = Lanes::default();
         while self.next < end {
-            self.next_block(end, &mut drawn);
-            for l in 0..drawn.len {
-                if keep(drawn.icell[l]) {
-                    kept.take(&drawn, l);
-                    if kept.len == LANES {
-                        kept.finish(vt, vz);
-                        emit(kept.index[0], kept.run(vz));
-                        kept.len = 0;
-                    }
-                }
+            let first = self.next;
+            b.len = 0;
+            while b.len < LANES && self.next < end {
+                self.draw(&mut b);
             }
-        }
-        if kept.len > 0 {
-            kept.finish(vt, vz);
-            emit(kept.index[0], kept.run(vz));
+            b.finish(vt, vz);
+            emit(first, &b);
         }
     }
 }
 
-/// Up to [`LANES`] particles on their way through the stages, column by
-/// column. Lanes past `len` keep whatever they held: every stage computes
-/// all [`LANES`] lanes, each from its own inputs only, so padding never
-/// reaches a particle.
+/// Up to [`LANES`] consecutive particles on their way from their draws to
+/// the store, column by column. Lanes past `len` keep whatever they held:
+/// the velocity stage computes all [`LANES`] lanes, each from its own
+/// inputs only, so padding never reaches a particle.
 #[derive(Default)]
 struct Lanes {
     len: usize,
-    /// Each particle's population index.
-    index: [usize; LANES],
-    // The scalar walk's draws: the position, the mean x-velocity (the
-    // beam's `±v0`, the drift `v0x`, or zero), and the uniforms of the
-    // (vx, vy) pair and of the `vz` pair (zero without `vz`).
-    x: [f64; LANES],
-    y: [f64; LANES],
+    // The draws: the offsets, the mean x-velocity (the beam's `±v0`, the
+    // drift `v0x`, or zero), and the uniforms of the (vx, vy) pair and of
+    // the `vz` pair (zero without `vz`).
+    dx: [f64; LANES],
+    dy: [f64; LANES],
     shift: [f64; LANES],
     u1: [f64; LANES],
     u2: [f64; LANES],
     z1: [f64; LANES],
     z2: [f64; LANES],
-    // The position stage's cells and offsets.
-    icell: [u32; LANES],
-    ix: [u32; LANES],
-    iy: [u32; LANES],
-    dx: [f64; LANES],
-    dy: [f64; LANES],
     // The velocity stage's output.
     vx: [f64; LANES],
     vy: [f64; LANES],
@@ -593,36 +547,6 @@ struct Lanes {
 }
 
 impl Lanes {
-    /// The position stage: every lane's cell and in-cell offsets, by the
-    /// grid's own split (so bit for bit those of a scalar split) and one
-    /// batched encode.
-    #[inline]
-    fn place(&mut self, grid: &Grid2D, layout: &dyn CellLayout) {
-        let (mut cx, mut cy, mut cell) = ([0; LANES], [0; LANES], [0; LANES]);
-        for l in 0..LANES {
-            (cx[l], self.dx[l]) = grid.split_x(grid.to_grid_x(self.x[l]));
-            (cy[l], self.dy[l]) = grid.split_y(grid.to_grid_y(self.y[l]));
-        }
-        layout.encode_batch(&cx, &cy, &mut cell);
-        for l in 0..LANES {
-            self.icell[l] = cell[l] as u32;
-            self.ix[l] = cx[l] as u32;
-            self.iy[l] = cy[l] as u32;
-        }
-    }
-
-    /// Append lane `l` of `from` (drawn and placed) to this block.
-    #[inline]
-    fn take(&mut self, from: &Lanes, l: usize) {
-        let k = self.len;
-        self.index[k] = from.index[l];
-        (self.icell[k], self.ix[k], self.iy[k]) = (from.icell[l], from.ix[l], from.iy[l]);
-        (self.dx[k], self.dy[k], self.shift[k]) = (from.dx[l], from.dy[l], from.shift[l]);
-        (self.u1[k], self.u2[k]) = (from.u1[l], from.u2[l]);
-        (self.z1[k], self.z2[k]) = (from.z1[l], from.z2[l]);
-        self.len += 1;
-    }
-
     /// The velocity stage: every lane's Box–Muller pair (and `vz`'s, when
     /// the load has it), scaled by the thermal spread `vt`.
     #[inline]
@@ -640,111 +564,22 @@ impl Lanes {
         }
     }
 
-    /// The particles of the block (with `vz`, when the load has it).
-    fn run(&self, vz: bool) -> Run<'_> {
-        let n = self.len;
-        Run {
-            icell: &self.icell[..n],
-            ix: &self.ix[..n],
-            iy: &self.iy[..n],
-            dx: &self.dx[..n],
-            dy: &self.dy[..n],
-            vx: &self.vx[..n],
-            vy: &self.vy[..n],
-            vz: if vz { &self.vz[..n] } else { &[] },
-        }
-    }
-}
-
-/// A run of sampled particles, column by column: a lane block or a
-/// sorted construction block. `vz` is empty when the load has none.
-#[derive(Clone, Copy)]
-struct Run<'r> {
-    icell: &'r [u32],
-    ix: &'r [u32],
-    iy: &'r [u32],
-    dx: &'r [f64],
-    dy: &'r [f64],
-    vx: &'r [f64],
-    vy: &'r [f64],
-    vz: &'r [f64],
-}
-
-impl<'r> Run<'r> {
-    /// Every particle of `p`, with its `vz` column.
-    fn of(p: &'r ParticlesSoA, vz: &'r [f64]) -> Self {
-        Run {
-            icell: &p.icell,
-            ix: &p.ix,
-            iy: &p.iy,
-            dx: &p.dx,
-            dy: &p.dy,
-            vx: &p.vx,
-            vy: &p.vy,
-            vz,
-        }
-    }
-
-    /// Copy into `view` from slot `j` on.
+    /// Copy the block's payload columns into `view` from slot `j` on.
     fn write(&self, view: &mut SoaViewMut<'_>, j: usize) {
-        let r = j..j + self.icell.len();
-        view.icell[r.clone()].copy_from_slice(self.icell);
-        view.ix[r.clone()].copy_from_slice(self.ix);
-        view.iy[r.clone()].copy_from_slice(self.iy);
-        view.dx[r.clone()].copy_from_slice(self.dx);
-        view.dy[r.clone()].copy_from_slice(self.dy);
-        view.vx[r.clone()].copy_from_slice(self.vx);
-        view.vy[r.clone()].copy_from_slice(self.vy);
-        if !self.vz.is_empty() {
-            view.vz[r].copy_from_slice(self.vz);
+        let (r, n) = (j..j + self.len, self.len);
+        view.dx[r.clone()].copy_from_slice(&self.dx[..n]);
+        view.dy[r.clone()].copy_from_slice(&self.dy[..n]);
+        view.vx[r.clone()].copy_from_slice(&self.vx[..n]);
+        view.vy[r.clone()].copy_from_slice(&self.vy[..n]);
+        if !view.vz.is_empty() {
+            view.vz[r].copy_from_slice(&self.vz[..n]);
         }
-    }
-
-    /// Append to `p` and its `vz` column.
-    fn append(&self, p: &mut ParticlesSoA, vz: &mut Vec<f64>) {
-        p.icell.extend_from_slice(self.icell);
-        p.ix.extend_from_slice(self.ix);
-        p.iy.extend_from_slice(self.iy);
-        p.dx.extend_from_slice(self.dx);
-        p.dy.extend_from_slice(self.dy);
-        p.vx.extend_from_slice(self.vx);
-        p.vy.extend_from_slice(self.vy);
-        vz.extend_from_slice(self.vz);
-    }
-}
-
-/// One worker's construction block: the particles it kept since the last
-/// block edge, and the sort's scratch for them.
-#[derive(Default)]
-struct Block {
-    p: ParticlesSoA,
-    vz: Vec<f64>,
-    arena: SortArena,
-}
-
-impl Block {
-    /// Sort the block stably by `icell` while it is in cache, hand it to
-    /// `out` and empty it.
-    fn flush(&mut self, ncells: usize, out: impl FnOnce(Run<'_>)) {
-        let vz = Some(&mut self.vz).filter(|vz| !vz.is_empty());
-        sort_columns(&mut self.p, vz, ncells, None, &mut self.arena);
-        out(Run::of(&self.p, &self.vz));
-        self.p.clear();
-        self.vz.clear();
-    }
-}
-
-/// Run `f` on every item: one item per worker of `pool`, or inline.
-fn run_workers<T: Send>(pool: Option<&ThreadPool>, items: &mut [T], f: impl Fn(&mut T) + Sync) {
-    match pool {
-        Some(pool) => pool.run_items(items, |_, item| f(item)),
-        None => items.iter_mut().for_each(f),
     }
 }
 
 /// Create `n` particles sampled from `dist` on `grid`, velocities in
-/// *physical* units, positions encoded under `layout`: the whole
-/// population of a [`Loader`], sampled on the calling thread.
+/// *physical* units, positions encoded under `layout`, sorted by cell: the
+/// whole population of a [`Loader`], sampled on the calling thread.
 pub fn initialize(
     grid: &Grid2D,
     layout: &dyn CellLayout,
@@ -752,9 +587,7 @@ pub fn initialize(
     n: usize,
     seed: u64,
 ) -> ParticlesSoA {
-    Loader::new(grid, layout, dist, n, seed)
-        .load(0..n, None, None)
-        .0
+    Loader::new(grid, layout, dist, n, seed).load(0..n, None).0
 }
 
 /// The macro-particle weight: each of the `n` markers carries

@@ -297,7 +297,7 @@ pub struct PicConfig {
     pub keep_range: Option<(usize, usize)>,
     /// Spatial slice: of the `n_particles` population (deterministic in
     /// `seed`) keep only those whose initial cell index falls in `[lo, hi)`,
-    /// filtered chunk by chunk as they are sampled —
+    /// the index range those cells hold in the born-sorted population —
     /// the domain-decomposed counterpart of `keep_range`, where a rank owns
     /// a contiguous range of the SFC cell ordering instead of a fixed index
     /// slice of the particle population. `None` keeps everything.
@@ -372,8 +372,8 @@ impl Kind for PicConfig {
     }
 
     /// This rank's part of the population: the `keep_range` index slice,
-    /// filtered to the `keep_cells` cell range, sampled on the pool in
-    /// block-cell order (`Loader::load_blocks`), ready for the initial sort.
+    /// cut to the `keep_cells` cell range's index range, sampled on the
+    /// pool and born sorted by cell.
     fn load(
         &self,
         _index: usize,
@@ -383,7 +383,7 @@ impl Kind for PicConfig {
         pool: Option<&ThreadPool>,
     ) -> Result<SpeciesArena, PicError> {
         let n = self.n_particles;
-        let (start, end) = self.keep_range.unwrap_or((0, n));
+        let (mut start, mut end) = self.keep_range.unwrap_or((0, n));
         if start >= end || end > n {
             return Err(PicError::Config(format!(
                 "keep_range {start}..{end} out of bounds for {n} particles"
@@ -391,13 +391,16 @@ impl Kind for PicConfig {
         }
         check_keep_cells(self.keep_cells, layout.ncells())?;
         let loader = Loader::new(grid, layout, self.distribution, n, self.seed);
-        let cells = self.keep_cells.map(|(lo, hi)| lo..hi);
-        let (p, vz) = loader.load_blocks(start..end, cells, pool);
-        if let Some((lo, hi)) = self.keep_cells.filter(|_| p.is_empty()) {
-            return Err(PicError::Config(format!(
-                "keep_cells {lo}..{hi} holds no particles — subdomain too small"
-            )));
+        if let Some((lo, hi)) = self.keep_cells {
+            let cells = loader.cell_range(lo..hi);
+            (start, end) = (start.max(cells.start), end.min(cells.end));
+            if start >= end {
+                return Err(PicError::Config(format!(
+                    "keep_cells {lo}..{hi} holds no particles — subdomain too small"
+                )));
+            }
         }
+        let (p, vz) = loader.load(start..end, pool);
         Ok(SpeciesArena::from_parts(def, p, vz, grid))
     }
 

@@ -3,8 +3,7 @@
 //! The number of cells is far smaller than the number of particles, so a
 //! counting (bucket) sort runs in `O(N)`. One *permutation-first* engine
 //! sits behind [`sort_out_of_place`], [`sort_out_of_place_with`],
-//! [`pool_sort_out_of_place`], `SpeciesArena::sort` and the block sorts of
-//! `particles::Loader::load_blocks`:
+//! [`pool_sort_out_of_place`] and `SpeciesArena::sort`:
 //!
 //! 1. a histogram of `icell` and its prefix sums;
 //! 2. one scan of `icell` writes the stable permutation `perm[dst] = src`
@@ -113,6 +112,35 @@ impl SortArena {
     /// An empty arena; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Grow every buffer for `ncells` cells and stores of up to `n`
+    /// particles sorted on `pool`, and first-touch the per-particle ones
+    /// on the pool's workers, each its [`chunk_range`] share — about the
+    /// slice its cell range will write. A sort of that size then allocates
+    /// and faults in nothing.
+    pub fn reserve(&mut self, ncells: usize, n: usize, pool: Option<&ThreadPool>) {
+        let width = pool.map_or(1, ThreadPool::nthreads);
+        fit(&mut self.counts, ncells);
+        fit(&mut self.starts, ncells + 1);
+        fit(&mut self.cursor, ncells);
+        fit(&mut self.reps, ncells);
+        if width > 1 {
+            fit(&mut self.rows, width * ncells);
+        }
+        fit(&mut self.perm, n);
+        fit(&mut self.spare, n);
+        let mut items: [(&mut [u32], &mut [f64]); MAX_THREADS] =
+            std::array::from_fn(|_| Default::default());
+        let (mut perm, mut spare) = (&mut self.perm[..], &mut self.spare[..]);
+        for (w, item) in items.iter_mut().take(width).enumerate() {
+            let (a, b) = chunk_range(n, width, w);
+            *item = (take_front(&mut perm, b - a), take_front(&mut spare, b - a));
+        }
+        fan_out(pool, &mut items[..width], |_, (perm, spare)| {
+            perm.fill(0);
+            spare.fill(0.0);
+        });
     }
 }
 
@@ -383,10 +411,6 @@ const GATHER_AHEAD: usize = 128;
 /// How many source particles ahead [`scan`] hints its destination slot.
 const SCAN_AHEAD: usize = 64;
 
-/// Cells of at most this many particles refill a fixed window of slots
-/// ([`fill_index`]).
-const FILL_WINDOW: usize = 4;
-
 /// Ask the cache for the line holding `p`, ahead of the load or store that
 /// will need it. Only a hint: no value is read and nothing can change.
 #[inline(always)]
@@ -457,14 +481,6 @@ fn scan(icell: &[u32], ix: &[u32], iy: &[u32], c0: usize, starts: &[u32], task: 
 
 /// Refill one cell range's index columns: `icell` run-length from the
 /// prefix sums, `ix`/`iy` from each cell's representative.
-///
-/// A construction block leaves a couple of particles per cell, where a
-/// loop per cell would mispredict its exit on nearly every cell. So a cell
-/// of at most [`FILL_WINDOW`] particles writes a whole window of that many
-/// slots, empty or not: the slots past its run belong to later cells,
-/// which are written after it and overwrite them, so every slot ends with
-/// its own cell's values. Longer cells, and windows that would run past
-/// the range's end, write their run exactly.
 fn fill_index(
     c0: usize,
     starts: &[u32],
@@ -474,14 +490,8 @@ fn fill_index(
     let base = starts[0];
     for (k, (w, &(x, y))) in starts.windows(2).zip(reps).enumerate() {
         let (s, e) = ((w[0] - base) as usize, (w[1] - base) as usize);
-        let c = (c0 + k) as u32;
-        if e - s <= FILL_WINDOW && s + FILL_WINDOW <= icell.len() {
-            let window = s..s + FILL_WINDOW;
-            icell[window.clone()].copy_from_slice(&[c; FILL_WINDOW]);
-            ix[window.clone()].copy_from_slice(&[x; FILL_WINDOW]);
-            iy[window].copy_from_slice(&[y; FILL_WINDOW]);
-        } else if s < e {
-            icell[s..e].fill(c);
+        if s < e {
+            icell[s..e].fill((c0 + k) as u32);
             ix[s..e].fill(x);
             iy[s..e].fill(y);
         }

@@ -96,9 +96,8 @@ pub struct SpeciesArena {
 impl SpeciesArena {
     /// Initialize species number `index` of a run seeded `seed` on `grid`
     /// under `layout`: positions and all three velocity components come
-    /// from the [`Loader`] of `(seed, index)`, sampled on `pool` in index
-    /// order. (The EM driver constructs the same particles in block-cell
-    /// order, `Loader::load_blocks`, and sorts them.)
+    /// from the [`Loader`] of `(seed, index)`, sampled on `pool` and born
+    /// sorted by cell.
     ///
     /// An optional `slice = (rank, nranks)` samples only this rank's
     /// contiguous index range — the replicated-decomposition convention
@@ -115,7 +114,7 @@ impl SpeciesArena {
         pool: Option<&ThreadPool>,
     ) -> Self {
         let (loader, range) = Self::loader(&def, grid, layout, seed, index, slice);
-        let (p, vz) = loader.load(range, None, pool);
+        let (p, vz) = loader.load(range, pool);
         Self::from_parts(def, p, vz, grid)
     }
 
@@ -131,7 +130,7 @@ impl SpeciesArena {
     ) -> (Loader<'a>, Range<usize>) {
         let n = def.n_particles;
         let (s, e) = slice.map_or((0, n), |(rank, nranks)| chunk_range(n, nranks, rank));
-        let loader = Loader::new(grid, layout, def.distribution, n, seed).species(index);
+        let loader = Loader::species(grid, layout, def.distribution, n, seed, index);
         (loader, s..e)
     }
 
@@ -292,6 +291,20 @@ mod tests {
         let l = RowMajor::new(16, 16).unwrap();
         let def = SpeciesDef::electrons(5000, InitialDistribution::Uniform);
         let mut a = SpeciesArena::initialize(def, &g, &l, 2, 0, None, None);
+        // The store is born sorted: deal it out by a stride coprime to its
+        // length so the sort has particles to move.
+        fn deal<T: Copy>(v: &mut Vec<T>) {
+            *v = (0..v.len()).map(|i| v[i * 7919 % v.len()]).collect();
+        }
+        let p = &mut a.p;
+        deal(&mut p.icell);
+        deal(&mut p.ix);
+        deal(&mut p.iy);
+        deal(&mut p.dx);
+        deal(&mut p.dy);
+        deal(&mut p.vx);
+        deal(&mut p.vy);
+        assert!(!crate::sort::is_sorted_by_cell(&a.p));
         // Tag each particle: vz = f(icell, vx) so the pairing survives any
         // permutation check.
         let mut pairs: Vec<(u64, u64)> = Vec::new();

@@ -12,7 +12,6 @@ use minimpi::Comm;
 use pic_core::faultlog::{FaultKind, FaultLog};
 use pic_core::grid::Grid2D;
 use pic_core::particles::{Loader, ParticlesSoA};
-use pic_core::pool::ThreadPool;
 use pic_core::resilience::checkpoint as ckpt;
 use pic_core::sim::{PicConfig, Simulation};
 use pic_core::PicError;
@@ -243,22 +242,22 @@ impl DecomposedSimulation {
             .expect("calling rank is a group member");
 
         let partition = if dcfg.weighted {
-            // Histogram the (deterministic) initial population's per-cell
-            // loads without keeping it; every rank computes the same cut.
+            // The (deterministic) initial population's per-cell counts,
+            // drawn without sampling a particle; every rank computes the
+            // same cut.
             let grid = Grid2D::new(cfg.grid_nx, cfg.grid_ny, cfg.lx, cfg.ly)?;
             let layout = cfg
                 .ordering
                 .build(cfg.grid_nx, cfg.grid_ny)
                 .map_err(PicError::from)?;
-            let pool = (cfg.threads > 1).then(|| ThreadPool::new(cfg.threads));
-            let w = Loader::new(
+            let loader = Loader::new(
                 &grid,
                 layout.as_ref(),
                 cfg.distribution,
                 cfg.n_particles,
                 cfg.seed,
-            )
-            .cell_counts(pool.as_ref());
+            );
+            let w: Vec<f64> = loader.cell_counts().map(|n| n as f64).collect();
             Partition::new_weighted(cfg.ordering, cfg.grid_nx, cfg.grid_ny, nranks, &w)?
         } else {
             Partition::new(cfg.ordering, cfg.grid_nx, cfg.grid_ny, nranks)?

@@ -5,6 +5,9 @@
 //! **J**) arenas, the sort arenas, the spectral solve scratch, and the
 //! stack-array fork-join views mean the hot loop never touches the
 //! allocator once the first sort period has populated every scratch buffer.
+//! Construction grows the sort arena itself (the stores are born sorted,
+//! so it sorts nothing), and the first sort period after it — the first
+//! in-run sort included — allocates nothing either.
 //!
 //! Mechanism: a counting `#[global_allocator]` that forwards to the system
 //! allocator and, while the `TRACK` flag is up, counts every allocation
@@ -71,6 +74,21 @@ fn steady_state_allocs<S>(sim: &mut S, reserve: fn(&mut S, usize), run: fn(&mut 
     ALLOC_CALLS.load(Ordering::SeqCst)
 }
 
+/// Count allocator calls over the first `SORT_PERIOD + 1` steps of a
+/// freshly built simulation, which include its first sort.
+fn first_sort_period_allocs<S>(
+    sim: &mut S,
+    reserve: fn(&mut S, usize),
+    run: fn(&mut S, usize),
+) -> u64 {
+    reserve(sim, SORT_PERIOD + 16);
+    ALLOC_CALLS.store(0, Ordering::SeqCst);
+    TRACK.store(true, Ordering::SeqCst);
+    run(sim, SORT_PERIOD + 1);
+    TRACK.store(false, Ordering::SeqCst);
+    ALLOC_CALLS.load(Ordering::SeqCst)
+}
+
 #[test]
 fn step_is_allocation_free_after_warmup() {
     // One test body: phases must not interleave with other allocating
@@ -81,6 +99,13 @@ fn step_is_allocation_free_after_warmup() {
         cfg.grid_ny = 32;
         cfg.threads = threads;
         cfg.sort_period = SORT_PERIOD;
+        let mut sim = Simulation::new(cfg.clone()).unwrap();
+        let n =
+            first_sort_period_allocs(&mut sim, Simulation::reserve_diagnostics, Simulation::run);
+        assert_eq!(
+            n, 0,
+            "first sort period allocated {n} times (threads={threads})"
+        );
         let mut sim = Simulation::new(cfg).unwrap();
         let n = steady_state_allocs(&mut sim, Simulation::reserve_diagnostics, Simulation::run);
         assert_eq!(
@@ -92,6 +117,16 @@ fn step_is_allocation_free_after_warmup() {
         let mut cfg = EmConfig::magnetized_two_stream(40_000);
         cfg.threads = threads;
         cfg.sort_period = SORT_PERIOD;
+        let mut em = EmSimulation::new(cfg.clone()).unwrap();
+        let n = first_sort_period_allocs(
+            &mut em,
+            EmSimulation::reserve_diagnostics,
+            EmSimulation::run,
+        );
+        assert_eq!(
+            n, 0,
+            "first EM sort period allocated {n} times (threads={threads})"
+        );
         let mut em = EmSimulation::new(cfg).unwrap();
         let n = steady_state_allocs(
             &mut em,

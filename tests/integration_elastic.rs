@@ -339,26 +339,47 @@ fn two_kills_one_spare_adopts_one_slot_and_recuts_the_orphan() {
     // `Comm::shrink` is not the cause: a shrink that commits only on
     // unanimous votes errors as often, with the same signatures. Such a
     // run is discarded and the world run again; every assertion below
-    // holds on the run that completes.
+    // holds on the run that completes. Each discarded run's errors are
+    // kept, rank by rank, and printed with the attempt count, so a failing
+    // run's signature is never lost.
     let ord = Ordering::Morton;
-    let outs = (0..TWO_KILL_ATTEMPTS)
-        .find_map(|_| {
-            let plan = FaultPlan::new(5).kill_rank(1, 36).kill_rank(3, 36);
-            let outs = World::run_elastic(ACTIVE, 1, Some(plan), move |comm| {
-                let e = ElasticConfig {
-                    recv_deadline: Some(Duration::from_secs(2)),
-                    ..ecfg()
-                };
-                if comm.is_member() {
-                    run_elastic_member(comm, cfg(ord), dcfg(), &e, STEPS)
-                } else {
-                    run_elastic_spare(comm, cfg(ord), dcfg(), &e, STEPS)
-                }
-                .map_err(|e| e.to_string())
-            });
-            outs.into_iter().collect::<Result<Vec<_>, _>>().ok()
-        })
-        .expect("no run put both deaths in one shrink");
+    let mut discarded: Vec<String> = Vec::new();
+    let mut completed = None;
+    for attempt in 1..=TWO_KILL_ATTEMPTS {
+        let plan = FaultPlan::new(5).kill_rank(1, 36).kill_rank(3, 36);
+        let outs = World::run_elastic(ACTIVE, 1, Some(plan), move |comm| {
+            let e = ElasticConfig {
+                recv_deadline: Some(Duration::from_secs(2)),
+                ..ecfg()
+            };
+            if comm.is_member() {
+                run_elastic_member(comm, cfg(ord), dcfg(), &e, STEPS)
+            } else {
+                run_elastic_spare(comm, cfg(ord), dcfg(), &e, STEPS)
+            }
+            .map_err(|e| e.to_string())
+        });
+        let errors: Vec<String> = outs
+            .iter()
+            .enumerate()
+            .filter_map(|(rank, o)| o.as_ref().err().map(|e| format!("rank {rank}: {e}")))
+            .collect();
+        if errors.is_empty() {
+            completed = Some(outs.into_iter().map(Result::unwrap).collect::<Vec<_>>());
+            eprintln!("two-kill world completed on attempt {attempt} of {TWO_KILL_ATTEMPTS}");
+            break;
+        }
+        discarded.push(format!("attempt {attempt}: {}", errors.join("; ")));
+    }
+    for d in &discarded {
+        eprintln!("discarded {d}");
+    }
+    let outs = completed.unwrap_or_else(|| {
+        panic!(
+            "no run put both deaths in one shrink:\n{}",
+            discarded.join("\n")
+        )
+    });
 
     assert!(!outs[1].survivor && !outs[3].survivor, "ranks 1 and 3 die");
     let joiner = &outs[ACTIVE];

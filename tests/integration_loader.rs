@@ -1,21 +1,24 @@
-//! The particle loader: particle `i` is a pure function of (seed, species,
-//! i), so a load is bit-identical at every pool width, a replicated rank's
-//! index range or a decomposed rank's cell range equals the matching part
-//! of a full load, and the sampled moments are those of the distribution.
-//! A libm reference sampler, one particle at a time, holds the loader's
-//! staged sampler to its positions bit for bit and to its velocities
-//! within a few `ε·r`.
+//! The particle loader: every store is born sorted by cell. The per-cell
+//! counts are one exact multinomial draw, and each cell's particles come
+//! from the cell's own streams, so a particle is a pure function of (seed,
+//! species, cell, rank in the cell): a load is bit-identical at every pool
+//! width and holds the same particles under every layout, any index or
+//! cell range equals the matching part of a full load, and the counts and
+//! moments follow the distribution's law. A libm reference sampler, one
+//! particle at a time, holds the loader's staged sampler to its positions
+//! bit for bit and to its velocities within a few `ε·r`.
 
 use pic2d::pic_core::em::{EmConfig, EmSimulation};
 use pic2d::pic_core::grid::Grid2D;
-use pic2d::pic_core::particles::{InitialDistribution, Loader, ParticlesSoA, BLOCK, CHUNK};
+use pic2d::pic_core::particles::{InitialDistribution, Loader, ParticlesSoA};
 use pic2d::pic_core::pool::{chunk_range, ThreadPool};
 use pic2d::pic_core::resilience::checkpoint::snapshot_hash;
 use pic2d::pic_core::rng::{hash_words, Rng};
 use pic2d::pic_core::sim::{PicConfig, Simulation};
-use pic2d::pic_core::sort::sort_out_of_place;
+use pic2d::pic_core::sort::is_sorted_by_cell;
 use pic2d::pic_core::species::{SpeciesArena, SpeciesDef};
-use pic2d::sfc::{CellLayout, Morton, RowMajor};
+use pic2d::sfc::{CellLayout, Morton, Ordering};
+use std::ops::Range;
 
 const SEED: u64 = 0x10ad;
 
@@ -36,6 +39,26 @@ const TWO_STREAM: InitialDistribution = InitialDistribution::TwoStream {
     vt: 0.3,
 };
 
+/// Every distribution the loader samples: perturbed and not, with and
+/// without a drift.
+const DISTRIBUTIONS: [InitialDistribution; 5] = [
+    LANDAU,
+    TWO_STREAM,
+    InitialDistribution::Uniform,
+    InitialDistribution::DriftingMaxwellian {
+        alpha: 0.3,
+        k: 0.5,
+        v0x: 1.5,
+        vt: 0.7,
+    },
+    InitialDistribution::DriftingMaxwellian {
+        alpha: 0.0,
+        k: 0.5,
+        v0x: -0.4,
+        vt: 1.3,
+    },
+];
+
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -54,33 +77,42 @@ fn assert_same(a: &(ParticlesSoA, Vec<f64>), b: &(ParticlesSoA, Vec<f64>), what:
     assert_eq!(bits(&a.1), bits(&b.1), "{what}: vz");
 }
 
-/// Particles `range` of a full load, and of those the ones in `cells`.
-fn part_of(
-    full: &(ParticlesSoA, Vec<f64>),
-    range: std::ops::Range<usize>,
-    cells: Option<std::ops::Range<u32>>,
-) -> (ParticlesSoA, Vec<f64>) {
+/// Particles `range` of a full load.
+fn part_of(full: &(ParticlesSoA, Vec<f64>), range: Range<usize>) -> (ParticlesSoA, Vec<f64>) {
     let (p, vz) = full;
-    let keep: Vec<usize> = range
-        .filter(|&i| cells.as_ref().is_none_or(|c| c.contains(&p.icell[i])))
-        .collect();
-    let pick = |v: &[f64]| keep.iter().map(|&i| v[i]).collect::<Vec<f64>>();
-    let picku = |v: &[u32]| keep.iter().map(|&i| v[i]).collect::<Vec<u32>>();
+    let r = range.clone();
     let out = ParticlesSoA {
-        icell: picku(&p.icell),
-        ix: picku(&p.ix),
-        iy: picku(&p.iy),
-        dx: pick(&p.dx),
-        dy: pick(&p.dy),
-        vx: pick(&p.vx),
-        vy: pick(&p.vy),
+        icell: p.icell[r.clone()].to_vec(),
+        ix: p.ix[r.clone()].to_vec(),
+        iy: p.iy[r.clone()].to_vec(),
+        dx: p.dx[r.clone()].to_vec(),
+        dy: p.dy[r.clone()].to_vec(),
+        vx: p.vx[r.clone()].to_vec(),
+        vy: p.vy[r].to_vec(),
     };
-    let vz = if vz.is_empty() { Vec::new() } else { pick(vz) };
+    let vz = if vz.is_empty() {
+        Vec::new()
+    } else {
+        vz[range].to_vec()
+    };
     (out, vz)
 }
 
+/// The loader of `dist`: species 0 without `vz`, or species `s` with it.
+fn loader<'a>(
+    (g, l): (&'a Grid2D, &'a dyn CellLayout),
+    dist: InitialDistribution,
+    n: usize,
+    species: Option<usize>,
+) -> Loader<'a> {
+    match species {
+        None => Loader::new(g, l, dist, n, SEED),
+        Some(s) => Loader::species(g, l, dist, n, SEED, s),
+    }
+}
+
 /// One Box–Muller pair through libm, and its radius: the transform the
-/// loader made per particle before its lane stage.
+/// loader makes per particle in its lane stage.
 fn normal_pair(rng: &mut Rng) -> (f64, f64, f64) {
     let u1 = rng.uniform().max(f64::EPSILON);
     let u2 = rng.uniform();
@@ -89,13 +121,13 @@ fn normal_pair(rng: &mut Rng) -> (f64, f64, f64) {
     (r * cos, r * sin, r)
 }
 
-/// x by rejection with the full test (no squeeze).
-fn perturbed_x(rng: &mut Rng, lx: f64, alpha: f64, k: f64) -> f64 {
+/// An in-cell x offset by rejection with the full test (no squeeze).
+fn perturbed_offset(rng: &mut Rng, cx: f64, h: f64, alpha: f64, k: f64) -> f64 {
     loop {
-        let x = rng.range(0.0, lx);
+        let offset = rng.uniform();
         let accept = rng.range(0.0, 1.0 + alpha.abs());
-        if accept <= 1.0 + alpha * (k * x).cos() {
-            return x;
+        if accept <= 1.0 + alpha * (k * ((cx + offset) * h)).cos() {
+            return offset;
         }
     }
 }
@@ -109,19 +141,19 @@ struct Reference {
     rz: Vec<f64>,
 }
 
-/// The libm reference sampler: the particles of `range` (and of `cells`)
-/// of the population `Loader::new(g, l, dist, _, seed)` —
-/// `.species(s)` when `species` is `Some(s)` — drawn one at a time from
-/// the same per-chunk streams in the same order, with libm's `cos` in the
-/// rejection test and libm's `ln`/`sqrt`/`sin_cos` in every Box–Muller
-/// pair.
+/// The libm reference sampler: the particles of `range` of the population
+/// with per-cell `counts` in `l`'s cell order, seeded `seed`, of species
+/// `species` (with `vz`) or of species 0 without `vz`. Each cell draws its
+/// particles one at a time from its own streams, keyed by its row-major
+/// index, with libm's `cos` in the rejection test and libm's
+/// `ln`/`sqrt`/`sin_cos` in every Box–Muller pair.
 fn reference_load(
     (g, l): (&Grid2D, &dyn CellLayout),
     dist: InitialDistribution,
     seed: u64,
     species: Option<usize>,
-    range: std::ops::Range<usize>,
-    cells: Option<std::ops::Range<u32>>,
+    counts: &[usize],
+    range: Range<usize>,
 ) -> Reference {
     let mut out = Reference {
         p: ParticlesSoA::default(),
@@ -131,22 +163,24 @@ fn reference_load(
     };
     let s = species.unwrap_or(0) as u64;
     let vt = dist.thermal_spread();
-    for c in range.start / CHUNK..range.end.div_ceil(CHUNK) {
-        let key = [s, c as u64, 1];
+    let mut i = 0;
+    for (c, &count) in counts.iter().enumerate() {
+        let (cx, cy) = l.decode(c);
+        let key = [s, (cx * g.ncy + cy) as u64, 1];
         let mut rng = Rng::seed_from_u64(hash_words(seed, &key[..2]));
         let mut z_rng = species.map(|_| Rng::seed_from_u64(hash_words(seed, &key)));
-        for i in c * CHUNK..((c + 1) * CHUNK).min(range.end) {
-            let x = match dist {
+        for _ in 0..count {
+            let dx = match dist {
                 InitialDistribution::Landau { alpha, k }
-                | InitialDistribution::TwoStream { alpha, k, .. } => {
-                    perturbed_x(&mut rng, g.lx, alpha, k)
+                | InitialDistribution::TwoStream { alpha, k, .. }
+                | InitialDistribution::DriftingMaxwellian { alpha, k, .. }
+                    if alpha != 0.0 =>
+                {
+                    perturbed_offset(&mut rng, cx as f64, g.dx(), alpha, k)
                 }
-                InitialDistribution::DriftingMaxwellian { alpha, k, .. } if alpha != 0.0 => {
-                    perturbed_x(&mut rng, g.lx, alpha, k)
-                }
-                _ => rng.range(0.0, g.lx),
+                _ => rng.uniform(),
             };
-            let y = rng.range(0.0, g.ly);
+            let dy = rng.uniform();
             let (vx, vy, r) = match dist {
                 InitialDistribution::Landau { .. } | InitialDistribution::Uniform => {
                     normal_pair(&mut rng)
@@ -162,25 +196,22 @@ fn reference_load(
                 }
             };
             let (gz, _, rz) = z_rng.as_mut().map_or((0.0, 0.0, 0.0), normal_pair);
-            let (cx, ox) = g.split_x(g.to_grid_x(x));
-            let (cy, oy) = g.split_y(g.to_grid_y(y));
-            let icell = l.encode(cx, cy) as u32;
-            if i < range.start || cells.as_ref().is_some_and(|c| !c.contains(&icell)) {
-                continue;
+            if range.contains(&i) {
+                let p = &mut out.p;
+                p.icell.push(c as u32);
+                p.ix.push(cx as u32);
+                p.iy.push(cy as u32);
+                p.dx.push(dx);
+                p.dy.push(dy);
+                p.vx.push(vx);
+                p.vy.push(vy);
+                out.r.push(r);
+                if species.is_some() {
+                    out.vz.push(vt * gz);
+                    out.rz.push(rz);
+                }
             }
-            let p = &mut out.p;
-            p.icell.push(icell);
-            p.ix.push(cx as u32);
-            p.iy.push(cy as u32);
-            p.dx.push(ox);
-            p.dy.push(oy);
-            p.vx.push(vx);
-            p.vy.push(vy);
-            out.r.push(r);
-            if species.is_some() {
-                out.vz.push(vt * gz);
-                out.rz.push(rz);
-            }
+            i += 1;
         }
     }
     out
@@ -222,68 +253,30 @@ fn assert_matches_reference(got: &(ParticlesSoA, Vec<f64>), want: &Reference, vt
     }
 }
 
-/// The staged sampler (a scalar walk with the squeezed rejection test,
-/// lane-blocked positions, lane-blocked Box–Muller) against the libm
-/// reference: every
-/// distribution, a `vz` species, sizes around a lane block, a construction
-/// block and a chunk, index ranges that start and end inside a lane block,
-/// a cell filter, and pool widths 1–4.
+/// The staged sampler (per-cell streams, the squeezed rejection test,
+/// lane-blocked Box–Muller) against the libm reference: every
+/// distribution, a `vz` species, sizes around a lane block and up to many
+/// particles per cell, index ranges that start and end inside a cell and
+/// inside a lane block, a cell range, and pool widths 1–4.
 #[test]
 fn loader_matches_the_libm_reference_sampler() {
     let (g, l) = (grid(), layout());
-    let drifting = InitialDistribution::DriftingMaxwellian {
-        alpha: 0.3,
-        k: 0.5,
-        v0x: 1.5,
-        vt: 0.7,
-    };
-    let unperturbed_drift = InitialDistribution::DriftingMaxwellian {
-        alpha: 0.0,
-        k: 0.5,
-        v0x: -0.4,
-        vt: 1.3,
-    };
-    let cases = [
-        (LANDAU, None),
-        (TWO_STREAM, Some(1)),
-        (InitialDistribution::Uniform, None),
-        (drifting, Some(2)),
-        (unperturbed_drift, None),
-    ];
+    let species = [None, Some(1), None, Some(2), None];
     let pools: Vec<ThreadPool> = (1..=4).map(ThreadPool::new).collect();
-    for n in [1, 7, 8, 9, BLOCK - 1, BLOCK + 1, CHUNK - 1, CHUNK + 1] {
-        for (dist, species) in cases {
-            let loader = Loader::new(&g, &l, dist, n, SEED);
-            let loader = species.map_or(loader, |s| loader.species(s));
+    for n in [1, 7, 8, 9, 1_000, 70_001] {
+        for (dist, species) in DISTRIBUTIONS.into_iter().zip(species) {
+            let loader = loader((&g, &l), dist, n, species);
+            let counts: Vec<usize> = loader.cell_counts().collect();
             let inside = 3.min(n)..n - n / 5;
-            for (range, cells) in [
-                (0..n, None),
-                (inside.clone(), None),
-                (0..n, Some(300..900)),
-                (inside, Some(0..500)),
-            ] {
-                let want =
-                    reference_load((&g, &l), dist, SEED, species, range.clone(), cells.clone());
-                let what = format!("{dist:?} species {species:?} n={n} {range:?} cells {cells:?}");
-                let vt = dist.thermal_spread();
-                let got = loader.load(range.clone(), cells.clone(), None);
-                assert_matches_reference(&got, &want, vt, &what);
+            for range in [0..n, inside, loader.cell_range(300..900)] {
+                let want = reference_load((&g, &l), dist, SEED, species, &counts, range.clone());
+                let what = format!("{dist:?} species {species:?} n={n} {range:?}");
+                let got = loader.load(range.clone(), None);
+                assert_matches_reference(&got, &want, dist.thermal_spread(), &what);
                 for pool in &pools {
-                    let pooled = loader.load(range.clone(), cells.clone(), Some(pool));
+                    let pooled = loader.load(range.clone(), Some(pool));
                     assert_same(&pooled, &got, &format!("{what} width {}", pool.nthreads()));
                 }
-            }
-            if species.is_none() {
-                let mut counts = vec![0.0; l.ncells()];
-                let full = reference_load((&g, &l), dist, SEED, None, 0..n, None);
-                for &c in &full.p.icell {
-                    counts[c as usize] += 1.0;
-                }
-                assert_eq!(
-                    loader.cell_counts(Some(&pools[1])),
-                    counts,
-                    "{dist:?} n={n}"
-                );
             }
         }
     }
@@ -292,37 +285,30 @@ fn loader_matches_the_libm_reference_sampler() {
 #[test]
 fn loads_are_bitwise_identical_at_every_pool_width() {
     let (g, l) = (grid(), layout());
-    let n = 2 * CHUNK + 1_234;
+    let n = 140_001;
     // The electrostatic driver's loader (no vz) and an EM species (vz).
-    for (what, loader) in [
-        ("2d2v", Loader::new(&g, &l, LANDAU, n, SEED)),
-        ("2d3v", Loader::new(&g, &l, TWO_STREAM, n, SEED).species(1)),
-    ] {
-        let serial = loader.load(0..n, None, None);
-        let cells = Some(100..700);
-        let serial_cells = loader.load(0..n, cells.clone(), None);
+    for (what, species) in [("2d2v", None), ("2d3v", Some(1))] {
+        let loader = loader((&g, &l), TWO_STREAM, n, species);
+        let serial = loader.load(0..n, None);
+        let cells = loader.cell_range(100..700);
+        let serial_cells = loader.load(cells.clone(), None);
         for width in 1..=4 {
             let pool = ThreadPool::new(width);
             let what = format!("{what}, pool width {width}");
-            assert_same(&loader.load(0..n, None, Some(&pool)), &serial, &what);
-            let pooled = loader.load(0..n, cells.clone(), Some(&pool));
+            assert_same(&loader.load(0..n, Some(&pool)), &serial, &what);
+            let pooled = loader.load(cells.clone(), Some(&pool));
             assert_same(&pooled, &serial_cells, &format!("{what}, cells"));
-            assert_eq!(
-                loader.cell_counts(Some(&pool)),
-                loader.cell_counts(None),
-                "{what}: cell counts"
-            );
         }
     }
 }
 
 #[test]
 fn constructed_particles_are_identical_at_every_pool_width() {
-    let mut cfg = PicConfig::landau_table1(CHUNK + 4_321);
+    let mut cfg = PicConfig::landau_table1(70_001);
     cfg.grid_nx = 32;
     cfg.grid_ny = 32;
     let reference = Simulation::new(cfg.clone()).unwrap();
-    let mut ecfg = EmConfig::magnetized_two_stream(CHUNK + 4_321);
+    let mut ecfg = EmConfig::magnetized_two_stream(70_001);
     ecfg.grid_nx = 32;
     ecfg.grid_ny = 32;
     let em_reference = EmSimulation::new(ecfg.clone()).unwrap();
@@ -347,34 +333,38 @@ fn constructed_particles_are_identical_at_every_pool_width() {
     }
 }
 
+/// Any index range and any cell range of the population, on one thread
+/// and at pool widths 1–4, is the matching slice of a full load.
 #[test]
 fn range_loads_equal_the_matching_part_of_a_full_load() {
     let (g, l) = (grid(), layout());
-    let n = 3 * CHUNK + 777; // the last chunk is partial
-    let pool = ThreadPool::new(3);
+    let n = 200_777;
+    let pools: Vec<ThreadPool> = (1..=4).map(ThreadPool::new).collect();
     for loader in [
         Loader::new(&g, &l, LANDAU, n, SEED),
-        Loader::new(&g, &l, TWO_STREAM, n, SEED).species(2),
+        Loader::species(&g, &l, TWO_STREAM, n, SEED, 2),
     ] {
-        let full = loader.load(0..n, None, None);
-        for range in [
+        let full = loader.load(0..n, None);
+        let cell = |c: u32| loader.cell_range(c..c + 1);
+        let mut ranges = vec![
             0..n,
-            CHUNK - 5..CHUNK + 5,   // straddles one chunk edge
-            100..2 * CHUNK + 100,   // straddles two
-            3 * CHUNK - 1..n,       // the last, partial chunk and one before
-            3 * CHUNK + 10..n - 10, // inside the partial chunk
-            CHUNK..2 * CHUNK,       // exactly one chunk
-            17..18,                 // one particle
-        ] {
-            let want = part_of(&full, range.clone(), None);
+            17..18,                               // one particle
+            cell(5).start + 3..cell(5).end - 3,   // inside one cell
+            cell(5).start + 3..cell(9).start + 2, // across cells
+            n - 100..n,                           // the last cells
+            100_000..100_003,                     // inside a lane block
+        ];
+        for cells in [0..1, 5..6, 300..900, 0..1024, 1023..1024, 7..7] {
+            ranges.push(loader.cell_range(cells));
+        }
+        for range in ranges {
+            let want = part_of(&full, range.clone());
             let what = format!("range {range:?}");
-            assert_same(&loader.load(range.clone(), None, None), &want, &what);
-            assert_same(&loader.load(range.clone(), None, Some(&pool)), &want, &what);
-            // A decomposed rank inside a replicated slice: both filters.
-            let cells = Some(300..900);
-            let want = part_of(&full, range.clone(), cells.clone());
-            let got = loader.load(range.clone(), cells, Some(&pool));
-            assert_same(&got, &want, &format!("{what} cells 300..900"));
+            assert_same(&loader.load(range.clone(), None), &want, &what);
+            for pool in &pools {
+                let got = loader.load(range.clone(), Some(pool));
+                assert_same(&got, &want, &format!("{what} width {}", pool.nthreads()));
+            }
         }
     }
 }
@@ -382,49 +372,57 @@ fn range_loads_equal_the_matching_part_of_a_full_load() {
 #[test]
 fn replicated_and_decomposed_ranks_load_their_part_of_the_population() {
     let (g, l) = (grid(), layout());
-    let n = 2 * CHUNK + 999;
+    let n = 140_999;
     let ncells = l.ncells() as u32;
-    let full = Loader::new(&g, &l, LANDAU, n, SEED).load(0..n, None, None);
+    let loader = Loader::new(&g, &l, LANDAU, n, SEED);
+    let full = loader.load(0..n, None);
 
-    // keep_cells: each rank's cell range, through the simulation. The
-    // construction sorts, so compare as the sorted filter of a full load.
+    // keep_cells: each decomposed rank's cell range, through the
+    // simulation, at pool widths 1–4 — the rank's positions are the rows
+    // of the cells' index range in the whole store. (Velocities differ:
+    // the half-kick sees the rank's own ρ.)
     let mut cfg = PicConfig::landau_table1(n);
     cfg.grid_nx = 32;
     cfg.grid_ny = 32;
-    cfg.ordering = pic2d::sfc::Ordering::Morton;
+    cfg.ordering = Ordering::Morton;
     cfg.seed = SEED;
     cfg.distribution = LANDAU;
     cfg.lx = g.lx;
     cfg.ly = g.ly;
-    let whole = Simulation::new(cfg.clone()).unwrap();
     let cuts = [0, 100, ncells / 2 + 3, ncells];
-    let mut total = 0;
-    for w in cuts.windows(2) {
-        let mut c = cfg.clone();
-        c.keep_cells = Some((w[0], w[1]));
-        let sim = Simulation::new(c).unwrap();
-        let part = part_of(&full, 0..n, Some(w[0]..w[1]));
-        assert_eq!(sim.particles().len(), part.0.len(), "cells {w:?}");
-        // Sorting is stable and the filter keeps index order, so the rank's
-        // positions are the same rows of the whole simulation's sorted
-        // store. (Velocities differ: the half-kick sees the rank's own ρ.)
-        let (mine, all) = (sim.particles(), whole.particles());
-        let start = all.icell.partition_point(|&c| c < w[0]);
-        let rows = start..start + part.0.len();
-        assert_eq!(
-            mine.icell[..],
-            all.icell[rows.clone()],
-            "cells {w:?}: icell"
-        );
-        assert_eq!(
-            bits(&mine.dx),
-            bits(&all.dx[rows.clone()]),
-            "cells {w:?}: dx"
-        );
-        assert_eq!(bits(&mine.dy), bits(&all.dy[rows]), "cells {w:?}: dy");
-        total += part.0.len();
+    for threads in 1..=4 {
+        let mut total = 0;
+        for w in cuts.windows(2) {
+            let c = PicConfig {
+                threads,
+                keep_cells: Some((w[0], w[1])),
+                ..cfg.clone()
+            };
+            let sim = Simulation::new(c).unwrap();
+            let rows = loader.cell_range(w[0]..w[1]);
+            let (mine, what) = (sim.particles(), format!("cells {w:?} threads {threads}"));
+            let want = &part_of(&full, rows.clone()).0;
+            assert_eq!(mine.icell, want.icell, "{what}: icell");
+            assert_eq!(mine.ix, want.ix, "{what}: ix");
+            assert_eq!(mine.iy, want.iy, "{what}: iy");
+            assert_eq!(bits(&mine.dx), bits(&want.dx), "{what}: dx");
+            assert_eq!(bits(&mine.dy), bits(&want.dy), "{what}: dy");
+            total += mine.len();
+        }
+        assert_eq!(total, n);
     }
-    assert_eq!(total, n);
+
+    // A decomposed rank inside a replicated slice: both cuts intersect.
+    let slice = (20_000, 90_000);
+    let c = PicConfig {
+        keep_range: Some(slice),
+        keep_cells: Some((100, 700)),
+        ..cfg.clone()
+    };
+    let sim = Simulation::new(c).unwrap();
+    let cells = loader.cell_range(100..700);
+    let rows = cells.start.max(slice.0)..cells.end.min(slice.1);
+    assert_eq!(bits(&sim.particles().dx), bits(&full.0.dx[rows]));
 
     // EM `replica` slices: each rank's arena is its index range of the
     // whole species, vz included.
@@ -433,206 +431,320 @@ fn replicated_and_decomposed_ranks_load_their_part_of_the_population() {
     let whole = (whole.p, whole.vz);
     for rank in 0..3 {
         let part = SpeciesArena::initialize(def.clone(), &g, &l, SEED, 1, Some((rank, 3)), None);
-        let (s, e) = pic2d::pic_core::pool::chunk_range(n, 3, rank);
+        let (s, e) = chunk_range(n, 3, rank);
         assert_same(
             &(part.p, part.vz),
-            &part_of(&whole, s..e, None),
+            &part_of(&whole, s..e),
             &format!("rank {rank}"),
         );
     }
 }
 
-/// `(p, vz)` sorted stably by `icell` through `sort_out_of_place`. The
-/// `vz` column rides along in a second store with the same keys, since a
-/// stable sort of the same keys moves every column alike.
-fn stable_sorted((p, vz): &(ParticlesSoA, Vec<f64>), ncells: usize) -> (ParticlesSoA, Vec<f64>) {
-    let mut q = p.clone();
-    sort_out_of_place(&mut q, ncells);
-    if vz.is_empty() {
-        return (q, Vec::new());
-    }
-    let mut carrier = ParticlesSoA {
-        dx: vz.clone(),
-        ..p.clone()
-    };
-    sort_out_of_place(&mut carrier, ncells);
-    (q, carrier.dx)
-}
-
-/// Construction samples in block-cell order (every [`BLOCK`] sorted by
-/// cell in the loader) and then sorts the whole store. A stable sort of
-/// consecutive, stably sorted blocks is the stable sort of their
-/// concatenation, so each driver, load shape and pool width must build
-/// exactly the index-order load followed by one stable sort.
-///
-/// The stores are compared column by column where construction leaves the
-/// sampled values: every column of the loader's block-ordered store once
-/// sorted; every column of an `EmSimulation` run with the field solve off
-/// (E = 0, so the half-kick back adds zero); and the index and position
-/// columns of a `Simulation`, whose velocities carry the half-kick of its
-/// own field — those are held by the electrostatic pin at the end, beside
-/// the electromagnetic one.
+/// Every store is born sorted by cell: the loader's under every layout,
+/// and the drivers' (`Simulation` whole, `keep_range` and `keep_cells`;
+/// each `EmSimulation` species whole and as a replica) at pool widths 1–4.
+/// Every layout holds the same particles, in the same order within each
+/// cell.
 #[test]
-fn construction_equals_the_stable_sort_of_the_index_order_load() {
-    let (g, l) = (grid(), layout());
-    let ncells = l.ncells();
-    let pools: Vec<ThreadPool> = (1..=4).map(ThreadPool::new).collect();
-    let widths = || std::iter::once(None).chain(pools.iter().map(Some));
-    let width = |pool: Option<&ThreadPool>| pool.map_or(0, ThreadPool::nthreads);
-    let sizes = [
-        1,
-        BLOCK - 1,
-        BLOCK,
-        BLOCK + 1,
-        CHUNK - 1,
-        CHUNK + 1,
-        3 * CHUNK + 5,
-    ];
-
-    // The loader: full, an index slice that starts and ends inside a
-    // block, a cell range, both, and an EM species with vz.
-    for n in sizes {
-        for (what, loader) in [
-            ("2d2v", Loader::new(&g, &l, LANDAU, n, SEED)),
-            ("2d3v", Loader::new(&g, &l, TWO_STREAM, n, SEED).species(1)),
-        ] {
-            let slice = n / 3..n - n / 5;
-            for (range, cells) in [
-                (0..n, None),
-                (slice.clone(), None),
-                (0..n, Some(300..900)),
-                (slice, Some(0..500)),
-            ] {
-                let want = stable_sorted(&loader.load(range.clone(), cells.clone(), None), ncells);
-                let serial = loader.load_blocks(range.clone(), cells.clone(), None);
-                for pool in widths() {
-                    let got = loader.load_blocks(range.clone(), cells.clone(), pool);
-                    let what = format!(
-                        "{what} n={n} range {range:?} cells {cells:?} width {}",
-                        width(pool)
-                    );
-                    assert_same(&got, &serial, &format!("{what}, unsorted"));
-                    assert_same(&stable_sorted(&got, ncells), &want, &what);
-                }
-            }
+fn constructed_stores_are_born_sorted() {
+    let g = grid();
+    let n = 50_003;
+    let row_major = Ordering::RowMajor.build(32, 32).unwrap();
+    let base = Loader::species(&g, row_major.as_ref(), TWO_STREAM, n, SEED, 1).load(0..n, None);
+    let by_cell = |(p, vz): &(ParticlesSoA, Vec<f64>)| {
+        let mut rows: Vec<_> = (0..p.len())
+            .map(|i| {
+                (
+                    p.ix[i],
+                    p.iy[i],
+                    i,
+                    p.dx[i].to_bits(),
+                    p.vx[i].to_bits(),
+                    vz[i].to_bits(),
+                )
+            })
+            .collect();
+        rows.sort_by_key(|&(x, y, i, ..)| (x, y, i));
+        rows.into_iter()
+            .map(|(x, y, _, dx, vx, vz)| (x, y, dx, vx, vz))
+            .collect::<Vec<_>>()
+    };
+    for ordering in Ordering::paper_set() {
+        let l = ordering.build(32, 32).unwrap();
+        let store = Loader::species(&g, l.as_ref(), TWO_STREAM, n, SEED, 1).load(0..n, None);
+        assert!(is_sorted_by_cell(&store.0), "{ordering}: loader");
+        assert_eq!(by_cell(&store), by_cell(&base), "{ordering}: particles");
+        for (i, &c) in store.0.icell.iter().enumerate() {
+            let (x, y) = (store.0.ix[i] as usize, store.0.iy[i] as usize);
+            assert_eq!(c as usize, l.encode(x, y), "{ordering}: icell");
         }
-    }
 
-    // A one-cell pile-up: every key equal, so only a stable block sort
-    // keeps the index order.
-    let (one, row) = (
-        Grid2D::new(1, 1, g.lx, g.ly).unwrap(),
-        RowMajor::new(1, 1).unwrap(),
-    );
-    let n = 2 * CHUNK + BLOCK / 2 + 3;
-    let loader = Loader::new(&one, &row, TWO_STREAM, n, SEED).species(0);
-    let want = loader.load(0..n, None, None);
-    for pool in widths() {
-        let got = loader.load_blocks(0..n, None, pool);
-        assert_same(&got, &want, &format!("one cell, width {}", width(pool)));
-    }
-
-    // The drivers, at every width: `Simulation` whole, as a replicated
-    // rank's index slice and as a decomposed rank's cell range; a
-    // two-species `EmSimulation` whole and as a replica slice.
-    for n in sizes {
         let mut cfg = PicConfig::landau_table1(n);
         cfg.grid_nx = 32;
         cfg.grid_ny = 32;
-        cfg.seed = SEED;
-        cfg.distribution = LANDAU;
-        cfg.lx = g.lx;
-        cfg.ly = g.ly;
-        let loader = Loader::new(&g, &l, LANDAU, n, SEED);
-        let slice = (n / 3, n - n / 5);
-        for (keep_range, keep_cells) in
-            [(None, None), (Some(slice), None), (None, Some((300, 900)))]
-        {
-            let (range, cells) = (
-                keep_range.map_or(0..n, |(a, b)| a..b),
-                keep_cells.map(|(a, b)| a..b),
-            );
-            let want = stable_sorted(&loader.load(range, cells, None), ncells).0;
-            if want.is_empty() {
-                continue; // a cell range with no particles is a config error
-            }
-            for threads in 1..=4 {
-                let c = PicConfig {
+        cfg.ordering = ordering;
+        let mut ecfg = EmConfig::magnetized_two_stream(n);
+        ecfg.grid_nx = 32;
+        ecfg.grid_ny = 32;
+        ecfg.ordering = ordering;
+        for threads in 1..=4 {
+            for (keep_range, keep_cells) in [
+                (None, None),
+                (Some((n / 3, n - 7)), None),
+                (None, Some((300, 900))),
+            ] {
+                let sim = Simulation::new(PicConfig {
                     threads,
                     keep_range,
                     keep_cells,
                     ..cfg.clone()
-                };
-                let sim = Simulation::new(c).unwrap();
-                let (got, what) = (
-                    sim.particles(),
-                    format!("ES n={n} {keep_range:?} {keep_cells:?} threads {threads}"),
-                );
-                assert_eq!(got.icell, want.icell, "{what}: icell");
-                assert_eq!(got.ix, want.ix, "{what}: ix");
-                assert_eq!(got.iy, want.iy, "{what}: iy");
-                assert_eq!(bits(&got.dx), bits(&want.dx), "{what}: dx");
-                assert_eq!(bits(&got.dy), bits(&want.dy), "{what}: dy");
+                })
+                .unwrap();
+                let what = format!("{ordering} {keep_range:?} {keep_cells:?} threads {threads}");
+                assert!(is_sorted_by_cell(sim.particles()), "{what}");
             }
-        }
-
-        let mut ecfg = EmConfig::magnetized_two_stream(n);
-        ecfg.grid_nx = 32;
-        ecfg.grid_ny = 32;
-        ecfg.seed = SEED;
-        ecfg.solve_e = false;
-        ecfg.species[1].n_particles = (n / 4).max(1);
-        let eg = Grid2D::new(32, 32, ecfg.lx, ecfg.ly).unwrap();
-        for replica in [None, Some((1, 3))] {
-            for threads in 1..=4 {
+            for replica in [None, Some((1, 3))] {
                 let em = EmSimulation::new(EmConfig {
                     threads,
                     replica,
                     ..ecfg.clone()
                 })
                 .unwrap();
-                for (index, s) in em.species().iter().enumerate() {
-                    let m = s.def.n_particles;
-                    let (a, b) =
-                        replica.map_or((0, m), |(rank, nranks)| chunk_range(m, nranks, rank));
-                    let loader = Loader::new(&eg, &l, s.def.distribution, m, SEED).species(index);
-                    let want = stable_sorted(&loader.load(a..b, None, None), ncells);
-                    let what = format!("EM {} n={n} {replica:?} threads {threads}", s.def.name);
-                    assert_same(&(s.p.clone(), s.vz.clone()), &want, &what);
+                for s in em.species() {
+                    let what =
+                        format!("EM {} {ordering} {replica:?} threads {threads}", s.def.name);
+                    assert!(is_sorted_by_cell(&s.p), "{what}");
                 }
             }
         }
     }
 
     // Construction feeds every trajectory: both production pins hold.
-    // Re-pinned once when the Box–Muller pairs moved to the lane stage
-    // (0x5c2913bfed6bd674 → 0xc4b7e881c86e5ebe, 0xe680f9079299148a →
-    // 0x800819b7624f87a5): positions are unchanged and velocities moved by
-    // at most a few ε·r (`loader_matches_the_libm_reference_sampler`).
+    // Re-pinned once when the loader became born sorted
+    // (0xc4b7e881c86e5ebe → 0x8c9007a13ec9e3bd, 0x800819b7624f87a5 →
+    // 0x826b90181fd6b460): each cell's count is drawn first and each cell
+    // samples its particles from its own streams, a new realization of the
+    // same law (`cell_counts_follow_the_multinomial_law`), and construction
+    // no longer sorts.
     let mut c = PicConfig::landau_table1(100_003);
     c.seed = 7;
     let mut sim = Simulation::new(c).unwrap();
     sim.run(45);
-    assert_eq!(snapshot_hash(&sim.checkpoint()), 0xc4b7e881c86e5ebe);
+    assert_eq!(snapshot_hash(&sim.checkpoint()), 0x8c9007a13ec9e3bd);
     let mut c = EmConfig::magnetized_two_stream(20_000);
     c.threads = 2;
     c.seed = 7;
     let mut sim = EmSimulation::new(c).unwrap();
     sim.run(45);
-    assert_eq!(snapshot_hash(&sim.checkpoint()), 0x800819b7624f87a5);
+    assert_eq!(snapshot_hash(&sim.checkpoint()), 0x826b90181fd6b460);
 }
 
 #[test]
 fn cell_counts_histogram_the_full_load() {
     let (g, l) = (grid(), layout());
-    let n = CHUNK + 4_000;
-    let loader = Loader::new(&g, &l, LANDAU, n, SEED);
-    let (p, _) = loader.load(0..n, None, None);
-    let mut want = vec![0.0; l.ncells()];
-    for &c in &p.icell {
-        want[c as usize] += 1.0;
+    for n in [0, 1, 999, 70_001] {
+        let loader = Loader::new(&g, &l, LANDAU, n, SEED);
+        let (p, _) = loader.load(0..n, None);
+        let mut want = vec![0; l.ncells()];
+        for &c in &p.icell {
+            want[c as usize] += 1;
+        }
+        assert_eq!(loader.cell_counts().collect::<Vec<_>>(), want, "n={n}");
+        assert_eq!(loader.cell_range(0..l.ncells() as u32), 0..n, "n={n}");
     }
-    assert_eq!(loader.cell_counts(None), want);
+}
+
+/// The probability of each cell of `l` under `dist` on `g`, in `icell`
+/// order: the density integrated over the cell by a 64-point midpoint
+/// rule, normalized.
+fn cell_probabilities(g: &Grid2D, l: &dyn CellLayout, dist: InitialDistribution) -> Vec<f64> {
+    let (alpha, k) = match dist {
+        InitialDistribution::Landau { alpha, k }
+        | InitialDistribution::TwoStream { alpha, k, .. }
+        | InitialDistribution::DriftingMaxwellian { alpha, k, .. } => (alpha, k),
+        InitialDistribution::Uniform => (0.0, 1.0),
+    };
+    let column = |cx: usize| {
+        (0..64)
+            .map(|j| 1.0 + alpha * (k * (cx as f64 + (j as f64 + 0.5) / 64.0) * g.dx()).cos())
+            .sum::<f64>()
+    };
+    let w: Vec<f64> = (0..l.ncells()).map(|c| column(l.decode(c).0)).collect();
+    let total: f64 = w.iter().sum();
+    w.iter().map(|x| x / total).collect()
+}
+
+/// Pearson's χ² of the drawn counts against `n·p_c`, at 1 M particles on
+/// 128², lies within 5σ of its mean `cells − 1` (σ = √(2(cells − 1))) for
+/// linear and nonlinear Landau, two-stream and uniform: counts drawn from
+/// another law read far above it, rounded (quiet) counts far below.
+#[test]
+fn cell_counts_follow_the_multinomial_law() {
+    let l4 = 4.0 * std::f64::consts::PI;
+    let g = Grid2D::new(128, 128, l4, l4).unwrap();
+    let l = Morton::new(128, 128).unwrap();
+    let n = 1_000_000;
+    let dof = (l.ncells() - 1) as f64;
+    for dist in [
+        InitialDistribution::Landau {
+            alpha: 0.01,
+            k: 0.5,
+        },
+        InitialDistribution::Landau { alpha: 0.5, k: 0.5 },
+        TWO_STREAM,
+        InitialDistribution::Uniform,
+    ] {
+        let loader = Loader::new(&g, &l, dist, n, SEED);
+        let p = cell_probabilities(&g, &l, dist);
+        let counts: Vec<usize> = loader.cell_counts().collect();
+        assert_eq!(counts.iter().sum::<usize>(), n, "{dist:?}: Σ n_c");
+        let chi2: f64 = counts
+            .iter()
+            .zip(&p)
+            .map(|(&c, &p)| (c as f64 - n as f64 * p).powi(2) / (n as f64 * p))
+            .sum();
+        let sigma = (2.0 * dof).sqrt();
+        assert!(
+            (chi2 - dof).abs() <= 5.0 * sigma,
+            "{dist:?}: χ² {chi2} against {dof} ± 5·{sigma}"
+        );
+    }
+}
+
+/// The counts place every particle, whatever the size, distribution and
+/// species.
+#[test]
+fn cell_counts_sum_to_n_exactly() {
+    let (g, l) = (grid(), layout());
+    for n in [0, 1, 2, 1_023, 1_024, 1_025, 333_333] {
+        for (dist, species) in DISTRIBUTIONS
+            .into_iter()
+            .zip([None, Some(0), Some(3)].into_iter().cycle())
+        {
+            let loader = loader((&g, &l), dist, n, species);
+            assert_eq!(loader.cell_counts().sum::<usize>(), n, "{dist:?} n={n}");
+        }
+    }
+}
+
+/// The markers' `k = 0.5` Fourier mode carries the α perturbation at its
+/// amplitude, checked where each stage puts it. The counts: at 10⁹
+/// particles (the counts alone cost O(cells)),
+/// `Σ_c n_c·E[cos kx | c] / N` lies within 5σ of `α/2`, σ² ≤ ½/N — 2 % of
+/// the amplitude at α = 0.01. The in-cell offsets: at 1 M particles
+/// `⟨cos kx − E[cos kx | c]⟩` lies within 5σ of zero. The whole load:
+/// `⟨cos kx⟩` within 5σ of `α/2` and `⟨sin kx⟩` of zero, where at
+/// α = 0.01 the expectation sits more than 5σ from zero, so a load that
+/// lost the perturbation fails every part.
+#[test]
+fn initial_density_mode_carries_the_perturbation() {
+    let l4 = 4.0 * std::f64::consts::PI;
+    let g = Grid2D::new(128, 128, l4, l4).unwrap();
+    let l = Morton::new(128, 128).unwrap();
+    let (k, h) = (0.5, g.dx());
+    let pool = ThreadPool::new(2);
+    for alpha in [0.01, 0.5] {
+        let dist = InitialDistribution::Landau { alpha, k };
+        // E[cos kx | column cx] under the density 1 + α cos kx.
+        let given_cell = |cx: u32| {
+            let (x0, x1) = (cx as f64 * h, (cx + 1) as f64 * h);
+            let sin = |a: f64| (a * x1).sin() - (a * x0).sin();
+            let mass = h + alpha * sin(k) / k;
+            (sin(k) / k + alpha * (h / 2.0 + sin(2.0 * k) / (4.0 * k))) / mass
+        };
+
+        let big = 1_000_000_000;
+        let loader = Loader::new(&g, &l, dist, big, SEED);
+        let counted: f64 = loader
+            .cell_counts()
+            .enumerate()
+            .map(|(c, count)| count as f64 * given_cell(l.decode(c).0 as u32))
+            .sum();
+        let sigma = (0.5 / big as f64).sqrt();
+        within_sigmas(
+            5.0,
+            &format!("α = {alpha}: counts' <cos kx>"),
+            (counted / big as f64, sigma),
+            alpha / 2.0,
+        );
+
+        let n = 1_000_000;
+        let (p, _) = Loader::new(&g, &l, dist, n, SEED).load(0..n, Some(&pool));
+        let phase = |i: usize| k * (p.ix[i] as f64 + p.dx[i]) * h;
+        let offsets = mean_and_sigma(n, |i| phase(i).cos() - given_cell(p.ix[i]));
+        within_sigmas(5.0, &format!("α = {alpha}: in-cell <cos kx>"), offsets, 0.0);
+        let (cos, sigma) = mean_and_sigma(n, |i| phase(i).cos());
+        assert!(
+            alpha / 2.0 > 5.0 * sigma,
+            "α = {alpha}: the test has no power"
+        );
+        within_sigmas(
+            5.0,
+            &format!("α = {alpha}: <cos kx>"),
+            (cos, sigma),
+            alpha / 2.0,
+        );
+        let sin = mean_and_sigma(n, |i| phase(i).sin());
+        within_sigmas(5.0, &format!("α = {alpha}: <sin kx>"), sin, 0.0);
+    }
+}
+
+/// `Rng::binomial` against its pmf: Pearson's χ² over bins of at least
+/// five expected draws lies within 5σ of its degrees of freedom, at small
+/// `n·p`, at `p > 1/2` (the mirrored draw) and at the count chain's first
+/// link of a 16 M population on 128² (`n·p ≈ 977`).
+#[test]
+fn binomial_sampler_matches_its_pmf() {
+    let mut rng = Rng::seed_from_u64(SEED);
+    for (n, p) in [
+        (1u64, 0.4),
+        (12, 0.2),
+        (200, 0.03),
+        (5_000, 0.6),
+        (16_000_000, 1.0 / 16_384.0),
+        (1_000_000, 0.5),
+    ] {
+        let draws = 40_000;
+        // The pmf from k = 0 by the ratio recurrence, in logs, up to far
+        // past the mean.
+        let sd = (n as f64 * p * (1.0 - p)).sqrt();
+        let kmax = ((n as f64 * p + 15.0 * sd + 10.0) as u64).min(n);
+        let mut ln_f = n as f64 * (-p).ln_1p();
+        let mut pmf = Vec::with_capacity(kmax as usize + 1);
+        for k in 0..=kmax {
+            pmf.push(ln_f.exp());
+            ln_f += ((n - k) as f64 / (k + 1) as f64).ln() + (p / (1.0 - p)).ln();
+        }
+        let mut seen = vec![0u64; kmax as usize + 2];
+        for _ in 0..draws {
+            let k = rng.binomial(n, p);
+            assert!(k <= n, "Bin({n}, {p}) drew {k}");
+            seen[(k.min(kmax + 1)) as usize] += 1;
+        }
+        // Bins of at least five expected draws; the last takes the rest.
+        let (mut chi2, mut bins) = (0.0, 0);
+        let (mut expected, mut observed) = (0.0, 0u64);
+        let mut total_expected = 0.0;
+        for k in 0..=kmax as usize {
+            expected += draws as f64 * pmf[k];
+            observed += seen[k];
+            if expected >= 5.0 && draws as f64 - total_expected - expected >= 5.0 {
+                chi2 += (observed as f64 - expected).powi(2) / expected;
+                total_expected += expected;
+                (expected, observed, bins) = (0.0, 0, bins + 1);
+            }
+        }
+        let rest = draws as f64 - total_expected;
+        let observed_rest = observed + seen[kmax as usize + 1];
+        chi2 += (observed_rest as f64 - rest).powi(2) / rest;
+        bins += 1;
+        let dof = (bins - 1) as f64;
+        let sigma = (2.0 * dof).sqrt().max(1.0);
+        assert!(
+            (chi2 - dof).abs() <= 5.0 * sigma,
+            "Bin({n}, {p}): χ² {chi2} over {bins} bins"
+        );
+    }
 }
 
 /// Mean and standard error of `f` over the sample.
@@ -642,12 +754,12 @@ fn mean_and_sigma(n: usize, f: impl Fn(usize) -> f64) -> (f64, f64) {
     (mean, (var / n as f64).sqrt())
 }
 
-/// `|got − want| ≤ 4σ`.
-fn within_4_sigma(what: &str, (got, sigma): (f64, f64), want: f64) {
+/// `|got − want| ≤ k·σ`.
+fn within_sigmas(k: f64, what: &str, (got, sigma): (f64, f64), want: f64) {
     assert!(
-        (got - want).abs() <= 4.0 * sigma,
-        "{what}: {got} vs {want} (4σ = {})",
-        4.0 * sigma
+        (got - want).abs() <= k * sigma,
+        "{what}: {got} vs {want} ({k}σ = {})",
+        k * sigma
     );
 }
 
@@ -656,16 +768,21 @@ fn landau_moments_match_the_distribution() {
     let (g, l) = (grid(), layout());
     let n = 1_000_000;
     let pool = ThreadPool::new(2);
-    let (p, _) = Loader::new(&g, &l, LANDAU, n, SEED).load(0..n, None, Some(&pool));
+    let (p, _) = Loader::new(&g, &l, LANDAU, n, SEED).load(0..n, Some(&pool));
     // Density ∝ 1 + α cos kx over whole periods: ⟨cos kx⟩ = α/2.
     let cos_kx = |i: usize| (0.5 * (p.ix[i] as f64 + p.dx[i]) * g.dx()).cos();
-    within_4_sigma("<cos kx>", mean_and_sigma(n, cos_kx), 0.25);
-    within_4_sigma("<vx>", mean_and_sigma(n, |i| p.vx[i]), 0.0);
-    within_4_sigma("<vy>", mean_and_sigma(n, |i| p.vy[i]), 0.0);
-    within_4_sigma("<vx^2>", mean_and_sigma(n, |i| p.vx[i] * p.vx[i]), 1.0);
-    within_4_sigma("<vy^2>", mean_and_sigma(n, |i| p.vy[i] * p.vy[i]), 1.0);
+    within_sigmas(4.0, "<cos kx>", mean_and_sigma(n, cos_kx), 0.25);
+    within_sigmas(4.0, "<vx>", mean_and_sigma(n, |i| p.vx[i]), 0.0);
+    within_sigmas(4.0, "<vy>", mean_and_sigma(n, |i| p.vy[i]), 0.0);
+    within_sigmas(4.0, "<vx^2>", mean_and_sigma(n, |i| p.vx[i] * p.vx[i]), 1.0);
+    within_sigmas(4.0, "<vy^2>", mean_and_sigma(n, |i| p.vy[i] * p.vy[i]), 1.0);
     // The two halves of one Box–Muller draw are independent.
-    within_4_sigma("<vx vy>", mean_and_sigma(n, |i| p.vx[i] * p.vy[i]), 0.0);
+    within_sigmas(
+        4.0,
+        "<vx vy>",
+        mean_and_sigma(n, |i| p.vx[i] * p.vy[i]),
+        0.0,
+    );
 }
 
 #[test]
@@ -673,12 +790,17 @@ fn two_stream_beams_split_evenly_and_em_vz_has_the_thermal_spread() {
     let (g, l) = (grid(), layout());
     let n = 400_000;
     let pool = ThreadPool::new(2);
-    let loader = Loader::new(&g, &l, TWO_STREAM, n, SEED).species(0);
-    let (p, vz) = loader.load(0..n, None, Some(&pool));
+    let loader = Loader::species(&g, &l, TWO_STREAM, n, SEED, 0);
+    let (p, vz) = loader.load(0..n, Some(&pool));
     let forward = |i: usize| f64::from(u8::from(p.vx[i] > 0.0));
-    within_4_sigma("beam split", mean_and_sigma(n, forward), 0.5);
+    within_sigmas(4.0, "beam split", mean_and_sigma(n, forward), 0.5);
     let vt = 0.3;
-    within_4_sigma("<vz>", mean_and_sigma(n, |i| vz[i]), 0.0);
-    within_4_sigma("<vz^2>", mean_and_sigma(n, |i| vz[i] * vz[i]), vt * vt);
-    within_4_sigma("<vy^2>", mean_and_sigma(n, |i| p.vy[i] * p.vy[i]), vt * vt);
+    within_sigmas(4.0, "<vz>", mean_and_sigma(n, |i| vz[i]), 0.0);
+    within_sigmas(4.0, "<vz^2>", mean_and_sigma(n, |i| vz[i] * vz[i]), vt * vt);
+    within_sigmas(
+        4.0,
+        "<vy^2>",
+        mean_and_sigma(n, |i| p.vy[i] * p.vy[i]),
+        vt * vt,
+    );
 }

@@ -529,3 +529,19 @@ fn disorder_metric_is_monotone_under_progressive_shuffling() {
         }
     }
 }
+
+/// Tier-1 runs with debug assertions and overflow checks on: the
+/// born-sorted check in construction, the sort's `icell == encode(ix, iy)`
+/// check and every other `debug_assert!` are part of the suite, so a
+/// profile edit that switched either off would show here.
+#[test]
+fn tier1_builds_keep_debug_assertions_on() {
+    use std::hint::black_box;
+    let debug = std::panic::catch_unwind(|| debug_assert!(black_box(false)));
+    assert!(
+        cfg!(debug_assertions) && debug.is_err(),
+        "tests must build with debug assertions"
+    );
+    let overflow = std::panic::catch_unwind(|| black_box(u8::MAX) + 1);
+    assert!(overflow.is_err(), "tests must build with overflow checks");
+}
