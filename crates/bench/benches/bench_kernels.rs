@@ -104,21 +104,6 @@ fn bench_update_velocities(c: &mut Criterion) {
             black_box(vx[0])
         })
     });
-    g.bench_function("redundant_coeff_lanes", |b| {
-        b.iter(|| {
-            simd::update_velocities_redundant_lanes(
-                black_box(&p.icell),
-                &p.dx,
-                &p.dy,
-                &mut vx,
-                &mut vy,
-                &e8.e8,
-                0.5,
-                0.5,
-            );
-            black_box(vx[0])
-        })
-    });
     g.bench_function("standard_gather", |b| {
         b.iter(|| {
             reference::update_velocities_standard(

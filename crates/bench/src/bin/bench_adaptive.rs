@@ -6,8 +6,8 @@
 //! * **steady** (Landau damping): disorder develops only through natural
 //!   phase mixing, so well-tuned static sort periods are hard to beat —
 //!   the controller must finish within `--tolerance` percent (default 5)
-//!   of the best member of a static grid over deposit path × sort period
-//!   (including "never sort").
+//!   of the best member of a static grid of sort periods (including
+//!   "never sort").
 //! * **drift** (two-stream with injection disorder): after a quiet phase,
 //!   a seeded physics-neutral permutation scrambles the particle array on
 //!   a cadence no fixed period matches — every static schedule either
@@ -29,7 +29,7 @@ use pic_bench::report::{results_path, write_json_file, Json};
 use pic_bench::table::Table;
 use pic_core::control::ControllerConfig;
 use pic_core::rng::Rng;
-use pic_core::sim::{DepositPath, PicConfig, Simulation};
+use pic_core::sim::{PicConfig, Simulation};
 use pic_core::PicError;
 use std::time::Instant;
 
@@ -122,12 +122,28 @@ fn timed_set(
     Ok(best)
 }
 
-fn static_label(d: DepositPath, p: usize) -> String {
-    let deposit = match d {
-        DepositPath::Exact => "exact",
-        DepositPath::LaneReduce => "lane_reduce",
-    };
-    format!("{deposit}/{p}")
+/// The static competitors of both scenarios: fixed sort periods, 0 being
+/// "never sort".
+const STATIC_PERIODS: [usize; 5] = [0, 8, 16, 32, 64];
+
+/// `base` at each of [`STATIC_PERIODS`], then under the default controller.
+fn static_grid_and_adaptive(base: &PicConfig) -> Vec<PicConfig> {
+    let mut cfgs: Vec<PicConfig> = STATIC_PERIODS
+        .iter()
+        .map(|&sort_period| PicConfig {
+            sort_period,
+            ..base.clone()
+        })
+        .collect();
+    cfgs.push(PicConfig {
+        controller: Some(ControllerConfig::default()),
+        ..base.clone()
+    });
+    cfgs
+}
+
+fn static_label(period: usize) -> String {
+    format!("period/{period}")
 }
 
 fn run() -> Result<(), PicError> {
@@ -153,34 +169,15 @@ fn run() -> Result<(), PicError> {
     base.grid_nx = 256;
     base.grid_ny = 256;
 
-    let steady_grid: &[(DepositPath, usize)] = &[
-        (DepositPath::Exact, 32),
-        (DepositPath::LaneReduce, 0),
-        (DepositPath::LaneReduce, 8),
-        (DepositPath::LaneReduce, 16),
-        (DepositPath::LaneReduce, 32),
-        (DepositPath::LaneReduce, 64),
-    ];
-    let mut steady_cfgs: Vec<PicConfig> = steady_grid
-        .iter()
-        .map(|&(deposit, period)| {
-            let mut cfg = base.clone();
-            cfg.deposit_path = deposit;
-            cfg.sort_period = period;
-            cfg
-        })
-        .collect();
-    let mut adaptive = base.clone();
-    adaptive.controller = Some(ControllerConfig::default());
-    steady_cfgs.push(adaptive);
+    let steady_cfgs = static_grid_and_adaptive(&base);
     let steady_times = timed_set(&steady_cfgs, reps, steps, 0, 0)?;
     let steady_secs = steady_times.last().map(|&(q, _)| q).unwrap_or(f64::NAN);
 
     let mut best_static = f64::INFINITY;
     let mut best_label = String::new();
     let mut steady_json: Vec<(String, Json)> = Vec::new();
-    for (&(deposit, period), &(secs, _)) in steady_grid.iter().zip(&steady_times) {
-        let label = static_label(deposit, period);
+    for (&period, &(secs, _)) in STATIC_PERIODS.iter().zip(&steady_times) {
+        let label = static_label(period);
         if secs < best_static {
             best_static = secs;
             best_label = label.clone();
@@ -214,18 +211,7 @@ fn run() -> Result<(), PicError> {
     // The gate compares the *drifting phase alone*: every competitor
     // (static or adaptive) runs the same kernels and differs only in
     // *when* it sorts.
-    let drift_periods = [0usize, 8, 16, 32, 64];
-    let mut drift_cfgs: Vec<PicConfig> = drift_periods
-        .iter()
-        .map(|&period| {
-            let mut cfg = drift_base.clone();
-            cfg.sort_period = period;
-            cfg
-        })
-        .collect();
-    let mut drift_adaptive = drift_base.clone();
-    drift_adaptive.controller = Some(ControllerConfig::default());
-    drift_cfgs.push(drift_adaptive);
+    let drift_cfgs = static_grid_and_adaptive(&drift_base);
     let drift_times = timed_set(&drift_cfgs, reps, steady_phase, drift_phase, shuffle_every)?;
     let (adaptive_quiet, drift_secs) = *drift_times.last().unwrap_or(&(f64::NAN, f64::NAN));
     let adaptive_total = adaptive_quiet + drift_secs;
@@ -234,8 +220,8 @@ fn run() -> Result<(), PicError> {
     let mut best_drift_label = String::new();
     let mut best_drift_total = f64::INFINITY;
     let mut drift_json: Vec<(String, Json)> = Vec::new();
-    for (&period, &(quiet, drift)) in drift_periods.iter().zip(&drift_times) {
-        let label = static_label(drift_base.deposit_path, period);
+    for (&period, &(quiet, drift)) in STATIC_PERIODS.iter().zip(&drift_times) {
+        let label = static_label(period);
         if drift < best_drift {
             best_drift = drift;
             best_drift_label = label.clone();

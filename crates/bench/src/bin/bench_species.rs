@@ -27,7 +27,9 @@ use pic_bench::cli::Args;
 use pic_bench::report::{results_path, write_json_file, Json};
 use pic_bench::table::Table;
 use pic_core::em::{EmConfig, EmSimulation};
-use pic_core::kernels::deposit::DepositPath;
+use pic_core::kernels::current::select_current_kernel;
+use pic_core::kernels::deposit::{select_kernel, DepositPath};
+use pic_core::sim::KernelPath;
 use pic_core::PicError;
 use std::f64::consts::PI;
 
@@ -126,21 +128,34 @@ fn run_scenario(t: &mut Table, name: &str, cfg: EmConfig, steps: usize) -> Resul
     ]))
 }
 
-/// The bounded `LaneReduce` reassociation check for one deposit.
+/// The bounded `LaneReduce` reassociation check on the simulation's own
+/// stores: after `steps`, ρ and **J** deposited by the step's kernel and
+/// by the scalar exact one may differ only by summation reassociation.
 fn deposit_parity(name: &str, cfg: &EmConfig, steps: usize) -> Result<Json, PicError> {
-    let mut exact = cfg.clone();
-    exact.deposit_path = DepositPath::Exact;
-    let mut a = EmSimulation::new(exact.clone())?;
-    a.run(steps);
-
-    // One step from a shared snapshot, exact vs lane-reduced deposit: the
-    // grids may differ only by summation reassociation.
-    let snap = a.checkpoint();
-    let mut e = EmSimulation::from_snapshot(exact.clone(), &snap)?;
-    let mut l = EmSimulation::from_snapshot(exact, &snap)?;
-    l.set_deposit_path(DepositPath::LaneReduce);
-    e.step();
-    l.step();
+    let mut sim = EmSimulation::new(cfg.clone())?;
+    sim.run(steps);
+    let ncells = sim.cell_layout().ncells();
+    // Every species into one ρ₄ and one J₁₂, flattened to `[ρ, Jx, Jy, Jz]`.
+    let deposit = |path| {
+        let (rho_kernel, j_kernel) = (
+            select_kernel(path, KernelPath::Scalar),
+            select_current_kernel(path, KernelPath::Scalar),
+        );
+        let mut rho4 = vec![[0.0; 4]; ncells];
+        let mut j12 = vec![[0.0; 12]; ncells];
+        for s in sim.species() {
+            let (p, w) = (&s.p, s.deposit_weight(sim.grid()));
+            rho_kernel(&p.icell, &p.dx, &p.dy, &mut rho4, w);
+            j_kernel(&p.icell, &p.dx, &p.dy, &p.vx, &p.vy, &s.vz, &mut j12, w);
+        }
+        let j = |c: usize| {
+            j12.iter()
+                .flat_map(|r| r[4 * c..4 * c + 4].iter().copied())
+                .collect()
+        };
+        let rho: Vec<f64> = rho4.into_iter().flatten().collect();
+        [rho, j(0), j(1), j(2)]
+    };
     let rel_diff = |x: &[f64], y: &[f64]| {
         let scale = x.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1e-300);
         x.iter()
@@ -148,16 +163,13 @@ fn deposit_parity(name: &str, cfg: &EmConfig, steps: usize) -> Result<Json, PicE
             .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()))
             / scale
     };
-    let (ejx, ejy, ejz) = e.j_field();
-    let (ljx, ljy, ljz) = l.j_field();
-    let max_rel = [
-        rel_diff(e.rho(), l.rho()),
-        rel_diff(ejx, ljx),
-        rel_diff(ejy, ljy),
-        rel_diff(ejz, ljz),
-    ]
-    .into_iter()
-    .fold(0.0f64, f64::max);
+    let (exact, lane) = (
+        deposit(DepositPath::Exact),
+        deposit(DepositPath::LaneReduce),
+    );
+    let max_rel = (exact.iter().zip(&lane))
+        .map(|(e, l)| rel_diff(e, l))
+        .fold(0.0f64, f64::max);
     gate(
         max_rel < 1e-9,
         &format!("{name}: LaneReduce deposit off by {max_rel:.2e} relative"),

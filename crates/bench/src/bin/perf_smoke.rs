@@ -133,9 +133,9 @@ fn run() -> Result<(), PicError> {
         });
         gate("accumulate", scalar, lanes);
 
-        // Vectorized deposition: the reassociated path must beat the scalar
-        // exact kernel (the whole point of DepositPath — anything else
-        // means the lane-reduction codegen regressed).
+        // Vectorized deposition: the reassociated path every step runs must
+        // beat the scalar exact kernel (anything else means the
+        // lane-reduction codegen regressed).
         let lane_reduce = min_time(reps, || {
             deposit::accumulate_lane_reduce(&base.icell, &base.dx, &base.dy, &mut acc.rho4, 1.0);
             black_box(acc.rho4[0][0]);

@@ -68,13 +68,13 @@ fn run() -> Result<(), PicError> {
     };
 
     // 2-D standard: standard field arrays, row-major — a reference variant.
-    let mut cfg = workloads::table1(particles, grid, Ordering::RowMajor);
-    cfg.hoisted = false; // standard layout has no pre-scaled redundant copy
+    let cfg = workloads::table1(particles, grid, Ordering::RowMajor);
     let standard = Variant {
         particles: ParticleLayout::Soa,
         fields: FieldLayout::Standard,
         loops: LoopStructure::Split,
         push: PositionUpdate::Branchless,
+        hoisted: false, // the standard layout has no pre-scaled redundant copy
     };
     let ph = run_case("2d standard", cfg, Some(standard), iters, &mut t)?;
     rows.push(json_row("2d standard", &ph));

@@ -3,7 +3,8 @@
 //! `pic_core::sim::Simulation` runs one particle path: SoA particles,
 //! redundant cell-based E/ρ, three split loops, branchless push. Everything
 //! the paper measures that path *against* lives here instead — the scalar
-//! AoS ([`aos`]), fused, standard-field and naive-push ([`soa`]) kernels, one
+//! AoS ([`aos`]), fused, standard-field and naive-push ([`soa`]) kernels, the
+//! unhoisted coefficient form (§IV-D), one
 //! [`Variant`] value naming a cell of §IV's ablation space, and a small
 //! [`ReferenceRun`] that steps a variant's loops over state lifted from a
 //! production `Simulation::new`. Tables III ("2d standard"), IV (the seven
@@ -76,34 +77,44 @@ pub struct Variant {
     pub loops: LoopStructure,
     /// Update-positions shape (the fused loops bake theirs in).
     pub push: PositionUpdate,
+    /// Coefficient hoisting (§IV-D): velocities stored in cells per step
+    /// and the kick constants folded into the stored field, as production
+    /// runs; `false` keeps physical velocities and multiplies per particle.
+    pub hoisted: bool,
 }
 
 impl Variant {
-    /// Table IV's baseline: AoS, standard arrays, one fused loop, naive push.
+    /// Table IV's baseline: AoS, standard arrays, one fused loop, naive
+    /// push, unhoisted.
     pub const BASELINE: Variant = Variant {
         particles: ParticleLayout::Aos,
         fields: FieldLayout::Standard,
         loops: LoopStructure::Fused,
         push: PositionUpdate::NaiveIf,
+        hoisted: false,
     };
 
     /// Every variant that names a loop body of its own (13 of the 24
-    /// nominal combinations — the rest only alias one of these).
+    /// nominal layout/loop/push combinations — the rest only alias one of
+    /// these), hoisted and, where it has the coefficient form, unhoisted.
     pub fn all() -> Vec<Variant> {
         use {FieldLayout::*, LoopStructure::*, ParticleLayout::*, PositionUpdate::*};
         let mut out = Vec::new();
-        for particles in [Aos, Soa] {
-            for fields in [Standard, Redundant] {
-                for loops in [Fused, Split] {
-                    for push in [NaiveIf, ModuloInt, Branchless] {
-                        let v = Variant {
-                            particles,
-                            fields,
-                            loops,
-                            push,
-                        };
-                        if v.check(true, true).is_ok() {
-                            out.push(v);
+        for hoisted in [true, false] {
+            for particles in [Aos, Soa] {
+                for fields in [Standard, Redundant] {
+                    for loops in [Fused, Split] {
+                        for push in [NaiveIf, ModuloInt, Branchless] {
+                            let v = Variant {
+                                particles,
+                                fields,
+                                loops,
+                                push,
+                                hoisted,
+                            };
+                            if v.check(true).is_ok() {
+                                out.push(v);
+                            }
                         }
                     }
                 }
@@ -112,9 +123,9 @@ impl Variant {
         out
     }
 
-    /// Whether this variant has kernels for the given cell ordering and
-    /// hoisting convention; the message says what is missing.
-    pub fn check(&self, row_major: bool, hoisted: bool) -> Result<(), PicError> {
+    /// Whether this variant has kernels for the given cell ordering; the
+    /// message says what is missing.
+    pub fn check(&self, row_major: bool) -> Result<(), PicError> {
         use {FieldLayout::*, LoopStructure::*, ParticleLayout::*, PositionUpdate::*};
         let err = |msg: &str| Err(PicError::Config(format!("{self:?}: {msg}")));
         match (self.loops, self.fields, self.push) {
@@ -139,7 +150,7 @@ impl Variant {
                 _ => {}
             }
         }
-        if !hoisted && (self.loops, self.fields) == (Fused, Redundant) {
+        if !self.hoisted && (self.loops, self.fields) == (Fused, Redundant) {
             return err("the fused redundant loop is written hoisted");
         }
         Ok(())
@@ -150,8 +161,9 @@ impl Variant {
 ///
 /// The state (sampled particles, initial ρ and E, leap-frog half-kick,
 /// velocity normalization) is lifted from a production
-/// [`Simulation::new`], so a reference run and a production run of the same
-/// `PicConfig` start from the same bits. Each step is the paper's Fig. 1:
+/// [`Simulation::new`], so a hoisted reference run and a production run of
+/// the same `PicConfig` start from the same bits; an unhoisted one converts
+/// the velocities back to physical units. Each step is the paper's Fig. 1:
 /// periodic out-of-place sort, the variant's loops, the serial Poisson
 /// solve — timed into the same [`PhaseTimes`] buckets `Simulation` fills.
 /// No diagnostics, no controller, no checkpoint: it exists to be timed and
@@ -186,19 +198,31 @@ fn timed(bucket: &mut f64, f: impl FnOnce()) {
 
 impl ReferenceRun {
     /// Initialize `cfg` through the production driver and lift its state.
-    /// `cfg.deposit_path` and `controller` are ignored (the reference
-    /// loops are scalar and exact); `threads > 1` fans out the
-    /// AoS redundant loops only.
+    /// `controller` is ignored (the reference loops are scalar and exact);
+    /// `threads > 1` fans out the AoS redundant loops only. An unhoisted
+    /// variant needs square cells: one push scale `Δt/Δx` serves both axes.
     pub fn new(cfg: PicConfig, variant: Variant) -> Result<Self, PicError> {
         let layout = AnyLayout::build(cfg.ordering, cfg.grid_nx, cfg.grid_ny)?;
-        variant.check(layout.is_row_major(), cfg.hoisted)?;
+        variant.check(layout.is_row_major())?;
         let sim = Simulation::new(cfg)?;
         let (cfg, grid) = (sim.config().clone(), *sim.grid());
         let mut field = Field2D::new(&grid);
         field.rho.copy_from_slice(sim.rho());
         field.ex.copy_from_slice(sim.e_field().0);
         field.ey.copy_from_slice(sim.e_field().1);
-        let particles = sim.particles().clone();
+        let mut particles = sim.particles().clone();
+        if !variant.hoisted {
+            if (grid.dx() - grid.dy()).abs() > 1e-12 * grid.dx() {
+                return Err(PicError::Config(format!(
+                    "{variant:?}: physical velocities require square cells (Δx = Δy)"
+                )));
+            }
+            // Production stores cells per step; the coefficient form runs on
+            // physical velocities.
+            let (sx, sy) = (grid.dx() / cfg.dt, grid.dy() / cfg.dt);
+            particles.vx.iter_mut().for_each(|v| *v *= sx);
+            particles.vy.iter_mut().for_each(|v| *v *= sy);
+        }
         let mut run = Self {
             variant,
             aos: (variant.particles == ParticleLayout::Aos)
@@ -299,7 +323,7 @@ impl ReferenceRun {
     /// Pre-scale factors of the stored kick field: `qΔt²/(mΔ)` per axis
     /// under hoisting (§IV-D), 1 otherwise.
     fn kick_scales(&self) -> (f64, f64) {
-        if self.cfg.hoisted {
+        if self.variant.hoisted {
             let c = QE * self.cfg.dt / ME;
             (
                 c * self.cfg.dt / self.grid.dx(),
@@ -313,7 +337,7 @@ impl ReferenceRun {
     /// Per-particle `(coeff_x, coeff_y, push scale)`: all 1 under hoisting,
     /// `(qΔt/m, qΔt/m, Δt/Δx)` otherwise (square cells).
     fn coeffs(&self) -> (f64, f64, f64) {
-        if self.cfg.hoisted {
+        if self.variant.hoisted {
             (1.0, 1.0, 1.0)
         } else {
             let c = QE * self.cfg.dt / ME;
@@ -382,7 +406,7 @@ impl ReferenceRun {
                     vx,
                     vy,
                 } = &mut self.particles;
-                let (e8, hoisted) = (&self.e8.e8, self.cfg.hoisted);
+                let (e8, hoisted) = (&self.e8.e8, self.variant.hoisted);
                 timed(&mut self.timers.update_v, || match &kick_field {
                     Some(f) => soa::update_velocities_standard(ix, iy, dx, dy, vx, vy, f, cx, cy),
                     None if hoisted => {
@@ -490,7 +514,7 @@ impl ReferenceRun {
                 // The AoS kick has no coefficient form: unhoisted, fold the
                 // coefficient into a scaled copy of the field once a step.
                 let scaled: Vec<[f64; 8]>;
-                let e8: &[[f64; 8]] = if self.cfg.hoisted {
+                let e8: &[[f64; 8]] = if self.variant.hoisted {
                     &self.e8.e8
                 } else {
                     let fold = |e: &[f64; 8]| std::array::from_fn(|k| e[k] * [cx, cy][k / 4]);
@@ -547,12 +571,11 @@ mod tests {
     use super::*;
     use sfc::Ordering;
 
-    fn small(ordering: Ordering, hoisted: bool) -> PicConfig {
+    fn small(ordering: Ordering) -> PicConfig {
         let mut cfg = PicConfig::landau_table1(2000);
         cfg.grid_nx = 32;
         cfg.grid_ny = 32;
         cfg.ordering = ordering;
-        cfg.hoisted = hoisted;
         cfg.sort_period = 3; // a sort inside the four steps
         cfg
     }
@@ -565,63 +588,61 @@ mod tests {
     }
 
     #[test]
-    fn thirteen_variants_have_a_loop_body_of_their_own() {
+    fn thirteen_loop_bodies_eleven_with_a_coefficient_form() {
         let all = Variant::all();
-        assert_eq!(all.len(), 13);
+        assert_eq!(all.iter().filter(|v| v.hoisted).count(), 13);
+        assert_eq!(all.len(), 13 + 11);
         assert!(all.contains(&Variant::BASELINE));
     }
 
-    /// The oracle: every variant, under every ordering and hoisting
-    /// convention it has kernels for (and on two threads where it fans
-    /// out), lands on the production path's ρ from the same seed.
+    /// The oracle: every variant, under every ordering it has kernels for
+    /// (and on two threads where it fans out), lands on the production
+    /// path's ρ from the same seed, hoisted or not.
     #[test]
     fn every_variant_matches_the_production_path() {
         const STEPS: usize = 4;
-        let production = |ordering, hoisted| {
-            let mut sim = Simulation::new(small(ordering, hoisted)).unwrap();
+        let production = |ordering| {
+            let mut sim = Simulation::new(small(ordering)).unwrap();
             sim.run(STEPS);
             sim
         };
-        let anchor = production(Ordering::Morton, true);
+        let anchor = production(Ordering::Morton);
         let mut rows = 0;
         for ordering in Ordering::paper_set() {
             let row_major = matches!(ordering, Ordering::RowMajor);
-            for hoisted in [true, false] {
-                let sim = production(ordering, hoisted);
-                // Across orderings and hoisting conventions only the
-                // rounding differs.
-                assert!(max_abs_diff(sim.rho(), anchor.rho()) < 1e-8);
-                for variant in Variant::all() {
-                    if variant.check(row_major, hoisted).is_err() {
-                        continue;
+            let sim = production(ordering);
+            // Across orderings only the rounding differs.
+            assert!(max_abs_diff(sim.rho(), anchor.rho()) < 1e-8);
+            for variant in Variant::all() {
+                if variant.check(row_major).is_err() {
+                    continue;
+                }
+                let fans_out = (variant.particles, variant.fields)
+                    == (ParticleLayout::Aos, FieldLayout::Redundant);
+                let thread_counts: &[usize] = if fans_out { &[1, 2] } else { &[1] };
+                for &threads in thread_counts {
+                    let what = format!("{variant:?} {ordering} x{threads}");
+                    let mut cfg = small(ordering);
+                    cfg.threads = threads;
+                    let run = ReferenceRun::run_fresh(cfg, variant, STEPS).unwrap();
+                    let d = max_abs_diff(run.rho(), sim.rho());
+                    assert!(d < 1e-9, "{what}: rho off by {d:e}");
+                    let (total, want) = (run.rho().iter().sum::<f64>(), sim.charge_reference());
+                    assert!(
+                        (total - want).abs() <= 1e-12 * want.abs(),
+                        "{what}: charge {total} vs {want}"
+                    );
+                    let p = run.particles();
+                    assert_eq!(p.len(), sim.particles().len(), "{what}");
+                    let layout = sim.cell_layout();
+                    for i in 0..p.len() {
+                        let (ix, iy) = (p.ix[i] as usize, p.iy[i] as usize);
+                        assert!(ix < 32 && iy < 32, "{what}: particle {i} off grid");
+                        assert_eq!(p.icell[i] as usize, layout.encode(ix, iy), "{what}");
+                        assert!((0.0..=1.0).contains(&p.dx[i]), "{what}: dx {}", p.dx[i]);
+                        assert!((0.0..=1.0).contains(&p.dy[i]), "{what}: dy {}", p.dy[i]);
                     }
-                    let fans_out = (variant.particles, variant.fields)
-                        == (ParticleLayout::Aos, FieldLayout::Redundant);
-                    let thread_counts: &[usize] = if fans_out { &[1, 2] } else { &[1] };
-                    for &threads in thread_counts {
-                        let what = format!("{variant:?} {ordering} hoisted={hoisted} x{threads}");
-                        let mut cfg = small(ordering, hoisted);
-                        cfg.threads = threads;
-                        let run = ReferenceRun::run_fresh(cfg, variant, STEPS).unwrap();
-                        let d = max_abs_diff(run.rho(), sim.rho());
-                        assert!(d < 1e-9, "{what}: rho off by {d:e}");
-                        let (total, want) = (run.rho().iter().sum::<f64>(), sim.charge_reference());
-                        assert!(
-                            (total - want).abs() <= 1e-12 * want.abs(),
-                            "{what}: charge {total} vs {want}"
-                        );
-                        let p = run.particles();
-                        assert_eq!(p.len(), sim.particles().len(), "{what}");
-                        let layout = sim.cell_layout();
-                        for i in 0..p.len() {
-                            let (ix, iy) = (p.ix[i] as usize, p.iy[i] as usize);
-                            assert!(ix < 32 && iy < 32, "{what}: particle {i} off grid");
-                            assert_eq!(p.icell[i] as usize, layout.encode(ix, iy), "{what}");
-                            assert!((0.0..=1.0).contains(&p.dx[i]), "{what}: dx {}", p.dx[i]);
-                            assert!((0.0..=1.0).contains(&p.dy[i]), "{what}: dy {}", p.dy[i]);
-                        }
-                        rows += 1;
-                    }
+                    rows += 1;
                 }
             }
         }
@@ -636,12 +657,17 @@ mod tests {
             fields: FieldLayout::Standard,
             ..Variant::BASELINE
         };
-        let err = ReferenceRun::new(small(Ordering::Morton, true), v).err();
+        let err = ReferenceRun::new(small(Ordering::Morton), v).err();
         assert!(matches!(err, Some(PicError::Config(m)) if m.contains("row-major")));
         let v = Variant {
             push: PositionUpdate::ModuloInt,
             ..Variant::BASELINE
         };
-        assert!(v.check(true, true).is_err());
+        assert!(v.check(true).is_err());
+        // The coefficient form pushes both axes by one `Δt/Δx`.
+        let mut cfg = small(Ordering::RowMajor);
+        cfg.lx *= 2.0;
+        let err = ReferenceRun::new(cfg, Variant::BASELINE).err();
+        assert!(matches!(err, Some(PicError::Config(m)) if m.contains("square cells")));
     }
 }

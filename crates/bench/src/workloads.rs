@@ -10,7 +10,7 @@ use crate::reference::{
     FieldLayout, LoopStructure, ParticleLayout, PositionUpdate, ReferenceRun, Variant,
 };
 use pic_core::particles::ParticlesSoA;
-use pic_core::sim::{DepositPath, PhaseTimes, PicConfig, Simulation};
+use pic_core::sim::{PhaseTimes, PicConfig, Simulation};
 use pic_core::PicError;
 use sfc::Ordering;
 
@@ -37,28 +37,24 @@ pub fn table1(particles: usize, grid: usize, ordering: Ordering) -> PicConfig {
 pub type Row = (&'static str, PicConfig, Option<Variant>);
 
 /// The rungs of the Table IV optimization ladder, in paper order, plus an
-/// eighth rung for the lane-blocked kernels (an optimization on top of the
-/// paper's ladder; the paper gets its vectorization from icc's
-/// auto-vectorizer, this codebase makes the lane blocking explicit) and a
-/// ninth for the vectorized deposition (`DepositPath::LaneReduce` — the
-/// reassociated per-lane private-ρ deposit, the fastest path in
-/// `BENCH_kernels.json`; rungs 1–8 keep the exact scalar-order deposit).
-/// The seven paper rungs are reference variants run as whole-array scalar
-/// loops — the last of them, "+ Optimized update-positions loop", through
-/// pic-core's public scalar kernels; "+ Lane-blocked kernels" is the first
-/// rung on the production driver, so the lane kernels and the strip-mined
-/// pass enter the ladder together. Rows share grid/particles/seed so
-/// timings are comparable.
+/// eighth rung, the production driver: the lane-blocked kernels and the
+/// vectorized deposition (an optimization on top of the paper's ladder;
+/// the paper gets its vectorization from icc's auto-vectorizer, this
+/// codebase makes the lane blocking explicit and deposits through the
+/// reassociated per-lane private-ρ kernel). The seven paper rungs are
+/// reference variants run as whole-array scalar loops with the exact
+/// scalar-order deposit — the last of them, "+ Optimized update-positions
+/// loop", through pic-core's public scalar kernels — so the lane kernels,
+/// the strip-mined pass and the vectorized deposit enter the ladder
+/// together. Rows share grid/particles/seed so timings are comparable.
 pub fn table4_ladder(particles: usize, grid: usize) -> Vec<Row> {
     let mut cfg = table1(particles, grid, Ordering::RowMajor);
-    cfg.hoisted = false;
-    cfg.deposit_path = DepositPath::Exact;
     let mut v = Variant::BASELINE;
     let mut ladder = vec![("Baseline", cfg.clone(), Some(v))];
     // Pre-scale the stored field by qΔt²/(mΔx) and the velocities by Δt/Δx
     // so the fused loop carries no per-particle constant multiplies (§IV-D,
     // paper gain: 5.8%).
-    cfg.hoisted = true;
+    v.hoisted = true;
     ladder.push(("+ Loop Hoisting", cfg.clone(), Some(v)));
     v.loops = LoopStructure::Split;
     ladder.push(("+ Loop Splitting", cfg.clone(), Some(v)));
@@ -72,9 +68,7 @@ pub fn table4_ladder(particles: usize, grid: usize) -> Vec<Row> {
     ladder.push(("+ Space-filling curves (E and rho)", cfg.clone(), Some(v)));
     v.push = PositionUpdate::Branchless;
     ladder.push(("+ Optimized update-positions loop", cfg.clone(), Some(v)));
-    ladder.push(("+ Lane-blocked kernels", cfg.clone(), None));
-    cfg.deposit_path = DepositPath::LaneReduce;
-    ladder.push(("+ Vectorized deposition", cfg, None));
+    ladder.push(("+ Lane-blocked kernels + Vectorized deposition", cfg, None));
     ladder
 }
 
@@ -87,6 +81,7 @@ pub fn table7_variants() -> [(&'static str, Option<Variant>); 4] {
             fields: FieldLayout::Redundant,
             loops,
             push: PositionUpdate::Branchless,
+            hoisted: true,
         })
     };
     [
@@ -156,27 +151,24 @@ mod tests {
     #[test]
     fn ladder_rungs_are_ordered_and_agree_on_physics() {
         let ladder = table4_ladder(800, 32);
-        assert_eq!(ladder.len(), 9);
+        assert_eq!(ladder.len(), 8);
         assert_eq!(ladder[0].0, "Baseline");
         assert_eq!(ladder[0].2, Some(Variant::BASELINE));
         // The seven paper rungs are reference variants — the last the
-        // production layout as whole-array scalar loops — the top two the
-        // production driver; the last is the fully optimized configuration.
+        // production layout as whole-array scalar loops, the first the only
+        // unhoisted one — and the top rung is the production driver.
         assert!(ladder[..7].iter().all(|r| r.2.is_some()));
-        assert!(ladder[7..].iter().all(|r| r.2.is_none()));
+        assert!(ladder[1..7].iter().all(|r| r.2.unwrap().hoisted));
+        assert!(ladder[7].2.is_none());
         let production_shape = Variant {
             particles: ParticleLayout::Soa,
             fields: FieldLayout::Redundant,
             loops: LoopStructure::Split,
             push: PositionUpdate::Branchless,
+            hoisted: true,
         };
         assert_eq!(ladder[6].2, Some(production_shape));
-        let last = &ladder[8].1;
-        assert_eq!(last.deposit_path, DepositPath::LaneReduce);
-        assert!(matches!(last.ordering, Ordering::Morton));
-        assert!(ladder[..8]
-            .iter()
-            .all(|r| r.1.deposit_path == DepositPath::Exact));
+        assert!(matches!(ladder[7].1.ordering, Ordering::Morton));
 
         // Every rung must compute the same ρ (same seed & steps).
         let mut reference: Option<Vec<f64>> = None;

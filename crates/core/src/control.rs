@@ -53,7 +53,7 @@ pub struct Disorder {
     pub jump_frac: f64,
     /// Fraction of examined full lane blocks whose [`LANE_BLOCK`] entries
     /// all share one cell, in `[0, 1]` — the blocks
-    /// [`crate::sim::DepositPath::LaneReduce`] collapses to a single store.
+    /// [`crate::kernels::deposit::DepositPath::LaneReduce`] collapses to a single store.
     pub uniform_block_frac: f64,
 }
 

@@ -8,8 +8,8 @@
 //! deposits ρ. E comes from the spectral Poisson solve (`solve_e`), or
 //! stays zero, and **B** is static, so no step reads **J**:
 //! [`EmSimulation::j_field`] deposits it ([`crate::kernels::current`]) from
-//! the end-of-step stores on the first read after a step, under the same
-//! `DepositPath` knob as ρ.
+//! the end-of-step stores on the first read after a step, with the same
+//! reassociated lane deposit as ρ.
 //!
 //! Velocities are stored in *physical* units (no §IV-D hoisting: per-species
 //! q/m would need one scaled field copy per species, forfeiting the
@@ -18,15 +18,14 @@
 //! particle in the 2d domain.
 //!
 //! Determinism contract: trajectories depend only on the config and the
-//! executing pool *width*, and on the `Exact` deposit path a step is
-//! bit-identical to whole-array calls of the scalar reference kernels
+//! executing pool *width*, and a step is bit-identical to whole-array calls
+//! of the scalar reference kernels on a pool of that width
 //! (`tests/integration_species.rs`).
 
 use crate::engine::kind::{Kick, Kind, Mover, Settings, SettingsMut};
 use crate::engine::{shared_settings, Pic};
 use crate::grid::Grid2D;
 use crate::kernels::boris::BorisCoeffs;
-use crate::kernels::deposit::DepositPath;
 use crate::particles::InitialDistribution;
 use crate::pool::ThreadPool;
 use crate::resilience::checkpoint::{self as ckpt, EmState, StateView};
@@ -58,8 +57,6 @@ pub struct EmConfig {
     pub solve_e: bool,
     /// Cell ordering for the redundant structures.
     pub ordering: Ordering,
-    /// Deposition kernel for both ρ and **J**.
-    pub deposit_path: DepositPath,
     /// Sort every `sort_period` steps (0 = never).
     pub sort_period: usize,
     /// Workers in the persistent thread pool (1 = sequential, no pool).
@@ -90,7 +87,6 @@ impl EmConfig {
             b0: [0.0; 3],
             solve_e: true,
             ordering: Ordering::Morton,
-            deposit_path: DepositPath::LaneReduce,
             sort_period: 20,
             threads: 1,
             seed: 0xB1C0DE,
@@ -238,7 +234,6 @@ impl EmConfig {
             b0: [0.0; 3],
             solve_e: true,
             ordering: cfg.ordering,
-            deposit_path: cfg.deposit_path,
             sort_period: cfg.sort_period,
             threads: cfg.threads,
             seed: cfg.seed,
@@ -332,8 +327,8 @@ pub type EmSimulation = Pic<EmConfig>;
 impl Pic<EmConfig> {
     /// Restore a *legacy* single-species electrostatic snapshot (the
     /// `b"PIC2DCKP"` format) into a one-species EM world: the electron
-    /// arena takes the checkpointed particles with `vz = 0` (hoisted
-    /// velocities are un-normalized back to physical units), fields, hot-path
+    /// arena takes the checkpointed particles with `vz = 0` (the hoisted
+    /// velocities converted back to physical units), fields, hot-path
     /// settings and controller state carry over, **J** starts at zero, and
     /// `B = 0` + `solve_e` reproduce the electrostatic physics the snapshot
     /// was running. The state is checked like any restore's.
@@ -351,13 +346,11 @@ impl Pic<EmConfig> {
         }
         let mut sim = Self::shell(EmConfig::from_legacy(cfg), None)?;
         let s = &mut st.species[0];
-        if cfg.hoisted {
-            // Legacy hoisted runs store velocities in grid units per step;
-            // the EM arenas are physical.
-            let (cx, cy) = (sim.grid.dx() / cfg.dt, sim.grid.dy() / cfg.dt);
-            s.particles.vx.iter_mut().for_each(|v| *v *= cx);
-            s.particles.vy.iter_mut().for_each(|v| *v *= cy);
-        }
+        // Electrostatic runs store velocities in grid units per step; the
+        // EM arenas are physical.
+        let (cx, cy) = (sim.grid.dx() / cfg.dt, sim.grid.dy() / cfg.dt);
+        s.particles.vx.iter_mut().for_each(|v| *v *= cx);
+        s.particles.vy.iter_mut().for_each(|v| *v *= cy);
         s.vz = vec![0.0; s.particles.len()];
         let ng = st.rho.len();
         (st.jx, st.jy, st.jz) = (vec![0.0; ng], vec![0.0; ng], vec![0.0; ng]);

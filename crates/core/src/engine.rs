@@ -11,8 +11,8 @@
 //!
 //! The configuration type picks the physics:
 //! - [`crate::sim::Simulation`] is `Pic<PicConfig>`: one electron store
-//!   whose `vz` column is empty, a leap-frog electric kick (hoisted or not,
-//!   §IV-D), no **J** — the paper's 2d2v electrostatic code;
+//!   whose `vz` column is empty, the hoisted leap-frog electric kick
+//!   (§IV-D), no **J** — the paper's 2d2v electrostatic code;
 //! - [`crate::em::EmSimulation`] is `Pic<EmConfig>`: any number of 2d3v
 //!   species under a Boris push against a static **B**, with **J** on
 //!   request.
@@ -37,7 +37,7 @@ use crate::control::{self, HotPathController, SwitchEvent};
 use crate::fields::{Field2D, RedundantE, RedundantJ, RedundantRho};
 use crate::grid::Grid2D;
 use crate::kernels::boris::boris_push_lanes;
-use crate::kernels::{accumulate, current, deposit, simd, SoaViewMut};
+use crate::kernels::{accumulate, current, deposit, simd, velocity, SoaViewMut};
 use crate::pass::{for_each_strip, store_speed_sq, strip_pass, StripKernels};
 use crate::pool::ThreadPool;
 use crate::resilience::checkpoint::{self as ckpt, EmState, StateView};
@@ -59,7 +59,6 @@ pub(crate) mod kind {
     use crate::control::ControllerConfig;
     use crate::grid::Grid2D;
     use crate::kernels::boris::BorisCoeffs;
-    use crate::kernels::deposit::DepositPath;
     use crate::pool::ThreadPool;
     use crate::resilience::checkpoint::{EmState, StateView};
     use crate::species::{SpeciesArena, SpeciesDef};
@@ -76,13 +75,11 @@ pub(crate) mod kind {
         pub dt: f64,
         pub ordering: Ordering,
         pub threads: usize,
-        pub deposit_path: DepositPath,
         pub sort_period: usize,
     }
 
     /// The settings a run may change after construction.
     pub struct SettingsMut<'a> {
-        pub deposit_path: &'a mut DepositPath,
         pub sort_period: &'a mut usize,
         pub controller: &'a mut Option<ControllerConfig>,
     }
@@ -98,20 +95,20 @@ pub(crate) mod kind {
         pub speed_scales: (f64, f64),
     }
 
-    /// The kick of a step.
+    /// The kick of a step: one per kind, so no run chooses it.
     #[derive(Debug, Clone, Copy)]
     pub enum Kick {
-        /// §IV-D: velocities stored in cells per step, kicked by a field
-        /// view pre-scaled by `field_scales` (the kick coefficients), so a
-        /// kind that hoists has one species. `to_stored` converts the
-        /// sampled physical velocities once, after the half-kick back.
+        /// The electrostatic kick, hoisted (§IV-D): velocities stored in
+        /// cells per step, kicked by a field view pre-scaled by
+        /// `field_scales` (the kick coefficients), so a kind that hoists
+        /// has one species. `to_stored` converts the sampled physical
+        /// velocities once, after the half-kick back. The unhoisted form
+        /// is Table IV's baseline, in `pic_bench::reference`.
         Hoisted {
             field_scales: (f64, f64),
             to_stored: (f64, f64),
         },
-        /// Physical velocities kicked by `coeff·E`.
-        Electric { coeff: f64 },
-        /// The Boris push against the static **B**.
+        /// The Boris push against the static **B**, on physical velocities.
         Boris(BorisCoeffs),
     }
 
@@ -165,14 +162,12 @@ macro_rules! shared_settings {
                 dt: self.dt,
                 ordering: self.ordering,
                 threads: self.threads,
-                deposit_path: self.deposit_path,
                 sort_period: self.sort_period,
             }
         }
 
         fn settings_mut(&mut self) -> SettingsMut<'_> {
             SettingsMut {
-                deposit_path: &mut self.deposit_path,
                 sort_period: &mut self.sort_period,
                 controller: &mut self.controller,
             }
@@ -269,6 +264,12 @@ fn validate<C: Kind>(cfg: &C, defs: &[SpeciesDef]) -> Result<(), PicError> {
     Ok(())
 }
 
+/// The deposit kernel of every step, ρ and **J**: the reassociated lane
+/// deposit (DESIGN.md §14). Not an option: [`deposit::DepositPath::Exact`]
+/// is the scalar reference the parity tests hold it to (within the per-cell
+/// bound `4k²ε|w|`) and the initial deposit.
+const DEPOSIT: deposit::DepositPath = deposit::DepositPath::LaneReduce;
+
 /// Smallest grid, in cells, whose field solve runs on the pool. Below it
 /// the pooled FFT passes' fork-joins cost more than they split, so the
 /// solve stays serial even in a pooled run; the two solves are bit-identical
@@ -340,7 +341,7 @@ impl<C: Kind> Pic<C> {
             .any(|m| !matches!(m.kick, Kick::Hoisted { .. }));
         if physical && (grid.dx() - grid.dy()).abs() > 1e-12 * grid.dx() {
             return Err(PicError::Config(
-                "physical (unhoisted) velocities require square cells (Δx = Δy)".into(),
+                "physical velocities require square cells (Δx = Δy)".into(),
             ));
         }
 
@@ -492,16 +493,6 @@ impl<C: Kind> Pic<C> {
 
     // ---------------- hot-path settings ----------------
 
-    /// Switch the deposition kernel at runtime. This changes the rounding
-    /// of subsequent steps (within the per-cell FP bound of
-    /// [`crate::kernels::deposit`]); checkpoints record the active value as
-    /// metadata so a restored run resumes it.
-    pub fn set_deposit_path(&mut self, path: crate::sim::DepositPath) {
-        // The last step's **J** is the one its own path deposits.
-        self.j_arrays();
-        *self.cfg.settings_mut().deposit_path = path;
-    }
-
     /// Change the fixed sort cadence at runtime (0 = never). Ignored while
     /// a controller is attached — the controller owns the sort schedule.
     pub fn set_sort_period(&mut self, period: usize) {
@@ -647,17 +638,13 @@ impl<C: Kind> Pic<C> {
         self.j.take();
         self.timers.accumulate += t.elapsed().as_secs_f64();
 
-        let path = self.cfg.settings().deposit_path;
-        let deposit = deposit::select_kernel(path, KernelPath::Lanes);
+        let deposit = deposit::select_kernel(DEPOSIT, KernelPath::Lanes);
         let (e8, pool) = (&self.e8.e8, self.pool.as_deref());
         let mut kinetic = 0.0;
         for (arena, mover) in self.species.iter_mut().zip(&self.movers) {
             let kick = |v: &mut SoaViewMut<'_>| match &mover.kick {
                 Kick::Hoisted { .. } => simd::update_velocities_redundant_hoisted_lanes(
                     v.icell, v.dx, v.dy, v.vx, v.vy, e8,
-                ),
-                &Kick::Electric { coeff } => simd::update_velocities_redundant_lanes(
-                    v.icell, v.dx, v.dy, v.vx, v.vy, e8, coeff, coeff,
                 ),
                 Kick::Boris(k) => boris_push_lanes(v.icell, v.dx, v.dy, v.vx, v.vy, v.vz, e8, k),
             };
@@ -693,9 +680,9 @@ impl<C: Kind> Pic<C> {
     }
 
     /// Deposit **J** from the stores, one pooled deposit per species in
-    /// table order, then onto the grid: the lane kernel of the step's
-    /// path, the pass's `chunk_range` cut and worker-order merge, so the
-    /// bits do not depend on when the stores are read.
+    /// table order, then onto the grid: the [`DEPOSIT`] lane kernel, the
+    /// pass's `chunk_range` cut and worker-order merge, so the bits do not
+    /// depend on when the stores are read.
     fn deposit_j(&self) -> [Vec<f64>; 3] {
         let t = Instant::now();
         let layout = self.layout.as_dyn();
@@ -711,7 +698,6 @@ impl<C: Kind> Pic<C> {
         };
         let mut j12 = RedundantJ::new(layout);
         let mut arenas = vec![j12.clone(); self.pool.as_ref().map_or(0, |p| p.nthreads())];
-        let path = self.cfg.settings().deposit_path;
         for s in &self.species {
             let (p, w) = (&s.p, s.deposit_weight(&self.grid));
             current::pool_deposit_current(
@@ -725,7 +711,7 @@ impl<C: Kind> Pic<C> {
                 &mut j12,
                 &mut arenas,
                 w,
-                path,
+                DEPOSIT,
                 KernelPath::Lanes,
             );
         }
@@ -737,9 +723,9 @@ impl<C: Kind> Pic<C> {
         j
     }
 
-    /// Deposit the initial charge without moving particles. Always runs the
-    /// scalar `Exact` kernel (off the hot path), so every deposit path
-    /// starts a run from bit-identical state. It stays on one thread: its ρ
+    /// Deposit the initial charge without moving particles. Runs the scalar
+    /// `Exact` kernel (off the hot path), so a run's start does not depend
+    /// on the step's deposit kernel. It stays on one thread: its ρ
     /// feeds the half-kick back, and a pooled deposit (per-worker arenas
     /// summed) would make the constructed velocities depend on the pool's
     /// width.
@@ -777,7 +763,7 @@ impl<C: Kind> Pic<C> {
     /// Shift the freshly sampled (physical) velocities of every species
     /// back Δt/2 in the solved initial field, `v(−Δt/2) = v(0) −
     /// (q/m)·E(x₀)·Δt/2`, and convert hoisted stores to grid units per step
-    /// — one lane pass per species over the pool. `Ez = 0`, so `vz` is
+    /// — one pass per species over the pool. `Ez = 0`, so `vz` is
     /// untouched, and **B** gives no impulse at t = 0 in the Boris stagger.
     /// Both updates are per particle, so the constructed velocities do not
     /// depend on the pool's width.
@@ -788,7 +774,7 @@ impl<C: Kind> Pic<C> {
         for (arena, mover) in self.species.iter_mut().zip(&self.movers) {
             let c = -0.5 * arena.def.charge * dt / arena.def.mass;
             let kick = |v: &mut SoaViewMut<'_>| {
-                simd::update_velocities_redundant_lanes(v.icell, v.dx, v.dy, v.vx, v.vy, e8, c, c);
+                velocity::update_velocities_redundant(v.icell, v.dx, v.dy, v.vx, v.vy, e8, c, c);
                 if let Kick::Hoisted {
                     to_stored: (sx, sy),
                     ..
@@ -856,10 +842,8 @@ impl<C: Kind> Pic<C> {
     /// live stores: cloning a multi-megabyte particle array per coordinated
     /// checkpoint was the largest single cost of the resilient step loop.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let s = self.cfg.settings();
         let hot_path = ckpt::HotPathMeta {
-            deposit_path: s.deposit_path,
-            sort_period: s.sort_period as u64,
+            sort_period: self.cfg.settings().sort_period as u64,
             controller: (self.controller.as_ref())
                 .map(|c| c.encode_state())
                 .unwrap_or_default(),
@@ -945,12 +929,10 @@ impl<C: Kind> Pic<C> {
             None => None,
         };
 
-        // Adopt the hot-path metadata: a `set_*` call may have moved these
-        // off the configured defaults, and a resumed run must continue from
+        // Adopt the hot-path metadata: `set_sort_period` may have moved it
+        // off the configured default, and a resumed run must continue from
         // the last setting, not silently revert.
-        let knobs = self.cfg.settings_mut();
-        *knobs.deposit_path = st.hot_path.deposit_path;
-        *knobs.sort_period = st.hot_path.sort_period as usize;
+        *self.cfg.settings_mut().sort_period = st.hot_path.sort_period as usize;
         self.controller = restored_ctrl;
 
         self.step_count = st.step_count as usize;

@@ -7,7 +7,7 @@
 //! stored as one contiguous `[f64; 12]` row per cell
 //! (`[Jx₀..Jx₃, Jy₀..Jy₃, Jz₀..Jz₃]`, [`crate::fields::RedundantJ`]). The
 //! kernel variants mirror the charge deposit one-for-one and share its
-//! [`DepositPath`] knob:
+//! [`DepositPath`] selector:
 //!
 //! * `Exact` — per-particle read-modify-write in input order; the scalar
 //!   and lane-blocked forms are bit-identical (the lane form only batches

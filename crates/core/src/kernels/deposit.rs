@@ -35,14 +35,15 @@ pub use super::simd::LANES;
 /// SoA deposit kernel signature shared by every variant.
 pub type DepositFn = fn(&[u32], &[f64], &[f64], &mut [[f64; 4]], f64);
 
-/// Which deposition kernel the split-redundant paths run.
+/// Which deposition kernel a selector returns — the argument of
+/// [`select_kernel`] and its **J** twin, not a run option: every step runs
+/// `LaneReduce`, and `Exact` is the reference it is held to and the initial
+/// deposit.
 ///
 /// Unlike [`KernelPath`] — whose two values are bit-identical by contract —
 /// only `Exact` preserves the scalar accumulation order bit-for-bit;
 /// `LaneReduce` reassociates the per-cell sums (within the proven FP bound
-/// above) to break the scatter serialization. The knob is part of the
-/// checkpoint fingerprint so exact and reassociated runs never
-/// cross-restore silently.
+/// above) to break the scatter serialization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DepositPath {
     /// Scalar accumulation order, bit-identical to

@@ -299,57 +299,6 @@ pub fn update_velocities_redundant_hoisted_lanes(
     );
 }
 
-/// Lane-blocked coefficient kick (unhoisted baseline). Bit-identical to
-/// [`super::velocity::update_velocities_redundant`].
-pub fn update_velocities_redundant_lanes(
-    icell: &[u32],
-    dx: &[f64],
-    dy: &[f64],
-    vx: &mut [f64],
-    vy: &mut [f64],
-    e8: &[[f64; 8]],
-    coeff_x: f64,
-    coeff_y: f64,
-) {
-    let n = icell.len();
-    assert!(dx.len() == n && dy.len() == n && vx.len() == n && vy.len() == n);
-    let main = n - n % LANES;
-    let mut o = 0;
-    let mut e = [[0.0f64; 8]; LANES];
-    while o < main {
-        let bc = block(icell, o);
-        let bdx = block(dx, o);
-        let bdy = block(dy, o);
-        let bvx = block_mut(vx, o);
-        let bvy = block_mut(vy, o);
-        for l in 0..LANES {
-            e[l] = e8[bc[l] as usize];
-        }
-        for l in 0..LANES {
-            let (odx, ody) = (bdx[l], bdy[l]);
-            let w00 = (1.0 - odx) * (1.0 - ody);
-            let w01 = (1.0 - odx) * ody;
-            let w10 = odx * (1.0 - ody);
-            let w11 = odx * ody;
-            let ex = w00 * e[l][0] + w01 * e[l][1] + w10 * e[l][2] + w11 * e[l][3];
-            let ey = w00 * e[l][4] + w01 * e[l][5] + w10 * e[l][6] + w11 * e[l][7];
-            bvx[l] += coeff_x * ex;
-            bvy[l] += coeff_y * ey;
-        }
-        o += LANES;
-    }
-    super::velocity::update_velocities_redundant(
-        &icell[main..],
-        &dx[main..],
-        &dy[main..],
-        &mut vx[main..],
-        &mut vy[main..],
-        e8,
-        coeff_x,
-        coeff_y,
-    );
-}
-
 /// Lane-blocked redundant deposition: the 4-wide corner weights of a whole
 /// lane block are computed in one vectorizable pass, then scattered in
 /// particle order (so the accumulation order — and therefore every rounding
@@ -583,33 +532,6 @@ mod tests {
             for i in 0..n {
                 assert_eq!(a.vx[i].to_bits(), b.vx[i].to_bits(), "vx n={n} i={i}");
                 assert_eq!(a.vy[i].to_bits(), b.vy[i].to_bits(), "vy n={n} i={i}");
-            }
-            // Coefficient form too.
-            let mut c = base.clone();
-            let mut d = base.clone();
-            velocity::update_velocities_redundant(
-                &c.icell.clone(),
-                &c.dx.clone(),
-                &c.dy.clone(),
-                &mut c.vx,
-                &mut c.vy,
-                &e8.e8,
-                0.37,
-                -1.25,
-            );
-            update_velocities_redundant_lanes(
-                &d.icell.clone(),
-                &d.dx.clone(),
-                &d.dy.clone(),
-                &mut d.vx,
-                &mut d.vy,
-                &e8.e8,
-                0.37,
-                -1.25,
-            );
-            for i in 0..n {
-                assert_eq!(c.vx[i].to_bits(), d.vx[i].to_bits(), "coeff vx n={n}");
-                assert_eq!(c.vy[i].to_bits(), d.vy[i].to_bits(), "coeff vy n={n}");
             }
         }
     }

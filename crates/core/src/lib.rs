@@ -24,8 +24,8 @@
 //! * grid quantities: redundant cell-based arrays ([`fields`]);
 //! * cell ordering: row-major, L4D, Morton, Hilbert (the `sfc` crate);
 //! * position update: branchless bitwise ([`kernels::position`]);
-//! * knobs that remain ([`sim::PicConfig`]): scalar vs lane-blocked
-//!   kernels, exact vs lane-reduced deposit, coefficient hoisting.
+//! * one hot path: hoisted lane-blocked kick and push, reassociated lane
+//!   deposit; [`sim::PicConfig`] picks the cell ordering, not a kernel.
 //!
 //! ## Quickstart
 //!

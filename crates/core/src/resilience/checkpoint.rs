@@ -14,10 +14,12 @@
 //!                        by the seed; nothing draws after construction)
 //! charge_ref       f64   total-charge reference for the watchdog
 //! kernel_path      u32   retired slot: written 1 (lanes), 0/1 read and ignored
-//! deposit_path     u32   active hot-path knobs at capture time — metadata,
-//! sort_period      u64   not fingerprint: a `set_*` call may have moved them
-//! ctrl_len, ctrl   u64+n off the configured defaults, and a restored run
-//!                        must resume them (plus the sort-cadence
+//! deposit_path     u32   retired slot: written 1 (lane-reduce), 0/1 read and
+//!                        ignored, 2 (the removed sorted-block path) refused
+//! sort_period      u64   active sort period at capture time — metadata, not
+//! ctrl_len, ctrl   u64+n fingerprint: `set_sort_period` may have moved it
+//!                        off the configured default, and a restored run
+//!                        must resume it (plus the sort-cadence
 //!                        controller's serialized decision state)
 //! n_particles      u64
 //! icell,ix,iy      3×n×u32
@@ -36,7 +38,7 @@
 //! silently corrupting a resumed run.
 
 use crate::particles::ParticlesSoA;
-use crate::sim::{DepositPath, DiagSample};
+use crate::sim::DiagSample;
 use crate::species::SpeciesArena;
 use crate::PicError;
 
@@ -48,17 +50,15 @@ pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: [u8; 8] = *b"PIC2DCKP";
 
-/// Active hot-path knobs at capture time, carried as snapshot *metadata*
-/// rather than folded into the config fingerprint: a `set_deposit_path` /
-/// `set_sort_period` call may have moved them off the configured defaults,
-/// and a restored run must resume the last setting instead of silently
-/// reverting. `controller` is the serialized decision state
+/// The sort schedule at capture time, carried as snapshot *metadata*
+/// rather than folded into the config fingerprint: a `set_sort_period`
+/// call may have moved it off the configured default, and a restored run
+/// must resume the last setting instead of silently reverting.
+/// `controller` is the serialized decision state
 /// ([`crate::control::HotPathController::encode_state`]); empty when no
 /// controller is attached.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HotPathMeta {
-    /// Deposit path in effect when the snapshot was captured.
-    pub deposit_path: DepositPath,
     /// Sort period in effect (the legacy fixed cadence; ignored while a
     /// controller drives the sort schedule).
     pub sort_period: u64,
@@ -66,41 +66,26 @@ pub struct HotPathMeta {
     pub controller: Vec<u8>,
 }
 
-/// What the retired kernel-path slot is written as: the code `Lanes` had,
-/// so snapshots keep the bytes (and hashes) they always had.
-const KERNEL_SLOT_LANES: u32 = 1;
+/// What both retired slots are written as: the codes `Lanes` and
+/// `LaneReduce` had, the kernels every run takes, so snapshots keep the
+/// bytes (and hashes) they always had.
+const RETIRED_SLOT: u32 = 1;
 
-/// The kernel-path slot once said which of two bit-identical kernel arms
-/// was running; both codes (0 scalar, 1 lanes) restore to the same bytes,
-/// so they are accepted and dropped. Anything else is corruption.
-fn check_kernel_slot(c: u32) -> Result<(), PicError> {
+/// The kernel-path and deposit-path slots once named a run's kernel
+/// choice; every run now takes the same kernels, so both codes of each
+/// slot (kernel 0 scalar / 1 lanes, deposit 0 `Exact` / 1 `LaneReduce`)
+/// restore and are dropped. Deposit code 2 was the sorted-block deposit,
+/// removed and never reassigned; anything else is corruption.
+fn check_retired_slot(slot: &str, c: u32) -> Result<(), PicError> {
     match c {
-        0 | KERNEL_SLOT_LANES => Ok(()),
-        _ => Err(PicError::Checkpoint(format!(
-            "snapshot has unknown kernel-path code {c}"
-        ))),
-    }
-}
-
-fn deposit_code(p: DepositPath) -> u32 {
-    match p {
-        DepositPath::Exact => 0,
-        DepositPath::LaneReduce => 1,
-    }
-}
-
-/// Code 2 was the sorted-block deposit; it is retired, never reassigned.
-fn deposit_from_code(c: u32) -> Result<DepositPath, PicError> {
-    match c {
-        0 => Ok(DepositPath::Exact),
-        1 => Ok(DepositPath::LaneReduce),
-        2 => Err(PicError::Checkpoint(
+        0 | RETIRED_SLOT => Ok(()),
+        2 if slot == "deposit-path" => Err(PicError::Checkpoint(
             "snapshot was taken on the sorted-block deposit path (code 2), which has been \
              removed; re-run from an Exact or LaneReduce checkpoint"
                 .into(),
         )),
         _ => Err(PicError::Checkpoint(format!(
-            "snapshot has unknown deposit-path code {c}"
+            "snapshot has unknown {slot} code {c}"
         ))),
     }
 }
@@ -188,8 +173,8 @@ fn put_f64_slice(buf: &mut Vec<u8>, s: &[f64]) {
 }
 
 fn put_hot_path(buf: &mut Vec<u8>, hp: &HotPathMeta) {
-    put_u32(buf, KERNEL_SLOT_LANES);
-    put_u32(buf, deposit_code(hp.deposit_path));
+    put_u32(buf, RETIRED_SLOT);
+    put_u32(buf, RETIRED_SLOT);
     put_u64(buf, hp.sort_period);
     put_u64(buf, hp.controller.len() as u64);
     buf.extend_from_slice(&hp.controller);
@@ -209,7 +194,7 @@ pub struct StateView<'a> {
     pub rng_state: [u64; 4],
     /// Total-charge reference captured at initialization.
     pub charge_ref: f64,
-    /// Active hot-path knobs and controller state at capture time.
+    /// Sort period and controller state at capture time.
     pub hot_path: &'a HotPathMeta,
     /// Per-species stores, in species-table order.
     pub species: &'a [SpeciesArena],
@@ -359,13 +344,12 @@ impl<'a> Reader<'a> {
     }
 
     fn hot_path(&mut self) -> Result<HotPathMeta, PicError> {
-        check_kernel_slot(self.u32()?)?;
-        let deposit_path = deposit_from_code(self.u32()?)?;
+        check_retired_slot("kernel-path", self.u32()?)?;
+        check_retired_slot("deposit-path", self.u32()?)?;
         let sort_period = self.u64()?;
         let n = self.len_prefix(1)?;
         let controller = self.take(n)?.to_vec();
         Ok(HotPathMeta {
-            deposit_path,
             sort_period,
             controller,
         })
@@ -521,28 +505,28 @@ pub fn decode(bytes: &[u8]) -> Result<EmState, PicError> {
 }
 
 /// Fingerprint a configuration over an explicit canonical field list:
-/// every knob that shapes the physics or the data layout. The hot-path
-/// knobs — `deposit_path`, `sort_period` — are deliberately *excluded*
-/// since snapshot format v2: they can be retuned at runtime, and a
-/// checkpoint taken afterwards must restore into the same job (the active
-/// values travel as [`HotPathMeta`] instead). The controller *profile* is
+/// every knob that shapes the physics or the data layout. `sort_period`
+/// is deliberately *excluded* since snapshot format v2: it can be retuned
+/// at runtime, and a checkpoint taken afterwards must restore into the
+/// same job (the active value travels as [`HotPathMeta`] instead). The
+/// controller *profile* is
 /// included — it shapes the sort schedule and therefore the trajectory. `threads` stays excluded: it only partitions work across
 /// the pool without changing what is computed, so a checkpoint written on
 /// an 8-thread run restores into a 1-thread run (and a shrunken
 /// distributed survivor can adopt a dead rank's snapshot regardless of its
 /// pool size).
 ///
-/// The string still spells out the four layout/loop settings and the sort
-/// flavour that used to be options (`particle_layout=Soa;…;
-/// sort_out_of_place=true`): they are what every run now does, and keeping
-/// the tokens keeps the fingerprint of every snapshot written before they
-/// became constants.
+/// The string still spells out the layout/loop settings, the hoisting and
+/// the sort flavour that used to be options (`particle_layout=Soa;…;
+/// hoisted=true;sort_out_of_place=true`): they are what every run now
+/// does, and keeping the tokens keeps the fingerprint of every snapshot
+/// written before they became constants.
 pub fn config_fingerprint(cfg: &crate::sim::PicConfig) -> u64 {
     let canon = format!(
         "grid_nx={};grid_ny={};lx={:?};ly={:?};n_particles={};dt={:?};\
          distribution={:?};ordering={:?};particle_layout=Soa;\
          field_layout=Redundant;loop_structure=Split;position_update=Branchless;\
-         hoisted={:?};sort_out_of_place=true;seed={};keep_range={:?};\
+         hoisted=true;sort_out_of_place=true;seed={};keep_range={:?};\
          keep_cells={:?};controller={:?}",
         cfg.grid_nx,
         cfg.grid_ny,
@@ -552,7 +536,6 @@ pub fn config_fingerprint(cfg: &crate::sim::PicConfig) -> u64 {
         cfg.dt,
         cfg.distribution,
         cfg.ordering,
-        cfg.hoisted,
         cfg.seed,
         cfg.keep_range,
         cfg.keep_cells,
@@ -598,7 +581,7 @@ pub struct EmState {
     pub rng_state: [u64; 4],
     /// Total-charge reference captured at initialization.
     pub charge_ref: f64,
-    /// Active hot-path knobs and controller state at capture time.
+    /// Sort period and controller state at capture time.
     pub hot_path: HotPathMeta,
     /// Per-species particle stores, in species-table order.
     pub species: Vec<EmSpeciesState>,
@@ -680,10 +663,9 @@ pub fn decode_em(bytes: &[u8]) -> Result<EmState, PicError> {
 /// density, marker count, and distribution of every species, in order), so
 /// two worlds that differ in any species never share a fingerprint and
 /// snapshots can never cross-restore between them. `threads` is excluded
-/// for the same portability reason as the legacy fingerprint, and the
-/// hot-path knobs (`deposit_path`/`sort_period`) are excluded for the same
-/// retune-then-restore reason as
-/// [`config_fingerprint`] — they travel as [`HotPathMeta`] instead, while
+/// for the same portability reason as the legacy fingerprint, and
+/// `sort_period` is excluded for the same retune-then-restore reason as
+/// [`config_fingerprint`] — it travels as [`HotPathMeta`] instead, while
 /// the controller profile (which shapes the sort schedule) is covered.
 pub fn em_config_fingerprint(cfg: &crate::em::EmConfig) -> u64 {
     use std::fmt::Write as _;
@@ -773,7 +755,6 @@ mod tests {
             rng_state: [1, 2, 3, 4],
             charge_ref: -1024.0,
             hot_path: HotPathMeta {
-                deposit_path: DepositPath::LaneReduce,
                 sort_period: 17,
                 controller: vec![0xA5, 0x5A, 0x3C, 0xC3],
             },
@@ -873,15 +854,12 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_hot_path_knobs() {
-        // Deposit path and sort period can be retuned at runtime; since
-        // format v2 they are snapshot metadata, not config identity — a
-        // checkpoint taken afterwards restores into the job that
-        // configured it.
+        // The sort period can be retuned at runtime; since format v2 it is
+        // snapshot metadata, not config identity — a checkpoint taken
+        // afterwards restores into the job that configured it.
         let mut a = crate::sim::PicConfig::landau_table1(1000);
-        a.deposit_path = crate::sim::DepositPath::Exact;
         a.sort_period = 10;
         let mut b = a.clone();
-        b.deposit_path = crate::sim::DepositPath::LaneReduce;
         b.sort_period = 50;
         assert_eq!(config_fingerprint(&a), config_fingerprint(&b));
     }
@@ -915,8 +893,18 @@ mod tests {
         reseal(&mut bytes);
         let err = decode(&bytes).unwrap_err();
         assert!(matches!(err, PicError::Checkpoint(ref m) if m.contains("kernel-path")));
-        // Deposit code 2 (the removed sorted-block path) is refused by name.
+        // The retired deposit slot is written as the lane-reduce code, and
+        // the exact code (0) decodes to the same state.
         let mut bytes = encode(&s);
+        assert_eq!(bytes[72..76], 1u32.to_le_bytes());
+        bytes[72..76].copy_from_slice(&0u32.to_le_bytes());
+        reseal(&mut bytes);
+        assert_eq!(decode(&bytes).unwrap(), s);
+        bytes[72..76].copy_from_slice(&7u32.to_le_bytes());
+        reseal(&mut bytes);
+        let err = decode(&bytes).unwrap_err();
+        assert!(matches!(err, PicError::Checkpoint(ref m) if m.contains("deposit-path")));
+        // Deposit code 2 (the removed sorted-block path) is refused by name.
         bytes[72..76].copy_from_slice(&2u32.to_le_bytes());
         reseal(&mut bytes);
         let err = decode(&bytes).unwrap_err();

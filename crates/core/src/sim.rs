@@ -12,23 +12,21 @@
 //! the naive pushes) are reference code in `pic_bench::reference`, not
 //! options here.
 //!
-//! [`PicConfig`] keeps the two hot-path knobs production callers set to
-//! different values: `deposit_path` (`Exact` for bit-reproducible ρ,
-//! `LaneReduce` for speed) and `hoisted` (§IV-D; the unhoisted form keeps
-//! physical velocity units) — plus the cell `ordering`. The kick and the
-//! push are the lane-blocked kernels ([`crate::kernels::simd`])
-//! unconditionally; the only thing found at run time is when to sort
-//! ([`crate::control`]).
+//! [`PicConfig`] chooses no kernel: every run takes the hoisted lane kick
+//! (§IV-D), the lane push and the reassociated lane deposit
+//! ([`crate::kernels::simd`], [`crate::kernels::deposit`]). What it does
+//! choose is the cell `ordering`, and the only thing found at run time is
+//! when to sort ([`crate::control`]).
 //!
 //! ## Units
 //!
 //! Normalized plasma units: ε₀ = 1, electron charge `q = −1`, mass `m = 1`,
-//! thermal speed 1. With the *hoisted* convention (§IV-D, default) particle
-//! velocities are stored in grid cells per time step and the redundant field
-//! carries the kick coefficients, so the inner loops are multiply-free; the
-//! unhoisted baseline stores physical velocities and multiplies inside the
-//! loops (and requires square cells, `Δx = Δy`, as all the paper's test
-//! cases have).
+//! thermal speed 1. Hoisted (§IV-D), particle velocities are stored in grid
+//! cells per time step and the redundant field carries the kick
+//! coefficients, so the inner loops are multiply-free; multiply a stored
+//! velocity by `(Δx/Δt, Δy/Δt)` for physical units. The unhoisted baseline,
+//! which stores physical velocities and multiplies inside the loops, is
+//! Table IV's reference code in `pic_bench::reference`.
 
 use crate::engine::kind::{Kick, Kind, Mover, Settings, SettingsMut};
 use crate::engine::{shared_settings, Pic};
@@ -66,7 +64,6 @@ pub enum KernelPath {
     Lanes,
 }
 
-pub use crate::kernels::deposit::DepositPath;
 pub use crate::pass::STRIP;
 
 /// A concrete layout instance for static-dispatch kernels.
@@ -273,14 +270,6 @@ pub struct PicConfig {
     pub distribution: InitialDistribution,
     /// Cell ordering for the redundant structures.
     pub ordering: Ordering,
-    /// Which deposition kernel the streaming pass runs. `Exact` preserves
-    /// the scalar accumulation order bit-for-bit; the reassociated
-    /// [`DepositPath::LaneReduce`] stays within the per-cell FP bound of
-    /// `crates/core/src/kernels/deposit.rs`. The initial deposit at
-    /// construction always runs `Exact` so both start from identical state.
-    pub deposit_path: DepositPath,
-    /// Coefficient hoisting (§IV-D).
-    pub hoisted: bool,
     /// Sort every `sort_period` steps (0 = never).
     pub sort_period: usize,
     /// Workers in the simulation's persistent thread pool (1 = sequential,
@@ -326,8 +315,6 @@ impl PicConfig {
             dt: 0.05,
             distribution: InitialDistribution::Landau { alpha: 0.01, k },
             ordering: Ordering::Morton,
-            deposit_path: DepositPath::LaneReduce,
-            hoisted: true,
             sort_period: 20,
             threads: 1,
             seed: 0xB1C0DE,
@@ -406,29 +393,17 @@ impl Kind for PicConfig {
 
     /// Hoisted: the field view carries `(q/m)·Δt·(Δt/Δ)`, velocities are
     /// stored in cells per step and the kick and push are multiply-free.
-    /// Unhoisted: physical velocities, kicked by `(q/m)·Δt·E` and pushed by
-    /// `Δt/Δx`.
-    fn mover(&self, def: &SpeciesDef, grid: &Grid2D) -> Mover {
+    fn mover(&self, _def: &SpeciesDef, grid: &Grid2D) -> Mover {
         let dt = self.dt;
-        if self.hoisted {
-            // Δv_grid = (q/m)·E·Δt · (Δt/Δ) — all folded into the stored field.
-            let c = QE * dt / ME;
-            Mover {
-                kick: Kick::Hoisted {
-                    field_scales: (c * dt / grid.dx(), c * dt / grid.dy()),
-                    to_stored: (dt / grid.dx(), dt / grid.dy()),
-                },
-                push_scale: 1.0,
-                speed_scales: (grid.dx() / dt, grid.dy() / dt),
-            }
-        } else {
-            Mover {
-                kick: Kick::Electric {
-                    coeff: def.charge * dt / def.mass,
-                },
-                push_scale: dt / grid.dx(),
-                speed_scales: (1.0, 1.0),
-            }
+        // Δv_grid = (q/m)·E·Δt · (Δt/Δ) — all folded into the stored field.
+        let c = QE * dt / ME;
+        Mover {
+            kick: Kick::Hoisted {
+                field_scales: (c * dt / grid.dx(), c * dt / grid.dy()),
+                to_stored: (dt / grid.dx(), dt / grid.dy()),
+            },
+            push_scale: 1.0,
+            speed_scales: (grid.dx() / dt, grid.dy() / dt),
         }
     }
 
@@ -598,23 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn hoisted_and_unhoisted_agree() {
-        let mk = |hoisted| {
-            let mut cfg = small(2000);
-            cfg.ordering = Ordering::RowMajor;
-            cfg.hoisted = hoisted;
-            let mut sim = Simulation::new(cfg).unwrap();
-            sim.run(4);
-            sim.rho().to_vec()
-        };
-        let a = mk(true);
-        let b = mk(false);
-        for i in 0..a.len() {
-            assert!((a[i] - b[i]).abs() < 1e-8, "rho[{i}]: {} vs {}", a[i], b[i]);
-        }
-    }
-
-    #[test]
     fn threads_do_not_change_physics() {
         let mk = |threads| {
             let mut cfg = small(5000);
@@ -698,15 +656,7 @@ mod tests {
         // A pool needs a worker; zero used to run silently on one thread.
         cfg.n_particles = 100;
         cfg.threads = 0;
-        assert!(matches!(
-            Simulation::new(cfg.clone()),
-            Err(PicError::Config(_))
-        ));
-        // The unhoisted form needs square cells.
-        cfg.threads = 1;
-        cfg.hoisted = false;
-        cfg.lx *= 2.0;
-        assert!(Simulation::new(cfg).is_err());
+        assert!(matches!(Simulation::new(cfg), Err(PicError::Config(_))));
     }
 
     #[test]

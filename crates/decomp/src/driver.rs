@@ -342,22 +342,21 @@ impl DecomposedSimulation {
             .position(|&r| r == rank)
             .ok_or_else(|| DecompError::Config(format!("rank {rank} hosts no slot")))?;
 
-        // Full-domain init without communication: the snapshot replaces
-        // every field of this state, the construction only sizes buffers
-        // and builds kernels deterministically.
-        let sim = Simulation::new_with_reduce(cfg.clone(), |_| {})?;
+        // The adopted slot's subdomain, restored straight from its snapshot:
+        // no population is sampled, and no collective participates.
+        let range = partition.range(my_slot);
+        cfg.keep_cells = Some((range.start as u32, range.end as u32));
+        let sim = Simulation::from_snapshot(cfg.clone(), snapshot)?;
         let (plan, all_owned_points, all_e_points) =
             slot_plans(&partition, my_slot, dcfg.halo_width);
         let slab = slab_for(&cfg, comm, &slot_owner, &all_owned_points, &all_e_points)?;
-        let range = partition.range(my_slot);
-        cfg.keep_cells = Some((range.start as u32, range.end as u32));
 
-        let mut this = Self {
+        Ok(Self {
+            step: sim.steps() as u64,
             sim,
             partition,
             plan,
             rank,
-            step: 0,
             stats: CommStats::default(),
             faults: FaultLog::new(),
             slab,
@@ -367,12 +366,7 @@ impl DecomposedSimulation {
             dcfg,
             my_slot,
             slot_owner,
-        };
-        this.sim
-            .set_keep_cells(Some((range.start as u32, range.end as u32)))?;
-        this.sim.restore(snapshot)?;
-        this.step = this.sim.steps() as u64;
-        Ok(this)
+        })
     }
 
     /// First tag of this step's block, with the communicator epoch and the
@@ -388,10 +382,9 @@ impl DecomposedSimulation {
     /// Advance one step on every rank (collective).
     ///
     /// 1. local sort/kick/push/deposit ([`Simulation::step_pre_reduce`]) —
-    ///    the deposit runs the per-rank config's
-    ///    [`DepositPath`](pic_core::sim::DepositPath), so decomposed runs
-    ///    get the vectorized deposit kernels (and their per-cell FP bound)
-    ///    exactly as serial runs do;
+    ///    the one hot path every serial run takes, so decomposed runs get
+    ///    the vectorized deposit kernel (and its per-cell FP bound) exactly
+    ///    as serial runs do;
     /// 2. leakage check — every particle must still sit in the write
     ///    region, else its deposit escaped the halo;
     /// 3. **post migration sends**: particles whose cell changed owner are

@@ -161,11 +161,13 @@ pub struct JobSpec {
     /// When set, per-step diagnostics stream to this file as JSON lines,
     /// committed at checkpoint cadence (never torn, never replayed).
     pub stream_path: Option<PathBuf>,
-    /// Deterministic arrival offset: the job is submitted now (admission
-    /// control applies immediately) but becomes schedulable only this
-    /// long after submission — how tests and benches model a short job
-    /// arriving while a long one runs, without wall-clock racing.
-    pub start_after: Option<Duration>,
+    /// Deterministic arrival offset, in scheduling quanta: the job is
+    /// submitted now (admission control applies immediately) but becomes
+    /// schedulable only once the runtime has committed this many more
+    /// quanta, or at once when no other job can run — how tests and
+    /// benches model a short job arriving while a long one runs, with no
+    /// clock involved.
+    pub start_after: Option<u64>,
 }
 
 impl JobSpec {
@@ -219,9 +221,10 @@ impl JobSpec {
         self
     }
 
-    /// Delay schedulability by `d` after submission (modelled arrival).
-    pub fn with_start_after(mut self, d: Duration) -> Self {
-        self.start_after = Some(d);
+    /// Delay schedulability by `quanta` committed quanta after submission
+    /// (modelled arrival).
+    pub fn with_start_after(mut self, quanta: u64) -> Self {
+        self.start_after = Some(quanta);
         self
     }
 }

@@ -141,6 +141,10 @@ struct Job {
     finished: Option<Instant>,
     /// Retry-backoff gate: not schedulable before this instant.
     not_before: Option<Instant>,
+    /// Modelled arrival ([`JobSpec::start_after`]): not schedulable before
+    /// the runtime has committed this many quanta, unless nothing else can
+    /// run.
+    arrives_at: Option<u64>,
     steps_done: u64,
     retries: u32,
     preemptions: u64,
@@ -166,6 +170,7 @@ impl Job {
             submitted: now,
             finished: None,
             not_before: None,
+            arrives_at: None,
             steps_done: 0,
             retries: 0,
             preemptions: 0,
@@ -233,6 +238,8 @@ pub struct JobRuntime {
     cache: ResultCache,
     rng: Rng,
     estimator: CostEstimator,
+    /// Quanta committed so far: the clock modelled arrivals count on.
+    committed: u64,
 }
 
 impl JobRuntime {
@@ -250,6 +257,7 @@ impl JobRuntime {
             cache,
             rng,
             estimator,
+            committed: 0,
         }
     }
 
@@ -296,7 +304,7 @@ impl JobRuntime {
         };
         let mut job = Job::new(id, spec, fingerprint, now);
         // Modelled arrival: admission happens now, scheduling waits.
-        job.not_before = job.spec.start_after.map(|d| now + d);
+        job.arrives_at = job.spec.start_after.map(|q| self.committed + q);
 
         if let Some(digest) = self.cache.get(key) {
             job.set_state(JobState::Admitted);
@@ -445,12 +453,18 @@ impl JobRuntime {
         }
     }
 
+    /// Has job `j`'s modelled arrival come, counted in committed quanta?
+    fn arrived(&self, j: &Job) -> bool {
+        j.arrives_at.is_none_or(|q| q <= self.committed)
+    }
+
     fn pick(&self, now: Instant) -> Pick {
         let ready = |j: &Job| j.not_before.is_none_or(|t| t <= now);
         match self.rcfg.policy {
             SchedPolicy::Fifo => {
-                // Strict arrival order; the head blocks the line even
-                // while backing off.
+                // Strict submission order; the head blocks the line even
+                // while backing off. Nothing else can run, so its modelled
+                // arrival is due at once.
                 match self.jobs.iter().position(|j| !j.state.is_terminal()) {
                     Some(h) if ready(&self.jobs[h]) => Pick::Slice(h),
                     Some(h) => Pick::Wait(self.jobs[h].not_before.unwrap()),
@@ -458,10 +472,15 @@ impl JobRuntime {
                 }
             }
             SchedPolicy::SrtfPreempt => {
+                // A modelled arrival is due once its quanta are committed,
+                // or at once when no arrived job can run: with nothing
+                // running, no quantum would ever commit.
+                let live = |j: &&Job| !j.state.is_terminal() && ready(j);
+                let idle = !self.jobs.iter().filter(live).any(|j| self.arrived(j));
                 let mut best: Option<usize> = None;
                 let mut wake: Option<Instant> = None;
                 for (i, j) in self.jobs.iter().enumerate() {
-                    if j.state.is_terminal() {
+                    if j.state.is_terminal() || !(idle || self.arrived(j)) {
                         continue;
                     }
                     if !ready(j) {
@@ -498,6 +517,7 @@ impl JobRuntime {
             i != j
                 && !o.state.is_terminal()
                 && o.not_before.is_none_or(|t| t <= now)
+                && self.arrived(o)
                 && self.remaining_cost(o) < rem
         })
     }
@@ -509,6 +529,7 @@ impl JobRuntime {
             self.jobs[j].set_state(JobState::Admitted);
         }
         self.jobs[j].not_before = None;
+        self.jobs[j].arrives_at = None;
 
         if let Err(e) = self.materialize(j) {
             let job = &mut self.jobs[j];
@@ -704,6 +725,7 @@ impl JobRuntime {
     /// Clean quantum: checkpoint, flush the stream, finish or maybe yield.
     fn commit_slice(&mut self, j: usize) {
         let now = Instant::now();
+        self.committed += 1;
         let job = &mut self.jobs[j];
         let id = job.id;
         let sim = job.sim.as_mut().expect("live");

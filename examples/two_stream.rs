@@ -71,14 +71,9 @@ fn run() -> Result<(), PicError> {
     Ok(())
 }
 
-/// 10th and 90th percentile of physical vx.
+/// 10th and 90th percentile of physical vx (stored in cells per step).
 fn vx_percentiles(sim: &Simulation) -> (f64, f64) {
-    let cfg = sim.config();
-    let scale = if cfg.hoisted {
-        sim.grid().dx() / cfg.dt
-    } else {
-        1.0
-    };
+    let scale = sim.grid().dx() / sim.config().dt;
     let mut v: Vec<f64> = sim.particles().vx.iter().map(|&u| u * scale).collect();
     v.sort_by(f64::total_cmp);
     (v[v.len() / 10], v[9 * v.len() / 10])

@@ -4,7 +4,7 @@
 
 use pic2d::pic_core::control::ControllerConfig;
 use pic2d::pic_core::em::{EmConfig, EmSimulation};
-use pic2d::pic_core::sim::{DepositPath, PicConfig, Simulation};
+use pic2d::pic_core::sim::{PicConfig, Simulation};
 
 /// The default profile with a sort every few steps, so short runs cross
 /// several controller-chosen sort boundaries.
@@ -16,10 +16,10 @@ fn fast_sorting() -> ControllerConfig {
     }
 }
 
-/// A checkpoint taken mid-window records the knobs active at that
-/// moment — here a deposit path switched at run time — as metadata;
-/// restoring into a simulation built from the *original* config resumes
-/// them, and the controller with them, instead of resetting.
+/// A checkpoint taken mid-window records the controller's decision state
+/// as metadata; restoring into a simulation built from the *original*
+/// config resumes it mid-window instead of resetting, and replays the
+/// uninterrupted run bit for bit.
 #[test]
 fn restore_resumes_mid_adaptation_hot_path_knobs() {
     let mut cfg = PicConfig::landau_table1(3_000);
@@ -27,22 +27,14 @@ fn restore_resumes_mid_adaptation_hot_path_knobs() {
     cfg.grid_ny = 32;
     cfg.controller = Some(fast_sorting());
     let mut sim = Simulation::new(cfg.clone()).unwrap();
-    sim.run(20);
-    sim.set_deposit_path(DepositPath::Exact);
-    sim.run(20);
-    assert_eq!(
-        sim.config().deposit_path,
-        DepositPath::Exact,
-        "the controller leaves the deposit path where the caller put it"
-    );
+    sim.run(40);
     let since = sim.controller().unwrap().steps_since_sort();
+    assert!(since > 0, "the checkpoint must fall mid-window");
     let snap = sim.checkpoint();
 
     // Fresh simulation from the original config.
     let mut resumed = Simulation::new(cfg).unwrap();
-    assert_eq!(resumed.config().deposit_path, DepositPath::LaneReduce);
     resumed.restore(&snap).unwrap();
-    assert_eq!(resumed.config().deposit_path, DepositPath::Exact);
     let c = resumed
         .controller()
         .expect("controller must survive the restore");
@@ -78,30 +70,6 @@ fn restore_adopts_recorded_sort_period() {
     sim.run(20);
     resumed.run(20);
     assert_eq!(sim.checkpoint(), resumed.checkpoint());
-}
-
-/// An Exact-path controller run never leaves the Exact deposit — the
-/// controller has no deposit arm — so adaptivity cannot perturb the
-/// per-cell FP summation order the Exact contract promises.
-#[test]
-fn pinned_exact_controller_stays_exact_and_restores_bitwise() {
-    let mut cfg = PicConfig::landau_table1(2_000);
-    cfg.grid_nx = 32;
-    cfg.grid_ny = 32;
-    cfg.deposit_path = DepositPath::Exact;
-    cfg.controller = Some(fast_sorting());
-
-    let mut a = Simulation::new(cfg.clone()).unwrap();
-    a.run(20);
-    assert_eq!(a.config().deposit_path, DepositPath::Exact);
-    let snap = a.checkpoint();
-    a.run(20);
-    assert_eq!(a.config().deposit_path, DepositPath::Exact);
-
-    let mut b = Simulation::new(cfg).unwrap();
-    b.restore(&snap).unwrap();
-    b.run(20);
-    assert_eq!(a.checkpoint(), b.checkpoint());
 }
 
 /// The EM driver threads the same controller: a controller-driven

@@ -232,13 +232,7 @@ fn snapshot_with_the_scalar_kernel_code_restores_and_replays() {
     let cfg = cfg(800);
     let mut sim = Simulation::new(cfg.clone()).unwrap();
     sim.run(2);
-    let mut old = sim.checkpoint();
-    // magic 8 + version 4 + fingerprint 8 + steps 8 + rng 32 + charge 8.
-    assert_eq!(old[68..72], 1u32.to_le_bytes());
-    old[68..72].copy_from_slice(&0u32.to_le_bytes());
-    let n = old.len();
-    let sum = snapshot_hash(&old[..n - 8]);
-    old[n - 8..].copy_from_slice(&sum.to_le_bytes());
+    let old = with_slot(&sim.checkpoint(), 68, 0);
 
     let mut resumed = Simulation::new(cfg).unwrap();
     resumed
@@ -247,6 +241,50 @@ fn snapshot_with_the_scalar_kernel_code_restores_and_replays() {
     sim.run(5);
     resumed.run(5);
     assert_eq!(sim.checkpoint(), resumed.checkpoint());
+}
+
+/// `snap` with the retired u32 slot at byte `at` (written 1) set to `code`
+/// and the checksum re-stamped. The kernel slot sits at 68 (magic 8 +
+/// version 4 + fingerprint 8 + steps 8 + rng 32 + charge 8), the deposit
+/// slot after it at 72.
+fn with_slot(snap: &[u8], at: usize, code: u32) -> Vec<u8> {
+    assert_eq!(snap[at..at + 4], 1u32.to_le_bytes());
+    let mut bytes = snap.to_vec();
+    bytes[at..at + 4].copy_from_slice(&code.to_le_bytes());
+    let n = bytes.len();
+    let sum = snapshot_hash(&bytes[..n - 8]);
+    bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// The deposit word is a retired slot: a snapshot written while a run
+/// could choose `Exact` (code 0) or `LaneReduce` (code 1) restores and
+/// replays the uninterrupted run bit for bit, and the removed sorted-block
+/// code 2 still fails with its message.
+#[test]
+fn snapshot_deposit_codes_restore_or_name_the_removed_path() {
+    let cfg = cfg(800);
+    let mut sim = Simulation::new(cfg.clone()).unwrap();
+    sim.run(2);
+    let snap = sim.checkpoint();
+    sim.run(5);
+    for code in [0, 1] {
+        let mut resumed = Simulation::new(cfg.clone()).unwrap();
+        resumed
+            .restore(&with_slot(&snap, 72, code))
+            .unwrap_or_else(|e| panic!("deposit code {code}: {e}"));
+        resumed.run(5);
+        assert_eq!(
+            resumed.checkpoint(),
+            sim.checkpoint(),
+            "deposit code {code}"
+        );
+    }
+    let mut resumed = Simulation::new(cfg).unwrap();
+    match resumed.restore(&with_slot(&snap, 72, 2)) {
+        Err(PicError::Checkpoint(m)) => assert!(m.contains("sorted-block"), "{m}"),
+        other => panic!("deposit code 2 must be refused by name, got {other:?}"),
+    }
 }
 
 // ---------------- watchdog ----------------

@@ -77,7 +77,8 @@ fn short_arrival_preempts_long_job_bit_exactly() {
     let short_cfg = small_cfg(12, 2_000);
     let long = rt.submit(JobSpec::new("long", long_cfg.clone(), 400));
     let short = rt.submit(
-        JobSpec::new("short", short_cfg.clone(), 12).with_start_after(Duration::from_millis(5)),
+        // Arrives after the long job's first committed quantum.
+        JobSpec::new("short", short_cfg.clone(), 12).with_start_after(1),
     );
     let report = rt.run();
     let lj = &report.jobs[long.0 as usize];

@@ -81,97 +81,93 @@ fn em_step_matches_whole_array_scalar_kernels() {
         for ordering in Ordering::paper_set() {
             for threads in [1usize, 2, 3] {
                 let pool = ThreadPool::new(threads);
-                for dp in [DepositPath::Exact, DepositPath::LaneReduce] {
-                    // A field with every rotation component.
-                    let mut cfg = EmConfig::magnetized_two_stream(n);
-                    cfg.b0 = [0.1, -0.2, 0.5];
-                    cfg.ordering = ordering;
-                    cfg.threads = threads;
-                    cfg.deposit_path = dp;
-                    let mut sim = EmSimulation::new(cfg.clone()).unwrap();
-                    sim.run(3); // drift off the sorted start; step 4 does not sort
-                    let what = format!("{ordering} n={n} threads={threads} {dp:?}");
+                // A field with every rotation component.
+                let mut cfg = EmConfig::magnetized_two_stream(n);
+                cfg.b0 = [0.1, -0.2, 0.5];
+                cfg.ordering = ordering;
+                cfg.threads = threads;
+                let mut sim = EmSimulation::new(cfg.clone()).unwrap();
+                sim.run(3); // drift off the sorted start; step 4 does not sort
+                let what = format!("{ordering} n={n} threads={threads}");
 
-                    let grid = *sim.grid();
-                    let layout = AnyLayout::build(ordering, cfg.grid_nx, cfg.grid_ny).unwrap();
-                    let mut field = Field2D::new(&grid);
-                    field.ex.copy_from_slice(sim.e_field().0);
-                    field.ey.copy_from_slice(sim.e_field().1);
-                    let mut e8 = RedundantE::new(layout.as_dyn());
-                    e8.fill_from(&field, layout.as_dyn(), 1.0, 1.0);
-                    let scale = cfg.dt / grid.dx();
+                let grid = *sim.grid();
+                let layout = AnyLayout::build(ordering, cfg.grid_nx, cfg.grid_ny).unwrap();
+                let mut field = Field2D::new(&grid);
+                field.ex.copy_from_slice(sim.e_field().0);
+                field.ey.copy_from_slice(sim.e_field().1);
+                let mut e8 = RedundantE::new(layout.as_dyn());
+                e8.fill_from(&field, layout.as_dyn(), 1.0, 1.0);
+                let scale = cfg.dt / grid.dx();
 
-                    let mut rho4 = RedundantRho::new(layout.as_dyn());
-                    let mut j12 = RedundantJ::new(layout.as_dyn());
-                    let mut rho_arenas: Vec<_> = (0..threads)
-                        .map(|_| RedundantRho::new(layout.as_dyn()))
-                        .collect();
-                    let mut j_arenas: Vec<_> = (0..threads)
-                        .map(|_| RedundantJ::new(layout.as_dyn()))
-                        .collect();
-                    let mut pushed: Vec<(ParticlesSoA, Vec<f64>)> = Vec::new();
-                    for arena in sim.species() {
-                        let (mut p, mut vz) = (arena.p.clone(), arena.vz.clone());
-                        let coeffs =
-                            BorisCoeffs::new(arena.def.charge, arena.def.mass, cfg.dt, cfg.b0);
-                        boris_push(
-                            &p.icell, &p.dx, &p.dy, &mut p.vx, &mut p.vy, &mut vz, &e8.e8, &coeffs,
-                        );
-                        scalar_push(&layout, &mut p, cfg.grid_nx, cfg.grid_ny, scale);
-                        let w = arena.deposit_weight(&grid);
-                        pool_accumulate_redundant(
-                            &pool,
-                            &p.icell,
-                            &p.dx,
-                            &p.dy,
-                            &mut rho4,
-                            &mut rho_arenas,
-                            w,
-                            dp,
-                            KernelPath::Scalar,
-                        );
-                        pool_deposit_current(
-                            &pool,
-                            &p.icell,
-                            &p.dx,
-                            &p.dy,
-                            &p.vx,
-                            &p.vy,
-                            &vz,
-                            &mut j12,
-                            &mut j_arenas,
-                            w,
-                            dp,
-                            KernelPath::Scalar,
-                        );
-                        pushed.push((p, vz));
-                    }
-                    let ng = grid.ncells();
-                    let (mut rho, mut jx, mut jy, mut jz) =
-                        (vec![0.0; ng], vec![0.0; ng], vec![0.0; ng], vec![0.0; ng]);
-                    rho4.reduce_to_grid(layout.as_dyn(), &mut rho);
-                    j12.reduce_to_grid(layout.as_dyn(), &mut jx, &mut jy, &mut jz);
-
-                    // The step's second half solves E from ρ and leaves the
-                    // particles, ρ and J alone.
-                    sim.step();
-                    for (arena, (p, vz)) in sim.species().iter().zip(&pushed) {
-                        let what = format!("{what} {}", arena.def.name);
-                        assert_eq!(arena.p.icell, p.icell, "{what}: icell");
-                        assert_eq!(arena.p.ix, p.ix, "{what}: ix");
-                        assert_eq!(arena.p.iy, p.iy, "{what}: iy");
-                        assert_eq!(bits(&arena.p.dx), bits(&p.dx), "{what}: dx");
-                        assert_eq!(bits(&arena.p.dy), bits(&p.dy), "{what}: dy");
-                        assert_eq!(bits(&arena.p.vx), bits(&p.vx), "{what}: vx");
-                        assert_eq!(bits(&arena.p.vy), bits(&p.vy), "{what}: vy");
-                        assert_eq!(bits(&arena.vz), bits(vz), "{what}: vz");
-                    }
-                    assert_eq!(bits(sim.rho()), bits(&rho), "{what}: rho");
-                    let (sjx, sjy, sjz) = sim.j_field();
-                    assert_eq!(bits(sjx), bits(&jx), "{what}: jx");
-                    assert_eq!(bits(sjy), bits(&jy), "{what}: jy");
-                    assert_eq!(bits(sjz), bits(&jz), "{what}: jz");
+                let mut rho4 = RedundantRho::new(layout.as_dyn());
+                let mut j12 = RedundantJ::new(layout.as_dyn());
+                let mut rho_arenas: Vec<_> = (0..threads)
+                    .map(|_| RedundantRho::new(layout.as_dyn()))
+                    .collect();
+                let mut j_arenas: Vec<_> = (0..threads)
+                    .map(|_| RedundantJ::new(layout.as_dyn()))
+                    .collect();
+                let mut pushed: Vec<(ParticlesSoA, Vec<f64>)> = Vec::new();
+                for arena in sim.species() {
+                    let (mut p, mut vz) = (arena.p.clone(), arena.vz.clone());
+                    let coeffs = BorisCoeffs::new(arena.def.charge, arena.def.mass, cfg.dt, cfg.b0);
+                    boris_push(
+                        &p.icell, &p.dx, &p.dy, &mut p.vx, &mut p.vy, &mut vz, &e8.e8, &coeffs,
+                    );
+                    scalar_push(&layout, &mut p, cfg.grid_nx, cfg.grid_ny, scale);
+                    let w = arena.deposit_weight(&grid);
+                    pool_accumulate_redundant(
+                        &pool,
+                        &p.icell,
+                        &p.dx,
+                        &p.dy,
+                        &mut rho4,
+                        &mut rho_arenas,
+                        w,
+                        DepositPath::LaneReduce,
+                        KernelPath::Scalar,
+                    );
+                    pool_deposit_current(
+                        &pool,
+                        &p.icell,
+                        &p.dx,
+                        &p.dy,
+                        &p.vx,
+                        &p.vy,
+                        &vz,
+                        &mut j12,
+                        &mut j_arenas,
+                        w,
+                        DepositPath::LaneReduce,
+                        KernelPath::Scalar,
+                    );
+                    pushed.push((p, vz));
                 }
+                let ng = grid.ncells();
+                let (mut rho, mut jx, mut jy, mut jz) =
+                    (vec![0.0; ng], vec![0.0; ng], vec![0.0; ng], vec![0.0; ng]);
+                rho4.reduce_to_grid(layout.as_dyn(), &mut rho);
+                j12.reduce_to_grid(layout.as_dyn(), &mut jx, &mut jy, &mut jz);
+
+                // The step's second half solves E from ρ and leaves the
+                // particles, ρ and J alone.
+                sim.step();
+                for (arena, (p, vz)) in sim.species().iter().zip(&pushed) {
+                    let what = format!("{what} {}", arena.def.name);
+                    assert_eq!(arena.p.icell, p.icell, "{what}: icell");
+                    assert_eq!(arena.p.ix, p.ix, "{what}: ix");
+                    assert_eq!(arena.p.iy, p.iy, "{what}: iy");
+                    assert_eq!(bits(&arena.p.dx), bits(&p.dx), "{what}: dx");
+                    assert_eq!(bits(&arena.p.dy), bits(&p.dy), "{what}: dy");
+                    assert_eq!(bits(&arena.p.vx), bits(&p.vx), "{what}: vx");
+                    assert_eq!(bits(&arena.p.vy), bits(&p.vy), "{what}: vy");
+                    assert_eq!(bits(&arena.vz), bits(vz), "{what}: vz");
+                }
+                assert_eq!(bits(sim.rho()), bits(&rho), "{what}: rho");
+                let (sjx, sjy, sjz) = sim.j_field();
+                assert_eq!(bits(sjx), bits(&jx), "{what}: jx");
+                assert_eq!(bits(sjy), bits(&jy), "{what}: jy");
+                assert_eq!(bits(sjz), bits(&jz), "{what}: jz");
             }
         }
     }
@@ -240,7 +236,6 @@ fn em_driver_reproduces_legacy_two_stream_at_zero_field() {
     let mut cfg = PicConfig::two_stream(20_000);
     cfg.grid_nx = 32;
     cfg.grid_ny = 32;
-    cfg.hoisted = false; // the EM arenas store physical velocities
     let mut legacy = Simulation::new(cfg.clone()).unwrap();
     legacy.run(120);
 

@@ -5,17 +5,23 @@
 //! counts, and particle counts that do and do not divide the lane width or
 //! the strip length. The scalar kernels are the reference; this is the
 //! oracle that lets production run the lane kernels unconditionally.
+//!
+//! Two oracles sit outside the kernels altogether: the kick in physical
+//! units from the test's own interpolation of the grid field, and the step's
+//! reassociated ρ against the exact scalar accumulation, within its proven
+//! per-cell bound.
 
 mod common;
 
 use common::scalar_push;
 use pic_core::fields::{Field2D, RedundantE, RedundantRho};
+use pic_core::kernels::deposit::{self, DepositPath};
 use pic_core::kernels::simd::LANES;
-use pic_core::kernels::{accumulate, deposit, velocity};
-use pic_core::particles::{particle_weight, ParticlesSoA};
+use pic_core::kernels::{accumulate, velocity};
+use pic_core::particles::{particle_weight, Loader, ParticlesSoA};
 use pic_core::pool::ThreadPool;
 use pic_core::rng::Rng;
-use pic_core::sim::{AnyLayout, DepositPath, KernelPath, PicConfig, Simulation, ME, QE, STRIP};
+use pic_core::sim::{AnyLayout, KernelPath, PicConfig, Simulation, ME, QE, STRIP};
 use pic_core::sort::sort_out_of_place;
 use sfc::Ordering;
 
@@ -37,30 +43,23 @@ fn scalar_step(sim: &Simulation, pool: &ThreadPool) -> (ParticlesSoA, Vec<f64>) 
     field.ex.copy_from_slice(ex);
     field.ey.copy_from_slice(ey);
     // Hoisted (§IV-D): the constants live in the stored field and
-    // velocities. Unhoisted: the kernels multiply per particle.
+    // velocities.
     let kick = QE * c.dt / ME;
-    let (sx, sy, scale) = if c.hoisted {
-        (kick * c.dt / grid.dx(), kick * c.dt / grid.dy(), 1.0)
-    } else {
-        (1.0, 1.0, c.dt / grid.dx())
-    };
     let mut e8 = RedundantE::new(layout.as_dyn());
-    e8.fill_from(&field, layout.as_dyn(), sx, sy);
+    e8.fill_from(
+        &field,
+        layout.as_dyn(),
+        kick * c.dt / grid.dx(),
+        kick * c.dt / grid.dy(),
+    );
+    velocity::update_velocities_redundant_hoisted(
+        &p.icell, &p.dx, &p.dy, &mut p.vx, &mut p.vy, &e8.e8,
+    );
+    scalar_push(&layout, &mut p, c.grid_nx, c.grid_ny, 1.0);
 
-    if c.hoisted {
-        velocity::update_velocities_redundant_hoisted(
-            &p.icell, &p.dx, &p.dy, &mut p.vx, &mut p.vy, &e8.e8,
-        );
-    } else {
-        velocity::update_velocities_redundant(
-            &p.icell, &p.dx, &p.dy, &mut p.vx, &mut p.vy, &e8.e8, kick, kick,
-        );
-    }
-    scalar_push(&layout, &mut p, c.grid_nx, c.grid_ny, scale);
-
-    // `Exact` has a scalar kernel; the reassociated deposit has one kernel,
-    // and what is checked for it is that strips and chunks leave its lane
-    // blocks where a whole-chunk call puts them.
+    // The reassociated deposit has one kernel: what is checked for it is
+    // that strips and chunks leave its lane blocks where a whole-chunk call
+    // puts them.
     let w = QE * particle_weight(grid, c.n_particles) / (grid.dx() * grid.dy());
     let mut rho4 = RedundantRho::new(layout.as_dyn());
     let mut arenas: Vec<RedundantRho> = (0..pool.nthreads())
@@ -74,7 +73,7 @@ fn scalar_step(sim: &Simulation, pool: &ThreadPool) -> (ParticlesSoA, Vec<f64>) 
         &mut rho4,
         &mut arenas,
         w,
-        c.deposit_path,
+        DepositPath::LaneReduce,
         KernelPath::Scalar,
     );
     let mut rho = vec![0.0; grid.ncells()];
@@ -147,60 +146,137 @@ fn parity_at_lane_edge_counts() {
 #[test]
 fn parity_on_baseline_row_major() {
     // What production keeps of the Table IV baseline settings: row-major
-    // cells and unhoisted coefficients, i.e. the coefficient-form kernels
-    // (`coeff`/`scale` multiplied per particle).
+    // cells, where the push re-derives `icell` arithmetically.
     let mut c = cfg(777);
     c.ordering = Ordering::RowMajor;
-    c.hoisted = false;
-    c.deposit_path = DepositPath::Exact;
     assert_steps_match_scalar_kernels(c, 5, "baseline");
 }
 
-// ---------------------------------------------------------------------------
-// DepositPath parity: the deposition-kernel knob must never change physics
-// beyond its documented contract — `Exact` stays bit-identical to
-// the scalar accumulation order, and the reassociated `LaneReduce` stays
-// within a tight tolerance of the exact result at the simulation level and
-// within the proven per-cell FP bound at the kernel level.
-// ---------------------------------------------------------------------------
+/// E at a particle from the grid arrays by the test's own bilinear
+/// interpolation at `(ix, iy, dx, dy)`, periodic; grid point `(gx, gy)`
+/// sits at `gx·ny + gy`.
+fn interpolate(e: &[f64], (nx, ny): (usize, usize), p: &ParticlesSoA, i: usize) -> f64 {
+    let (ix, iy, dx, dy) = (p.ix[i] as usize, p.iy[i] as usize, p.dx[i], p.dy[i]);
+    let at = |gx: usize, gy: usize| e[(gx % nx) * ny + gy % ny];
+    (1.0 - dx) * (1.0 - dy) * at(ix, iy)
+        + dx * (1.0 - dy) * at(ix + 1, iy)
+        + (1.0 - dx) * dy * at(ix, iy + 1)
+        + dx * dy * at(ix + 1, iy + 1)
+}
 
-/// {1, 2, 4 threads} x {sorted, unsorted}: under every combo, `Exact` is
-/// bit-identical to the scalar kernels, and `LaneReduce`
-/// tracks the exact run to a loose per-cell tolerance (the per-deposit FP
-/// bound fed back through the field solve for a handful of steps).
+/// Within about 1e-12 of `want`, relative to the thermal speed 1.
+fn assert_close(got: f64, want: f64, what: &str) {
+    assert!(
+        (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+        "{what}: {got} vs oracle {want}"
+    );
+}
+
+/// The kick in physical units, outside every kernel and the redundant
+/// field: from the grid `ex`/`ey`, `v ← v + (q/m)·Δt·E` on the stored
+/// velocities times `(Δx/Δt, Δy/Δt)` — at construction the half-kick back
+/// from the loader's sampled velocities, then each step's kick. Cells are
+/// not square, so the two axes' conversions cannot stand in for each other.
+#[test]
+fn kick_matches_a_physical_units_oracle() {
+    for ordering in [Ordering::RowMajor, Ordering::Morton] {
+        let mut c = cfg(2_003);
+        (c.grid_nx, c.grid_ny) = (32, 16);
+        c.ordering = ordering;
+        c.sort_period = 0; // keep the particle order across the steps
+        let sim0 = Simulation::new(c.clone()).unwrap();
+        let grid = *sim0.grid();
+        let (nx, ny, dt) = (c.grid_nx, c.grid_ny, c.dt);
+        let to_physical = (grid.dx() / dt, grid.dy() / dt);
+        let qm_dt = QE / ME * dt;
+
+        // Construction: v(−Δt/2) = v(0) − (q/m)·E(x₀)·Δt/2.
+        let layout = AnyLayout::build(ordering, nx, ny).unwrap();
+        let (sampled, _) = Loader::new(
+            &grid,
+            layout.as_dyn(),
+            c.distribution,
+            c.n_particles,
+            c.seed,
+        )
+        .load(0..c.n_particles, None);
+        let (p, (ex, ey)) = (sim0.particles(), sim0.e_field());
+        for i in 0..p.len() {
+            let what = format!("{ordering} construction, particle {i}");
+            let want_x = sampled.vx[i] - 0.5 * qm_dt * interpolate(ex, (nx, ny), p, i);
+            let want_y = sampled.vy[i] - 0.5 * qm_dt * interpolate(ey, (nx, ny), p, i);
+            assert_close(p.vx[i] * to_physical.0, want_x, &format!("{what} vx"));
+            assert_close(p.vy[i] * to_physical.1, want_y, &format!("{what} vy"));
+        }
+
+        let mut sim = sim0;
+        for step in 1..=3 {
+            let before = sim.particles().clone();
+            let (ex, ey) = (sim.e_field().0.to_vec(), sim.e_field().1.to_vec());
+            sim.step();
+            let after = sim.particles();
+            for i in 0..before.len() {
+                let what = format!("{ordering} step {step}, particle {i}");
+                let want_x =
+                    before.vx[i] * to_physical.0 + qm_dt * interpolate(&ex, (nx, ny), &before, i);
+                let want_y =
+                    before.vy[i] * to_physical.1 + qm_dt * interpolate(&ey, (nx, ny), &before, i);
+                assert_close(after.vx[i] * to_physical.0, want_x, &format!("{what} vx"));
+                assert_close(after.vy[i] * to_physical.1, want_y, &format!("{what} vy"));
+            }
+        }
+    }
+}
+
+/// {1, 2, 4 threads} x {sorted, unsorted}: every step is bit-identical to
+/// the scalar kernels, and its reassociated ρ lies within the per-cell
+/// bound of the scalar `Exact` accumulation of the same pushed store.
+/// Grid point `g` sums the corners of the four cells around it, so its
+/// bound is `4K²ε|w|` with `K` the particles in those cells
+/// (`Σ 4k_c² ≤ 4K²`; the pooled merge and the corner sums stay inside it).
 #[test]
 fn deposit_path_matrix() {
     for threads in [1usize, 2, 4] {
         for sorted in [true, false] {
-            let make = |dp: DepositPath| {
-                let mut c = cfg(1511);
-                c.ordering = Ordering::Morton;
-                c.threads = threads;
-                // Sorted: re-sort every step so the deposit always sees
-                // long same-cell runs. Unsorted: never sort, so drift
-                // scrambles the cell order the kernels walk.
-                c.sort_period = if sorted { 1 } else { 0 };
-                c.deposit_path = dp;
-                c
-            };
+            let mut c = cfg(1511);
+            c.ordering = Ordering::Morton;
+            c.threads = threads;
+            // Sorted: re-sort every step so the deposit always sees long
+            // same-cell runs. Unsorted: never sort, so drift scrambles the
+            // cell order the kernels walk.
+            c.sort_period = if sorted { 1 } else { 0 };
             let what = format!("threads={threads} sorted={sorted}");
+            assert_steps_match_scalar_kernels(c.clone(), 5, &what);
 
-            // Exact deposit: the scalar kernels, bit for bit.
-            assert_steps_match_scalar_kernels(make(DepositPath::Exact), 5, &what);
-
-            // The reassociated deposit tracks the exact run closely.
-            let mut exact = Simulation::new(make(DepositPath::Exact)).unwrap();
-            exact.run(5);
-            let mut sim = Simulation::new(make(DepositPath::LaneReduce)).unwrap();
-            sim.run(5);
-            let (re, rr) = (exact.rho(), sim.rho());
-            for i in 0..re.len() {
-                assert!(
-                    (re[i] - rr[i]).abs() < 1e-9,
-                    "{what} LaneReduce: rho[{i}] drifted: {} vs {}",
-                    rr[i],
-                    re[i]
-                );
+            let mut sim = Simulation::new(c.clone()).unwrap();
+            let grid = *sim.grid();
+            let (nx, ny) = (c.grid_nx, c.grid_ny);
+            let w = QE * particle_weight(&grid, c.n_particles) / (grid.dx() * grid.dy());
+            let layout = AnyLayout::build(c.ordering, nx, ny).unwrap();
+            let l = layout.as_dyn();
+            for step in 1..=5 {
+                sim.step();
+                let p = sim.particles();
+                // The exact ρ, and each grid point's K: a particle puts 1
+                // on every corner of its cell.
+                let (mut exact, mut k4) = (RedundantRho::new(l), RedundantRho::new(l));
+                accumulate::accumulate_redundant(&p.icell, &p.dx, &p.dy, &mut exact.rho4, w);
+                for &c in &p.icell {
+                    k4.rho4[c as usize].iter_mut().for_each(|k| *k += 1.0);
+                }
+                let (mut rho, mut k) = (vec![0.0; nx * ny], vec![0.0; nx * ny]);
+                exact.reduce_to_grid(l, &mut rho);
+                k4.reduce_to_grid(l, &mut k);
+                for (g, (&r, &k)) in rho.iter().zip(&k).enumerate() {
+                    let (d, bound) = (
+                        (sim.rho()[g] - r).abs(),
+                        4.0 * k * k * f64::EPSILON * w.abs(),
+                    );
+                    assert!(
+                        d <= bound,
+                        "{what} step {step}: rho[{g}] off the exact sum by {d:e}, bound {bound:e}"
+                    );
+                }
             }
         }
     }
@@ -251,8 +327,8 @@ fn reassociated_deposit_within_cell_bound_at_1m() {
 // ---------------------------------------------------------------------------
 // Strip-pass parity: `Simulation::step` streams each worker chunk through
 // kick → push → deposit in strips of `STRIP` particles. One step must match
-// the whole-array scalar reference over cell orderings, pool widths, deposit
-// paths and particle counts around the lane and strip edges (including fewer
+// the whole-array scalar reference over cell orderings, pool widths and
+// particle counts around the lane and strip edges (including fewer
 // particles than workers).
 // ---------------------------------------------------------------------------
 
@@ -262,32 +338,29 @@ fn strip_pass_matches_whole_array_kernels() {
     for ordering in Ordering::paper_set() {
         for threads in [1usize, 2, 3, 4] {
             let pool = ThreadPool::new(threads);
-            for dp in [DepositPath::Exact, DepositPath::LaneReduce] {
-                for n in COUNTS {
-                    let mut c = cfg(3 * STRIP + 5);
-                    c.ordering = ordering;
-                    c.threads = threads;
-                    c.deposit_path = dp;
-                    c.sort_period = 0;
-                    let mut sim = Simulation::new(c).unwrap();
-                    // Drift off the sorted start, then cut the store to n.
-                    sim.run(2);
-                    let p = sim.particles_mut();
-                    p.icell.truncate(n);
-                    p.ix.truncate(n);
-                    p.iy.truncate(n);
-                    p.dx.truncate(n);
-                    p.dy.truncate(n);
-                    p.vx.truncate(n);
-                    p.vy.truncate(n);
+            for n in COUNTS {
+                let mut c = cfg(3 * STRIP + 5);
+                c.ordering = ordering;
+                c.threads = threads;
+                c.sort_period = 0;
+                let mut sim = Simulation::new(c).unwrap();
+                // Drift off the sorted start, then cut the store to n.
+                sim.run(2);
+                let p = sim.particles_mut();
+                p.icell.truncate(n);
+                p.ix.truncate(n);
+                p.iy.truncate(n);
+                p.dx.truncate(n);
+                p.dy.truncate(n);
+                p.vx.truncate(n);
+                p.vy.truncate(n);
 
-                    let (pr, rho_ref) = scalar_step(&sim, &pool);
-                    sim.step();
-                    // ρ too: strip starts are LANES-aligned from the chunk
-                    // start, so the lane blocks coincide.
-                    let what = format!("{ordering} threads={threads} {dp:?} n={n}");
-                    assert_same_bits(&sim, &pr, &rho_ref, &what);
-                }
+                let (pr, rho_ref) = scalar_step(&sim, &pool);
+                sim.step();
+                // ρ too: strip starts are LANES-aligned from the chunk
+                // start, so the lane blocks coincide.
+                let what = format!("{ordering} threads={threads} n={n}");
+                assert_same_bits(&sim, &pr, &rho_ref, &what);
             }
         }
     }
